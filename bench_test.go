@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -147,7 +148,24 @@ func BenchmarkRouterDestinationsAt(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCache measures Engine.Execute on a skewed two-relation
+// benchSession opens a session on p servers or fails the benchmark.
+func benchSession(b *testing.B, p int, seed uint64) *Session {
+	s, err := Open(Config{P: p, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+// benchExec is Session.Exec failing the benchmark on error.
+func benchExec(b *testing.B, s *Session, q *Query, db *Database, opts ...ExecOption) {
+	if _, err := s.Exec(context.Background(), q, db, opts...); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPlanCache measures Session.Exec on a skewed two-relation
 // join, with planning amortized by the plan cache (hit) versus replanned
 // every call (miss).
 func BenchmarkPlanCache(b *testing.B) {
@@ -156,23 +174,22 @@ func BenchmarkPlanCache(b *testing.B) {
 	db.Put(workload.Zipf("S1", 2000, 1<<20, 1, 1.6, 300, 1))
 	db.Put(workload.Zipf("S2", 2000, 1<<20, 1, 1.6, 300, 2))
 	b.Run("hit", func(b *testing.B) {
-		e := NewEngine(64, 3)
-		e.Execute(q, db) // prime the cache
+		s := benchSession(b, 64, 3)
+		benchExec(b, s, q, db) // prime the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db)
 		}
-		if e.CacheStats().Hits == 0 {
+		if s.CacheStats().Hits == 0 {
 			b.Fatal("no cache hits")
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		e := NewEngine(64, 3)
-		e.DisablePlanCache = true
+		s := benchSession(b, 64, 3)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db, WithoutCache())
 		}
 	})
 }
@@ -289,12 +306,9 @@ func BenchmarkGeneralSkewSweepP(b *testing.B) {
 }
 
 // BenchmarkMultiRoundEndToEnd measures the pipelined multi-round path
-// (plan lowering + exec.RunPipeline with resident intermediates) on the
-// two canonical instances of BENCH_rounds.json. The pre-refactor loop
-// (fresh cluster per round, intermediates re-ingested through a
-// data.Database) measured 5.49 ms/op on triangle-matchings and 4543 ms/op
-// on the skew-aware zipf join on the recording machine; the pipelined path
-// must stay at or below those.
+// (plan lowering + exec.RunPipeline with resident intermediates) on its
+// two canonical instances: the sparse triangle and the skew-aware zipf
+// join.
 func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 	b.Run("triangle-matchings", func(b *testing.B) {
 		q := query.Triangle()
@@ -328,14 +342,13 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		for j, name := range []string{"S1", "S2", "S3"} {
 			db.Put(workload.Matching(name, 2, 5000, 1<<20, int64(j+1)))
 		}
-		force := StrategyMultiRound
-		e := NewEngine(64, 3)
-		e.ForceStrategy = &force
-		e.Execute(q, db) // prime the cache
+		s := benchSession(b, 64, 3)
+		force := WithStrategy(StrategyMultiRound)
+		benchExec(b, s, q, db, force) // prime the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db, force)
 		}
 	})
 }

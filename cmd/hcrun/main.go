@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +53,11 @@ func main() {
 		db.Put(rel)
 	}
 
-	engine := core.NewEngine(*pFlag, *seedFlag)
+	engine, err := core.New(core.Config{P: *pFlag, Seed: *seedFlag})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hcrun: %v\n", err)
+		os.Exit(2)
+	}
 	if *explainFlag {
 		fmt.Print(engine.Explain(q, db))
 		return
@@ -66,9 +71,12 @@ func main() {
 	fmt.Printf("reason:       %s\n", plan.Reason)
 	fmt.Printf("lower bound:  %.0f bits per server (Thm 1.2)\n\n", plan.LowerBoundBits)
 
-	res := engine.Execute(q, db)
-	for i := 1; i < *repeatFlag; i++ {
-		res = engine.Execute(q, db)
+	var res core.Result
+	for i := 0; i < max(*repeatFlag, 1); i++ {
+		if res, err = engine.ExecuteContext(context.Background(), q, db, core.ExecOptions{}); err != nil {
+			fmt.Fprintf(os.Stderr, "hcrun: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	fmt.Printf("answers:      %d tuples\n", len(res.Output))
 	fmt.Printf("max load:     %d bits per (virtual) server\n", res.MaxLoadBits)

@@ -9,15 +9,17 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/rounds"
+	"repro/internal/workload"
 )
 
-// FaultBench is the committed BENCH_fault.json baseline for round-granular
-// fault recovery on the triangle pipeline: for each communication round k, a
-// seeded schedule tears exactly round k's first attempt, and the bench
+// FaultBench is the JSON report of round-granular fault recovery on the
+// triangle pipeline: for each communication round k, a seeded schedule
+// tears exactly round k's first attempt, and the bench
 // compares the transactional replay path (re-drive only round k against the
 // surviving resident state) against the pre-recovery discipline (the torn
 // execution fails wholesale and the caller re-executes the entire pipeline).
@@ -94,7 +96,10 @@ func medianMs(samples []time.Duration) float64 {
 // the triangle pipeline and writes the JSON baseline.
 func runFaultBench(path string) error {
 	const samplesPerPoint = 9
-	db := triangleMatchingsDB()
+	db := data.NewDatabase()
+	for j, name := range []string{"S1", "S2", "S3"} {
+		db.Put(workload.Matching(name, 2, 5000, 1<<20, int64(j+1)))
+	}
 	q := query.Triangle()
 	plan := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: 3})
 	pipe := plan.Pipe

@@ -42,8 +42,7 @@
 //     rounds 1..k-1 — and a failed compute phase re-runs only the failed
 //     servers. Config.Retry bounds the recovery (a shared attempt budget
 //     with capped, jittered exponential backoff; Result.Recovery reports
-//     what a run consumed, with the legacy Result.FaultRetries kept equal
-//     to Recovery.Attempts); faults that outlive the budget surface as
+//     what a run consumed); faults that outlive the budget surface as
 //     ErrTornRound or ErrComputeFailed. Config.BreakerThreshold adds a
 //     circuit breaker on top: a persistently faulting cluster sheds calls
 //     fast with ErrCircuitOpen while one probe at a time tests for
@@ -65,9 +64,7 @@
 //     join (§4.1), and the general bin-combination algorithm (§4.2) based
 //     on heavy-hitter statistics. Every strategy lowers to a PhysicalPlan
 //     run by the unified executor (internal/exec), and plans are cached
-//     across Execute calls on unchanged inputs. NewEngine is the
-//     pre-Session API (panics on invalid input, mutable config fields);
-//     Session wraps it for serving.
+//     across executions on unchanged inputs. Session wraps it for serving.
 //
 //   - Lower bounds (internal/bounds): the matching communication lower
 //     bounds of Theorems 3.5 and 4.7, in bits.
@@ -98,7 +95,8 @@
 //
 // See DESIGN.md for the planner/executor layering and system inventory;
 // `go test -bench .` regenerates the paper-versus-measured experiment
-// tables. The engine's invariant contracts (deterministic core,
+// tables, and `go run ./bench` is the one end-to-end performance benchmark
+// (bench/README.md). The engine's invariant contracts (deterministic core,
 // allocation-free routing hot paths, context flow, pooled-scratch
 // ownership, error wrapping) are mechanically enforced by the custom
 // static-analysis suite in internal/lint: run it with

@@ -16,7 +16,15 @@ func Example_quickstart() {
 	db.Put(repro.MatchingRelation("S1", 2, 1000, 1<<20, 1))
 	db.Put(repro.MatchingRelation("S2", 2, 1000, 1<<20, 2))
 
-	res := repro.NewEngine(16, 42).Execute(q, db)
+	s, err := repro.Open(repro.Config{P: 16, Seed: 42})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	res, err := s.Exec(context.Background(), q, db)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("strategy:", res.Plan.Strategy)
 	fmt.Println("shares:", res.Plan.Shares)
 	// Output:
@@ -221,11 +229,9 @@ func ExampleSession_Exec_retry() {
 		panic(err)
 	}
 	fmt.Println("attempts:", res.Recovery.Attempts, "rounds replayed:", res.Recovery.RoundsReplayed)
-	fmt.Println("legacy retries:", res.FaultRetries)
 	fmt.Println("breaker:", s.HealthStats().State)
 	// Output:
 	// attempts: 1 rounds replayed: 1
-	// legacy retries: 1
 	// breaker: disabled
 }
 

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -17,10 +18,17 @@ func main() {
 	db.Put(repro.MatchingRelation("S1", 2, 10000, 1<<20, 1))
 	db.Put(repro.MatchingRelation("S2", 2, 10000, 1<<20, 2))
 
-	// 64 simulated servers; the engine plans (here: plain HyperCube with
+	// 64 simulated servers; the session plans (here: plain HyperCube with
 	// LP-optimal shares) and executes in a single round.
-	engine := repro.NewEngine(64, 42)
-	res := engine.Execute(q, db)
+	s, err := repro.Open(repro.Config{P: 64, Seed: 42})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	res, err := s.Exec(context.Background(), q, db)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("query:       %s\n", q)
 	fmt.Printf("strategy:    %s\n", res.Plan.Strategy)

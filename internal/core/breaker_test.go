@@ -14,7 +14,7 @@ import (
 // success closing the circuit.
 func TestBreakerStateMachine(t *testing.T) {
 	b := &breaker{threshold: 2}
-	e := &Engine{P: 2, breaker: b}
+	e := &Engine{breaker: b}
 
 	if probe, err := b.admit(); probe || err != nil {
 		t.Fatalf("closed breaker: admit = (%v, %v)", probe, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,10 +30,13 @@ func TestPlanCacheHitSkipsReplanning(t *testing.T) {
 		workload.Zipf("S1", 600, 100000, 1, 1.8, 100, 4),
 		workload.Zipf("S2", 600, 100000, 1, 1.8, 100, 5),
 	)
-	e := NewEngine(16, 9)
-	first := e.Execute(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 9})
+	if cs := e.CacheStats(); cs.Capacity != DefaultPlanCacheCapacity {
+		t.Errorf("fresh engine Capacity = %d, want the default %d", cs.Capacity, DefaultPlanCacheCapacity)
+	}
+	first := execute(t, e, q, db, ExecOptions{})
 	wantHM(t, e, "after first Execute", 0, 1)
-	second := e.Execute(q, db)
+	second := execute(t, e, q, db, ExecOptions{})
 	wantHM(t, e, "after second Execute", 1, 1)
 	if !join.EqualTupleSets(first.Output, second.Output) {
 		t.Error("cached plan produced different answers")
@@ -50,34 +54,30 @@ func TestPlanCacheMissOnChange(t *testing.T) {
 		workload.Matching("S1", 2, 300, 100000, 1),
 		workload.Matching("S2", 2, 300, 100000, 2),
 	)
-	e := NewEngine(8, 1)
-	e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	execute(t, e, q, db, ExecOptions{})
 
 	// Same shape, different content: the fingerprint must differ.
 	db.MustGet("S1").Add(42, 99)
-	e.Execute(q, db)
+	execute(t, e, q, db, ExecOptions{})
 	wantHM(t, e, "after db mutation", 0, 2)
 
 	// Different query text (renamed head variables keep the same semantics
 	// but a different canonical form — conservative misses are fine).
-	e.Execute(query.MustParse("q(a,b,c) = S1(a,c), S2(b,c)"), db)
+	execute(t, e, query.MustParse("q(a,b,c) = S1(a,c), S2(b,c)"), db, ExecOptions{})
 	wantHM(t, e, "after query change", 0, 3)
 
 	// A forced strategy is part of the key.
 	force := BinCombination
-	e.ForceStrategy = &force
-	e.Execute(q, db)
+	execute(t, e, q, db, ExecOptions{Strategy: &force})
 	wantHM(t, e, "after forcing strategy", 0, 4)
-	e.ForceStrategy = nil
 
-	// So is the hash seed: a reseeded engine must not reuse old routing.
-	e.Seed = 99
-	e.Execute(q, db)
-	wantHM(t, e, "after reseeding", 0, 5)
-	e.Seed = 1
+	// So is the server count: a per-call p must not reuse the p=8 layout.
+	execute(t, e, q, db, ExecOptions{P: 4})
+	wantHM(t, e, "after overriding p", 0, 5)
 
 	// And the original (query, db) entries are still live.
-	e.Execute(q, db)
+	execute(t, e, q, db, ExecOptions{})
 	if cs := e.CacheStats(); cs.Hits != 1 {
 		t.Errorf("original entry evicted: hits=%d, want 1", cs.Hits)
 	}
@@ -89,10 +89,9 @@ func TestPlanCacheDisable(t *testing.T) {
 		workload.Matching("S1", 2, 200, 100000, 1),
 		workload.Matching("S2", 2, 200, 100000, 2),
 	)
-	e := NewEngine(8, 1)
-	e.DisablePlanCache = true
-	e.Execute(q, db)
-	e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	execute(t, e, q, db, ExecOptions{NoCache: true})
+	execute(t, e, q, db, ExecOptions{NoCache: true})
 	wantHM(t, e, "disabled cache still counting", 0, 0)
 }
 
@@ -102,14 +101,14 @@ func TestClearPlanCache(t *testing.T) {
 		workload.Matching("S1", 2, 200, 100000, 1),
 		workload.Matching("S2", 2, 200, 100000, 2),
 	)
-	e := NewEngine(8, 1)
-	e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	execute(t, e, q, db, ExecOptions{})
 	e.ClearPlanCache()
 	cs := e.CacheStats()
 	if cs.Hits != 0 || cs.Misses != 0 || cs.Evictions != 0 || cs.Size != 0 {
 		t.Errorf("state survives clear: %+v", cs)
 	}
-	e.Execute(q, db)
+	execute(t, e, q, db, ExecOptions{})
 	wantHM(t, e, "cache not rebuilt after clear", 0, 1)
 }
 
@@ -124,27 +123,26 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			workload.Matching("S2", 2, 100, 100000, seed+50),
 		)}
 	}
-	e := NewEngine(8, 1)
-	e.PlanCacheCapacity = 2
+	e := newEngine(t, Config{P: 8, Seed: 1, PlanCacheCapacity: 2})
 	a, b, c := mkdb(1), mkdb(2), mkdb(3)
 
-	e.Execute(q, a.db) // cache: [a]
-	e.Execute(q, b.db) // cache: [b a]
+	execute(t, e, q, a.db, ExecOptions{}) // cache: [a]
+	execute(t, e, q, b.db, ExecOptions{}) // cache: [b a]
 	cs := e.CacheStats()
 	if cs.Size != 2 || cs.Evictions != 0 {
 		t.Fatalf("before eviction: %+v", cs)
 	}
-	e.Execute(q, a.db) // touch a → cache: [a b]
-	e.Execute(q, c.db) // evicts b → cache: [c a]
+	execute(t, e, q, a.db, ExecOptions{}) // touch a → cache: [a b]
+	execute(t, e, q, c.db, ExecOptions{}) // evicts b → cache: [c a]
 	cs = e.CacheStats()
 	if cs.Evictions != 1 || cs.Size != 2 {
 		t.Fatalf("after third insert: %+v", cs)
 	}
-	e.Execute(q, a.db) // must still hit
+	execute(t, e, q, a.db, ExecOptions{}) // must still hit
 	if got := e.CacheStats(); got.Hits != 2 {
 		t.Errorf("touched entry was evicted: %+v", got)
 	}
-	e.Execute(q, b.db) // must miss (was the LRU victim) and evict again
+	execute(t, e, q, b.db, ExecOptions{}) // must miss (was the LRU victim) and evict again
 	cs = e.CacheStats()
 	if cs.Misses != 4 || cs.Evictions != 2 {
 		t.Errorf("victim not evicted: %+v", cs)
@@ -154,45 +152,17 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheStatsDoesNotLatchCapacity: reading CacheStats before the first
-// Execute must not freeze the pre-Session PlanCacheCapacity field — the
-// documented window is "set before the first Execute".
-func TestCacheStatsDoesNotLatchCapacity(t *testing.T) {
-	e := NewEngine(8, 1)
-	if cs := e.CacheStats(); cs.Capacity != DefaultPlanCacheCapacity {
-		t.Fatalf("fresh engine Capacity = %d", cs.Capacity)
-	}
-	e.PlanCacheCapacity = 2
-	if cs := e.CacheStats(); cs.Capacity != 2 {
-		t.Fatalf("Capacity = %d after setting the field, want 2 (latched too early)", cs.Capacity)
-	}
-	q := query.Join2()
-	mkdb := func(seed int64) *data.Database {
-		return db2(
-			workload.Matching("S1", 2, 50, 100000, seed),
-			workload.Matching("S2", 2, 50, 100000, seed+50),
-		)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		e.Execute(q, mkdb(seed))
-	}
-	if cs := e.CacheStats(); cs.Evictions != 1 || cs.Size != 2 {
-		t.Fatalf("capacity 2 not honored after early CacheStats: %+v", cs)
-	}
-}
-
 // TestPlanCacheUnboundedNegativeCapacity: a negative capacity disables
 // eviction entirely.
 func TestPlanCacheUnboundedNegativeCapacity(t *testing.T) {
 	q := query.Join2()
-	e := NewEngine(8, 1)
-	e.PlanCacheCapacity = -1
+	e := newEngine(t, Config{P: 8, Seed: 1, PlanCacheCapacity: -1})
 	for seed := int64(0); seed < 5; seed++ {
 		db := db2(
 			workload.Matching("S1", 2, 50, 100000, seed),
 			workload.Matching("S2", 2, 50, 100000, seed+100),
 		)
-		e.Execute(q, db)
+		execute(t, e, q, db, ExecOptions{})
 	}
 	cs := e.CacheStats()
 	if cs.Evictions != 0 || cs.Size != 5 {
@@ -213,13 +183,17 @@ func TestExecuteConcurrentSharedEngine(t *testing.T) {
 		workload.Zipf("S1", 400, 100000, 1, 1.8, 80, 4),
 		workload.Zipf("S2", 400, 100000, 1, 1.8, 80, 5),
 	)
-	e := NewEngine(16, 9)
+	e := newEngine(t, Config{P: 16, Seed: 9})
 	want := join.Join(q, join.FromDatabase(db))
 	const workers = 4
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			res := e.Execute(q, db)
+			res, err := e.ExecuteContext(context.Background(), q, db, ExecOptions{})
+			if err != nil {
+				errs <- err
+				return
+			}
 			if !join.EqualTupleSets(res.Output, want) {
 				errs <- fmt.Errorf("concurrent Execute: %d tuples, want %d", len(res.Output), len(want))
 				return

@@ -65,9 +65,8 @@ func (s Strategy) String() string {
 // fingerprints cannot grow the engine without bound.
 const DefaultPlanCacheCapacity = 64
 
-// Config is the immutable engine configuration: everything the pre-Session
-// API exposed as mutable Engine fields, validated once at construction so
-// a served engine never reads a field another goroutine might be writing.
+// Config is the immutable engine configuration, validated once by New so a
+// served engine never reads a field another goroutine might be writing.
 type Config struct {
 	// P is the physical server count (≥ 2).
 	P int
@@ -133,45 +132,18 @@ type Config struct {
 // Engine evaluates conjunctive queries in one communication round on p
 // simulated servers.
 //
-// Execute caches physical plans keyed by (query canonical form, database
-// fingerprint, p, forced strategy): repeated calls on unchanged inputs —
-// the heavy repeated-traffic case — skip statistics collection, LP
+// ExecuteContext caches physical plans keyed by (query canonical form,
+// database fingerprint, p, forced strategy): repeated calls on unchanged
+// inputs — the heavy repeated-traffic case — skip statistics collection, LP
 // solving, and heavy-hitter planning. The fingerprint itself is maintained
 // incrementally by the relations (data.Relation.ContentSum), so the
 // cache-hit path costs O(relations), not a database rescan. The cache is a
-// bounded LRU (DefaultPlanCacheCapacity entries unless the capacity is
-// overridden); least-recently-used plans are evicted and counted in
-// CacheStats. Engines are safe for concurrent use.
-//
-// The exported fields exist for pre-Session compatibility: they are read
-// at the start of each Execute, so mutating them while other goroutines
-// execute is a data race. New code should build engines with New(Config) —
-// engines so built ignore the mutable fields entirely — and pass per-call
-// overrides through ExecuteContext's ExecOptions (the repro.Session facade
-// does both).
+// bounded LRU (Config.PlanCacheCapacity); least-recently-used plans are
+// evicted and counted in CacheStats. Engines are built by New, configured
+// per call through ExecuteContext's ExecOptions, and safe for concurrent
+// use.
 type Engine struct {
-	P    int
-	Seed uint64
-	// ForceStrategy overrides plan selection when non-nil. Pre-Session
-	// compatibility; prefer ExecOptions.Strategy.
-	ForceStrategy *Strategy
-	// DisablePlanCache replans on every Execute call. Pre-Session
-	// compatibility; prefer ExecOptions.NoCache.
-	DisablePlanCache bool
-	// PlanCacheCapacity bounds the number of cached plans; 0 means
-	// DefaultPlanCacheCapacity, negative means unbounded. Pre-Session
-	// compatibility: it is latched the first time the engine needs it, so
-	// set it before the first Execute; engines built with New(Config) use
-	// Config.PlanCacheCapacity instead.
-	PlanCacheCapacity int
-	// ConsiderMultiRound adds the multi-round pipeline to plan selection
-	// (see Config.ConsiderMultiRound). Pre-Session compatibility; prefer
-	// Config or ExecOptions.MultiRound.
-	ConsiderMultiRound bool
-
-	// conf is the immutable configuration of engines built with New; nil
-	// for engines built with NewEngine, which read the exported fields.
-	conf *Config
+	conf Config
 
 	mu        sync.Mutex
 	cache     map[planKey]*list.Element // key → element whose Value is *cacheEntry
@@ -180,14 +152,13 @@ type Engine struct {
 	misses    uint64
 	evictions uint64
 	replans   uint64
-	// capacity is the latched effective cache bound (see capacityLocked).
-	capacity    int
-	capResolved bool
-	// scratchPool recycles exec.Scratch buffers across Execute calls so
+	// capacity is the effective cache bound (≤ 0 means unbounded).
+	capacity int
+	// scratchPool recycles exec.Scratch buffers across executions so
 	// repeated executions of cached plans don't allocate load-accounting
 	// slices.
 	scratchPool sync.Pool
-	// clusters recycles mpc clusters across Execute calls (size-bucketed):
+	// clusters recycles mpc clusters across executions (size-bucketed):
 	// cached-plan serving draws a warm cluster — servers and Received maps
 	// retained — instead of reallocating Θ(Virtual) of both per execution.
 	clusters exec.ClusterPool
@@ -232,16 +203,16 @@ type cacheEntry struct {
 // the query (names, variable order, atom order), p/seed pin the layout and
 // hash family, and forced pins the strategy override in effect.
 //
-// Two keying modes coexist. Content mode (serving=false, the pre-Session
-// Execute path) sets fp = stats.Fingerprint(db): any content change is a
-// different key, so a cached plan is provably built from the statistics of
-// the database it runs on. Serving mode (serving=true) sets fp = the
-// database's identity and schema = its schema fingerprint: content deltas
-// (Database.Apply) keep the key — a physical plan routes by column
-// position and stays *correct* for any content, merely load-suboptimal —
-// and drift detection decides when suboptimal has become bad enough to
-// replan. A schema change (relation replaced with a different shape) does
-// change the key, because positional routing would be wrong.
+// Two keying modes coexist. Content mode (serving=false) sets fp =
+// stats.Fingerprint(db): any content change is a different key, so a cached
+// plan is provably built from the statistics of the database it runs on.
+// Serving mode (serving=true) sets fp = the database's identity and schema
+// = its schema fingerprint: content deltas (Database.Apply) keep the key —
+// a physical plan routes by column position and stays *correct* for any
+// content, merely load-suboptimal — and drift detection decides when
+// suboptimal has become bad enough to replan. A schema change (relation
+// replaced with a different shape) does change the key, because positional
+// routing would be wrong.
 type planKey struct {
 	query   string
 	fp      uint64
@@ -253,16 +224,14 @@ type planKey struct {
 	serving bool
 }
 
-// cachedPlan holds the logical plan plus the strategy-specific physical
-// plan, whichever strategy was chosen, and the content fingerprint the
-// statistics were frozen at (drift detection replans only when the content
-// actually moved since).
+// cachedPlan holds the logical plan plus its executable form — phys for the
+// one-round strategies, mr for a multi-round pipeline; exactly one is set —
+// and the content fingerprint the statistics were frozen at (drift detection
+// replans only when the content actually moved since).
 type cachedPlan struct {
 	plan      Plan
 	plannedFP uint64
-	hc        *hypercube.Plan
-	sj        *skew.JoinPlan
-	gen       *skew.GeneralPlan
+	phys      *exec.PhysicalPlan
 	mr        *rounds.PipelinePlan
 }
 
@@ -270,20 +239,18 @@ type cachedPlan struct {
 // plan's routers can span-route (exec.PhysicalPlan.PartitionHints).
 // HyperCube plans hash uniformly and never hint.
 func (cp *cachedPlan) forEachPartitionHint(fn func(exec.PartitionHint)) {
-	switch {
-	case cp.sj != nil:
-		for _, h := range cp.sj.Phys.PartitionHints {
+	if cp.phys != nil {
+		for _, h := range cp.phys.PartitionHints {
 			fn(h)
 		}
-	case cp.gen != nil:
-		for _, h := range cp.gen.Phys.PartitionHints {
+		return
+	}
+	if cp.mr.Pipe == nil {
+		return // single-atom plan: no rounds, nothing routed
+	}
+	for _, st := range cp.mr.Pipe.Stages {
+		for _, h := range st.Plan.PartitionHints {
 			fn(h)
-		}
-	case cp.mr != nil && cp.mr.Pipe != nil:
-		for _, st := range cp.mr.Pipe.Stages {
-			for _, h := range st.Plan.PartitionHints {
-				fn(h)
-			}
 		}
 	}
 }
@@ -325,7 +292,7 @@ type Plan struct {
 	Rounds int
 }
 
-// Result is the outcome of Execute.
+// Result is the outcome of ExecuteContext.
 type Result struct {
 	Plan          Plan
 	Output        []data.Tuple
@@ -342,12 +309,6 @@ type Result struct {
 	// attempts consumed, rounds replayed in place, servers recomputed, and
 	// backoff waits taken. The zero value means a clean run.
 	Recovery Recovery
-	// FaultRetries is the legacy recovery counter, kept equal to
-	// Recovery.Attempts: before round-granular recovery existed it counted
-	// whole-execution retries (always 0 or 1); it now counts every
-	// recovery attempt the execution consumed, so values above 1 are
-	// possible. New code should read Recovery.
-	FaultRetries int
 }
 
 // Retry bounds per-execution fault recovery; see exec.Retry.
@@ -363,19 +324,8 @@ const (
 	DefaultRetryMaxBackoff  = exec.DefaultRetryMaxBackoff
 )
 
-// NewEngine returns an engine for p servers in pre-Session compatibility
-// mode: configuration is the exported mutable fields, to be set before the
-// engine is shared. New(Config) is the serving-grade constructor.
-func NewEngine(p int, seed uint64) *Engine {
-	if p < 2 {
-		panic("core: need p >= 2")
-	}
-	return &Engine{P: p, Seed: seed}
-}
-
-// New returns an engine built from an immutable Config, or an error for
-// invalid configuration (rather than the pre-Session constructor's panic).
-// Engines built here never read the exported compatibility fields.
+// New returns an engine built from cfg, or an error for invalid
+// configuration.
 func New(cfg Config) (*Engine, error) {
 	if cfg.P < 2 {
 		return nil, fmt.Errorf("core: need p >= 2, got %d", cfg.P)
@@ -392,12 +342,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BreakerThreshold < 0 {
 		return nil, fmt.Errorf("core: negative breaker threshold %d", cfg.BreakerThreshold)
 	}
-	e := &Engine{P: cfg.P, Seed: cfg.Seed, conf: &cfg}
+	e := &Engine{conf: cfg, capacity: cfg.PlanCacheCapacity}
+	if e.capacity == 0 {
+		e.capacity = DefaultPlanCacheCapacity
+	}
 	if cfg.BreakerThreshold > 0 {
 		e.breaker = &breaker{threshold: cfg.BreakerThreshold}
 	}
-	e.capacity = effectiveCapacity(cfg.PlanCacheCapacity)
-	e.capResolved = true
 	e.clusters.Depth = cfg.ClusterPoolDepth
 	if cfg.BackgroundReplan {
 		e.replanCh = make(chan planKey, replanQueueDepth)
@@ -513,35 +464,28 @@ type settings struct {
 	autoPartition bool
 }
 
-// settings resolves the engine configuration (immutable Config if present,
-// the pre-Session mutable fields otherwise) plus the per-call overrides.
+// settings resolves the engine configuration plus the per-call overrides.
 func (e *Engine) settings(opts ExecOptions) settings {
-	s := settings{p: e.P, seed: e.Seed}
-	if e.conf != nil {
-		s.mr = e.conf.ConsiderMultiRound
-		s.drift = e.conf.DriftFactor
-		s.residentChunk = e.conf.ResidentChunkTuples
-		s.bgReplan = e.conf.BackgroundReplan
-		s.faults = e.conf.Faults
-		s.retry = e.conf.Retry
-	} else {
-		s.forced = e.ForceStrategy
-		s.mr = e.ConsiderMultiRound
-		s.noCache = e.DisablePlanCache
-	}
-	if opts.Strategy != nil {
-		s.forced = opts.Strategy
+	c := &e.conf
+	s := settings{
+		p:             c.P,
+		seed:          c.Seed,
+		forced:        opts.Strategy,
+		mr:            c.ConsiderMultiRound,
+		noCache:       opts.NoCache,
+		serving:       opts.Serving,
+		drift:         c.DriftFactor,
+		residentChunk: c.ResidentChunkTuples,
+		bgReplan:      c.BackgroundReplan,
+		faults:        c.Faults,
+		retry:         c.Retry,
 	}
 	if opts.MultiRound != nil {
 		s.mr = *opts.MultiRound
 	}
-	if opts.NoCache {
-		s.noCache = true
-	}
 	if opts.P > 0 {
 		s.p = opts.P
 	}
-	s.serving = opts.Serving
 	if opts.DriftFactor > 0 {
 		s.drift = opts.DriftFactor
 	}
@@ -552,19 +496,19 @@ func (e *Engine) settings(opts ExecOptions) settings {
 	}
 	// Auto-partitioning is a serving-mode feature: serving executions read
 	// immutable snapshots, so the master rebuild behind the database lock
-	// never races an in-flight round. (A non-serving Execute reads its
+	// never races an in-flight round. (A non-serving execution reads its
 	// database directly and may run concurrently with another, so the
 	// engine must not mutate layouts there; such callers partition
 	// explicitly via data.Database.EnsurePartitioned.)
-	s.autoPartition = s.serving && (e.conf == nil || !e.conf.DisableAutoPartition)
+	s.autoPartition = s.serving && !c.DisableAutoPartition
 	return s
 }
 
 // PlanQuery analyzes statistics and picks the algorithm, including the
 // multi-round cost comparison when ConsiderMultiRound is set. It builds
 // (and discards) the physical plan to obtain the strategy's cost
-// prediction; Execute's plan cache avoids the duplicate work on the hot
-// path.
+// prediction; ExecuteContext's plan cache avoids the duplicate work on the
+// hot path.
 func (e *Engine) PlanQuery(q *query.Query, db *data.Database) Plan {
 	return e.buildPlan(q, db, e.settings(ExecOptions{})).plan
 }
@@ -606,28 +550,12 @@ func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings) Plan
 	return plan
 }
 
-// Execute plans and runs the query through the unified executor, returning
-// answers and realized loads. Plans are cached: a repeat call with the
-// same query, database content, and p reuses the cached physical plan.
-// This is the pre-Session entry point: it panics on invalid input and
-// cannot be canceled; ExecuteContext is the serving-grade form.
-func (e *Engine) Execute(q *query.Query, db *data.Database) Result {
-	//skewlint:allow ctxflow — Execute is the documented uncancelable pre-Session entry point
-	res, err := e.ExecuteContext(context.Background(), q, db, ExecOptions{})
-	if err != nil {
-		// The pre-Session API surfaced invalid input as panics; keep that
-		// contract for existing callers. (A background context never
-		// cancels, so validation errors are the only kind possible here.)
-		panic(err.Error())
-	}
-	return res
-}
-
-// ExecuteContext plans and runs the query with per-call options, a
-// cancelable context, and errors instead of panics for invalid input. The
-// context is checked before planning, before the communication round, and
-// between the rounds of a multi-round pipeline; a canceled execution
-// returns ctx.Err().
+// ExecuteContext plans and runs the query through the unified executor
+// with per-call options, returning answers and realized loads, or an error
+// for invalid input. Plans are cached: a repeat call with the same query,
+// database content, and p reuses the cached physical plan. The context is
+// checked before planning, before the communication round, and between the
+// rounds of a multi-round pipeline; a canceled execution returns ctx.Err().
 //
 // With opts.Serving set, the plan cache keys on database identity + schema
 // (cached plans survive Database.Apply deltas), and a configured drift
@@ -674,12 +602,11 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		// per-tuple or span-wise with yesterday's runs).
 		e.ensurePartitions(cp, db, s.p)
 	}
-	res := Result{Plan: cp.plan, Replanned: replanned}
+	res := Result{Plan: cp.plan, PredictedBits: cp.plan.PredictedBits, Replanned: replanned}
 	// Callers own the Result; don't let them mutate the cached plan
 	// through the shared backing array.
 	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
-	// Pooled load-accounting scratch: PerServerBits aliases it, so each
-	// planner's result shaping must finish before the buffers go back.
+	// Pooled load-accounting and output scratch.
 	sc, _ := e.scratchPool.Get().(*exec.Scratch)
 	if sc == nil {
 		sc = new(exec.Scratch)
@@ -687,32 +614,16 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	var rec Recovery
 	ec := exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, ResidentChunkTuples: s.residentChunk, Faults: s.faults, Retry: s.retry, Recovery: &rec}
 	var execErr error
-	switch {
-	case cp.hc != nil:
-		hc, err := cp.hc.ExecuteWith(db, ec)
-		if execErr = err; err == nil {
-			res.Output = hc.Output
-			res.MaxLoadBits = hc.Loads.MaxBits
-			res.TotalBits = hc.Loads.TotalBits
-			res.PredictedBits = hc.PredictedBits
+	if cp.phys != nil {
+		var er exec.Result
+		if er, execErr = exec.Run(cp.phys, db, ec); execErr == nil {
+			res.Output = er.Output
+			res.MaxLoadBits = er.Loads.MaxBits
+			res.TotalBits = er.Loads.TotalBits
 		}
-	case cp.sj != nil:
-		sj, err := cp.sj.ExecuteWith(db, ec)
-		if execErr = err; err == nil {
-			res.Output = sj.Output
-			res.MaxLoadBits = sj.MaxVirtualBits
-			res.PredictedBits = sj.PredictedBits
-		}
-	case cp.gen != nil:
-		g, err := cp.gen.ExecuteWith(db, ec)
-		if execErr = err; err == nil {
-			res.Output = g.Output
-			res.MaxLoadBits = g.MaxVirtualBits
-			res.PredictedBits = g.PredictedBits
-		}
-	case cp.mr != nil:
-		r, err := cp.mr.ExecuteWith(db, ec)
-		if execErr = err; err == nil {
+	} else {
+		var r rounds.Result
+		if r, execErr = cp.mr.ExecuteWith(db, ec); execErr == nil {
 			res.Output = r.Output
 			// The multi-round analogue of the one-round max load is the
 			// summed per-round maxima: the most bits one server could have
@@ -721,7 +632,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 			for _, rl := range r.Rounds {
 				res.TotalBits += rl.TotalBits
 			}
-			res.PredictedBits = cp.mr.PredictedSumMaxBits
 		}
 	}
 	if execErr != nil {
@@ -743,9 +653,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		e.breaker.done(probe, breakerOK)
 	}
 	res.Recovery = rec
-	res.FaultRetries = rec.Attempts
 	// Result.Output escapes to the caller: the scratch must release the
-	// buffer it aliases, or the next Execute reusing this scratch would
+	// buffer it aliases, or the next execution reusing this scratch would
 	// overwrite answers the caller already holds.
 	if res.Output != nil {
 		sc.DetachOutput()
@@ -849,8 +758,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cached
 		e.cache = make(map[planKey]*list.Element)
 	}
 	e.cache[key] = e.lru.PushFront(&cacheEntry{key: key, cp: cp, q: q, db: db, s: s})
-	capacity := e.capacityLocked()
-	for capacity > 0 && e.lru.Len() > capacity {
+	for e.capacity > 0 && e.lru.Len() > e.capacity {
 		cold := e.lru.Back()
 		e.lru.Remove(cold)
 		delete(e.cache, cold.Value.(*cacheEntry).key)
@@ -869,19 +777,20 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 	cp.plan.Rounds = 1
 	switch cp.plan.Strategy {
 	case HyperCube:
-		cp.hc = hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed})
-		cp.plan.Shares = cp.hc.Shares
-		cp.plan.PredictedBits = cp.hc.PredictedBits
+		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed})
+		cp.phys = hc.Phys
+		cp.plan.Shares = hc.Shares
 	case SkewJoin:
-		cp.sj = skew.PlanJoin(q, db, skew.JoinConfig{P: s.p, Seed: s.seed})
-		cp.plan.PredictedBits = cp.sj.PredictedBits
+		cp.phys = skew.PlanJoin(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}).Phys
 	case BinCombination:
-		cp.gen = skew.PlanGeneral(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed})
-		cp.plan.PredictedBits = cp.gen.PredictedBits
+		cp.phys = skew.PlanGeneral(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}).Phys
 	case MultiRound:
 		cp.mr = planMultiRound(q, db, s)
 		cp.plan.PredictedBits = cp.mr.PredictedSumMaxBits
 		cp.plan.Rounds = len(cp.mr.Logical.Steps)
+	}
+	if cp.phys != nil {
+		cp.plan.PredictedBits = cp.phys.PredictedBits
 	}
 	if s.mr && s.forced == nil && cp.mr == nil && q.NumAtoms() >= 2 {
 		mr := planMultiRound(q, db, s)
@@ -894,8 +803,7 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 			cp.plan.Shares = nil
 			cp.plan.PredictedBits = mr.PredictedSumMaxBits
 			cp.plan.Rounds = len(mr.Logical.Steps)
-			cp.hc, cp.sj, cp.gen = nil, nil, nil
-			cp.mr = mr
+			cp.phys, cp.mr = nil, mr
 		} else {
 			cp.plan.Reason += fmt.Sprintf(
 				"; multi-round rejected (predicted Σmax %.0f bits over %d rounds)",
@@ -908,36 +816,6 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 // planMultiRound lowers the skew-aware multi-round pipeline for q.
 func planMultiRound(q *query.Query, db *data.Database, s settings) *rounds.PipelinePlan {
 	return rounds.PlanPipeline(q, db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true})
-}
-
-// effectiveCapacity maps the configured capacity to the effective bound.
-func effectiveCapacity(configured int) int {
-	if configured == 0 {
-		return DefaultPlanCacheCapacity
-	}
-	return configured
-}
-
-// capacityLocked returns the effective cache capacity, latching the
-// pre-Session mutable field the first time an insert needs it so the
-// bound can never change mid-serving. Callers hold e.mu.
-func (e *Engine) capacityLocked() int {
-	if !e.capResolved {
-		e.capacity = effectiveCapacity(e.PlanCacheCapacity)
-		e.capResolved = true
-	}
-	return e.capacity
-}
-
-// capacityPeekLocked is capacityLocked without the latch: CacheStats must
-// report the effective bound without freezing a pre-Session engine's
-// PlanCacheCapacity before its documented set-before-first-Execute window
-// closes. Callers hold e.mu.
-func (e *Engine) capacityPeekLocked() int {
-	if e.capResolved {
-		return e.capacity
-	}
-	return effectiveCapacity(e.PlanCacheCapacity)
 }
 
 // CacheStats reports the plan cache counters and occupancy.
@@ -969,7 +847,7 @@ func (e *Engine) CacheStats() CacheStats {
 		BackgroundReplans: e.bgReplans,
 		Repartitions:      e.repartitions,
 		Size:              len(e.cache),
-		Capacity:          e.capacityPeekLocked(),
+		Capacity:          e.capacity,
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,13 +19,33 @@ func db2(s1, s2 *data.Relation) *data.Database {
 	return db
 }
 
+// newEngine is New for tests: an invalid configuration fails the test.
+func newEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// execute is ExecuteContext for tests: an error fails the test.
+func execute(t testing.TB, e *Engine, q *query.Query, db *data.Database, opts ExecOptions) Result {
+	t.Helper()
+	res, err := e.ExecuteContext(context.Background(), q, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestPlanSkewFreePicksHyperCube(t *testing.T) {
 	q := query.Join2()
 	db := db2(
 		workload.Matching("S1", 2, 1000, 100000, 1),
 		workload.Matching("S2", 2, 1000, 100000, 2),
 	)
-	e := NewEngine(16, 1)
+	e := newEngine(t, Config{P: 16, Seed: 1})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != HyperCube {
 		t.Errorf("strategy = %v, want hypercube", plan.Strategy)
@@ -43,7 +64,7 @@ func TestPlanSkewedJoinPicksSkewJoin(t *testing.T) {
 		workload.SingleValue("S1", 2, 500, 100000, 1, 7, 1),
 		workload.SingleValue("S2", 2, 500, 100000, 1, 7, 2),
 	)
-	e := NewEngine(16, 1)
+	e := newEngine(t, Config{P: 16, Seed: 1})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != SkewJoin {
 		t.Errorf("strategy = %v, want skew-join", plan.Strategy)
@@ -59,7 +80,7 @@ func TestPlanSkewedTrianglePicksBinCombination(t *testing.T) {
 	db.Put(workload.PlantedHeavy("S1", 400, 100000, 0, []workload.HeavySpec{{Value: 0, Count: 150}}, 1))
 	db.Put(workload.Uniform("S2", 2, 400, 100, 2))
 	db.Put(workload.Uniform("S3", 2, 400, 100, 3))
-	e := NewEngine(16, 1)
+	e := newEngine(t, Config{P: 16, Seed: 1})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != BinCombination {
 		t.Errorf("strategy = %v, want bin-combination", plan.Strategy)
@@ -91,8 +112,8 @@ func TestExecuteMatchesReferenceAcrossStrategies(t *testing.T) {
 		}()},
 	}
 	for _, c := range cases {
-		e := NewEngine(16, 9)
-		res := e.Execute(c.q, c.db)
+		e := newEngine(t, Config{P: 16, Seed: 9})
+		res := execute(t, e, c.q, c.db, ExecOptions{})
 		want := join.Join(c.q, join.FromDatabase(c.db))
 		if !join.EqualTupleSets(res.Output, want) {
 			t.Errorf("%s (%v): output %d tuples, want %d",
@@ -112,12 +133,12 @@ func TestExecuteSkewJoinRemapsRenamedRelations(t *testing.T) {
 	s := workload.SingleValue("T", 2, 300, 100000, 1, 7, 2)
 	db.Put(r)
 	db.Put(s)
-	e := NewEngine(8, 1)
+	e := newEngine(t, Config{P: 8, Seed: 1})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != SkewJoin {
 		t.Fatalf("strategy = %v", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := execute(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("remapped skew join wrong: %d vs %d tuples", len(res.Output), len(want))
@@ -137,12 +158,12 @@ func TestExecuteSkewJoinIgnoresUnrelatedRelations(t *testing.T) {
 	extra.Add(7)
 	extra.Add(8)
 	db.Put(extra)
-	e := NewEngine(16, 9)
+	e := newEngine(t, Config{P: 16, Seed: 9})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != SkewJoin {
 		t.Fatalf("strategy = %v, want skew-join", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := execute(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", len(res.Output), len(want))
@@ -162,12 +183,12 @@ func TestExecuteHyperCubeIgnoresUnrelatedRelations(t *testing.T) {
 	extra.Add(7)
 	extra.Add(8)
 	db.Put(extra)
-	e := NewEngine(16, 9)
+	e := newEngine(t, Config{P: 16, Seed: 9})
 	plan := e.PlanQuery(q, db)
 	if plan.Strategy != HyperCube {
 		t.Fatalf("strategy = %v, want hypercube", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := execute(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", len(res.Output), len(want))
@@ -180,16 +201,22 @@ func TestForceStrategy(t *testing.T) {
 		workload.Matching("S1", 2, 300, 100000, 1),
 		workload.Matching("S2", 2, 300, 100000, 2),
 	)
-	force := BinCombination
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	res := e.Execute(q, db)
-	if res.Plan.Strategy != BinCombination {
-		t.Errorf("forced strategy ignored: %v", res.Plan.Strategy)
-	}
 	want := join.Join(q, join.FromDatabase(db))
-	if !join.EqualTupleSets(res.Output, want) {
-		t.Error("forced bin-combination gave wrong output")
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	for _, force := range []Strategy{HyperCube, SkewJoin, BinCombination, MultiRound} {
+		res := execute(t, e, q, db, ExecOptions{Strategy: &force})
+		if res.Plan.Strategy != force {
+			t.Errorf("forced %v ignored: ran %v", force, res.Plan.Strategy)
+		}
+		if !join.EqualTupleSets(res.Output, want) {
+			t.Errorf("forced %v gave wrong output", force)
+		}
+		// Every strategy accounts the bits it shipped, not just the busiest
+		// server's share of them.
+		if res.MaxLoadBits <= 0 || res.TotalBits < res.MaxLoadBits {
+			t.Errorf("forced %v: TotalBits = %d, MaxLoadBits = %d, want TotalBits >= MaxLoadBits > 0",
+				force, res.TotalBits, res.MaxLoadBits)
+		}
 	}
 }
 
@@ -200,13 +227,10 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-func TestNewEnginePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewEngine(1, 0)
+func TestNewRejectsTooFewServers(t *testing.T) {
+	if _, err := New(Config{P: 1}); err == nil {
+		t.Error("New accepted p = 1")
+	}
 }
 
 func TestPlanMissingRelationPanics(t *testing.T) {
@@ -215,7 +239,7 @@ func TestPlanMissingRelationPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewEngine(4, 0).PlanQuery(query.Join2(), data.NewDatabase())
+	newEngine(t, Config{P: 4}).PlanQuery(query.Join2(), data.NewDatabase())
 }
 
 func TestIsJoin2Shaped(t *testing.T) {
@@ -238,7 +262,7 @@ func TestExplainContainsAnalysis(t *testing.T) {
 	db.Put(workload.Matching("S1", 2, 500, 100000, 1))
 	db.Put(workload.Matching("S2", 2, 500, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 500, 100000, 3))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := newEngine(t, Config{P: 16, Seed: 1}).Explain(q, db)
 	for _, want := range []string{
 		"strategy: hypercube", "τ*", "packing vertices", "share exponents",
 		"integer shares", "lower bound",
@@ -254,7 +278,7 @@ func TestExplainShowsBinCombosUnderSkew(t *testing.T) {
 	db := data.NewDatabase()
 	db.Put(workload.PlantedHeavy("S1", 300, 100000, 0, []workload.HeavySpec{{Value: 5, Count: 100}}, 1))
 	db.Put(workload.PlantedHeavy("S2", 300, 100000, 0, []workload.HeavySpec{{Value: 5, Count: 90}}, 2))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := newEngine(t, Config{P: 16, Seed: 1}).Explain(q, db)
 	if !strings.Contains(out, "bin combinations") {
 		t.Errorf("Explain should list bin combinations under skew:\n%s", out)
 	}
@@ -267,9 +291,8 @@ func TestForceMultiRound(t *testing.T) {
 	db.Put(workload.Matching("S2", 2, 300, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 300, 100000, 3))
 	force := MultiRound
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	res := e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	res := execute(t, e, q, db, ExecOptions{Strategy: &force})
 	if res.Plan.Strategy != MultiRound {
 		t.Fatalf("forced strategy ignored: %v", res.Plan.Strategy)
 	}
@@ -297,11 +320,10 @@ func TestConsiderMultiRoundCostComparison(t *testing.T) {
 	for j, a := range q.Atoms {
 		db.Put(workload.Matching(a.Name, 2, 4096, 1<<20, int64(j+1)))
 	}
-	e := NewEngine(64, 3)
-	e.ConsiderMultiRound = true
+	e := newEngine(t, Config{P: 64, Seed: 3, ConsiderMultiRound: true})
 	plan := e.PlanQuery(q, db)
 
-	base := NewEngine(64, 3).PlanQuery(q, db)
+	base := newEngine(t, Config{P: 64, Seed: 3}).PlanQuery(q, db)
 	mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: 3, SkewAware: true}).PredictedSumMaxBits
 	wantMR := base.PredictedBits > 0 && mrPred < base.PredictedBits
 	if gotMR := plan.Strategy == MultiRound; gotMR != wantMR {
@@ -315,7 +337,7 @@ func TestConsiderMultiRoundCostComparison(t *testing.T) {
 		t.Errorf("reason does not record the rejection: %q", plan.Reason)
 	}
 	// Execution under the comparison stays correct.
-	res := e.Execute(q, db)
+	res := execute(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(join.Dedup(res.Output), want) {
 		t.Errorf("cost-comparing engine output %d tuples, want %d", len(res.Output), len(want))
@@ -329,10 +351,9 @@ func TestMultiRoundPlanCached(t *testing.T) {
 	db.Put(workload.Matching("S2", 2, 400, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 400, 100000, 3))
 	force := MultiRound
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	r1 := e.Execute(q, db)
-	r2 := e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	r1 := execute(t, e, q, db, ExecOptions{Strategy: &force})
+	r2 := execute(t, e, q, db, ExecOptions{Strategy: &force})
 	st := e.CacheStats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("cache stats = %+v, want 1 miss + 1 hit", st)
@@ -341,11 +362,10 @@ func TestMultiRoundPlanCached(t *testing.T) {
 		t.Error("cached multi-round plan changed its answers")
 	}
 	// A ConsiderMultiRound toggle is part of the cache key.
-	e2 := NewEngine(8, 1)
-	e2.ConsiderMultiRound = true
-	e2.Execute(q, db)
-	e2.ConsiderMultiRound = false
-	e2.Execute(q, db)
+	e2 := newEngine(t, Config{P: 8, Seed: 1, ConsiderMultiRound: true})
+	execute(t, e2, q, db, ExecOptions{})
+	off := false
+	execute(t, e2, q, db, ExecOptions{MultiRound: &off})
 	if st2 := e2.CacheStats(); st2.Misses != 2 {
 		t.Errorf("toggling ConsiderMultiRound reused a stale plan: %+v", st2)
 	}
@@ -357,7 +377,7 @@ func TestExplainListsPredictedCosts(t *testing.T) {
 	db.Put(workload.Matching("S1", 2, 500, 100000, 1))
 	db.Put(workload.Matching("S2", 2, 500, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 500, 100000, 3))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := newEngine(t, Config{P: 16, Seed: 1}).Explain(q, db)
 	for _, want := range []string{
 		"predicted cost per strategy", "hypercube", "skew-join", "bin-combination",
 		"multi-round", "SumMaxBits", "← chosen", "not §4.1-shaped",

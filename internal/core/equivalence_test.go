@@ -65,9 +65,8 @@ func TestStrategiesAgreeThroughUnifiedExecutor(t *testing.T) {
 		sortTuples(want)
 		for _, s := range c.strategies {
 			s := s
-			e := NewEngine(16, 9)
-			e.ForceStrategy = &s
-			res := e.Execute(c.q, c.db)
+			e := newEngine(t, Config{P: 16, Seed: 9})
+			res := execute(t, e, c.q, c.db, ExecOptions{Strategy: &s})
 			if res.Plan.Strategy != s {
 				t.Fatalf("%s: forced %v but ran %v", c.name, s, res.Plan.Strategy)
 			}

@@ -18,7 +18,7 @@ import (
 func TestInvalidQueryErrorsWrapSentinel(t *testing.T) {
 	bad := &query.Query{Name: "bad"} // no atoms: Validate rejects it
 	db := data.NewDatabase()
-	e := NewEngine(4, 1)
+	e := newEngine(t, Config{P: 4, Seed: 1})
 
 	_, err := e.ExecuteContext(context.Background(), bad, db, ExecOptions{})
 	if !errors.Is(err, ErrInvalidQuery) {

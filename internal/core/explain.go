@@ -19,14 +19,16 @@ import (
 // statistics), the optimal share exponents, and — when skew is present —
 // the bin combinations the §4.2 algorithm would build.
 func (e *Engine) Explain(q *query.Query, db *data.Database) string {
-	// Plan once: the cost table reuses the chosen strategy's lowered plan
-	// (and the multi-round pipeline, if the comparison built one) instead
-	// of re-planning it.
-	cp := e.buildPlan(q, db, e.settings(ExecOptions{}))
+	// Plan once: the cost table reuses the chosen strategy's prediction (and
+	// the multi-round pipeline, if that is what was chosen) and plans the
+	// other strategies only for their cost.
+	s := e.settings(ExecOptions{})
+	p, seed := s.p, s.seed
+	cp := e.buildPlan(q, db, s)
 	plan := cp.plan
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
-	fmt.Fprintf(&b, "servers:  p = %d\n", e.P)
+	fmt.Fprintf(&b, "servers:  p = %d\n", p)
 	fmt.Fprintf(&b, "strategy: %s\n", plan.Strategy)
 	fmt.Fprintf(&b, "reason:   %s\n", plan.Reason)
 	fmt.Fprintf(&b, "skew:     heavy hitters present = %v\n\n", plan.HasSkew)
@@ -35,49 +37,42 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	// engine's cost comparison decides on (multi-round only competes when
 	// ConsiderMultiRound is set, but its prediction is always shown).
 	b.WriteString("predicted cost per strategy (bits):\n")
-	writeCost := func(s Strategy, cost float64, note string) {
+	writeCost := func(st Strategy, note string, build func() float64) {
 		mark := ""
-		if s == plan.Strategy {
+		cost := plan.PredictedBits
+		if st == plan.Strategy {
 			mark = "  ← chosen"
+		} else {
+			cost = build()
 		}
 		if cost > 0 {
-			fmt.Fprintf(&b, "  %-16s %14.0f %s%s\n", s, cost, note, mark)
+			fmt.Fprintf(&b, "  %-16s %14.0f %s%s\n", st, cost, note, mark)
 		} else {
-			fmt.Fprintf(&b, "  %-16s %14s %s%s\n", s, "n/a", note, mark)
+			fmt.Fprintf(&b, "  %-16s %14s %s%s\n", st, "n/a", note, mark)
 		}
 	}
-	hcBits := func() float64 {
-		if cp.hc != nil {
-			return cp.hc.PredictedBits
+	noCost := func() float64 { return 0 }
+	writeCost(HyperCube, "(p^λ)", func() float64 {
+		return hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed}).PredictedBits
+	})
+	if plan.Strategy == SkewJoin || isJoin2Shaped(q) {
+		writeCost(SkewJoin, "(Eq. 10)", func() float64 {
+			return skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: seed}).PredictedBits
+		})
+	} else {
+		writeCost(SkewJoin, "(query not §4.1-shaped)", noCost)
+	}
+	writeCost(BinCombination, "(max_B p^λ(B))", func() float64 {
+		return skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: seed}).PredictedBits
+	})
+	if mr := cp.mr; mr != nil || q.NumAtoms() >= 2 {
+		if mr == nil {
+			mr = planMultiRound(q, db, s)
 		}
-		return hypercube.BuildPlan(q, db, hypercube.Config{P: e.P, Seed: e.Seed}).PredictedBits
-	}
-	writeCost(HyperCube, hcBits(), "(p^λ)")
-	switch {
-	case cp.sj != nil:
-		writeCost(SkewJoin, cp.sj.PredictedBits, "(Eq. 10)")
-	case isJoin2Shaped(q):
-		writeCost(SkewJoin, skew.PlanJoin(q, db, skew.JoinConfig{P: e.P, Seed: e.Seed}).PredictedBits, "(Eq. 10)")
-	default:
-		writeCost(SkewJoin, 0, "(query not §4.1-shaped)")
-	}
-	genBits := func() float64 {
-		if cp.gen != nil {
-			return cp.gen.PredictedBits
-		}
-		return skew.PlanGeneral(q, db, skew.GeneralConfig{P: e.P, Seed: e.Seed}).PredictedBits
-	}
-	writeCost(BinCombination, genBits(), "(max_B p^λ(B))")
-	switch {
-	case cp.mr != nil:
-		writeCost(MultiRound, cp.mr.PredictedSumMaxBits,
-			fmt.Sprintf("(SumMaxBits, %d rounds)", len(cp.mr.Logical.Steps)))
-	case q.NumAtoms() >= 2:
-		mr := planMultiRound(q, db, e.settings(ExecOptions{}))
-		writeCost(MultiRound, mr.PredictedSumMaxBits,
-			fmt.Sprintf("(SumMaxBits, %d rounds)", len(mr.Logical.Steps)))
-	default:
-		writeCost(MultiRound, 0, "(single atom: no rounds needed)")
+		writeCost(MultiRound, fmt.Sprintf("(SumMaxBits, %d rounds)", len(mr.Logical.Steps)),
+			func() float64 { return mr.PredictedSumMaxBits })
+	} else {
+		writeCost(MultiRound, "(single atom: no rounds needed)", noCost)
 	}
 	b.WriteByte('\n')
 
@@ -94,7 +89,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	}
 	fmt.Fprintf(&b, "\nτ* = %.3f  (max fractional edge packing value)\n", packing.Tau(q))
 
-	best, table := bounds.SimpleLower(q, bitsM, e.P)
+	best, table := bounds.SimpleLower(q, bitsM, p)
 	fmt.Fprintf(&b, "\npacking vertices pk(q) and induced bounds (Theorem 3.6):\n")
 	for _, row := range table {
 		us := make([]string, len(row.U))
@@ -107,16 +102,16 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	fmt.Fprintf(&b, "full lower bound (Thm 1.2, with residual packings): %.0f bits\n",
 		plan.LowerBoundBits)
 
-	exps, lambda := hypercube.OptimalExponents(q, bitsM, e.P)
-	shares := hypercube.RoundShares(exps, e.P, hypercube.RoundGreedy)
+	exps, lambda := hypercube.OptimalExponents(q, bitsM, p)
+	shares := hypercube.RoundShares(exps, p, hypercube.RoundGreedy)
 	fmt.Fprintf(&b, "\nshare exponents (LP 5): %s, λ = %.4f → predicted p^λ bits\n",
 		fmtExps(q, exps), lambda)
 	fmt.Fprintf(&b, "integer shares: %v (%d of %d servers used)\n",
-		shares, productInts(shares), e.P)
+		shares, productInts(shares), p)
 
 	if plan.HasSkew && plan.Strategy == BinCombination {
 		fmt.Fprintf(&b, "\nbin combinations (§4.2):\n")
-		for _, info := range skew.InspectBinCombos(q, db, e.P) {
+		for _, info := range skew.InspectBinCombos(q, db, p) {
 			vars := make([]string, len(info.Vars))
 			for i, v := range info.Vars {
 				vars[i] = q.Vars[v]

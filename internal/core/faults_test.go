@@ -80,9 +80,6 @@ func TestFaultTornRoundReplaysInPlace(t *testing.T) {
 	if res.Recovery.Attempts != 1 || res.Recovery.RoundsReplayed != 1 {
 		t.Fatalf("Recovery = %+v, want 1 attempt replaying 1 round", res.Recovery)
 	}
-	if res.FaultRetries != res.Recovery.Attempts {
-		t.Fatalf("legacy FaultRetries = %d, want Recovery.Attempts = %d", res.FaultRetries, res.Recovery.Attempts)
-	}
 	if res.Recovery.BackoffWaits != 1 || ns.waits != 1 {
 		t.Fatalf("BackoffWaits = %d (hook saw %d), want 1", res.Recovery.BackoffWaits, ns.waits)
 	}
@@ -200,8 +197,8 @@ func TestFaultRetryNotCountedOnCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FaultRetries != 0 || res.Recovery != (Recovery{}) {
-		t.Fatalf("clean run reported recovery: FaultRetries=%d Recovery=%+v", res.FaultRetries, res.Recovery)
+	if res.Recovery != (Recovery{}) {
+		t.Fatalf("clean run reported recovery: %+v", res.Recovery)
 	}
 	if !join.EqualTupleSets(res.Output, o.want) {
 		t.Fatalf("output %d tuples, want %d", len(res.Output), len(o.want))

@@ -88,7 +88,8 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 				trial, q, len(mrs.Output), len(want))
 		}
 		// The engine's own choice.
-		res := NewEngine(8, uint64(trial)).Execute(q, db)
+		cfg := Config{P: 8, Seed: uint64(trial)}
+		res := execute(t, newEngine(t, cfg), q, db, ExecOptions{})
 		if !join.EqualTupleSets(join.Dedup(res.Output), want) {
 			t.Fatalf("trial %d %s: engine(%v) %d vs %d",
 				trial, q, res.Plan.Strategy, len(res.Output), len(want))
@@ -96,9 +97,7 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 		// The engine's multi-round pipeline, forced: must agree with every
 		// one-round strategy through the plan cache and exec.RunPipeline.
 		force := MultiRound
-		emr := NewEngine(8, uint64(trial))
-		emr.ForceStrategy = &force
-		fres := emr.Execute(q, db)
+		fres := execute(t, newEngine(t, cfg), q, db, ExecOptions{Strategy: &force})
 		if fres.Plan.Strategy != MultiRound {
 			t.Fatalf("trial %d %s: forced multi-round ignored (%v)", trial, q, fres.Plan.Strategy)
 		}
@@ -108,9 +107,8 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 		}
 		// Cost-comparing engine: whichever strategy the comparison picks,
 		// answers must match the reference.
-		ecc := NewEngine(8, uint64(trial))
-		ecc.ConsiderMultiRound = true
-		cres := ecc.Execute(q, db)
+		cfg.ConsiderMultiRound = true
+		cres := execute(t, newEngine(t, cfg), q, db, ExecOptions{})
 		if !join.EqualTupleSets(join.Dedup(cres.Output), want) {
 			t.Fatalf("trial %d %s: cost-comparing engine(%v) %d vs %d",
 				trial, q, cres.Plan.Strategy, len(cres.Output), len(want))

@@ -165,18 +165,9 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	ps := h.s
 	ps.bgReplan = false
 	cp, key, _ := h.e.planFor(h.q, snap, ps)
-	var phys *exec.PhysicalPlan
-	switch {
-	case cp.hc != nil:
-		phys = cp.hc.Phys
-	case cp.sj != nil:
-		phys = cp.sj.Phys
-	case cp.gen != nil:
-		phys = cp.gen.Phys
-	}
-	if phys != nil {
+	if cp.phys != nil {
 		var rec Recovery
-		st, err := exec.NewStanding(phys, h.q, snap, exec.Config{
+		st, err := exec.NewStanding(cp.phys, h.q, snap, exec.Config{
 			Clusters:            &h.e.clusters,
 			Ctx:                 ctx,
 			Faults:              h.s.faults,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,10 +42,10 @@ func TestConcurrentExecuteSharedEngine(t *testing.T) {
 	}
 	triangle := query.Triangle()
 
-	e := NewEngine(16, 3)
-	refJoin := e.Execute(join2, zdb)
+	e := newEngine(t, Config{P: 16, Seed: 3})
+	refJoin := execute(t, e, join2, zdb, ExecOptions{})
 	sortTuples(refJoin.Output)
-	refTri := e.Execute(triangle, tdb)
+	refTri := execute(t, e, triangle, tdb, ExecOptions{})
 	sortTuples(refTri.Output)
 	if len(refJoin.Output) == 0 {
 		t.Fatal("reference join produced no answers; the stress test would be vacuous")
@@ -62,7 +63,11 @@ func TestConcurrentExecuteSharedEngine(t *testing.T) {
 				// Alternate plan shapes so concurrent Executes mix cluster
 				// sizes in the shared pool, not just trade one cluster.
 				if (g+i)%2 == 0 {
-					res := e.Execute(join2, zdb)
+					res, err := e.ExecuteContext(context.Background(), join2, zdb, ExecOptions{})
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
 					sortTuples(res.Output)
 					if !tuplesEqual(res.Output, refJoin.Output) {
 						errs <- "join2 answers diverged under concurrency"
@@ -73,7 +78,11 @@ func TestConcurrentExecuteSharedEngine(t *testing.T) {
 						return
 					}
 				} else {
-					res := e.Execute(triangle, tdb)
+					res, err := e.ExecuteContext(context.Background(), triangle, tdb, ExecOptions{})
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
 					sortTuples(res.Output)
 					if !tuplesEqual(res.Output, refTri.Output) {
 						errs <- "triangle answers diverged under concurrency"

@@ -124,12 +124,22 @@ func (cfg *Config) ctxErr() error {
 	return cfg.Ctx.Err()
 }
 
-// arm installs the execution's per-run state on a cluster drawn from the
-// pool (Put's Reset clears it again).
-func (cfg *Config) arm(c *mpc.Cluster) {
-	c.ResidentChunk = cfg.ResidentChunkTuples
-	c.Ctx = cfg.Ctx
-	c.Faults = cfg.Faults
+// acquire draws a cluster of virtual servers from the configured pool (the
+// process-wide one when cfg.Clusters is nil), installs the execution's
+// per-run state on it, and pairs it with the execution's retrier. The caller
+// defers pool.Put(cluster), which parks the cluster again on every way out —
+// Put's Reset clears the per-run state and whatever a canceled, faulted or
+// panicking execution left behind.
+func (cfg *Config) acquire(virtual int) (pool *ClusterPool, cluster *mpc.Cluster, rt retrier) {
+	pool = cfg.Clusters
+	if pool == nil {
+		pool = &sharedClusters
+	}
+	cluster = pool.Get(virtual)
+	cluster.ResidentChunk = cfg.ResidentChunkTuples
+	cluster.Ctx = cfg.Ctx
+	cluster.Faults = cfg.Faults
+	return pool, cluster, newRetrier(cfg, cluster)
 }
 
 // recoverable reports whether a round error is an expected runtime
@@ -228,13 +238,8 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return Result{}, err
 	}
-	pool := cfg.Clusters
-	if pool == nil {
-		pool = &sharedClusters
-	}
-	cluster := pool.Get(plan.Virtual)
-	cfg.arm(cluster)
-	rt := newRetrier(&cfg, cluster)
+	pool, cluster, rt := cfg.acquire(plan.Virtual)
+	defer pool.Put(cluster)
 	err := rt.driveRound(nil, func() error {
 		if len(plan.Relations) > 0 {
 			rels := make([]*data.Relation, len(plan.Relations))
@@ -247,20 +252,17 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 	})
 	if err != nil {
 		if cfg.recoverable(err) {
-			pool.Put(cluster)
 			return Result{}, err
 		}
 		panic(fmt.Sprintf("exec: %s routing failed: %v", plan.Strategy, err))
 	}
 	if err := cfg.ctxErr(); err != nil {
-		pool.Put(cluster)
 		return Result{}, err
 	}
 	var res Result
 	if plan.Local != nil && !cfg.SkipCompute {
 		outs := make([][]data.Tuple, plan.Virtual)
 		if err := rt.driveCompute(plan.Strategy, outs, plan.Local); err != nil {
-			pool.Put(cluster)
 			return Result{}, err
 		}
 		var buf []data.Tuple
@@ -298,8 +300,5 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 			res.MaxPhysicalBits = b
 		}
 	}
-	// Everything the result needs has been copied or computed; the
-	// cluster can serve the next run.
-	pool.Put(cluster)
 	return res, nil
 }

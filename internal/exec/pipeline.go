@@ -128,22 +128,16 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 		}
 	}
 
-	pool := cfg.Clusters
-	if pool == nil {
-		pool = &sharedClusters
-	}
 	if err := cfg.ctxErr(); err != nil {
 		return PipelineResult{}, err
 	}
-	cluster := pool.Get(maxVirtual)
-	cfg.arm(cluster)
-	rt := newRetrier(&cfg, cluster)
+	pool, cluster, rt := cfg.acquire(maxVirtual)
+	defer pool.Put(cluster)
 	prev := make([]int64, maxVirtual)
 	var res PipelineResult
 	for i := range pl.Stages {
 		st := &pl.Stages[i]
 		if err := cfg.ctxErr(); err != nil {
-			pool.Put(cluster)
 			return PipelineResult{}, err
 		}
 		for id, sv := range cluster.Servers {
@@ -167,7 +161,6 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 			})
 			if err != nil {
 				if cfg.recoverable(err) {
-					pool.Put(cluster)
 					return PipelineResult{}, err
 				}
 				panic(fmt.Sprintf("exec: %s stage %d resident shuffle failed: %v", pl.Strategy, i, err))
@@ -183,7 +176,6 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 			})
 			if err != nil {
 				if cfg.recoverable(err) {
-					pool.Put(cluster)
 					return PipelineResult{}, err
 				}
 				panic(fmt.Sprintf("exec: %s stage %d routing failed: %v", pl.Strategy, i, err))
@@ -194,7 +186,6 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 			local = func(*mpc.Server) *data.Relation { return nil }
 		}
 		if err := rt.driveComputeResident(pl.Strategy, i, local); err != nil {
-			pool.Put(cluster)
 			return PipelineResult{}, err
 		}
 		for id, sv := range cluster.Servers {
@@ -221,8 +212,6 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 			out.AppendColumns(f.Columns(), f.Size())
 		}
 	}
-	res.Output = out
-	// The gather copied every fragment; the cluster can serve the next run.
-	pool.Put(cluster)
+	res.Output = out // a copy of every fragment: the cluster can be released
 	return res, nil
 }

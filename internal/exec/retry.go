@@ -135,9 +135,7 @@ func (r Retry) Wait(ctx context.Context, retry int, rec *Recovery) error {
 // value means a clean run.
 type Recovery struct {
 	// Attempts is the number of recovery attempts consumed from the retry
-	// budget: round replays plus failed-server recompute passes. This is
-	// the generalization of the legacy Result.FaultRetries counter, which
-	// is kept equal to it.
+	// budget: round replays plus failed-server recompute passes.
 	Attempts int
 	// RoundsReplayed counts communication rounds re-driven in place after
 	// tearing.

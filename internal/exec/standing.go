@@ -109,13 +109,8 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	pool := cfg.Clusters
-	if pool == nil {
-		pool = &sharedClusters
-	}
-	cluster := pool.Get(plan.Virtual)
-	cfg.arm(cluster)
-	rt := newRetrier(&cfg, cluster)
+	pool, cluster, rt := cfg.acquire(plan.Virtual)
+	defer pool.Put(cluster)
 	rels := make([]*data.Relation, 0, q.NumAtoms())
 	for _, a := range q.Atoms {
 		rels = append(rels, db.MustGet(a.Name))
@@ -124,14 +119,12 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		return cluster.RoundRelations(plan.Router, rels...)
 	})
 	if err != nil {
-		pool.Put(cluster)
 		if cfg.recoverable(err) {
 			return nil, err
 		}
 		panic(fmt.Sprintf("exec: standing: %s routing failed: %v", plan.Strategy, err))
 	}
 	if err := cfg.ctxErr(); err != nil {
-		pool.Put(cluster)
 		return nil, err
 	}
 	// Seed the counted output from the raw per-server computation: every
@@ -140,7 +133,6 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 	// and later retractions retire them one derivation at a time.
 	outs := make([][]data.Tuple, plan.Virtual)
 	if err := rt.driveCompute("standing: "+plan.Strategy, outs, plan.Local); err != nil {
-		pool.Put(cluster)
 		return nil, err
 	}
 	out := appendOuts(nil, outs)
@@ -164,7 +156,6 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		}
 		s.residents[i] = res
 	}
-	pool.Put(cluster)
 	return s, nil
 }
 

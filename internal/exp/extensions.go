@@ -126,8 +126,10 @@ func E12RoundsTradeoff(s Scale) Table {
 		}
 		// The engine's cost model (ConsiderMultiRound) must agree with the
 		// measured winner: predicted SumMaxBits vs one-round PredictedBits.
-		eng := core.NewEngine(p, 5)
-		eng.ConsiderMultiRound = true
+		eng, err := core.New(core.Config{P: p, Seed: 5, ConsiderMultiRound: true})
+		if err != nil {
+			panic(err) // p is a fixed experiment size ≥ 2
+		}
 		pick := eng.PlanQuery(q, db).Strategy
 		pickAgrees := (pick == core.MultiRound) == (winner == "multi-round")
 		if !pickAgrees {

@@ -306,21 +306,7 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 // HyperCube-specific result. Result slices are copies: plans are reused
 // across executions, so callers must not be able to mutate them.
 func (pl *Plan) Execute(db *data.Database) Result {
-	res, _ := pl.ExecuteWith(db, exec.Config{}) // no ctx in the config: never errors
-	return res
-}
-
-// ExecuteWith is Execute with caller-supplied executor configuration —
-// the engine passes a pooled exec.Scratch so repeated executions of a
-// cached plan stop allocating load-accounting slices. The plan's own
-// SkipJoin setting still governs whether the local join runs. The only
-// error is ec.Ctx's cancellation.
-func (pl *Plan) ExecuteWith(db *data.Database, ec exec.Config) (Result, error) {
-	ec.SkipCompute = ec.SkipCompute || pl.skipJoin
-	er, err := exec.Run(pl.Phys, db, ec)
-	if err != nil {
-		return Result{}, err
-	}
+	er, _ := exec.Run(pl.Phys, db, exec.Config{SkipCompute: pl.skipJoin}) // no ctx, no faults: never errors
 	return Result{
 		Shares:        append([]int(nil), pl.Shares...),
 		Exponents:     append([]float64(nil), pl.Exponents...),
@@ -328,7 +314,7 @@ func (pl *Plan) ExecuteWith(db *data.Database, ec exec.Config) (Result, error) {
 		PredictedBits: pl.PredictedBits,
 		Output:        er.Output,
 		Loads:         er.Loads,
-	}, nil
+	}
 }
 
 // Run executes the one-round HC algorithm for q over db on cfg.P simulated

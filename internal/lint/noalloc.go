@@ -10,9 +10,9 @@ import (
 )
 
 // NoAlloc enforces the zero-allocation contract on annotated hot paths.
-// The contract used to be guarded only dynamically (allocs/op assertions
-// in skewbench -storagebench and testing.AllocsPerRun); this analyzer
-// catches the same regressions at lint time, construct by construct.
+// The contract is otherwise guarded only dynamically (testing.AllocsPerRun
+// assertions in the mpc and exec tests); this analyzer catches the same
+// regressions at lint time, construct by construct.
 var NoAlloc = &analysis.Analyzer{
 	Name: "noalloc",
 	Doc: `flag allocating constructs in functions annotated //skewlint:noalloc

@@ -5,8 +5,7 @@
 // goroutine per server — Θ(Virtual + parts) goroutines per round. It is
 // kept as the reference implementation the sharded engine is differentially
 // tested against (the fuzz test asserts both deliver identical fragments as
-// multisets with identical loads) and as the baseline `skewbench
-// -commbench` measures the sharded engine's win over.
+// multisets with identical loads).
 package mpc
 
 import (

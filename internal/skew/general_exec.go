@@ -235,19 +235,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 // Execute runs the plan on the unified executor and assembles the
 // bin-combination result, including the per-combination load breakdown.
 func (gp *GeneralPlan) Execute(db *data.Database) GeneralResult {
-	res, _ := gp.ExecuteWith(db, exec.Config{}) // no ctx in the config: never errors
-	return res
-}
-
-// ExecuteWith is Execute with caller-supplied executor configuration (the
-// engine passes a pooled exec.Scratch for allocation-free load accounting
-// on cached-plan re-executions). The only error is ec.Ctx's cancellation.
-func (gp *GeneralPlan) ExecuteWith(db *data.Database, ec exec.Config) (GeneralResult, error) {
-	ec.SkipCompute = ec.SkipCompute || gp.skipJoin
-	er, err := exec.Run(gp.Phys, db, ec)
-	if err != nil {
-		return GeneralResult{}, err
-	}
+	er, _ := exec.Run(gp.Phys, db, exec.Config{SkipCompute: gp.skipJoin}) // no ctx, no faults: never errors
 	res := GeneralResult{
 		Output:          er.Output,
 		MaxVirtualBits:  er.MaxVirtualBits,
@@ -271,7 +259,7 @@ func (gp *GeneralPlan) ExecuteWith(db *data.Database, ec exec.Config) (GeneralRe
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // generalRouter routes tuples to every bin combination's subgrid. It

@@ -503,19 +503,7 @@ func (jp *JoinPlan) classOf(id int) hitterClass {
 // Execute runs the plan on the unified executor and assembles the
 // skew-join result, including the per-class load breakdown.
 func (jp *JoinPlan) Execute(db *data.Database) JoinResult {
-	res, _ := jp.ExecuteWith(db, exec.Config{}) // no ctx in the config: never errors
-	return res
-}
-
-// ExecuteWith is Execute with caller-supplied executor configuration (the
-// engine passes a pooled exec.Scratch for allocation-free load accounting
-// on cached-plan re-executions). The only error is ec.Ctx's cancellation.
-func (jp *JoinPlan) ExecuteWith(db *data.Database, ec exec.Config) (JoinResult, error) {
-	ec.SkipCompute = ec.SkipCompute || jp.skipJoin
-	er, err := exec.Run(jp.Phys, db, ec)
-	if err != nil {
-		return JoinResult{}, err
-	}
+	er, _ := exec.Run(jp.Phys, db, exec.Config{SkipCompute: jp.skipJoin}) // no ctx, no faults: never errors
 	res := JoinResult{
 		Output:          er.Output,
 		MaxVirtualBits:  er.MaxVirtualBits,
@@ -543,7 +531,7 @@ func (jp *JoinPlan) ExecuteWith(db *data.Database, ec exec.Config) (JoinResult, 
 			*slot = bits
 		}
 	}
-	return res, nil
+	return res
 }
 
 // VanillaHashJoin runs the baseline standard hash join on z (shares

@@ -32,11 +32,6 @@ type (
 	// mutate it with Apply (batched Delta of inserts/deletes), which
 	// maintains fingerprints and per-attribute statistics incrementally.
 	Database = data.Database
-	// Engine evaluates queries in one MPC round on p simulated servers,
-	// caching physical plans across Execute calls on unchanged inputs.
-	// This is the pre-Session API: configuration is mutable fields, and
-	// invalid input panics. Serving code should Open a Session instead.
-	Engine = core.Engine
 	// PhysicalPlan is the unified executable form every strategy planner
 	// lowers to; exec.Run is the single executor they share.
 	PhysicalPlan = exec.PhysicalPlan
@@ -78,7 +73,7 @@ const (
 	StrategySkewJoin       = core.SkewJoin
 	StrategyBinCombination = core.BinCombination
 	// StrategyMultiRound is the one-join-per-round pipeline; the engine
-	// only chooses it on its own when Engine.ConsiderMultiRound is set and
+	// only chooses it on its own when Config.ConsiderMultiRound is set and
 	// its predicted SumMaxBits undercuts the one-round strategies.
 	StrategyMultiRound = core.MultiRound
 )
@@ -112,11 +107,6 @@ func NewDatabase() *Database { return data.NewDatabase() }
 func NewRelation(name string, arity int, domain int64) *Relation {
 	return data.NewRelation(name, arity, domain)
 }
-
-// NewEngine returns an engine for p servers; seed fixes all hashing. It
-// panics on p < 2 — Open is the error-returning, serving-grade entry
-// point.
-func NewEngine(p int, seed uint64) *Engine { return core.NewEngine(p, seed) }
 
 // Workload generators (deterministic in their seed, duplicate-free).
 var (

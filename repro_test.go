@@ -14,7 +14,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	db.Put(UniformRelation("S2", 2, 500, 60, 2))
 	db.Put(UniformRelation("S3", 2, 500, 60, 3))
 
-	res := NewEngine(16, 7).Execute(q, db)
+	res, err := freshExec(16, 7, q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.MaxLoadBits <= 0 {
 		t.Error("no load recorded")
 	}
@@ -117,10 +120,10 @@ func TestFacadeMultiRoundPipeline(t *testing.T) {
 	if len(legacy.Output) != len(res.Output) {
 		t.Errorf("pipeline %d tuples vs legacy %d", len(res.Output), len(legacy.Output))
 	}
-	force := StrategyMultiRound
-	e := NewEngine(8, 3)
-	e.ForceStrategy = &force
-	er := e.Execute(q, db)
+	er, err := freshExec(8, 3, q, db, WithStrategy(StrategyMultiRound))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if er.Plan.Strategy != StrategyMultiRound || len(er.Output) != len(res.Output) {
 		t.Errorf("engine multi-round: strategy %v, %d tuples vs %d",
 			er.Plan.Strategy, len(er.Output), len(res.Output))

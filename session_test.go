@@ -38,6 +38,17 @@ func equalTupleSets(a, b []Tuple) bool {
 	return true
 }
 
+// freshExec evaluates q over db on a new single-use session: the
+// independent oracle the serving tests compare a long-lived session against.
+func freshExec(p int, seed uint64, q *Query, db *Database, opts ...ExecOption) (Result, error) {
+	s, err := Open(Config{P: p, Seed: seed})
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.Close()
+	return s.Exec(context.Background(), q, db, opts...)
+}
+
 func TestOpenValidatesConfig(t *testing.T) {
 	if _, err := Open(Config{P: 1}); err == nil {
 		t.Error("Open accepted p = 1")
@@ -79,7 +90,10 @@ func TestSessionExecMatchesEngineAndOptions(t *testing.T) {
 	db.Put(ZipfRelation("S1", 500, 1<<16, 1, 1.3, 40, 1))
 	db.Put(MatchingRelation("S2", 2, 500, 1<<16, 2))
 	q := Join2Query()
-	oracle := NewEngine(8, 3).Execute(q, db)
+	oracle, err := freshExec(8, 3, q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := Open(Config{P: 8, Seed: 3})
 	if err != nil {
@@ -156,7 +170,10 @@ func TestSessionCacheSurvivesApply(t *testing.T) {
 		t.Fatalf("serving cache stats after delta: %+v, want 1 hit / 1 miss", st)
 	}
 	// The plan ran against the mutated content: answers reflect the delta.
-	oracle := NewEngine(8, 1).Execute(q, db)
+	oracle, err := freshExec(8, 1, q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !equalTupleSets(res.Output, oracle.Output) {
 		t.Fatalf("post-delta answers (%d) differ from oracle (%d)", len(res.Output), len(oracle.Output))
 	}
@@ -368,7 +385,12 @@ func TestSessionConcurrentServing(t *testing.T) {
 					fail("post-apply exec: %v", err)
 					return
 				}
-				want := NewEngine(p, 5).Execute(q, db)
+				want, err := freshExec(p, 5, q, db)
+				if err != nil {
+					applyMu.Unlock()
+					fail("oracle exec: %v", err)
+					return
+				}
 				if !equalTupleSets(got.Output, want.Output) {
 					applyMu.Unlock()
 					fail("post-apply answers: session %d vs oracle %d", len(got.Output), len(want.Output))
@@ -403,7 +425,12 @@ func TestSessionConcurrentServing(t *testing.T) {
 					return
 				}
 				got := h.Result()
-				want := NewEngine(p, 5).Execute(q, db)
+				want, err := freshExec(p, 5, q, db)
+				if err != nil {
+					applyMu.Unlock()
+					fail("oracle exec: %v", err)
+					return
+				}
 				if !equalTupleSets(got, want.Output) {
 					applyMu.Unlock()
 					fail("standing result: %d answers vs oracle %d", len(got), len(want.Output))
