@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/hypercube"
 	"repro/internal/join"
 	"repro/internal/lp"
+	"repro/internal/mpc"
 	"repro/internal/packing"
 	"repro/internal/query"
 	"repro/internal/rational"
@@ -206,6 +208,53 @@ func BenchmarkLocalJoinTriangle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		join.Join(q, rels)
 	}
+}
+
+// BenchmarkLocalJoinZipfOutput is the output-bound local join by itself:
+// the bench/ hit_zipf shape (join2, both sides Zipf(1.2) over 500 join
+// values, m=5000, p=64, ~2 M answers) routed once through the skew-join
+// plan, then the busiest server's fragments joined per iteration. It
+// reports answers per op and ns per answer; B/op over answers is the bytes
+// per answer — the kernel's floor is the answer arena (k·8 B) plus one
+// slice header (24 B) per answer.
+func BenchmarkLocalJoinZipfOutput(b *testing.B) {
+	// The degrees mirror zipfDegrees in bench/workloads.go (rounded up here,
+	// largest-remainder there; the value permutation does not matter to one
+	// server's join).
+	const m, distinct = 5000, 500
+	var norm float64
+	for k := 1; k <= distinct; k++ {
+		norm += math.Pow(float64(k), -1.2)
+	}
+	degrees := make(map[int64]int, distinct)
+	for k := 1; k <= distinct; k++ {
+		degrees[int64(k)] = int(math.Ceil(m * math.Pow(float64(k), -1.2) / norm))
+	}
+	db := NewDatabase()
+	db.Put(workload.DegreeSequence("S1", 1<<20, 1, degrees, 1))
+	db.Put(workload.DegreeSequence("S2", 1<<20, 1, degrees, 2))
+	q := query.Join2()
+	plan := skew.PlanJoin(q, db, skew.JoinConfig{P: 64, Seed: 1}).Phys
+	cluster := mpc.NewCluster(plan.Virtual)
+	if err := cluster.Round(db, plan.Router); err != nil {
+		b.Fatal(err)
+	}
+	var busiest *mpc.Server
+	answers := 0
+	for _, s := range cluster.Servers {
+		if n := len(join.Join(q, s.Received)); n > answers {
+			busiest, answers = s, n
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(join.Join(q, busiest.Received)) != answers {
+			b.Fatal("answer count changed")
+		}
+	}
+	b.ReportMetric(float64(answers), "answers")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(answers)), "ns/answer")
 }
 
 func BenchmarkHyperCubeEndToEnd(b *testing.B) {

@@ -11,6 +11,7 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/packing"
 	"repro/internal/query"
 	"repro/internal/rational"
-	"repro/internal/stats"
 )
 
 // K returns K(u, M) = Π_j M_j^{u_j} (Eq. 6). M in bits.
@@ -158,27 +158,58 @@ type ResidualBound struct {
 // x realized in the data (absent assignments contribute M_j(h_j) = 0 for
 // atoms with u_j > 0, hence vanish). Returns 0 if no vertex saturates x.
 func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (float64, []ResidualBound) {
+	return residualLower(q, x, db, p, new(groupMemo))
+}
+
+// groupMemo holds the grouping of every (relation, attribute list) asked
+// for so far. It lives for one BestLower call: the variable sets of one
+// query ask for the same few groupings over and over (the triangle's seven
+// sets make 18 requests for nine groupings).
+type groupMemo []grouping
+
+type grouping struct {
+	rel   *data.Relation
+	attrs []int
+	idx   *data.GroupIndex
+}
+
+// get returns rel grouped by attrs, building it on first request. attrs is
+// retained and must not be modified afterwards.
+func (m *groupMemo) get(rel *data.Relation, attrs []int) *data.GroupIndex {
+	for _, g := range *m {
+		if g.rel == rel && slices.Equal(g.attrs, attrs) {
+			return g.idx
+		}
+	}
+	idx := new(data.GroupIndex)
+	idx.Build(rel, attrs)
+	*m = append(*m, grouping{rel, attrs, idx})
+	return idx
+}
+
+// atomProj is atom j's projection onto its x-variables x_j.
+type atomProj struct {
+	rel   *data.Relation
+	attrs []int            // attribute positions of x_j in the atom
+	xIdx  []int            // matching indices into xSorted
+	idx   *data.GroupIndex // rel grouped by attrs; nil when x_j = ∅
+	key   []int64          // h_j scratch, in attrs order
+	bitsW float64          // bits per tuple of the atom
+	mBits float64          // full M_j in bits
+}
+
+func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, memo *groupMemo) (float64, []ResidualBound) {
 	sat := packing.SaturatingPackings(q, x)
 	if len(sat) == 0 {
 		return 0, nil
 	}
 	xSorted := x.Sorted()
-	assignments := supportAssignments(q, xSorted, db)
-
-	// Per-atom projection machinery.
-	type proj struct {
-		attrs []int // attribute positions of x_j in atom j
-		xIdx  []int // matching indices into xSorted
-		freq  *stats.FreqMap
-		bitsW float64 // bits per tuple of the atom
-		mBits float64 // full M_j in bits
-	}
-	projs := make([]proj, q.NumAtoms())
+	projs := make([]atomProj, q.NumAtoms())
 	for j, a := range q.Atoms {
-		rel := db.MustGet(a.Name)
-		var pr proj
-		pr.bitsW = float64(rel.BitsPerTuple())
-		pr.mBits = float64(rel.Bits())
+		pr := &projs[j]
+		pr.rel = db.MustGet(a.Name)
+		pr.bitsW = float64(pr.rel.BitsPerTuple())
+		pr.mBits = float64(pr.rel.Bits())
 		for pos, v := range a.Vars {
 			for xi, xv := range xSorted {
 				if v == xv {
@@ -188,10 +219,11 @@ func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (fl
 			}
 		}
 		if len(pr.attrs) > 0 {
-			pr.freq = stats.Frequencies(rel, pr.attrs)
+			pr.idx = memo.get(pr.rel, pr.attrs)
+			pr.key = make([]int64, len(pr.attrs))
 		}
-		projs[j] = pr
 	}
+	assignments := supportAssignments(q, xSorted, projs)
 
 	var best float64
 	var table []ResidualBound
@@ -213,16 +245,13 @@ func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (fl
 				}
 				pr := &projs[j]
 				var mjh float64
-				if pr.freq == nil {
+				if pr.idx == nil {
 					mjh = pr.mBits // x_j = ∅: M_j(h) = M_j
 				} else {
-					key := make(data.Tuple, len(pr.attrs))
-					// Keys are in sorted-attribute order (stats sorts).
-					sortedIdx := sortedByAttr(pr.attrs, pr.xIdx)
-					for a2, si := range sortedIdx {
-						key[a2] = h[si]
+					for a, xi := range pr.xIdx {
+						pr.key[a] = h[xi]
 					}
-					mjh = float64(pr.freq.Count(key)) * pr.bitsW
+					mjh = float64(pr.idx.Count(pr.idx.Lookup(pr.key))) * pr.bitsW
 				}
 				if mjh == 0 {
 					term = 0
@@ -242,21 +271,6 @@ func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (fl
 	return best, table
 }
 
-// sortedByAttr returns xIdx reordered so that the corresponding attrs are
-// ascending (matching stats.Frequencies' canonical key order).
-func sortedByAttr(attrs, xIdx []int) []int {
-	order := make([]int, len(attrs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return attrs[order[a]] < attrs[order[b]] })
-	out := make([]int, len(order))
-	for i, o := range order {
-		out[i] = xIdx[o]
-	}
-	return out
-}
-
 // maxSupport caps the number of joint assignments enumerated per variable
 // set. The sum in Eq. (12) over a truncated support is still a valid lower
 // bound (every term is non-negative); the cap only weakens pathological
@@ -265,8 +279,10 @@ const maxSupport = 1 << 18
 
 // supportAssignments returns joint assignments to xSorted realized in the
 // data: the join of the atom projections onto their x-variables, truncated
-// at maxSupport.
-func supportAssignments(q *query.Query, xSorted []int, db *data.Database) []data.Tuple {
+// at maxSupport. Each projection lists its grouping's distinct keys in
+// first-occurrence order, so the join — and with it the Eq. (12) summation
+// order — is a function of the data's row order alone.
+func supportAssignments(q *query.Query, xSorted []int, projs []atomProj) []data.Tuple {
 	if len(xSorted) == 0 {
 		return []data.Tuple{{}}
 	}
@@ -276,39 +292,23 @@ func supportAssignments(q *query.Query, xSorted []int, db *data.Database) []data
 		pq.Vars = append(pq.Vars, q.Vars[v])
 	}
 	rels := make(map[string]*data.Relation)
-	for _, a := range q.Atoms {
-		var atomVars []int
-		var attrs []int
-		for pos, v := range a.Vars {
-			for xi, xv := range xSorted {
-				if v == xv {
-					atomVars = append(atomVars, xi)
-					attrs = append(attrs, pos)
-				}
-			}
-		}
-		if len(atomVars) == 0 {
+	for j, a := range q.Atoms {
+		pr := &projs[j]
+		if pr.idx == nil {
 			continue
 		}
-		rel := db.MustGet(a.Name)
-		prj := data.NewRelation(a.Name, len(attrs), rel.Domain)
-		seen := make(map[data.Key]bool)
-		cols := make([][]int64, len(attrs))
-		for i, pos := range attrs {
-			cols[i] = rel.Column(pos)
-		}
-		pt := make(data.Tuple, len(attrs))
-		for row := 0; row < rel.Size(); row++ {
-			for i, col := range cols {
-				pt[i] = col[row]
-			}
-			k := data.KeyOf(pt)
-			if !seen[k] {
-				seen[k] = true
-				prj.Add(pt...)
+		groups := pr.idx.Groups()
+		cols := make([][]int64, len(pr.attrs))
+		for i, pos := range pr.attrs {
+			src := pr.rel.Column(pos)
+			cols[i] = make([]int64, groups)
+			for g := range cols[i] {
+				cols[i][g] = src[pr.idx.Rep(g)]
 			}
 		}
-		pq.Atoms = append(pq.Atoms, query.Atom{Name: a.Name, Vars: atomVars})
+		prj := data.NewRelation(a.Name, len(pr.attrs), pr.rel.Domain)
+		prj.AppendColumns(cols, groups)
+		pq.Atoms = append(pq.Atoms, query.Atom{Name: a.Name, Vars: pr.xIdx})
 		rels[a.Name] = prj
 	}
 	if len(pq.Atoms) == 0 {
@@ -328,6 +328,7 @@ func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, str
 	}
 	best, _ := SimpleLower(q, bitsM, p)
 	desc := "simple (x = ∅)"
+	var memo groupMemo
 	k := q.NumVars()
 	if maxX <= 0 || maxX > k {
 		maxX = k
@@ -343,7 +344,7 @@ func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, str
 			continue
 		}
 		x := query.NewVarSet(vs...)
-		b, _ := ResidualLower(q, x, db, p)
+		b, _ := residualLower(q, x, db, p, &memo)
 		if b > best {
 			best = b
 			desc = fmt.Sprintf("residual x=%v", vs)

@@ -294,7 +294,11 @@ type Plan struct {
 
 // Result is the outcome of ExecuteContext.
 type Result struct {
-	Plan          Plan
+	Plan Plan
+	// Output holds the answers. The answers one server computed are slices
+	// of one backing array (see join.Join): each may be appended to or
+	// written independently, but retaining one retains that server's whole
+	// share of the output.
 	Output        []data.Tuple
 	MaxLoadBits   int64 // max virtual-processor load (what the theorems bound)
 	TotalBits     int64

@@ -204,6 +204,10 @@ func grow(buf []int64, n int) []int64 {
 // Result reports one execution of a plan: the answers plus the realized
 // loads, both over virtual servers and rolled up onto physical machines.
 type Result struct {
+	// Output concatenates the servers' answers in server order. A plan
+	// whose Local is join.Join returns, per server, slices of one backing
+	// array: the gather and Dedup move only the headers, and retaining one
+	// answer retains that server's arena.
 	Output []data.Tuple
 	// Loads summarizes the virtual-server loads (with replication rate
 	// relative to the input database).

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/join"
 	"repro/internal/mpc"
+	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 func testDB() *data.Database {
@@ -118,6 +121,44 @@ func TestRunDedup(t *testing.T) {
 	res, _ := Run(plan, db, Config{})
 	if len(res.Output) != 8 {
 		t.Errorf("deduped output = %d tuples, want 8", len(res.Output))
+	}
+}
+
+// TestRunGathersArenaAnswersInPlace runs the real local join — whose
+// answers are slices of one arena per server — through the pooled gather
+// and the in-place Dedup: a second run over the same scratch reuses the
+// header buffer yet returns the same answers, because each run's arenas are
+// its own.
+func TestRunGathersArenaAnswersInPlace(t *testing.T) {
+	q := query.Join2()
+	db := data.NewDatabase()
+	db.Put(workload.Zipf("S1", 60, 128, 1, 1.3, 8, 1))
+	db.Put(workload.Zipf("S2", 60, 128, 1, 1.3, 8, 2))
+	want := join.Join(q, join.FromDatabase(db))
+	plan := &PhysicalPlan{
+		Strategy: "test",
+		Virtual:  3,
+		Physical: 3,
+		// Broadcast, so every server computes the whole join and Dedup has
+		// two copies of each answer to drop.
+		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
+			return append(dst, 0, 1, 2)
+		}),
+		Local: func(s *mpc.Server) []data.Tuple { return join.Join(q, s.Received) },
+		Dedup: true,
+	}
+	sc := new(Scratch)
+	r1, _ := Run(plan, db, Config{Scratch: sc})
+	if !join.EqualTupleSets(r1.Output, want) {
+		t.Fatalf("first run: %d answers, want %d", len(r1.Output), len(want))
+	}
+	first := &r1.Output[0]
+	r2, _ := Run(plan, db, Config{Scratch: sc})
+	if &r2.Output[0] != first {
+		t.Error("gather buffer was reallocated despite the scratch")
+	}
+	if !join.EqualTupleSets(r2.Output, want) {
+		t.Errorf("second run over the same scratch: %d answers, want %d", len(r2.Output), len(want))
 	}
 }
 

@@ -4,8 +4,15 @@
 // nested-loop reference implementation used to verify every distributed
 // algorithm's output in tests.
 //
-// The MPC model gives servers unlimited computational power, so only
-// correctness matters here; the hash join keeps experiments tractable.
+// The MPC model gives servers unlimited computational power, but the
+// reproduction does not: local joins are most of a serving call, so Join
+// runs on the columnar group-by kernel (data.GroupIndex) and guarantees
+// three things. Order: answers come out in a fixed sequence — atoms in
+// planOrder's greedy order, bindings in the previous step's order, matching
+// rows ascending — which keeps every Result.Output and every sum over the
+// answers reproducible. No duplicates on duplicate-free input. Arena
+// aliasing: the answers of one call are slices of one backing array (see
+// Join).
 package join
 
 import (
@@ -18,6 +25,12 @@ import (
 // Join returns all answers of q over the given relations (keyed by atom
 // name). A missing or empty relation yields no answers. Input relations
 // must be duplicate-free; then the output is duplicate-free too.
+//
+// The answers share one backing array: each tuple is a full slice
+// expression over its own k values, so appending to one reallocates rather
+// than overwriting its neighbour, and writing into one touches no input
+// relation and no other call's output — but retaining a single answer
+// retains the whole call's arena.
 func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 	return JoinLimit(q, rels, 0)
 }
@@ -32,71 +45,92 @@ func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data
 	k := q.NumVars()
 	order := planOrder(q, rels)
 
-	// bindings holds partial assignments to the k query variables; bound
-	// tracks which variables are assigned (same for every binding at a
-	// given step).
-	bindings := []data.Tuple{make(data.Tuple, k)}
+	// arena holds n partial assignments to the k query variables, k values
+	// each; bound tracks which variables are assigned (same for every
+	// binding at a given step).
+	arena := make([]int64, k)
+	n := 1
 	bound := make([]bool, k)
 
+	var (
+		idx     data.GroupIndex
+		joinPos []int              // positions within the atom of already-bound variables
+		joinVar []int              // the corresponding query variables
+		probe   = make([]int64, k) // key of one binding
+		groups  []int32            // group each binding matched, -1 for none
+	)
 	for _, j := range order {
 		atom := q.Atoms[j]
 		rel := rels[atom.Name]
 		if rel == nil || rel.Size() == 0 {
 			return nil
 		}
-		// Split atom variables into already-bound (join positions) and new.
-		var joinPos []int // positions within the atom
-		var joinVar []int // corresponding query variables
+		joinPos, joinVar = joinPos[:0], joinVar[:0]
 		for pos, v := range atom.Vars {
 			if bound[v] {
 				joinPos = append(joinPos, pos)
 				joinVar = append(joinVar, v)
 			}
 		}
-		// Build the hash index from the key columns only — the payload
-		// columns are not touched until a binding actually extends.
-		m := rel.Size()
-		keyCols := make([][]int64, len(joinPos))
-		for a, pos := range joinPos {
-			keyCols[a] = rel.Column(pos)
+		// Group the relation by its key columns only — the payload columns
+		// are not touched until a binding actually extends.
+		idx.Build(rel, joinPos)
+
+		// Count pass: group sizes are exact, so the next arena is allocated
+		// once at its final size, limit included.
+		if cap(groups) < n {
+			groups = make([]int32, n)
 		}
-		index := make(map[data.Key][]int, m)
-		key := make(data.Tuple, len(joinPos))
-		for i := 0; i < m; i++ {
-			for a, col := range keyCols {
-				key[a] = col[i]
-			}
-			ks := data.KeyOf(key)
-			index[ks] = append(index[ks], i)
-		}
-		cols := rel.Columns()
-		var next []data.Tuple
-		probe := make(data.Tuple, len(joinVar))
-	extend:
-		for _, b := range bindings {
+		groups = groups[:n]
+		probe = probe[:len(joinVar)]
+		total := 0
+		for b := 0; b < n; b++ {
+			base := b * k
 			for a, v := range joinVar {
-				probe[a] = b[v]
+				probe[a] = arena[base+v]
 			}
-			for _, ti := range index[data.KeyOf(probe)] {
-				nb := append(data.Tuple(nil), b...)
-				for pos, v := range atom.Vars {
-					nb[v] = cols[pos][ti]
-				}
-				next = append(next, nb)
-				if limit > 0 && len(next) >= limit {
-					break extend
-				}
+			g := idx.Lookup(probe)
+			groups[b] = int32(g)
+			total += idx.Count(g)
+			if limit > 0 && total >= limit {
+				total, n = limit, b+1
+				break
 			}
 		}
-		bindings = next
-		if len(bindings) == 0 {
+		if total == 0 {
 			return nil
 		}
+
+		// Fill pass: copy each binding once per matching row and bind the
+		// atom's variables from that row.
+		cols := rel.Columns()
+		next := make([]int64, total*k)
+		out := 0
+		for b := 0; b < n; b++ {
+			rows := idx.Rows(int(groups[b]))
+			if len(rows) > total-out {
+				rows = rows[:total-out]
+			}
+			src := arena[b*k : (b+1)*k]
+			for _, ti := range rows {
+				dst := next[out*k : (out+1)*k]
+				copy(dst, src)
+				for pos, v := range atom.Vars {
+					dst[v] = cols[pos][ti]
+				}
+				out++
+			}
+		}
+		arena, n = next, total
 		for _, v := range atom.Vars {
 			bound[v] = true
 		}
 	}
-	return bindings
+	answers := make([]data.Tuple, n)
+	for i := range answers {
+		answers[i] = arena[i*k : (i+1)*k : (i+1)*k]
+	}
+	return answers
 }
 
 // planOrder returns a greedy atom order: start from the smallest relation,

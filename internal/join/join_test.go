@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,36 +107,251 @@ func TestJoinSingleAtomIdentity(t *testing.T) {
 }
 
 func TestJoinAgainstNestedLoopRandom(t *testing.T) {
-	queries := []*query.Query{
-		query.Join2(), query.Triangle(), query.Path(3), query.Star(2), query.Cycle(4), query.Cartesian(2),
-	}
 	rng := rand.New(rand.NewSource(7))
-	for _, q := range queries {
-		for trial := 0; trial < 5; trial++ {
-			rels := make(map[string]*data.Relation)
-			for _, a := range q.Atoms {
-				// Small domain to force collisions and matches.
-				r := data.NewRelation(a.Name, a.Arity(), 6)
-				seen := make(map[string]bool)
-				for i := 0; i < 12; i++ {
-					tu := make(data.Tuple, a.Arity())
-					for j := range tu {
-						tu[j] = int64(rng.Intn(6))
-					}
-					if !seen[tu.Key()] {
-						seen[tu.Key()] = true
-						r.Add(tu...)
-					}
-				}
-				rels[a.Name] = r
-			}
+	for _, name := range query.CatalogNames() {
+		q := query.Catalog()[name]
+		for trial := 0; trial < 6; trial++ {
+			rels := randomInstance(rng, q, trial, 12)
 			fast := Join(q, rels)
 			slow := NestedLoop(q, rels)
 			if !EqualTupleSets(fast, slow) {
 				t.Errorf("%s trial %d: hash join and nested loop disagree (%d vs %d tuples)",
-					q.Name, trial, len(fast), len(slow))
+					name, trial, len(fast), len(slow))
 			}
 		}
+	}
+}
+
+// randomInstance draws one duplicate-free relation of about m tuples per
+// atom of q, cycling through the generators by kind: uniform, zipf (binary
+// atoms only), matching. Domains are small so that keys repeat and joins
+// match.
+func randomInstance(rng *rand.Rand, q *query.Query, kind, m int) map[string]*data.Relation {
+	rels := make(map[string]*data.Relation)
+	for _, a := range q.Atoms {
+		seed := rng.Int63()
+		size := m/2 + rng.Intn(m)
+		switch {
+		case kind%3 == 1 && a.Arity() == 2:
+			rels[a.Name] = workload.Zipf(a.Name, size, int64(2*m), rng.Intn(2), 1.3, 6, seed)
+		case kind%3 == 2:
+			rels[a.Name] = workload.Matching(a.Name, a.Arity(), size, int64(2*m), seed)
+		default:
+			// Uniform wants size ≤ domain^arity / 2, and size < 3m/2.
+			domain := int64(4 * m)
+			if a.Arity() > 1 {
+				domain = int64(m)/2 + 2
+			}
+			rels[a.Name] = workload.Uniform(a.Name, a.Arity(), size, domain, seed)
+		}
+	}
+	return rels
+}
+
+// referenceJoinLimit is the map-based join this package ran before the
+// GroupIndex kernel, kept verbatim as the order oracle: it shares neither
+// the index nor the arena with JoinLimit.
+func referenceJoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
+	k := q.NumVars()
+	order := planOrder(q, rels)
+
+	// bindings holds partial assignments to the k query variables; bound
+	// tracks which variables are assigned (same for every binding at a
+	// given step).
+	bindings := []data.Tuple{make(data.Tuple, k)}
+	bound := make([]bool, k)
+
+	for _, j := range order {
+		atom := q.Atoms[j]
+		rel := rels[atom.Name]
+		if rel == nil || rel.Size() == 0 {
+			return nil
+		}
+		// Split atom variables into already-bound (join positions) and new.
+		var joinPos []int // positions within the atom
+		var joinVar []int // corresponding query variables
+		for pos, v := range atom.Vars {
+			if bound[v] {
+				joinPos = append(joinPos, pos)
+				joinVar = append(joinVar, v)
+			}
+		}
+		// Build the hash index from the key columns only — the payload
+		// columns are not touched until a binding actually extends.
+		m := rel.Size()
+		keyCols := make([][]int64, len(joinPos))
+		for a, pos := range joinPos {
+			keyCols[a] = rel.Column(pos)
+		}
+		index := make(map[data.Key][]int, m)
+		key := make(data.Tuple, len(joinPos))
+		for i := 0; i < m; i++ {
+			for a, col := range keyCols {
+				key[a] = col[i]
+			}
+			ks := data.KeyOf(key)
+			index[ks] = append(index[ks], i)
+		}
+		cols := rel.Columns()
+		var next []data.Tuple
+		probe := make(data.Tuple, len(joinVar))
+	extend:
+		for _, b := range bindings {
+			for a, v := range joinVar {
+				probe[a] = b[v]
+			}
+			for _, ti := range index[data.KeyOf(probe)] {
+				nb := append(data.Tuple(nil), b...)
+				for pos, v := range atom.Vars {
+					nb[v] = cols[pos][ti]
+				}
+				next = append(next, nb)
+				if limit > 0 && len(next) >= limit {
+					break extend
+				}
+			}
+		}
+		bindings = next
+		if len(bindings) == 0 {
+			return nil
+		}
+		for _, v := range atom.Vars {
+			bound[v] = true
+		}
+	}
+	return bindings
+}
+
+// sameSequence reports whether two answer lists are equal tuple by tuple,
+// in order (nil and empty are the same list).
+func sameSequence(a, b []data.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y data.Tuple) bool { return slices.Equal(x, y) })
+}
+
+// TestJoinMatchesReferenceOrder pins the kernel to the exact tuple
+// sequence of the map-based join it replaced — not just the multiset:
+// Result.Output, every example's printed output and the Eq. 12 summation
+// order all read answers in this order.
+func TestJoinMatchesReferenceOrder(t *testing.T) {
+	check := func(t *testing.T, name string, q *query.Query, rels map[string]*data.Relation) {
+		t.Helper()
+		full := len(referenceJoinLimit(q, rels, 0))
+		for _, limit := range []int{0, 1, full/2 + 1} {
+			got, want := JoinLimit(q, rels, limit), referenceJoinLimit(q, rels, limit)
+			if !sameSequence(got, want) {
+				t.Errorf("%s limit %d: %d answers, reference has %d (or the order differs)",
+					name, limit, len(got), len(want))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	answers := 0
+	for _, name := range query.CatalogNames() {
+		q := query.Catalog()[name]
+		for trial := 0; trial < 9; trial++ {
+			rels := randomInstance(rng, q, trial, 24)
+			answers += len(referenceJoinLimit(q, rels, 0))
+			check(t, name, q, rels)
+
+			// One relation empty, then missing.
+			victim := q.Atoms[trial%q.NumAtoms()]
+			full := rels[victim.Name]
+			rels[victim.Name] = data.NewRelation(victim.Name, victim.Arity(), full.Domain)
+			check(t, name+" (empty "+victim.Name+")", q, rels)
+			delete(rels, victim.Name)
+			check(t, name+" (missing "+victim.Name+")", q, rels)
+		}
+	}
+	if answers == 0 {
+		t.Fatal("no instance produced an answer: the comparison is vacuous")
+	}
+
+	// A nine-column key is wider than data.Key stores inline, so the
+	// reference takes its overflow path; binary values make keys repeat.
+	wide := query.MustParse("q(a,b,c,d,e,f,g,h,i,z) = R(a,b,c,d,e,f,g,h,i), S(a,b,c,d,e,f,g,h,i,z)")
+	r := data.NewRelation("R", 9, 2)
+	s := data.NewRelation("S", 10, 50)
+	seenR := map[data.Key]bool{}
+	row := make(data.Tuple, 10)
+	for i := 0; i < 60; i++ {
+		for c := 0; c < 9; c++ {
+			row[c] = int64(rng.Intn(2))
+		}
+		// Vary only two columns most of the time so that keys collide.
+		if i%3 != 0 {
+			for c := 2; c < 9; c++ {
+				row[c] = 1
+			}
+		}
+		if k := data.KeyOf(row[:9]); !seenR[k] {
+			seenR[k] = true
+			r.Add(row[:9]...)
+		}
+		row[9] = int64(i % 50)
+		s.Add(row...)
+	}
+	wideRels := map[string]*data.Relation{"R": r, "S": s}
+	if len(Join(wide, wideRels)) < s.Size()/2 {
+		t.Fatalf("wide-key instance joins only %d of %d rows", len(Join(wide, wideRels)), s.Size())
+	}
+	check(t, "wide key", wide, wideRels)
+}
+
+// TestJoinAnswersAliasOneArena pins the aliasing contract of the answers:
+// they share a backing array, but every header is capped to its own values
+// and the arena belongs to one call.
+func TestJoinAnswersAliasOneArena(t *testing.T) {
+	q := query.Triangle()
+	db := workload.ForQuery([]workload.AtomSpec{
+		{Name: "S1", Arity: 2, M: 120, Domain: 16},
+		{Name: "S2", Arity: 2, M: 110, Domain: 16},
+		{Name: "S3", Arity: 2, M: 100, Domain: 16},
+	}, 9)
+	rels := FromDatabase(db)
+	before := make(map[string]*data.Relation)
+	for name, r := range rels {
+		before[name] = r.Clone()
+	}
+	out := Join(q, rels)
+	if len(out) < 2 {
+		t.Fatalf("need at least two answers, got %d", len(out))
+	}
+	want := make([]data.Tuple, len(out))
+	for i, tu := range out {
+		want[i] = slices.Clone(tu)
+	}
+	other := Join(q, rels)
+
+	// Appending to an answer must reallocate, never run into its neighbour.
+	for i := range out {
+		if cap(out[i]) != len(out[i]) {
+			t.Fatalf("answer %d: cap %d > len %d exposes the next answer", i, cap(out[i]), len(out[i]))
+		}
+		_ = append(out[i], -1)
+	}
+	if !sameSequence(out, want) {
+		t.Fatal("append to one answer overwrote another")
+	}
+	// Writing into answers touches no input relation and no other call.
+	for _, tu := range out {
+		for v := range tu {
+			tu[v] = -7
+		}
+	}
+	if !sameSequence(other, want) {
+		t.Error("mutating one call's answers changed another call's output")
+	}
+	for name, r := range rels {
+		for a := 0; a < r.Arity; a++ {
+			if !slices.Equal(r.Column(a), before[name].Column(a)) {
+				t.Errorf("mutating answers changed input relation %s", name)
+			}
+		}
+	}
+	// Dedup compacts headers in place over arena answers.
+	doubled := append(slices.Clone(other), other...)
+	if got := Dedup(doubled); !sameSequence(got, want) {
+		t.Errorf("Dedup over arena answers kept %d of %d", len(got), len(want))
 	}
 }
 

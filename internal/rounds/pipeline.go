@@ -365,9 +365,13 @@ func mergeBaseRels(left, right *input) map[string]*data.Relation {
 	return m
 }
 
-// localJoin builds a stage's local computation: index the right fragment by
-// its key columns, probe with the left key columns, and append matches to
-// the output fragment column-wise.
+// localJoin builds a stage's local computation: group the right fragment by
+// its key columns, count each left row's matches, then fill output columns
+// allocated once at their final size and append them to the output fragment
+// in bulk. The values come from the two input fragments, whose domains the
+// output domain covers, so the trusted AppendColumns path applies.
+// AppendColumns copies, so a stage's output exists twice until the fill
+// buffer is collected; a Relation cannot adopt caller-built columns today.
 func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domain int64) func(s *mpc.Server) *data.Relation {
 	leftName, rightName, outName := st.Left, st.Right, st.Output
 	return func(s *mpc.Server) *data.Relation {
@@ -375,41 +379,43 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 		if lf == nil || rf == nil || lf.Size() == 0 || rf.Size() == 0 {
 			return nil
 		}
-		index := make(map[data.Key][]int, rf.Size())
-		rKeyCols := make([][]int64, len(rightKey))
-		for a, pos := range rightKey {
-			rKeyCols[a] = rf.Column(pos)
-		}
-		kbuf := make(data.Tuple, len(rightKey))
-		for i := 0; i < rf.Size(); i++ {
-			for a, col := range rKeyCols {
-				kbuf[a] = col[i]
-			}
-			k := data.KeyOf(kbuf)
-			index[k] = append(index[k], i)
-		}
+		var idx data.GroupIndex
+		idx.Build(rf, rightKey)
 		lCols, rCols := lf.Columns(), rf.Columns()
-		lArity := lf.Arity
-		lkbuf := make(data.Tuple, len(leftKey))
-		row := make(data.Tuple, outArity)
-		out := data.NewRelation(outName, outArity, domain)
-		for li := 0; li < lf.Size(); li++ {
+		probe := make([]int64, len(leftKey))
+		groups := make([]int32, lf.Size())
+		total := 0
+		for li := range groups {
 			for a, pos := range leftKey {
-				lkbuf[a] = lCols[pos][li]
+				probe[a] = lCols[pos][li]
 			}
-			for _, ri := range index[data.KeyOf(lkbuf)] {
-				for a := 0; a < lArity; a++ {
-					row[a] = lCols[a][li]
-				}
-				for a, pos := range rightPosOf {
-					row[lArity+a] = rCols[pos][ri]
-				}
-				out.Add(row...)
-			}
+			g := idx.Lookup(probe)
+			groups[li] = int32(g)
+			total += idx.Count(g)
 		}
-		if out.Size() == 0 {
+		if total == 0 {
 			return nil
 		}
+		flat := make([]int64, outArity*total)
+		cols := make([][]int64, outArity)
+		for a := range cols {
+			cols[a] = flat[a*total : (a+1)*total]
+		}
+		lArity := lf.Arity
+		o := 0
+		for li, g := range groups {
+			for _, ri := range idx.Rows(int(g)) {
+				for a := 0; a < lArity; a++ {
+					cols[a][o] = lCols[a][li]
+				}
+				for a, pos := range rightPosOf {
+					cols[lArity+a][o] = rCols[pos][ri]
+				}
+				o++
+			}
+		}
+		out := data.NewRelation(outName, outArity, domain)
+		out.AppendColumns(cols, total)
 		return out
 	}
 }

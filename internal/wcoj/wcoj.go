@@ -33,6 +33,10 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 		varPos []int
 		// candidates for the current partial assignment, as row indices.
 		rows []int
+		// For atoms holding the last variable: the relation grouped by all
+		// of the atom's variables (ascending), probed at the deepest level.
+		vars   []int
+		tuples data.GroupIndex
 	}
 	states := make([]*atomState, q.NumAtoms())
 	for j, a := range q.Atoms {
@@ -51,10 +55,22 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 		for i := range rows {
 			rows[i] = i
 		}
-		states[j] = &atomState{atom: a, rel: rel, varPos: vp, rows: rows}
+		st := &atomState{atom: a, rel: rel, varPos: vp, rows: rows}
+		if k > 0 && vp[k-1] >= 0 {
+			var cols []int
+			for v, pos := range vp {
+				if pos >= 0 {
+					st.vars = append(st.vars, v)
+					cols = append(cols, pos)
+				}
+			}
+			st.tuples.Build(rel, cols)
+		}
+		states[j] = st
 	}
 
 	assignment := make(data.Tuple, k)
+	probe := make([]int64, 0, k)
 	var out []data.Tuple
 
 	// Precompute, per atom and level, the grouping of the FULL relation by
@@ -131,6 +147,7 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 		newRows := make([][]int, len(touching))
 		for _, v := range values {
 			ok := true
+			assignment[level] = v
 			newRows[0] = pivotGroup[v]
 			for ti := 1; ti < len(touching); ti++ {
 				st := touching[ti]
@@ -144,9 +161,16 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 					continue
 				}
 				if last {
-					// The deepest level never reads the restriction; an
-					// existence check suffices.
-					if !sortedIntersects(st.rows, grp) {
+					// The deepest level never reads the restriction, and
+					// every variable of the atom is bound by now: one probe
+					// for the bound tuple replaces intersecting the two row
+					// lists, which on the double star is linear per node and
+					// quadratic in all.
+					probe = probe[:0]
+					for _, u := range st.vars {
+						probe = append(probe, assignment[u])
+					}
+					if st.tuples.Lookup(probe) < 0 {
 						ok = false
 						break
 					}
@@ -163,7 +187,6 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 			if !ok {
 				continue
 			}
-			assignment[level] = v
 			for ti, st := range touching {
 				saved[ti] = st.rows
 				st.rows = newRows[ti]
@@ -193,18 +216,4 @@ func sortedIntersect(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// sortedIntersects reports whether two ascending row-index lists share an
-// element, early-exiting on the first hit.
-func sortedIntersects(a, b []int) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for _, x := range a {
-		if i := sort.SearchInts(b, x); i < len(b) && b[i] == x {
-			return true
-		}
-	}
-	return false
 }

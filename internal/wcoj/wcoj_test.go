@@ -166,3 +166,25 @@ func TestHubInstanceStaysTractable(t *testing.T) {
 		t.Errorf("hub triangles = %d, want %d", len(out), want)
 	}
 }
+
+// The double star of experiment A6: every restricted atom reaches the last
+// variable with n+1 candidate rows of which one matches, so the deepest
+// level's tuple probe decides every answer.
+func TestDoubleStarMatchesHashJoin(t *testing.T) {
+	const n = 200
+	rels := make(map[string]*data.Relation)
+	for _, name := range []string{"S1", "S2", "S3"} {
+		r := data.NewRelation(name, 2, 1<<20)
+		for i := int64(1); i <= n; i++ {
+			r.Add(0, i)
+			r.Add(i, 0)
+		}
+		r.Add(0, 0)
+		rels[name] = r
+	}
+	q := query.Triangle()
+	got, want := Join(q, rels), join.Join(q, rels)
+	if len(got) != 3*n+1 || !join.EqualTupleSets(got, want) {
+		t.Fatalf("double star: wcoj %d answers, hash join %d, want %d", len(got), len(want), 3*n+1)
+	}
+}
