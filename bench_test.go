@@ -20,6 +20,7 @@ import (
 	"repro/internal/rational"
 	"repro/internal/rounds"
 	"repro/internal/skew"
+	"repro/internal/stats"
 	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
@@ -194,6 +195,44 @@ func BenchmarkPlanCache(b *testing.B) {
 			benchExec(b, s, q, db, WithoutCache())
 		}
 	})
+}
+
+// coldPlanGraphs is bench/'s cold_plan input at seed 1 (bench/workloads.go:
+// three SkewedGraph relations, 5000 edges over 2000 vertices, zipf 1.2).
+func coldPlanGraphs() *Database {
+	db := NewDatabase()
+	for i, name := range []string{"S1", "S2", "S3"} {
+		db.Put(workload.SkewedGraph(name, 5000, 2000, 1.2, 1+int64(i)*7919))
+	}
+	return db
+}
+
+// BenchmarkCollectDB is the statistics pass of a cold plan by itself:
+// heavy hitters at m/64 over every attribute subset of cold_plan's three
+// relations.
+func BenchmarkCollectDB(b *testing.B) {
+	db := coldPlanGraphs()
+	rows := 0
+	for _, r := range db.Relations {
+		rows += r.Size()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stats.CollectDB(db, 64)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// BenchmarkColdPlanTriangle is one whole cold_plan op: an uncached
+// Session.Exec of the triangle (statistics, lower bounds, bin-combination
+// planning, the round, the local joins and Dedup).
+func BenchmarkColdPlanTriangle(b *testing.B) {
+	q, db := query.Triangle(), coldPlanGraphs()
+	s := benchSession(b, 64, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchExec(b, s, q, db, WithoutCache())
+	}
 }
 
 func BenchmarkLocalJoinTriangle(b *testing.B) {

@@ -11,7 +11,6 @@ package bounds
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/packing"
 	"repro/internal/query"
 	"repro/internal/rational"
+	"repro/internal/stats"
 )
 
 // K returns K(u, M) = Π_j M_j^{u_j} (Eq. 6). M in bits.
@@ -158,47 +158,21 @@ type ResidualBound struct {
 // x realized in the data (absent assignments contribute M_j(h_j) = 0 for
 // atoms with u_j > 0, hence vanish). Returns 0 if no vertex saturates x.
 func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (float64, []ResidualBound) {
-	return residualLower(q, x, db, p, new(groupMemo))
-}
-
-// groupMemo holds the grouping of every (relation, attribute list) asked
-// for so far. It lives for one BestLower call: the variable sets of one
-// query ask for the same few groupings over and over (the triangle's seven
-// sets make 18 requests for nine groupings).
-type groupMemo []grouping
-
-type grouping struct {
-	rel   *data.Relation
-	attrs []int
-	idx   *data.GroupIndex
-}
-
-// get returns rel grouped by attrs, building it on first request. attrs is
-// retained and must not be modified afterwards.
-func (m *groupMemo) get(rel *data.Relation, attrs []int) *data.GroupIndex {
-	for _, g := range *m {
-		if g.rel == rel && slices.Equal(g.attrs, attrs) {
-			return g.idx
-		}
-	}
-	idx := new(data.GroupIndex)
-	idx.Build(rel, attrs)
-	*m = append(*m, grouping{rel, attrs, idx})
-	return idx
+	return residualLower(q, x, db, p, new(stats.Pass))
 }
 
 // atomProj is atom j's projection onto its x-variables x_j.
 type atomProj struct {
 	rel   *data.Relation
-	attrs []int            // attribute positions of x_j in the atom
-	xIdx  []int            // matching indices into xSorted
-	idx   *data.GroupIndex // rel grouped by attrs; nil when x_j = ∅
-	key   []int64          // h_j scratch, in attrs order
-	bitsW float64          // bits per tuple of the atom
-	mBits float64          // full M_j in bits
+	attrs []int       // attribute positions of x_j in the atom
+	xIdx  []int       // matching indices into xSorted
+	freq  *stats.Freq // rel counted over attrs; nil when x_j = ∅
+	key   []int64     // h_j scratch, in attrs order
+	bitsW float64     // bits per tuple of the atom
+	mBits float64     // full M_j in bits
 }
 
-func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, memo *groupMemo) (float64, []ResidualBound) {
+func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps *stats.Pass) (float64, []ResidualBound) {
 	sat := packing.SaturatingPackings(q, x)
 	if len(sat) == 0 {
 		return 0, nil
@@ -219,7 +193,7 @@ func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, mem
 			}
 		}
 		if len(pr.attrs) > 0 {
-			pr.idx = memo.get(pr.rel, pr.attrs)
+			pr.freq = ps.Frequencies(pr.rel, pr.attrs)
 			pr.key = make([]int64, len(pr.attrs))
 		}
 	}
@@ -245,13 +219,13 @@ func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, mem
 				}
 				pr := &projs[j]
 				var mjh float64
-				if pr.idx == nil {
+				if pr.freq == nil {
 					mjh = pr.mBits // x_j = ∅: M_j(h) = M_j
 				} else {
 					for a, xi := range pr.xIdx {
 						pr.key[a] = h[xi]
 					}
-					mjh = float64(pr.idx.Count(pr.idx.Lookup(pr.key))) * pr.bitsW
+					mjh = float64(pr.freq.Count(pr.key)) * pr.bitsW
 				}
 				if mjh == 0 {
 					term = 0
@@ -279,7 +253,7 @@ const maxSupport = 1 << 18
 
 // supportAssignments returns joint assignments to xSorted realized in the
 // data: the join of the atom projections onto their x-variables, truncated
-// at maxSupport. Each projection lists its grouping's distinct keys in
+// at maxSupport. Each projection lists its table's distinct keys in
 // first-occurrence order, so the join — and with it the Eq. (12) summation
 // order — is a function of the data's row order alone.
 func supportAssignments(q *query.Query, xSorted []int, projs []atomProj) []data.Tuple {
@@ -294,20 +268,20 @@ func supportAssignments(q *query.Query, xSorted []int, projs []atomProj) []data.
 	rels := make(map[string]*data.Relation)
 	for j, a := range q.Atoms {
 		pr := &projs[j]
-		if pr.idx == nil {
+		if pr.freq == nil {
 			continue
 		}
-		groups := pr.idx.Groups()
 		cols := make([][]int64, len(pr.attrs))
-		for i, pos := range pr.attrs {
-			src := pr.rel.Column(pos)
-			cols[i] = make([]int64, groups)
-			for g := range cols[i] {
-				cols[i][g] = src[pr.idx.Rep(g)]
-			}
+		for i := range cols {
+			cols[i] = make([]int64, 0, pr.freq.Distinct())
 		}
+		pr.freq.Each(func(key []int64, _ int64) {
+			for i, v := range key {
+				cols[i] = append(cols[i], v)
+			}
+		})
 		prj := data.NewRelation(a.Name, len(pr.attrs), pr.rel.Domain)
-		prj.AppendColumns(cols, groups)
+		prj.AdoptColumns(cols, pr.freq.Distinct())
 		pq.Atoms = append(pq.Atoms, query.Atom{Name: a.Name, Vars: pr.xIdx})
 		rels[a.Name] = prj
 	}
@@ -322,13 +296,19 @@ func supportAssignments(q *query.Query, xSorted []int, projs []atomProj) []data.
 // winning bound and a description of where it came from (Theorem 1.2's
 // L_lower = max_{x,u} L_x(u, M, p)).
 func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, string) {
+	return BestLowerWith(q, db, p, maxX, new(stats.Pass))
+}
+
+// BestLowerWith is BestLower counting through the caller's statistics
+// pass: one query's variable sets ask for the same few (relation, attribute
+// list) groupings over and over, and so do the planners sharing the pass.
+func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats.Pass) (float64, string) {
 	bitsM := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {
 		bitsM[j] = float64(db.MustGet(a.Name).Bits())
 	}
 	best, _ := SimpleLower(q, bitsM, p)
 	desc := "simple (x = ∅)"
-	var memo groupMemo
 	k := q.NumVars()
 	if maxX <= 0 || maxX > k {
 		maxX = k
@@ -344,7 +324,7 @@ func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, str
 			continue
 		}
 		x := query.NewVarSet(vs...)
-		b, _ := residualLower(q, x, db, p, &memo)
+		b, _ := residualLower(q, x, db, p, ps)
 		if b > best {
 			best = b
 			desc = fmt.Sprintf("residual x=%v", vs)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -94,21 +94,22 @@ func TestBoundsBitIdenticalToFrozen(t *testing.T) {
 		if digest != in.digest {
 			t.Errorf("%s: ResidualLower digest %#x, frozen %#x", in.name, digest, in.digest)
 		}
-		// BestLower shares one memo of groupings across its variable sets;
-		// the exported ResidualLower starts a fresh one per call. Same bits.
-		var memo groupMemo
+		// BestLower reads every variable set's groupings through one
+		// statistics pass; the exported ResidualLower starts a fresh one per
+		// call. Same bits, and each (relation, attribute subset) grouped once.
+		ps := new(stats.Pass)
 		memoized := residualDigest(in.q, func(x query.VarSet) (float64, []ResidualBound) {
-			return residualLower(in.q, x, in.db, in.p, &memo)
+			return residualLower(in.q, x, in.db, in.p, ps)
 		})
 		if memoized != digest {
-			t.Errorf("%s: memoized residual bounds digest %#x, fresh-memo %#x", in.name, memoized, digest)
+			t.Errorf("%s: shared-pass residual bounds digest %#x, fresh-pass %#x", in.name, memoized, digest)
 		}
-		for i, g := range memo {
-			for _, o := range memo[:i] {
-				if g.rel == o.rel && slices.Equal(g.attrs, o.attrs) {
-					t.Errorf("%s: memo grouped %s by %v twice", in.name, g.rel.Name, g.attrs)
-				}
-			}
+		subsets := 0
+		for _, name := range in.db.Names() {
+			subsets += 1<<in.db.MustGet(name).Arity - 1
+		}
+		if got := ps.Groupings(); got != subsets {
+			t.Errorf("%s: the pass built %d groupings for %d (relation, attribute subset) pairs", in.name, got, subsets)
 		}
 	}
 }

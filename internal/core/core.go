@@ -388,7 +388,7 @@ func (e *Engine) replanWorker() {
 		if q == nil || db == nil {
 			continue
 		}
-		cp := e.buildPlan(q, db.Snapshot(), s)
+		cp := e.buildPlan(q, db.Snapshot(), s, nil)
 		e.mu.Lock()
 		if el, ok := e.cache[key]; ok {
 			if ent := el.Value.(*cacheEntry); ent.stale {
@@ -514,15 +514,15 @@ func (e *Engine) settings(opts ExecOptions) settings {
 // prediction; ExecuteContext's plan cache avoids the duplicate work on the
 // hot path.
 func (e *Engine) PlanQuery(q *query.Query, db *data.Database) Plan {
-	return e.buildPlan(q, db, e.settings(ExecOptions{})).plan
+	return e.buildPlan(q, db, e.settings(ExecOptions{}), nil).plan
 }
 
 // logicalPlan runs the one-round strategy selection of §3/§4.
-func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings) Plan {
+func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) Plan {
 	if err := q.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid query: %v", err))
 	}
-	dbStats := stats.CollectDB(db, s.p)
+	dbStats := ps.CollectDB(db, s.p)
 	hasSkew := false
 	for _, a := range q.Atoms {
 		rs := dbStats.Relations[a.Name]
@@ -535,7 +535,7 @@ func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings) Plan
 			}
 		}
 	}
-	lower, desc := bounds.BestLower(q, db, s.p, 0)
+	lower, desc := bounds.BestLowerWith(q, db, s.p, 0, ps)
 	plan := Plan{LowerBoundBits: lower, HasSkew: hasSkew}
 	switch {
 	case s.forced != nil:
@@ -596,7 +596,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 			return Result{}, berr
 		}
 	}
-	cp, key, replanned := e.planFor(q, db, s)
+	cp, key, replanned := e.planFor(q, db, s, nil)
 	if s.autoPartition {
 		// Lazy skew-adaptive layout maintenance: make sure every relation
 		// the plan's router can span-route carries a current heavy-partition
@@ -706,10 +706,11 @@ func (e *Engine) markStale(key planKey) {
 // planFor returns the cached plan bundle for (q, db), building and caching
 // it on a miss. Hits refresh the entry's LRU position; a hit on a
 // drift-stale entry rebuilds it (reported as replanned); inserts beyond
-// the capacity evict from the cold end.
-func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cachedPlan, planKey, bool) {
+// the capacity evict from the cold end. ps is buildPlan's: a standing
+// query passes its own, to build its heavy watch off the same groupings.
+func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, planKey, bool) {
 	if s.noCache {
-		return e.buildPlan(q, db, s), planKey{}, false
+		return e.buildPlan(q, db, s, ps), planKey{}, false
 	}
 	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, mrAware: s.mr, serving: s.serving}
 	if s.forced != nil {
@@ -749,7 +750,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cached
 	e.mu.Unlock()
 	// Plan outside the lock: planning is the expensive part, and a
 	// duplicate build for a racing miss is just redundant work.
-	cp := e.buildPlan(q, db, s)
+	cp := e.buildPlan(q, db, s, ps)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.misses++
@@ -775,8 +776,13 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cached
 // physical plan, and — when multi-round consideration is on — cost-compares
 // the one-round choice against a multi-round pipeline (predicted SumMaxBits
 // vs the one-round PredictedBits), switching to the pipeline when cheaper.
-func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cachedPlan {
-	cp := &cachedPlan{plan: e.logicalPlan(q, db, s)}
+// Every step counts through the one pass ps (nil: the build's own), so each
+// (relation, attribute list) is grouped once; the plan keeps nothing of ps.
+func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *cachedPlan {
+	if ps == nil {
+		ps = new(stats.Pass)
+	}
+	cp := &cachedPlan{plan: e.logicalPlan(q, db, s, ps)}
 	cp.plannedFP = stats.Fingerprint(db)
 	cp.plan.Rounds = 1
 	switch cp.plan.Strategy {
@@ -785,11 +791,11 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 		cp.phys = hc.Phys
 		cp.plan.Shares = hc.Shares
 	case SkewJoin:
-		cp.phys = skew.PlanJoin(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}).Phys
+		cp.phys = skew.PlanJoinWith(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}, ps).Phys
 	case BinCombination:
-		cp.phys = skew.PlanGeneral(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}).Phys
+		cp.phys = skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}, ps).Phys
 	case MultiRound:
-		cp.mr = planMultiRound(q, db, s)
+		cp.mr = planMultiRound(q, db, s, ps)
 		cp.plan.PredictedBits = cp.mr.PredictedSumMaxBits
 		cp.plan.Rounds = len(cp.mr.Logical.Steps)
 	}
@@ -797,7 +803,7 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 		cp.plan.PredictedBits = cp.phys.PredictedBits
 	}
 	if s.mr && s.forced == nil && cp.mr == nil && q.NumAtoms() >= 2 {
-		mr := planMultiRound(q, db, s)
+		mr := planMultiRound(q, db, s, ps)
 		one := cp.plan.PredictedBits
 		if one > 0 && mr.PredictedSumMaxBits < one {
 			cp.plan.Reason = fmt.Sprintf(
@@ -818,8 +824,8 @@ func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings) *cache
 }
 
 // planMultiRound lowers the skew-aware multi-round pipeline for q.
-func planMultiRound(q *query.Query, db *data.Database, s settings) *rounds.PipelinePlan {
-	return rounds.PlanPipeline(q, db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true})
+func planMultiRound(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *rounds.PipelinePlan {
+	return rounds.Lower(rounds.BuildPlan(q), db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true}, ps)
 }
 
 // CacheStats reports the plan cache counters and occupancy.

@@ -21,10 +21,11 @@ import (
 func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	// Plan once: the cost table reuses the chosen strategy's prediction (and
 	// the multi-round pipeline, if that is what was chosen) and plans the
-	// other strategies only for their cost.
+	// other strategies only for their cost, all off one statistics pass.
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
-	cp := e.buildPlan(q, db, s)
+	ps := new(stats.Pass)
+	cp := e.buildPlan(q, db, s, ps)
 	plan := cp.plan
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
@@ -57,17 +58,17 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	})
 	if plan.Strategy == SkewJoin || isJoin2Shaped(q) {
 		writeCost(SkewJoin, "(Eq. 10)", func() float64 {
-			return skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: seed}).PredictedBits
+			return skew.PlanJoinWith(q, db, skew.JoinConfig{P: p, Seed: seed}, ps).PredictedBits
 		})
 	} else {
 		writeCost(SkewJoin, "(query not §4.1-shaped)", noCost)
 	}
 	writeCost(BinCombination, "(max_B p^λ(B))", func() float64 {
-		return skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: seed}).PredictedBits
+		return skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps).PredictedBits
 	})
 	if mr := cp.mr; mr != nil || q.NumAtoms() >= 2 {
 		if mr == nil {
-			mr = planMultiRound(q, db, s)
+			mr = planMultiRound(q, db, s, ps)
 		}
 		writeCost(MultiRound, fmt.Sprintf("(SumMaxBits, %d rounds)", len(mr.Logical.Steps)),
 			func() float64 { return mr.PredictedSumMaxBits })
@@ -82,7 +83,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		bitsM[j] = float64(rel.Bits())
 		distinct := make([]string, rel.Arity)
 		for attr := range distinct {
-			distinct[attr] = fmt.Sprintf("%d", stats.Cardinality(rel, attr))
+			distinct[attr] = fmt.Sprintf("%d", ps.Frequencies(rel, []int{attr}).Distinct())
 		}
 		fmt.Fprintf(&b, "relation %-6s m = %8d tuples, M = %10d bits, distinct/attr = (%s)\n",
 			a.Name, rel.Size(), rel.Bits(), strings.Join(distinct, ","))
@@ -111,7 +112,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 
 	if plan.HasSkew && plan.Strategy == BinCombination {
 		fmt.Fprintf(&b, "\nbin combinations (§4.2):\n")
-		for _, info := range skew.InspectBinCombos(q, db, p) {
+		for _, info := range skew.InspectBinCombos(q, db, p, ps) {
 			vars := make([]string, len(info.Vars))
 			for i, v := range info.Vars {
 				vars[i] = q.Vars[v]

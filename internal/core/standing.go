@@ -164,7 +164,8 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	// around it — so bypass serve-stale-while-background-replanning.
 	ps := h.s
 	ps.bgReplan = false
-	cp, key, _ := h.e.planFor(h.q, snap, ps)
+	pass := new(stats.Pass) // shared by the plan build and the heavy watch
+	cp, key, _ := h.e.planFor(h.q, snap, ps, pass)
 	if cp.phys != nil {
 		var rec Recovery
 		st, err := exec.NewStanding(cp.phys, h.q, snap, exec.Config{
@@ -192,7 +193,7 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 		}
 		h.st, h.fallback = nil, c
 	}
-	h.watch = stats.NewHeavyWatch(snap, h.q.AtomNames(), h.s.p)
+	h.watch = stats.NewHeavyWatch(pass, snap, h.q.AtomNames(), h.s.p)
 	h.schema = stats.SchemaFingerprint(snap)
 	h.appliedVersion = snap.VersionLocked()
 	h.stale.Store(false)

@@ -291,3 +291,44 @@ func shadowHasDup(rows [][]int64) bool {
 	}
 	return false
 }
+
+// TestAdoptColumns: the relation takes the caller's slices as its storage
+// (no copy), clamps each to the row count so that columns cut from one
+// buffer cannot grow into each other, and refuses a relation that already
+// holds rows or maintains serving state.
+func TestAdoptColumns(t *testing.T) {
+	flat := []int64{1, 2, 3, 10, 20, 30, 0, 0}
+	cols := [][]int64{flat[0:3], flat[3:6]}
+	r := NewRelation("A", 2, 1000)
+	r.AdoptColumns(cols, 3)
+	if r.Size() != 3 || r.At(2, 0) != 3 || r.At(0, 1) != 10 {
+		t.Fatalf("adopted relation reads wrong: size %d", r.Size())
+	}
+	if &r.Column(0)[0] != &flat[0] || &r.Column(1)[0] != &flat[3] {
+		t.Error("AdoptColumns copied the columns")
+	}
+	r.Add(4, 40) // must reallocate column 0, not overwrite column 1's first value
+	if flat[3] != 10 || r.At(3, 0) != 4 || r.At(0, 1) != 10 {
+		t.Errorf("append after adoption clobbered a neighbouring column: flat = %v", flat)
+	}
+	short := NewRelation("B", 2, 1000)
+	short.AdoptColumns([][]int64{{1, 2, 3}, {4, 5, 6}}, 2)
+	if short.Size() != 2 || len(short.Column(1)) != 2 {
+		t.Errorf("count below the slice length: size %d", short.Size())
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("arity mismatch", func() { NewRelation("C", 2, 10).AdoptColumns([][]int64{{1}}, 1) })
+	mustPanic("non-empty", func() { r.AdoptColumns([][]int64{{1}, {2}}, 1) })
+	tracked := NewRelation("D", 1, 10)
+	tracked.ContentSum() // enables maintenance
+	mustPanic("tracked", func() { tracked.AdoptColumns([][]int64{{1}}, 1) })
+}

@@ -447,6 +447,26 @@ func (r *Relation) AppendColumns(cols [][]int64, count int) {
 	}
 }
 
+// AdoptColumns makes count caller-built rows (cols[a] holds attribute a of
+// each) the storage of an empty relation without copying them. The caller
+// must not write to the slices afterwards; each is clamped to count, so a
+// later append reallocates instead of running into a neighbour cut from the
+// same buffer. Values are trusted exactly as in AppendColumns. It panics on
+// a relation that holds rows or maintains serving state.
+func (r *Relation) AdoptColumns(cols [][]int64, count int) {
+	if len(cols) != r.Arity {
+		panic(fmt.Sprintf("data: %s: AdoptColumns arity %d, want %d", r.Name, len(cols), r.Arity))
+	}
+	if r.rows != 0 || r.track.Load() != 0 {
+		panic(fmt.Sprintf("data: %s: AdoptColumns needs an empty, untracked relation", r.Name))
+	}
+	for a := range r.cols {
+		r.cols[a] = cols[a][:count:count]
+	}
+	r.rows = count
+	r.gen++
+}
+
 // AppendRow appends row i of src, which must have the same arity.
 // Values are trusted (src already validated them).
 func (r *Relation) AppendRow(src *Relation, i int) {

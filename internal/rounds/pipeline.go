@@ -3,6 +3,7 @@ package rounds
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -19,27 +20,28 @@ import (
 // lowered pipeline is a pure function of (plan, database content, config),
 // which is what makes it cacheable.
 type input struct {
-	vars   []int
-	rel    *data.Relation // nil for intermediates
-	atoms  []query.Atom   // participating base atoms (the join subtree)
-	est    float64        // estimated tuple count (exact for base relations)
+	vars  []int
+	rel   *data.Relation // nil for intermediates
+	atoms []query.Atom   // participating base atoms (the join subtree)
+	// rels holds each atom's base relation, so later steps can compute
+	// restricted frequencies of an intermediate's constituents without
+	// materializing it.
+	rels   []*data.Relation
+	est    float64 // estimated tuple count (exact for base relations)
 	arity  int
 	domain int64
 	bits   int64 // bits per tuple
-	// baseRels resolves subtree atom names to their base relations, so
-	// later steps can compute restricted frequencies of an intermediate's
-	// constituents without materializing it.
-	baseRels map[string]*data.Relation
 }
 
 // Lower turns a logical plan into a PipelinePlan over db's statistics: one
 // executor stage per step, each with its own virtual-server layout, router
 // (heavy-hitter grids per join key in skew-aware mode), and local join.
-// Heavy-hitter frequencies of base relations are exact; an intermediate
+// Heavy-hitter frequencies of base relations are exact, read through the
+// caller's statistics pass (which may already hold them); an intermediate
 // input's key frequency is estimated as the product of its subtree atoms'
 // restricted frequencies — the join-product skew model — so lowering never
 // materializes an intermediate.
-func Lower(plan Plan, db *data.Database, cfg Config) *PipelinePlan {
+func Lower(plan Plan, db *data.Database, cfg Config, ps *stats.Pass) *PipelinePlan {
 	if cfg.P < 2 {
 		panic("rounds: need P >= 2")
 	}
@@ -52,7 +54,7 @@ func Lower(plan Plan, db *data.Database, cfg Config) *PipelinePlan {
 	for _, a := range plan.Query.Atoms {
 		r := db.MustGet(a.Name)
 		inputs[a.Name] = &input{
-			vars: a.Vars, rel: r, atoms: []query.Atom{a},
+			vars: a.Vars, rel: r, atoms: []query.Atom{a}, rels: []*data.Relation{r},
 			est: float64(r.Size()), arity: r.Arity, domain: r.Domain,
 			bits: r.BitsPerTuple(),
 		}
@@ -63,7 +65,7 @@ func Lower(plan Plan, db *data.Database, cfg Config) *PipelinePlan {
 		if left == nil || right == nil {
 			panic(fmt.Sprintf("rounds: step %d references unknown input %q/%q", si, st.Left, st.Right))
 		}
-		stage, out, predBits := planStage(si, st, left, right, cfg)
+		stage, out, predBits := planStage(si, st, left, right, cfg, ps)
 		pipe.Stages = append(pipe.Stages, stage)
 		pipe.PredictedSumMaxBits += predBits
 		inputs[st.Output] = out
@@ -73,11 +75,12 @@ func Lower(plan Plan, db *data.Database, cfg Config) *PipelinePlan {
 	return pp
 }
 
-// factor is one term of a side's join-key frequency estimate: the ordered
-// frequency map of a participating base atom over its share of the join
-// variables, plus where those variables sit inside the full join key.
+// factor is one term of a side's join-key frequency estimate: the
+// frequency table of a participating base atom over its share of the join
+// variables (in join-variable order), plus where those variables sit inside
+// the full join key.
 type factor struct {
-	fm   *stats.FreqMap
+	freq *stats.Freq
 	kIdx []int // positions within JoinVars of the factor's variables
 	full bool  // the factor covers every join variable
 }
@@ -85,12 +88,12 @@ type factor struct {
 // sideFactors builds the frequency factors of one input for the given join
 // variables. For a base relation this is a single exact full-cover factor;
 // for an intermediate, one factor per subtree atom sharing join variables.
-func sideFactors(in *input, joinVars []int) []factor {
+func sideFactors(in *input, joinVars []int, ps *stats.Pass) []factor {
 	if len(joinVars) == 0 {
 		return nil
 	}
 	var fs []factor
-	for _, a := range in.atoms {
+	for ai, a := range in.atoms {
 		var pos, kIdx []int
 		for ki, v := range joinVars {
 			for p, av := range a.Vars {
@@ -103,10 +106,8 @@ func sideFactors(in *input, joinVars []int) []factor {
 		if len(pos) == 0 {
 			continue
 		}
-		// Base relations carry exactly one atom — their own — so this scan
-		// happens once per (step, base input).
 		fs = append(fs, factor{
-			fm:   stats.FrequenciesOrdered(relOf(in, a), pos),
+			freq: ps.Frequencies(in.rels[ai], pos),
 			kIdx: kIdx,
 			full: len(kIdx) == len(joinVars),
 		})
@@ -114,29 +115,17 @@ func sideFactors(in *input, joinVars []int) []factor {
 	return fs
 }
 
-// relOf resolves the relation backing atom a of input in. For a base input
-// it is the input's own relation; for an intermediate, the atom was
-// captured at BuildPlan time and its relation still lives in the planner's
-// base-input table — sideFactors only ever needs base relations, which the
-// planner keeps alive in the atoms slice via this lookup table.
-func relOf(in *input, a query.Atom) *data.Relation {
-	if in.rel != nil {
-		return in.rel
-	}
-	return in.baseRels[a.Name]
-}
-
 // estFreq estimates the frequency of join key k on a side as the product
 // of its factors' restricted counts (zero if any factor misses the key).
 // Exact when the side is a base relation; the join-product upper-bound
 // model otherwise.
-func estFreq(fs []factor, k data.Key, scratch data.Tuple) float64 {
+func estFreq(fs []factor, k []int64, scratch []int64) float64 {
 	prod := 1.0
 	for _, f := range fs {
 		for i, idx := range f.kIdx {
-			scratch[i] = k.At(idx)
+			scratch[i] = k[idx]
 		}
-		c := f.fm.Counts[data.KeyOf(scratch[:len(f.kIdx)])]
+		c := f.freq.Count(scratch[:len(f.kIdx)])
 		if c == 0 {
 			return 0
 		}
@@ -150,7 +139,7 @@ func estFreq(fs []factor, k data.Key, scratch data.Tuple) float64 {
 // §4.1 cartesian grids over virtual servers, and emits the executor stage
 // plus the planner's view of the step output and the round's predicted
 // maximum per-server load in bits.
-func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *input, float64) {
+func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) (exec.Stage, *input, float64) {
 	p := cfg.P
 	leftKey := keyPositions(st.LeftVars, st.JoinVars)
 	rightKey := keyPositions(st.RightVars, st.JoinVars)
@@ -158,7 +147,7 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 	cartesian := len(st.JoinVars) == 0
 
 	type heavyKey struct {
-		k      data.Key
+		k      []int64
 		fL, fR float64
 	}
 	var heavyKeys []heavyKey
@@ -168,38 +157,45 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 	// step is a hash join whose routing needs no statistics at all, so
 	// plain lowering stays as cheap as the step router itself.
 	if cfg.SkewAware && !cartesian {
-		lf := sideFactors(left, st.JoinVars)
-		rf := sideFactors(right, st.JoinVars)
-		scratch := make(data.Tuple, len(st.JoinVars))
+		lf := sideFactors(left, st.JoinVars, ps)
+		rf := sideFactors(right, st.JoinVars, ps)
+		width := len(st.JoinVars)
+		scratch := make([]int64, width)
 		// Candidate heavy keys come from full-cover factors (a base side
 		// always covers the whole key; an intermediate contributes a
 		// subtree atom only if it happens to contain every join variable).
 		// Keys outside every cover join nothing on that side, but may still
 		// be missed hot spots on the other — the same load-only blind spot
-		// sampling-based detection accepts.
-		seen := make(map[data.Key]bool)
-		var cands []heavyKey
+		// sampling-based detection accepts. The candidates' keys sit side
+		// by side in one flat arena, their estimates in two more.
+		var covers []*stats.Freq
+		var keys []int64
+		var estL, estR []float64
 		var sumL, sumR float64
 		for _, fs := range [][]factor{lf, rf} {
 			for _, f := range fs {
 				if !f.full {
 					continue
 				}
-				anyCover = true
-				for k := range f.fm.Counts {
-					if seen[k] {
-						continue
+				earlier := covers
+				covers = append(covers, f.freq)
+				f.freq.Each(func(k []int64, _ int64) {
+					for _, c := range earlier {
+						if c.Count(k) > 0 {
+							return // already a candidate
+						}
 					}
-					seen[k] = true
 					eL := estFreq(lf, k, scratch)
 					eR := estFreq(rf, k, scratch)
 					estOut += eL * eR
 					sumL += eL
 					sumR += eR
-					cands = append(cands, heavyKey{k, eL, eR})
-				}
+					keys = append(keys, k...)
+					estL, estR = append(estL, eL), append(estR, eR)
+				})
 			}
 		}
+		anyCover = len(covers) > 0
 		// Thresholds are normalized to the estimates' own mass (Σ over
 		// candidate keys — exactly the side's size for a base relation),
 		// never to the chained size estimate, which can collapse to ~0 for
@@ -208,14 +204,14 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 		// estimated frequency of one is never a heavy hitter.
 		thrL := math.Max(1, sumL/float64(p))
 		thrR := math.Max(1, sumR/float64(p))
-		for _, c := range cands {
-			if c.fL > thrL || c.fR > thrR {
-				heavyKeys = append(heavyKeys, c)
+		for c := range estL {
+			if estL[c] > thrL || estR[c] > thrR {
+				heavyKeys = append(heavyKeys, heavyKey{keys[c*width : (c+1)*width], estL[c], estR[c]})
 			}
 		}
 		// Deterministic virtual-server allocation: only the (few) heavy
 		// keys need a canonical order, not the full candidate set.
-		sort.Slice(heavyKeys, func(i, j int) bool { return heavyKeys[i].k.Less(heavyKeys[j].k) })
+		sort.Slice(heavyKeys, func(i, j int) bool { return slices.Compare(heavyKeys[i].k, heavyKeys[j].k) < 0 })
 	}
 	switch {
 	case cartesian:
@@ -231,7 +227,7 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 	// key gets a p1×p2 cartesian grid sized by its share of the estimated
 	// join product, exactly as §4.1 sizes hitter blocks.
 	virtual := p
-	heavy := make(map[data.Key]*heavyPlan)
+	var heavy []heavyPlan // by heavyKeys index, the code its dictionary gives the key
 	bL, bR := float64(left.bits), float64(right.bits)
 	pred := (left.est*bL + right.est*bR) / float64(p)
 	if cartesian {
@@ -263,7 +259,7 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 			if p2 < 1 {
 				p2 = 1
 			}
-			heavy[hk.k] = &heavyPlan{base: virtual, p1: p1, p2: p2}
+			heavy = append(heavy, heavyPlan{base: virtual, p1: p1, p2: p2})
 			virtual += p1 * p2
 			if grid := r1/float64(p1)*bL + r2/float64(p2)*bR; grid > pred {
 				pred = grid
@@ -283,6 +279,13 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 		leftKey: leftKey, rightKey: rightKey,
 		cartesian: cartesian,
 		heavy:     heavy, p: p, family: family,
+	}
+	if len(heavy) > 0 {
+		var keys []int64
+		for _, hk := range heavyKeys {
+			keys = append(keys, hk.k...)
+		}
+		router.heavyCode = stats.Dictionary(len(st.JoinVars), keys)
 	}
 
 	outArity := len(st.OutVars)
@@ -344,34 +347,18 @@ func planStage(si int, st Step, left, right *input, cfg Config) (exec.Stage, *in
 		atoms: append(append([]query.Atom(nil), left.atoms...), right.atoms...),
 		est:   estOut,
 		arity: outArity, domain: domain,
-		bits:     int64(outArity) * int64(data.BitsPerValue(domain)),
-		baseRels: mergeBaseRels(left, right),
+		rels: append(append([]*data.Relation(nil), left.rels...), right.rels...),
+		bits: int64(outArity) * int64(data.BitsPerValue(domain)),
 	}
 	return stage, out, pred
 }
 
-// mergeBaseRels combines the base-relation lookup tables of two inputs so
-// later steps can resolve any subtree atom's relation.
-func mergeBaseRels(left, right *input) map[string]*data.Relation {
-	m := make(map[string]*data.Relation)
-	for _, in := range []*input{left, right} {
-		if in.rel != nil {
-			m[in.rel.Name] = in.rel
-		}
-		for name, r := range in.baseRels {
-			m[name] = r
-		}
-	}
-	return m
-}
-
 // localJoin builds a stage's local computation: group the right fragment by
 // its key columns, count each left row's matches, then fill output columns
-// allocated once at their final size and append them to the output fragment
-// in bulk. The values come from the two input fragments, whose domains the
-// output domain covers, so the trusted AppendColumns path applies.
-// AppendColumns copies, so a stage's output exists twice until the fill
-// buffer is collected; a Relation cannot adopt caller-built columns today.
+// allocated once at their final size, which the output fragment then adopts
+// as its storage: a stage's output is materialized once. The values come
+// from the two input fragments, whose domains the output domain covers, so
+// they are trusted as AdoptColumns requires.
 func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domain int64) func(s *mpc.Server) *data.Relation {
 	leftName, rightName, outName := st.Left, st.Right, st.Output
 	return func(s *mpc.Server) *data.Relation {
@@ -415,7 +402,7 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 			}
 		}
 		out := data.NewRelation(outName, outArity, domain)
-		out.AppendColumns(cols, total)
+		out.AdoptColumns(cols, total)
 		return out
 	}
 }
@@ -439,10 +426,13 @@ type stepRouter struct {
 	leftName, rightName string
 	leftKey, rightKey   []int
 	cartesian           bool
-	heavy               map[data.Key]*heavyPlan
-	p                   int
-	family              *hashing.Family
-	proj                data.Tuple // key-projection scratch
+	// heavyCode turns a heavy join key into its index in heavy; nil when no
+	// key is heavy, and then no key is ever probed.
+	heavyCode *data.GroupIndex
+	heavy     []heavyPlan
+	p         int
+	family    *hashing.Family
+	proj      data.Tuple // key-projection scratch
 }
 
 // ForSender implements mpc.PerSenderRouter.
@@ -463,6 +453,19 @@ func (r *stepRouter) keyScratch(n int) data.Tuple {
 	return r.proj[:n]
 }
 
+// heavyPlanOf returns the grid of a heavy join key, nil for a light one.
+//
+//skewlint:noalloc
+func (r *stepRouter) heavyPlanOf(key []int64) *heavyPlan {
+	if r.heavyCode == nil {
+		return nil
+	}
+	if c := r.heavyCode.Lookup(key); c >= 0 {
+		return &r.heavy[c]
+	}
+	return nil
+}
+
 // Destinations implements mpc.Router. Relations that are not this step's
 // inputs are not routed.
 //
@@ -480,7 +483,7 @@ func (r *stepRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
 	for i, pos := range kp {
 		key[i] = t[pos]
 	}
-	if hp := r.heavy[data.KeyOf(key)]; hp != nil {
+	if hp := r.heavyPlanOf(key); hp != nil {
 		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHash(t), dst)
 	}
 	if r.cartesian {
@@ -509,7 +512,7 @@ func (r *stepRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []in
 	for i, pos := range kp {
 		key[i] = cols[pos][row]
 	}
-	if hp := r.heavy[data.KeyOf(key)]; hp != nil {
+	if hp := r.heavyPlanOf(key); hp != nil {
 		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHashCols(cols, row), dst)
 	}
 	if r.cartesian {
@@ -520,7 +523,7 @@ func (r *stepRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []in
 }
 
 // SpansAttr implements mpc.SpanRouter: a single-column join key of either
-// input (the run's value is the whole key, so one heavy-map lookup decides
+// input (the run's value is the whole key, so one dictionary lookup decides
 // the routing of the entire run).
 func (r *stepRouter) SpansAttr(rel *data.Relation, attr int) bool {
 	if r.cartesian {
@@ -540,7 +543,9 @@ func (r *stepRouter) SpansAttr(rel *data.Relation, attr int) bool {
 // heavy plan resolved once.
 func (r *stepRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *mpc.SpanRoute) bool {
 	isLeft := rel.Name == r.leftName
-	if hp := r.heavy[data.Key1(v)]; hp != nil {
+	key := r.keyScratch(1)
+	key[0] = v
+	if hp := r.heavyPlanOf(key); hp != nil {
 		cols := rel.Columns()
 		base, p1, p2 := hp.base, hp.p1, hp.p2
 		fam := r.family
@@ -563,8 +568,6 @@ func (r *stepRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *m
 		}
 		return true
 	}
-	key := r.keyScratch(1)
-	key[0] = v
 	route.Dests = append(route.Dests, r.keyHash(key))
 	return true
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/query"
+	"repro/internal/stats"
 )
 
 // Step is one binary join in the plan: join Left and Right (base atom
@@ -149,7 +150,7 @@ type Result struct {
 // relations come from db; intermediates stay resident on the pipeline's
 // servers between rounds.
 func Run(plan Plan, db *data.Database, cfg Config) Result {
-	return Lower(plan, db, cfg).Execute(db)
+	return Lower(plan, db, cfg, new(stats.Pass)).Execute(db)
 }
 
 // singleAtom answers a zero-step plan: no communication is needed, the
@@ -204,9 +205,9 @@ type PipelinePlan struct {
 }
 
 // PlanPipeline builds the left-deep logical plan for q and lowers it over
-// db's statistics — the engine's entry point for multi-round planning.
+// db's statistics, on a statistics pass of its own.
 func PlanPipeline(q *query.Query, db *data.Database, cfg Config) *PipelinePlan {
-	return Lower(BuildPlan(q), db, cfg)
+	return Lower(BuildPlan(q), db, cfg, new(stats.Pass))
 }
 
 // Execute runs the pipeline over db and shapes the multi-round result,

@@ -100,7 +100,6 @@ type GeneralResult struct {
 // generalState carries everything the construction needs.
 type generalState struct {
 	q   *query.Query
-	db  *data.Database
 	p   int
 	st  map[string]*stats.RelationStats
 	nbc float64 // the N_bc multiplier in the overweight threshold
@@ -121,10 +120,16 @@ func RunGeneral(q *query.Query, db *data.Database, cfg GeneralConfig) GeneralRes
 // db and lowers the layout to a reusable PhysicalPlan. Statistics are
 // frozen at plan time, so the plan stays valid while (q, db, p) do.
 func PlanGeneral(q *query.Query, db *data.Database, cfg GeneralConfig) *GeneralPlan {
+	return PlanGeneralWith(q, db, cfg, new(stats.Pass))
+}
+
+// PlanGeneralWith is PlanGeneral taking heavy-hitter statistics from the
+// caller's pass, where strategy selection has usually collected them.
+func PlanGeneralWith(q *query.Query, db *data.Database, cfg GeneralConfig, ps *stats.Pass) *GeneralPlan {
 	if cfg.P < 2 {
 		panic("skew: RunGeneral needs P >= 2")
 	}
-	gs := newGeneralState(q, db, cfg.P)
+	gs := newGeneralState(q, db, cfg.P, ps)
 	gs.applyOverweightFactor(cfg)
 	gs.buildCombos()
 	return gs.plan(cfg)
@@ -143,16 +148,15 @@ func (gs *generalState) applyOverweightFactor(cfg GeneralConfig) {
 	}
 }
 
-func newGeneralState(q *query.Query, db *data.Database, p int) *generalState {
+func newGeneralState(q *query.Query, db *data.Database, p int, ps *stats.Pass) *generalState {
 	gs := &generalState{
 		q:      q,
-		db:     db,
 		p:      p,
 		st:     make(map[string]*stats.RelationStats),
 		combos: make(map[string]*binCombo),
 	}
 	for _, a := range q.Atoms {
-		gs.st[a.Name] = stats.Collect(db.MustGet(a.Name), p)
+		gs.st[a.Name] = ps.Collect(db.MustGet(a.Name), p)
 	}
 	gs.varPos = make([][]int, q.NumAtoms())
 	for j, a := range q.Atoms {

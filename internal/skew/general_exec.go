@@ -16,23 +16,36 @@ import (
 )
 
 // exclCheck is one overweight-exclusion test for a tuple of an atom within
-// a bin combination: project the tuple onto attrs and compare its frequency
-// against the overweight threshold. Both the frequency map and the
-// threshold are frozen at plan time, so the routing hot path neither
-// re-derives attribute keys nor needs the planning state (cached plans
-// must not pin the plan-time database).
+// a bin combination: project the tuple onto attrs and look the projection
+// up among the overweight keys. Frequencies are compared against the
+// overweight threshold at plan time, so the routing hot path probes a
+// dictionary of the (few) overweight keys and needs neither counts nor the
+// planning state (cached plans must not pin the plan-time database). A
+// check over attributes with no overweight key is not planned at all.
 type exclCheck struct {
-	attrs     []int          // attribute positions within the atom (sorted), ⊋ x_j
-	fm        *stats.FreqMap // frequencies over attrs; nil → check always passes
-	threshold float64        // N_bc · m_j / p^{β_j + Σ e_i} for the extension vars
+	attrs []int            // attribute positions within the atom (sorted), ⊋ x_j
+	over  *data.GroupIndex // the overweight projections over attrs; never nil
 }
 
-// atomPlan is the routing plan of one atom within one bin combination.
+// atomPlan is the block lookup of one atom within one bin combination.
 type atomPlan struct {
-	xjAttrs      []int              // positions of x_j in the atom (sorted)
-	blocksByProj map[data.Key][]int // projected-value key → block bases
-	allBases     []int              // used when x_j = ∅
-	exclude      []exclCheck
+	xjAttrs []int // positions of x_j in the atom (sorted)
+	// blockCode turns a tuple's projection onto xjAttrs into an index into
+	// blocks, the block bases of the assignments with that projection. Set
+	// whenever x_j ≠ ∅: a planned combination has at least one assignment.
+	blockCode *data.GroupIndex
+	blocks    [][]int
+}
+
+// basesOf returns the block bases a tuple with the given projection onto
+// xjAttrs routes to (none when no assignment carries it).
+//
+//skewlint:noalloc
+func (ap *atomPlan) basesOf(proj []int64) []int {
+	if c := ap.blockCode.Lookup(proj); c >= 0 {
+		return ap.blocks[c]
+	}
+	return nil
 }
 
 // comboPlan is the executable layout of one bin combination: an HC subgrid
@@ -79,6 +92,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	predicted := 0.0
 	var plans []*comboPlan
 	var comboRanges []vrange
+	steps := make([][]spanStep, gs.q.NumAtoms()) // per atom, one per combination
 	for _, key := range keys {
 		b := gs.combos[key]
 		rangeLo := virtual
@@ -121,20 +135,34 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		}
 		// Per-atom projections and exclusion checks.
 		for j := range gs.q.Atoms {
-			ap := atomPlan{blocksByProj: make(map[data.Key][]int)}
+			ap := &plan.byAtom[j]
+			var allBases []int  // every block, when x_j = ∅
+			var projs []int64   // else the assignments' projections onto x_j, end to end
+			var projBases []int // and the block base of each
 			for _, hk := range hKeys {
 				h := b.cprime[hk]
 				attrs, vals, ok := gs.atomProj(j, b.xSorted, h)
 				if !ok {
-					ap.allBases = append(ap.allBases, bases[hk])
+					allBases = append(allBases, bases[hk])
 					continue
 				}
 				ap.xjAttrs = attrs
-				pk := data.KeyOf(vals)
-				ap.blocksByProj[pk] = append(ap.blocksByProj[pk], bases[hk])
+				projs = append(projs, vals...)
+				projBases = append(projBases, bases[hk])
 			}
-			ap.exclude = gs.exclusionChecks(j, b)
-			plan.byAtom[j] = ap
+			if ap.blockCode = stats.Dictionary(len(ap.xjAttrs), projs); ap.blockCode != nil {
+				ap.blocks = make([][]int, ap.blockCode.Groups())
+				for c := range ap.blocks {
+					for _, row := range ap.blockCode.Rows(c) {
+						ap.blocks[c] = append(ap.blocks[c], projBases[row])
+					}
+				}
+			}
+			steps[j] = append(steps[j], spanStep{
+				plan: plan, ap: ap,
+				bases: allBases, resolved: len(ap.xjAttrs) == 0,
+				exclude: gs.exclusionChecks(j, b),
+			})
 		}
 		plans = append(plans, plan)
 		comboRanges = append(comboRanges, vrange{rangeLo, virtual})
@@ -188,7 +216,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		Relations: q.AtomNames(),
 		Router: &generalRouter{
 			varPos:    gs.varPos,
-			plans:     plans,
+			steps:     steps,
 			atomIndex: atomIndex,
 			family:    hashing.NewFamily(cfg.Seed),
 			scratch:   maxScratch,
@@ -270,8 +298,8 @@ func (gp *GeneralPlan) Execute(db *data.Database) GeneralResult {
 // for concurrent use; it implements mpc.PerSenderRouter and mpc.Round
 // gives each sender its own instance.
 type generalRouter struct {
-	varPos    [][]int // variable index → attribute position per atom
-	plans     []*comboPlan
+	varPos    [][]int      // variable index → attribute position per atom
+	steps     [][]spanStep // per atom: one step per bin combination
 	atomIndex map[string]int
 	family    *hashing.Family
 	scratch   int // max of atom arities and free-dim counts
@@ -311,7 +339,7 @@ func (r *generalRouter) Destinations(rel string, t data.Tuple, dst []int) []int 
 		return dst
 	}
 	r.ensureScratch()
-	return r.destinations(j, t, dst)
+	return r.route(r.steps[j], j, t, dst)
 }
 
 // DestinationsAt implements mpc.ColumnRouter: the row is gathered into
@@ -326,64 +354,54 @@ func (r *generalRouter) DestinationsAt(rel *data.Relation, row int, dst []int) [
 		return dst
 	}
 	r.ensureScratch()
-	return r.destinations(j, rel.ReadTuple(row, r.row[:rel.Arity]), dst)
+	return r.route(r.steps[j], j, rel.ReadTuple(row, r.row[:rel.Arity]), dst)
 }
 
-// destinations routes one tuple of atom j.
-//
-//skewlint:noalloc
-func (r *generalRouter) destinations(j int, t data.Tuple, dst []int) []int {
-	for _, plan := range r.plans {
-		ap := &plan.byAtom[j]
-		// Overweight exclusion (the S^(B)_j membership test).
-		excluded := false
-		for _, ec := range ap.exclude {
-			if ec.fm == nil {
-				continue // no heavy entries over attrs: never overweight
-			}
-			proj := r.proj[:len(ec.attrs)]
-			for pi, a := range ec.attrs {
-				proj[pi] = t[a]
-			}
-			freq := ec.fm.Count(proj)
-			if freq > 0 && float64(freq) > ec.threshold {
-				excluded = true
-				break
-			}
-		}
-		if excluded {
-			continue
-		}
-		var bases []int
-		if len(ap.xjAttrs) == 0 {
-			bases = ap.allBases
-		} else {
-			proj := r.proj[:len(ap.xjAttrs)]
-			for pi, a := range ap.xjAttrs {
-				proj[pi] = t[a]
-			}
-			bases = ap.blocksByProj[data.KeyOf(proj)]
-		}
-		if len(bases) == 0 {
-			continue
-		}
-		dst = r.appendSubcube(dst, plan, j, t, bases)
-	}
-	return dst
-}
-
-// spanStep is one bin combination's partially-resolved routing for a heavy
-// run: exclusion checks and block lookups over the partition attribute are
-// decided at compile time, the rest stays per-row.
+// spanStep is one bin combination's routing of one atom. The steps every
+// tuple takes (generalRouter.steps) leave everything but an empty x_j to be
+// decided per row; a heavy run's steps have the exclusion checks and block
+// lookups over the partition attribute decided at compile time.
 type spanStep struct {
 	plan *comboPlan
 	ap   *atomPlan
 	// bases is the resolved block list when resolved is true (xjAttrs is
 	// empty or exactly the partition attribute); otherwise the per-row
-	// blocksByProj lookup remains.
+	// basesOf lookup remains.
 	bases    []int
 	resolved bool
-	exclude  []exclCheck // checks not decided by the partition attribute
+	exclude  []exclCheck // the overweight checks still to run per row
+}
+
+// route appends the destinations of tuple t of atom j over steps.
+//
+//skewlint:noalloc
+func (r *generalRouter) route(steps []spanStep, j int, t data.Tuple, dst []int) []int {
+next:
+	for si := range steps {
+		st := &steps[si]
+		// Overweight exclusion (the S^(B)_j membership test).
+		for _, ec := range st.exclude {
+			proj := r.proj[:len(ec.attrs)]
+			for pi, a := range ec.attrs {
+				proj[pi] = t[a]
+			}
+			if ec.over.Lookup(proj) >= 0 {
+				continue next
+			}
+		}
+		bases := st.bases
+		if !st.resolved {
+			proj := r.proj[:len(st.ap.xjAttrs)]
+			for pi, a := range st.ap.xjAttrs {
+				proj[pi] = t[a]
+			}
+			bases = st.ap.basesOf(proj)
+		}
+		if len(bases) > 0 {
+			dst = r.appendSubcube(dst, st.plan, j, t, bases)
+		}
+	}
+	return dst
 }
 
 // SpansAttr implements mpc.SpanRouter: any single attribute of a routed
@@ -405,34 +423,22 @@ func (r *generalRouter) CompileSpan(rel *data.Relation, attr int, v int64, route
 		return true // not an input of this plan: ship nothing
 	}
 	r.ensureScratch()
-	steps := make([]spanStep, 0, len(r.plans))
-	for _, plan := range r.plans {
-		ap := &plan.byAtom[j]
-		st := spanStep{plan: plan, ap: ap}
-		skip := false
-		for _, ec := range ap.exclude {
-			if ec.fm == nil {
-				continue // no heavy entries over attrs: never overweight
+	run := r.proj[:1]
+	run[0] = v
+	steps := make([]spanStep, 0, len(r.steps[j]))
+next:
+	for _, st := range r.steps[j] {
+		all := st.exclude
+		st.exclude = nil
+		for _, ec := range all {
+			if len(ec.attrs) != 1 || ec.attrs[0] != attr {
+				st.exclude = append(st.exclude, ec)
+			} else if ec.over.Lookup(run) >= 0 {
+				continue next // the whole run is overweight here
 			}
-			if len(ec.attrs) == 1 && ec.attrs[0] == attr {
-				proj := r.proj[:1]
-				proj[0] = v
-				if freq := ec.fm.Count(proj); freq > 0 && float64(freq) > ec.threshold {
-					skip = true // the whole run is overweight here
-					break
-				}
-				continue
-			}
-			st.exclude = append(st.exclude, ec)
 		}
-		if skip {
-			continue
-		}
-		switch {
-		case len(ap.xjAttrs) == 0:
-			st.bases, st.resolved = ap.allBases, true
-		case len(ap.xjAttrs) == 1 && ap.xjAttrs[0] == attr:
-			st.bases, st.resolved = ap.blocksByProj[data.Key1(v)], true
+		if xj := st.ap.xjAttrs; len(xj) == 1 && xj[0] == attr {
+			st.bases, st.resolved = st.ap.basesOf(run), true
 		}
 		if st.resolved && len(st.bases) == 0 {
 			continue // the run maps to no block of this combination
@@ -449,36 +455,7 @@ func (r *generalRouter) CompileSpan(rel *data.Relation, attr int, v int64, route
 		for a, col := range cols {
 			t[a] = col[row]
 		}
-		for si := range steps {
-			st := &steps[si]
-			excluded := false
-			for _, ec := range st.exclude {
-				proj := r.proj[:len(ec.attrs)]
-				for pi, a := range ec.attrs {
-					proj[pi] = t[a]
-				}
-				if freq := ec.fm.Count(proj); freq > 0 && float64(freq) > ec.threshold {
-					excluded = true
-					break
-				}
-			}
-			if excluded {
-				continue
-			}
-			bases := st.bases
-			if !st.resolved {
-				proj := r.proj[:len(st.ap.xjAttrs)]
-				for pi, a := range st.ap.xjAttrs {
-					proj[pi] = t[a]
-				}
-				bases = st.ap.blocksByProj[data.KeyOf(proj)]
-				if len(bases) == 0 {
-					continue
-				}
-			}
-			dst = r.appendSubcube(dst, st.plan, j, t, bases)
-		}
-		return dst
+		return r.route(steps, j, t, dst)
 	}
 	return true
 }
@@ -554,11 +531,19 @@ func (gs *generalState) exclusionChecks(j int, b *binCombo) []exclCheck {
 			}
 		}
 		sort.Ints(attrs)
-		checks = append(checks, exclCheck{
-			attrs:     attrs,
-			fm:        gs.st[atom.Name].FreqMapFor(attrs),
-			threshold: gs.overweightThreshold(b, j, extra),
-		})
+		// N_bc · m_j / p^{β_j + Σ e_i} over the extension variables.
+		threshold := gs.overweightThreshold(b, j, extra)
+		var keys []int64
+		if fm := gs.st[atom.Name].FreqMapFor(attrs); fm != nil {
+			fm.Each(func(key []int64, freq int64) {
+				if float64(freq) > threshold {
+					keys = append(keys, key...)
+				}
+			})
+		}
+		if over := stats.Dictionary(len(attrs), keys); over != nil {
+			checks = append(checks, exclCheck{attrs: attrs, over: over})
+		}
 	}
 	return checks
 }
@@ -574,9 +559,10 @@ type BinComboInfo struct {
 }
 
 // InspectBinCombos runs only the construction phase and reports the combos
-// (with the practical overweight factor of GeneralConfig's default).
-func InspectBinCombos(q *query.Query, db *data.Database, p int) []BinComboInfo {
-	gs := newGeneralState(q, db, p)
+// (with the practical overweight factor of GeneralConfig's default),
+// reading statistics through ps.
+func InspectBinCombos(q *query.Query, db *data.Database, p int, ps *stats.Pass) []BinComboInfo {
+	gs := newGeneralState(q, db, p, ps)
 	gs.applyOverweightFactor(GeneralConfig{})
 	gs.buildCombos()
 	keys := make([]string, 0, len(gs.combos))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/join"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -150,7 +151,7 @@ func TestInspectBinCombos(t *testing.T) {
 		workload.SingleValue("S1", 2, 200, 10000, 1, 7, 71),
 		workload.SingleValue("S2", 2, 150, 10000, 1, 7, 72),
 	)
-	infos := InspectBinCombos(q, db, 16)
+	infos := InspectBinCombos(q, db, 16, new(stats.Pass))
 	if len(infos) < 2 {
 		t.Fatalf("expected B∅ plus at least one heavy combo, got %d", len(infos))
 	}
@@ -248,7 +249,7 @@ func TestRunGeneralDeepBinCombos(t *testing.T) {
 	db.Put(r)
 	db.Put(s)
 
-	infos := InspectBinCombos(q, db, 8)
+	infos := InspectBinCombos(q, db, 8, new(stats.Pass))
 	deep := false
 	for _, in := range infos {
 		if len(in.Vars) >= 2 {

@@ -11,6 +11,7 @@ package skew
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -160,6 +161,12 @@ func RunJoin(db *data.Database, cfg JoinConfig) JoinResult {
 // plan is a pure function of the tuple plus the heavy-hitter statistics
 // frozen at plan time.
 func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
+	return PlanJoinWith(q, db, cfg, new(stats.Pass))
+}
+
+// PlanJoinWith is PlanJoin reading the exact join-column frequencies
+// through the caller's statistics pass.
+func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.Pass) *JoinPlan {
 	if cfg.P < 1 {
 		panic("skew: P must be >= 1")
 	}
@@ -173,26 +180,30 @@ func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
 	}
 	s1, s2 := db.MustGet(sh.name1), db.MustGet(sh.name2)
 	m1, m2 := int64(s1.Size()), int64(s2.Size())
-	var f1, f2 *stats.FreqMap
-	if cfg.SampleSize > 0 {
-		f1 = stats.SampleFrequencies(s1, []int{sh.zPos1}, cfg.SampleSize, cfg.SampleSeed)
-		f2 = stats.SampleFrequencies(s2, []int{sh.zPos2}, cfg.SampleSize, cfg.SampleSeed+1)
-	} else {
-		f1 = stats.Frequencies(s1, []int{sh.zPos1})
-		f2 = stats.Frequencies(s2, []int{sh.zPos2})
+	// heavyOf returns the join-column values of s with frequency ≥ thr (the
+	// paper's H_j sets use m_j(h) ≥ m_j/p) and their counts: exact, or
+	// scaled from a sample.
+	heavyOf := func(s *data.Relation, zPos int, m int64, seed int64) map[int64]int64 {
+		thr := float64(m) * float64(num) / (float64(cfg.P) * float64(den))
+		heavy := make(map[int64]int64)
+		keep := func(key []int64, c int64) {
+			if float64(c) >= thr {
+				heavy[key[0]] = c
+			}
+		}
+		if cfg.SampleSize > 0 {
+			stats.SampleFrequencies(s, []int{zPos}, cfg.SampleSize, seed).Each(keep)
+		} else {
+			ps.Frequencies(s, []int{zPos}).Each(keep)
+		}
+		return heavy
 	}
-	thr1 := float64(m1) * float64(num) / (float64(cfg.P) * float64(den))
-	thr2 := float64(m2) * float64(num) / (float64(cfg.P) * float64(den))
-
-	// Classify heavy hitters. The paper's H_j sets use m_j(h) ≥ m_j/p.
+	heavy1 := heavyOf(s1, sh.zPos1, m1, cfg.SampleSeed)
+	heavy2 := heavyOf(s2, sh.zPos2, m2, cfg.SampleSeed+1)
 	plans := make(map[int64]*hitterPlan)
 	var h12Keys, h1Keys, h2Keys []int64
-	for k, c1 := range f1.Counts {
-		if float64(c1) < thr1 {
-			continue
-		}
-		v := k.At(0)
-		if float64(f2.Counts[k]) >= thr2 {
+	for v := range heavy1 {
+		if _, both := heavy2[v]; both {
 			plans[v] = &hitterPlan{class: classH12}
 			h12Keys = append(h12Keys, v)
 		} else {
@@ -200,42 +211,36 @@ func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
 			h1Keys = append(h1Keys, v)
 		}
 	}
-	for k, c2 := range f2.Counts {
-		if float64(c2) < thr2 {
-			continue
-		}
-		v := k.At(0)
+	for v := range heavy2 {
 		if _, done := plans[v]; !done {
 			plans[v] = &hitterPlan{class: classH2}
 			h2Keys = append(h2Keys, v)
 		}
 	}
-	sort.Slice(h12Keys, func(i, j int) bool { return h12Keys[i] < h12Keys[j] })
-	sort.Slice(h1Keys, func(i, j int) bool { return h1Keys[i] < h1Keys[j] })
-	sort.Slice(h2Keys, func(i, j int) bool { return h2Keys[i] < h2Keys[j] })
-
-	count := func(f *stats.FreqMap, v int64) int64 { return f.Counts[data.Key1(v)] }
+	slices.Sort(h12Keys)
+	slices.Sort(h1Keys)
+	slices.Sort(h2Keys)
 
 	// Server allocation (§4.1). Light hitters use virtual servers [0, p).
 	next := cfg.P
 	var sumK12, sumK1, sumK2 float64
 	for _, v := range h12Keys {
-		sumK12 += float64(count(f1, v)) * float64(count(f2, v))
+		sumK12 += float64(heavy1[v]) * float64(heavy2[v])
 	}
 	for _, v := range h1Keys {
-		sumK1 += float64(count(f1, v))
+		sumK1 += float64(heavy1[v])
 	}
 	for _, v := range h2Keys {
-		sumK2 += float64(count(f2, v))
+		sumK2 += float64(heavy2[v])
 	}
 	for _, v := range h12Keys {
 		pl := plans[v]
-		k12 := float64(count(f1, v)) * float64(count(f2, v))
+		k12 := float64(heavy1[v]) * float64(heavy2[v])
 		pl.ph = int(math.Ceil(float64(cfg.P) * k12 / sumK12))
 		// Grid split p1 ∝ sqrt(ph·m1(h)/m2(h)) as in §1, clamped so the
 		// block never exceeds ph servers.
-		r1 := float64(count(f1, v))
-		r2 := float64(count(f2, v))
+		r1 := float64(heavy1[v])
+		r2 := float64(heavy2[v])
 		pl.p1 = int(math.Round(math.Sqrt(float64(pl.ph) * r1 / r2)))
 		if pl.p1 < 1 {
 			pl.p1 = 1
@@ -252,13 +257,13 @@ func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
 	}
 	for _, v := range h1Keys {
 		pl := plans[v]
-		pl.ph = int(math.Ceil(float64(cfg.P) * float64(count(f1, v)) / sumK1))
+		pl.ph = int(math.Ceil(float64(cfg.P) * float64(heavy1[v]) / sumK1))
 		pl.base = next
 		next += pl.ph
 	}
 	for _, v := range h2Keys {
 		pl := plans[v]
-		pl.ph = int(math.Ceil(float64(cfg.P) * float64(count(f2, v)) / sumK2))
+		pl.ph = int(math.Ceil(float64(cfg.P) * float64(heavy2[v]) / sumK2))
 		pl.base = next
 		next += pl.ph
 	}

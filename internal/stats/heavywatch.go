@@ -40,10 +40,11 @@ type relWatch struct {
 }
 
 // NewHeavyWatch snapshots the heavy sets and frequency counts of the named
-// relations of db at threshold m/p. Build it from a consistent snapshot
-// (data.Database.Snapshot) — the watch copies what it needs and never reads
-// db again.
-func NewHeavyWatch(db *data.Database, names []string, p int) *HeavyWatch {
+// relations of db at threshold m/p, counting each attribute through ps (the
+// pass of the plan the watch guards has usually grouped it already). Build
+// it from a consistent snapshot (data.Database.Snapshot) — the watch copies
+// what it needs and never reads db, or ps, again.
+func NewHeavyWatch(ps *Pass, db *data.Database, names []string, p int) *HeavyWatch {
 	w := &HeavyWatch{rels: make(map[string]*relWatch, len(names))}
 	for _, name := range names {
 		r := db.Relations[name]
@@ -51,20 +52,20 @@ func NewHeavyWatch(db *data.Database, names []string, p int) *HeavyWatch {
 			continue
 		}
 		rw := &relWatch{
-			threshold: int64(r.Size()) / int64(p),
+			threshold: max(1, int64(r.Size())/int64(p)), // as in Collect
 			heavy:     make([]map[int64]bool, r.Arity),
 			counts:    make([]map[int64]int64, r.Arity),
 		}
 		for a := 0; a < r.Arity; a++ {
-			f := Frequencies(r, []int{a})
+			f := ps.Frequencies(r, []int{a})
 			hs := make(map[int64]bool)
-			counts := make(map[int64]int64, len(f.Counts))
-			for k, c := range f.Counts {
-				counts[k.At(0)] = c
+			counts := make(map[int64]int64, f.Distinct())
+			f.Each(func(key []int64, c int64) {
+				counts[key[0]] = c
 				if c > rw.threshold {
-					hs[k.At(0)] = true
+					hs[key[0]] = true
 				}
-			}
+			})
 			rw.heavy[a] = hs
 			rw.counts[a] = counts
 		}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/data"
 	"repro/internal/hashing"
 )
 
@@ -36,70 +35,6 @@ func scanChunks(m int) [][2]int {
 		return nil
 	}
 	return out
-}
-
-// parallelFrequencies runs FrequenciesOrdered's counting loop with one
-// goroutine per chunk and merges the partial maps — the distributed
-// statistics pass the paper assumes (each input server counts its own
-// partition, then the counts are summed) run on real threads. Every chunk
-// count is exact, so the merged map is identical to the serial scan's.
-func parallelFrequencies(cols [][]int64, attrs []int, chunks [][2]int) *FreqMap {
-	parts := make([]*FreqMap, len(chunks))
-	var wg sync.WaitGroup
-	for i, ch := range chunks {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			f := &FreqMap{
-				Attrs:  append([]int(nil), attrs...),
-				Counts: make(map[data.Key]int64),
-				Total:  int64(hi - lo),
-			}
-			if len(cols) == 1 {
-				for _, v := range cols[0][lo:hi] {
-					f.Counts[data.Key1(v)]++
-				}
-			} else {
-				proj := make(data.Tuple, len(cols))
-				for row := lo; row < hi; row++ {
-					for c, col := range cols {
-						proj[c] = col[row]
-					}
-					f.Counts[data.KeyOf(proj)]++
-				}
-			}
-			parts[i] = f
-		}(i, ch[0], ch[1])
-	}
-	wg.Wait()
-	return Merge(parts...)
-}
-
-// parallelDistinct counts the distinct values of col with chunked scans; the
-// per-chunk sets are unioned afterwards, so the result matches the serial
-// single-set scan exactly.
-func parallelDistinct(col []int64, chunks [][2]int) int64 {
-	sets := make([]map[int64]struct{}, len(chunks))
-	var wg sync.WaitGroup
-	for i, ch := range chunks {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			seen := make(map[int64]struct{}, hi-lo)
-			for _, v := range col[lo:hi] {
-				seen[v] = struct{}{}
-			}
-			sets[i] = seen
-		}(i, ch[0], ch[1])
-	}
-	wg.Wait()
-	union := sets[0]
-	for _, s := range sets[1:] {
-		for v := range s {
-			union[v] = struct{}{}
-		}
-	}
-	return int64(len(union))
 }
 
 // rescanContent recomputes one relation's commutative content sum from its

@@ -1,9 +1,14 @@
 // Package stats computes the database statistics that the paper's
 // algorithms assume known to all input servers: relation cardinalities
 // (simple statistics, §3) and, for the skew-aware algorithms of §4, the
-// identities and (approximate) frequencies of heavy hitters over every
-// attribute subset of every relation, organized into the O(log p)
-// factor-of-two frequency bins of §4.2.
+// identities and frequencies of heavy hitters over every attribute subset
+// of every relation, organized into the O(log p) factor-of-two frequency
+// bins of §4.2.
+//
+// Exact frequencies are counted on the group-by kernel (data.GroupIndex):
+// a Freq is one relation grouped by one attribute list, a Pass memoizes the
+// Freqs of one plan, and only the O(p) heavy entries ever reach a map. A
+// plan keeps a Dictionary: the kernel over its heavy keys alone.
 package stats
 
 import (
@@ -11,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,84 +35,98 @@ func AttrKey(attrs []int) string {
 	return strings.Join(parts, ",")
 }
 
-// FreqMap records, for one relation and one attribute subset, the frequency
-// of every value combination that occurs. Keys are data.Key — the
-// allocation-free fixed-size rendering — so hot routing paths can probe the
-// map without building strings.
-type FreqMap struct {
-	Attrs  []int              // sorted attribute positions within the relation
-	Counts map[data.Key]int64 // projected-tuple key → frequency
-	Total  int64              // Σ counts = m_j
+// Freq is the exact frequency table of one relation over one attribute
+// list: the relation grouped by those attributes, counted. Count probes the
+// grouping and Each walks it; nothing else is stored per distinct value. It
+// reads the relation's columns in place and is valid only until the
+// relation is next mutated.
+type Freq struct {
+	Attrs []int // attribute positions, in the order keys are given and reported
+	Total int64 // Σ counts = m_j
+	idx   data.GroupIndex
+	cols  [][]int64 // the key columns, in Attrs order
 }
 
-// Project extracts the FreqMap's attributes from a full tuple.
-func (f *FreqMap) Project(t data.Tuple) data.Tuple {
-	out := make(data.Tuple, len(f.Attrs))
-	for i, a := range f.Attrs {
-		out[i] = t[a]
-	}
-	return out
-}
-
-// Count returns the frequency of the projected values of t (0 if absent).
-func (f *FreqMap) Count(projected data.Tuple) int64 {
-	return f.Counts[data.KeyOf(projected)]
-}
-
-// Frequencies computes the exact frequency map of r over the given
-// attribute positions. It scans only the projected columns: the
-// single-attribute case — every per-variable heavy-hitter map — is one
-// pass over one column slice.
-func Frequencies(r *data.Relation, attrs []int) *FreqMap {
+// Frequencies computes the exact frequency table of r over the given
+// attribute positions, sorted ascending (the canonical Attrs).
+func Frequencies(r *data.Relation, attrs []int) *Freq {
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
 	return FrequenciesOrdered(r, sorted)
 }
 
 // FrequenciesOrdered is Frequencies without the canonical attribute
-// sorting: map keys project attrs in exactly the caller's order. Callers
-// whose map keys must line up with a router's projection order — the
-// multi-round planner probes per-step heavy maps with keys built in
-// join-variable order — use this; everyone else should prefer Frequencies
-// for canonical Attrs.
-func FrequenciesOrdered(r *data.Relation, attrs []int) *FreqMap {
-	f := &FreqMap{Attrs: append([]int(nil), attrs...), Counts: make(map[data.Key]int64)}
-	m := r.Size()
-	f.Total = int64(m)
-	if len(attrs) == 1 {
-		// Mutating workloads maintain per-attribute frequencies on the
-		// relation (enabled by Database.Apply); replanning then reads them
-		// in O(distinct values) instead of rescanning the column.
-		if counts := r.AttrCounts(attrs[0]); counts != nil {
-			for v, c := range counts {
-				f.Counts[data.Key1(v)] = c
-			}
-			return f
-		}
+// sorting: keys project attrs in exactly the caller's order, as the
+// multi-round planner needs to probe with keys in join-variable order.
+func FrequenciesOrdered(r *data.Relation, attrs []int) *Freq {
+	f := &Freq{Attrs: append([]int(nil), attrs...), Total: int64(r.Size())}
+	for _, a := range attrs {
+		f.cols = append(f.cols, r.Column(a))
 	}
-	cols := make([][]int64, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.Column(a)
-	}
-	// Large scans run chunked across CPUs and merge the exact per-chunk
-	// counts; the result is identical to the serial scan's.
-	if chunks := scanChunks(m); chunks != nil {
-		return parallelFrequencies(cols, f.Attrs, chunks)
-	}
-	if len(attrs) == 1 {
-		for _, v := range cols[0] {
-			f.Counts[data.Key1(v)]++
-		}
-		return f
-	}
-	proj := make(data.Tuple, len(attrs))
-	for row := 0; row < m; row++ {
-		for i, col := range cols {
-			proj[i] = col[row]
-		}
-		f.Counts[data.KeyOf(proj)]++
-	}
+	f.idx.Build(r, attrs)
 	return f
+}
+
+// Count returns the frequency of key, one value per attribute in Attrs
+// order (0 if absent).
+func (f *Freq) Count(key []int64) int64 {
+	return int64(f.idx.Count(f.idx.Lookup(key)))
+}
+
+// Distinct returns the number of distinct keys.
+func (f *Freq) Distinct() int { return f.idx.Groups() }
+
+// Each calls fn with every distinct key and its frequency, in order of each
+// key's first row. key is scratch reused across calls.
+func (f *Freq) Each(fn func(key []int64, count int64)) {
+	key := make([]int64, len(f.cols))
+	for g, n := 0, f.idx.Groups(); g < n; g++ {
+		rep := f.idx.Rep(g)
+		for i, col := range f.cols {
+			key[i] = col[rep]
+		}
+		fn(key, int64(f.idx.Count(g)))
+	}
+}
+
+// Heavy materializes the entries with frequency strictly greater than
+// threshold. With threshold = m/p there are fewer than p of them.
+func (f *Freq) Heavy(threshold int64) *FreqMap {
+	h := &FreqMap{Attrs: f.Attrs, Counts: make(map[data.Key]int64), Total: f.Total}
+	f.Each(func(key []int64, c int64) {
+		if c > threshold {
+			h.Counts[data.KeyOf(key)] = c
+		}
+	})
+	return h
+}
+
+// FreqMap records the frequencies of some value combinations of one
+// relation over one attribute subset: the heavy entries of an exact table
+// (Freq.Heavy, RelationStats.ByAttrs) or the scaled counts of a sample
+// (SampleFrequencies). Keys are data.Key, the fixed-size rendering.
+type FreqMap struct {
+	Attrs  []int              // sorted attribute positions within the relation
+	Counts map[data.Key]int64 // projected-tuple key → frequency
+	Total  int64              // m_j, the size of the relation counted
+}
+
+// Count returns the recorded frequency of the projected values (0 if
+// absent).
+func (f *FreqMap) Count(projected data.Tuple) int64 {
+	return f.Counts[data.KeyOf(projected)]
+}
+
+// Each calls fn with every recorded key and its frequency, in no particular
+// order. key is scratch reused across calls.
+func (f *FreqMap) Each(fn func(key []int64, count int64)) {
+	key := make([]int64, len(f.Attrs))
+	for k, c := range f.Counts {
+		for i := range key {
+			key[i] = k.At(i)
+		}
+		fn(key, c)
+	}
 }
 
 // SampleFrequencies estimates frequencies from a uniform sample of
@@ -128,18 +148,12 @@ func SampleFrequencies(r *data.Relation, attrs []int, sampleSize int, seed int64
 	if m == 0 || sampleSize <= 0 {
 		return f
 	}
-	f.Total = int64(m)
-	proj := make(data.Tuple, len(sorted))
 	if sampleSize >= m {
 		// The sample covers the relation: exact counts, no estimation.
-		for row := 0; row < m; row++ {
-			for a, pos := range sorted {
-				proj[a] = r.At(row, pos)
-			}
-			f.Counts[data.KeyOf(proj)]++
-		}
-		return f
+		return FrequenciesOrdered(r, sorted).Heavy(0)
 	}
+	f.Total = int64(m)
+	proj := make(data.Tuple, len(sorted))
 	rng := rand.New(rand.NewSource(seed))
 	raw := make(map[data.Key]int64)
 	if sampleSize >= (m+1)/2 {
@@ -172,30 +186,6 @@ func SampleFrequencies(r *data.Relation, attrs []int, sampleSize int, seed int64
 	return f
 }
 
-// Merge combines frequency maps computed over disjoint partitions of the
-// same relation (the distributed statistics pass: each input server counts
-// its own partition, then the counts are summed). Attribute sets must
-// match.
-func Merge(parts ...*FreqMap) *FreqMap {
-	if len(parts) == 0 {
-		return &FreqMap{Counts: make(map[data.Key]int64)}
-	}
-	out := &FreqMap{
-		Attrs:  append([]int(nil), parts[0].Attrs...),
-		Counts: make(map[data.Key]int64),
-	}
-	for _, p := range parts {
-		if AttrKey(p.Attrs) != AttrKey(out.Attrs) {
-			panic("stats: Merge over mismatched attribute sets")
-		}
-		for k, c := range p.Counts {
-			out.Counts[k] += c
-		}
-		out.Total += p.Total
-	}
-	return out
-}
-
 // HeavyHitter is one skewed value combination with its frequency.
 type HeavyHitter struct {
 	Key   data.Key
@@ -203,8 +193,7 @@ type HeavyHitter struct {
 }
 
 // HeavyHitters returns the value combinations with frequency strictly
-// greater than threshold, sorted by descending count then key. With
-// threshold = m/p there are fewer than p of them.
+// greater than threshold, sorted by descending count then key.
 func (f *FreqMap) HeavyHitters(threshold int64) []HeavyHitter {
 	var out []HeavyHitter
 	for k, c := range f.Counts {
@@ -270,91 +259,161 @@ type RelationStats struct {
 	M         int64 // tuple count
 	Bits      int64 // M_j in bits
 	Domain    int64
-	Threshold int64               // m/p
+	Threshold int64               // m/p, at least one tuple
 	ByAttrs   map[string]*FreqMap // AttrKey → frequencies (heavy entries only)
+	p         int
 }
 
 // Heavy returns the heavy hitters over the given attribute subset.
 func (rs *RelationStats) Heavy(attrs []int) []HeavyHitter {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	f, ok := rs.ByAttrs[AttrKey(sorted)]
-	if !ok {
-		return nil
+	if f := rs.FreqMapFor(attrs); f != nil {
+		return f.HeavyHitters(rs.Threshold)
 	}
-	return f.HeavyHitters(rs.Threshold)
+	return nil
 }
 
 // Freq returns the recorded frequency of the projected values over attrs,
 // or 0 if the combination is light (not recorded).
 func (rs *RelationStats) Freq(attrs []int, projected data.Tuple) int64 {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	return rs.FreqSorted(sorted, projected)
-}
-
-// FreqSorted is Freq for callers that guarantee attrs is already sorted
-// ascending — it skips the defensive copy and sort.
-func (rs *RelationStats) FreqSorted(attrs []int, projected data.Tuple) int64 {
-	f, ok := rs.ByAttrs[AttrKey(attrs)]
-	if !ok {
-		return 0
+	if f := rs.FreqMapFor(attrs); f != nil {
+		return f.Count(projected)
 	}
-	return f.Count(projected)
-}
-
-// Cardinality returns the number of distinct values in one column of r —
-// O(1) off the maintained per-attribute frequencies when the relation is
-// serving deltas, a single-column scan otherwise.
-func Cardinality(r *data.Relation, attr int) int64 {
-	if counts := r.AttrCounts(attr); counts != nil {
-		return int64(len(counts))
-	}
-	col := r.Column(attr)
-	if chunks := scanChunks(len(col)); chunks != nil {
-		return parallelDistinct(col, chunks)
-	}
-	seen := make(map[int64]struct{}, len(col))
-	for _, v := range col {
-		seen[v] = struct{}{}
-	}
-	return int64(len(seen))
+	return 0
 }
 
 // FreqMapFor returns the frequency map over the given attribute subset, or
-// nil if none is recorded. Routing hot paths resolve the map once at plan
-// time instead of re-deriving the attribute key per tuple.
+// nil if none is recorded.
 func (rs *RelationStats) FreqMapFor(attrs []int) *FreqMap {
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
 	return rs.ByAttrs[AttrKey(sorted)]
 }
 
-// Collect computes RelationStats for r with heavy-hitter threshold m/p. It
-// keeps only heavy entries in ByAttrs (there are O(p) of them per subset),
-// matching the paper's statistics-size accounting.
-func Collect(r *data.Relation, p int) *RelationStats {
+// Pass is the statistics pass of one plan: it memoizes every Freq asked
+// for, so that strategy selection, the lower bounds, the planners and the
+// heavy watch group each (relation, attribute list) once between them. It
+// indexes whole base relations: drop it when planning returns, and let
+// nothing a plan keeps point into it. The zero value is ready to use; only
+// CollectDB's own fan-out may use it concurrently.
+type Pass struct {
+	rels []*relPass
+}
+
+// relPass is the part of a Pass that concerns one relation.
+type relPass struct {
+	rel   *data.Relation
+	freqs []*Freq
+	stats []*RelationStats // one per server count collected at
+}
+
+func (ps *Pass) of(r *data.Relation) *relPass {
+	for _, rp := range ps.rels {
+		if rp.rel == r {
+			return rp
+		}
+	}
+	rp := &relPass{rel: r}
+	ps.rels = append(ps.rels, rp)
+	return rp
+}
+
+// Frequencies returns the frequency table of r over attrs, in exactly the
+// caller's attribute order, building it on first request.
+func (ps *Pass) Frequencies(r *data.Relation, attrs []int) *Freq {
+	return ps.of(r).frequencies(attrs)
+}
+
+func (rp *relPass) frequencies(attrs []int) *Freq {
+	for _, f := range rp.freqs {
+		if slices.Equal(f.Attrs, attrs) {
+			return f
+		}
+	}
+	f := FrequenciesOrdered(rp.rel, attrs)
+	rp.freqs = append(rp.freqs, f)
+	return f
+}
+
+// Groupings returns the number of groupings the pass has built.
+func (ps *Pass) Groupings() int {
+	n := 0
+	for _, rp := range ps.rels {
+		n += len(rp.freqs)
+	}
+	return n
+}
+
+// Collect computes RelationStats for r with heavy-hitter threshold m/p,
+// once per (relation, p). It keeps only heavy entries in ByAttrs (O(p) per
+// subset), matching the paper's statistics-size accounting.
+func (ps *Pass) Collect(r *data.Relation, p int) *RelationStats {
+	return ps.of(r).collect(p)
+}
+
+func (rp *relPass) collect(p int) *RelationStats {
+	for _, rs := range rp.stats {
+		if rs.p == p {
+			return rs
+		}
+	}
+	r := rp.rel
 	m := int64(r.Size())
 	rs := &RelationStats{
-		Name:      r.Name,
-		Arity:     r.Arity,
-		M:         m,
-		Bits:      r.Bits(),
-		Domain:    r.Domain,
-		Threshold: m / int64(p),
+		Name:   r.Name,
+		Arity:  r.Arity,
+		M:      m,
+		Bits:   r.Bits(),
+		Domain: r.Domain,
+		// With m < p the quotient floors to 0 and would make every value
+		// heavy; a value that occurs once never is.
+		Threshold: max(1, m/int64(p)),
 		ByAttrs:   make(map[string]*FreqMap),
+		p:         p,
 	}
 	for _, attrs := range nonEmptySubsets(r.Arity) {
-		full := Frequencies(r, attrs)
-		pruned := &FreqMap{Attrs: full.Attrs, Counts: make(map[data.Key]int64), Total: full.Total}
-		for k, c := range full.Counts {
-			if c > rs.Threshold {
-				pruned.Counts[k] = c
+		// Mutating workloads maintain per-attribute frequencies on the
+		// relation (enabled by Database.Apply); a single attribute then
+		// reads them in O(distinct values) without grouping the column.
+		if counts := r.AttrCounts(attrs[0]); len(attrs) == 1 && counts != nil {
+			h := &FreqMap{Attrs: attrs, Counts: make(map[data.Key]int64), Total: m}
+			for v, c := range counts {
+				if c > rs.Threshold {
+					h.Counts[data.Key1(v)] = c
+				}
 			}
+			rs.ByAttrs[AttrKey(attrs)] = h
+			continue
 		}
-		rs.ByAttrs[AttrKey(attrs)] = pruned
+		rs.ByAttrs[AttrKey(attrs)] = rp.frequencies(attrs).Heavy(rs.Threshold)
 	}
+	rp.stats = append(rp.stats, rs)
 	return rs
+}
+
+// Dictionary indexes heavy keys of the given width, laid end to end in
+// keys: Lookup on the result turns a key into a dense code — distinct keys
+// are coded 0, 1, … in the order given, and a repeated key's Rows list every
+// occurrence. It returns nil for no keys, so a router skips the probe
+// outright where nothing is heavy. A dictionary covers plan-sized data
+// only, and lives as long as the plan.
+func Dictionary(width int, keys []int64) *data.GroupIndex {
+	if len(keys) == 0 {
+		return nil
+	}
+	n := len(keys) / width
+	cols, attrs := make([][]int64, width), make([]int, width)
+	for i := range cols {
+		attrs[i] = i
+		cols[i] = make([]int64, n)
+		for k := range cols[i] {
+			cols[i][k] = keys[k*width+i]
+		}
+	}
+	rel := data.NewRelation("heavy", width, 1)
+	rel.AdoptColumns(cols, n)
+	idx := new(data.GroupIndex)
+	idx.Build(rel, attrs)
+	return idx
 }
 
 // nonEmptySubsets enumerates all non-empty subsets of {0..arity-1}.
@@ -456,39 +515,36 @@ type DBStats struct {
 }
 
 // CollectDB computes statistics for every relation in db. Relations are
-// collected concurrently (each Collect additionally chunks its own scans),
-// mirroring the paper's setting where every input server computes its
-// partition's statistics at once.
-func CollectDB(db *data.Database, p int) *DBStats {
-	s := &DBStats{P: p, Relations: make(map[string]*RelationStats)}
+// collected concurrently, mirroring the paper's setting where every input
+// server computes its partition's statistics at once; each goroutine works
+// on its own relation's part of the pass.
+func (ps *Pass) CollectDB(db *data.Database, p int) *DBStats {
 	names := db.Names()
-	if len(names) < 2 || runtime.GOMAXPROCS(0) < 2 {
-		for _, name := range names {
-			s.Relations[name] = Collect(db.Relations[name], p)
+	var parts []*relPass // distinct, even if two names share a relation
+	for _, name := range names {
+		if rp := ps.of(db.Relations[name]); !slices.Contains(parts, rp) {
+			parts = append(parts, rp)
 		}
-		return s
 	}
-	results := make([]*RelationStats, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, r *data.Relation) {
-			defer wg.Done()
-			results[i] = Collect(r, p)
-		}(i, db.Relations[name])
+	if len(parts) >= 2 && runtime.GOMAXPROCS(0) >= 2 {
+		var wg sync.WaitGroup
+		for _, rp := range parts {
+			wg.Add(1)
+			go func(rp *relPass) {
+				defer wg.Done()
+				rp.collect(p)
+			}(rp)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for i, name := range names {
-		s.Relations[name] = results[i]
+	s := &DBStats{P: p, Relations: make(map[string]*RelationStats, len(names))}
+	for _, name := range names {
+		s.Relations[name] = ps.Collect(db.Relations[name], p)
 	}
 	return s
 }
 
-// Cardinalities returns the tuple counts keyed by relation name.
-func (s *DBStats) Cardinalities() map[string]int64 {
-	out := make(map[string]int64, len(s.Relations))
-	for n, rs := range s.Relations {
-		out[n] = rs.M
-	}
-	return out
+// CollectDB is Pass.CollectDB on a pass of its own.
+func CollectDB(db *data.Database, p int) *DBStats {
+	return new(Pass).CollectDB(db, p)
 }

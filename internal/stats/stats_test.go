@@ -2,9 +2,13 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/workload"
 )
 
 func makeSkewed(t *testing.T) *data.Relation {
@@ -44,7 +48,7 @@ func TestFrequenciesMultiAttr(t *testing.T) {
 	r.Add(1, 5, 3)
 	f := Frequencies(r, []int{0, 1})
 	if f.Count(data.Tuple{1, 2}) != 2 || f.Count(data.Tuple{1, 5}) != 1 {
-		t.Errorf("multi-attr counts wrong: %v", f.Counts)
+		t.Errorf("multi-attr counts wrong: %v", f.Heavy(0).Counts)
 	}
 }
 
@@ -61,12 +65,12 @@ func TestHeavyHitters(t *testing.T) {
 	r := makeSkewed(t)
 	f := Frequencies(r, []int{1})
 	// threshold m/p with p=10: 100/10 = 10; only value 7 (40) is heavy.
-	hh := f.HeavyHitters(10)
+	hh := f.Heavy(10).HeavyHitters(10)
 	if len(hh) != 1 || hh[0].Key != data.Key1(7) || hh[0].Count != 40 {
 		t.Errorf("HeavyHitters = %v", hh)
 	}
 	// threshold 0: every distinct value is heavy; sorted by count desc.
-	all := f.HeavyHitters(0)
+	all := f.Heavy(0).HeavyHitters(0)
 	if len(all) != 61 {
 		t.Errorf("len = %d, want 61", len(all))
 	}
@@ -177,9 +181,12 @@ func TestBinInvariantFrequencyWithinFactor2(t *testing.T) {
 
 func TestCollect(t *testing.T) {
 	r := makeSkewed(t)
-	rs := Collect(r, 10)
+	rs := new(Pass).Collect(r, 10)
 	if rs.M != 100 || rs.Threshold != 10 {
 		t.Errorf("stats: %+v", rs)
+	}
+	if got := new(Pass).Collect(data.NewRelation("E", 2, 10), 10).Threshold; got != 1 {
+		t.Errorf("empty relation: Threshold = %d, want the one-tuple floor", got)
 	}
 	// Attribute subsets of arity 2: {0}, {1}, {0,1}.
 	if len(rs.ByAttrs) != 3 {
@@ -202,7 +209,7 @@ func TestCollect(t *testing.T) {
 
 func TestCollectPrunesLight(t *testing.T) {
 	r := makeSkewed(t)
-	rs := Collect(r, 10)
+	rs := new(Pass).Collect(r, 10)
 	f := rs.ByAttrs[AttrKey([]int{1})]
 	if len(f.Counts) != 1 {
 		t.Errorf("pruned map holds %d entries, want 1 (only heavy)", len(f.Counts))
@@ -216,7 +223,7 @@ func TestHeavyCountBound(t *testing.T) {
 		r.Add(i % 100) // 100 values, each freq 100
 	}
 	for _, p := range []int{2, 4, 16, 64} {
-		rs := Collect(r, p)
+		rs := new(Pass).Collect(r, p)
 		hh := rs.Heavy([]int{0})
 		if int64(len(hh)) >= int64(p)+1 {
 			t.Errorf("p=%d: %d heavy hitters, want < p+1", p, len(hh))
@@ -235,9 +242,8 @@ func TestCollectDB(t *testing.T) {
 	if len(s.Relations) != 2 || s.P != 10 {
 		t.Errorf("CollectDB: %+v", s)
 	}
-	cards := s.Cardinalities()
-	if cards["S"] != 100 || cards["T"] != 1 {
-		t.Errorf("Cardinalities = %v", cards)
+	if s.Relations["S"].M != 100 || s.Relations["T"].M != 1 {
+		t.Errorf("cardinalities = %d, %d", s.Relations["S"].M, s.Relations["T"].M)
 	}
 }
 
@@ -247,50 +253,237 @@ func TestAttrKey(t *testing.T) {
 	}
 }
 
-func TestMergePartitionedCountsEqualGlobal(t *testing.T) {
-	// Counting per partition then merging must equal one global pass —
-	// the distributed statistics collection real systems perform.
-	r := makeSkewed(t)
-	// Split into 3 partitions round-robin.
-	parts := make([]*data.Relation, 3)
-	for i := range parts {
-		parts[i] = data.NewRelation("S", 2, r.Domain)
+// refFrequenciesOrdered is the map-based FrequenciesOrdered this package
+// had before frequencies moved onto the group-by kernel, kept verbatim
+// (less its chunked-scan branch, which merged to the same map) as the
+// reference the kernel is checked against: one map[data.Key] entry per
+// distinct projection.
+func refFrequenciesOrdered(r *data.Relation, attrs []int) *FreqMap {
+	f := &FreqMap{Attrs: append([]int(nil), attrs...), Counts: make(map[data.Key]int64)}
+	m := r.Size()
+	f.Total = int64(m)
+	if len(attrs) == 1 {
+		if counts := r.AttrCounts(attrs[0]); counts != nil {
+			for v, c := range counts {
+				f.Counts[data.Key1(v)] = c
+			}
+			return f
+		}
 	}
-	r.Each(func(i int, tu data.Tuple) bool {
-		parts[i%3].Add(tu...)
-		return true
+	cols := make([][]int64, len(attrs))
+	for i, a := range attrs {
+		cols[i] = r.Column(a)
+	}
+	if len(attrs) == 1 {
+		for _, v := range cols[0] {
+			f.Counts[data.Key1(v)]++
+		}
+		return f
+	}
+	proj := make(data.Tuple, len(attrs))
+	for row := 0; row < m; row++ {
+		for i, col := range cols {
+			proj[i] = col[row]
+		}
+		f.Counts[data.KeyOf(proj)]++
+	}
+	return f
+}
+
+// refCollect is the Collect of the same commit, verbatim except for the
+// one-tuple floor on Threshold that this commit's bug fix adds.
+func refCollect(r *data.Relation, p int) *RelationStats {
+	m := int64(r.Size())
+	rs := &RelationStats{
+		Name:      r.Name,
+		Arity:     r.Arity,
+		M:         m,
+		Bits:      r.Bits(),
+		Domain:    r.Domain,
+		Threshold: max(1, m/int64(p)),
+		ByAttrs:   make(map[string]*FreqMap),
+	}
+	for _, attrs := range nonEmptySubsets(r.Arity) {
+		full := refFrequenciesOrdered(r, attrs)
+		pruned := &FreqMap{Attrs: full.Attrs, Counts: make(map[data.Key]int64), Total: full.Total}
+		for k, c := range full.Counts {
+			if c > rs.Threshold {
+				pruned.Counts[k] = c
+			}
+		}
+		rs.ByAttrs[AttrKey(attrs)] = pruned
+	}
+	return rs
+}
+
+// checkAgainstReference asserts that Collect reports exactly the reference's
+// heavy sets, counts, Total and Threshold for r at p, and that the exact
+// table over attrs (in that order) holds the reference's every count.
+func checkAgainstReference(t *testing.T, name string, r *data.Relation, p int, attrs []int) {
+	t.Helper()
+	got, want := new(Pass).Collect(r, p), refCollect(r, p)
+	if got.Name != want.Name || got.Arity != want.Arity || got.M != want.M || got.Bits != want.Bits ||
+		got.Domain != want.Domain || got.Threshold != want.Threshold {
+		t.Fatalf("%s p=%d: stats %+v, reference %+v", name, p, got, want)
+	}
+	if len(got.ByAttrs) != len(want.ByAttrs) {
+		t.Fatalf("%s p=%d: %d attribute subsets, reference %d", name, p, len(got.ByAttrs), len(want.ByAttrs))
+	}
+	for key, wf := range want.ByAttrs {
+		gf := got.ByAttrs[key]
+		if gf == nil || !slices.Equal(gf.Attrs, wf.Attrs) || !freqMapsEqual(gf, wf) {
+			t.Fatalf("%s p=%d attrs %s: heavy hitters %+v, reference %+v", name, p, key, gf, wf)
+		}
+	}
+
+	f, ref := FrequenciesOrdered(r, attrs), refFrequenciesOrdered(r, attrs)
+	if f.Total != ref.Total || !slices.Equal(f.Attrs, ref.Attrs) || f.Distinct() != len(ref.Counts) {
+		t.Fatalf("%s attrs %v: table Total %d Attrs %v with %d keys, reference %d %v %d",
+			name, attrs, f.Total, f.Attrs, f.Distinct(), ref.Total, ref.Attrs, len(ref.Counts))
+	}
+	seen := 0
+	f.Each(func(key []int64, c int64) {
+		seen++
+		if want := ref.Counts[data.KeyOf(key)]; c != want || f.Count(key) != want {
+			t.Fatalf("%s attrs %v key %v: Each %d, Count %d, reference %d", name, attrs, key, c, f.Count(key), want)
+		}
 	})
-	var fms []*FreqMap
-	for _, p := range parts {
-		fms = append(fms, Frequencies(p, []int{1}))
-	}
-	merged := Merge(fms...)
-	global := Frequencies(r, []int{1})
-	if merged.Total != global.Total || len(merged.Counts) != len(global.Counts) {
-		t.Fatalf("merged %d/%d vs global %d/%d",
-			merged.Total, len(merged.Counts), global.Total, len(global.Counts))
-	}
-	for k, c := range global.Counts {
-		if merged.Counts[k] != c {
-			t.Errorf("count(%s): merged %d, global %d", k, merged.Counts[k], c)
-		}
+	if seen != len(ref.Counts) {
+		t.Fatalf("%s attrs %v: Each visited %d keys, reference has %d", name, attrs, seen, len(ref.Counts))
 	}
 }
 
-func TestMergeEmpty(t *testing.T) {
-	m := Merge()
-	if m.Total != 0 || len(m.Counts) != 0 {
-		t.Error("empty merge should be empty")
+func TestCollectMatchesReference(t *testing.T) {
+	wide := data.NewRelation("W9", 9, 4) // 9-attribute keys spill data.Key's inline array
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]int64, 9)
+	for i := 0; i < 40; i++ {
+		for a := range vals {
+			vals[a] = int64(rng.Intn(2))
+		}
+		vals[8] = int64(rng.Intn(4))
+		wide.Add(vals...)
+	}
+	one := data.NewRelation("R1", 1, 64) // arity 1, with repeats
+	for i := 0; i < 300; i++ {
+		one.Add(int64(rng.Intn(20) * rng.Intn(3)))
+	}
+	cases := []struct {
+		r     *data.Relation
+		attrs []int // one ordered attribute list for the exact-table check
+	}{
+		{one, []int{0}},
+		{workload.Uniform("U2", 2, 800, 40, 2), []int{1, 0}},
+		{workload.Uniform("U3", 3, 900, 16, 3), []int{2, 0, 1}},
+		{workload.Matching("M", 2, 500, 1<<13, 4), []int{0, 1}},
+		{workload.Zipf("Z", 2000, 1<<20, 1, 1.4, 300, 5), []int{1}},
+		{workload.SkewedGraph("G", 5000, 2000, 1.2, 6), []int{1, 0}},
+		{workload.DegreeSequence("D", 1<<20, 1, map[int64]int{3: 70, 8: 20, 15: 1, 16: 9}, 7), []int{1}},
+		{data.NewRelation("E", 2, 10), []int{0, 1}},
+		{wide, []int{8, 7, 6, 5, 4, 3, 2, 1, 0}},
+		{workload.Matching("Tiny", 2, 10, 1<<10, 8), []int{1}}, // m < p below
+	}
+	for _, c := range cases {
+		for _, p := range []int{2, 16, 64} {
+			checkAgainstReference(t, c.r.Name, c.r, p, c.attrs)
+		}
+	}
+
+	// Snapshot views count like their masters; a master that has served
+	// deltas answers single attributes off its maintained AttrCounts.
+	db := data.NewDatabase()
+	z := workload.Zipf("Z", 1500, 1<<20, 1, 1.3, 200, 9)
+	db.Put(z)
+	checkAgainstReference(t, "snapshot", db.Snapshot().MustGet("Z"), 16, []int{1, 0})
+	next := int64(1 << 19)
+	for round := 0; round < 5; round++ {
+		d := new(data.Delta)
+		for i := 0; i < 40; i++ {
+			next++
+			d.Insert("Z", next, int64(rng.Intn(3))) // grows three hitters
+		}
+		d.Delete("Z", z.Tuple(rng.Intn(z.Size()))...)
+		if err := db.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		if z.AttrCounts(1) == nil {
+			t.Fatal("Apply did not enable the maintained counts")
+		}
+		checkAgainstReference(t, "after Apply", z, 16, []int{1})
+		checkAgainstReference(t, "snapshot after Apply", db.Snapshot().MustGet("Z"), 16, []int{0, 1})
 	}
 }
 
-func TestMergeMismatchedAttrsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// FuzzCollectMatchesReference decodes fuzz bytes into a relation (arity
+// 1..3, values from a small domain so projections repeat), a server count
+// and an attribute order, and checks Collect and the exact table against
+// the map-based reference.
+func FuzzCollectMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 2, 3, 4, 1, 2}, uint8(2), uint8(3), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(3), uint8(200), uint8(5))
+	f.Fuzz(func(t *testing.T, raw []byte, arityByte, pByte, orderByte uint8) {
+		arity := 1 + int(arityByte%3)
+		r := data.NewRelation("F", arity, 256)
+		vals := make([]int64, arity)
+		for i := 0; i+arity <= len(raw); i += arity {
+			for a := range vals {
+				vals[a] = int64(raw[i+a] % 8)
+			}
+			r.Add(vals...)
 		}
-	}()
-	a := &FreqMap{Attrs: []int{0}, Counts: map[data.Key]int64{}}
-	b := &FreqMap{Attrs: []int{1}, Counts: map[data.Key]int64{}}
-	Merge(a, b)
+		// orderByte picks a rotation of the attributes and how many to keep.
+		attrs := make([]int, 1+int(orderByte>>4)%arity)
+		for i := range attrs {
+			attrs[i] = (int(orderByte) + i) % arity
+		}
+		checkAgainstReference(t, "fuzz", r, 2+int(pByte), attrs)
+	})
+}
+
+func TestHeavyWatchIgnoresSingletonsBelowP(t *testing.T) {
+	// m < p: the threshold m/p floors to 0, and without the one-tuple floor
+	// every inserted value would be reported as a new heavy hitter.
+	db := data.NewDatabase()
+	db.Put(workload.Matching("S", 2, 10, 1<<10, 1))
+	w := NewHeavyWatch(new(Pass), db, []string{"S"}, 16)
+	if w.Note("S", []int64{1000, 1001}, true) {
+		t.Error("a value seen once was reported heavy")
+	}
+	if !w.Note("S", []int64{1002, 1001}, true) {
+		t.Error("a value seen twice at threshold 1 was not reported heavy")
+	}
+}
+
+// TestHeavyWatchKeepsNothingOfItsPass is the heap check for the watch's
+// half of "the pass dies when planning returns": built through a pass whose
+// groupings weigh megabytes, the watch alone keeps kilobytes alive.
+func TestHeavyWatchKeepsNothingOfItsPass(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	db := data.NewDatabase()
+	r := data.NewRelation("S", 2, 1<<20) // 120000 rows over 300 and 400 values
+	for i := int64(0); i < 120000; i++ {
+		r.Add(i%300, i/300)
+	}
+	db.Put(r)
+	before := liveHeap()
+	ps := new(Pass)
+	w := NewHeavyWatch(ps, db, []string{"S"}, 64)
+	withPass := liveHeap() - before
+	runtime.KeepAlive(ps)
+	ps = nil
+	watchOnly := liveHeap() - before
+	runtime.KeepAlive(w)
+	if withPass < 2<<20 {
+		t.Fatalf("pass and watch hold only %d bytes: instance too small to tell a retained grouping", withPass)
+	}
+	if watchOnly > 256<<10 {
+		t.Errorf("the watch alone keeps %d bytes alive (with its pass: %d): it retains a grouping", watchOnly, withPass)
+	}
 }

@@ -61,12 +61,11 @@ func TestMatchingColumnsDistinct(t *testing.T) {
 		t.Fatalf("Size = %d", r.Size())
 	}
 	for c := 0; c < 2; c++ {
-		f := stats.Frequencies(r, []int{c})
-		for k, cnt := range f.Counts {
+		stats.Frequencies(r, []int{c}).Each(func(k []int64, cnt int64) {
 			if cnt != 1 {
-				t.Fatalf("column %d value %s has frequency %d, want 1", c, k, cnt)
+				t.Fatalf("column %d value %d has frequency %d, want 1", c, k[0], cnt)
 			}
-		}
+		})
 	}
 }
 
@@ -110,7 +109,7 @@ func TestZipfSkewsColumn(t *testing.T) {
 		t.Fatalf("Size = %d", r.Size())
 	}
 	f := stats.Frequencies(r, []int{1})
-	hh := f.HeavyHitters(10000 / 64)
+	hh := f.Heavy(10000 / 64).HeavyHitters(10000 / 64)
 	if len(hh) == 0 {
 		t.Error("Zipf(1.5) should produce heavy hitters at threshold m/64")
 	}
@@ -138,11 +137,11 @@ func TestPlantedHeavyCounts(t *testing.T) {
 		t.Errorf("planted counts wrong: 5→%d 9→%d", f.Count(data.Tuple{5}), f.Count(data.Tuple{9}))
 	}
 	// Light values appear exactly once.
-	for k, c := range f.Counts {
-		if k != data.Key1(5) && k != data.Key1(9) && c != 1 {
-			t.Errorf("light value %v has count %d", k, c)
+	f.Each(func(k []int64, c int64) {
+		if k[0] != 5 && k[0] != 9 && c != 1 {
+			t.Errorf("light value %d has count %d", k[0], c)
 		}
-	}
+	})
 	if r.ContainsDuplicates() {
 		t.Error("duplicates")
 	}
