@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bounds"
-	"repro/internal/codec"
 	"repro/internal/data"
 	"repro/internal/exp"
 	"repro/internal/hashing"
@@ -364,18 +363,6 @@ func BenchmarkWCOJvsBinaryJoinHard(b *testing.B) {
 			join.Join(q, rels)
 		}
 	})
-}
-
-func BenchmarkCodecEncodeDecode(b *testing.B) {
-	rel := workload.Uniform("S", 2, 10000, 1<<20, 1)
-	b.SetBytes(rel.Bits() / 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wire := codec.Encode(rel)
-		if _, err := codec.Decode("S", wire); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkGeneralSkewSweepP(b *testing.B) {

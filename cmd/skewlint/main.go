@@ -1,19 +1,11 @@
 // Command skewlint is the repository's invariant multichecker: it runs the
-// custom analyzers in internal/lint (nodeterminismbreak, noalloc, ctxflow,
-// scratchescape, errwrap) plus the standard-analyzer ports (shadow,
-// copylocks, unusedwrite, nilness) over go list package patterns.
-//
-// Standalone (the CI entry point):
+// five analyzers in internal/lint (nodeterminismbreak, noalloc, ctxflow,
+// scratchescape, errwrap) over go list package patterns. The standard
+// checks are go vet's job; CI runs both.
 //
 //	go run ./cmd/skewlint ./...
 //	go run ./cmd/skewlint -only noalloc,nodeterminismbreak ./internal/mpc
 //	go run ./cmd/skewlint -list
-//
-// As a vet tool (unitchecker protocol — cmd/go invokes the binary once per
-// package with a JSON config file):
-//
-//	go build -o /tmp/skewlint ./cmd/skewlint
-//	go vet -vettool=/tmp/skewlint ./...
 //
 // Exit status: 0 clean, 1 findings, 2 operational error. Suppressions are
 // //skewlint:allow directives in the source (see internal/lint).
@@ -29,22 +21,6 @@ import (
 )
 
 func main() {
-	// The go vet driver probes tools with -V=full before anything else and
-	// then invokes them with a single *.cfg argument.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Println("skewlint version v1.0.0")
-		return
-	}
-	// The driver also probes -flags for the tool's flag schema; we expose
-	// none in vet mode.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(unitcheck(os.Args[1]))
-	}
-
 	var (
 		listFlag = flag.Bool("list", false, "list analyzers and exit")
 		onlyFlag = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -53,7 +29,7 @@ func main() {
 	flag.Parse()
 
 	if *listFlag {
-		for _, a := range lint.All() {
+		for _, a := range lint.Analyzers() {
 			doc := a.Doc
 			if i := strings.IndexByte(doc, '\n'); i >= 0 {
 				doc = doc[:i]
@@ -63,7 +39,7 @@ func main() {
 		return
 	}
 
-	analyzers := lint.All()
+	analyzers := lint.Analyzers()
 	if *onlyFlag != "" {
 		var err error
 		if analyzers, err = lint.ByName(*onlyFlag); err != nil {
@@ -81,11 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	report(findings)
-}
-
-// report prints findings and exits non-zero when any exist.
-func report(findings []lint.Finding) {
 	if len(findings) == 0 {
 		return
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/packing"
 	"repro/internal/query"
-	"repro/internal/rational"
 	"repro/internal/stats"
 )
 
@@ -342,7 +341,3 @@ func LPLowerEqualsVertexMax(q *query.Query, bitsM []float64, p int, lambda float
 	vertexBound, _ = SimpleLower(q, bitsM, p)
 	return lpBound, vertexBound
 }
-
-// RatFloats converts a rational vector to floats (convenience for callers
-// mixing exact packings with float bounds).
-func RatFloats(v rational.Vector) []float64 { return v.Floats() }

@@ -87,13 +87,6 @@ type Config struct {
 	// (Result.Replanned reports it). 0 disables; values in (0, 1) are
 	// rejected — they would demand realized loads below the prediction.
 	DriftFactor float64
-	// ClusterPoolDepth bounds the engine's cluster pool per size bucket;
-	// 0 means exec.DefaultClusterPoolDepth.
-	ClusterPoolDepth int
-	// ResidentChunkTuples caps the rows one send part carries out of a
-	// resident fragment when pipelines shuffle intermediates
-	// server-to-server; 0 means mpc.DefaultResidentChunkTuples.
-	ResidentChunkTuples int
 	// BackgroundReplan moves drift-triggered replanning off the request
 	// path: a stale cache entry keeps serving (a physical plan stays correct
 	// for any content, merely load-suboptimal) while a background worker
@@ -337,12 +330,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.DriftFactor != 0 && cfg.DriftFactor < 1 {
 		return nil, fmt.Errorf("core: drift factor %g is below 1: realized loads would always count as drifted", cfg.DriftFactor)
 	}
-	if cfg.ClusterPoolDepth < 0 {
-		return nil, fmt.Errorf("core: negative cluster pool depth %d", cfg.ClusterPoolDepth)
-	}
-	if cfg.ResidentChunkTuples < 0 {
-		return nil, fmt.Errorf("core: negative resident chunk %d", cfg.ResidentChunkTuples)
-	}
 	if cfg.BreakerThreshold < 0 {
 		return nil, fmt.Errorf("core: negative breaker threshold %d", cfg.BreakerThreshold)
 	}
@@ -353,7 +340,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BreakerThreshold > 0 {
 		e.breaker = &breaker{threshold: cfg.BreakerThreshold}
 	}
-	e.clusters.Depth = cfg.ClusterPoolDepth
 	if cfg.BackgroundReplan {
 		e.replanCh = make(chan planKey, replanQueueDepth)
 		e.replanWG.Add(1)
@@ -461,7 +447,6 @@ type settings struct {
 	noCache       bool
 	serving       bool
 	drift         float64
-	residentChunk int
 	bgReplan      bool
 	faults        *mpc.Faults
 	retry         Retry
@@ -472,17 +457,16 @@ type settings struct {
 func (e *Engine) settings(opts ExecOptions) settings {
 	c := &e.conf
 	s := settings{
-		p:             c.P,
-		seed:          c.Seed,
-		forced:        opts.Strategy,
-		mr:            c.ConsiderMultiRound,
-		noCache:       opts.NoCache,
-		serving:       opts.Serving,
-		drift:         c.DriftFactor,
-		residentChunk: c.ResidentChunkTuples,
-		bgReplan:      c.BackgroundReplan,
-		faults:        c.Faults,
-		retry:         c.Retry,
+		p:        c.P,
+		seed:     c.Seed,
+		forced:   opts.Strategy,
+		mr:       c.ConsiderMultiRound,
+		noCache:  opts.NoCache,
+		serving:  opts.Serving,
+		drift:    c.DriftFactor,
+		bgReplan: c.BackgroundReplan,
+		faults:   c.Faults,
+		retry:    c.Retry,
 	}
 	if opts.MultiRound != nil {
 		s.mr = *opts.MultiRound
@@ -554,6 +538,21 @@ func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings, ps *
 	return plan
 }
 
+// checkInputs is the validation ExecuteContext, Standing and Explain share:
+// q must be structurally valid (else an error wrapping ErrInvalidQuery) and
+// db must hold every relation q names.
+func checkInputs(q *query.Query, db *data.Database) error {
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+	}
+	for _, a := range q.Atoms {
+		if db.Get(a.Name) == nil {
+			return fmt.Errorf("core: database missing relation %s", a.Name)
+		}
+	}
+	return nil
+}
+
 // ExecuteContext plans and runs the query through the unified executor
 // with per-call options, returning answers and realized loads, or an error
 // for invalid input. Plans are cached: a repeat call with the same query,
@@ -575,13 +574,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	if s.p < 2 {
 		return Result{}, fmt.Errorf("core: need p >= 2, got %d", s.p)
 	}
-	if err := q.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
-	}
-	for _, a := range q.Atoms {
-		if db.Get(a.Name) == nil {
-			return Result{}, fmt.Errorf("core: database missing relation %s", a.Name)
-		}
+	if err := checkInputs(q, db); err != nil {
+		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -616,7 +610,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		sc = new(exec.Scratch)
 	}
 	var rec Recovery
-	ec := exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, ResidentChunkTuples: s.residentChunk, Faults: s.faults, Retry: s.retry, Recovery: &rec}
+	ec := exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, Faults: s.faults, Retry: s.retry, Recovery: &rec}
 	var execErr error
 	if cp.phys != nil {
 		var er exec.Result

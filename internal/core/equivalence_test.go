@@ -31,6 +31,7 @@ func TestStrategiesAgreeThroughUnifiedExecutor(t *testing.T) {
 		q          *query.Query
 		db         *data.Database
 		strategies []Strategy
+		answers    int // expected answer count when hand-computed; 0 = oracle only
 	}{
 		{
 			// The §4.1 shape with skew and renamed relations: all three
@@ -59,10 +60,49 @@ func TestStrategiesAgreeThroughUnifiedExecutor(t *testing.T) {
 			}(),
 			strategies: []Strategy{HyperCube, BinCombination},
 		},
+		{
+			// Fewer tuples than servers (m = 5 < p = 16): the heavy threshold
+			// m/p floors below one tuple, where PR 20's "every value is
+			// heavy" bug lived. 3·2 answers on z = 7 plus 1·2 on z = 8.
+			name: "join2-m-below-p",
+			q:    query.Join2(),
+			db: func() *data.Database {
+				db := data.NewDatabase()
+				s1 := data.NewRelation("S1", 2, 1<<10)
+				for _, tu := range [][2]int64{{1, 7}, {2, 7}, {3, 7}, {4, 8}, {5, 9}} {
+					s1.Add(tu[0], tu[1])
+				}
+				s2 := data.NewRelation("S2", 2, 1<<10)
+				for _, tu := range [][2]int64{{10, 7}, {11, 7}, {12, 8}, {13, 8}, {14, 1}} {
+					s2.Add(tu[0], tu[1])
+				}
+				db.Put(s1)
+				db.Put(s2)
+				return db
+			}(),
+			strategies: []Strategy{HyperCube, SkewJoin, BinCombination, MultiRound},
+			answers:    8,
+		},
+		{
+			// An empty relation: every planner must survive m_1 = 0 (no
+			// statistics, no shares to balance) and agree on no answers.
+			name: "join2-empty-S1",
+			q:    query.Join2(),
+			db: func() *data.Database {
+				db := data.NewDatabase()
+				db.Put(data.NewRelation("S1", 2, 1<<10))
+				db.Put(workload.Uniform("S2", 2, 200, 1<<10, 2))
+				return db
+			}(),
+			strategies: []Strategy{HyperCube, SkewJoin, BinCombination, MultiRound},
+		},
 	}
 	for _, c := range cases {
 		want := join.Join(c.q, join.FromDatabase(c.db))
 		sortTuples(want)
+		if c.answers != 0 && len(want) != c.answers {
+			t.Fatalf("%s: oracle found %d answers, hand count is %d", c.name, len(want), c.answers)
+		}
 		for _, s := range c.strategies {
 			s := s
 			e := newEngine(t, Config{P: 16, Seed: 9})

@@ -17,8 +17,12 @@ import (
 // evaluate q over db: the chosen strategy and why, the packing polytope
 // vertices with their induced bounds (Example 3.7's table for the given
 // statistics), the optimal share exponents, and — when skew is present —
-// the bin combinations the §4.2 algorithm would build.
+// the bin combinations the §4.2 algorithm would build. Inputs ExecuteContext
+// would reject render as that error's text.
 func (e *Engine) Explain(q *query.Query, db *data.Database) string {
+	if err := checkInputs(q, db); err != nil {
+		return "explain: " + err.Error() + "\n"
+	}
 	// Plan once: the cost table reuses the chosen strategy's prediction (and
 	// the multi-round pipeline, if that is what was chosen) and plans the
 	// other strategies only for their cost, all off one statistics pass.

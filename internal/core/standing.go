@@ -128,13 +128,8 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 	if s.p < 2 {
 		return nil, fmt.Errorf("core: need p >= 2, got %d", s.p)
 	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
-	}
-	for _, a := range q.Atoms {
-		if db.Get(a.Name) == nil {
-			return nil, fmt.Errorf("core: database missing relation %s", a.Name)
-		}
+	if err := checkInputs(q, db); err != nil {
+		return nil, err
 	}
 	h := &StandingQuery{e: e, q: q, db: db, s: s, opts: opts}
 	// Subscribe before seeding: anything applied between subscription and
@@ -169,12 +164,11 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	if cp.phys != nil {
 		var rec Recovery
 		st, err := exec.NewStanding(cp.phys, h.q, snap, exec.Config{
-			Clusters:            &h.e.clusters,
-			Ctx:                 ctx,
-			Faults:              h.s.faults,
-			Retry:               h.s.retry,
-			Recovery:            &rec,
-			ResidentChunkTuples: h.s.residentChunk,
+			Clusters: &h.e.clusters,
+			Ctx:      ctx,
+			Faults:   h.s.faults,
+			Retry:    h.s.retry,
+			Recovery: &rec,
 		})
 		h.stats.Recovery.Add(rec)
 		if err != nil {

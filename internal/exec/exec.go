@@ -94,11 +94,6 @@ type Config struct {
 	// context's error with a zero result; the cluster is still returned to
 	// the pool (Reset on Put discards any partial deliveries).
 	Ctx context.Context
-	// ResidentChunkTuples caps the rows one send part carries out of a
-	// resident fragment when a pipeline shuffles intermediates
-	// server-to-server; 0 means mpc.DefaultResidentChunkTuples. See
-	// BenchmarkResidentChunk for the tradeoff the default balances.
-	ResidentChunkTuples int
 	// Faults, when non-nil, arms the seeded fault-injection schedule for
 	// this execution (see mpc.Faults). Injected faults are recovered in
 	// place within the Retry budget — torn rounds are re-driven against
@@ -136,7 +131,6 @@ func (cfg *Config) acquire(virtual int) (pool *ClusterPool, cluster *mpc.Cluster
 		pool = &sharedClusters
 	}
 	cluster = pool.Get(virtual)
-	cluster.ResidentChunk = cfg.ResidentChunkTuples
 	cluster.Ctx = cfg.Ctx
 	cluster.Faults = cfg.Faults
 	return pool, cluster, newRetrier(cfg, cluster)
@@ -170,23 +164,6 @@ type Scratch struct {
 // next reuse, so the next Run must allocate a fresh one instead of
 // overwriting the escaped slice.
 func (s *Scratch) DetachOutput() { s.output = nil }
-
-// appendOuts concatenates per-server compute outputs into buf in server
-// order, sizing the allocation once.
-func appendOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if cap(buf) < total {
-		buf = make([]data.Tuple, 0, total)
-	}
-	buf = buf[:0]
-	for _, o := range outs {
-		buf = append(buf, o...)
-	}
-	return buf
-}
 
 // grow returns buf resized to n with every element zeroed, reusing the
 // backing array when capacity allows.
@@ -266,14 +243,15 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 	var res Result
 	if plan.Local != nil && !cfg.SkipCompute {
 		outs := make([][]data.Tuple, plan.Virtual)
-		if err := rt.driveCompute(plan.Strategy, outs, plan.Local); err != nil {
+		err := rt.driveCompute(plan.Strategy, 0, func(s *mpc.Server) { outs[s.ID] = plan.Local(s) })
+		if err != nil {
 			return Result{}, err
 		}
 		var buf []data.Tuple
 		if cfg.Scratch != nil {
 			buf = cfg.Scratch.output
 		}
-		res.Output = appendOuts(buf, outs)
+		res.Output = mpc.ConcatOuts(buf, outs)
 		if cfg.Scratch != nil {
 			cfg.Scratch.output = res.Output
 		}

@@ -185,7 +185,8 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 		if cfg.SkipCompute && i == len(pl.Stages)-1 {
 			local = func(*mpc.Server) *data.Relation { return nil }
 		}
-		if err := rt.driveComputeResident(pl.Strategy, i, local); err != nil {
+		err := rt.driveCompute(pl.Strategy, i, func(s *mpc.Server) { s.Install(local(s)) })
+		if err != nil {
 			return PipelineResult{}, err
 		}
 		for id, sv := range cluster.Servers {

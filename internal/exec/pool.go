@@ -145,6 +145,3 @@ func (cp *ClusterPool) Stats() PoolStats {
 // sharedClusters serves every Run/RunPipeline without an explicit
 // Config.Clusters pool.
 var sharedClusters ClusterPool
-
-// SharedPoolStats reports the process-wide shared pool's occupancy.
-func SharedPoolStats() PoolStats { return sharedClusters.Stats() }

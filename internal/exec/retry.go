@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/hashing"
 	"repro/internal/mpc"
 )
@@ -161,11 +160,7 @@ func (r *Recovery) Add(other Recovery) {
 	r.Backoff += other.Backoff
 }
 
-// retrier tracks one execution's shared recovery budget. The recovery it
-// performs is sound only on the transactional sharded engine (the
-// executor's pooled clusters always use it); the legacy channel engine
-// delivers partially on a torn round, so replaying there would
-// double-deliver.
+// retrier tracks one execution's shared recovery budget.
 type retrier struct {
 	cfg     *Config
 	cluster *mpc.Cluster
@@ -226,28 +221,14 @@ func (r *retrier) driveRound(replays *int, round func() error) error {
 	}
 }
 
-// driveCompute runs one gather-style compute phase, re-running only the
-// failing servers until the phase is clean or the budget is spent.
-func (r *retrier) driveCompute(strategy string, outs [][]data.Tuple, local func(s *mpc.Server) []data.Tuple) error {
-	failed := r.cluster.ComputeGather(outs, local)
-	for len(failed) > 0 {
-		if !r.allow() {
-			return fmt.Errorf("exec: %s: %d server(s) failed compute: %w", strategy, len(failed), mpc.ErrComputeFailed)
-		}
-		if werr := r.wait(); werr != nil {
-			return werr
-		}
-		r.rec.ServersRecomputed += len(failed)
-		failed = r.cluster.RecomputeGather(outs, failed, local)
-	}
-	return nil
-}
-
-// driveComputeResident is driveCompute for resident-style compute: failed
-// servers keep their input fragments, so the recompute re-runs the pure
-// per-server function against unchanged state.
-func (r *retrier) driveComputeResident(strategy string, stage int, local func(s *mpc.Server) *data.Relation) error {
-	failed := r.cluster.ComputeResidentRecover(local)
+// driveCompute runs one compute phase — body on every server — re-running
+// only the failing servers until the phase is clean or the budget is spent.
+// Compute is a pure function of a server's fragments and a failed server
+// never ran body (its inputs are untouched), so the re-run sees unchanged
+// state while the survivors' results stand. strategy and stage (0 for a
+// one-round plan) name the phase in the budget-exhausted error.
+func (r *retrier) driveCompute(strategy string, stage int, body func(s *mpc.Server)) error {
+	failed := r.cluster.ComputeOn(nil, body)
 	for len(failed) > 0 {
 		if !r.allow() {
 			return fmt.Errorf("exec: %s stage %d: %d server(s) failed compute: %w", strategy, stage, len(failed), mpc.ErrComputeFailed)
@@ -256,7 +237,7 @@ func (r *retrier) driveComputeResident(strategy string, stage int, local func(s 
 			return werr
 		}
 		r.rec.ServersRecomputed += len(failed)
-		failed = r.cluster.RecomputeResident(failed, local)
+		failed = r.cluster.ComputeOn(failed, body)
 	}
 	return nil
 }

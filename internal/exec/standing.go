@@ -132,13 +132,15 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 	// (overlapping §4.2 bin combinations) carry their true multiplicity
 	// and later retractions retire them one derivation at a time.
 	outs := make([][]data.Tuple, plan.Virtual)
-	if err := rt.driveCompute("standing: "+plan.Strategy, outs, plan.Local); err != nil {
+	err = rt.driveCompute("standing: "+plan.Strategy, 0, func(sv *mpc.Server) { outs[sv.ID] = plan.Local(sv) })
+	if err != nil {
 		return nil, err
 	}
-	out := appendOuts(nil, outs)
-	for _, t := range out {
-		s.counted.Add(t, 1)
-		s.derivations++
+	for _, out := range outs {
+		for _, t := range out {
+			s.counted.Add(t, 1)
+			s.derivations++
+		}
 	}
 	// Freeze each server's fragments as resident indexes.
 	s.residents = make([]*mpc.Resident, plan.Virtual)

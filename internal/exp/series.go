@@ -124,7 +124,7 @@ func FigureResilience(s Scale) []Series {
 	return []Series{eq, hash, ref}
 }
 
-// Figures lists the series generators by name for cmd/sweep.
+// Figures lists the series generators by name for skewbench -fig.
 func Figures() map[string]func(Scale) []Series {
 	return map[string]func(Scale) []Series{
 		"load-vs-p":    FigureLoadVsP,

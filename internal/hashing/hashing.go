@@ -111,13 +111,6 @@ func (g *Grid) Coords(t data.Tuple) []int {
 	return c
 }
 
-// HashDim hashes a single value with the dim-th function of the family
-// into that dimension's share count. HyperCube routing uses this to fix the
-// coordinates of a tuple's own variables.
-func (g *Grid) HashDim(dim int, value int64) int {
-	return g.family.Hash(dim, value, g.Shares[dim])
-}
-
 // Bucket returns the linearized bucket index of a full tuple.
 func (g *Grid) Bucket(t data.Tuple) int {
 	b := 0

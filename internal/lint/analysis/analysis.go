@@ -60,26 +60,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// FileOf returns the *ast.File containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// InTestFile reports whether pos lies in a _test.go file of the pass.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	for i, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return i < len(p.IsTest) && p.IsTest[i]
-		}
-	}
-	return false
-}
-
 // Diagnostic is one finding: a position in the pass's FileSet plus a
 // human-readable message. Category is the analyzer name (filled in by the
 // driver) so multichecker output and directive suppression key off it.

@@ -186,10 +186,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"ctxflow", "repro/internal/core", CtxFlow},
 		{"scratchescape", "repro/internal/owner", ScratchEscape},
 		{"errwrap", "repro/internal/taxo", ErrWrap},
-		{"shadow", "repro/internal/sh", Shadow},
-		{"copylocks", "repro/internal/cl", CopyLocks},
-		{"unusedwrite", "repro/internal/uw", UnusedWrite},
-		{"nilness", "repro/internal/nil", Nilness},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

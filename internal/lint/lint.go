@@ -4,8 +4,7 @@
 // pooled-scratch escape discipline, and the typed error taxonomy — into
 // mechanically enforced invariants. Each invariant is one analyzer on the
 // framework in internal/lint/analysis; cmd/skewlint is the multichecker
-// that runs them over `go list` patterns (and speaks the `go vet -vettool`
-// protocol). See DESIGN.md, "Static analysis".
+// that runs them over `go list` patterns. See DESIGN.md, "Static analysis".
 //
 // Suppression is explicit and audited: a `//skewlint:allow <analyzer>
 // [reason]` comment on (or directly above) the offending line waives that
@@ -25,8 +24,8 @@ import (
 	"repro/internal/lint/load"
 )
 
-// Analyzers returns the five invariant analyzers the suite was built
-// around, in stable order.
+// Analyzers returns the five invariant analyzers — everything cmd/skewlint
+// runs — in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoDeterminismBreak,
@@ -37,28 +36,10 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// Extra returns the standard-analyzer ports (checks `go vet` does not run
-// by default) the suite also carries: shadow, copylocks (beyond vet's
-// default surface), unusedwrite, and nilness — reimplemented on the local
-// framework because x/tools is not vendored.
-func Extra() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Shadow,
-		CopyLocks,
-		UnusedWrite,
-		Nilness,
-	}
-}
-
-// All returns every analyzer cmd/skewlint runs by default.
-func All() []*analysis.Analyzer {
-	return append(Analyzers(), Extra()...)
-}
-
 // ByName resolves a comma-separated analyzer list; unknown names error.
 func ByName(names string) ([]*analysis.Analyzer, error) {
 	index := map[string]*analysis.Analyzer{}
-	for _, a := range All() {
+	for _, a := range Analyzers() {
 		index[a.Name] = a
 	}
 	var out []*analysis.Analyzer

@@ -27,8 +27,7 @@
 // scratch lives on the Cluster, so a pooled cluster serving repeated
 // rounds stops allocating at steady state. Within a fragment the arrival
 // order of slabs depends on worker interleaving: delivered fragments are
-// deterministic as multisets, not as sequences (the channel engine behaved
-// the same way).
+// deterministic as multisets, not as sequences.
 package mpc
 
 import (

@@ -1,8 +1,10 @@
 package mpc
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,8 +107,57 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 	}
 }
 
-// runEngines routes db (plus an optional resident shuffle) through both
-// communication engines and asserts equivalence.
+// referenceRound is the oracle the delivery engine is differentially tested
+// against: the communication phase exactly as the model states it, serially
+// on the calling goroutine. Every tuple is routed through Destinations alone
+// (no ColumnRouter, spans, slabs, mailboxes or workers), duplicate
+// destinations are dropped through a per-tuple set, and each surviving
+// (tuple, server) pair is one appended row plus BitsPerTuple of load.
+func referenceRound(c *Cluster, router Router, rels ...*data.Relation) error {
+	for _, rel := range rels {
+		for row := 0; row < rel.Size(); row++ {
+			tu := rel.Tuple(row)
+			seen := map[int]bool{}
+			for _, server := range router.Destinations(rel.Name, tu, nil) {
+				if seen[server] {
+					continue
+				}
+				seen[server] = true
+				if server < 0 || server >= c.P {
+					return fmt.Errorf("reference: destination %d out of range [0,%d)", server, c.P)
+				}
+				s := c.Servers[server]
+				frag, ok := s.Received[rel.Name]
+				if !ok {
+					frag = data.NewRelation(rel.Name, rel.Arity, rel.Domain)
+					s.Received[rel.Name] = frag
+				}
+				frag.Add(tu...)
+				s.BitsIn += rel.BitsPerTuple()
+				s.TuplesIn++
+			}
+		}
+	}
+	return nil
+}
+
+// referenceShuffle is the oracle for ShuffleResident: detach the named
+// fragments from every server, then deliver them like any other relations.
+func referenceShuffle(c *Cluster, router Router, names ...string) error {
+	var moved []*data.Relation
+	for _, s := range c.Servers {
+		for _, name := range names {
+			if frag, ok := s.Received[name]; ok {
+				delete(s.Received, name)
+				moved = append(moved, frag)
+			}
+		}
+	}
+	return referenceRound(c, router, moved...)
+}
+
+// runEngines routes db (plus a resident shuffle) through the sharded engine
+// and the serial reference delivery and asserts equivalence.
 func runEngines(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -114,30 +165,32 @@ func runEngines(t *testing.T, seed uint64) {
 	p := 1 + rng.Intn(40)
 	router := fuzzRouter(p, seed)
 
-	channel := NewCluster(p)
-	channel.Comm = ChannelComm
-	channel.Senders = 1 + rng.Intn(12)
-	if err := channel.Round(db, router); err != nil {
-		t.Fatalf("channel engine: %v", err)
+	reference := NewCluster(p)
+	var rels []*data.Relation
+	for _, name := range db.Names() {
+		rels = append(rels, db.Relations[name])
+	}
+	if err := referenceRound(reference, router, rels...); err != nil {
+		t.Fatalf("reference delivery: %v", err)
 	}
 	sharded := NewCluster(p)
 	sharded.Senders = 1 + rng.Intn(12)
 	if err := sharded.Round(db, router); err != nil {
 		t.Fatalf("sharded engine: %v", err)
 	}
-	assertClustersEquivalent(t, channel, sharded)
+	assertClustersEquivalent(t, reference, sharded)
 
 	// A resident shuffle through a second pure router must also agree
 	// (exercises fragment chunking on whatever skew the first round made).
 	router2 := fuzzRouter(p, seed^0x9e3779b97f4a7c15)
 	names := db.Names()
-	if err := channel.ShuffleResident(router2, names...); err != nil {
-		t.Fatalf("channel shuffle: %v", err)
+	if err := referenceShuffle(reference, router2, names...); err != nil {
+		t.Fatalf("reference shuffle: %v", err)
 	}
 	if err := sharded.ShuffleResident(router2, names...); err != nil {
 		t.Fatalf("sharded shuffle: %v", err)
 	}
-	assertClustersEquivalent(t, channel, sharded)
+	assertClustersEquivalent(t, reference, sharded)
 }
 
 // TestEnginesEquivalent pins a spread of deterministic seeds; the fuzz
@@ -148,10 +201,11 @@ func TestEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// FuzzCommunicateEngines differentially fuzzes the sharded zero-channel
-// engine against the legacy channel engine: identical per-server loads and
-// identical delivered fragments as multisets on random databases and
-// routers (delivery order within a fragment is explicitly unspecified).
+// FuzzCommunicateEngines differentially fuzzes the sharded engine against
+// the serial reference delivery: identical per-server loads and identical
+// delivered fragments as multisets on random databases and routers, after a
+// round and after a resident shuffle (delivery order within a fragment is
+// explicitly unspecified).
 func FuzzCommunicateEngines(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 20, 0xdeadbeef} {
 		f.Add(seed)
@@ -159,6 +213,56 @@ func FuzzCommunicateEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		runEngines(t, seed)
 	})
+}
+
+// TestReferenceDeliveryByHand pins the oracle itself (and the engine beside
+// it) to a case small enough to write out: S = {1, 2, 5} over domain 8
+// (3 bits per tuple), two servers, and a router that names v mod 2 twice
+// around server 1.
+//
+//	1 → [1 1 1] → {1}      2 → [0 1 0] → {0, 1}      5 → [1 1 1] → {1}
+//
+// Server 0 receives {2}: 1 tuple, 3 bits. Server 1 receives {1, 2, 5}:
+// 3 tuples, 9 bits. Four deliveries for nine named destinations.
+func TestReferenceDeliveryByHand(t *testing.T) {
+	rel := data.NewRelation("S", 1, 8)
+	for _, v := range []int64{1, 2, 5} {
+		rel.Add(v)
+	}
+	db := data.NewDatabase()
+	db.Put(rel)
+	router := RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
+		return append(dst, int(tu[0]%2), 1, int(tu[0]%2))
+	})
+	reference := NewCluster(2)
+	if err := referenceRound(reference, router, rel); err != nil {
+		t.Fatal(err)
+	}
+	engine := NewCluster(2)
+	if err := engine.Round(db, router); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		bits, tuples int64
+		values       []int64
+	}{
+		{bits: 3, tuples: 1, values: []int64{2}},
+		{bits: 9, tuples: 3, values: []int64{1, 2, 5}},
+	}
+	for _, c := range []*Cluster{reference, engine} {
+		for id, w := range want {
+			s := c.Servers[id]
+			if s.BitsIn != w.bits || s.TuplesIn != w.tuples {
+				t.Errorf("server %d load = (%d bits, %d tuples), want (%d, %d)", id, s.BitsIn, s.TuplesIn, w.bits, w.tuples)
+			}
+			if len(s.Received) != 1 || s.Fragment("S") == nil {
+				t.Fatalf("server %d holds %d fragments, want exactly S", id, len(s.Received))
+			}
+			if got := sortedFragment(s.Fragment("S")).Column(0); !slices.Equal(got, w.values) {
+				t.Errorf("server %d fragment = %v, want %v", id, got, w.values)
+			}
+		}
+	}
 }
 
 func TestShardedOutOfRangeReportsError(t *testing.T) {
@@ -339,9 +443,9 @@ func TestDedupSetShrinksAfterWideBroadcast(t *testing.T) {
 	}
 }
 
-// TestShardedGoroutineBound asserts the sharded engine's goroutine count
-// stays O(GOMAXPROCS) even with hundreds of virtual servers — the channel
-// engine would spawn one receiver per server plus one sender per part.
+// TestShardedGoroutineBound asserts the engine's goroutine count stays
+// O(GOMAXPROCS) even with hundreds of virtual servers — never one receiver
+// per server plus one sender per part.
 func TestShardedGoroutineBound(t *testing.T) {
 	db := singleRel(5000)
 	c := NewCluster(512)
@@ -377,9 +481,9 @@ func TestShardedGoroutineBound(t *testing.T) {
 	}
 }
 
-// TestComputeAppendReusesBuffer checks the preallocated concatenation and
+// TestConcatOutsReusesBuffer checks the preallocated concatenation and
 // capacity reuse of the local-computation gather.
-func TestComputeAppendReusesBuffer(t *testing.T) {
+func TestConcatOutsReusesBuffer(t *testing.T) {
 	c := NewCluster(6)
 	f := func(s *Server) []data.Tuple {
 		out := make([]data.Tuple, 0, s.ID)
@@ -401,11 +505,15 @@ func TestComputeAppendReusesBuffer(t *testing.T) {
 			t.Fatalf("outputs out of server order at %d: %v then %v", i, out1[i-1], out1[i])
 		}
 	}
-	out2 := c.ComputeAppend(out1, f)
+	outs := make([][]data.Tuple, c.P)
+	if failed := c.ComputeGather(outs, f); len(failed) != 0 {
+		t.Fatalf("fault-free ComputeGather failed servers %v", failed)
+	}
+	out2 := ConcatOuts(out1, outs)
 	if len(out2) != 15 {
-		t.Fatalf("ComputeAppend returned %d tuples", len(out2))
+		t.Fatalf("ConcatOuts returned %d tuples", len(out2))
 	}
 	if &out1[0] != &out2[0] {
-		t.Error("ComputeAppend did not reuse the supplied buffer's backing array")
+		t.Error("ConcatOuts did not reuse the supplied buffer's backing array")
 	}
 }

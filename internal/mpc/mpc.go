@@ -133,21 +133,17 @@ type Server struct {
 // empty but never nil after a round that routed that relation).
 func (s *Server) Fragment(name string) *data.Relation { return s.Received[name] }
 
-// CommEngine selects the communication-phase implementation.
-type CommEngine int
-
-const (
-	// ShardedComm is the default zero-channel engine: a bounded worker
-	// pool routes send parts into dense per-destination slab tables and
-	// publishes full slabs to per-receiver mailboxes, which a second
-	// bounded pass drains (see comm.go).
-	ShardedComm CommEngine = iota
-	// ChannelComm is the legacy engine — one goroutine per send part, one
-	// receiver goroutine and buffered channel per server — kept as a
-	// reference implementation for differential tests and the commbench
-	// baseline (see channels.go).
-	ChannelComm
-)
+// Install makes out the server's sole resident fragment (under the
+// relation's own name), dropping every fragment it held; a nil out leaves
+// the server empty. Resident-style compute bodies end with it: between
+// pipeline stages each server holds exactly its share of the current
+// intermediate, ready to be moved by ShuffleResident.
+func (s *Server) Install(out *data.Relation) {
+	clear(s.Received)
+	if out != nil {
+		s.Received[out.Name] = out
+	}
+}
 
 // Cluster is a set of p MPC servers. A cluster is reusable: Resize
 // re-targets it to a different server count while retaining every server
@@ -162,9 +158,6 @@ type Cluster struct {
 	// granularity only — the goroutine count is bounded by GOMAXPROCS —
 	// and never affects where tuples are delivered.
 	Senders int
-	// Comm selects the communication engine; the zero value is the
-	// sharded zero-channel engine.
-	Comm CommEngine
 	// ResidentChunk caps the rows one send part carries out of a resident
 	// fragment in ShuffleResident; defaults to DefaultResidentChunkTuples
 	// when zero. Like Senders it controls work granularity only, never
@@ -173,9 +166,8 @@ type Cluster struct {
 	// Ctx, when non-nil, is checked at in-round checkpoints: sharded route
 	// workers test it per claimed send part, so canceling mid-round aborts
 	// the round instead of running it to completion. The round returns the
-	// context's error; the sharded engine discards its staged deliveries,
-	// leaving fragments untouched, while the legacy channel engine (which
-	// does not checkpoint) may have delivered partially.
+	// context's error and the engine discards its staged deliveries, leaving
+	// fragments and load counters untouched.
 	Ctx context.Context
 	// Faults, when non-nil, injects the seeded fault schedule (torn rounds,
 	// failed compute, stragglers); see Faults. Executors set it per run and
@@ -207,8 +199,7 @@ type Cluster struct {
 	phaseAttempt uint64
 	// faultMu/faultErr record the first injected compute failure of the
 	// current execution; TakeFault surfaces and clears it. faultMu also
-	// guards the failed-server lists the gather/resident compute variants
-	// collect.
+	// guards the failed-server list ComputeOn collects.
 	faultMu  sync.Mutex
 	faultErr error
 }
@@ -340,11 +331,10 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 		}
 	}
 	err := c.communicate(parts, router)
-	if err != nil && c.Comm != ChannelComm {
-		// The sharded engine discarded the round wholesale, so re-attaching
-		// the outgoing fragments restores the exact pre-round state and the
-		// shuffle can simply be re-driven. (The channel engine delivered
-		// partially; restoring would double-count, so its callers Reset.)
+	if err != nil {
+		// The engine discarded the round wholesale, so re-attaching the
+		// outgoing fragments restores the exact pre-round state and the
+		// shuffle can simply be re-driven.
 		for _, d := range moved {
 			d.s.Received[d.frag.Name] = d.frag
 		}
@@ -381,15 +371,12 @@ func appendChunkedParts(parts []sendPart, rel *data.Relation, chunk int) []sendP
 // executor calls this after a torn round before re-driving it.
 func (c *Cluster) MarkReplay() { c.replayRound = true }
 
-// communicate dispatches the communication phase to the selected engine,
-// applying the torn-round fault (only a prefix of the parts arrives)
-// engine-independently. Under the sharded engine the round is a
-// transaction: routed slabs are staged in mailboxes and committed into
-// receiver fragments only once every part of the round has arrived; a torn
-// round (or a mid-round context cancellation) discards the staged state
-// wholesale, leaving fragments and load counters bit-identical to the
-// pre-round state. The legacy channel engine delivers as it routes and
-// keeps its non-transactional semantics.
+// communicate runs one communication phase as a transaction: routed slabs
+// are staged in mailboxes and committed into receiver fragments only once
+// every part of the round has arrived. A torn round (the injected fault:
+// only a prefix of the parts arrives) or a mid-round context cancellation
+// discards the staged state wholesale, leaving fragments and load counters
+// bit-identical to the pre-round state.
 func (c *Cluster) communicate(parts []sendPart, router Router) error {
 	if len(parts) == 0 {
 		c.replayRound = false
@@ -410,23 +397,6 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		}
 	}
 	c.replayRound = false
-	tornErr := func() error {
-		return fmt.Errorf("mpc: round %d attempt %d delivered %d of %d parts: %w",
-			c.curRound, c.curAttempt, len(parts), total, ErrTornRound)
-	}
-	if c.Comm == ChannelComm {
-		var err error
-		if len(parts) > 0 {
-			err = c.communicateChannels(parts, router)
-		}
-		if err != nil {
-			return err
-		}
-		if torn {
-			return tornErr()
-		}
-		return nil
-	}
 	var err error
 	if len(parts) > 0 {
 		err = c.stageSharded(parts, router)
@@ -436,7 +406,8 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		if err != nil {
 			return err
 		}
-		return tornErr()
+		return fmt.Errorf("mpc: round %d attempt %d delivered %d of %d parts: %w",
+			c.curRound, c.curAttempt, len(parts), total, ErrTornRound)
 	}
 	c.commitStaged()
 	return nil
@@ -452,183 +423,112 @@ func (c *Cluster) TakeFault() error {
 	return err
 }
 
-// reportFault records the first injected compute failure of the execution.
-func (c *Cluster) reportFault(err error) {
+// reportComputeFault records server id's injected failure in the current
+// compute phase, if it is the execution's first.
+func (c *Cluster) reportComputeFault(id int) {
 	c.faultMu.Lock()
 	if c.faultErr == nil {
-		c.faultErr = err
+		c.faultErr = fmt.Errorf("mpc: compute phase %d, server %d: %w", c.curPhase, id, ErrComputeFailed)
 	}
 	c.faultMu.Unlock()
 }
 
-// eachServer runs f(worker, server) over every server from a bounded pool
-// of min(GOMAXPROCS, P) goroutines claiming servers off a shared counter —
-// local computation and delivery must not spawn Θ(Virtual) goroutines the
-// way the channel engine did.
-func (c *Cluster) eachServer(f func(worker int, s *Server)) {
-	workers := min(runtime.GOMAXPROCS(0), c.P)
-	if workers <= 1 {
-		for _, s := range c.Servers {
-			f(0, s)
+// ComputeOn is the one local-computation driver. With a nil ids it opens a
+// new compute phase and runs body on every server; with a non-nil ids it
+// runs body on exactly those servers as the next attempt of the current
+// phase — compute is a pure function of a server's fragments, so a phase
+// that lost servers re-runs only those while the survivors' results stand.
+// A server whose compute fails under the injected schedule never sees body
+// (its fragments stay untouched); the failed IDs are returned in ascending
+// order. Servers are claimed off a shared counter by a bounded pool of
+// min(GOMAXPROCS, servers) goroutines, never Θ(Virtual) of them. Load
+// counters are untouched: local computation is free in the MPC model.
+func (c *Cluster) ComputeOn(ids []int, body func(s *Server)) []int {
+	var flt *Faults
+	if f := c.Faults; f != nil && f.ComputeFail > 0 {
+		flt = f
+		if ids == nil {
+			c.curPhase, c.phaseAttempt = f.nextComputePhase(), 1
+		} else {
+			c.phaseAttempt++
 		}
-		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= c.P {
-					return
-				}
-				f(w, c.Servers[i])
-			}
-		}(w)
+	n := c.P
+	if ids != nil {
+		n = len(ids)
 	}
-	wg.Wait()
-}
-
-// eachIn runs f over exactly the given server IDs from a bounded pool, the
-// subset analogue of eachServer — recompute after a partial compute failure
-// touches only the failed servers.
-func (c *Cluster) eachIn(ids []int, f func(s *Server)) {
-	workers := min(runtime.GOMAXPROCS(0), len(ids))
-	if workers <= 1 {
-		for _, id := range ids {
-			f(c.Servers[id])
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				f(c.Servers[ids[i]])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ComputeResident runs f on every server and installs the returned relation
-// as the server's sole resident fragment (under the relation's own name); a
-// nil return leaves the server empty. The round's input fragments are
-// dropped either way — between pipeline stages each server holds exactly
-// its share of the current intermediate, ready to be moved by
-// ShuffleResident. Load counters are untouched: local computation is free
-// in the MPC model.
-//
-// An injected compute failure is recorded via TakeFault and the failed
-// server is left empty, as before this engine grew recovery: callers that
-// want to re-run just the failed servers use ComputeResidentRecover.
-func (c *Cluster) ComputeResident(f func(s *Server) *data.Relation) {
-	for _, id := range c.ComputeResidentRecover(f) {
-		c.reportFault(fmt.Errorf("mpc: compute phase %d, server %d: %w", c.curPhase, id, ErrComputeFailed))
-		clear(c.Servers[id].Received)
-	}
-}
-
-// ComputeResidentRecover is ComputeResident built for recovery: a server
-// whose compute fails under the injected schedule keeps its input
-// fragments untouched (and installs nothing), and the failed server IDs
-// are returned in ascending order — compute is a pure function of the
-// server's fragments, so the caller re-runs exactly those servers with
-// RecomputeResident while successful servers' outputs stand.
-func (c *Cluster) ComputeResidentRecover(f func(s *Server) *data.Relation) []int {
-	flt, phase, attempt := c.computePhaseFaults()
-	return c.computeResidentOn(nil, flt, phase, attempt, f)
-}
-
-// RecomputeResident re-runs f on exactly the given servers as the next
-// attempt of the most recent compute phase, with ComputeResidentRecover's
-// semantics; other servers are untouched. It returns the servers that
-// failed again.
-func (c *Cluster) RecomputeResident(ids []int, f func(s *Server) *data.Relation) []int {
-	flt, phase, attempt := c.recomputePhaseFaults()
-	return c.computeResidentOn(ids, flt, phase, attempt, f)
-}
-
-// computeResidentOn runs the resident-compute body over all servers (ids
-// nil) or a subset, collecting injected failures.
-func (c *Cluster) computeResidentOn(ids []int, flt *Faults, phase, attempt uint64, f func(s *Server) *data.Relation) []int {
 	var failed []int
-	body := func(s *Server) {
-		if flt != nil && flt.WouldFailComputeAttempt(phase, attempt, s.ID) {
+	run := func(i int) {
+		if ids != nil {
+			i = ids[i]
+		}
+		s := c.Servers[i]
+		if flt != nil && flt.WouldFailComputeAttempt(c.curPhase, c.phaseAttempt, s.ID) {
 			c.faultMu.Lock()
 			failed = append(failed, s.ID)
 			c.faultMu.Unlock()
 			return
 		}
-		out := f(s)
-		clear(s.Received)
-		if out != nil {
-			s.Received[out.Name] = out
-		}
+		body(s)
 	}
-	if ids == nil {
-		c.eachServer(func(_ int, s *Server) { body(s) })
+	if workers := min(runtime.GOMAXPROCS(0), n); workers > 1 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					run(i)
+				}
+			}()
+		}
+		wg.Wait()
 	} else {
-		c.eachIn(ids, body)
+		for i := 0; i < n; i++ {
+			run(i)
+		}
 	}
 	sort.Ints(failed)
 	return failed
 }
 
-// computePhaseFaults opens a new compute phase and resolves its fault
-// schedule: non-nil with the phase's event number and attempt 1 when
-// compute failures are armed.
-func (c *Cluster) computePhaseFaults() (*Faults, uint64, uint64) {
-	if f := c.Faults; f != nil && f.ComputeFail > 0 {
-		c.curPhase = f.nextComputePhase()
-		c.phaseAttempt = 1
-		return f, c.curPhase, 1
-	}
-	return nil, 0, 0
+// ComputeGather is gather-style compute: f runs on every server and its
+// output lands at outs[s.ID]; outs must have length P. Failed servers leave
+// their entry untouched and are returned for ComputeOn to re-run. Input
+// fragments are never consumed.
+func (c *Cluster) ComputeGather(outs [][]data.Tuple, f func(s *Server) []data.Tuple) []int {
+	return c.ComputeOn(nil, func(s *Server) { outs[s.ID] = f(s) })
 }
 
-// recomputePhaseFaults advances the attempt of the current compute phase
-// for a failed-server re-run.
-func (c *Cluster) recomputePhaseFaults() (*Faults, uint64, uint64) {
-	if f := c.Faults; f != nil && f.ComputeFail > 0 {
-		c.phaseAttempt++
-		return f, c.curPhase, c.phaseAttempt
+// ComputeResident is resident-style compute without recovery: f runs on
+// every server and its result is installed as the server's sole resident
+// fragment (see Server.Install). An injected compute failure is recorded
+// for TakeFault and the failed server is left empty; callers that recover
+// drive ComputeOn themselves.
+func (c *Cluster) ComputeResident(f func(s *Server) *data.Relation) {
+	for _, id := range c.ComputeOn(nil, func(s *Server) { s.Install(f(s)) }) {
+		c.reportComputeFault(id)
+		clear(c.Servers[id].Received)
 	}
-	return nil, 0, 0
 }
 
-// Compute runs f on every server (the local-computation phase) and returns
-// the concatenated outputs in server order.
+// Compute runs f on every server and returns the concatenated outputs in
+// server order. Injected compute failures are recorded for TakeFault; the
+// failed servers contribute no output.
 func (c *Cluster) Compute(f func(s *Server) []data.Tuple) []data.Tuple {
-	return c.ComputeAppend(nil, f)
-}
-
-// ComputeAppend is Compute concatenating into buf: per-server output
-// lengths are summed first so the result is allocated (or buf's capacity
-// reused) exactly once. buf's contents are discarded; the returned slice
-// reuses buf's backing array when it is large enough. Injected compute
-// failures are recorded via TakeFault; the failed servers contribute no
-// output.
-func (c *Cluster) ComputeAppend(buf []data.Tuple, f func(s *Server) []data.Tuple) []data.Tuple {
 	outs := make([][]data.Tuple, c.P)
 	for _, id := range c.ComputeGather(outs, f) {
-		c.reportFault(fmt.Errorf("mpc: compute phase %d, server %d: %w", c.curPhase, id, ErrComputeFailed))
+		c.reportComputeFault(id)
 	}
-	return concatOuts(buf, outs)
+	return ConcatOuts(nil, outs)
 }
 
-// concatOuts concatenates per-server outputs into buf in server order,
-// allocating at most once.
-func concatOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
+// ConcatOuts concatenates per-server compute outputs into buf in server
+// order. The lengths are summed first so the result is allocated exactly
+// once — or not at all when buf's capacity suffices; buf's contents are
+// discarded.
+func ConcatOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
 	total := 0
 	for _, o := range outs {
 		total += len(o)
@@ -643,48 +543,6 @@ func concatOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
 	return buf
 }
 
-// ComputeGather runs f on every server (the local-computation phase),
-// storing each server's output at outs[s.ID]; outs must have length P.
-// Servers whose compute fails under the injected schedule leave their outs
-// entry untouched, and the failed IDs are returned in ascending order so
-// the caller can re-run exactly those servers with RecomputeGather. Input
-// fragments are never consumed — gather-style compute leaves s.Received
-// alone on success and failure alike.
-func (c *Cluster) ComputeGather(outs [][]data.Tuple, f func(s *Server) []data.Tuple) []int {
-	flt, phase, attempt := c.computePhaseFaults()
-	return c.computeGatherOn(nil, outs, flt, phase, attempt, f)
-}
-
-// RecomputeGather re-runs f on exactly the given servers as the next
-// attempt of the most recent compute phase, storing outputs at outs[s.ID];
-// other entries are untouched. It returns the servers that failed again.
-func (c *Cluster) RecomputeGather(outs [][]data.Tuple, ids []int, f func(s *Server) []data.Tuple) []int {
-	flt, phase, attempt := c.recomputePhaseFaults()
-	return c.computeGatherOn(ids, outs, flt, phase, attempt, f)
-}
-
-// computeGatherOn runs the gather-compute body over all servers (ids nil)
-// or a subset, collecting injected failures.
-func (c *Cluster) computeGatherOn(ids []int, outs [][]data.Tuple, flt *Faults, phase, attempt uint64, f func(s *Server) []data.Tuple) []int {
-	var failed []int
-	body := func(s *Server) {
-		if flt != nil && flt.WouldFailComputeAttempt(phase, attempt, s.ID) {
-			c.faultMu.Lock()
-			failed = append(failed, s.ID)
-			c.faultMu.Unlock()
-			return
-		}
-		outs[s.ID] = f(s)
-	}
-	if ids == nil {
-		c.eachServer(func(_ int, s *Server) { body(s) })
-	} else {
-		c.eachIn(ids, body)
-	}
-	sort.Ints(failed)
-	return failed
-}
-
 // LoadSummary aggregates per-server loads after one or more Round calls.
 type LoadSummary struct {
 	MaxBits     int64
@@ -693,7 +551,7 @@ type LoadSummary struct {
 	TotalTuples int64
 	P           int
 	// Replication is TotalBits divided by the input size in bits; callers
-	// supply the input size to FinishReplication.
+	// supply the input size to WithReplication.
 	Replication float64
 }
 
@@ -721,6 +579,36 @@ func (s LoadSummary) WithReplication(inputBits int64) LoadSummary {
 		s.Replication = float64(s.TotalBits) / float64(inputBits)
 	}
 	return s
+}
+
+// GiniCoefficient returns the Gini index of the per-server bit loads: 0
+// for perfectly balanced, approaching 1 when one server holds everything.
+// A direct scalar for "how skewed did the communication end up".
+func (c *Cluster) GiniCoefficient() float64 {
+	n := len(c.Servers)
+	if n == 0 {
+		return 0
+	}
+	loads := make([]int64, n)
+	var total int64
+	for i, s := range c.Servers {
+		loads[i] = s.BitsIn
+		total += s.BitsIn
+	}
+	if total == 0 {
+		return 0
+	}
+	// Sort ascending (insertion sort: n is the server count, small).
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && loads[j] < loads[j-1]; j-- {
+			loads[j], loads[j-1] = loads[j-1], loads[j]
+		}
+	}
+	var weighted float64
+	for i, l := range loads {
+		weighted += float64(i+1) * float64(l)
+	}
+	return (2*weighted)/(float64(n)*float64(total)) - float64(n+1)/float64(n)
 }
 
 // Reset clears all fragments and load counters. Received maps are retained

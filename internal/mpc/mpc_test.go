@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -195,55 +194,6 @@ func TestRoundManySendersConsistent(t *testing.T) {
 	l1, l2 := ref.Loads(), c2.Loads()
 	if l1.TotalBits != l2.TotalBits || l1.MaxBits != l2.MaxBits {
 		t.Errorf("sender count changed loads: %+v vs %+v", l1, l2)
-	}
-}
-
-func TestHistogramBalanced(t *testing.T) {
-	db := singleRel(1000)
-	c := NewCluster(10)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%10))
-	}))
-	h := c.Histogram(4)
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != 10 {
-		t.Errorf("histogram counts %v do not sum to p", h)
-	}
-	// Perfectly balanced: every server in the top bucket.
-	if h[3] != 10 {
-		t.Errorf("balanced loads should land in top bucket: %v", h)
-	}
-}
-
-func TestHistogramEmptyCluster(t *testing.T) {
-	c := NewCluster(5)
-	h := c.Histogram(3)
-	if h[0] != 5 {
-		t.Errorf("zero-load histogram = %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewCluster(1).Histogram(0)
-}
-
-func TestRenderHistogram(t *testing.T) {
-	db := singleRel(100)
-	c := NewCluster(4)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, 0) // everything to server 0
-	}))
-	out := c.RenderHistogram(4, 20)
-	if !strings.Contains(out, "servers") || !strings.Contains(out, "#") {
-		t.Errorf("RenderHistogram output:\n%s", out)
 	}
 }
 

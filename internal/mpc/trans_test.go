@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/data"
@@ -229,7 +230,8 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 		}
 		return out
 	}
-	failed := c.ComputeResidentRecover(local)
+	body := func(s *Server) { s.Install(local(s)) }
+	failed := c.ComputeOn(nil, body)
 	if len(failed) == 0 {
 		t.Fatal("schedule promised at least one failing server")
 	}
@@ -238,7 +240,7 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 			t.Fatalf("failed server %d lost its input fragment before recompute", id)
 		}
 	}
-	if again := c.RecomputeResident(failed, local); len(again) != 0 {
+	if again := c.ComputeOn(failed, body); len(again) != 0 {
 		t.Fatalf("recompute attempt 2 still failing servers %v", again)
 	}
 	for id, s := range c.Servers {
@@ -252,6 +254,66 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 		// server — survivor or recovered — computes exactly once.
 		if calls[id] != 1 {
 			t.Fatalf("server %d computed %d times, want 1", id, calls[id])
+		}
+	}
+}
+
+// TestComputeOnGatherRerunsOnlyFailed drives gather-style compute through
+// the one driver: after a phase that lost servers, the next attempt runs the
+// body on exactly the failed IDs, survivors' outs entries are the very
+// slices the first attempt stored, and no input fragment is consumed.
+func TestComputeOnGatherRerunsOnlyFailed(t *testing.T) {
+	mk := func(seed uint64) *Faults { return &Faults{Seed: seed, ComputeFail: 0.3} }
+	seed := findFaultSeed(t, mk, func(f *Faults) bool {
+		n := 0
+		for s := 0; s < 8; s++ {
+			if f.WouldFailComputeAttempt(1, 2, s) {
+				return false
+			}
+			if f.WouldFailComputeAttempt(1, 1, s) {
+				n++
+			}
+		}
+		return n >= 1 && n < 8
+	})
+	c := NewCluster(8)
+	c.Faults = mk(seed)
+	if err := c.Round(singleRel(160), RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+		return append(dst, int(tu[0]%8))
+	})); err != nil {
+		t.Fatal(err)
+	}
+	calls := make([]int, 8)
+	outs := make([][]data.Tuple, 8)
+	body := func(s *Server) {
+		calls[s.ID]++
+		outs[s.ID] = []data.Tuple{{int64(s.ID)}}
+	}
+	failed := c.ComputeOn(nil, body)
+	if len(failed) == 0 || !sort.IntsAreSorted(failed) {
+		t.Fatalf("failed = %v, want a non-empty ascending list", failed)
+	}
+	first := append([][]data.Tuple(nil), outs...)
+	for _, id := range failed {
+		if outs[id] != nil {
+			t.Fatalf("failed server %d wrote an output", id)
+		}
+	}
+	if again := c.ComputeOn(failed, body); len(again) != 0 {
+		t.Fatalf("attempt 2 still failing servers %v", again)
+	}
+	for id, s := range c.Servers {
+		if calls[id] != 1 {
+			t.Fatalf("server %d computed %d times, want 1", id, calls[id])
+		}
+		if len(outs[id]) != 1 || outs[id][0][0] != int64(id) {
+			t.Fatalf("server %d output = %v", id, outs[id])
+		}
+		if first[id] != nil && &first[id][0] != &outs[id][0] {
+			t.Fatalf("survivor %d's output was recomputed", id)
+		}
+		if s.Fragment("S") == nil {
+			t.Fatalf("gather-style compute consumed server %d's input", id)
 		}
 	}
 }

@@ -62,15 +62,6 @@ func VectorFromInts(vals ...int64) Vector {
 	return v
 }
 
-// VectorFromFloats builds a vector from float64 entries (lossless).
-func VectorFromFloats(vals ...float64) Vector {
-	v := make(Vector, len(vals))
-	for i, x := range vals {
-		v[i] = FromFloat(x)
-	}
-	return v
-}
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 
 	"repro/internal/core"
@@ -32,14 +34,6 @@ type Config struct {
 	// replans against current statistics, reporting Result.Replanned.
 	// 0 disables re-planning; values in (0, 1) are rejected by Open.
 	ReplanDriftFactor float64
-	// ClusterPoolDepth bounds the session's warm-cluster pool per size
-	// bucket (0 means the default, 4); see PoolStats.
-	ClusterPoolDepth int
-	// ResidentChunkTuples sets the chunk size (in tuples) for resident
-	// fragment transfers and standing-query seeding; 0 means the tuned
-	// default (see mpc.DefaultResidentChunkTuples and
-	// BenchmarkResidentChunk), negative is rejected by Open.
-	ResidentChunkTuples int
 	// MaxInFlight bounds the Exec calls executing concurrently: excess
 	// calls wait in a FIFO queue (MaxQueue) and beyond that are shed with
 	// ErrOverloaded. 0 means a generous default, max(2×GOMAXPROCS, 8);
@@ -113,8 +107,6 @@ func Open(cfg Config) (*Session, error) {
 		PlanCacheCapacity:    cfg.PlanCacheCapacity,
 		ConsiderMultiRound:   cfg.ConsiderMultiRound,
 		DriftFactor:          cfg.ReplanDriftFactor,
-		ClusterPoolDepth:     cfg.ClusterPoolDepth,
-		ResidentChunkTuples:  cfg.ResidentChunkTuples,
 		BackgroundReplan:     cfg.BackgroundReplan,
 		Faults:               cfg.Faults,
 		Retry:                cfg.Retry,
@@ -231,6 +223,9 @@ func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...Exec
 			opt.apply(&o)
 		}
 	}
+	if err := checkNil(q, db); err != nil {
+		return Result{}, err
+	}
 	if err := s.gate.Enter(ctx); err != nil {
 		return Result{}, err
 	}
@@ -256,6 +251,9 @@ func (s *Session) Standing(ctx context.Context, q *Query, db *Database, opts ...
 			opt.apply(&o)
 		}
 	}
+	if err := checkNil(q, db); err != nil {
+		return nil, err
+	}
 	// The seed is an execution; it passes the admission gate like any Exec
 	// (and a closed session refuses new registrations).
 	if err := s.gate.Enter(ctx); err != nil {
@@ -267,9 +265,26 @@ func (s *Session) Standing(ctx context.Context, q *Query, db *Database, opts ...
 
 // Explain renders the engine's plan analysis for q over db (strategy
 // choice, per-strategy predicted costs, bounds). Like Exec it reads a
-// snapshot epoch, never the database lock.
+// snapshot epoch, never the database lock. Inputs Exec would reject render
+// as that error's text.
 func (s *Session) Explain(q *Query, db *Database) string {
+	if err := checkNil(q, db); err != nil {
+		return "explain: " + err.Error() + "\n"
+	}
 	return s.eng.Explain(q, db.Snapshot())
+}
+
+// checkNil rejects the nil inputs the engine would dereference. Exec and
+// Standing run it before the admission gate, so a malformed call never
+// takes a slot; everything else about q and db is validated by the engine.
+func checkNil(q *Query, db *Database) error {
+	if q == nil {
+		return fmt.Errorf("%w: nil query", core.ErrInvalidQuery)
+	}
+	if db == nil {
+		return errors.New("repro: nil database")
+	}
+	return nil
 }
 
 // CacheStats reports the session's plan-cache counters, including

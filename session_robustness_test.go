@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // spinUntil yields (never sleeps) until cond holds or a bounded number of
@@ -231,5 +234,61 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatalf("compute-fail session: %v, want ErrComputeFailed", err)
 	} else if errors.Is(err, ErrTornRound) {
 		t.Fatalf("compute-fail error also matches ErrTornRound: %v", err)
+	}
+}
+
+// TestSessionRejectsNilInputs: the Session contract is "errors, never
+// panics" — nil queries and databases (and, for Explain, a database missing
+// a relation) come back as errors, and the nil cases are refused before the
+// admission gate, so they never take a slot.
+func TestSessionRejectsNilInputs(t *testing.T) {
+	db := NewDatabase()
+	db.Put(MatchingRelation("S1", 2, 200, 1<<20, 1))
+	db.Put(MatchingRelation("S2", 2, 200, 1<<20, 2))
+	q := Join2Query()
+	s, err := Open(Config{P: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+
+	if _, err := s.Exec(ctx, nil, db); !errors.Is(err, core.ErrInvalidQuery) {
+		t.Errorf("Exec(nil query) = %v, want an error wrapping ErrInvalidQuery", err)
+	}
+	if _, err := s.Exec(ctx, q, nil); err == nil || errors.Is(err, core.ErrInvalidQuery) {
+		t.Errorf("Exec(nil database) = %v, want a plain error", err)
+	}
+	if h, err := s.Standing(ctx, nil, db); h != nil || !errors.Is(err, core.ErrInvalidQuery) {
+		t.Errorf("Standing(nil query) = %v, %v, want an error wrapping ErrInvalidQuery", h, err)
+	}
+	if h, err := s.Standing(ctx, q, nil); h != nil || err == nil || errors.Is(err, core.ErrInvalidQuery) {
+		t.Errorf("Standing(nil database) = %v, %v, want a plain error", h, err)
+	}
+	if st := s.AdmissionStats(); st.Admitted != 0 {
+		t.Errorf("nil inputs consumed admission slots: %+v", st)
+	}
+
+	half := NewDatabase()
+	half.Put(MatchingRelation("S2", 2, 200, 1<<20, 2))
+	for name, got := range map[string]string{
+		"nil query":        s.Explain(nil, db),
+		"nil database":     s.Explain(q, nil),
+		"missing relation": s.Explain(q, half),
+	} {
+		if !strings.HasPrefix(got, "explain: ") {
+			t.Errorf("Explain(%s) = %q, want the error text", name, got)
+		}
+	}
+	if got := s.Explain(q, half); !strings.Contains(got, "missing relation S1") {
+		t.Errorf("Explain(missing relation) = %q, want it to name S1", got)
+	}
+
+	// The session still serves after every rejection.
+	if _, err := s.Exec(ctx, q, db); err != nil {
+		t.Fatalf("valid Exec after rejections: %v", err)
+	}
+	if st := s.AdmissionStats(); st.Admitted != 1 {
+		t.Errorf("Admitted = %d after one valid Exec, want 1", st.Admitted)
 	}
 }

@@ -56,9 +56,6 @@ func TestOpenValidatesConfig(t *testing.T) {
 	if _, err := Open(Config{P: 8, ReplanDriftFactor: 0.5}); err == nil {
 		t.Error("Open accepted drift factor 0.5")
 	}
-	if _, err := Open(Config{P: 8, ClusterPoolDepth: -1}); err == nil {
-		t.Error("Open accepted negative pool depth")
-	}
 	if _, err := Open(Config{P: 8}); err != nil {
 		t.Errorf("Open rejected a valid config: %v", err)
 	}
