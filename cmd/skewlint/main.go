@@ -1,7 +1,7 @@
 // Command skewlint is the repository's invariant multichecker: it runs the
-// five analyzers in internal/lint (nodeterminismbreak, noalloc, ctxflow,
-// scratchescape, errwrap) over go list package patterns. The standard
-// checks are go vet's job; CI runs both.
+// four analyzers in internal/lint (nodeterminismbreak, noalloc, ctxflow,
+// errwrap) over go list package patterns. The standard checks are go vet's
+// job; CI runs both.
 //
 //	go run ./cmd/skewlint ./...
 //	go run ./cmd/skewlint -only noalloc,nodeterminismbreak ./internal/mpc

@@ -97,8 +97,7 @@
 // `go test -bench .` regenerates the paper-versus-measured experiment
 // tables, and `go run ./bench` is the one end-to-end performance benchmark
 // (bench/README.md). The engine's invariant contracts (deterministic core,
-// allocation-free routing hot paths, context flow, pooled-scratch
-// ownership, error wrapping) are mechanically enforced by the custom
-// static-analysis suite in internal/lint: run it with
-// `go run ./cmd/skewlint ./...`.
+// allocation-free routing hot paths, context flow, error wrapping) are
+// mechanically enforced by the custom static-analysis suite in
+// internal/lint: run it with `go run ./cmd/skewlint ./...`.
 package repro

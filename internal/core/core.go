@@ -288,10 +288,11 @@ type Plan struct {
 // Result is the outcome of ExecuteContext.
 type Result struct {
 	Plan Plan
-	// Output holds the answers. The answers one server computed are slices
-	// of one backing array (see join.Join): each may be appended to or
-	// written independently, but retaining one retains that server's whole
-	// share of the output.
+	// Output holds the answers: one header array written once per
+	// execution (see exec.Result.Output), owned by the caller. The answers
+	// one server computed are slices of that server's arena: each may be
+	// appended to or written independently, but retaining one retains that
+	// server's whole share of the output.
 	Output        []data.Tuple
 	MaxLoadBits   int64 // max virtual-processor load (what the theorems bound)
 	TotalBits     int64
@@ -604,7 +605,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	// Callers own the Result; don't let them mutate the cached plan
 	// through the shared backing array.
 	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
-	// Pooled load-accounting and output scratch.
+	// Pooled load-accounting scratch.
 	sc, _ := e.scratchPool.Get().(*exec.Scratch)
 	if sc == nil {
 		sc = new(exec.Scratch)
@@ -651,12 +652,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		e.breaker.done(probe, breakerOK)
 	}
 	res.Recovery = rec
-	// Result.Output escapes to the caller: the scratch must release the
-	// buffer it aliases, or the next execution reusing this scratch would
-	// overwrite answers the caller already holds.
-	if res.Output != nil {
-		sc.DetachOutput()
-	}
 	e.scratchPool.Put(sc)
 	// Adaptive re-planning: realized load drifted beyond the prediction on
 	// content that moved since the statistics were frozen → replan next

@@ -18,14 +18,15 @@ import (
 	"repro/internal/data"
 	"repro/internal/join"
 	"repro/internal/mpc"
+	"repro/internal/query"
 )
 
 // PhysicalPlan is the executable form a strategy planner produces: a
-// virtual-server layout, a router over virtual IDs, and the per-server
-// local computation. Plans are immutable once built and safe to execute
-// repeatedly (and concurrently) — routers that keep mutable scratch must
-// implement mpc.PerSenderRouter so every sender goroutine works on its own
-// instance. This is what Engine's plan cache stores.
+// virtual-server layout, a router over virtual IDs, and the query every
+// server joins its received fragments on. Plans are immutable once built and
+// safe to execute repeatedly (and concurrently) — routers that keep mutable
+// scratch must implement mpc.PerSenderRouter so every sender goroutine works
+// on its own instance. This is what Engine's plan cache stores.
 type PhysicalPlan struct {
 	// Strategy labels the plan in diagnostics and panics.
 	Strategy string
@@ -44,9 +45,11 @@ type PhysicalPlan struct {
 	// unrelated relations living in the same database. Empty means route
 	// everything (legacy load-measurement plans).
 	Relations []string
-	// Local is the per-server local computation; nil means the plan only
-	// routes (load-measurement plans).
-	Local func(s *mpc.Server) []data.Tuple
+	// Query is the query whose natural join over its received fragments
+	// is every server's local computation (join.Rows — the same for all
+	// three strategies); nil means the plan only routes (load-measurement
+	// plans).
+	Query *query.Query
 	// Dedup removes duplicate answers from the concatenated outputs —
 	// needed when sub-plans overlap (the §4.2 bin combinations may produce
 	// the same answer in several combinations).
@@ -63,6 +66,14 @@ type PhysicalPlan struct {
 	PartitionHints []PartitionHint
 }
 
+// Local returns server s's answers with one header each. The executor does
+// not call it — Run takes the header-free join.Rows of every server and
+// writes the headers once, into Result.Output; this is the same computation
+// for callers that drive a cluster's compute phase themselves.
+func (p *PhysicalPlan) Local(s *mpc.Server) []data.Tuple {
+	return join.Join(p.Query, s.Received)
+}
+
 // PartitionHint is one (relation, attribute) pair a plan's router routes
 // span-wise when the relation carries a heavy-partition layout on Attr.
 type PartitionHint struct {
@@ -77,11 +88,10 @@ type Config struct {
 	// join outputs.
 	SkipCompute bool
 	// Scratch, when non-nil, supplies reusable buffers for Run's load
-	// accounting and output concatenation, so repeated executions of a
-	// cached plan stop allocating per-server slices every run.
-	// Result.PerServerBits and Result.Output then alias the scratch
-	// buffers: they are valid until the next Run with the same Scratch
-	// (or until the owner calls DetachOutput to let an Output escape).
+	// accounting, so repeated executions of a cached plan stop allocating
+	// per-server slices every run. Result.PerServerBits then aliases the
+	// scratch: it is valid until the next Run with the same Scratch.
+	// Result.Output never does — every run allocates its own.
 	Scratch *Scratch
 	// Clusters, when non-nil, overrides the pool Run and RunPipeline draw
 	// their mpc.Cluster from; nil uses a process-wide shared pool. Engines
@@ -150,20 +160,18 @@ func (cfg *Config) recoverable(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Scratch holds Run's reusable load-accounting and output buffers. A
-// Scratch may be reused across any number of Run calls (plans of different
-// sizes included) but must not be shared by concurrent runs.
+// Scratch holds Run's reusable load-accounting buffers. A Scratch may be
+// reused across any number of Run calls (plans of different sizes included)
+// but must not be shared by concurrent runs.
 type Scratch struct {
 	perServer []int64
 	physical  []int64
-	output    []data.Tuple
 }
 
-// DetachOutput relinquishes the pooled output buffer: the owner is about
-// to hand a Result.Output aliasing it to code that outlives this Scratch's
-// next reuse, so the next Run must allocate a fresh one instead of
-// overwriting the escaped slice.
-func (s *Scratch) DetachOutput() { s.output = nil }
+// DetachOutput does nothing: a Scratch no longer pools an output buffer, so
+// no Result.Output aliases it. The method remains only because the frozen
+// bench/trace.go calls it; it goes when that file can change.
+func (s *Scratch) DetachOutput() {}
 
 // grow returns buf resized to n with every element zeroed, reusing the
 // backing array when capacity allows.
@@ -181,10 +189,12 @@ func grow(buf []int64, n int) []int64 {
 // Result reports one execution of a plan: the answers plus the realized
 // loads, both over virtual servers and rolled up onto physical machines.
 type Result struct {
-	// Output concatenates the servers' answers in server order. A plan
-	// whose Local is join.Join returns, per server, slices of one backing
-	// array: the gather and Dedup move only the headers, and retaining one
-	// answer retains that server's arena.
+	// Output is the servers' answers in server-ID order, each server's in
+	// join.Join's order; nil when there are none. One execution allocates
+	// one value arena per server (join.Rows) and this one header array,
+	// written once: every answer is a len == cap == k slice of its
+	// server's arena, Dedup compacts the headers in place, and retaining
+	// one answer retains that server's arena.
 	Output []data.Tuple
 	// Loads summarizes the virtual-server loads (with replication rate
 	// relative to the input database).
@@ -241,23 +251,25 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	var res Result
-	if plan.Local != nil && !cfg.SkipCompute {
-		outs := make([][]data.Tuple, plan.Virtual)
-		err := rt.driveCompute(plan.Strategy, 0, func(s *mpc.Server) { outs[s.ID] = plan.Local(s) })
+	if plan.Query != nil && !cfg.SkipCompute {
+		rows := make([]data.Rows, plan.Virtual)
+		err := rt.driveCompute(plan.Strategy, 0, func(s *mpc.Server) { rows[s.ID] = join.Rows(plan.Query, s.Received, 0) })
 		if err != nil {
 			return Result{}, err
 		}
-		var buf []data.Tuple
-		if cfg.Scratch != nil {
-			buf = cfg.Scratch.output
+		// Size Output exactly, then write each server's headers at its
+		// prefix-sum offset (the running length), in server order.
+		total := 0
+		for _, r := range rows {
+			total += r.N
 		}
-		res.Output = mpc.ConcatOuts(buf, outs)
-		if cfg.Scratch != nil {
-			cfg.Scratch.output = res.Output
+		if total > 0 {
+			res.Output = make([]data.Tuple, 0, total)
+			for _, r := range rows {
+				res.Output = r.AppendTuples(res.Output)
+			}
 		}
 		if plan.Dedup {
-			// Dedup compacts in place, so the deduped view still reuses
-			// (and is still owned by) the scratch output buffer.
 			res.Output = join.Dedup(res.Output)
 		}
 	}

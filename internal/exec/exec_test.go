@@ -20,6 +20,9 @@ func testDB() *data.Database {
 	return db
 }
 
+// copyS makes every server answer with its own fragment of S.
+var copyS = query.MustParse("Q(x,y) :- S(x,y)")
+
 // modRouter sends tuple (a,b) to server a mod p.
 func modRouter(p int) mpc.Router {
 	return mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
@@ -34,14 +37,7 @@ func TestRunRoutesComputesAndAccounts(t *testing.T) {
 		Virtual:  4,
 		Physical: 2,
 		Router:   modRouter(4),
-		Local: func(s *mpc.Server) []data.Tuple {
-			var out []data.Tuple
-			s.Fragment("S").Each(func(_ int, tu data.Tuple) bool {
-				out = append(out, append(data.Tuple(nil), tu...))
-				return true
-			})
-			return out
-		},
+		Query:    copyS,
 	}
 	res, _ := Run(plan, db, Config{})
 	if len(res.Output) != 8 {
@@ -74,21 +70,14 @@ func TestRunRoutesComputesAndAccounts(t *testing.T) {
 
 func TestRunSkipCompute(t *testing.T) {
 	db := testDB()
-	called := false
 	plan := &PhysicalPlan{
 		Strategy: "test",
 		Virtual:  2,
 		Physical: 2,
 		Router:   modRouter(2),
-		Local: func(s *mpc.Server) []data.Tuple {
-			called = true
-			return nil
-		},
+		Query:    copyS,
 	}
 	res, _ := Run(plan, db, Config{SkipCompute: true})
-	if called {
-		t.Error("local compute ran despite SkipCompute")
-	}
 	if len(res.Output) != 0 {
 		t.Error("output non-empty despite SkipCompute")
 	}
@@ -108,14 +97,7 @@ func TestRunDedup(t *testing.T) {
 		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
-		Local: func(s *mpc.Server) []data.Tuple {
-			var out []data.Tuple
-			s.Fragment("S").Each(func(_ int, tu data.Tuple) bool {
-				out = append(out, append(data.Tuple(nil), tu...))
-				return true
-			})
-			return out
-		},
+		Query: copyS,
 		Dedup: true,
 	}
 	res, _ := Run(plan, db, Config{})
@@ -124,11 +106,10 @@ func TestRunDedup(t *testing.T) {
 	}
 }
 
-// TestRunGathersArenaAnswersInPlace runs the real local join — whose
-// answers are slices of one arena per server — through the pooled gather
-// and the in-place Dedup: a second run over the same scratch reuses the
-// header buffer yet returns the same answers, because each run's arenas are
-// its own.
+// TestRunGathersArenaAnswersInPlace runs the real local join — one arena
+// per server — through the gather and the in-place Dedup: a second run over
+// the same scratch returns the same answers in a header array of its own,
+// because an Output belongs to its caller and is never pooled.
 func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 	q := query.Join2()
 	db := data.NewDatabase()
@@ -144,7 +125,7 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
-		Local: func(s *mpc.Server) []data.Tuple { return join.Join(q, s.Received) },
+		Query: q,
 		Dedup: true,
 	}
 	sc := new(Scratch)
@@ -154,11 +135,11 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 	}
 	first := &r1.Output[0]
 	r2, _ := Run(plan, db, Config{Scratch: sc})
-	if &r2.Output[0] != first {
-		t.Error("gather buffer was reallocated despite the scratch")
+	if &r2.Output[0] == first {
+		t.Error("second run over the same scratch overwrote the first run's Output")
 	}
-	if !join.EqualTupleSets(r2.Output, want) {
-		t.Errorf("second run over the same scratch: %d answers, want %d", len(r2.Output), len(want))
+	if !join.EqualTupleSets(r2.Output, want) || !join.EqualTupleSets(r1.Output, want) {
+		t.Errorf("after a second run over the same scratch: %d and %d answers, want %d", len(r1.Output), len(r2.Output), len(want))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Stage is one communication round of a multi-round Pipeline. Its Plan
-// supplies the round's virtual-server layout and router (Local/Dedup are
+// supplies the round's virtual-server layout and router (Query/Dedup are
 // unused — pipeline stages compute resident fragments instead of shipping
 // answers to the coordinator). The router sees two kinds of input, both by
 // relation name: Base relations routed from the input servers' uniform
@@ -16,7 +16,7 @@ import (
 // server-to-server out of the previous round's layout.
 type Stage struct {
 	// Plan is the stage's physical plan: Virtual, Physical, and Router are
-	// used; Local, Dedup, and PredictedBits are ignored.
+	// used; Query, Dedup, and PredictedBits are ignored.
 	Plan *PhysicalPlan
 	// Base names database relations entering this round from the input
 	// servers.

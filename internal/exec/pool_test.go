@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/mpc"
 )
 
@@ -88,54 +87,5 @@ func TestRunReusesPooledCluster(t *testing.T) {
 	}
 	if !reused {
 		t.Error("no execution ever reused a pooled cluster")
-	}
-}
-
-// TestRunOutputScratch checks the pooled output buffer: reused across runs,
-// and detached cleanly when an output must escape.
-func TestRunOutputScratch(t *testing.T) {
-	db := testDB()
-	plan := &PhysicalPlan{
-		Strategy: "test",
-		Virtual:  4,
-		Physical: 2,
-		Router:   modRouter(4),
-		Local: func(s *mpc.Server) []data.Tuple {
-			var out []data.Tuple
-			s.Fragment("S").Each(func(_ int, tu data.Tuple) bool {
-				out = append(out, append(data.Tuple(nil), tu...))
-				return true
-			})
-			return out
-		},
-	}
-	sc := new(Scratch)
-	r1, _ := Run(plan, db, Config{Scratch: sc})
-	if len(r1.Output) != 8 {
-		t.Fatalf("output = %d tuples", len(r1.Output))
-	}
-	first := &r1.Output[0]
-	r2, _ := Run(plan, db, Config{Scratch: sc})
-	if &r2.Output[0] != first {
-		t.Error("output buffer was reallocated despite the scratch")
-	}
-	// After a detach, the escaped output must keep its contents while the
-	// next run allocates a fresh buffer.
-	escaped := r2.Output
-	snapshot := append([]data.Tuple(nil), escaped...)
-	sc.DetachOutput()
-	r3, _ := Run(plan, db, Config{Scratch: sc})
-	if len(r3.Output) != 8 {
-		t.Fatalf("post-detach output = %d tuples", len(r3.Output))
-	}
-	if &r3.Output[0] == first {
-		t.Error("detached output buffer was reused anyway")
-	}
-	for i := range escaped {
-		for a := range escaped[i] {
-			if escaped[i][a] != snapshot[i][a] {
-				t.Fatal("escaped output mutated by a later run")
-			}
-		}
 	}
 }

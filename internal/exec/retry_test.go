@@ -3,13 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/mpc"
-	"repro/internal/query"
 )
 
 // recordSleep is a Retry.Sleep hook keeping fault tests sleep-free while
@@ -216,6 +217,50 @@ func TestPipelineRecomputesOnlyFailedServers(t *testing.T) {
 	assertSameOutput(t, oracle.Output, res.Output)
 }
 
+// TestRunRecomputesOnlyFailedServer: one of a one-round plan's three servers
+// fails its compute phase's first attempt. Only that server re-runs — the
+// survivors' rows stand — and Output is, element for element, the fault-free
+// run's. (One worker, so both runs deliver the fragments in the same order.)
+func TestRunRecomputesOnlyFailedServer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db := testDB()
+	plan := &PhysicalPlan{Strategy: "test", Virtual: 3, Physical: 3, Router: modRouter(3), Query: copyS}
+	oracle, err := Run(plan, db, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(seed uint64) *mpc.Faults { return &mpc.Faults{Seed: seed, ComputeFail: 0.3} }
+	seed := findRetrySeed(t, mk, func(f *mpc.Faults) bool {
+		failed := 0
+		for s := 0; s < 3; s++ {
+			if f.WouldFailComputeAttempt(1, 2, s) {
+				return false
+			}
+			if f.WouldFailComputeAttempt(1, 1, s) {
+				failed++
+			}
+		}
+		return failed == 1
+	})
+	var rec Recovery
+	var rs recordSleep
+	res, err := Run(plan, db, Config{Faults: mk(seed), Retry: Retry{Sleep: rs.sleep}, Recovery: &rec})
+	if err != nil {
+		t.Fatalf("recoverable compute failure surfaced: %v", err)
+	}
+	if rec.Attempts != 1 || rec.ServersRecomputed != 1 || rec.RoundsReplayed != 0 {
+		t.Fatalf("Recovery = %+v, want 1 attempt recomputing 1 server", rec)
+	}
+	if len(res.Output) != 8 || len(oracle.Output) != 8 {
+		t.Fatalf("%d answers after recovery, %d fault-free, want 8", len(res.Output), len(oracle.Output))
+	}
+	for i := range oracle.Output {
+		if !slices.Equal(res.Output[i], oracle.Output[i]) {
+			t.Fatalf("answer %d is %v after recovery, %v fault-free", i, res.Output[i], oracle.Output[i])
+		}
+	}
+}
+
 // TestStandingSeedReplaysTornRound: the standing seed shares Run's recovery
 // path — a torn seed round is replayed in place and the seeded result
 // matches the fault-free oracle.
@@ -226,16 +271,9 @@ func TestStandingSeedReplaysTornRound(t *testing.T) {
 		Virtual:  4,
 		Physical: 2,
 		Router:   modRouter(4),
-		Local: func(s *mpc.Server) []data.Tuple {
-			var out []data.Tuple
-			s.Fragment("S").Each(func(_ int, tu data.Tuple) bool {
-				out = append(out, append(data.Tuple(nil), tu...))
-				return true
-			})
-			return out
-		},
+		Query:    copyS,
 	}
-	q := query.MustParse("Q(x,y) :- S(x,y)")
+	q := copyS
 	oracle, err := NewStanding(plan, q, db, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/data"
+	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
 )
@@ -88,11 +89,11 @@ type deltaStep struct {
 // before NewStanding returns — resident state lives in the Standing, so
 // the pool keeps serving ordinary runs. db must not mutate during the seed —
 // pass an immutable snapshot epoch (data.Database.Snapshot) or otherwise
-// exclude Apply — and the plan must be the same single-round, Local-bearing
+// exclude Apply — and the plan must be the same single-round, Query-bearing
 // plan the engine would execute for q. The seed's round and compute phase
 // recover injected faults exactly as Run does, within cfg.Retry's budget.
 func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Config) (*Standing, error) {
-	if plan.Local == nil {
+	if plan.Query == nil {
 		return nil, fmt.Errorf("exec: standing: %s plan has no local phase", plan.Strategy)
 	}
 	s := &Standing{
@@ -131,16 +132,17 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 	// server's derivations count +1, so answers derived on several servers
 	// (overlapping §4.2 bin combinations) carry their true multiplicity
 	// and later retractions retire them one derivation at a time.
-	outs := make([][]data.Tuple, plan.Virtual)
-	err = rt.driveCompute("standing: "+plan.Strategy, 0, func(sv *mpc.Server) { outs[sv.ID] = plan.Local(sv) })
+	// Counted.Add copies, so the seed reads the rows header-free.
+	rows := make([]data.Rows, plan.Virtual)
+	err = rt.driveCompute("standing: "+plan.Strategy, 0, func(sv *mpc.Server) { rows[sv.ID] = join.Rows(plan.Query, sv.Received, 0) })
 	if err != nil {
 		return nil, err
 	}
-	for _, out := range outs {
-		for _, t := range out {
-			s.counted.Add(t, 1)
-			s.derivations++
+	for _, r := range rows {
+		for i := 0; i < r.N; i++ {
+			s.counted.Add(r.At(i), 1)
 		}
+		s.derivations += int64(r.N)
 	}
 	// Freeze each server's fragments as resident indexes.
 	s.residents = make([]*mpc.Resident, plan.Virtual)

@@ -7,10 +7,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/hashing"
-	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
-	"repro/internal/wcoj"
 )
 
 // Router routes tuples to hypercube subcubes: a tuple of S_j fixes the
@@ -220,11 +218,6 @@ type Config struct {
 	// Output stays empty. Load-focused experiments use this to avoid
 	// materializing quadratic outputs.
 	SkipJoin bool
-	// UseWCOJ computes the local joins with the generic worst-case
-	// optimal algorithm instead of binary hash joins — useful when server
-	// fragments are cyclic and dense enough that binary plans blow up
-	// locally (the NPRR separation, [9] in the paper).
-	UseWCOJ bool
 }
 
 // Result reports a HyperCube run.
@@ -280,21 +273,13 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 		panic(fmt.Sprintf("hypercube: shares %v use %d > p = %d servers", pl.Shares, got, cfg.P))
 	}
 
-	local := func(s *mpc.Server) []data.Tuple {
-		return join.Join(q, s.Received)
-	}
-	if cfg.UseWCOJ {
-		local = func(s *mpc.Server) []data.Tuple {
-			return wcoj.Join(q, s.Received)
-		}
-	}
 	pl.Phys = &exec.PhysicalPlan{
 		Strategy:  "hypercube",
 		Virtual:   cfg.P,
 		Physical:  cfg.P,
 		Router:    NewRouter(q, pl.Shares, hashing.NewFamily(cfg.Seed)),
 		Relations: q.AtomNames(),
-		Local:     local,
+		Query:     q,
 		// The share product is validated above, so HC routing cannot emit
 		// out-of-range destinations; exec.Run treats any error as a bug.
 		PredictedBits: pl.PredictedBits,

@@ -9,7 +9,9 @@ import (
 	"repro/internal/data"
 	"repro/internal/hashing"
 	"repro/internal/join"
+	"repro/internal/mpc"
 	"repro/internal/query"
+	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
 
@@ -396,17 +398,21 @@ func TestOptimalExponentsTernary(t *testing.T) {
 }
 
 func TestRunWithWCOJLocalJoins(t *testing.T) {
-	// The worst-case-optimal local join must produce identical output.
+	// After one HyperCube round, the worst-case-optimal join of every
+	// server's fragments is the executor's local join of them.
 	for _, q := range []*query.Query{query.Triangle(), query.Join2(), query.Cycle(4)} {
 		db := mkDB(q, 250, 40, 13)
-		hash := Run(q, db, Config{P: 8, Seed: 2})
-		wc := Run(q, db, Config{P: 8, Seed: 2, UseWCOJ: true})
-		if !join.EqualTupleSets(hash.Output, wc.Output) {
-			t.Errorf("%s: wcoj local join disagrees (%d vs %d tuples)",
-				q.Name, len(wc.Output), len(hash.Output))
+		pl := BuildPlan(q, db, Config{P: 8, Seed: 2})
+		c := mpc.NewCluster(pl.Phys.Virtual)
+		if err := c.Round(db, pl.Phys.Router); err != nil {
+			t.Fatalf("%s: round: %v", q.Name, err)
 		}
-		if hash.Loads.MaxBits != wc.Loads.MaxBits {
-			t.Errorf("%s: local join choice must not change communication", q.Name)
+		for _, s := range c.Servers {
+			hash, wc := join.Join(q, s.Received), wcoj.Join(q, s.Received)
+			if !join.EqualTupleSets(hash, wc) {
+				t.Errorf("%s: server %d: wcoj local join disagrees (%d vs %d tuples)",
+					q.Name, s.ID, len(wc), len(hash))
+			}
 		}
 	}
 }

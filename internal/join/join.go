@@ -23,25 +23,36 @@ import (
 )
 
 // Join returns all answers of q over the given relations (keyed by atom
-// name). A missing or empty relation yields no answers. Input relations
-// must be duplicate-free; then the output is duplicate-free too.
+// name) as tuples: Rows with one header per answer, for oracles, tests and
+// callers that want []data.Tuple. A missing or empty relation yields no
+// answers (nil). Input relations must be duplicate-free; then the output is
+// duplicate-free too.
 //
-// The answers share one backing array: each tuple is a full slice
-// expression over its own k values, so appending to one reallocates rather
-// than overwriting its neighbour, and writing into one touches no input
-// relation and no other call's output — but retaining a single answer
-// retains the whole call's arena.
+// The answers share one backing array (see data.Rows.AppendTuples): each
+// tuple is a full slice expression over its own k values, so appending to
+// one reallocates rather than overwriting its neighbour, and writing into
+// one touches no input relation and no other call's output — but retaining
+// a single answer retains the whole call's arena.
 func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
-	return JoinLimit(q, rels, 0)
+	return Rows(q, rels, 0).AppendTuples(nil)
 }
 
-// JoinLimit is Join with a cap on intermediate and final result sizes:
-// whenever the binding set exceeds limit, it is truncated to the first
-// limit bindings, so the output is an arbitrary subset of the true
-// answers. limit ≤ 0 means unlimited. Lower-bound computations use this —
-// a bound summed over a subset of the support is still a valid lower
-// bound.
+// JoinLimit is Rows with one header per answer.
 func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
+	return Rows(q, rels, limit).AppendTuples(nil)
+}
+
+// Rows is the join kernel: the answers of q over rels as one flat row-major
+// arena of q.NumVars() values per answer, in Join's order, with no
+// per-answer header. The executor gathers these per server and writes the
+// headers once, into the final output.
+//
+// limit caps intermediate and final result sizes: whenever the binding set
+// exceeds limit, it is truncated to the first limit bindings, so the output
+// is an arbitrary subset of the true answers. limit ≤ 0 means unlimited.
+// Lower-bound computations use this — a bound summed over a subset of the
+// support is still a valid lower bound.
+func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 	k := q.NumVars()
 	order := planOrder(q, rels)
 
@@ -63,7 +74,7 @@ func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data
 		atom := q.Atoms[j]
 		rel := rels[atom.Name]
 		if rel == nil || rel.Size() == 0 {
-			return nil
+			return data.Rows{K: k}
 		}
 		joinPos, joinVar = joinPos[:0], joinVar[:0]
 		for pos, v := range atom.Vars {
@@ -98,7 +109,7 @@ func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data
 			}
 		}
 		if total == 0 {
-			return nil
+			return data.Rows{K: k}
 		}
 
 		// Fill pass: copy each binding once per matching row and bind the
@@ -126,11 +137,7 @@ func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data
 			bound[v] = true
 		}
 	}
-	answers := make([]data.Tuple, n)
-	for i := range answers {
-		answers[i] = arena[i*k : (i+1)*k : (i+1)*k]
-	}
-	return answers
+	return data.Rows{K: k, N: n, Vals: arena}
 }
 
 // planOrder returns a greedy atom order: start from the smallest relation,

@@ -184,7 +184,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"nodeterminism", "repro/internal/mpc", NoDeterminismBreak},
 		{"noalloc", "repro/internal/hot", NoAlloc},
 		{"ctxflow", "repro/internal/core", CtxFlow},
-		{"scratchescape", "repro/internal/owner", ScratchEscape},
 		{"errwrap", "repro/internal/taxo", ErrWrap},
 	}
 	for _, tc := range cases {

@@ -1,10 +1,10 @@
 // Package lint is skewlint: the static-analysis suite that turns this
 // repository's load-bearing conventions — deterministic seeded randomness,
 // sleep-free tests, zero-allocation routing hot paths, context propagation,
-// pooled-scratch escape discipline, and the typed error taxonomy — into
-// mechanically enforced invariants. Each invariant is one analyzer on the
-// framework in internal/lint/analysis; cmd/skewlint is the multichecker
-// that runs them over `go list` patterns. See DESIGN.md, "Static analysis".
+// and the typed error taxonomy — into mechanically enforced invariants. Each
+// invariant is one analyzer on the framework in internal/lint/analysis;
+// cmd/skewlint is the multichecker that runs them over `go list` patterns.
+// See DESIGN.md, "Static analysis".
 //
 // Suppression is explicit and audited: a `//skewlint:allow <analyzer>
 // [reason]` comment on (or directly above) the offending line waives that
@@ -24,14 +24,13 @@ import (
 	"repro/internal/lint/load"
 )
 
-// Analyzers returns the five invariant analyzers — everything cmd/skewlint
+// Analyzers returns the four invariant analyzers — everything cmd/skewlint
 // runs — in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoDeterminismBreak,
 		NoAlloc,
 		CtxFlow,
-		ScratchEscape,
 		ErrWrap,
 	}
 }

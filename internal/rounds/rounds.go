@@ -181,11 +181,7 @@ func headOrderTuples(q *query.Query, rel *data.Relation, vars []int) []data.Tupl
 			flat[i*k+v] = x
 		}
 	}
-	out := make([]data.Tuple, n)
-	for i := range out {
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
-	return out
+	return data.Rows{K: k, N: n, Vals: flat}.AppendTuples(nil)
 }
 
 // PipelinePlan is the planner output: the logical plan lowered to an

@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
-	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -221,9 +220,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 			family:    hashing.NewFamily(cfg.Seed),
 			scratch:   maxScratch,
 		},
-		Local: func(s *mpc.Server) []data.Tuple {
-			return join.Join(q, s.Received)
-		},
+		Query: q,
 		// Overlapping bin combinations may each produce the same answer.
 		Dedup:         true,
 		PredictedBits: predicted,

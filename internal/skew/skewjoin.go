@@ -314,10 +314,8 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 		Router:   router,
 		// Route only the join's two relations: serving latency must not
 		// scale with unrelated relations sharing the database.
-		Relations: q.AtomNames(),
-		Local: func(s *mpc.Server) []data.Tuple {
-			return join.Join(q, s.Received)
-		},
+		Relations:     q.AtomNames(),
+		Query:         q,
 		PredictedBits: jp.PredictedBits,
 	}
 	// Heavy runs on the join column route span-wise (joinRouter implements
