@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/exp"
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
@@ -306,7 +307,8 @@ func BenchmarkHyperCubeEndToEnd(b *testing.B) {
 			}, 7)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: uint64(i), SkipJoin: true})
+				plan := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: uint64(i)})
+				res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
 				b.ReportMetric(float64(res.Loads.MaxBits), "maxload-bits")
 			}
 		})
@@ -319,7 +321,8 @@ func BenchmarkSkewJoinEndToEnd(b *testing.B) {
 	db.Put(workload.Zipf("S2", 5000, 1<<20, 1, 1.6, 500, 2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := skew.RunJoin(db, skew.JoinConfig{P: 64, Seed: uint64(i), SkipJoin: true})
+		plan := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: 64, Seed: uint64(i)})
+		res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
 		b.ReportMetric(float64(res.MaxVirtualBits), "maxload-bits")
 	}
 }
@@ -373,8 +376,9 @@ func BenchmarkGeneralSkewSweepP(b *testing.B) {
 			db.Put(workload.Zipf("S1", 3000, 1<<20, 1, 1.7, 400, 1))
 			db.Put(workload.Zipf("S2", 3000, 1<<20, 1, 1.7, 400, 2))
 			for i := 0; i < b.N; i++ {
-				res := skew.RunGeneral(q, db, skew.GeneralConfig{P: p, Seed: uint64(i), SkipJoin: true})
-				b.ReportMetric(float64(res.NumBinCombos), "combos")
+				plan := skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: uint64(i)})
+				_, _ = exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+				b.ReportMetric(float64(plan.NumBinCombos), "combos")
 			}
 		})
 	}
@@ -391,10 +395,9 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		for j, name := range []string{"S1", "S2", "S3"} {
 			db.Put(workload.Matching(name, 2, 5000, 1<<20, int64(j+1)))
 		}
-		plan := rounds.BuildPlan(q)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := rounds.Run(plan, db, rounds.Config{P: 64, Seed: uint64(i)})
+			res, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i)}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
 			b.ReportMetric(float64(res.SumMaxBits), "sum-max-bits")
 		}
 	})
@@ -403,10 +406,9 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		db := NewDatabase()
 		db.Put(workload.Zipf("S1", 5000, 1<<20, 1, 1.6, 500, 1))
 		db.Put(workload.Zipf("S2", 5000, 1<<20, 1, 1.6, 500, 2))
-		plan := rounds.BuildPlan(q)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := rounds.Run(plan, db, rounds.Config{P: 64, Seed: uint64(i), SkewAware: true})
+			res, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i), SkewAware: true}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
 			b.ReportMetric(float64(res.SumMaxBits), "sum-max-bits")
 		}
 	})

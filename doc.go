@@ -59,6 +59,10 @@
 //     and Config.DisableAutoPartition turns the maintenance off;
 //     CacheStats.Repartitions counts rebuilds.
 //
+//   - Run: one uncached execution of one forced strategy, without a
+//     session; HyperCube shares (1, 1, p) on Join2Query are the paper's
+//     standard hash join baseline.
+//
 //   - Engine (internal/core): plans and executes a query on p simulated
 //     servers, choosing between plain HyperCube (§3), the specialized skew
 //     join (§4.1), and the general bin-combination algorithm (§4.2) based

@@ -300,19 +300,31 @@ func ExampleParseQuery() {
 	// 3 variables, 3 atoms
 }
 
-// A fully skewed join: every tuple shares one z value. The skew join
-// handles it with a per-hitter grid; its output is the full cartesian
-// product of the matching sides.
-func ExampleRunSkewJoin() {
+// Run executes one strategy directly, without a session. On a fully skewed
+// join — every tuple shares one z value — the §4.1 skew join spreads the
+// hitter over a grid, while the standard hash join (HyperCube shares
+// (1, 1, p)) ships every tuple to one server. Both produce the full
+// cartesian product of the matching sides.
+func ExampleRun() {
 	db := repro.NewDatabase()
 	db.Put(repro.SingleValueRelation("S1", 2, 100, 1<<20, 1, 7, 1))
 	db.Put(repro.SingleValueRelation("S2", 2, 100, 1<<20, 1, 7, 2))
-	res := repro.RunSkewJoin(db, repro.SkewJoinConfig{P: 16, Seed: 3})
-	fmt.Println("answers:", len(res.Output))
-	fmt.Println("jointly heavy hitters:", res.NumH12)
+	q := repro.Join2Query()
+	sj, err := repro.Run(q, db, repro.RunConfig{Strategy: repro.StrategySkewJoin, P: 16, Seed: 3})
+	if err != nil {
+		panic(err)
+	}
+	hash, err := repro.Run(q, db, repro.RunConfig{Strategy: repro.StrategyHyperCube, P: 16, Seed: 3, Shares: []int{1, 1, 16}})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("answers:", len(sj.Output), len(hash.Output))
+	fmt.Println("skew join max load:", sj.MaxLoadBits, "bits")
+	fmt.Println("hash join max load:", hash.MaxLoadBits, "bits")
 	// Output:
-	// answers: 10000
-	// jointly heavy hitters: 1
+	// answers: 10000 10000
+	// skew join max load: 2160 bits
+	// hash join max load: 8000 bits
 }
 
 // Lower bounds react to skew: with a shared heavy hitter the residual

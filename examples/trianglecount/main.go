@@ -33,18 +33,24 @@ func main() {
 	fmt.Printf("graph: %d edges, zipf(1.5) out-degrees, p = %d servers\n\n", edges, p)
 
 	// Skew-resilient HyperCube: p^{1/3} shares per vertex variable.
-	hc := repro.RunHyperCube(q, db, repro.HyperCubeConfig{P: p, Seed: 1, EqualShares: true})
-	fmt.Printf("HyperCube (equal shares %v):\n", hc.Shares)
+	hc, err := repro.Run(q, db, repro.RunConfig{Strategy: repro.StrategyHyperCube, P: p, Seed: 1, Shares: []int{4, 4, 4}})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("HyperCube (equal shares %v):\n", hc.Plan.Shares)
 	fmt.Printf("  triangles (as ordered C3 answers): %d\n", len(hc.Output))
 	fmt.Printf("  max load: %d bits  (replication %.1fx)\n\n",
-		hc.Loads.MaxBits, hc.Loads.Replication)
+		hc.MaxLoadBits, float64(hc.TotalBits)/float64(db.TotalBits()))
 
 	// Baseline: hash-join-style shares that partition on one vertex only;
 	// the celebrity node's edges pile onto a few servers.
-	naive := repro.RunHyperCube(q, db, repro.HyperCubeConfig{P: p, Seed: 1, Shares: []int{p, 1, 1}})
-	fmt.Printf("vertex-partitioned baseline (shares %v):\n", naive.Shares)
-	fmt.Printf("  max load: %d bits\n\n", naive.Loads.MaxBits)
+	naive, err := repro.Run(q, db, repro.RunConfig{Strategy: repro.StrategyHyperCube, P: p, Seed: 1, Shares: []int{p, 1, 1}})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("vertex-partitioned baseline (shares %v):\n", naive.Plan.Shares)
+	fmt.Printf("  max load: %d bits\n\n", naive.MaxLoadBits)
 
 	fmt.Printf("skew penalty of the baseline: %.1fx more bits on the hottest server\n",
-		float64(naive.Loads.MaxBits)/float64(hc.Loads.MaxBits))
+		float64(naive.MaxLoadBits)/float64(hc.MaxLoadBits))
 }

@@ -62,15 +62,15 @@ func TestNoAlgorithmBeatsTheLowerBound(t *testing.T) {
 					inst.name, alg, load, slack, lower, witness)
 			}
 		}
-		hc := hypercube.Run(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, SkipJoin: true})
-		check("hypercube-LP", hc.Loads.MaxBits)
-		eq := hypercube.Run(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, EqualShares: true, SkipJoin: true})
-		check("hypercube-equal", eq.Loads.MaxBits)
-		gen := skew.RunGeneral(inst.q, inst.db, skew.GeneralConfig{P: p, Seed: 1, SkipJoin: true})
-		check("bin-combination", gen.MaxVirtualBits)
+		hc := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1})
+		check("hypercube-LP", runPhys(t, hc.Phys, inst.db, true).MaxVirtualBits)
+		eq := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, EqualShares: true})
+		check("hypercube-equal", runPhys(t, eq.Phys, inst.db, true).MaxVirtualBits)
+		gen := skew.PlanGeneral(inst.q, inst.db, skew.GeneralConfig{P: p, Seed: 1})
+		check("bin-combination", runPhys(t, gen.Phys, inst.db, true).MaxVirtualBits)
 		if inst.q.NumAtoms() == 2 && inst.q.NumVars() == 3 && inst.q.AtomIndex("S1") == 0 {
-			sj := skew.RunJoin(inst.db, skew.JoinConfig{P: p, Seed: 1, SkipJoin: true})
-			check("skew-join", sj.MaxVirtualBits)
+			sj := skew.PlanJoin(inst.q, inst.db, skew.JoinConfig{P: p, Seed: 1})
+			check("skew-join", runPhys(t, sj.Phys, inst.db, true).MaxVirtualBits)
 		}
 	}
 }

@@ -375,7 +375,7 @@ func (e *Engine) replanWorker() {
 		if q == nil || db == nil {
 			continue
 		}
-		cp := e.buildPlan(q, db.Snapshot(), s, nil)
+		cp := buildPlan(q, db.Snapshot(), s, nil)
 		e.mu.Lock()
 		if el, ok := e.cache[key]; ok {
 			if ent := el.Value.(*cacheEntry); ent.stale {
@@ -452,6 +452,8 @@ type settings struct {
 	faults        *mpc.Faults
 	retry         Retry
 	autoPartition bool
+	// shares fixes the HyperCube shares (Run only; never cached).
+	shares []int
 }
 
 // settings resolves the engine configuration plus the per-call overrides.
@@ -499,11 +501,11 @@ func (e *Engine) settings(opts ExecOptions) settings {
 // prediction; ExecuteContext's plan cache avoids the duplicate work on the
 // hot path.
 func (e *Engine) PlanQuery(q *query.Query, db *data.Database) Plan {
-	return e.buildPlan(q, db, e.settings(ExecOptions{}), nil).plan
+	return buildPlan(q, db, e.settings(ExecOptions{}), nil).plan
 }
 
 // logicalPlan runs the one-round strategy selection of §3/§4.
-func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) Plan {
+func logicalPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) Plan {
 	if err := q.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid query: %v", err))
 	}
@@ -539,12 +541,16 @@ func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings, ps *
 	return plan
 }
 
-// checkInputs is the validation ExecuteContext, Standing and Explain share:
-// q must be structurally valid (else an error wrapping ErrInvalidQuery) and
-// db must hold every relation q names.
-func checkInputs(q *query.Query, db *data.Database) error {
+// checkInputs is the validation ExecuteContext, Standing, Explain and Run
+// share: q must be structurally valid and able to take the forced strategy
+// (else an error wrapping ErrInvalidQuery) and db must hold every relation q
+// names.
+func checkInputs(q *query.Query, db *data.Database, forced *Strategy) error {
 	if err := q.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+	}
+	if err := CheckStrategy(q, forced); err != nil {
+		return err
 	}
 	for _, a := range q.Atoms {
 		if db.Get(a.Name) == nil {
@@ -552,6 +558,26 @@ func checkInputs(q *query.Query, db *data.Database) error {
 		}
 	}
 	return nil
+}
+
+// CheckStrategy reports, as an error wrapping ErrInvalidQuery, that q cannot
+// take the forced strategy: the §4.1 skew join plans only two binary atoms
+// sharing one variable, and values outside the Strategy constants name no
+// planner. Every query can take the other strategies; nil forces nothing.
+func CheckStrategy(q *query.Query, forced *Strategy) error {
+	if forced == nil {
+		return nil
+	}
+	switch *forced {
+	case HyperCube, BinCombination, MultiRound:
+		return nil
+	case SkewJoin:
+		if err := skew.CheckJoin(q); err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: unknown strategy %d", ErrInvalidQuery, int(*forced))
 }
 
 // ExecuteContext plans and runs the query through the unified executor
@@ -575,7 +601,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	if s.p < 2 {
 		return Result{}, fmt.Errorf("core: need p >= 2, got %d", s.p)
 	}
-	if err := checkInputs(q, db); err != nil {
+	if err := checkInputs(q, db, s.forced); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -601,38 +627,13 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		// per-tuple or span-wise with yesterday's runs).
 		e.ensurePartitions(cp, db, s.p)
 	}
-	res := Result{Plan: cp.plan, PredictedBits: cp.plan.PredictedBits, Replanned: replanned}
-	// Callers own the Result; don't let them mutate the cached plan
-	// through the shared backing array.
-	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
 	// Pooled load-accounting scratch.
 	sc, _ := e.scratchPool.Get().(*exec.Scratch)
 	if sc == nil {
 		sc = new(exec.Scratch)
 	}
 	var rec Recovery
-	ec := exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, Faults: s.faults, Retry: s.retry, Recovery: &rec}
-	var execErr error
-	if cp.phys != nil {
-		var er exec.Result
-		if er, execErr = exec.Run(cp.phys, db, ec); execErr == nil {
-			res.Output = er.Output
-			res.MaxLoadBits = er.Loads.MaxBits
-			res.TotalBits = er.Loads.TotalBits
-		}
-	} else {
-		var r rounds.Result
-		if r, execErr = cp.mr.ExecuteWith(db, ec); execErr == nil {
-			res.Output = r.Output
-			// The multi-round analogue of the one-round max load is the
-			// summed per-round maxima: the most bits one server could have
-			// received across the whole computation.
-			res.MaxLoadBits = r.SumMaxBits
-			for _, rl := range r.Rounds {
-				res.TotalBits += rl.TotalBits
-			}
-		}
-	}
+	res, execErr := runPlan(cp, db, exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, Faults: s.faults, Retry: s.retry, Recovery: &rec})
 	if execErr != nil {
 		// Recovery happened inside the executor (round replays, partial
 		// recomputes); an error here means the retry budget is spent. Surface
@@ -651,6 +652,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	if e.breaker != nil {
 		e.breaker.done(probe, breakerOK)
 	}
+	res.Replanned = replanned
 	res.Recovery = rec
 	e.scratchPool.Put(sc)
 	// Adaptive re-planning: realized load drifted beyond the prediction on
@@ -666,6 +668,81 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		}
 	}
 	return res, nil
+}
+
+// runPlan runs cp's executable form over db through the unified executor —
+// exec.Run for a one-round plan, the pipeline for a multi-round one — and
+// shapes the answers and realized loads into a Result.
+func runPlan(cp *cachedPlan, db *data.Database, ec exec.Config) (Result, error) {
+	res := Result{Plan: cp.plan, PredictedBits: cp.plan.PredictedBits}
+	// Callers own the Result; don't let them mutate the cached plan
+	// through the shared backing array.
+	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
+	if cp.phys != nil {
+		er, err := exec.Run(cp.phys, db, ec)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Output = er.Output
+		res.MaxLoadBits = er.Loads.MaxBits
+		res.TotalBits = er.Loads.TotalBits
+		return res, nil
+	}
+	pr, out, err := cp.mr.ExecuteWith(db, ec)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Output = out
+	// The multi-round analogue of the one-round max load is the summed
+	// per-round maxima: the most bits one server could have received across
+	// the whole computation.
+	res.MaxLoadBits = pr.SumMaxBits
+	for _, rl := range pr.Rounds {
+		res.TotalBits += rl.TotalBits
+	}
+	return res, nil
+}
+
+// RunConfig configures Run: the strategy to plan with, the server count
+// (≥ 2), the hash seed, and — for HyperCube only — explicit shares, one per
+// query variable with product ≤ P (nil: the LP-optimal shares).
+type RunConfig struct {
+	Strategy Strategy
+	P        int
+	Seed     uint64
+	Shares   []int
+}
+
+// Run plans q over db with cfg.Strategy and executes the plan once, with no
+// engine, plan cache or fault injection: the same Result ExecuteContext
+// returns for that strategy with NoCache set. Invalid input — P < 2, a
+// strategy q cannot take, shares that do not fit q or P — is an error.
+func Run(q *query.Query, db *data.Database, cfg RunConfig) (Result, error) {
+	if cfg.P < 2 {
+		return Result{}, fmt.Errorf("core: need p >= 2, got %d", cfg.P)
+	}
+	if err := checkInputs(q, db, &cfg.Strategy); err != nil {
+		return Result{}, err
+	}
+	if cfg.Shares != nil {
+		if cfg.Strategy != HyperCube {
+			return Result{}, fmt.Errorf("core: shares fix a HyperCube layout, not %s", cfg.Strategy)
+		}
+		if len(cfg.Shares) != q.NumVars() {
+			return Result{}, fmt.Errorf("core: %d shares for %d query variables", len(cfg.Shares), q.NumVars())
+		}
+		used := 1
+		for _, sh := range cfg.Shares {
+			if sh < 1 {
+				return Result{}, fmt.Errorf("core: share %d is below 1", sh)
+			}
+			if used *= sh; used > cfg.P {
+				return Result{}, fmt.Errorf("core: shares %v use more than p = %d servers", cfg.Shares, cfg.P)
+			}
+		}
+	}
+	s := settings{p: cfg.P, seed: cfg.Seed, forced: &cfg.Strategy, shares: cfg.Shares}
+	return runPlan(buildPlan(q, db, s, nil), db, exec.Config{})
 }
 
 // isInjectedFault reports whether err is a cluster-level fault error — the
@@ -699,7 +776,7 @@ func (e *Engine) markStale(key planKey) {
 // query passes its own, to build its heavy watch off the same groupings.
 func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, planKey, bool) {
 	if s.noCache {
-		return e.buildPlan(q, db, s, ps), planKey{}, false
+		return buildPlan(q, db, s, ps), planKey{}, false
 	}
 	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, mrAware: s.mr, serving: s.serving}
 	if s.forced != nil {
@@ -739,7 +816,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	e.mu.Unlock()
 	// Plan outside the lock: planning is the expensive part, and a
 	// duplicate build for a racing miss is just redundant work.
-	cp := e.buildPlan(q, db, s, ps)
+	cp := buildPlan(q, db, s, ps)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.misses++
@@ -767,16 +844,16 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 // vs the one-round PredictedBits), switching to the pipeline when cheaper.
 // Every step counts through the one pass ps (nil: the build's own), so each
 // (relation, attribute list) is grouped once; the plan keeps nothing of ps.
-func (e *Engine) buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *cachedPlan {
+func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *cachedPlan {
 	if ps == nil {
 		ps = new(stats.Pass)
 	}
-	cp := &cachedPlan{plan: e.logicalPlan(q, db, s, ps)}
+	cp := &cachedPlan{plan: logicalPlan(q, db, s, ps)}
 	cp.plannedFP = stats.Fingerprint(db)
 	cp.plan.Rounds = 1
 	switch cp.plan.Strategy {
 	case HyperCube:
-		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed})
+		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed, Shares: s.shares})
 		cp.phys = hc.Phys
 		cp.plan.Shares = hc.Shares
 	case SkewJoin:

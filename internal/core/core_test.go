@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/query"
 	"repro/internal/rounds"
@@ -37,6 +38,28 @@ func execute(t testing.TB, e *Engine, q *query.Query, db *data.Database, opts Ex
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runPhys is exec.Run for tests, route-only when skip is set: an error
+// fails the test.
+func runPhys(t testing.TB, plan *exec.PhysicalPlan, db *data.Database, skip bool) exec.Result {
+	t.Helper()
+	res, err := exec.Run(plan, db, exec.Config{SkipCompute: skip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runPipeline executes a multi-round plan for tests and returns its
+// head-ordered answers: an error fails the test.
+func runPipeline(t testing.TB, pp *rounds.PipelinePlan, db *data.Database) []data.Tuple {
+	t.Helper()
+	_, out, err := pp.ExecuteWith(db, exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestPlanSkewFreePicksHyperCube(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 // the bin combinations the §4.2 algorithm would build. Inputs ExecuteContext
 // would reject render as that error's text.
 func (e *Engine) Explain(q *query.Query, db *data.Database) string {
-	if err := checkInputs(q, db); err != nil {
+	if err := checkInputs(q, db, nil); err != nil {
 		return "explain: " + err.Error() + "\n"
 	}
 	// Plan once: the cost table reuses the chosen strategy's prediction (and
@@ -29,7 +29,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
-	cp := e.buildPlan(q, db, s, ps)
+	cp := buildPlan(q, db, s, ps)
 	plan := cp.plan
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)

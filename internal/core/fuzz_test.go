@@ -58,34 +58,34 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 		want = join.Dedup(want)
 
 		// HyperCube with LP shares.
-		hc := hypercube.Run(q, db, hypercube.Config{P: 8, Seed: uint64(trial)})
+		hc := runPhys(t, hypercube.BuildPlan(q, db, hypercube.Config{P: 8, Seed: uint64(trial)}).Phys, db, false)
 		if !join.EqualTupleSets(hc.Output, want) {
 			t.Fatalf("trial %d %s: hypercube %d vs reference %d tuples",
 				trial, q, len(hc.Output), len(want))
 		}
 		// HyperCube with equal shares (skew-resilient mode).
-		eq := hypercube.Run(q, db, hypercube.Config{P: 8, Seed: uint64(trial), EqualShares: true})
+		eq := runPhys(t, hypercube.BuildPlan(q, db, hypercube.Config{P: 8, Seed: uint64(trial), EqualShares: true}).Phys, db, false)
 		if !join.EqualTupleSets(eq.Output, want) {
 			t.Fatalf("trial %d %s: equal-share HC %d vs %d",
 				trial, q, len(eq.Output), len(want))
 		}
 		// General bin-combination algorithm.
-		gen := skew.RunGeneral(q, db, skew.GeneralConfig{P: 8, Seed: uint64(trial)})
+		gen := runPhys(t, skew.PlanGeneral(q, db, skew.GeneralConfig{P: 8, Seed: uint64(trial)}).Phys, db, false)
 		if !join.EqualTupleSets(gen.Output, want) {
 			t.Fatalf("trial %d %s: bin-combination %d vs %d",
 				trial, q, len(gen.Output), len(want))
 		}
 		// Multi-round plan.
-		mr := rounds.Run(rounds.BuildPlan(q), db, rounds.Config{P: 8, Seed: uint64(trial)})
-		if !join.EqualTupleSets(mr.Output, want) {
+		mr := runPipeline(t, rounds.PlanPipeline(q, db, rounds.Config{P: 8, Seed: uint64(trial)}), db)
+		if !join.EqualTupleSets(mr, want) {
 			t.Fatalf("trial %d %s: multi-round %d vs %d",
-				trial, q, len(mr.Output), len(want))
+				trial, q, len(mr), len(want))
 		}
 		// Skew-aware multi-round.
-		mrs := rounds.Run(rounds.BuildPlan(q), db, rounds.Config{P: 8, Seed: uint64(trial), SkewAware: true})
-		if !join.EqualTupleSets(mrs.Output, want) {
+		mrs := runPipeline(t, rounds.PlanPipeline(q, db, rounds.Config{P: 8, Seed: uint64(trial), SkewAware: true}), db)
+		if !join.EqualTupleSets(mrs, want) {
 			t.Fatalf("trial %d %s: skew-aware multi-round %d vs %d",
-				trial, q, len(mrs.Output), len(want))
+				trial, q, len(mrs), len(want))
 		}
 		// The engine's own choice.
 		cfg := Config{P: 8, Seed: uint64(trial)}

@@ -19,7 +19,7 @@ func TestBuildPlanGroupsEachProjectionOnce(t *testing.T) {
 	q, db, p, _ := benchInstance("cold_plan", 1)
 	e := newEngine(t, Config{P: p, Seed: 1})
 	ps := new(stats.Pass)
-	cp := e.buildPlan(q, db, e.settings(ExecOptions{}), ps)
+	cp := buildPlan(q, db, e.settings(ExecOptions{}), ps)
 	if cp.plan.Strategy != BinCombination {
 		t.Fatalf("strategy = %v, want bin-combination", cp.plan.Strategy)
 	}
@@ -84,7 +84,7 @@ func TestCachedPlanRetainsNoGrouping(t *testing.T) {
 		s := e.settings(ExecOptions{Strategy: tc.forced})
 		before := liveHeap()
 		ps := new(stats.Pass)
-		cp := e.buildPlan(tc.q, tc.db, s, ps)
+		cp := buildPlan(tc.q, tc.db, s, ps)
 		if cp.plan.Strategy != tc.want {
 			t.Fatalf("%s: planned %v", tc.name, cp.plan.Strategy)
 		}

@@ -128,7 +128,7 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 	if s.p < 2 {
 		return nil, fmt.Errorf("core: need p >= 2, got %d", s.p)
 	}
-	if err := checkInputs(q, db); err != nil {
+	if err := checkInputs(q, db, s.forced); err != nil {
 		return nil, err
 	}
 	h := &StandingQuery{e: e, q: q, db: db, s: s, opts: opts}

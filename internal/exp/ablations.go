@@ -24,13 +24,14 @@ func A1ShareRounding(s Scale) Table {
 	ok := true
 	var loads []float64
 	for _, strat := range []hypercube.Rounding{hypercube.RoundFloor, hypercube.RoundGreedy, hypercube.RoundPowerOfTwo} {
-		res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 7, Strategy: strat})
+		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 7, Strategy: strat})
+		res := route(hc.Phys, db)
 		used := 1
-		for _, sh := range res.Shares {
+		for _, sh := range hc.Shares {
 			used *= sh
 		}
 		rows = append(rows, []string{
-			strat.String(), fmt.Sprint(res.Shares), fi(int64(used)), fi(res.Loads.MaxTuples),
+			strat.String(), fmt.Sprint(hc.Shares), fi(int64(used)), fi(res.Loads.MaxTuples),
 		})
 		loads = append(loads, float64(res.Loads.MaxTuples))
 		if used > p {
@@ -69,8 +70,9 @@ func A2ShareOptimizers(s Scale) Table {
 	}
 	for _, c := range cases {
 		db := dbMatching(c.q, c.ms)
-		lpRes := hypercube.Run(c.q, db, hypercube.Config{P: p, Seed: 5})
-		auRes := hypercube.Run(c.q, db, hypercube.Config{P: p, Seed: 5, UseAfratiUllman: true})
+		lp := hypercube.BuildPlan(c.q, db, hypercube.Config{P: p, Seed: 5})
+		au := hypercube.BuildPlan(c.q, db, hypercube.Config{P: p, Seed: 5, UseAfratiUllman: true})
+		lpRes, auRes := route(lp.Phys, db), route(au.Phys, db)
 		// The LP optimizes the max load; AU optimizes the total. LP should
 		// not be much worse on max load (and is typically better).
 		if float64(lpRes.Loads.MaxBits) > 2.5*float64(auRes.Loads.MaxBits) {
@@ -78,8 +80,8 @@ func A2ShareOptimizers(s Scale) Table {
 		}
 		rows = append(rows, []string{
 			c.q.Name,
-			fmt.Sprint(lpRes.Shares), fk(float64(lpRes.Loads.MaxBits)),
-			fmt.Sprint(auRes.Shares), fk(float64(auRes.Loads.MaxBits)),
+			fmt.Sprint(lp.Shares), fk(float64(lpRes.Loads.MaxBits)),
+			fmt.Sprint(au.Shares), fk(float64(auRes.Loads.MaxBits)),
 		})
 	}
 	return Table{
@@ -109,13 +111,14 @@ func A3Threshold(s Scale) Table {
 	}{
 		{"m/(2p)", 1, 2}, {"m/p (paper)", 1, 1}, {"2m/p", 2, 1},
 	} {
-		res := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 11, ThresholdNum: th.num, ThresholdDen: th.den, SkipJoin: true})
+		jp := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: p, Seed: 11, ThresholdNum: th.num, ThresholdDen: th.den})
+		meas := route(jp.Phys, db).MaxVirtualBits
 		if th.num == 1 && th.den == 1 {
-			base = res.MaxVirtualBits
+			base = meas
 		}
 		rows = append(rows, []string{
-			th.name, fi(int64(res.NumH1 + res.NumH2 + res.NumH12)),
-			fk(float64(res.MaxVirtualBits)), fi(int64(res.VirtualServers)),
+			th.name, fi(int64(jp.NumH1 + jp.NumH2 + jp.NumH12)),
+			fk(float64(meas)), fi(int64(jp.Phys.Virtual)),
 		})
 	}
 	// All thresholds stay within a small factor of the paper's choice.
@@ -212,26 +215,27 @@ func A4OverweightFactor(s Scale) Table {
 		workload.SingleValue("S2", 2, m, domain, 1, 7, 2),
 	)
 	rows := [][]string{}
-	practical := skew.RunGeneral(q, db, skew.GeneralConfig{P: p, Seed: 3, SkipJoin: true})
-	paperNbc := skew.RunGeneral(q, db, skew.GeneralConfig{P: p, Seed: 3, UsePaperNbc: true, SkipJoin: true})
-	factor4 := skew.RunGeneral(q, db, skew.GeneralConfig{P: p, Seed: 3, OverweightFactor: 4, SkipJoin: true})
+	var combos []int
+	var loads []int64
 	for _, c := range []struct {
 		name string
-		r    skew.GeneralResult
+		cfg  skew.GeneralConfig
 	}{
-		{"C = 1 (practical)", practical},
-		{"C = 4", factor4},
-		{"C = N_bc (paper)", paperNbc},
+		{"C = 1 (practical)", skew.GeneralConfig{P: p, Seed: 3}},
+		{"C = 4", skew.GeneralConfig{P: p, Seed: 3, OverweightFactor: 4}},
+		{"C = N_bc (paper)", skew.GeneralConfig{P: p, Seed: 3, UsePaperNbc: true}},
 	} {
+		gp := skew.PlanGeneral(q, db, c.cfg)
+		meas := route(gp.Phys, db).MaxVirtualBits
+		combos, loads = append(combos, gp.NumBinCombos), append(loads, meas)
 		rows = append(rows, []string{
-			c.name, fi(int64(c.r.NumBinCombos)), fk(float64(c.r.MaxVirtualBits)),
-			fi(int64(c.r.VirtualServers)),
+			c.name, fi(int64(gp.NumBinCombos)), fk(float64(meas)),
+			fi(int64(gp.Phys.Virtual)),
 		})
 	}
 	// The paper's N_bc is vacuous at this scale (degenerates to plain HC),
 	// so the practical factor must engage more combos and lower the load.
-	ok := practical.NumBinCombos >= paperNbc.NumBinCombos &&
-		practical.MaxVirtualBits <= paperNbc.MaxVirtualBits
+	ok := combos[0] >= combos[2] && loads[0] <= loads[2]
 	return Table{
 		ID: "A4", Title: "Overweight threshold factor: practical C=1 vs paper N_bc",
 		PaperRef: "§4.2 (N_bc multiplier in the overweight definition)",

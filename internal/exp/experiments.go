@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
 	"repro/internal/mapreduce"
@@ -51,6 +52,13 @@ func within(v, ref, lo, hi float64) bool {
 	return r >= lo && r <= hi
 }
 
+// route runs plan over db without the local join: the experiments read
+// loads, and routing alone determines them.
+func route(plan *exec.PhysicalPlan, db *data.Database) exec.Result {
+	res, _ := exec.Run(plan, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+	return res
+}
+
 // E1ExampleJoinShares reproduces Example 3.3: the join q(x,y,z) =
 // S1(x,z), S2(y,z) under two share allocations — the cube (p^⅓,p^⅓,p^⅓)
 // and the hash join (1,1,p) — on skew-free and fully-skewed data.
@@ -74,7 +82,7 @@ func E1ExampleJoinShares(s Scale) Table {
 	rows := [][]string{}
 	ok := true
 	run := func(label string, db *data.Database, shares []int, pred float64) {
-		res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 9, Shares: shares, SkipJoin: true})
+		res := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 9, Shares: shares}).Phys, db)
 		got := float64(res.Loads.MaxTuples)
 		// Skew-free cases should be near prediction; skewed hash join is
 		// exactly the degenerate case so allow wide slack upward only.
@@ -117,7 +125,7 @@ func E2TrianglePackingTable(s Scale) Table {
 			fmt.Sprintf("u=%v", row.U), fk(row.Bound),
 		})
 	}
-	res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 7})
+	res := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 7}).Phys, db)
 	got := float64(res.Loads.MaxBits)
 	ratio := got / best
 	ok := len(table) == 4 && ratio >= 0.2 && ratio <= 8*math.Pow(math.Log(float64(p)), 2)
@@ -158,9 +166,9 @@ func E3MatchingBounds(s Scale) Table {
 			bitsM[j] = float64(db.MustGet(a.Name).Bits())
 		}
 		lower, _ := bounds.SimpleLower(c.q, bitsM, p)
-		res := hypercube.Run(c.q, db, hypercube.Config{P: p, Seed: 11, SkipJoin: true})
-		upper := res.PredictedBits
-		got := float64(res.Loads.MaxBits)
+		hc := hypercube.BuildPlan(c.q, db, hypercube.Config{P: p, Seed: 11})
+		upper := hc.PredictedBits
+		got := float64(route(hc.Phys, db).Loads.MaxBits)
 		thmOK := within(upper, lower, 0.999, 1.001)
 		loadOK := within(got, lower, 0.15, 10*math.Pow(math.Log(float64(p)), float64(c.q.NumVars())))
 		if !thmOK || !loadOK {
@@ -249,20 +257,22 @@ func E5SkewJoin(s Scale) Table {
 	ok := true
 	for _, set := range sets {
 		db := joinDB(set.s1, set.s2)
-		res := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 17, SkipJoin: true})
-		vanilla := skew.VanillaHashJoinLoads(db, p, 17)
-		ratio := float64(res.MaxVirtualBits) / res.PredictedBits
+		jp := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: p, Seed: 17})
+		meas := route(jp.Phys, db).MaxVirtualBits
+		// The vanilla hash join is HyperCube with shares (1, 1, p).
+		vanilla := route(hypercube.BuildPlan(query.Join2(), db, hypercube.Config{P: p, Seed: 17, Shares: []int{1, 1, p}}).Phys, db).MaxVirtualBits
+		ratio := float64(meas) / jp.PredictedBits
 		good := ratio <= 10*math.Log(float64(p)) && ratio >= 0.05
-		if set.skewed && res.MaxVirtualBits > vanilla {
+		if set.skewed && meas > vanilla {
 			good = false
 		}
 		if !good {
 			ok = false
 		}
 		rows = append(rows, []string{
-			set.name, fk(float64(res.MaxVirtualBits)), fk(res.PredictedBits),
+			set.name, fk(float64(meas)), fk(jp.PredictedBits),
 			f2(ratio), fk(float64(vanilla)),
-			fmt.Sprintf("%d/%d/%d", res.NumH1, res.NumH2, res.NumH12),
+			fmt.Sprintf("%d/%d/%d", jp.NumH1, jp.NumH2, jp.NumH12),
 		})
 	}
 	return Table{
@@ -294,8 +304,7 @@ func E6ResidualBounds(s Scale) Table {
 	bitsM := []float64{float64(db.MustGet("S1").Bits()), float64(db.MustGet("S2").Bits())}
 	simple, _ := bounds.SimpleLower(q, bitsM, p)
 	residual, _ := bounds.ResidualLower(q, query.NewVarSet(2), db, p)
-	res := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 23, SkipJoin: true})
-	meas := float64(res.MaxVirtualBits)
+	meas := float64(route(skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: 23}).Phys, db).MaxVirtualBits)
 	okJ := residual > simple && within(meas, residual, 0.1, 10*math.Log(float64(p)))
 	rows = append(rows, []string{"Join2 skewed z", fk(simple), fk(residual), fk(meas), fmt.Sprint(okJ)})
 	if !okJ {
@@ -372,15 +381,16 @@ func E7BinCombGeneral(s Scale) Table {
 		}()},
 	}
 	for _, c := range cases {
-		res := skew.RunGeneral(c.q, c.db, skew.GeneralConfig{P: p, Seed: 29, SkipJoin: true})
-		ratio := float64(res.MaxVirtualBits) / res.PredictedBits
-		good := ratio <= 20*math.Pow(math.Log(float64(p)), 2) && res.NumBinCombos >= 1
+		gp := skew.PlanGeneral(c.q, c.db, skew.GeneralConfig{P: p, Seed: 29})
+		meas := route(gp.Phys, c.db).MaxVirtualBits
+		ratio := float64(meas) / gp.PredictedBits
+		good := ratio <= 20*math.Pow(math.Log(float64(p)), 2) && gp.NumBinCombos >= 1
 		if !good {
 			ok = false
 		}
 		rows = append(rows, []string{
-			c.name, fi(int64(res.NumBinCombos)), fk(res.PredictedBits),
-			fk(float64(res.MaxVirtualBits)), f2(ratio),
+			c.name, fi(int64(gp.NumBinCombos)), fk(gp.PredictedBits),
+			fk(float64(meas)), f2(ratio),
 		})
 	}
 	return Table{
@@ -447,15 +457,16 @@ func E9SkewResilience(s Scale) Table {
 	)
 	q := query.Join2()
 	mf, pf := float64(m), float64(p)
-	resEq := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 3, EqualShares: true, SkipJoin: true})
-	resHash := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 3, Shares: []int{1, 1, p}, SkipJoin: true})
+	eq := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, EqualShares: true})
+	hash := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, Shares: []int{1, 1, p}})
+	resEq, resHash := route(eq.Phys, db), route(hash.Phys, db)
 	predEq := 2 * mf / math.Pow(pf, 1.0/3)
 	predHash := 2 * mf
 	okEq := within(float64(resEq.Loads.MaxTuples), predEq, 0.2, 6)
 	okHash := within(float64(resHash.Loads.MaxTuples), predHash, 0.9, 1.1)
 	rows := [][]string{
-		{"HC equal shares", fmt.Sprint(resEq.Shares), fi(resEq.Loads.MaxTuples), f1(predEq), fmt.Sprint(okEq)},
-		{"hash join", fmt.Sprint(resHash.Shares), fi(resHash.Loads.MaxTuples), f1(predHash), fmt.Sprint(okHash)},
+		{"HC equal shares", fmt.Sprint(eq.Shares), fi(resEq.Loads.MaxTuples), f1(predEq), fmt.Sprint(okEq)},
+		{"hash join", fmt.Sprint(hash.Shares), fi(resHash.Loads.MaxTuples), f1(predHash), fmt.Sprint(okHash)},
 	}
 	return Table{
 		ID: "E9", Title: "Skew resilience of HyperCube with equal shares",
@@ -477,14 +488,15 @@ func E10CartesianProduct(s Scale) Table {
 	db := data.NewDatabase()
 	db.Put(workload.Uniform("S1", 1, m1, 1<<21, 1))
 	db.Put(workload.Uniform("S2", 1, m2, 1<<21, 2))
-	res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 5, SkipJoin: true})
+	hc := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 5})
+	res := route(hc.Phys, db)
 	pred := 2 * math.Sqrt(float64(m1)*float64(m2)/float64(p))
 	got := float64(res.Loads.MaxTuples)
 	bitsM := []float64{float64(db.MustGet("S1").Bits()), float64(db.MustGet("S2").Bits())}
 	lower, _ := bounds.SimpleLower(q, bitsM, p)
 	ok := within(got, pred, 0.4, 3)
 	rows := [][]string{
-		{"shares", fmt.Sprint(res.Shares), ""},
+		{"shares", fmt.Sprint(hc.Shares), ""},
 		{"measured max load (tuples)", f1(got), f2(got / pred)},
 		{"predicted 2·sqrt(m1m2/p)", f1(pred), "1.00"},
 		{"lower bound (bits)", fk(lower), ""},

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/hypercube"
 	"repro/internal/join"
 	"repro/internal/query"
@@ -113,8 +114,8 @@ func E12RoundsTradeoff(s Scale) Table {
 	ok := true
 
 	run := func(label string, db *data.Database, expectOneRoundWins bool) {
-		hc := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 5, SkipJoin: true})
-		mr := rounds.Run(rounds.BuildPlan(q), db, rounds.Config{P: p, Seed: 5})
+		hc := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 5}).Phys, db)
+		mr, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: 5}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
 		oneRound := float64(hc.Loads.MaxBits)
 		multi := float64(mr.SumMaxBits)
 		winner := "multi-round"
@@ -181,22 +182,24 @@ func A5SamplingStats(s Scale) Table {
 		workload.Zipf("S2", m, domain, 1, 1.6, uint64(m/8), 2),
 	)
 	rows := [][]string{}
-	exact := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 5, SkipJoin: true})
+	q := query.Join2()
+	exact := skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: 5})
+	exactMax := route(exact.Phys, db).MaxVirtualBits
 	rows = append(rows, []string{"exact", fi(int64(exact.NumH1 + exact.NumH2 + exact.NumH12)),
-		fk(float64(exact.MaxVirtualBits)), f2(1.0)})
+		fk(float64(exactMax)), f2(1.0)})
 	ok := true
 	for _, size := range []int{m / 8, m / 2} {
-		res := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 5, SkipJoin: true,
-			SampleSize: size, SampleSeed: 99})
-		ratio := float64(res.MaxVirtualBits) / float64(exact.MaxVirtualBits)
+		jp := skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: 5, SampleSize: size, SampleSeed: 99})
+		meas := route(jp.Phys, db).MaxVirtualBits
+		ratio := float64(meas) / float64(exactMax)
 		// Sampling must stay within a small constant of exact detection.
 		if ratio > 4 {
 			ok = false
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("sample %d", size),
-			fi(int64(res.NumH1 + res.NumH2 + res.NumH12)),
-			fk(float64(res.MaxVirtualBits)), f2(ratio),
+			fi(int64(jp.NumH1 + jp.NumH2 + jp.NumH12)),
+			fk(float64(meas)), f2(ratio),
 		})
 	}
 	// Correctness under sampling, on a smaller instance (join computed).
@@ -204,8 +207,9 @@ func A5SamplingStats(s Scale) Table {
 		workload.Zipf("S1", 1000, domain, 1, 1.6, 200, 3),
 		workload.Zipf("S2", 1000, domain, 1, 1.6, 200, 4),
 	)
-	want := join.Join(query.Join2(), join.FromDatabase(small))
-	got := skew.RunJoin(small, skew.JoinConfig{P: 16, Seed: 5, SampleSize: 200, SampleSeed: 7})
+	want := join.Join(q, join.FromDatabase(small))
+	sampled := skew.PlanJoin(q, small, skew.JoinConfig{P: 16, Seed: 5, SampleSize: 200, SampleSeed: 7})
+	got, _ := exec.Run(sampled.Phys, small, exec.Config{}) // no ctx, no faults: never errors
 	correct := join.EqualTupleSets(got.Output, want)
 	if !correct {
 		ok = false

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/hypercube"
 	"repro/internal/query"
 	"repro/internal/rounds"
@@ -56,13 +57,13 @@ func FigureLoadVsP(s Scale) []Series {
 	lower := Series{Name: "lower-bound"}
 	multi := Series{Name: "multi-round"}
 	for _, p := range ps {
-		res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 3, SkipJoin: true})
+		res := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3}).Phys, db)
 		hc.X = append(hc.X, float64(p))
 		hc.Y = append(hc.Y, float64(res.Loads.MaxBits))
 		lb, _ := bounds.SimpleLower(q, bitsM, p)
 		lower.X = append(lower.X, float64(p))
 		lower.Y = append(lower.Y, lb)
-		mr := rounds.Run(rounds.BuildPlan(q), db, rounds.Config{P: p, Seed: 3})
+		mr, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: 3}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
 		multi.X = append(multi.X, float64(p))
 		multi.Y = append(multi.Y, float64(mr.SumMaxBits))
 	}
@@ -84,14 +85,15 @@ func FigureLoadVsSkew(s Scale) []Series {
 			workload.Zipf("S1", m, domain, 1, zs, uint64(m/8), 1),
 			workload.Zipf("S2", m, domain, 1, zs, uint64(m/8), 2),
 		)
-		res := skew.RunJoin(db, skew.JoinConfig{P: p, Seed: 5, SkipJoin: true})
-		v := skew.VanillaHashJoinLoads(db, p, 5)
+		jp := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: p, Seed: 5})
+		// The vanilla hash join is HyperCube with shares (1, 1, p).
+		v := route(hypercube.BuildPlan(query.Join2(), db, hypercube.Config{P: p, Seed: 5, Shares: []int{1, 1, p}}).Phys, db).MaxVirtualBits
 		skewed.X = append(skewed.X, zs)
-		skewed.Y = append(skewed.Y, float64(res.MaxVirtualBits))
+		skewed.Y = append(skewed.Y, float64(route(jp.Phys, db).MaxVirtualBits))
 		vanilla.X = append(vanilla.X, zs)
 		vanilla.Y = append(vanilla.Y, float64(v))
 		pred.X = append(pred.X, zs)
-		pred.Y = append(pred.Y, res.PredictedBits)
+		pred.Y = append(pred.Y, jp.PredictedBits)
 	}
 	return []Series{skewed, vanilla, pred}
 }
@@ -112,8 +114,8 @@ func FigureResilience(s Scale) []Series {
 	ref := Series{Name: "m-over-cbrt-p"}
 	bitsPer := float64(db.MustGet("S1").BitsPerTuple())
 	for _, p := range []int{8, 27, 64, 216, 512} {
-		r1 := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 3, EqualShares: true, SkipJoin: true})
-		r2 := hypercube.Run(q, db, hypercube.Config{P: p, Seed: 3, Shares: []int{1, 1, p}, SkipJoin: true})
+		r1 := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, EqualShares: true}).Phys, db)
+		r2 := route(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, Shares: []int{1, 1, p}}).Phys, db)
 		eq.X = append(eq.X, float64(p))
 		eq.Y = append(eq.Y, float64(r1.Loads.MaxBits))
 		hash.X = append(hash.X, float64(p))

@@ -196,15 +196,13 @@ func (r *Router) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
 	return dst
 }
 
-// Config controls a HyperCube run.
+// Config controls HyperCube share selection.
 type Config struct {
 	P    int    // number of servers
 	Seed uint64 // hash-family seed; same seed → identical run
 
 	// Shares overrides share selection entirely when non-nil.
 	Shares []int
-	// Exponents overrides the LP when non-nil (rounded per Strategy).
-	Exponents []float64
 	// Strategy selects integer rounding (default RoundGreedy).
 	Strategy Rounding
 	// UseAfratiUllman selects the baseline total-load optimizer instead of
@@ -213,33 +211,16 @@ type Config struct {
 	// EqualShares forces the skew-resilient p^{1/k} configuration
 	// (Corollary 3.2 (ii)).
 	EqualShares bool
-	// SkipJoin measures communication only: servers receive their
-	// fragments but do not compute the local join. Loads are identical;
-	// Output stays empty. Load-focused experiments use this to avoid
-	// materializing quadratic outputs.
-	SkipJoin bool
-}
-
-// Result reports a HyperCube run.
-type Result struct {
-	Shares        []int
-	Exponents     []float64
-	Lambda        float64 // LP optimum: predicted load is p^λ bits
-	PredictedBits float64 // p^λ (only for LP-based share selection)
-	Output        []data.Tuple
-	Loads         mpc.LoadSummary
 }
 
 // Plan is the §3.1 planner output: the selected shares with their LP
-// analysis, lowered to the unified executor's PhysicalPlan. Plans are
-// reusable across executions (Engine's plan cache holds them).
+// prediction, lowered to the unified executor's PhysicalPlan; run it with
+// exec.Run. Plans are reusable across executions (Engine's plan cache holds
+// them).
 type Plan struct {
 	Shares        []int
-	Exponents     []float64
-	Lambda        float64
-	PredictedBits float64
+	PredictedBits float64 // p^λ for the LP optimum λ (LP-based share selection only)
 	Phys          *exec.PhysicalPlan
-	skipJoin      bool
 }
 
 // BuildPlan selects shares for q over db (LP-optimal by default; cfg can
@@ -249,23 +230,17 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 	if cfg.P < 1 {
 		panic("hypercube: P must be >= 1")
 	}
-	pl := &Plan{skipJoin: cfg.SkipJoin}
+	pl := &Plan{}
 	bits := atomBits(q, db)
 	switch {
 	case cfg.Shares != nil:
 		pl.Shares = append([]int(nil), cfg.Shares...)
 	case cfg.EqualShares:
 		pl.Shares = EqualShares(q.NumVars(), cfg.P)
-	case cfg.Exponents != nil:
-		pl.Exponents = append([]float64(nil), cfg.Exponents...)
-		pl.Shares = RoundShares(pl.Exponents, cfg.P, cfg.Strategy)
 	case cfg.UseAfratiUllman:
-		pl.Exponents = AfratiUllmanExponents(q, bits, cfg.P)
-		pl.Shares = RoundShares(pl.Exponents, cfg.P, cfg.Strategy)
+		pl.Shares = RoundShares(AfratiUllmanExponents(q, bits, cfg.P), cfg.P, cfg.Strategy)
 	default:
 		e, lambda := OptimalExponents(q, bits, cfg.P)
-		pl.Exponents = e
-		pl.Lambda = lambda
 		pl.PredictedBits = math.Pow(float64(cfg.P), lambda)
 		pl.Shares = RoundShares(e, cfg.P, cfg.Strategy)
 	}
@@ -285,27 +260,6 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 		PredictedBits: pl.PredictedBits,
 	}
 	return pl
-}
-
-// Execute runs the plan on the unified executor and assembles the
-// HyperCube-specific result. Result slices are copies: plans are reused
-// across executions, so callers must not be able to mutate them.
-func (pl *Plan) Execute(db *data.Database) Result {
-	er, _ := exec.Run(pl.Phys, db, exec.Config{SkipCompute: pl.skipJoin}) // no ctx, no faults: never errors
-	return Result{
-		Shares:        append([]int(nil), pl.Shares...),
-		Exponents:     append([]float64(nil), pl.Exponents...),
-		Lambda:        pl.Lambda,
-		PredictedBits: pl.PredictedBits,
-		Output:        er.Output,
-		Loads:         er.Loads,
-	}
-}
-
-// Run executes the one-round HC algorithm for q over db on cfg.P simulated
-// servers and returns the answers plus the realized loads.
-func Run(q *query.Query, db *data.Database, cfg Config) Result {
-	return BuildPlan(q, db, cfg).Execute(db)
 }
 
 // atomBits returns M_j in bits for each atom of q, looked up in db.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/hashing"
 	"repro/internal/join"
 	"repro/internal/mpc"
@@ -270,10 +271,22 @@ func mkDB(q *query.Query, m int, domain int64, seed int64) *data.Database {
 	return workload.ForQuery(specs, seed)
 }
 
+// run plans q over db and executes the plan on the unified executor,
+// route-only when skip is set: an error fails the test.
+func run(t *testing.T, q *query.Query, db *data.Database, cfg Config, skip bool) (*Plan, exec.Result) {
+	t.Helper()
+	pl := BuildPlan(q, db, cfg)
+	res, err := exec.Run(pl.Phys, db, exec.Config{SkipCompute: skip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, res
+}
+
 func TestRunCorrectnessAgainstReference(t *testing.T) {
 	for _, q := range []*query.Query{query.Join2(), query.Triangle(), query.Path(3), query.Star(2)} {
 		db := mkDB(q, 300, 40, 5)
-		res := Run(q, db, Config{P: 16, Seed: 3})
+		_, res := run(t, q, db, Config{P: 16, Seed: 3}, false)
 		want := join.Join(q, join.FromDatabase(db))
 		if !join.EqualTupleSets(res.Output, want) {
 			t.Errorf("%s: HC output %d tuples, reference %d", q.Name, len(res.Output), len(want))
@@ -284,12 +297,12 @@ func TestRunCorrectnessAgainstReference(t *testing.T) {
 func TestRunExplicitShares(t *testing.T) {
 	q := query.Join2()
 	db := mkDB(q, 200, 50, 7)
-	res := Run(q, db, Config{P: 8, Seed: 1, Shares: []int{2, 2, 2}})
+	pl, res := run(t, q, db, Config{P: 8, Seed: 1, Shares: []int{2, 2, 2}}, false)
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Error("explicit-share run incorrect")
 	}
-	if res.Shares[0] != 2 {
+	if pl.Shares[0] != 2 {
 		t.Error("shares not honored")
 	}
 }
@@ -297,14 +310,14 @@ func TestRunExplicitShares(t *testing.T) {
 func TestRunEqualShares(t *testing.T) {
 	q := query.Triangle()
 	db := mkDB(q, 200, 40, 9)
-	res := Run(q, db, Config{P: 27, Seed: 4, EqualShares: true})
+	pl, res := run(t, q, db, Config{P: 27, Seed: 4, EqualShares: true}, false)
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Error("equal-share run incorrect")
 	}
-	for _, s := range res.Shares {
+	for _, s := range pl.Shares {
 		if s != 3 {
-			t.Errorf("EqualShares on p=27: %v, want (3,3,3)", res.Shares)
+			t.Errorf("EqualShares on p=27: %v, want (3,3,3)", pl.Shares)
 		}
 	}
 }
@@ -317,14 +330,14 @@ func TestRunSharesExceedPPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Run(q, db, Config{P: 4, Shares: []int{2, 2, 2}})
+	BuildPlan(q, db, Config{P: 4, Shares: []int{2, 2, 2}})
 }
 
 func TestRunDeterministicAcrossSeeds(t *testing.T) {
 	q := query.Join2()
 	db := mkDB(q, 100, 200, 3)
-	a := Run(q, db, Config{P: 8, Seed: 42})
-	b := Run(q, db, Config{P: 8, Seed: 42})
+	_, a := run(t, q, db, Config{P: 8, Seed: 42}, false)
+	_, b := run(t, q, db, Config{P: 8, Seed: 42}, false)
 	if a.Loads.MaxBits != b.Loads.MaxBits || len(a.Output) != len(b.Output) {
 		t.Error("same seed gave different runs")
 	}
@@ -335,11 +348,11 @@ func TestRunLoadWithinPolylogOfPrediction(t *testing.T) {
 	q := query.Join2()
 	db := mkDB(q, 20000, 1<<20, 11)
 	p := 64
-	res := Run(q, db, Config{P: p, Seed: 5})
-	if res.PredictedBits <= 0 {
+	pl, res := run(t, q, db, Config{P: p, Seed: 5}, false)
+	if pl.PredictedBits <= 0 {
 		t.Fatal("no prediction")
 	}
-	factor := float64(res.Loads.MaxBits) / res.PredictedBits
+	factor := float64(res.Loads.MaxBits) / pl.PredictedBits
 	logK := math.Pow(math.Log(float64(p)), float64(q.NumVars()))
 	if factor > logK {
 		t.Errorf("measured/predicted = %v exceeds ln^k p = %v", factor, logK)
@@ -358,7 +371,7 @@ func TestAtomBitsMissingRelationPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Run(q, db, Config{P: 4})
+	BuildPlan(q, db, Config{P: 4})
 }
 
 func TestRunTernaryAtomQuery(t *testing.T) {
@@ -368,7 +381,7 @@ func TestRunTernaryAtomQuery(t *testing.T) {
 	db := data.NewDatabase()
 	db.Put(workload.Uniform("R", 3, 400, 30, 1))
 	db.Put(workload.Uniform("S", 2, 400, 30, 2))
-	res := Run(q, db, Config{P: 16, Seed: 3})
+	_, res := run(t, q, db, Config{P: 16, Seed: 3}, false)
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("ternary HC: %d vs %d tuples", len(res.Output), len(want))
@@ -493,7 +506,7 @@ func TestRunCatalogSweepP(t *testing.T) {
 		db := mkDB(q, m, 25, 17)
 		want := join.Join(q, join.FromDatabase(db))
 		for _, p := range []int{2, 5, 16, 63} {
-			res := Run(q, db, Config{P: p, Seed: 11})
+			_, res := run(t, q, db, Config{P: p, Seed: 11}, false)
 			if !join.EqualTupleSets(res.Output, want) {
 				t.Errorf("%s p=%d: %d vs %d tuples", name, p, len(res.Output), len(want))
 			}
@@ -518,7 +531,7 @@ func TestPredictLoadSkewFreeMatchesSimulation(t *testing.T) {
 	}
 	shares := []int{4, 4, 4}
 	pred := PredictLoadSkewFree(q, bits, shares)
-	res := Run(q, db, Config{P: 64, Seed: 3, Shares: shares, SkipJoin: true})
+	_, res := run(t, q, db, Config{P: 64, Seed: 3, Shares: shares}, true)
 	// Measured = Σ_j per-relation loads ≤ ℓ · max_j ... so within [1, 3]×.
 	ratio := float64(res.Loads.MaxBits) / pred
 	if ratio < 0.9 || ratio > 4 {
@@ -544,7 +557,7 @@ func TestPredictLoadWorstCaseHolds(t *testing.T) {
 	bits := []float64{float64(db.MustGet("S1").Bits()), float64(db.MustGet("S2").Bits())}
 	shares := EqualShares(3, 64)
 	pred := PredictLoadWorstCase(q, bits, shares)
-	res := Run(q, db, Config{P: 64, Seed: 3, Shares: shares, SkipJoin: true})
+	_, res := run(t, q, db, Config{P: 64, Seed: 3, Shares: shares}, true)
 	ratio := float64(res.Loads.MaxBits) / pred
 	if ratio > 4 {
 		t.Errorf("measured %v exceeds worst-case formula %v by %vx",
@@ -566,5 +579,43 @@ func TestPredictLoadPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestHashJoinSharesRouteByZ pins the standard hash join, the baseline skew
+// breaks (Example 3.3), as the share vector (1, 1, p) of Join2: every tuple
+// of either relation reaches exactly server Hash(2, z, p), and the executed
+// per-server loads are that histogram times the tuple width.
+func TestHashJoinSharesRouteByZ(t *testing.T) {
+	q := query.Join2()
+	for _, p := range []int{2, 16, 64} {
+		for _, seed := range []uint64{1, 5, 17} {
+			db := data.NewDatabase()
+			db.Put(workload.Zipf("S1", 2000, 1<<20, 1, 1.4, 400, int64(seed)))
+			db.Put(workload.Zipf("S2", 2000, 1<<20, 1, 1.4, 400, int64(seed)+1))
+			pl, res := run(t, q, db, Config{P: p, Seed: seed, Shares: []int{1, 1, p}}, false)
+			fam := hashing.NewFamily(seed)
+			counts := make([]int64, p)
+			for _, name := range []string{"S1", "S2"} {
+				rel := db.MustGet(name)
+				rel.Each(func(_ int, tu data.Tuple) bool {
+					want := fam.Hash(2, tu[1], p)
+					if got := pl.Phys.Router.Destinations(name, tu, nil); len(got) != 1 || got[0] != want {
+						t.Fatalf("p=%d seed=%d: %s%v routed to %v, want [%d]", p, seed, name, tu, got, want)
+					}
+					counts[want]++
+					return true
+				})
+			}
+			bpt := db.MustGet("S1").BitsPerTuple()
+			for id, bits := range res.PerServerBits {
+				if bits != counts[id]*bpt {
+					t.Errorf("p=%d seed=%d: server %d received %d bits, want %d tuples × %d", p, seed, id, bits, counts[id], bpt)
+				}
+			}
+			if want := join.Join(q, join.FromDatabase(db)); !join.EqualTupleSets(res.Output, want) {
+				t.Errorf("p=%d seed=%d: hash join %d answers, reference %d", p, seed, len(res.Output), len(want))
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/hypercube"
 	"repro/internal/packing"
 	"repro/internal/query"
@@ -74,10 +75,12 @@ func MinReducers(q *query.Query, bitsM []float64, l float64) float64 {
 	return ReplicationLowerBound(q, bitsM, l) * sumM / l
 }
 
-// MeasuredReplication runs the HyperCube algorithm with p reducers and
-// reports (replication rate, max reducer load in bits). Sweeping p trades
-// reducer size against replication — the r-versus-L curve of Example 5.2.
+// MeasuredReplication routes q's HyperCube plan to p reducers and reports
+// (replication rate, max reducer load in bits). Sweeping p trades reducer
+// size against replication — the r-versus-L curve of Example 5.2. Both
+// depend on routing alone, so the reducers never compute the join.
 func MeasuredReplication(q *query.Query, db *data.Database, p int, seed uint64) (r float64, maxBits int64) {
-	res := hypercube.Run(q, db, hypercube.Config{P: p, Seed: seed})
+	plan := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed})
+	res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
 	return res.Loads.Replication, res.Loads.MaxBits
 }

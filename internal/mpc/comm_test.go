@@ -480,40 +480,3 @@ func TestShardedGoroutineBound(t *testing.T) {
 		}
 	}
 }
-
-// TestConcatOutsReusesBuffer checks the preallocated concatenation and
-// capacity reuse of the local-computation gather.
-func TestConcatOutsReusesBuffer(t *testing.T) {
-	c := NewCluster(6)
-	f := func(s *Server) []data.Tuple {
-		out := make([]data.Tuple, 0, s.ID)
-		for i := 0; i < s.ID; i++ {
-			out = append(out, data.Tuple{int64(s.ID), int64(i)})
-		}
-		return out
-	}
-	out1 := c.Compute(f)
-	if len(out1) != 15 { // 0+1+...+5
-		t.Fatalf("Compute returned %d tuples, want 15", len(out1))
-	}
-	if cap(out1) != 15 {
-		t.Errorf("Compute allocated cap %d, want exactly 15 (preallocated)", cap(out1))
-	}
-	// Server order must be preserved.
-	for i := 1; i < len(out1); i++ {
-		if out1[i-1][0] > out1[i][0] {
-			t.Fatalf("outputs out of server order at %d: %v then %v", i, out1[i-1], out1[i])
-		}
-	}
-	outs := make([][]data.Tuple, c.P)
-	if failed := c.ComputeGather(outs, f); len(failed) != 0 {
-		t.Fatalf("fault-free ComputeGather failed servers %v", failed)
-	}
-	out2 := ConcatOuts(out1, outs)
-	if len(out2) != 15 {
-		t.Fatalf("ConcatOuts returned %d tuples", len(out2))
-	}
-	if &out1[0] != &out2[0] {
-		t.Error("ConcatOuts did not reuse the supplied buffer's backing array")
-	}
-}

@@ -513,36 +513,6 @@ func (c *Cluster) ComputeResident(f func(s *Server) *data.Relation) {
 	}
 }
 
-// Compute runs f on every server and returns the concatenated outputs in
-// server order. Injected compute failures are recorded for TakeFault; the
-// failed servers contribute no output.
-func (c *Cluster) Compute(f func(s *Server) []data.Tuple) []data.Tuple {
-	outs := make([][]data.Tuple, c.P)
-	for _, id := range c.ComputeGather(outs, f) {
-		c.reportComputeFault(id)
-	}
-	return ConcatOuts(nil, outs)
-}
-
-// ConcatOuts concatenates per-server compute outputs into buf in server
-// order. The lengths are summed first so the result is allocated exactly
-// once — or not at all when buf's capacity suffices; buf's contents are
-// discarded.
-func ConcatOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if cap(buf) < total {
-		buf = make([]data.Tuple, 0, total)
-	}
-	buf = buf[:0]
-	for _, o := range outs {
-		buf = append(buf, o...)
-	}
-	return buf
-}
-
 // LoadSummary aggregates per-server loads after one or more Round calls.
 type LoadSummary struct {
 	MaxBits     int64

@@ -101,16 +101,16 @@ func TestRoundOutOfRangeReportsError(t *testing.T) {
 
 func TestComputeCollects(t *testing.T) {
 	c := NewCluster(5)
-	out := c.Compute(func(s *Server) []data.Tuple {
+	outs := make([][]data.Tuple, c.P)
+	if failed := c.ComputeGather(outs, func(s *Server) []data.Tuple {
 		return []data.Tuple{{int64(s.ID)}}
-	})
-	if len(out) != 5 {
-		t.Fatalf("Compute returned %d tuples", len(out))
+	}); len(failed) != 0 {
+		t.Fatalf("fault-free ComputeGather failed servers %v", failed)
 	}
-	// Server order must be preserved.
-	for i, tu := range out {
-		if tu[0] != int64(i) {
-			t.Errorf("out[%d] = %v", i, tu)
+	// Each server's output lands at its own index.
+	for i, out := range outs {
+		if len(out) != 1 || out[0][0] != int64(i) {
+			t.Errorf("outs[%d] = %v", i, out)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// Config controls multi-round planning and execution.
+// Config controls multi-round planning.
 type Config struct {
 	P    int
 	Seed uint64
@@ -122,44 +122,6 @@ type Config struct {
 	// join keys get p_h-server cartesian grids instead of a single hash
 	// bucket. Without it every step is a plain hash join.
 	SkewAware bool
-}
-
-// RoundLoad is the load summary of one communication round.
-type RoundLoad struct {
-	Step         Step
-	MaxBits      int64
-	TotalBits    int64
-	Intermediate int // tuples produced
-	// ResidentTuples counts intermediate tuples that entered this round
-	// server-to-server, never leaving the cluster.
-	ResidentTuples int64
-}
-
-// Result reports a multi-round run.
-type Result struct {
-	Output []data.Tuple
-	Rounds []RoundLoad
-	// MaxBitsPerRound is the max over rounds of the per-round max server
-	// load; SumMaxBits sums the per-round maxima (total bits the busiest
-	// server could have received across the computation).
-	MaxBitsPerRound int64
-	SumMaxBits      int64
-}
-
-// Run lowers the plan and executes it through exec.RunPipeline. Base
-// relations come from db; intermediates stay resident on the pipeline's
-// servers between rounds.
-func Run(plan Plan, db *data.Database, cfg Config) Result {
-	return Lower(plan, db, cfg, new(stats.Pass)).Execute(db)
-}
-
-// singleAtom answers a zero-step plan: no communication is needed, the
-// base relation's columns are permuted into head order (a column-pointer
-// permutation — no row-major scan) and materialized once.
-func singleAtom(q *query.Query, db *data.Database) Result {
-	atom := q.Atoms[0]
-	rel := db.MustGet(atom.Name)
-	return Result{Output: headOrderTuples(q, rel, atom.Vars)}
 }
 
 // headOrderTuples materializes rel — whose columns follow the schema vars —
@@ -206,40 +168,24 @@ func PlanPipeline(q *query.Query, db *data.Database, cfg Config) *PipelinePlan {
 	return Lower(BuildPlan(q), db, cfg, new(stats.Pass))
 }
 
-// Execute runs the pipeline over db and shapes the multi-round result,
-// permuting the final stage's columns into head order.
-func (pp *PipelinePlan) Execute(db *data.Database) Result {
-	res, _ := pp.ExecuteWith(db, exec.Config{}) // no ctx in the config: never errors
-	return res
-}
-
-// ExecuteWith is Execute with caller-supplied executor configuration (the
-// engine passes its cluster pool so cached pipelines reuse warm clusters,
-// and its context so a long pipeline aborts between rounds). The only
-// error is ec.Ctx's cancellation.
-func (pp *PipelinePlan) ExecuteWith(db *data.Database, ec exec.Config) (Result, error) {
+// ExecuteWith runs the pipeline over db with the caller's executor
+// configuration (the engine passes its cluster pool so cached pipelines
+// reuse warm clusters, and its context so a long pipeline aborts between
+// rounds) and returns the per-round loads — stage i is Logical.Steps[i] —
+// with the answers permuted into head order. A zero-step (single-atom) plan
+// needs no communication: its loads are zero and its answers are the base
+// relation's columns in head order. The only errors are ec.Ctx's
+// cancellation and injected faults that outlived ec.Retry.
+func (pp *PipelinePlan) ExecuteWith(db *data.Database, ec exec.Config) (exec.PipelineResult, []data.Tuple, error) {
 	q := pp.Logical.Query
 	if len(pp.Logical.Steps) == 0 {
-		return singleAtom(q, db), nil
+		atom := q.Atoms[0]
+		return exec.PipelineResult{}, headOrderTuples(q, db.MustGet(atom.Name), atom.Vars), nil
 	}
 	pr, err := exec.RunPipeline(pp.Pipe, db, ec)
 	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		MaxBitsPerRound: pr.MaxBitsPerRound,
-		SumMaxBits:      pr.SumMaxBits,
-	}
-	for i, rl := range pr.Rounds {
-		res.Rounds = append(res.Rounds, RoundLoad{
-			Step:           pp.Logical.Steps[i],
-			MaxBits:        rl.MaxBits,
-			TotalBits:      rl.TotalBits,
-			Intermediate:   rl.Intermediate,
-			ResidentTuples: rl.ResidentTuples,
-		})
+		return exec.PipelineResult{}, nil, err
 	}
 	last := pp.Logical.Steps[len(pp.Logical.Steps)-1]
-	res.Output = headOrderTuples(q, pr.Output, last.OutVars)
-	return res, nil
+	return pr, headOrderTuples(q, pr.Output, last.OutVars), nil
 }

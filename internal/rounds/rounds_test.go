@@ -4,10 +4,29 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// run lowers plan over db and executes it: the per-round loads and the
+// head-ordered answers.
+func run(t *testing.T, plan Plan, db *data.Database, cfg Config) (exec.PipelineResult, []data.Tuple) {
+	t.Helper()
+	return execute(t, Lower(plan, db, cfg, new(stats.Pass)), db)
+}
+
+// execute is ExecuteWith for tests: an error fails the test.
+func execute(t *testing.T, pp *PipelinePlan, db *data.Database) (exec.PipelineResult, []data.Tuple) {
+	t.Helper()
+	pr, out, err := pp.ExecuteWith(db, exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr, out
+}
 
 func dbFor(q *query.Query, m int, domain int64, seed int64) *data.Database {
 	specs := make([]workload.AtomSpec, q.NumAtoms())
@@ -71,10 +90,10 @@ func TestRunMatchesReference(t *testing.T) {
 		db := dbFor(q, 250, 40, 7)
 		want := join.Join(q, join.FromDatabase(db))
 		for _, skewAware := range []bool{false, true} {
-			res := Run(BuildPlan(q), db, Config{P: 8, Seed: 3, SkewAware: skewAware})
-			if !join.EqualTupleSets(res.Output, want) {
+			_, out := run(t, BuildPlan(q), db, Config{P: 8, Seed: 3, SkewAware: skewAware})
+			if !join.EqualTupleSets(out, want) {
 				t.Errorf("%s skewAware=%v: %d vs %d tuples",
-					q.Name, skewAware, len(res.Output), len(want))
+					q.Name, skewAware, len(out), len(want))
 			}
 		}
 	}
@@ -91,12 +110,12 @@ func TestRunHeadOrderCorrect(t *testing.T) {
 	s.Add(9, 1)
 	db.Put(r)
 	db.Put(s)
-	res := Run(BuildPlan(q), db, Config{P: 4, Seed: 1})
-	if len(res.Output) != 1 {
-		t.Fatalf("output = %v", res.Output)
+	_, out := run(t, BuildPlan(q), db, Config{P: 4, Seed: 1})
+	if len(out) != 1 {
+		t.Fatalf("output = %v", out)
 	}
 	// Head (a,b,c) = (9,1,2).
-	got := res.Output[0]
+	got := out[0]
 	if got[0] != 9 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("head order wrong: %v", got)
 	}
@@ -105,7 +124,7 @@ func TestRunHeadOrderCorrect(t *testing.T) {
 func TestRunRoundsAccounting(t *testing.T) {
 	q := query.Triangle()
 	db := dbFor(q, 300, 50, 5)
-	res := Run(BuildPlan(q), db, Config{P: 8, Seed: 2})
+	res, _ := run(t, BuildPlan(q), db, Config{P: 8, Seed: 2})
 	if len(res.Rounds) != 2 {
 		t.Fatalf("rounds = %d, want 2", len(res.Rounds))
 	}
@@ -133,9 +152,9 @@ func TestSkewAwareBeatsPlainOnSkewedStep(t *testing.T) {
 	db.Put(workload.SingleValue("S1", 2, 1000, 100000, 1, 7, 1))
 	db.Put(workload.SingleValue("S2", 2, 1000, 100000, 1, 7, 2))
 	plan := BuildPlan(q)
-	plain := Run(plan, db, Config{P: 64, Seed: 3})
-	aware := Run(plan, db, Config{P: 64, Seed: 3, SkewAware: true})
-	if !join.EqualTupleSets(plain.Output, aware.Output) {
+	plain, plainOut := run(t, plan, db, Config{P: 64, Seed: 3})
+	aware, awareOut := run(t, plan, db, Config{P: 64, Seed: 3, SkewAware: true})
+	if !join.EqualTupleSets(plainOut, awareOut) {
 		t.Fatal("modes disagree on output")
 	}
 	if aware.Rounds[0].MaxBits*4 > plain.Rounds[0].MaxBits {
@@ -153,7 +172,7 @@ func TestMultiRoundVsOneRoundTradeoffMatchings(t *testing.T) {
 	for j, a := range q.Atoms {
 		db.Put(workload.Matching(a.Name, 2, m, 1<<20, int64(j+1)))
 	}
-	res := Run(BuildPlan(q), db, Config{P: 64, Seed: 1})
+	res, _ := run(t, BuildPlan(q), db, Config{P: 64, Seed: 1})
 	// Each round's max should be near 2m/p (both sides hashed), far below
 	// m/p^{2/3}.
 	bitsPer := db.MustGet("S1").BitsPerTuple()
@@ -167,7 +186,7 @@ func TestMultiRoundVsOneRoundTradeoffMatchings(t *testing.T) {
 
 func TestRunPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { Run(BuildPlan(query.Join2()), data.NewDatabase(), Config{P: 1}) },
+		func() { Lower(BuildPlan(query.Join2()), data.NewDatabase(), Config{P: 1}, new(stats.Pass)) },
 		func() { BuildPlan(&query.Query{Name: "bad"}) },
 	} {
 		func() {
@@ -187,9 +206,9 @@ func TestRunSingleAtomQuery(t *testing.T) {
 	r := data.NewRelation("R", 2, 10)
 	r.Add(1, 2) // R(b=1, a=2) → head (a,b) = (2,1)
 	db.Put(r)
-	res := Run(BuildPlan(q), db, Config{P: 4, Seed: 1})
-	if len(res.Output) != 1 || res.Output[0][0] != 2 || res.Output[0][1] != 1 {
-		t.Errorf("single-atom output = %v", res.Output)
+	res, out := run(t, BuildPlan(q), db, Config{P: 4, Seed: 1})
+	if len(out) != 1 || out[0][0] != 2 || out[0][1] != 1 {
+		t.Errorf("single-atom output = %v", out)
 	}
 	if len(res.Rounds) != 0 {
 		t.Errorf("single atom should need 0 rounds, got %d", len(res.Rounds))
@@ -204,7 +223,7 @@ func TestPipelineIntermediatesStayResident(t *testing.T) {
 	db := dbFor(q, 300, 50, 5)
 	before := len(db.Relations)
 	for _, skewAware := range []bool{false, true} {
-		res := Run(BuildPlan(q), db, Config{P: 8, Seed: 2, SkewAware: skewAware})
+		res, _ := run(t, BuildPlan(q), db, Config{P: 8, Seed: 2, SkewAware: skewAware})
 		if len(res.Rounds) != 2 {
 			t.Fatalf("rounds = %d, want 2", len(res.Rounds))
 		}
@@ -235,9 +254,9 @@ func TestPipelinePlanReusable(t *testing.T) {
 	pp := PlanPipeline(q, db, Config{P: 8, Seed: 4, SkewAware: true})
 	want := join.Join(q, join.FromDatabase(db))
 	for i := 0; i < 3; i++ {
-		res := pp.Execute(db)
-		if !join.EqualTupleSets(res.Output, want) {
-			t.Fatalf("execution %d: %d vs %d tuples", i, len(res.Output), len(want))
+		_, out := execute(t, pp, db)
+		if !join.EqualTupleSets(out, want) {
+			t.Fatalf("execution %d: %d vs %d tuples", i, len(out), len(want))
 		}
 	}
 }
@@ -254,7 +273,7 @@ func TestPredictedSumMaxBits(t *testing.T) {
 	if pp.PredictedSumMaxBits <= 0 {
 		t.Fatal("no cost prediction")
 	}
-	res := pp.Execute(db)
+	res, _ := execute(t, pp, db)
 	ratio := pp.PredictedSumMaxBits / float64(res.SumMaxBits)
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("prediction %f vs realized %d (ratio %f) implausible",
@@ -271,15 +290,15 @@ func TestSingleAtomColumnarFastPath(t *testing.T) {
 	r.Add(3, 1, 2) // R(c=3,a=1,b=2) → head (1,2,3)
 	r.Add(6, 4, 5)
 	db.Put(r)
-	res := Run(BuildPlan(q), db, Config{P: 4, Seed: 1})
-	if len(res.Output) != 2 || len(res.Rounds) != 0 {
-		t.Fatalf("output = %v, rounds = %d", res.Output, len(res.Rounds))
+	res, out := run(t, BuildPlan(q), db, Config{P: 4, Seed: 1})
+	if len(out) != 2 || len(res.Rounds) != 0 {
+		t.Fatalf("output = %v, rounds = %d", out, len(res.Rounds))
 	}
 	want := map[data.Key]bool{
 		data.KeyOf(data.Tuple{1, 2, 3}): true,
 		data.KeyOf(data.Tuple{4, 5, 6}): true,
 	}
-	for _, tu := range res.Output {
+	for _, tu := range out {
 		if !want[data.KeyOf(tu)] {
 			t.Errorf("unexpected head-order tuple %v", tu)
 		}
@@ -322,8 +341,8 @@ func TestSkewAwareNoGridBloatOnSparseIntermediates(t *testing.T) {
 			t.Errorf("chain stage %d allocated %d virtual servers, want 16", i, st.Plan.Virtual)
 		}
 	}
-	res := cpp.Execute(cdb)
-	if len(res.Output) != 0 {
-		t.Errorf("disjoint chain produced %d tuples", len(res.Output))
+	_, out := execute(t, cpp, cdb)
+	if len(out) != 0 {
+		t.Errorf("disjoint chain produced %d tuples", len(out))
 	}
 }

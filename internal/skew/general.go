@@ -68,8 +68,6 @@ type GeneralConfig struct {
 	OverweightFactor float64
 	// UsePaperNbc selects C = N_bc, overriding OverweightFactor.
 	UsePaperNbc bool
-	// SkipJoin measures routing loads only (no local join, empty Output).
-	SkipJoin bool
 }
 
 // ComboLoad reports one bin combination's realized load against its own
@@ -81,20 +79,6 @@ type ComboLoad struct {
 	Lambda    float64
 	MaxBits   int64
 	Predicted float64 // p^λ(B) in bits
-}
-
-// GeneralResult reports a bin-combination run.
-type GeneralResult struct {
-	Output          []data.Tuple
-	MaxVirtualBits  int64
-	MaxPhysicalBits int64
-	VirtualServers  int
-	NumBinCombos    int
-	// PredictedBits is max_B p^{λ(B)}: Theorem 4.6 bounds the load by this
-	// times log^{O(1)} p.
-	PredictedBits float64
-	// ByCombo breaks the load down per bin combination (Corollary 4.4).
-	ByCombo []ComboLoad
 }
 
 // generalState carries everything the construction needs.
@@ -111,11 +95,6 @@ type generalState struct {
 	combos map[string]*binCombo
 }
 
-// RunGeneral executes the general skew-aware algorithm for q over db.
-func RunGeneral(q *query.Query, db *data.Database, cfg GeneralConfig) GeneralResult {
-	return PlanGeneral(q, db, cfg).Execute(db)
-}
-
 // PlanGeneral runs the Appendix-D bin-combination construction for q over
 // db and lowers the layout to a reusable PhysicalPlan. Statistics are
 // frozen at plan time, so the plan stays valid while (q, db, p) do.
@@ -127,7 +106,7 @@ func PlanGeneral(q *query.Query, db *data.Database, cfg GeneralConfig) *GeneralP
 // caller's pass, where strategy selection has usually collected them.
 func PlanGeneralWith(q *query.Query, db *data.Database, cfg GeneralConfig, ps *stats.Pass) *GeneralPlan {
 	if cfg.P < 2 {
-		panic("skew: RunGeneral needs P >= 2")
+		panic("skew: PlanGeneral needs P >= 2")
 	}
 	gs := newGeneralState(q, db, cfg.P, ps)
 	gs.applyOverweightFactor(cfg)

@@ -59,9 +59,9 @@ type comboPlan struct {
 }
 
 // GeneralPlan is the §4.2 planner output: every bin combination's HC
-// subgrid layout lowered to the unified executor's PhysicalPlan, plus the
-// per-combination ranges for the load breakdown. Plans are reusable across
-// executions.
+// subgrid layout lowered to the unified executor's PhysicalPlan (run it with
+// exec.Run), plus the per-combination ranges for the load breakdown. Plans
+// are reusable across executions.
 type GeneralPlan struct {
 	Phys         *exec.PhysicalPlan
 	NumBinCombos int
@@ -70,7 +70,6 @@ type GeneralPlan struct {
 	p             int
 	comboRanges   []vrange
 	comboMeta     []ComboLoad
-	skipJoin      bool
 }
 
 // vrange is the virtual-ID range [lo, hi) of one bin combination.
@@ -195,7 +194,6 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		PredictedBits: predicted,
 		p:             gs.p,
 		comboRanges:   comboRanges,
-		skipJoin:      cfg.SkipJoin,
 	}
 	gp.comboMeta = make([]ComboLoad, len(plans))
 	for pi, plan := range plans {
@@ -257,34 +255,26 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	return gp
 }
 
-// Execute runs the plan on the unified executor and assembles the
-// bin-combination result, including the per-combination load breakdown.
-func (gp *GeneralPlan) Execute(db *data.Database) GeneralResult {
-	er, _ := exec.Run(gp.Phys, db, exec.Config{SkipCompute: gp.skipJoin}) // no ctx, no faults: never errors
-	res := GeneralResult{
-		Output:          er.Output,
-		MaxVirtualBits:  er.MaxVirtualBits,
-		MaxPhysicalBits: er.MaxPhysicalBits,
-		VirtualServers:  gp.Phys.Virtual,
-		NumBinCombos:    gp.NumBinCombos,
-		PredictedBits:   gp.PredictedBits,
-	}
-	// Deep-copy the per-combination metadata: plans are reused across
-	// executions, so callers must not be able to mutate the cached slices.
-	res.ByCombo = make([]ComboLoad, len(gp.comboMeta))
+// ComboLoads breaks an execution's per-virtual-server loads
+// (exec.Result.PerServerBits of a run of gp.Phys) down per bin combination —
+// Corollary 4.4's per-combination statement: MaxBits is the max over the
+// combination's servers. The metadata is deep-copied: plans are reused
+// across executions, so callers must not be able to mutate the cached slices.
+func (gp *GeneralPlan) ComboLoads(perServerBits []int64) []ComboLoad {
+	out := make([]ComboLoad, len(gp.comboMeta))
 	for i, cm := range gp.comboMeta {
 		cm.Vars = append([]int(nil), cm.Vars...)
 		cm.Bins = append([]int(nil), cm.Bins...)
-		res.ByCombo[i] = cm
+		out[i] = cm
 	}
-	for id, bits := range er.PerServerBits {
+	for id, bits := range perServerBits {
 		for pi, vr := range gp.comboRanges {
-			if id >= vr.lo && id < vr.hi && bits > res.ByCombo[pi].MaxBits {
-				res.ByCombo[pi].MaxBits = bits
+			if id >= vr.lo && id < vr.hi && bits > out[pi].MaxBits {
+				out[pi].MaxBits = bits
 			}
 		}
 	}
-	return res
+	return out
 }
 
 // generalRouter routes tuples to every bin combination's subgrid. It

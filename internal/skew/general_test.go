@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -22,13 +23,20 @@ func refJoin(q *query.Query, db *data.Database) []data.Tuple {
 	return join.Join(q, join.FromDatabase(db))
 }
 
+// runGeneral plans the §4.2 algorithm for q over db and executes it.
+func runGeneral(t *testing.T, q *query.Query, db *data.Database, cfg GeneralConfig, skip bool) (*GeneralPlan, exec.Result) {
+	t.Helper()
+	gp := PlanGeneral(q, db, cfg)
+	return gp, execute(t, gp.Phys, db, skip)
+}
+
 func TestRunGeneralJoin2Uniform(t *testing.T) {
 	q := query.Join2()
 	db := generalDB(q,
 		workload.Uniform("S1", 2, 400, 80, 1),
 		workload.Uniform("S2", 2, 400, 80, 2),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 3})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 3}, false)
 	want := join.Dedup(refJoin(q, db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("general algorithm wrong on uniform join2: got %d, want %d",
@@ -42,7 +50,7 @@ func TestRunGeneralJoin2SkewedBoth(t *testing.T) {
 		workload.SingleValue("S1", 2, 200, 10000, 1, 7, 1),
 		workload.SingleValue("S2", 2, 150, 10000, 1, 7, 2),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 5})
+	gp, res := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 5}, false)
 	want := refJoin(q, db)
 	if len(want) != 200*150 {
 		t.Fatalf("reference = %d", len(want))
@@ -51,8 +59,8 @@ func TestRunGeneralJoin2SkewedBoth(t *testing.T) {
 		t.Errorf("general algorithm wrong on skewed join2: got %d, want %d",
 			len(res.Output), len(want))
 	}
-	if res.NumBinCombos < 2 {
-		t.Errorf("expected multiple bin combos on skewed data, got %d", res.NumBinCombos)
+	if gp.NumBinCombos < 2 {
+		t.Errorf("expected multiple bin combos on skewed data, got %d", gp.NumBinCombos)
 	}
 }
 
@@ -62,7 +70,7 @@ func TestRunGeneralJoin2ZipfMixed(t *testing.T) {
 		workload.Zipf("S1", 1500, 100000, 1, 1.7, 300, 11),
 		workload.Zipf("S2", 1500, 100000, 1, 1.7, 300, 12),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 13})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 13}, false)
 	want := refJoin(q, db)
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("general algorithm wrong on zipf join2: got %d, want %d",
@@ -77,7 +85,7 @@ func TestRunGeneralTriangleUniform(t *testing.T) {
 		workload.Uniform("S2", 2, 300, 40, 22),
 		workload.Uniform("S3", 2, 300, 40, 23),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 8, Seed: 24})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 24}, false)
 	want := refJoin(q, db)
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("general algorithm wrong on uniform triangle: got %d, want %d",
@@ -93,7 +101,7 @@ func TestRunGeneralTriangleSkewedVertex(t *testing.T) {
 	s2 := workload.Uniform("S2", 2, 400, 60, 32)
 	s3 := workload.PlantedHeavy("S3", 400, 10000, 1, []workload.HeavySpec{{Value: 0, Count: 120}}, 33)
 	db := generalDB(q, s1, s2, s3)
-	res := RunGeneral(q, db, GeneralConfig{P: 8, Seed: 34})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 34}, false)
 	want := refJoin(q, db)
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("general algorithm wrong on skewed triangle: got %d, want %d",
@@ -107,7 +115,7 @@ func TestRunGeneralStarSkewedCenter(t *testing.T) {
 	s1 := workload.PlantedHeavy("S1", 300, 10000, 0, []workload.HeavySpec{{Value: 5, Count: 100}}, 41)
 	s2 := workload.PlantedHeavy("S2", 300, 10000, 0, []workload.HeavySpec{{Value: 5, Count: 80}}, 42)
 	db := generalDB(q, s1, s2)
-	res := RunGeneral(q, db, GeneralConfig{P: 8, Seed: 43})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 43}, false)
 	want := refJoin(q, db)
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("general algorithm wrong on skewed star: got %d, want %d",
@@ -123,8 +131,8 @@ func TestRunGeneralLoadBeatsVanillaUnderSkew(t *testing.T) {
 		workload.SingleValue("S2", 2, m, 100000, 1, 7, 52),
 	)
 	p := 64
-	res := RunGeneral(q, db, GeneralConfig{P: p, Seed: 53, SkipJoin: true})
-	vanillaMax := VanillaHashJoinLoads(db, p, 53)
+	_, res := runGeneral(t, q, db, GeneralConfig{P: p, Seed: 53}, true)
+	vanillaMax := vanillaLoad(t, db, p, 53)
 	if res.MaxVirtualBits*3 > vanillaMax {
 		t.Errorf("general (%d bits) not clearly better than vanilla (%d bits)",
 			res.MaxVirtualBits, vanillaMax)
@@ -137,10 +145,10 @@ func TestRunGeneralDeterministic(t *testing.T) {
 		workload.Zipf("S1", 800, 100000, 1, 1.8, 200, 61),
 		workload.Zipf("S2", 800, 100000, 1, 1.8, 200, 62),
 	)
-	a := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 7})
-	b := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 7})
+	pa, a := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 7}, false)
+	pb, b := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 7}, false)
 	if a.MaxVirtualBits != b.MaxVirtualBits || len(a.Output) != len(b.Output) ||
-		a.VirtualServers != b.VirtualServers {
+		pa.Phys.Virtual != pb.Phys.Virtual {
 		t.Error("same seed gave different general runs")
 	}
 }
@@ -186,7 +194,7 @@ func TestRunGeneralPanicsOnBadP(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	RunGeneral(query.Join2(), data.NewDatabase(), GeneralConfig{P: 1})
+	PlanGeneral(query.Join2(), data.NewDatabase(), GeneralConfig{P: 1})
 }
 
 func TestRunGeneralEmptyDatabase(t *testing.T) {
@@ -195,7 +203,7 @@ func TestRunGeneralEmptyDatabase(t *testing.T) {
 		data.NewRelation("S1", 2, 10),
 		data.NewRelation("S2", 2, 10),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 4, Seed: 1})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 4, Seed: 1}, false)
 	if len(res.Output) != 0 {
 		t.Error("empty database should produce no answers")
 	}
@@ -218,7 +226,7 @@ func TestRunGeneralTernaryAtomSkewed(t *testing.T) {
 	}
 	db.Put(r)
 	db.Put(s)
-	res := RunGeneral(q, db, GeneralConfig{P: 8, Seed: 3})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 3}, false)
 	want := refJoin(q, db)
 	if len(want) == 0 {
 		t.Fatal("instance has no answers")
@@ -260,7 +268,7 @@ func TestRunGeneralDeepBinCombos(t *testing.T) {
 		t.Errorf("expected a |x| >= 2 bin combination, got %+v", infos)
 	}
 
-	res := RunGeneral(q, db, GeneralConfig{P: 8, Seed: 5})
+	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 5}, false)
 	want := refJoin(q, db)
 	if len(want) == 0 {
 		t.Fatal("instance has no answers")
@@ -276,12 +284,13 @@ func TestRunGeneralByComboAccounting(t *testing.T) {
 		workload.SingleValue("S1", 2, 400, 10000, 1, 7, 1),
 		workload.SingleValue("S2", 2, 400, 10000, 1, 7, 2),
 	)
-	res := RunGeneral(q, db, GeneralConfig{P: 16, Seed: 5, SkipJoin: true})
-	if len(res.ByCombo) != res.NumBinCombos {
-		t.Fatalf("ByCombo has %d entries, want %d", len(res.ByCombo), res.NumBinCombos)
+	gp, res := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 5}, true)
+	byCombo := gp.ComboLoads(res.PerServerBits)
+	if len(byCombo) != gp.NumBinCombos {
+		t.Fatalf("ByCombo has %d entries, want %d", len(byCombo), gp.NumBinCombos)
 	}
 	var max int64
-	for _, c := range res.ByCombo {
+	for _, c := range byCombo {
 		if c.MaxBits > max {
 			max = c.MaxBits
 		}
@@ -295,7 +304,7 @@ func TestRunGeneralByComboAccounting(t *testing.T) {
 	// Corollary 4.4 shape: each combo's load within polylog of
 	// max(m_j/p, p^λ).
 	mjOverP := float64(db.MustGet("S1").Bits()) / 16
-	for _, c := range res.ByCombo {
+	for _, c := range byCombo {
 		budget := c.Predicted
 		if mjOverP > budget {
 			budget = mjOverP

@@ -10,6 +10,7 @@
 package skew
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/hashing"
-	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -48,8 +48,6 @@ type JoinConfig struct {
 	// ThresholdNum/ThresholdDen scale the heavy-hitter threshold to
 	// (Num/Den)·m/p; both default to 1 (the paper's m/p). Ablation A3.
 	ThresholdNum, ThresholdDen int64
-	// SkipJoin measures routing loads only (no local join, empty Output).
-	SkipJoin bool
 	// SampleSize, when positive, detects heavy hitters from a uniform
 	// sample of that many tuples per relation instead of an exact pass —
 	// the sampling practice the paper cites for skew joins. Misclassified
@@ -68,23 +66,6 @@ type ClassLoads struct {
 	Light, H1, H2, H12 int64
 }
 
-// JoinResult reports a skew-join run.
-type JoinResult struct {
-	Output []data.Tuple
-	// MaxVirtualBits is the maximum load over virtual processors (what
-	// Eq. 10 bounds); MaxPhysicalBits maps virtual servers onto the p
-	// physical ones round-robin.
-	MaxVirtualBits  int64
-	MaxPhysicalBits int64
-	VirtualServers  int
-	// PredictedTuples is Eq. (10): max(m1/p, m2/p, L1, L2, L12) in tuples;
-	// PredictedBits converts at 2·⌈log₂ n⌉ bits per tuple.
-	PredictedTuples      float64
-	PredictedBits        float64
-	NumH1, NumH2, NumH12 int
-	ByClass              ClassLoads
-}
-
 // joinShape is the §4.1 query shape extracted from q's own atoms: relation
 // names, the position of the shared join variable z in each atom, and the
 // hash dimensions (q's variable indices, so renamed queries route their
@@ -99,10 +80,10 @@ type joinShape struct {
 
 // shapeOf validates that q is the two-relation join q(x,y,z) = R(..), T(..)
 // — two binary atoms sharing exactly one variable — and extracts its shape.
-func shapeOf(q *query.Query) joinShape {
+func shapeOf(q *query.Query) (joinShape, error) {
 	if q.NumAtoms() != 2 || q.NumVars() != 3 ||
 		q.Atoms[0].Arity() != 2 || q.Atoms[1].Arity() != 2 {
-		panic("skew: PlanJoin needs two binary atoms over three variables: " + q.String())
+		return joinShape{}, fmt.Errorf("skew: the skew join needs two binary atoms over three variables: %s", q)
 	}
 	a, b := q.Atoms[0], q.Atoms[1]
 	sh := joinShape{q: q, name1: a.Name, name2: b.Name, zPos1: -1}
@@ -110,7 +91,7 @@ func shapeOf(q *query.Query) joinShape {
 		for pb, vb := range b.Vars {
 			if va == vb {
 				if sh.zPos1 >= 0 {
-					panic("skew: PlanJoin needs exactly one shared variable: " + q.String())
+					return joinShape{}, fmt.Errorf("skew: the skew join needs exactly one shared variable: %s", q)
 				}
 				sh.zPos1, sh.zPos2 = pa, pb
 				sh.dimZ = va
@@ -118,41 +99,40 @@ func shapeOf(q *query.Query) joinShape {
 		}
 	}
 	if sh.zPos1 < 0 {
-		panic("skew: PlanJoin needs a shared variable: " + q.String())
+		return joinShape{}, fmt.Errorf("skew: the skew join needs a shared variable: %s", q)
 	}
 	sh.xPos1, sh.xPos2 = 1-sh.zPos1, 1-sh.zPos2
 	sh.dimX = a.Vars[sh.xPos1]
 	sh.dimY = b.Vars[sh.xPos2]
-	return sh
+	return sh, nil
+}
+
+// CheckJoin reports why q is not a two-relation join PlanJoin can plan, or
+// nil when it is.
+func CheckJoin(q *query.Query) error {
+	_, err := shapeOf(q)
+	return err
 }
 
 // JoinPlan is the §4.1 planner output: per-heavy-hitter virtual-server
-// blocks lowered to the unified executor's PhysicalPlan, plus the class
-// ranges needed for the per-class load breakdown. Plans are reusable
-// across executions.
+// blocks lowered to the unified executor's PhysicalPlan (run it with
+// exec.Run), plus the class ranges needed for the per-class load breakdown.
+// Plans are reusable across executions.
 type JoinPlan struct {
 	Phys                 *exec.PhysicalPlan
 	NumH1, NumH2, NumH12 int
-	PredictedTuples      float64
-	PredictedBits        float64
-	p                    int
+	// PredictedBits is Eq. (10), max(m1/p, m2/p, L1, L2, L12) tuples, at
+	// 2·⌈log₂ n⌉ bits per tuple.
+	PredictedBits float64
+	p             int
 	// classRanges are the hitter blocks in ascending virtual-ID order
 	// ([0,p) is the implicit light range).
 	classRanges []classRange
-	skipJoin    bool
 }
 
 type classRange struct {
 	lo, hi int
 	class  hitterClass
-}
-
-// RunJoin executes the skew join for q(x,y,z) = S1(x,z), S2(y,z) over db
-// (relations "S1", "S2", both binary with z in column 1) — the historical
-// entry point; PlanJoin accepts any two-relation join shape under q's own
-// names and column order.
-func RunJoin(db *data.Database, cfg JoinConfig) JoinResult {
-	return PlanJoin(query.Join2(), db, cfg).Execute(db)
 }
 
 // PlanJoin detects heavy hitters at threshold m_j/p and allocates virtual
@@ -170,7 +150,10 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 	if cfg.P < 1 {
 		panic("skew: P must be >= 1")
 	}
-	sh := shapeOf(q)
+	sh, err := shapeOf(q)
+	if err != nil {
+		panic(err.Error())
+	}
 	num, den := cfg.ThresholdNum, cfg.ThresholdDen
 	if num <= 0 {
 		num = 1
@@ -280,11 +263,10 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 	}
 
 	jp := &JoinPlan{
-		NumH1:    len(h1Keys),
-		NumH2:    len(h2Keys),
-		NumH12:   len(h12Keys),
-		p:        cfg.P,
-		skipJoin: cfg.SkipJoin,
+		NumH1:  len(h1Keys),
+		NumH2:  len(h2Keys),
+		NumH12: len(h12Keys),
+		p:      cfg.P,
 	}
 	// Class ranges in the virtual-ID space: [0,p) is light; hitter blocks
 	// follow in allocation order (H12, H1, H2), so the ranges are sorted.
@@ -302,11 +284,11 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 	}
 	// Eq. (10): L = max(m1/p, m2/p, L1, L2, L12).
 	p := float64(cfg.P)
-	jp.PredictedTuples = math.Max(float64(m1)/p, float64(m2)/p)
-	jp.PredictedTuples = math.Max(jp.PredictedTuples, math.Sqrt(sumK12/p))
-	jp.PredictedTuples = math.Max(jp.PredictedTuples, math.Sqrt(sumK1/p))
-	jp.PredictedTuples = math.Max(jp.PredictedTuples, math.Sqrt(sumK2/p))
-	jp.PredictedBits = jp.PredictedTuples * float64(s1.BitsPerTuple())
+	tuples := math.Max(float64(m1)/p, float64(m2)/p)
+	tuples = math.Max(tuples, math.Sqrt(sumK12/p))
+	tuples = math.Max(tuples, math.Sqrt(sumK1/p))
+	tuples = math.Max(tuples, math.Sqrt(sumK2/p))
+	jp.PredictedBits = tuples * float64(s1.BitsPerTuple())
 	jp.Phys = &exec.PhysicalPlan{
 		Strategy: "skew-join",
 		Virtual:  virtual,
@@ -503,66 +485,26 @@ func (jp *JoinPlan) classOf(id int) hitterClass {
 	return classLight // unreachable for IDs the plan allocated
 }
 
-// Execute runs the plan on the unified executor and assembles the
-// skew-join result, including the per-class load breakdown.
-func (jp *JoinPlan) Execute(db *data.Database) JoinResult {
-	er, _ := exec.Run(jp.Phys, db, exec.Config{SkipCompute: jp.skipJoin}) // no ctx, no faults: never errors
-	res := JoinResult{
-		Output:          er.Output,
-		MaxVirtualBits:  er.MaxVirtualBits,
-		MaxPhysicalBits: er.MaxPhysicalBits,
-		VirtualServers:  jp.Phys.Virtual,
-		PredictedTuples: jp.PredictedTuples,
-		PredictedBits:   jp.PredictedBits,
-		NumH1:           jp.NumH1,
-		NumH2:           jp.NumH2,
-		NumH12:          jp.NumH12,
-	}
-	for id, bits := range er.PerServerBits {
+// ClassLoads breaks an execution's per-virtual-server loads
+// (exec.Result.PerServerBits of a run of jp.Phys) down by §4.1 case: the max
+// over each class's servers.
+func (jp *JoinPlan) ClassLoads(perServerBits []int64) ClassLoads {
+	var cl ClassLoads
+	for id, bits := range perServerBits {
 		var slot *int64
 		switch jp.classOf(id) {
 		case classLight:
-			slot = &res.ByClass.Light
+			slot = &cl.Light
 		case classH1:
-			slot = &res.ByClass.H1
+			slot = &cl.H1
 		case classH2:
-			slot = &res.ByClass.H2
+			slot = &cl.H2
 		case classH12:
-			slot = &res.ByClass.H12
+			slot = &cl.H12
 		}
 		if bits > *slot {
 			*slot = bits
 		}
 	}
-	return res
-}
-
-// VanillaHashJoin runs the baseline standard hash join on z (shares
-// (1,1,p)) for the same query, returning output and the max load in bits —
-// the algorithm that degrades to Ω(m) under skew (Example 3.3).
-func VanillaHashJoin(db *data.Database, p int, seed uint64) ([]data.Tuple, int64) {
-	cluster := vanillaRound(db, p, seed)
-	q := query.Join2()
-	out := cluster.Compute(func(s *mpc.Server) []data.Tuple {
-		return join.Join(q, s.Received)
-	})
-	return out, cluster.Loads().MaxBits
-}
-
-// VanillaHashJoinLoads is VanillaHashJoin without the local join: it
-// reports only the max load in bits (communication is identical).
-func VanillaHashJoinLoads(db *data.Database, p int, seed uint64) int64 {
-	return vanillaRound(db, p, seed).Loads().MaxBits
-}
-
-func vanillaRound(db *data.Database, p int, seed uint64) *mpc.Cluster {
-	family := hashing.NewFamily(seed)
-	cluster := mpc.NewCluster(p)
-	router := mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-		return append(dst, family.Hash(2, t[1], p))
-	})
-	if err := cluster.Round(db, router); err != nil {
-		panic(err)
-	}
-	return cluster
+	return cl
 }

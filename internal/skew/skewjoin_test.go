@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
+	"repro/internal/hypercube"
 	"repro/internal/join"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -25,12 +27,38 @@ func reference(db *data.Database) []data.Tuple {
 	return join.Join(query.Join2(), join.FromDatabase(db))
 }
 
+// execute is exec.Run for tests, route-only when skip is set: an error
+// fails the test.
+func execute(t *testing.T, plan *exec.PhysicalPlan, db *data.Database, skip bool) exec.Result {
+	t.Helper()
+	res, err := exec.Run(plan, db, exec.Config{SkipCompute: skip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runJoin plans the Join2 skew join over db and executes it.
+func runJoin(t *testing.T, db *data.Database, cfg JoinConfig, skip bool) (*JoinPlan, exec.Result) {
+	t.Helper()
+	jp := PlanJoin(query.Join2(), db, cfg)
+	return jp, execute(t, jp.Phys, db, skip)
+}
+
+// vanillaLoad is the max load of the standard hash join on z — HyperCube
+// shares (1, 1, p) — the baseline skew breaks (Example 3.3).
+func vanillaLoad(t *testing.T, db *data.Database, p int, seed uint64) int64 {
+	t.Helper()
+	hc := hypercube.BuildPlan(query.Join2(), db, hypercube.Config{P: p, Seed: seed, Shares: []int{1, 1, p}})
+	return execute(t, hc.Phys, db, true).MaxVirtualBits
+}
+
 func TestRunJoinCorrectUniform(t *testing.T) {
 	db := joinDB(
 		workload.Uniform("S1", 2, 500, 60, 1),
 		workload.Uniform("S2", 2, 500, 60, 2),
 	)
-	res := RunJoin(db, JoinConfig{P: 16, Seed: 3})
+	_, res := runJoin(t, db, JoinConfig{P: 16, Seed: 3}, false)
 	if !join.EqualTupleSets(res.Output, reference(db)) {
 		t.Errorf("skew join wrong on uniform data: got %d, want %d tuples",
 			len(res.Output), len(reference(db)))
@@ -43,7 +71,7 @@ func TestRunJoinCorrectSingleHeavyBoth(t *testing.T) {
 		workload.SingleValue("S1", 2, 300, 1000, 1, 7, 1),
 		workload.SingleValue("S2", 2, 200, 1000, 1, 7, 2),
 	)
-	res := RunJoin(db, JoinConfig{P: 16, Seed: 5})
+	jp, res := runJoin(t, db, JoinConfig{P: 16, Seed: 5}, false)
 	want := reference(db)
 	if len(want) != 300*200 {
 		t.Fatalf("reference size %d, want 60000", len(want))
@@ -51,8 +79,8 @@ func TestRunJoinCorrectSingleHeavyBoth(t *testing.T) {
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("skew join wrong on H12 case: got %d tuples", len(res.Output))
 	}
-	if res.NumH12 != 1 || res.NumH1 != 0 || res.NumH2 != 0 {
-		t.Errorf("classification wrong: H12=%d H1=%d H2=%d", res.NumH12, res.NumH1, res.NumH2)
+	if jp.NumH12 != 1 || jp.NumH1 != 0 || jp.NumH2 != 0 {
+		t.Errorf("classification wrong: H12=%d H1=%d H2=%d", jp.NumH12, jp.NumH1, jp.NumH2)
 	}
 }
 
@@ -61,13 +89,13 @@ func TestRunJoinCorrectOneSidedHeavy(t *testing.T) {
 	s1 := workload.PlantedHeavy("S1", 400, 10000, 1, []workload.HeavySpec{{Value: 9, Count: 200}}, 3)
 	s2 := workload.PlantedHeavy("S2", 400, 10000, 1, []workload.HeavySpec{{Value: 9, Count: 1}}, 4)
 	db := joinDB(s1, s2)
-	res := RunJoin(db, JoinConfig{P: 8, Seed: 6})
+	jp, res := runJoin(t, db, JoinConfig{P: 8, Seed: 6}, false)
 	if !join.EqualTupleSets(res.Output, reference(db)) {
 		t.Errorf("skew join wrong on H1 case: got %d, want %d",
 			len(res.Output), len(reference(db)))
 	}
-	if res.NumH1 != 1 {
-		t.Errorf("H1 = %d, want 1 (H2=%d H12=%d)", res.NumH1, res.NumH2, res.NumH12)
+	if jp.NumH1 != 1 {
+		t.Errorf("H1 = %d, want 1 (H2=%d H12=%d)", jp.NumH1, jp.NumH2, jp.NumH12)
 	}
 }
 
@@ -82,13 +110,13 @@ func TestRunJoinCorrectMixedClasses(t *testing.T) {
 		{Value: 3, Count: 140}, // H2 only
 	}, 8)
 	db := joinDB(s1, s2)
-	res := RunJoin(db, JoinConfig{P: 8, Seed: 9})
+	jp, res := runJoin(t, db, JoinConfig{P: 8, Seed: 9}, false)
 	if !join.EqualTupleSets(res.Output, reference(db)) {
 		t.Errorf("skew join wrong on mixed case: got %d, want %d",
 			len(res.Output), len(reference(db)))
 	}
-	if res.NumH12 != 1 || res.NumH1 != 1 || res.NumH2 != 1 {
-		t.Errorf("classes: H12=%d H1=%d H2=%d, want 1 each", res.NumH12, res.NumH1, res.NumH2)
+	if jp.NumH12 != 1 || jp.NumH1 != 1 || jp.NumH2 != 1 {
+		t.Errorf("classes: H12=%d H1=%d H2=%d, want 1 each", jp.NumH12, jp.NumH1, jp.NumH2)
 	}
 }
 
@@ -97,12 +125,12 @@ func TestRunJoinCorrectZipf(t *testing.T) {
 		workload.Zipf("S1", 2000, 100000, 1, 1.8, 500, 11),
 		workload.Zipf("S2", 2000, 100000, 1, 1.8, 500, 12),
 	)
-	res := RunJoin(db, JoinConfig{P: 32, Seed: 13})
+	jp, res := runJoin(t, db, JoinConfig{P: 32, Seed: 13}, false)
 	if !join.EqualTupleSets(res.Output, reference(db)) {
 		t.Errorf("skew join wrong on zipf: got %d, want %d",
 			len(res.Output), len(reference(db)))
 	}
-	if res.NumH12 == 0 {
+	if jp.NumH12 == 0 {
 		t.Error("zipf(1.8) should produce jointly-heavy hitters")
 	}
 }
@@ -116,8 +144,8 @@ func TestRunJoinBeatsVanillaOnSkew(t *testing.T) {
 		workload.SingleValue("S2", 2, m, 100000, 1, 7, 2),
 	)
 	p := 64
-	res := RunJoin(db, JoinConfig{P: p, Seed: 3, SkipJoin: true})
-	vanillaMax := VanillaHashJoinLoads(db, p, 3)
+	_, res := runJoin(t, db, JoinConfig{P: p, Seed: 3}, true)
+	vanillaMax := vanillaLoad(t, db, p, 3)
 	// Vanilla sends everything to one server: load = 2m tuples worth.
 	bitsPer := db.MustGet("S1").BitsPerTuple()
 	if vanillaMax < int64(m)*bitsPer {
@@ -136,11 +164,11 @@ func TestRunJoinLoadNearPrediction(t *testing.T) {
 		workload.Zipf("S2", 5000, 1000000, 1, 1.5, 1000, 22),
 	)
 	p := 32
-	res := RunJoin(db, JoinConfig{P: p, Seed: 23, SkipJoin: true})
-	if res.PredictedBits <= 0 {
+	jp, res := runJoin(t, db, JoinConfig{P: p, Seed: 23}, true)
+	if jp.PredictedBits <= 0 {
 		t.Fatal("no prediction")
 	}
-	ratio := float64(res.MaxVirtualBits) / res.PredictedBits
+	ratio := float64(res.MaxVirtualBits) / jp.PredictedBits
 	if ratio > 12 { // generous O(log p) slack (log 32 ≈ 3.5)
 		t.Errorf("measured/predicted = %v, too far above Eq. (10)", ratio)
 	}
@@ -152,11 +180,11 @@ func TestRunJoinVirtualServersTheta(t *testing.T) {
 		workload.Zipf("S2", 2000, 100000, 1, 2.0, 300, 32),
 	)
 	p := 16
-	res := RunJoin(db, JoinConfig{P: p, Seed: 33, SkipJoin: true})
+	jp, _ := runJoin(t, db, JoinConfig{P: p, Seed: 33}, true)
 	// Θ(p): between p and a small multiple of p (each of ≤3p hitter groups
 	// gets ceil rounding slack).
-	if res.VirtualServers < p || res.VirtualServers > 10*p+100 {
-		t.Errorf("virtual servers = %d, want Θ(p) around %d", res.VirtualServers, p)
+	if jp.Phys.Virtual < p || jp.Phys.Virtual > 10*p+100 {
+		t.Errorf("virtual servers = %d, want Θ(p) around %d", jp.Phys.Virtual, p)
 	}
 }
 
@@ -171,7 +199,7 @@ func TestRunJoinThresholdAblation(t *testing.T) {
 		{P: 16, Seed: 1, ThresholdNum: 1, ThresholdDen: 2},
 		{P: 16, Seed: 1, ThresholdNum: 2, ThresholdDen: 1},
 	} {
-		res := RunJoin(db, cfg)
+		_, res := runJoin(t, db, cfg, false)
 		if !join.EqualTupleSets(res.Output, want) {
 			t.Errorf("threshold %d/%d broke correctness", cfg.ThresholdNum, cfg.ThresholdDen)
 		}
@@ -182,20 +210,9 @@ func TestRunJoinEmptyRelations(t *testing.T) {
 	db := data.NewDatabase()
 	db.Put(data.NewRelation("S1", 2, 10))
 	db.Put(data.NewRelation("S2", 2, 10))
-	res := RunJoin(db, JoinConfig{P: 4, Seed: 1})
+	_, res := runJoin(t, db, JoinConfig{P: 4, Seed: 1}, false)
 	if len(res.Output) != 0 {
 		t.Error("join of empty relations should be empty")
-	}
-}
-
-func TestVanillaHashJoinCorrect(t *testing.T) {
-	db := joinDB(
-		workload.Uniform("S1", 2, 300, 50, 51),
-		workload.Uniform("S2", 2, 300, 50, 52),
-	)
-	out, _ := VanillaHashJoin(db, 8, 1)
-	if !join.EqualTupleSets(out, reference(db)) {
-		t.Error("vanilla hash join incorrect")
 	}
 }
 
@@ -205,7 +222,7 @@ func TestRunJoinPanicsOnBadP(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	RunJoin(data.NewDatabase(), JoinConfig{P: 0})
+	PlanJoin(query.Join2(), data.NewDatabase(), JoinConfig{P: 0})
 }
 
 func TestByClassBreakdown(t *testing.T) {
@@ -218,8 +235,8 @@ func TestByClassBreakdown(t *testing.T) {
 		{Value: 1, Count: 100}, {Value: 3, Count: 140},
 	}, 8)
 	db := joinDB(s1, s2)
-	res := RunJoin(db, JoinConfig{P: 8, Seed: 9, SkipJoin: true})
-	bc := res.ByClass
+	jp, res := runJoin(t, db, JoinConfig{P: 8, Seed: 9}, true)
+	bc := jp.ClassLoads(res.PerServerBits)
 	if bc.Light <= 0 || bc.H12 <= 0 || bc.H1 <= 0 || bc.H2 <= 0 {
 		t.Errorf("class loads should all be positive: %+v", bc)
 	}
@@ -242,13 +259,14 @@ func TestByClassLightBoundedByMOverP(t *testing.T) {
 		workload.Matching("S2", 2, 4000, 1000000, 2),
 	)
 	p := 16
-	res := RunJoin(db, JoinConfig{P: p, Seed: 3, SkipJoin: true})
+	jp, res := runJoin(t, db, JoinConfig{P: p, Seed: 3}, true)
 	bitsPer := db.MustGet("S1").BitsPerTuple()
 	budget := 8 * int64(4000/p) * bitsPer
-	if res.ByClass.Light > budget {
-		t.Errorf("light-class load %d exceeds budget %d", res.ByClass.Light, budget)
+	bc := jp.ClassLoads(res.PerServerBits)
+	if bc.Light > budget {
+		t.Errorf("light-class load %d exceeds budget %d", bc.Light, budget)
 	}
-	if res.ByClass.H12 != 0 || res.ByClass.H1 != 0 || res.ByClass.H2 != 0 {
-		t.Errorf("no heavy classes expected: %+v", res.ByClass)
+	if bc.H12 != 0 || bc.H1 != 0 || bc.H2 != 0 {
+		t.Errorf("no heavy classes expected: %+v", bc)
 	}
 }

@@ -4,13 +4,9 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/exec"
-	"repro/internal/hypercube"
 	"repro/internal/mapreduce"
 	"repro/internal/packing"
 	"repro/internal/query"
-	"repro/internal/rounds"
-	"repro/internal/skew"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -32,31 +28,15 @@ type (
 	// mutate it with Apply (batched Delta of inserts/deletes), which
 	// maintains fingerprints and per-attribute statistics incrementally.
 	Database = data.Database
-	// PhysicalPlan is the unified executable form every strategy planner
-	// lowers to; exec.Run is the single executor they share.
-	PhysicalPlan = exec.PhysicalPlan
-	// Pipeline is the multi-round executable form: an ordered sequence of
-	// executor stages sharing one persistent cluster, with intermediates
-	// resident on the servers between rounds; exec.RunPipeline executes it.
-	Pipeline = exec.Pipeline
 	// Plan describes the algorithm the engine chose and its bound.
 	Plan = core.Plan
 	// Result is an executed plan with answers and realized loads.
 	Result = core.Result
 	// Strategy identifies the chosen algorithm.
 	Strategy = core.Strategy
-	// HyperCubeConfig configures a direct HyperCube run.
-	HyperCubeConfig = hypercube.Config
-	// HyperCubeResult reports a direct HyperCube run.
-	HyperCubeResult = hypercube.Result
-	// SkewJoinConfig configures the §4.1 two-table skew join.
-	SkewJoinConfig = skew.JoinConfig
-	// SkewJoinResult reports a §4.1 run.
-	SkewJoinResult = skew.JoinResult
-	// GeneralSkewConfig configures the §4.2 bin-combination algorithm.
-	GeneralSkewConfig = skew.GeneralConfig
-	// GeneralSkewResult reports a §4.2 run.
-	GeneralSkewResult = skew.GeneralResult
+	// RunConfig configures Run; Shares (HyperCube only, product ≤ P)
+	// override the LP shares: []int{1, 1, P} is Join2's standard hash join.
+	RunConfig = core.RunConfig
 	// HeavySpec plants one heavy hitter in a generated relation.
 	HeavySpec = workload.HeavySpec
 	// AtomSpec describes one relation for ForQuery generation.
@@ -128,19 +108,14 @@ var (
 	DatabaseForQuery = workload.ForQuery
 )
 
-// RunHyperCube executes the §3.1 HyperCube algorithm directly.
-func RunHyperCube(q *Query, db *Database, cfg HyperCubeConfig) HyperCubeResult {
-	return hypercube.Run(q, db, cfg)
-}
-
-// RunSkewJoin executes the §4.1 skew join over relations "S1","S2".
-func RunSkewJoin(db *Database, cfg SkewJoinConfig) SkewJoinResult {
-	return skew.RunJoin(db, cfg)
-}
-
-// RunGeneralSkew executes the §4.2 bin-combination algorithm.
-func RunGeneralSkew(q *Query, db *Database, cfg GeneralSkewConfig) GeneralSkewResult {
-	return skew.RunGeneral(q, db, cfg)
+// Run plans q over db with cfg.Strategy and executes it once, uncached: the
+// Result Session.Exec returns under WithStrategy and WithoutCache. Invalid
+// input — P < 2, a strategy q cannot take, shares that do not fit — errors.
+func Run(q *Query, db *Database, cfg RunConfig) (Result, error) {
+	if err := checkNil(q, db); err != nil {
+		return Result{}, err
+	}
+	return core.Run(q, db, cfg)
 }
 
 // DatabaseFingerprint returns the content hash the engine's plan cache
@@ -153,43 +128,6 @@ func DatabaseFingerprint(db *Database) uint64 {
 	db.RLock()
 	defer db.RUnlock()
 	return stats.Fingerprint(db)
-}
-
-// VanillaJoin runs the baseline standard hash join on z for relations
-// "S1","S2" (the algorithm that degrades to Ω(m) under skew), returning
-// the answers and the max per-server load in bits.
-func VanillaJoin(db *Database, p int, seed uint64) ([]Tuple, int64) {
-	return skew.VanillaHashJoin(db, p, seed)
-}
-
-// Multi-round evaluation (the traditional one-join-per-round strategy the
-// paper's introduction contrasts with its one-round algorithms). Plans are
-// lowered to a Pipeline of executor stages and run on one persistent
-// simulated cluster with intermediates resident on the servers.
-type (
-	// MultiRoundPlan is a left-deep sequence of binary join rounds.
-	MultiRoundPlan = rounds.Plan
-	// MultiRoundConfig configures multi-round planning and execution.
-	MultiRoundConfig = rounds.Config
-	// MultiRoundResult reports per-round and aggregate loads.
-	MultiRoundResult = rounds.Result
-	// MultiRoundPipelinePlan is a lowered, reusable multi-round plan with
-	// its cost prediction (what the engine caches and cost-compares).
-	MultiRoundPipelinePlan = rounds.PipelinePlan
-)
-
-// BuildMultiRoundPlan constructs a greedy left-deep plan for q.
-func BuildMultiRoundPlan(q *Query) MultiRoundPlan { return rounds.BuildPlan(q) }
-
-// PlanMultiRound lowers the left-deep plan for q over db's statistics into
-// a reusable pipeline plan.
-func PlanMultiRound(q *Query, db *Database, cfg MultiRoundConfig) *MultiRoundPipelinePlan {
-	return rounds.PlanPipeline(q, db, cfg)
-}
-
-// RunMultiRound lowers and executes a multi-round plan on the simulator.
-func RunMultiRound(plan MultiRoundPlan, db *Database, cfg MultiRoundConfig) MultiRoundResult {
-	return rounds.Run(plan, db, cfg)
 }
 
 // LowerBound returns Theorem 1.2's L_lower (bits) for q over db at p

@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/join"
 )
 
 // The facade test doubles as the quickstart smoke test: everything a
@@ -50,14 +52,15 @@ func TestFacadeSkewPath(t *testing.T) {
 	db := NewDatabase()
 	db.Put(SingleValueRelation("S1", 2, 300, 100000, 1, 7, 1))
 	db.Put(SingleValueRelation("S2", 2, 300, 100000, 1, 7, 2))
-	res := RunSkewJoin(db, SkewJoinConfig{P: 8, Seed: 1})
-	if len(res.Output) != 300*300 {
-		t.Errorf("skew join output = %d, want 90000", len(res.Output))
-	}
 	q := Join2Query()
-	g := RunGeneralSkew(q, db, GeneralSkewConfig{P: 8, Seed: 1})
-	if len(g.Output) != 300*300 {
-		t.Errorf("general output = %d", len(g.Output))
+	for _, s := range []Strategy{StrategySkewJoin, StrategyBinCombination} {
+		res, err := Run(q, db, RunConfig{Strategy: s, P: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Strategy != s || len(res.Output) != 300*300 {
+			t.Errorf("%v: strategy %v, output = %d, want 90000", s, res.Plan.Strategy, len(res.Output))
+		}
 	}
 }
 
@@ -104,22 +107,16 @@ func TestFacadeMultiRoundPipeline(t *testing.T) {
 	db.Put(MatchingRelation("S2", 2, 400, 100000, 2))
 	db.Put(MatchingRelation("S3", 2, 400, 100000, 3))
 
-	// Direct lowering + execution through the facade.
-	pp := PlanMultiRound(q, db, MultiRoundConfig{P: 8, Seed: 3, SkewAware: true})
-	if pp.PredictedSumMaxBits <= 0 {
-		t.Error("pipeline plan has no cost prediction")
+	// Direct execution through the facade: two rounds, a cost prediction.
+	res, err := Run(q, db, RunConfig{Strategy: StrategyMultiRound, P: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := pp.Execute(db)
-	if len(res.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(res.Rounds))
+	if res.Plan.Rounds != 2 || res.Plan.PredictedBits <= 0 {
+		t.Fatalf("rounds = %d, prediction %v; want 2 rounds and a prediction", res.Plan.Rounds, res.Plan.PredictedBits)
 	}
 
-	// Same answers as the legacy Run entry point and the engine's forced
-	// multi-round strategy.
-	legacy := RunMultiRound(BuildMultiRoundPlan(q), db, MultiRoundConfig{P: 8, Seed: 3})
-	if len(legacy.Output) != len(res.Output) {
-		t.Errorf("pipeline %d tuples vs legacy %d", len(res.Output), len(legacy.Output))
-	}
+	// Same answers as the engine's forced multi-round strategy.
 	er, err := freshExec(8, 3, q, db, WithStrategy(StrategyMultiRound))
 	if err != nil {
 		t.Fatal(err)
@@ -127,5 +124,48 @@ func TestFacadeMultiRoundPipeline(t *testing.T) {
 	if er.Plan.Strategy != StrategyMultiRound || len(er.Output) != len(res.Output) {
 		t.Errorf("engine multi-round: strategy %v, %d tuples vs %d",
 			er.Plan.Strategy, len(er.Output), len(res.Output))
+	}
+}
+
+// TestRunMatchesSessionExec: Run is Session.Exec with the strategy forced
+// and the plan cache bypassed — the same plan, answers and loads — for every
+// strategy, on a skewed join and a triangle.
+func TestRunMatchesSessionExec(t *testing.T) {
+	zipf := NewDatabase()
+	zipf.Put(ZipfRelation("S1", 1500, 1<<20, 1, 1.4, 300, 1))
+	zipf.Put(ZipfRelation("S2", 1500, 1<<20, 1, 1.4, 300, 2))
+	tri := NewDatabase()
+	for j, name := range []string{"S1", "S2", "S3"} {
+		tri.Put(UniformRelation(name, 2, 1500, 200, int64(j+1)))
+	}
+	for _, tc := range []struct {
+		name string
+		q    *Query
+		db   *Database
+	}{{"join2-zipf", Join2Query(), zipf}, {"triangle", TriangleQuery(), tri}} {
+		for _, s := range []Strategy{StrategyHyperCube, StrategySkewJoin, StrategyBinCombination, StrategyMultiRound} {
+			if s == StrategySkewJoin && tc.q.NumAtoms() != 2 {
+				continue // the §4.1 join plans two-atom queries only
+			}
+			got, err := Run(tc.q, tc.db, RunConfig{Strategy: s, P: 16, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := freshExec(16, 4, tc.q, tc.db, WithStrategy(s), WithoutCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Output) == 0 {
+				t.Fatalf("%s/%v: instance has no answers", tc.name, s)
+			}
+			if got.Plan.Strategy != s || !join.EqualTupleSets(got.Output, want.Output) {
+				t.Errorf("%s/%v: Run %v with %d answers, Exec %d", tc.name, s, got.Plan.Strategy, len(got.Output), len(want.Output))
+			}
+			if got.MaxLoadBits != want.MaxLoadBits || got.TotalBits != want.TotalBits || got.Plan.PredictedBits != want.Plan.PredictedBits {
+				t.Errorf("%s/%v: Run loads %d/%d pred %v, Exec %d/%d pred %v", tc.name, s,
+					got.MaxLoadBits, got.TotalBits, got.Plan.PredictedBits,
+					want.MaxLoadBits, want.TotalBits, want.Plan.PredictedBits)
+			}
+		}
 	}
 }

@@ -223,7 +223,7 @@ func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...Exec
 			opt.apply(&o)
 		}
 	}
-	if err := checkNil(q, db); err != nil {
+	if err := checkInputs(q, db, o); err != nil {
 		return Result{}, err
 	}
 	if err := s.gate.Enter(ctx); err != nil {
@@ -251,7 +251,7 @@ func (s *Session) Standing(ctx context.Context, q *Query, db *Database, opts ...
 			opt.apply(&o)
 		}
 	}
-	if err := checkNil(q, db); err != nil {
+	if err := checkInputs(q, db, o); err != nil {
 		return nil, err
 	}
 	// The seed is an execution; it passes the admission gate like any Exec
@@ -274,9 +274,8 @@ func (s *Session) Explain(q *Query, db *Database) string {
 	return s.eng.Explain(q, db.Snapshot())
 }
 
-// checkNil rejects the nil inputs the engine would dereference. Exec and
-// Standing run it before the admission gate, so a malformed call never
-// takes a slot; everything else about q and db is validated by the engine.
+// checkNil rejects the nil inputs the engine would dereference; everything
+// else about q and db is validated by the engine.
 func checkNil(q *Query, db *Database) error {
 	if q == nil {
 		return fmt.Errorf("%w: nil query", core.ErrInvalidQuery)
@@ -285,6 +284,16 @@ func checkNil(q *Query, db *Database) error {
 		return errors.New("repro: nil database")
 	}
 	return nil
+}
+
+// checkInputs is checkNil plus the forced strategy's shape check. Exec and
+// Standing run it before the admission gate, so a malformed call never
+// takes a slot.
+func checkInputs(q *Query, db *Database, o core.ExecOptions) error {
+	if err := checkNil(q, db); err != nil {
+		return err
+	}
+	return core.CheckStrategy(q, o.Strategy)
 }
 
 // CacheStats reports the session's plan-cache counters, including

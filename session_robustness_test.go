@@ -292,3 +292,83 @@ func TestSessionRejectsNilInputs(t *testing.T) {
 		t.Errorf("Admitted = %d after one valid Exec, want 1", st.Admitted)
 	}
 }
+
+// TestForcedStrategyTheQueryCannotTake: forcing a strategy whose planner
+// cannot lay out q — the §4.1 skew join on anything but two binary atoms
+// sharing one variable, or a value that names no strategy — is an error
+// wrapping ErrInvalidQuery from Exec and Standing, refused before the
+// admission gate, never a planner panic.
+func TestForcedStrategyTheQueryCannotTake(t *testing.T) {
+	s, err := Open(Config{P: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		q        *Query
+		strategy Strategy
+	}{
+		{"triangle skew-join", TriangleQuery(), StrategySkewJoin},
+		{"path3 skew-join", PathQuery(3), StrategySkewJoin},
+		{"cartesian skew-join", CartesianQuery(2), StrategySkewJoin},
+		{"single-atom skew-join", MustParseQuery("q(x,y) = S1(x,y)"), StrategySkewJoin},
+		{"join2 unknown strategy", Join2Query(), Strategy(99)},
+	} {
+		db := NewDatabase()
+		for j, a := range tc.q.Atoms {
+			db.Put(UniformRelation(a.Name, a.Arity(), 50, 1<<10, int64(j+1)))
+		}
+		if _, err := s.Exec(ctx, tc.q, db, WithStrategy(tc.strategy)); !errors.Is(err, core.ErrInvalidQuery) {
+			t.Errorf("%s: Exec = %v, want an error wrapping ErrInvalidQuery", tc.name, err)
+		}
+		if h, err := s.Standing(ctx, tc.q, db, WithStrategy(tc.strategy)); h != nil || !errors.Is(err, core.ErrInvalidQuery) {
+			t.Errorf("%s: Standing = %v, %v, want an error wrapping ErrInvalidQuery", tc.name, h, err)
+		}
+	}
+	if st := s.AdmissionStats(); st.Admitted != 0 {
+		t.Errorf("rejected strategies consumed admission slots: %+v", st)
+	}
+}
+
+// TestRunRejectsInvalidConfig: Run reports every input its planners would
+// panic on as an error.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	db := NewDatabase()
+	db.Put(MatchingRelation("S1", 2, 200, 1<<20, 1))
+	db.Put(MatchingRelation("S2", 2, 200, 1<<20, 2))
+	db.Put(MatchingRelation("S3", 2, 200, 1<<20, 3))
+	join2, tri := Join2Query(), TriangleQuery()
+	for _, tc := range []struct {
+		name    string
+		q       *Query
+		db      *Database
+		cfg     RunConfig
+		invalid bool // the error wraps ErrInvalidQuery
+	}{
+		{"nil query", nil, db, RunConfig{P: 8}, true},
+		{"nil database", join2, nil, RunConfig{P: 8}, false},
+		{"p below 2", join2, db, RunConfig{P: 1}, false},
+		{"skew-join on a triangle", tri, db, RunConfig{Strategy: StrategySkewJoin, P: 8}, true},
+		{"unknown strategy", join2, db, RunConfig{Strategy: Strategy(-1), P: 8}, true},
+		{"shares with skew-join", join2, db, RunConfig{Strategy: StrategySkewJoin, P: 8, Shares: []int{1, 1, 8}}, false},
+		{"shares with multi-round", join2, db, RunConfig{Strategy: StrategyMultiRound, P: 8, Shares: []int{1, 1, 8}}, false},
+		{"too few shares", join2, db, RunConfig{P: 8, Shares: []int{1, 8}}, false},
+		{"zero share", join2, db, RunConfig{P: 8, Shares: []int{0, 1, 8}}, false},
+		{"negative share", join2, db, RunConfig{P: 8, Shares: []int{-2, -2, 1}}, false},
+		{"share product above p", join2, db, RunConfig{P: 8, Shares: []int{2, 2, 4}}, false},
+		{"missing relation", MustParseQuery("q(x,y) = R(x,y)"), db, RunConfig{P: 8}, false},
+	} {
+		res, err := Run(tc.q, tc.db, tc.cfg)
+		if err == nil || tc.invalid != errors.Is(err, core.ErrInvalidQuery) {
+			t.Errorf("%s: Run = %v, want an error (wrapping ErrInvalidQuery: %v)", tc.name, err, tc.invalid)
+		}
+		if res.Output != nil || res.MaxLoadBits != 0 {
+			t.Errorf("%s: failed Run returned a result", tc.name)
+		}
+	}
+	if _, err := Run(join2, db, RunConfig{P: 8, Shares: []int{2, 1, 4}}); err != nil {
+		t.Errorf("shares using exactly p servers rejected: %v", err)
+	}
+}
