@@ -181,11 +181,7 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 			return err
 		}
 		h.stats.Recovery.Add(res.Recovery)
-		c := mpc.NewCounted()
-		for _, t := range res.Output {
-			c.Add(t, 1)
-		}
-		h.st, h.fallback = nil, c
+		h.st, h.fallback = nil, countAnswers(h.q, res.Output)
 	}
 	h.watch = stats.NewHeavyWatch(pass, snap, h.q.AtomNames(), h.s.p)
 	h.schema = stats.SchemaFingerprint(snap)
@@ -329,10 +325,7 @@ func (h *StandingQuery) Advance(ctx context.Context) (ResultDelta, error) {
 			return ResultDelta{}, err
 		}
 		h.stats.Recovery.Add(res.Recovery)
-		c := mpc.NewCounted()
-		for _, t := range res.Output {
-			c.Add(t, 1)
-		}
+		c := countAnswers(h.q, res.Output)
 		added, removed := diffCounted(h.fallback, c)
 		h.fallback = c
 		h.appliedVersion = snap.VersionLocked()
@@ -371,13 +364,12 @@ func (h *StandingQuery) Advance(ctx context.Context) (ResultDelta, error) {
 }
 
 // Result returns the standing query's materialized result: the distinct
-// answers currently live. The returned slice is a stable snapshot (rows
-// are never mutated in place by later advances) but rows are shared with
-// internal state — treat them as read-only.
+// answers currently live, as a snapshot the caller owns — later advances
+// never change it, and writing into it changes nothing else.
 func (h *StandingQuery) Result() []data.Tuple {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]data.Tuple(nil), h.counted().Tuples()...)
+	return h.counted().Tuples()
 }
 
 // Stats returns the handle's cumulative counters.
@@ -395,7 +387,8 @@ func (h *StandingQuery) Stats() StandingStats {
 }
 
 // Close unsubscribes from the delta stream and releases the resident
-// state. Advance and Result error after Close; Close is idempotent.
+// state. Advance returns ErrStandingClosed after Close and Result returns
+// no answers; Close is idempotent.
 func (h *StandingQuery) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -405,27 +398,26 @@ func (h *StandingQuery) Close() {
 	h.closed = true
 	h.unwatch()
 	h.e.unregisterStanding(h)
-	h.st, h.fallback = nil, mpc.NewCounted()
+	h.st, h.fallback = nil, mpc.NewCounted(h.q.NumVars())
 	h.queueMu.Lock()
 	h.pending = nil
 	h.queueMu.Unlock()
 }
 
-// diffCounted returns the liveness diff old → new: tuples live only in new
-// (added) and only in old (removed). Rows are the counted fragments' own
-// copies, safe to hand to callers.
+// diffCounted returns the liveness diff old → new: answers live only in new
+// (added) and only in old (removed), as caller-owned tuples.
 func diffCounted(old, new *mpc.Counted) (added, removed []data.Tuple) {
-	for _, t := range new.Tuples() {
-		if old.Count(data.KeyOf(t)) == 0 {
-			added = append(added, t)
-		}
+	return new.Minus(old), old.Minus(new)
+}
+
+// countAnswers counts every answer of a full execution once — the counted
+// result of a multi-round fallback handle.
+func countAnswers(q *query.Query, answers []data.Tuple) *mpc.Counted {
+	c := mpc.NewCounted(q.NumVars())
+	for _, t := range answers {
+		c.Add(t, 1)
 	}
-	for _, t := range old.Tuples() {
-		if new.Count(data.KeyOf(t)) == 0 {
-			removed = append(removed, t)
-		}
-	}
-	return added, removed
+	return c
 }
 
 // registerStanding adds h to the engine's invalidation registry.

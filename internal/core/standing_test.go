@@ -169,6 +169,97 @@ func TestStandingDifferentialRandomDeltas(t *testing.T) {
 	}
 }
 
+// TestStandingHandsOutCallerOwnedRows pins the two ownership promises of a
+// standing query: Result is a snapshot that later advances never change,
+// and ResultDelta rows belong to the caller, so writing into them changes
+// nothing the handle reports later. The advances in between retire other
+// answers and add new ones, which moves rows of the counted output and
+// reuses the places they left.
+func TestStandingHandsOutCallerOwnedRows(t *testing.T) {
+	q := query.Join2()
+	db := data.NewDatabase()
+	s1, s2 := data.NewRelation("S1", 2, 1<<20), data.NewRelation("S2", 2, 1<<20)
+	for z := int64(0); z < 40; z++ {
+		s1.Add(z, z)
+		s2.Add(1000+z, z)
+	}
+	db.Put(s1)
+	db.Put(s2)
+	e, err := New(Config{P: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.Standing(context.Background(), q, db, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	deepCopy := func(ts []data.Tuple) []data.Tuple {
+		out := make([]data.Tuple, len(ts))
+		for i, tu := range ts {
+			out[i] = append(data.Tuple(nil), tu...)
+		}
+		return out
+	}
+	same := func(a, b []data.Tuple) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Key() != b[i].Key() {
+				return false
+			}
+		}
+		return true
+	}
+	advance := func(d *data.Delta) ResultDelta {
+		t.Helper()
+		if err := db.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := h.Advance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rd
+	}
+
+	result := h.Result()
+	keptResult := deepCopy(result)
+	added := advance(new(data.Delta).Insert("S1", 500, 500).Insert("S2", 600, 500))
+	if len(added.Added) != 1 {
+		t.Fatalf("insert pair added %d answers, want 1", len(added.Added))
+	}
+	keptAdded := deepCopy(added.Added)
+	retire := new(data.Delta)
+	for z := int64(0); z < 10; z++ {
+		retire.Delete("S1", z, z)
+	}
+	removed := advance(retire)
+	if len(removed.Removed) != 10 {
+		t.Fatalf("deletes retired %d answers, want 10", len(removed.Removed))
+	}
+	keptRemoved := deepCopy(removed.Removed)
+	grow := new(data.Delta)
+	for z := int64(700); z < 720; z++ {
+		grow.Insert("S1", z, z).Insert("S2", z+1, z)
+	}
+	advance(grow)
+
+	if !same(result, keptResult) || !same(added.Added, keptAdded) || !same(removed.Removed, keptRemoved) {
+		t.Fatal("a later advance changed rows the handle had already handed out")
+	}
+	for _, tu := range added.Added {
+		for i := range tu {
+			tu[i] = -7
+		}
+	}
+	want := standingOracle(q, db)
+	if got := h.Result(); !join.EqualTupleSets(got, want) {
+		t.Fatalf("after writing into a delta row, Result has %d answers, oracle %d", len(got), len(want))
+	}
+}
+
 // TestStandingNewHeavyHitterReseeds grows one join value past the plan's
 // m/p threshold: the standing query must reseed exactly once (replanning
 // against the new statistics) and keep matching the oracle through it.

@@ -12,12 +12,15 @@ type shadowRel struct {
 	rows  [][]int64
 }
 
+// keyAt is the map key of row i, for tests that compare rows as data.Keys.
+func keyAt(r *Relation, i int) Key { return KeyOf(r.Tuple(i)) }
+
 func (s *shadowRel) add(vals ...int64) {
 	s.rows = append(s.rows, append([]int64(nil), vals...))
 }
 
 // TestColumnarViewsAgree pins the columnar accessors to each other:
-// Tuple, ReadTuple, At, Column, KeyAt, and Each must present the same
+// Tuple, ReadTuple, At, Column, keyAt, and Each must present the same
 // rows in the same order.
 func TestColumnarViewsAgree(t *testing.T) {
 	r := NewRelation("S", 3, 100)
@@ -42,8 +45,8 @@ func TestColumnarViewsAgree(t *testing.T) {
 					i, a, got[a], rt[a], r.At(i, a), r.Column(a)[i], want[a])
 			}
 		}
-		if k := r.KeyAt(i); k != KeyOf(want) {
-			t.Fatalf("row %d: KeyAt = %v, want %v", i, k, KeyOf(want))
+		if k := keyAt(r, i); k != KeyOf(want) {
+			t.Fatalf("row %d: keyAt = %v, want %v", i, k, KeyOf(want))
 		}
 	}
 	i := 0
@@ -76,7 +79,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	counts := func(rel *Relation) map[Key]int {
 		m := make(map[Key]int)
 		for i := 0; i < rel.Size(); i++ {
-			m[rel.KeyAt(i)]++
+			m[keyAt(rel, i)]++
 		}
 		return m
 	}
@@ -93,7 +96,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 1; i < r.Size(); i++ {
-		if r.KeyAt(i).Less(r.KeyAt(i - 1)) {
+		if keyAt(r, i).Less(keyAt(r, i-1)) {
 			t.Fatalf("Sort: row %d out of order", i)
 		}
 	}
@@ -112,7 +115,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	viaCols := NewRelation("S", 2, 1000)
 	viaCols.AppendColumns(r.Columns(), r.Size())
 	for i := 0; i < r.Size(); i++ {
-		if viaRow.KeyAt(i) != r.KeyAt(i) || viaCols.KeyAt(i) != r.KeyAt(i) {
+		if keyAt(viaRow, i) != keyAt(r, i) || keyAt(viaCols, i) != keyAt(r, i) {
 			t.Fatalf("rebuilt row %d differs", i)
 		}
 	}
@@ -219,7 +222,7 @@ func TestKey1MatchesKeyOf(t *testing.T) {
 
 // FuzzRowColumnarAgreement drives the columnar Relation and a row-major
 // shadow with the same operation stream decoded from fuzz bytes, then
-// requires every view (Tuple, At, Each, KeyAt, Sort order) to agree.
+// requires every view (Tuple, At, Each, keyAt, Sort order) to agree.
 func FuzzRowColumnarAgreement(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint8(2))
 	f.Add([]byte{}, uint8(1))
@@ -255,7 +258,7 @@ func FuzzRowColumnarAgreement(f *testing.F) {
 						t.Fatalf("row %d: %v vs %v", i, got, want)
 					}
 				}
-				if r.KeyAt(i) != KeyOf(want) {
+				if keyAt(r, i) != KeyOf(want) {
 					t.Fatalf("row %d: key mismatch", i)
 				}
 			}

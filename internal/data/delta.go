@@ -74,6 +74,11 @@ func (db *Database) Apply(d *Delta) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.overlay == nil {
+		db.overlay = new(overlay)
+	}
+	ov := db.overlay
+	ov.op, ov.rels = ov.op[:0], ov.rels[:0]
 	// Shape-check every operation and enable maintenance on every touched
 	// relation before mutating anything.
 	for i := range d.ops {
@@ -95,24 +100,21 @@ func (db *Database) Apply(d *Delta) error {
 		if err := r.enableStats(); err != nil {
 			return err
 		}
+		ov.op = append(ov.op, int32(ov.touch(r)))
 	}
-	// Dry-run membership so the whole delta rejects before any mutation:
-	// the overlay records the pending presence of keys this delta touches.
-	// The scratch maps persist on the database (cleared here) so a steady
-	// Apply stream stops allocating them per batch.
-	if db.overlay == nil {
-		db.overlay = make(map[string]map[Key]bool)
-	}
-	for _, ov := range db.overlay {
-		clear(ov)
-	}
-	for _, op := range d.ops {
-		r := db.Relations[op.rel]
-		k := KeyOf(op.vals)
-		ov := db.overlay[op.rel]
-		present, pending := ov[k]
-		if !pending {
-			_, present = r.index[k]
+	// Dry-run membership so the whole delta rejects before any mutation: a
+	// key's presence comes from the relation's index until an operation of
+	// this delta names it, and from the overlay after.
+	for i := range d.ops {
+		op := &d.ops[i]
+		t := ov.op[i]
+		e, first := ov.keys[t].Insert(op.vals)
+		var present bool
+		if first {
+			present = ov.rels[t].index.Lookup(op.vals) >= 0
+			ov.present[t] = append(ov.present[t], false)
+		} else {
+			present = ov.present[t][e]
 		}
 		if op.insert && present {
 			return fmt.Errorf("data: Apply: %s: duplicate insert of %v", op.rel, Tuple(op.vals))
@@ -120,18 +122,15 @@ func (db *Database) Apply(d *Delta) error {
 		if !op.insert && !present {
 			return fmt.Errorf("data: Apply: %s: delete of absent tuple %v", op.rel, Tuple(op.vals))
 		}
-		if ov == nil {
-			ov = make(map[Key]bool)
-			db.overlay[op.rel] = ov
-		}
-		ov[k] = op.insert
+		ov.present[t][e] = op.insert
 	}
-	for _, op := range d.ops {
-		r := db.Relations[op.rel]
+	for i := range d.ops {
+		op := &d.ops[i]
+		r := ov.rels[ov.op[i]]
 		if op.insert {
 			r.Add(op.vals...)
 		} else {
-			r.removeRow(r.index[KeyOf(op.vals)])
+			r.removeRow(r.index.Lookup(op.vals))
 		}
 	}
 	db.version++
@@ -146,4 +145,33 @@ func (db *Database) Apply(d *Delta) error {
 		w(db.version, d)
 	}
 	return nil
+}
+
+// overlay is Apply's dry-run scratch: the relations a delta touches, in
+// first-touch order, and for each the keys the delta's operations have named
+// so far with their presence after those operations.
+type overlay struct {
+	op      []int32 // per operation: its relation's position in rels
+	rels    []*Relation
+	keys    []KeyTable // per rels[t]: the keys named so far
+	present [][]bool   // per rels[t], per keys entry: present after the ops so far
+}
+
+// touch returns r's position in rels, adding r with emptied scratch on its
+// first touch in this delta.
+func (ov *overlay) touch(r *Relation) int {
+	for t, seen := range ov.rels {
+		if seen == r {
+			return t
+		}
+	}
+	t := len(ov.rels)
+	ov.rels = append(ov.rels, r)
+	if t == len(ov.keys) {
+		ov.keys = append(ov.keys, KeyTable{})
+		ov.present = append(ov.present, nil)
+	}
+	ov.keys[t].Reset(r.Arity)
+	ov.present[t] = ov.present[t][:0]
+	return t
 }

@@ -44,7 +44,7 @@ func TestApplyInsertDelete(t *testing.T) {
 	}
 	seen := map[Key]bool{}
 	for i := 0; i < s1.Size(); i++ {
-		seen[s1.KeyAt(i)] = true
+		seen[keyAt(s1, i)] = true
 	}
 	if seen[KeyOf([]int64{1, 2})] || !seen[KeyOf([]int64{7, 8})] {
 		t.Fatalf("wrong tuples after apply: %v", seen)
@@ -131,6 +131,18 @@ func TestApplyRejectsDuplicateRelation(t *testing.T) {
 	if err := db.Apply(new(Delta).Insert("R", 2)); err == nil {
 		t.Fatal("Apply on a relation with duplicates should error")
 	}
+	// A duplicate appended after Apply began maintaining the relation is
+	// refused the same way by the next Apply.
+	s := NewRelation("S", 1, 10)
+	s.Add(1)
+	db.Put(s)
+	if err := db.Apply(new(Delta).Insert("S", 2)); err != nil {
+		t.Fatal(err)
+	}
+	s.Add(2)
+	if err := db.Apply(new(Delta).Insert("S", 3)); err == nil {
+		t.Fatal("Apply after a duplicate append should error")
+	}
 }
 
 // TestApplyMaintainedState drives random delta sequences and checks every
@@ -185,7 +197,7 @@ func TestApplyMaintainedState(t *testing.T) {
 		}
 		live = map[Key][2]int64{}
 		for i := 0; i < r.Size(); i++ {
-			live[r.KeyAt(i)] = [2]int64{r.At(i, 0), r.At(i, 1)}
+			live[keyAt(r, i)] = [2]int64{r.At(i, 0), r.At(i, 1)}
 		}
 
 		// Content sum == fresh scan.
@@ -209,12 +221,12 @@ func TestApplyMaintainedState(t *testing.T) {
 			}
 		}
 		// Index maps every live tuple to its row.
-		if len(r.index) != r.Size() {
-			t.Fatalf("step %d: index size %d, rows %d", step, len(r.index), r.Size())
+		if r.index.Len() != r.Size() {
+			t.Fatalf("step %d: index size %d, rows %d", step, r.index.Len(), r.Size())
 		}
 		for i := 0; i < r.Size(); i++ {
-			if r.index[r.KeyAt(i)] != i {
-				t.Fatalf("step %d: index[%v] = %d, want %d", step, r.KeyAt(i), r.index[r.KeyAt(i)], i)
+			if got := r.index.Lookup(r.Tuple(i)); got != i {
+				t.Fatalf("step %d: index[%v] = %d, want %d", step, r.Tuple(i), got, i)
 			}
 		}
 	}
@@ -263,4 +275,35 @@ func ExampleDatabase_Apply() {
 	err := db.Apply(new(Delta).Insert("S", 3, 4).Delete("S", 1, 2))
 	fmt.Println(err, db.MustGet("S").Size())
 	// Output: <nil> 1
+}
+
+// BenchmarkApplyAfterSnapshot gives the snapshot copy-on-write its number:
+// each op is a two-op Apply (delete one tuple, insert another) after a
+// Snapshot, as a serving loop of Apply and Advance runs it. The published
+// epoch shares the relation's columns, so every such delete copies all of
+// them first (Relation.unshare), and B/op grows with the relation while
+// the delta stays two ops.
+func BenchmarkApplyAfterSnapshot(b *testing.B) {
+	for _, rows := range []int{2000, 200000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			db := NewDatabase()
+			r := NewRelation("R", 2, int64(rows)+1)
+			for i := 0; i < rows; i++ {
+				r.Add(int64(i), int64(i))
+			}
+			db.Put(r)
+			n := int64(rows)
+			swap := []*Delta{
+				new(Delta).Delete("R", 0, 0).Insert("R", n, n),
+				new(Delta).Delete("R", n, n).Insert("R", 0, 0),
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db.Snapshot()
+				if err := db.Apply(swap[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

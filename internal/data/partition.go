@@ -155,9 +155,7 @@ func (r *Relation) buildPartitionsFrom(attr int, threshold int64, counts map[int
 	// Content sum and frequency maps are permutation-invariant; the tuple
 	// index maps rows and must follow the permutation.
 	if r.track.Load()&trackStats != 0 {
-		for i := 0; i < r.rows; i++ {
-			r.index[r.KeyAt(i)] = i
-		}
+		reindex(r.index, r)
 	}
 	r.part = idx
 }

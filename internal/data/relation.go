@@ -208,7 +208,10 @@ type Relation struct {
 	trackMu    sync.Mutex
 	contentSum uint64
 	attrFreq   []map[int64]int64
-	index      map[Key]int
+	// index holds every row's tuple with entry i = row i: appends insert,
+	// removeRow's swap-remove is mirrored by the table's own, and row
+	// permutations (Sort, BuildPartitions) rebuild it.
+	index *KeyTable
 }
 
 // view returns an immutable snapshot view of the relation's current rows,
@@ -305,18 +308,16 @@ func (r *Relation) enableStats() error {
 	if r.track.Load()&trackStats != 0 {
 		return nil
 	}
+	index := new(KeyTable)
+	if dup := reindex(index, r); dup >= 0 {
+		return fmt.Errorf("data: %s: duplicate tuple %v: deltas require duplicate-free relations", r.Name, r.Tuple(dup))
+	}
 	freq := make([]map[int64]int64, r.Arity)
 	for a := range freq {
 		freq[a] = make(map[int64]int64)
 	}
-	index := make(map[Key]int, r.rows)
 	var sum uint64
 	for i := 0; i < r.rows; i++ {
-		k := r.KeyAt(i)
-		if _, dup := index[k]; dup {
-			return fmt.Errorf("data: %s: duplicate tuple %v: deltas require duplicate-free relations", r.Name, k.Tuple())
-		}
-		index[k] = i
 		for a, col := range r.cols {
 			freq[a][col[i]]++
 		}
@@ -326,6 +327,19 @@ func (r *Relation) enableStats() error {
 	r.contentSum = sum
 	r.track.Store(r.track.Load() | trackContent | trackStats)
 	return nil
+}
+
+// reindex refills index with r's rows in row order (entry i = row i) and
+// returns the first row whose tuple repeats an earlier one, or -1.
+func reindex(index *KeyTable, r *Relation) (dup int) {
+	index.Reset(r.Arity)
+	row := make([]int64, r.Arity)
+	for i := 0; i < r.rows; i++ {
+		if _, added := index.Insert(r.ReadTuple(i, row)); !added {
+			return i
+		}
+	}
+	return -1
 }
 
 // AttrCounts returns the maintained frequency map of attribute a (value →
@@ -349,7 +363,14 @@ func (r *Relation) noteAppended(i int) {
 		for a, col := range r.cols {
 			r.attrFreq[a][col[i]]++
 		}
-		r.index[r.KeyAt(i)] = i
+		var buf [keyInline]int64
+		row := r.ReadTuple(i, append(buf[:0], make([]int64, r.Arity)...))
+		if _, added := r.index.Insert(row); !added {
+			// A duplicate appended outside Apply (Add does not check) breaks
+			// entry i = row i; the next Apply rebuilds and rejects it.
+			r.attrFreq, r.index = nil, nil
+			r.track.Store(t &^ trackStats)
+		}
 	}
 }
 
@@ -384,15 +405,12 @@ func (r *Relation) removeRow(i int) {
 				r.attrFreq[a][v] = n
 			}
 		}
-		delete(r.index, r.KeyAt(i))
+		r.index.Delete(i) // moves entry last to i, exactly as the rows move below
 	}
 	last := r.rows - 1
 	if i != last {
 		for a := range r.cols {
 			r.cols[a][i] = r.cols[a][last]
-		}
-		if t&trackStats != 0 {
-			r.index[r.KeyAt(i)] = i
 		}
 	}
 	for a := range r.cols {
@@ -512,18 +530,6 @@ func (r *Relation) ReadTuple(i int, dst Tuple) Tuple {
 	return dst
 }
 
-// KeyAt returns the map key of the i-th tuple without materializing it.
-func (r *Relation) KeyAt(i int) Key {
-	if r.Arity <= keyInline {
-		k := Key{n: int32(r.Arity)}
-		for a, col := range r.cols {
-			k.v[a] = col[i]
-		}
-		return k
-	}
-	return KeyOf(r.Tuple(i))
-}
-
 // Each calls f on every tuple; returning false stops early. The Tuple
 // view is scratch reused across iterations (one allocation per Each
 // call): it is only valid inside the callback and must be copied to be
@@ -594,23 +600,13 @@ func (r *Relation) Sort() {
 	// The content sum and frequency maps are permutation-invariant; only the
 	// tuple index maps rows and must be rebuilt.
 	if r.track.Load()&trackStats != 0 {
-		for i := 0; i < r.rows; i++ {
-			r.index[r.KeyAt(i)] = i
-		}
+		reindex(r.index, r)
 	}
 }
 
 // ContainsDuplicates reports whether any tuple occurs twice.
 func (r *Relation) ContainsDuplicates() bool {
-	seen := make(map[Key]bool, r.rows)
-	for i := 0; i < r.rows; i++ {
-		k := r.KeyAt(i)
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-	}
-	return false
+	return reindex(new(KeyTable), r) >= 0
 }
 
 // Database is a set of relations keyed by relation (atom) name.
@@ -642,10 +638,9 @@ type Database struct {
 	// first Snapshot. Apply republishes it under the write lock, so
 	// Snapshot's fast path is one RLock and an atomic load.
 	snap atomic.Pointer[Database]
-	// overlay is Apply's validation scratch (relation → pending key
-	// presence), retained across calls so a steady Apply stream stops
-	// allocating it per batch.
-	overlay map[string]map[Key]bool
+	// overlay is Apply's validation scratch, retained across calls so a
+	// steady Apply stream stops allocating it per batch.
+	overlay *overlay
 }
 
 // dbIDs hands out process-unique database identities.

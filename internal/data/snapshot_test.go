@@ -9,7 +9,7 @@ import (
 func relTuples(r *Relation) map[Key]bool {
 	m := make(map[Key]bool, r.Size())
 	for i := 0; i < r.Size(); i++ {
-		m[r.KeyAt(i)] = true
+		m[keyAt(r, i)] = true
 	}
 	return m
 }

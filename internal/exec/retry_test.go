@@ -295,7 +295,7 @@ func TestStandingSeedReplaysTornRound(t *testing.T) {
 	if rec.Attempts != 1 || rec.RoundsReplayed != 1 {
 		t.Fatalf("Recovery = %+v, want 1 attempt replaying 1 round", rec)
 	}
-	want, got := oracle.Result(), st.Result()
+	want, got := oracle.Counted().Tuples(), st.Counted().Tuples()
 	if len(want) != len(got) {
 		t.Fatalf("seeded result = %d tuples, want %d", len(got), len(want))
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/join"
@@ -28,8 +29,8 @@ import (
 // routers are frozen at plan time (so a delete revisits precisely the
 // servers its insert populated, making counting-based retraction exact).
 //
-// A Standing is not safe for concurrent use; callers serialize ApplyOp,
-// Flush, and Result (core.StandingQuery holds a handle mutex).
+// A Standing is not safe for concurrent use; callers serialize ApplyOp and
+// Flush (core.StandingQuery holds a handle mutex).
 type Standing struct {
 	plan   *PhysicalPlan
 	q      *query.Query
@@ -40,24 +41,24 @@ type Standing struct {
 	atoms     map[string]*deltaAtom
 	counted   *mpc.Counted
 
-	// touched snapshots, per advance batch, the derivation count each
-	// output tuple had when the batch first touched it; Flush diffs the
-	// snapshot against the current counts so a tuple inserted and deleted
-	// within one batch reports neither added nor removed.
-	touched map[data.Key]touchEntry
+	// A batch (the ops between two Flushes) records, per counted row it
+	// touches, the row's count before the batch — start, indexed by row, -1
+	// for untouched rows — and the touched rows in first-touch order; Flush
+	// compares each start with the row's count now, so an answer inserted
+	// and deleted within one batch reports neither added nor removed.
+	start   []int64
+	touched []int32
 
-	// dst, cur, next are routing/join scratch reused across ops.
-	dst       []int
-	cur, next []data.Tuple
+	// Scratch reused across ops: routing destinations, the join's flat
+	// binding arenas (q.NumVars() values per binding), a probe key, and
+	// Flush's added and removed rows.
+	dst            []int
+	cur, next      []int64
+	probe          []int64
+	added, removed []int32
 
 	routedTuples int64
 	routedBits   int64
-	derivations  int64
-}
-
-type touchEntry struct {
-	start int64
-	t     data.Tuple
 }
 
 // deltaAtom is the compiled per-relation delta program: when a tuple of
@@ -65,6 +66,7 @@ type touchEntry struct {
 // atoms in a fixed greedy order, probing one resident index per step.
 type deltaAtom struct {
 	atom query.Atom
+	rel  int   // the relation's number in the resident layout (-1: unindexed)
 	bits int64 // BitsPerTuple of the relation, for load accounting
 	// steps covers every other atom exactly once.
 	steps []deltaStep
@@ -102,8 +104,7 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		router:  mpc.SenderRouter(plan.Router),
 		layout:  &mpc.ResidentLayout{},
 		atoms:   make(map[string]*deltaAtom, q.NumAtoms()),
-		counted: mpc.NewCounted(),
-		touched: make(map[data.Key]touchEntry),
+		counted: mpc.NewCounted(q.NumVars()),
 	}
 	s.compile(db)
 
@@ -142,7 +143,6 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		for i := 0; i < r.N; i++ {
 			s.counted.Add(r.At(i), 1)
 		}
-		s.derivations += int64(r.N)
 	}
 	// Freeze each server's fragments as resident indexes.
 	s.residents = make([]*mpc.Resident, plan.Virtual)
@@ -153,10 +153,10 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 			if frag == nil {
 				continue
 			}
-			frag.Each(func(_ int, t data.Tuple) bool {
-				res.Insert(a.Name, t)
-				return true
-			})
+			rel, t := s.atoms[a.Name].rel, make(data.Tuple, frag.Arity)
+			for row := 0; row < frag.Size(); row++ {
+				res.Insert(rel, frag.ReadTuple(row, t))
+			}
 		}
 		s.residents[i] = res
 	}
@@ -210,6 +210,9 @@ func (s *Standing) compile(db *data.Database) {
 		}
 		s.atoms[atom.Name] = da
 	}
+	for _, da := range s.atoms {
+		da.rel = s.layout.Rel(da.atom.Name)
+	}
 }
 
 // ApplyOp folds one applied database operation into the standing state: a
@@ -224,25 +227,24 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 	if da == nil {
 		return nil
 	}
-	t := data.Tuple(vals)
-	s.dst = s.router.Destinations(rel, t, s.dst[:0])
+	s.dst = s.router.Destinations(rel, vals, s.dst[:0])
 	s.routedTuples += int64(len(s.dst))
 	s.routedBits += da.bits * int64(len(s.dst))
 	for _, d := range s.dst {
 		if d < 0 || d >= len(s.residents) {
 			return fmt.Errorf("exec: standing: %s router sent %s%v to server %d of %d",
-				s.plan.Strategy, rel, t, d, len(s.residents))
+				s.plan.Strategy, rel, vals, d, len(s.residents))
 		}
 		res := s.residents[d]
 		if insert {
-			s.deltaJoin(res, da, t, +1)
-			res.Insert(rel, t)
+			s.deltaJoin(res, da, vals, +1)
+			res.Insert(da.rel, vals)
 		} else {
-			if !res.Delete(rel, t) {
+			if !res.Delete(da.rel, vals) {
 				return fmt.Errorf("exec: standing: %s: delete of %s%v missing from server %d's resident fragment",
-					s.plan.Strategy, rel, t, d)
+					s.plan.Strategy, rel, vals, d)
 			}
-			s.deltaJoin(res, da, t, -1)
+			s.deltaJoin(res, da, vals, -1)
 		}
 	}
 	return nil
@@ -251,68 +253,74 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 // deltaJoin computes {t} ⋈ (the server's resident fragments of every other
 // atom) and folds each derivation into the counted output with the given
 // sign. Since no atom repeats a variable and there are no self-joins, the
-// extension is a pure index-nested-loop over the compiled steps.
-func (s *Standing) deltaJoin(res *mpc.Resident, da *deltaAtom, t data.Tuple, sign int64) {
+// extension is a pure index-nested-loop over the compiled steps. Bindings
+// live back to back in the cur/next arenas, k values each.
+func (s *Standing) deltaJoin(res *mpc.Resident, da *deltaAtom, t []int64, sign int64) {
 	k := s.q.NumVars()
-	s.cur = s.cur[:0]
-	b := make(data.Tuple, k)
+	s.cur = slices.Grow(s.cur[:0], k)[:k]
 	for p, v := range da.atom.Vars {
-		b[v] = t[p]
+		s.cur[v] = t[p]
 	}
-	s.cur = append(s.cur, b)
-	probe := make(data.Tuple, 0, k)
+	n := 1
 	for _, step := range da.steps {
+		cols := res.Cols(step.kind)
 		s.next = s.next[:0]
-		for _, b := range s.cur {
-			probe = probe[:0]
+		m := 0
+		for i := 0; i < n; i++ {
+			b := s.cur[i*k : (i+1)*k]
+			s.probe = s.probe[:0]
 			for _, v := range step.probeVars {
-				probe = append(probe, b[v])
+				s.probe = append(s.probe, b[v])
 			}
-			for _, match := range res.Probe(step.kind, data.KeyOf(probe)) {
-				nb := append(data.Tuple(nil), b...)
+			for row := res.Probe(step.kind, s.probe); row >= 0; row = res.Next(step.kind, row) {
+				s.next = append(s.next, b...)
+				nb := s.next[m*k:]
 				for p, v := range step.atomVars {
-					nb[v] = match[p]
+					nb[v] = cols[p][row]
 				}
-				s.next = append(s.next, nb)
+				m++
 			}
 		}
-		s.cur, s.next = s.next, s.cur
-		if len(s.cur) == 0 {
+		s.cur, s.next, n = s.next, s.cur, m
+		if n == 0 {
 			return
 		}
 	}
-	for _, out := range s.cur {
-		key := data.KeyOf(out)
-		if _, seen := s.touched[key]; !seen {
-			s.touched[key] = touchEntry{start: s.counted.Count(key), t: append(data.Tuple(nil), out...)}
+	for i := 0; i < n; i++ {
+		row := s.counted.Add(s.cur[i*k:(i+1)*k], sign)
+		for row >= len(s.start) {
+			s.start = append(s.start, -1)
 		}
-		s.counted.Add(out, sign)
-		s.derivations += sign
+		if s.start[row] < 0 {
+			s.start[row] = s.counted.Count(row) - sign
+			s.touched = append(s.touched, int32(row))
+		}
 	}
 }
 
 // Flush closes the current advance batch and returns its net result
-// delta: tuples that became live (added) and tuples that were retracted
-// (removed) since the previous Flush, in unspecified order. Tuples whose
-// liveness round-tripped within the batch appear in neither.
+// delta: answers that became live (added) and answers that were retracted
+// (removed) since the previous Flush, each in the order the batch first
+// touched them, as caller-owned tuples. Answers whose liveness round-tripped
+// within the batch appear in neither. Rows left with no derivation retire
+// only after the walk, so every touched row keeps its number until then.
 func (s *Standing) Flush() (added, removed []data.Tuple) {
-	for key, e := range s.touched {
-		now := s.counted.Count(key)
+	s.added, s.removed = s.added[:0], s.removed[:0]
+	for _, row := range s.touched {
+		start, now := s.start[row], s.counted.Count(int(row))
 		switch {
-		case e.start == 0 && now > 0:
-			added = append(added, e.t)
-		case e.start > 0 && now == 0:
-			removed = append(removed, e.t)
+		case start == 0 && now > 0:
+			s.added = append(s.added, row)
+		case start > 0 && now == 0:
+			s.removed = append(s.removed, row)
 		}
+		s.start[row] = -1
 	}
-	clear(s.touched)
+	added, removed = s.counted.Copy(s.added), s.counted.Copy(s.removed)
+	s.counted.Retire(s.touched)
+	s.touched = s.touched[:0]
 	return added, removed
 }
-
-// Result returns the materialized standing result: the distinct tuples
-// with a positive derivation count. The slice and its rows are live
-// internal storage — read-only, valid until the next ApplyOp.
-func (s *Standing) Result() []data.Tuple { return s.counted.Tuples() }
 
 // Counted exposes the counted output fragment (read-only) so owners can
 // diff two standings across a reseed.
@@ -325,8 +333,6 @@ type StandingLoad struct {
 	// accounting).
 	RoutedTuples int64
 	RoutedBits   int64
-	// Derivations is the current total derivation count (Σ counts).
-	Derivations int64
 	// ResidentTuples sums the per-server resident fragment sizes — the
 	// state the standing query keeps live between advances.
 	ResidentTuples int64
@@ -337,7 +343,6 @@ func (s *Standing) Load() StandingLoad {
 	l := StandingLoad{
 		RoutedTuples: s.routedTuples,
 		RoutedBits:   s.routedBits,
-		Derivations:  s.derivations,
 	}
 	for _, r := range s.residents {
 		l.ResidentTuples += r.Tuples()
