@@ -467,10 +467,11 @@ func (r *Relation) AppendColumns(cols [][]int64, count int) {
 
 // AdoptColumns makes count caller-built rows (cols[a] holds attribute a of
 // each) the storage of an empty relation without copying them. The caller
-// must not write to the slices afterwards; each is clamped to count, so a
-// later append reallocates instead of running into a neighbour cut from the
-// same buffer. Values are trusted exactly as in AppendColumns. It panics on
-// a relation that holds rows or maintains serving state.
+// must not write to the slices once others read the relation; each is
+// clamped to count, so a later append reallocates instead of running into a
+// neighbour cut from the same buffer. Values are trusted exactly as in
+// AppendColumns. It panics on a relation that holds rows or maintains
+// serving state.
 func (r *Relation) AdoptColumns(cols [][]int64, count int) {
 	if len(cols) != r.Arity {
 		panic(fmt.Sprintf("data: %s: AdoptColumns arity %d, want %d", r.Name, len(cols), r.Arity))

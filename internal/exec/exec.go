@@ -98,7 +98,7 @@ type Config struct {
 	// own a pool per instance so cached-plan serving reuses warm clusters.
 	Clusters *ClusterPool
 	// Ctx, when non-nil, cancels the execution: Run checks it before the
-	// communication round, the sharded engine's route workers check it at
+	// communication round, the comm engine's route workers check it at
 	// every send-part checkpoint inside the round, and RunPipeline
 	// additionally checks between rounds. A canceled execution returns the
 	// context's error with a zero result; the cluster is still returned to
@@ -190,11 +190,12 @@ func grow(buf []int64, n int) []int64 {
 // loads, both over virtual servers and rolled up onto physical machines.
 type Result struct {
 	// Output is the servers' answers in server-ID order, each server's in
-	// join.Join's order; nil when there are none. One execution allocates
-	// one value arena per server (join.Rows) and this one header array,
-	// written once: every answer is a len == cap == k slice of its
-	// server's arena, Dedup compacts the headers in place, and retaining
-	// one answer retains that server's arena.
+	// join.Join's order over fragments delivered in (part, row) order — a
+	// pure function of plan and input; nil when there are none. One
+	// execution allocates one value arena per server (join.Rows) and this
+	// one header array, written once: every answer is a len == cap == k
+	// slice of its server's arena, Dedup compacts the headers in place, and
+	// retaining one answer retains that server's arena.
 	Output []data.Tuple
 	// Loads summarizes the virtual-server loads (with replication rate
 	// relative to the input database).

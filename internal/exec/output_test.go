@@ -41,11 +41,10 @@ func outputInstances() map[string]*data.Database {
 // TestRunOutputIsServerOrderConcatenation pins the answer sequence: for
 // every strategy, Output is — element for element — the concatenation in
 // server-ID order of join.Join over each server's received fragments, then
-// join.Dedup where the plan says so. The comm engine delivers a fragment's
-// slabs in worker-arrival order, so the fragments of a second round equal
-// the execution's row for row only with one worker: the test runs serially.
+// join.Dedup where the plan says so. The fragments of a second round equal
+// the execution's row for row, because a fragment holds its rows in
+// (part, row) order whatever the worker count.
 func TestRunOutputIsServerOrderConcatenation(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p = 16
 	for name, db := range outputInstances() {
 		q := query.Join2()

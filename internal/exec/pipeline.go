@@ -152,10 +152,10 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 			}
 		}
 		if len(st.Resident) > 0 {
-			// A torn shuffle is replayed in place: the sharded engine
-			// discarded the round's staged deliveries and re-attached the
-			// detached outgoing fragments, so the replay sees exactly the
-			// pre-round resident state.
+			// A torn shuffle is replayed in place: the comm engine dropped
+			// the round's route logs and re-attached the detached outgoing
+			// fragments, so the replay sees exactly the pre-round resident
+			// state.
 			err := rt.driveRound(&load.Replays, func() error {
 				return cluster.ShuffleResident(st.Plan.Router, st.Resident...)
 			})

@@ -1,9 +1,9 @@
 // Fault recovery for the execution layer.
 //
 // The MPC model computes in rounds separated by barriers, which makes the
-// round the natural unit of recovery: the sharded communication engine
-// stages a round's deliveries and commits them only when every send part
-// arrived (see internal/mpc/comm.go), so a torn round leaves resident state
+// round the natural unit of recovery: the communication engine logs where a
+// round's rows go and commits them only when every send part arrived (see
+// internal/mpc/comm.go), so a torn round leaves resident state
 // bit-identical to the pre-round state and can simply be re-driven. Run and
 // RunPipeline build on that invariant — a fault in pipeline round k replays
 // only round k, and a failed compute phase re-runs only the failed servers

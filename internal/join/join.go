@@ -9,7 +9,8 @@
 // runs on the columnar group-by kernel (data.GroupIndex) and guarantees
 // three things. Order: answers come out in a fixed sequence — atoms in
 // planOrder's greedy order, bindings in the previous step's order, matching
-// rows ascending — which keeps every Result.Output and every sum over the
+// rows ascending — which, over fragments the comm engine delivers in
+// (part, row) order, keeps every Result.Output and every sum over the
 // answers reproducible. No duplicates on duplicate-free input. Arena
 // aliasing: the answers of one call are slices of one backing array (see
 // Join).

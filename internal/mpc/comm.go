@@ -1,38 +1,27 @@
-// The sharded zero-channel communication engine.
+// The count-then-scatter communication engine. A round is two passes of
+// min(GOMAXPROCS, parts) workers claiming sendParts off a shared counter:
 //
-// The MPC model charges only for bits received, but the simulator used to
-// pay real costs the model doesn't: one goroutine per send part and one
-// goroutine plus one buffered channel per (virtual) server. A §4.2 plan
-// with Θ(p) virtual servers per bin combination spent more time in
-// scheduler and channel overhead than in routing. This engine replaces all
-// of that with two bounded passes over plain memory:
+//  1. Route: each part records where its rows go — a destination log plus
+//     sparse per-server row counts (partLog). No value is copied.
+//  2. Commit: an exclusive prefix sum over parts, in part order, gives every
+//     (relation, server) pair its final size and every part its disjoint
+//     range within it; each received fragment is allocated once, at its
+//     exact size, as one arena it adopts (Relation.AdoptColumns), with the
+//     rows of a fragment the round accumulates onto copied in first; then
+//     the parts scatter into their ranges with no locks.
 //
-//  1. Route: min(GOMAXPROCS, parts) workers pull sendParts off a shared
-//     atomic counter. Each worker batches routed tuples in a dense
-//     per-destination table (a slice indexed by server ID with a touched
-//     list — no map lookup per tuple) and publishes full column slabs to
-//     the destination's mailbox, a plain slice under a per-mailbox mutex.
-//  2. Deliver: the same bounded pool claims servers off a second counter
-//     and bulk-appends each mailbox's slabs into the server's fragments —
-//     no receiver goroutines, no channels, no locks (phase 1 finished).
-//
-// The two passes double as a transaction: the mailboxes are the round's
-// staged state, and the deliver pass is its commit point, run only once
-// every send part of the round has been routed. A torn or canceled round
-// discards the staged slabs instead (discardStaged), so receiver fragments
-// and load counters stay bit-identical to the pre-round state and the
-// round can simply be re-driven.
-//
-// Slabs are recycled through per-worker free lists and mailbox/table
-// scratch lives on the Cluster, so a pooled cluster serving repeated
-// rounds stops allocating at steady state. Within a fragment the arrival
-// order of slabs depends on worker interleaving: delivered fragments are
-// deterministic as multisets, not as sequences.
+// Nothing touches a fragment or a load counter before the commit, which
+// runs only once every send part of the round was routed cleanly, so a
+// torn or canceled round is discarded by dropping its logs. A fragment
+// holds its rows in (part, row) order — exactly the order a serial delivery
+// appends them — whatever GOMAXPROCS or Cluster.Senders is.
 package mpc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,44 +29,52 @@ import (
 	"repro/internal/data"
 )
 
-// batchTuples is the slab size: tuples per destination batched before the
-// slab is published to the destination's mailbox.
-const batchTuples = 128
-
-// delivery is one routed tuple batch destined for a single server, shipped
-// as per-column slabs: cols[a] holds attribute a of every batched tuple.
-// Receivers append the slabs column-wise in one copy per attribute instead
-// of re-validating tuples value by value.
-type delivery struct {
-	rel    string
-	arity  int
-	domain int64
-	bits   int64 // bits per tuple
-	cols   [][]int64
-	count  int
+// partLog is the route pass's record of one send part: one int32 record
+// per routed row or run of rows, in row order, then one (server, count)
+// pair per server the part reaches. A record is either s ≥ 0 — one row to
+// server s, the common case — or -n, k and k servers: the next n rows, each
+// to all k (a multi-destination row has n = 1, a uniform span n = its
+// length). The commit's prefix pass overwrites each pair's count with the
+// part's first row in that server's fragment.
+type partLog struct {
+	log  []int32
+	recs int // log[:recs] are the records, log[recs:] the pairs
+	recv int // index into commState.rels
 }
 
-// mailbox collects the published slabs of one receiver. The mutex is
-// contended only during the route pass; the deliver pass owns each mailbox
-// exclusively. Padded to a cache line so neighboring mailboxes don't false-
-// share under concurrent publishes.
-type mailbox struct {
-	mu  sync.Mutex
-	box []delivery
-	_   [64 - 8 - 24]byte
+// logBudget bounds the route-log storage (int32 entries) a cluster retains
+// between rounds; a larger round allocates its logs afresh and drops them,
+// so one giant round doesn't pin its routed volume on a pooled cluster.
+const logBudget = 32 << 10
+
+// recvSlot is one (relation, server) pair of the round being committed.
+type recvSlot struct {
+	// rows is -1 until a part reaches the pair, then the running prefix sum,
+	// and finally the fragment's size.
+	rows int
+	old  *data.Relation // the fragment the round accumulates onto, if any
+	vals []int64        // the fragment's arena: column a is vals[a*rows:][:rows]
 }
 
-// maxFreeSlabs bounds a worker's slab free list (maxFreeSlabs·batchTuples
-// int64s) so one giant round doesn't pin its whole routed volume as
-// recycled slabs on a pooled cluster.
-const maxFreeSlabs = 256
+// put writes rows [row, row+n) of cols into the fragment from its row at.
+func (sl *recvSlot) put(at int, cols [][]int64, row, n int) {
+	for a, col := range cols {
+		if dst := sl.vals[a*sl.rows+at:]; n == 1 {
+			dst[0] = col[row]
+		} else {
+			copy(dst, col[row:row+n])
+		}
+	}
+}
 
-// commWorker is one worker's reusable routing state: the dense destination
-// table, its touched list, the slab free list, and per-tuple scratch.
+// commWorker is one worker's reusable state.
 type commWorker struct {
-	table   []delivery // indexed by destination server
-	touched []int      // destinations with a live batch in table
-	free    [][]int64  // recycled slabs, each cap batchTuples
+	// count is indexed by server: the part's rows per server while routing,
+	// the part's next row in each fragment while scattering; all zero
+	// between parts.
+	count   []int
+	touched []int   // servers with a nonzero count, in first-touch order
+	log     []int32 // the log of the part being routed
 	dst     []int
 	dedup   dedupSet
 	scratch data.Tuple
@@ -86,60 +83,85 @@ type commWorker struct {
 
 // commState is the cluster-owned engine scratch, reused across rounds.
 type commState struct {
-	mail    []mailbox
 	workers []*commWorker
+	arena   []int32          // retained route-log storage, at most logBudget entries
+	rels    []*data.Relation // per receiving name, its first part's relation
+	slots   []recvSlot       // len(rels)·P, relation-major
+	cols    [][]int64        // AdoptColumns header scratch
 }
 
-// slab returns a recycled (or fresh) slab of cap batchTuples.
-func (w *commWorker) slab() []int64 {
-	if n := len(w.free); n > 0 {
-		s := w.free[n-1][:0]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		return s
+// parallel runs fn on min(GOMAXPROCS, n) pooled workers sharing one claim
+// counter; the calling goroutine is the last of them.
+func (c *Cluster) parallel(n int, fn func(w *commWorker, next *atomic.Int64)) {
+	st := &c.comm
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	for len(st.workers) < workers {
+		st.workers = append(st.workers, &commWorker{})
 	}
-	return make([]int64, 0, batchTuples)
-}
-
-// recycle returns a consumed delivery's slabs to the free list.
-func (w *commWorker) recycle(cols [][]int64) {
-	for _, col := range cols {
-		if len(w.free) >= maxFreeSlabs {
-			return
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for i, w := range st.workers[:workers] {
+		if len(w.count) < c.P {
+			w.count = make([]int, c.P)
 		}
-		w.free = append(w.free, col)
+		if i == workers-1 {
+			fn(w, &next)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, &next)
+		}()
 	}
+	wg.Wait()
 }
 
-// publish moves the batch in d (if any) to server's mailbox; d is left
-// empty with its slabs handed over.
-func (w *commWorker) publish(c *Cluster, server int, d *delivery) {
-	if d.count == 0 {
-		return
+// route runs the route pass and returns one log per part. It writes no
+// fragment and no load counter, so dropping the logs discards the round.
+func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
+	var errOnce sync.Once
+	var routeErr error
+	report := func(err error) {
+		errOnce.Do(func() { routeErr = err })
 	}
-	mb := &c.comm.mail[server]
-	mb.mu.Lock()
-	mb.box = append(mb.box, *d)
-	mb.mu.Unlock()
-	d.cols = nil
-	d.count = 0
+	// Presize every log to one record per row plus one pair per server the
+	// part can reach, carved from one buffer: the retained arena when the
+	// round fits in it.
+	logCap := func(part sendPart) int { return part.hi - part.lo + 2*min(part.hi-part.lo, c.P) }
+	need := 0
+	for _, part := range parts {
+		need += logCap(part)
+	}
+	st := &c.comm
+	buf := st.arena
+	if need > logBudget {
+		buf = make([]int32, need)
+	} else if cap(buf) < need {
+		st.arena = make([]int32, need)
+		buf = st.arena
+	}
+	logs := make([]partLog, len(parts))
+	for i, part := range parts {
+		n := logCap(part)
+		logs[i].log, buf = buf[:0:n], buf[n:]
+	}
+	c.parallel(len(parts), func(w *commWorker, next *atomic.Int64) {
+		w.route(c, parts, logs, next, router, report)
+	})
+	return logs, routeErr
 }
 
-// route is one worker's share of the route pass: claim parts off the
-// shared counter until none remain, batching per destination in the dense
-// table, then flush every touched batch.
-func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, router Router, report func(error)) {
+// route is one worker's share of the route pass: claim parts off the shared
+// counter until none remain, logging part pi into logs[pi].
+func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next *atomic.Int64, router Router, report func(error)) {
 	r := forSender(router)
 	cr, columnar := r.(ColumnRouter)
 	sr, spannable := r.(SpanRouter)
-	if cap(w.table) < c.P {
-		w.table = make([]delivery, c.P)
-	}
-	table := w.table[:c.P]
 	for {
 		pi := int(next.Add(1)) - 1
 		if pi >= len(parts) {
-			break
+			return
 		}
 		// Per-part checkpoint: injected stragglers stall here (the hook is
 		// the delay), and a context canceled mid-round aborts this worker
@@ -152,24 +174,24 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, rou
 		if ctx := c.Ctx; ctx != nil {
 			if err := ctx.Err(); err != nil {
 				report(fmt.Errorf("mpc: round canceled at part %d of %d: %w", pi, len(parts), err))
-				break
+				return
 			}
 		}
 		part := parts[pi]
-		if spannable {
-			if idx := part.rel.Partitions(); idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
-				w.routeSpans(c, table, part, idx, sr, report)
-				continue
-			}
+		w.log = logs[pi].log
+		if idx := part.rel.Partitions(); spannable && idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
+			w.routeSpans(c, part, idx, sr, report)
+		} else {
+			w.routeRows(c, part.rel, part.lo, part.hi, r, cr, columnar, report)
 		}
-		w.routeRows(c, table, part.rel, part.lo, part.hi, r, cr, columnar, report)
+		logs[pi].recs = len(w.log)
+		for _, server := range w.touched {
+			w.log = append(w.log, int32(server), int32(w.count[server]))
+			w.count[server] = 0
+		}
+		w.touched = w.touched[:0]
+		logs[pi].log, w.log = w.log, nil
 	}
-	// Flush the stragglers. touched may hold duplicates (a destination
-	// whose batch filled and restarted); publish skips the empties.
-	for _, server := range w.touched {
-		w.publish(c, server, &table[server])
-	}
-	w.touched = w.touched[:0]
 }
 
 // routeRows routes rows [lo, hi) of rel one tuple at a time — the general
@@ -177,10 +199,8 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, rou
 // declined spans.
 //
 //skewlint:noalloc
-func (w *commWorker) routeRows(c *Cluster, table []delivery, rel *data.Relation, lo, hi int, r Router, cr ColumnRouter, columnar bool, report func(error)) {
-	cols := rel.Columns()
+func (w *commWorker) routeRows(c *Cluster, rel *data.Relation, lo, hi int, r Router, cr ColumnRouter, columnar bool, report func(error)) {
 	arity := rel.Arity
-	bits := rel.BitsPerTuple()
 	if cap(w.scratch) < arity {
 		//skewlint:allow noalloc — one-time scratch growth to the widest arity, amortized across rounds
 		w.scratch = make(data.Tuple, arity)
@@ -192,19 +212,19 @@ func (w *commWorker) routeRows(c *Cluster, table []delivery, rel *data.Relation,
 		} else {
 			w.dst = r.Destinations(rel.Name, rel.ReadTuple(row, scratch), w.dst[:0])
 		}
-		w.send(c, table, rel, cols, arity, bits, row, w.dst, report)
+		w.logRow(c, w.dst, report)
 	}
 }
 
 // routeSpans routes one send part of a partitioned relation partition-wise:
 // the light prefix and the uncovered tail per-tuple, each heavy span through
-// one CompileSpan call — bulk column-range appends when the route is
-// uniform, a pre-resolved per-row closure otherwise.
-func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx *data.PartitionIndex, sr SpanRouter, report func(error)) {
+// one CompileSpan call — one run record when the route is uniform, a
+// pre-resolved per-row closure otherwise.
+func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIndex, sr SpanRouter, report func(error)) {
 	rel := part.rel
 	lo, hi := part.lo, part.hi
 	if lo < idx.LightEnd {
-		w.routeRows(c, table, rel, lo, min(hi, idx.LightEnd), sr, sr, true, report)
+		w.routeRows(c, rel, lo, min(hi, idx.LightEnd), sr, sr, true, report)
 	}
 	pos := max(lo, idx.LightEnd)
 	spans := idx.Spans
@@ -217,18 +237,17 @@ func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx
 		}
 		w.span.Dests = w.span.Dests[:0]
 		w.span.PerRow = nil
-		if !sr.CompileSpan(rel, idx.Attr, sp.Value, &w.span) {
-			w.routeRows(c, table, rel, slo, shi, sr, sr, true, report)
-			continue
-		}
-		if w.span.PerRow != nil {
-			w.routePerRow(c, table, rel, slo, shi, w.span.PerRow, report)
-		} else {
-			w.sendRange(c, table, rel, slo, shi, w.span.Dests, report)
+		switch {
+		case !sr.CompileSpan(rel, idx.Attr, sp.Value, &w.span):
+			w.routeRows(c, rel, slo, shi, sr, sr, true, report)
+		case w.span.PerRow != nil:
+			w.routePerRow(c, slo, shi, w.span.PerRow, report)
+		default:
+			w.logRun(shi-slo, w.valid(c, w.span.Dests, report))
 		}
 	}
 	if hi > idx.Rows {
-		w.routeRows(c, table, rel, max(lo, idx.Rows), hi, sr, sr, true, report)
+		w.routeRows(c, rel, max(lo, idx.Rows), hi, sr, sr, true, report)
 	}
 	// Don't pin the last compiled closure (and whatever it captured) on the
 	// pooled worker past the round.
@@ -238,218 +257,192 @@ func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx
 // routePerRow routes rows [lo, hi) through a compiled per-row closure.
 //
 //skewlint:noalloc
-func (w *commWorker) routePerRow(c *Cluster, table []delivery, rel *data.Relation, lo, hi int, perRow func(row int, dst []int) []int, report func(error)) {
-	cols := rel.Columns()
-	arity := rel.Arity
-	bits := rel.BitsPerTuple()
+func (w *commWorker) routePerRow(c *Cluster, lo, hi int, perRow func(row int, dst []int) []int, report func(error)) {
 	for row := lo; row < hi; row++ {
 		w.dst = perRow(row, w.dst[:0])
-		w.send(c, table, rel, cols, arity, bits, row, w.dst, report)
+		w.logRow(c, w.dst, report)
 	}
 }
 
-// send batches row `row` of rel for every (deduplicated, validated)
-// destination in dst.
+// logRow records one row's destinations.
 //
 //skewlint:noalloc
-func (w *commWorker) send(c *Cluster, table []delivery, rel *data.Relation, cols [][]int64, arity int, bits int64, row int, dst []int, report func(error)) {
+func (w *commWorker) logRow(c *Cluster, dst []int, report func(error)) {
+	if dst = w.valid(c, dst, report); len(dst) != 1 {
+		w.logRun(1, dst)
+		return
+	}
+	w.reserve(1)
+	w.log = append(w.log, int32(dst[0]))
+	w.note(dst[0], 1)
+}
+
+// logRun records n consecutive rows that all go to the servers in dst.
+//
+//skewlint:noalloc
+func (w *commWorker) logRun(n int, dst []int) {
+	w.reserve(2 + len(dst))
+	w.log = append(w.log, int32(-n), int32(len(dst)))
+	for _, server := range dst {
+		w.log = append(w.log, int32(server))
+		w.note(server, n)
+	}
+}
+
+// reserve makes room for n more log entries. A part whose rows fan out
+// outgrows its presized log; doubling keeps that to a few regrowths however
+// large the part is.
+func (w *commWorker) reserve(n int) {
+	if cap(w.log)-len(w.log) < n {
+		w.log = slices.Grow(w.log, max(n, len(w.log)))
+	}
+}
+
+// valid deduplicates dst in place and drops, reporting, servers outside
+// [0, P).
+//
+//skewlint:noalloc
+func (w *commWorker) valid(c *Cluster, dst []int, report func(error)) []int {
+	n := 0
 	for _, server := range w.dedup.dedup(dst) {
 		if server < 0 || server >= c.P {
 			//skewlint:allow noalloc — error path: a malformed router has already broken the round
 			report(fmt.Errorf("mpc: destination %d out of range [0,%d)", server, c.P))
 			continue
 		}
-		d := &table[server]
-		if d.cols != nil && d.rel != rel.Name {
-			// Batches are per (destination, relation): a new
-			// relation closes the previous batch.
-			w.publish(c, server, d)
-		}
-		if d.cols == nil {
-			d.rel, d.arity, d.domain, d.bits = rel.Name, arity, rel.Domain, bits
-			//skewlint:allow noalloc — fresh-batch header, once per batchTuples rows; columns come from the slab pool
-			s := make([][]int64, arity)
-			for a := range s {
-				s[a] = w.slab()
-			}
-			d.cols = s
-			w.touched = append(w.touched, server)
-		}
-		for a := 0; a < arity; a++ {
-			d.cols[a] = append(d.cols[a], cols[a][row])
-		}
-		d.count++
-		if d.count >= batchTuples {
-			w.publish(c, server, d)
-		}
+		dst[n] = server
+		n++
 	}
+	return dst[:n]
 }
 
-// sendRange ships rows [lo, hi) of rel wholesale to every destination in
-// dst: per-column range appends into slabs, batchTuples at a time — the
-// uniform-span fast path with no per-row router work.
-//
-//skewlint:noalloc
-func (w *commWorker) sendRange(c *Cluster, table []delivery, rel *data.Relation, lo, hi int, dst []int, report func(error)) {
-	cols := rel.Columns()
-	arity := rel.Arity
-	bits := rel.BitsPerTuple()
-	for _, server := range w.dedup.dedup(dst) {
-		if server < 0 || server >= c.P {
-			//skewlint:allow noalloc — error path: a malformed router has already broken the round
-			report(fmt.Errorf("mpc: destination %d out of range [0,%d)", server, c.P))
-			continue
+// note adds rows to the current part's count for server.
+func (w *commWorker) note(server, rows int) {
+	if w.count[server] == 0 {
+		w.touched = append(w.touched, server)
+	}
+	w.count[server] += rows
+}
+
+// commit delivers a cleanly routed round: charge the loads and size every
+// receiving fragment in one prefix pass over the parts, allocate and
+// install each fragment once, and scatter the parts into their ranges in
+// parallel.
+func (c *Cluster) commit(parts []sendPart, logs []partLog) {
+	st := &c.comm
+	p := c.P
+	for i, part := range parts {
+		r := slices.IndexFunc(st.rels, func(r *data.Relation) bool { return r.Name == part.rel.Name })
+		if r < 0 {
+			r = len(st.rels)
+			st.rels = append(st.rels, part.rel)
+		} else if st.rels[r].Arity != part.rel.Arity {
+			panic(fmt.Sprintf("mpc: %s routed with arities %d and %d in one round", part.rel.Name, st.rels[r].Arity, part.rel.Arity))
 		}
-		d := &table[server]
-		if d.cols != nil && d.rel != rel.Name {
-			w.publish(c, server, d)
-		}
-		row := lo
-		for row < hi {
-			if d.cols == nil {
-				d.rel, d.arity, d.domain, d.bits = rel.Name, arity, rel.Domain, bits
-				//skewlint:allow noalloc — fresh-batch header, once per batchTuples rows; columns come from the slab pool
-				s := make([][]int64, arity)
-				for a := range s {
-					s[a] = w.slab()
+		logs[i].recv = r
+	}
+	if cap(st.slots) < len(st.rels)*p {
+		st.slots = make([]recvSlot, len(st.rels)*p)
+	}
+	slots := st.slots[:len(st.rels)*p]
+	for i := range slots {
+		slots[i].rows = -1
+	}
+	for i := range logs {
+		lg := &logs[i]
+		rel := st.rels[lg.recv]
+		bits := parts[i].rel.BitsPerTuple()
+		pairs := lg.log[lg.recs:]
+		for j := 0; j < len(pairs); j += 2 {
+			server, n := int(pairs[j]), int(pairs[j+1])
+			s := c.Servers[server]
+			s.BitsIn += bits * int64(n)
+			s.TuplesIn += int64(n)
+			sl := &slots[lg.recv*p+server]
+			if sl.rows < 0 {
+				sl.old, sl.rows = s.Received[rel.Name], 0
+				if sl.old != nil && sl.old.Arity != rel.Arity {
+					panic(fmt.Sprintf("mpc: %s: delivering arity %d onto a fragment of arity %d", rel.Name, rel.Arity, sl.old.Arity))
+				} else if sl.old != nil {
+					sl.rows = sl.old.Size()
 				}
-				d.cols = s
-				w.touched = append(w.touched, server)
 			}
-			n := min(batchTuples-d.count, hi-row)
-			for a := 0; a < arity; a++ {
-				d.cols[a] = append(d.cols[a], cols[a][row:row+n]...)
+			start := sl.rows
+			if sl.rows += n; sl.rows > math.MaxInt32 {
+				panic(fmt.Sprintf("mpc: fragment %s on server %d would hold %d rows, past 2^31-1", rel.Name, server, sl.rows))
 			}
-			d.count += n
-			row += n
-			if d.count >= batchTuples {
-				w.publish(c, server, d)
-			}
+			pairs[j+1] = int32(start)
 		}
 	}
-}
 
-// deliver is one worker's share of the deliver pass: claim servers off the
-// shared counter and bulk-append their mailboxes. Runs strictly after the
-// route pass, so mailboxes need no locking here.
-func (w *commWorker) deliver(c *Cluster, next *atomic.Int64) {
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= c.P {
-			return
-		}
-		mb := &c.comm.mail[i]
-		if len(mb.box) == 0 {
+	// The fragments are installed before the scatter fills them: nothing
+	// reads a server's fragments until the round returns.
+	for i := range slots {
+		sl := &slots[i]
+		if sl.rows < 0 {
 			continue
 		}
-		s := c.Servers[i]
-		for j := range mb.box {
-			d := &mb.box[j]
-			frag, ok := s.Received[d.rel]
-			if !ok {
-				frag = data.NewRelation(d.rel, d.arity, d.domain)
-				s.Received[d.rel] = frag
+		rel := st.rels[i/p]
+		domain := rel.Domain
+		if sl.old != nil {
+			domain = sl.old.Domain
+		}
+		sl.vals = make([]int64, rel.Arity*sl.rows)
+		cols := st.cols[:0]
+		for a := 0; a < rel.Arity; a++ {
+			cols = append(cols, sl.vals[a*sl.rows:(a+1)*sl.rows])
+			if sl.old != nil {
+				copy(cols[a], sl.old.Column(a))
 			}
-			frag.AppendColumns(d.cols, d.count)
-			s.BitsIn += d.bits * int64(d.count)
-			s.TuplesIn += int64(d.count)
-			w.recycle(d.cols)
-			// Drop the stale references so the retained mailbox slice
-			// doesn't pin slabs (now owned by the free list) or names.
-			*d = delivery{}
 		}
-		mb.box = mb.box[:0]
+		frag := data.NewRelation(rel.Name, rel.Arity, domain)
+		frag.AdoptColumns(cols, sl.rows)
+		c.Servers[i%p].Received[rel.Name] = frag
+		clear(cols)
+		st.cols = cols
 	}
+	c.parallel(len(parts), func(w *commWorker, next *atomic.Int64) {
+		for pi := int(next.Add(1)) - 1; pi < len(parts); pi = int(next.Add(1)) - 1 {
+			r := logs[pi].recv * p
+			w.scatter(parts[pi], &logs[pi], slots[r:r+p])
+		}
+	})
+	clear(slots)
+	clear(st.rels)
+	st.rels = st.rels[:0]
 }
 
-// stageSharded runs the route pass of the sharded delivery engine: every
-// part is routed and its slabs are staged in the receivers' mailboxes, but
-// nothing touches receiver fragments or load counters. The round's staged
-// state is then either committed wholesale (commitStaged) once the caller
-// knows every send part of the round arrived, or discarded wholesale
-// (discardStaged) — the transactional half-round that makes a torn round
-// replayable in place.
-func (c *Cluster) stageSharded(parts []sendPart, router Router) error {
-	var errOnce sync.Once
-	var routeErr error
-	report := func(err error) {
-		errOnce.Do(func() { routeErr = err })
+// scatter copies one committed part's rows into its ranges of the receiving
+// fragments (slots, indexed by server). Parts own disjoint ranges, so
+// workers need no locks.
+//
+//skewlint:noalloc
+func (w *commWorker) scatter(part sendPart, lg *partLog, slots []recvSlot) {
+	at := w.count
+	pairs := lg.log[lg.recs:]
+	for j := 0; j < len(pairs); j += 2 {
+		at[pairs[j]] = int(pairs[j+1])
 	}
-
-	procs := runtime.GOMAXPROCS(0)
-	routeWorkers := min(procs, len(parts))
-	deliverWorkers := min(procs, c.P)
-	st := &c.comm
-	if len(st.mail) < c.P {
-		st.mail = make([]mailbox, c.P)
-	}
-	// Size the worker pool for the deliver pass too, so commitStaged can
-	// run without re-checking.
-	for len(st.workers) < max(routeWorkers, deliverWorkers) {
-		st.workers = append(st.workers, &commWorker{})
-	}
-
-	var next atomic.Int64
-	if routeWorkers <= 1 {
-		st.workers[0].route(c, parts, &next, router, report)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < routeWorkers; w++ {
-			wg.Add(1)
-			go func(cw *commWorker) {
-				defer wg.Done()
-				cw.route(c, parts, &next, router, report)
-			}(st.workers[w])
+	cols := part.rel.Columns()
+	log, row := lg.log[:lg.recs], part.lo
+	for i := 0; i < len(log); {
+		if v := log[i]; v >= 0 {
+			slots[v].put(at[v], cols, row, 1)
+			at[v]++
+			i++
+			row++
+			continue
 		}
-		wg.Wait()
-	}
-	return routeErr
-}
-
-// commitStaged runs the deliver pass over the staged mailboxes: bounded
-// workers claim servers and bulk-append each mailbox's slabs into the
-// server's fragments and load counters. This is the round's commit point —
-// it runs only after every send part has been routed cleanly.
-func (c *Cluster) commitStaged() {
-	st := &c.comm
-	if len(st.mail) < c.P || len(st.workers) == 0 {
-		return // nothing was staged
-	}
-	deliverWorkers := min(runtime.GOMAXPROCS(0), c.P)
-	var next atomic.Int64
-	if deliverWorkers <= 1 {
-		st.workers[0].deliver(c, &next)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < deliverWorkers; w++ {
-		wg.Add(1)
-		go func(cw *commWorker) {
-			defer wg.Done()
-			cw.deliver(c, &next)
-		}(st.workers[w])
-	}
-	wg.Wait()
-}
-
-// discardStaged drops every staged slab without touching receiver fragments
-// or load counters, leaving the cluster bit-identical to its pre-round
-// state. Slabs are recycled into the first worker's free list up to its
-// cap; the rest is left to the collector — discard runs only on faulted or
-// canceled rounds.
-func (c *Cluster) discardStaged() {
-	st := &c.comm
-	if len(st.workers) == 0 {
-		return
-	}
-	w := st.workers[0]
-	for i := range st.mail {
-		mb := &st.mail[i]
-		for j := range mb.box {
-			w.recycle(mb.box[j].cols)
-			mb.box[j] = delivery{}
+		n, k := int(-log[i]), int(log[i+1])
+		for _, s := range log[i+2 : i+2+k] {
+			slots[s].put(at[s], cols, row, n)
+			at[s] += n
 		}
-		mb.box = mb.box[:0]
+		i += 2 + k
+		row += n
+	}
+	for j := 0; j < len(pairs); j += 2 {
+		at[pairs[j]] = 0
 	}
 }
 

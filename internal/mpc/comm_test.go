@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -62,15 +63,8 @@ func fuzzRouter(p int, seed uint64) Router {
 	})
 }
 
-// sortedFragment canonicalizes a fragment for multiset comparison.
-func sortedFragment(f *data.Relation) *data.Relation {
-	c := f.Clone()
-	c.Sort()
-	return c
-}
-
 // assertClustersEquivalent checks both clusters delivered identical loads
-// and identical fragments as multisets on every server.
+// and identical fragments, as sequences, on every server.
 func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 	t.Helper()
 	if want.P != got.P {
@@ -93,12 +87,11 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 			if wf.Arity != gf.Arity || wf.Domain != gf.Domain || wf.Size() != gf.Size() {
 				t.Fatalf("server %d fragment %q shapes differ", i, name)
 			}
-			a, b := sortedFragment(wf), sortedFragment(gf)
-			for col := 0; col < a.Arity; col++ {
-				ca, cb := a.Column(col), b.Column(col)
+			for col := 0; col < wf.Arity; col++ {
+				ca, cb := wf.Column(col), gf.Column(col)
 				for row := range ca {
 					if ca[row] != cb[row] {
-						t.Fatalf("server %d fragment %q differs as a multiset (col %d row %d: %d vs %d)",
+						t.Fatalf("server %d fragment %q differs as a sequence (col %d row %d: %d vs %d)",
 							i, name, col, row, ca[row], cb[row])
 					}
 				}
@@ -110,7 +103,7 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 // referenceRound is the oracle the delivery engine is differentially tested
 // against: the communication phase exactly as the model states it, serially
 // on the calling goroutine. Every tuple is routed through Destinations alone
-// (no ColumnRouter, spans, slabs, mailboxes or workers), duplicate
+// (no ColumnRouter, spans, logs or workers), duplicate
 // destinations are dropped through a per-tuple set, and each surviving
 // (tuple, server) pair is one appended row plus BitsPerTuple of load.
 func referenceRound(c *Cluster, router Router, rels ...*data.Relation) error {
@@ -156,8 +149,8 @@ func referenceShuffle(c *Cluster, router Router, names ...string) error {
 	return referenceRound(c, router, moved...)
 }
 
-// runEngines routes db (plus a resident shuffle) through the sharded engine
-// and the serial reference delivery and asserts equivalence.
+// runEngines routes db (plus a resident shuffle) through the engine and the
+// serial reference delivery and asserts equivalence.
 func runEngines(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -173,12 +166,12 @@ func runEngines(t *testing.T, seed uint64) {
 	if err := referenceRound(reference, router, rels...); err != nil {
 		t.Fatalf("reference delivery: %v", err)
 	}
-	sharded := NewCluster(p)
-	sharded.Senders = 1 + rng.Intn(12)
-	if err := sharded.Round(db, router); err != nil {
-		t.Fatalf("sharded engine: %v", err)
+	engine := NewCluster(p)
+	engine.Senders = 1 + rng.Intn(12)
+	if err := engine.Round(db, router); err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-	assertClustersEquivalent(t, reference, sharded)
+	assertClustersEquivalent(t, reference, engine)
 
 	// A resident shuffle through a second pure router must also agree
 	// (exercises fragment chunking on whatever skew the first round made).
@@ -187,10 +180,10 @@ func runEngines(t *testing.T, seed uint64) {
 	if err := referenceShuffle(reference, router2, names...); err != nil {
 		t.Fatalf("reference shuffle: %v", err)
 	}
-	if err := sharded.ShuffleResident(router2, names...); err != nil {
-		t.Fatalf("sharded shuffle: %v", err)
+	if err := engine.ShuffleResident(router2, names...); err != nil {
+		t.Fatalf("engine shuffle: %v", err)
 	}
-	assertClustersEquivalent(t, reference, sharded)
+	assertClustersEquivalent(t, reference, engine)
 }
 
 // TestEnginesEquivalent pins a spread of deterministic seeds; the fuzz
@@ -201,11 +194,11 @@ func TestEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// FuzzCommunicateEngines differentially fuzzes the sharded engine against
-// the serial reference delivery: identical per-server loads and identical
-// delivered fragments as multisets on random databases and routers, after a
-// round and after a resident shuffle (delivery order within a fragment is
-// explicitly unspecified).
+// FuzzCommunicateEngines differentially fuzzes the engine against the
+// serial reference delivery: identical per-server loads and identical
+// delivered fragments, row for row, on random databases, routers and
+// Senders, after a round and after a resident shuffle (a fragment holds its
+// rows in (part, row) order, which is the reference's append order).
 func FuzzCommunicateEngines(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 20, 0xdeadbeef} {
 		f.Add(seed)
@@ -222,8 +215,8 @@ func FuzzCommunicateEngines(f *testing.F) {
 //
 //	1 → [1 1 1] → {1}      2 → [0 1 0] → {0, 1}      5 → [1 1 1] → {1}
 //
-// Server 0 receives {2}: 1 tuple, 3 bits. Server 1 receives {1, 2, 5}:
-// 3 tuples, 9 bits. Four deliveries for nine named destinations.
+// Server 0 receives (2): 1 tuple, 3 bits. Server 1 receives (1, 2, 5), in
+// that order: 3 tuples, 9 bits. Four deliveries for nine named destinations.
 func TestReferenceDeliveryByHand(t *testing.T) {
 	rel := data.NewRelation("S", 1, 8)
 	for _, v := range []int64{1, 2, 5} {
@@ -258,7 +251,7 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 			if len(s.Received) != 1 || s.Fragment("S") == nil {
 				t.Fatalf("server %d holds %d fragments, want exactly S", id, len(s.Received))
 			}
-			if got := sortedFragment(s.Fragment("S")).Column(0); !slices.Equal(got, w.values) {
+			if got := s.Fragment("S").Column(0); !slices.Equal(got, w.values) {
 				t.Errorf("server %d fragment = %v, want %v", id, got, w.values)
 			}
 		}
@@ -479,4 +472,57 @@ func TestShardedGoroutineBound(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// TestParkedClusterRetainsBoundedScratch: after a Round and a chunked
+// resident shuffle that route a million tuples each, a parked (Reset)
+// cluster pins no more than the route-log budget plus its O(P) tables — a
+// large round's logs are garbage once it commits.
+func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
+	const m, p = 1 << 20, 16
+	db := singleRel(m)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	c := NewCluster(p)
+	if err := c.Round(db, RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
+		return append(dst, int(tu[0]%p))
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ShuffleResident(RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
+		return append(dst, int(tu[0]/7%p))
+	}), "S"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Loads().TotalTuples; got != 2*m {
+		t.Fatalf("routed %d tuples, want %d", got, 2*m)
+	}
+	c.Reset()
+	retained := heap() - before
+	if limit := int64(4*logBudget + 64<<10); retained > limit {
+		t.Errorf("parked cluster retains %d bytes after routing %d tuples, limit %d", retained, 2*m, limit)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(db)
+}
+
+// TestCommitPanicsPastInt32Rows: fragment offsets are int32, so a round
+// that would grow a fragment past 2^31-1 rows panics in the prefix pass —
+// before anything is allocated — instead of wrapping. Two parts claim 2^30
+// rows each for server 0.
+func TestCommitPanicsPastInt32Rows(t *testing.T) {
+	rel := data.NewRelation("S", 1, 2)
+	parts := []sendPart{{rel: rel}, {rel: rel}}
+	logs := []partLog{{log: []int32{0, 1 << 30}}, {log: []int32{0, 1 << 30}}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "past 2^31-1") {
+			t.Fatalf("a 2^31-row fragment panicked with %q, want the row-bound panic", msg)
+		}
+	}()
+	NewCluster(2).commit(parts, logs)
 }

@@ -5,11 +5,12 @@
 // communication phase, exactly as the model defines it.
 //
 // The model charges only for bits received, so the simulator keeps its own
-// costs out of the way: the communication phase runs on a sharded
-// zero-channel delivery engine (see comm.go) whose goroutine count is
-// O(GOMAXPROCS) regardless of the virtual-server count, and clusters are
-// reusable (Resize) so executors can pool them instead of reallocating
-// Θ(p) servers per run.
+// costs out of the way: the communication phase runs on a count-then-scatter
+// engine (see comm.go) whose goroutine count is O(GOMAXPROCS) regardless of
+// the virtual-server count and which allocates each received fragment once,
+// at its exact size, holding its rows in a deterministic order; clusters are
+// reusable (Resize) so executors can pool them instead of reallocating Θ(p)
+// servers per run.
 //
 // The one-round restriction is enforced structurally: a Router decides the
 // destinations of a tuple from the tuple alone plus global statistics fixed
@@ -19,6 +20,7 @@ package mpc
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -62,9 +64,9 @@ type ColumnRouter interface {
 // Exactly one of the two forms is produced per span:
 //
 //   - Uniform (PerRow nil): every row of the span goes to Dests. The engine
-//     bulk-appends whole column ranges into destination slabs — no per-row
-//     router work at all. An empty Dests ships nothing (a relation the
-//     router does not route this round).
+//     logs the span as one record and ships it with one copy per column and
+//     destination — no per-row router work at all. An empty Dests ships
+//     nothing (a relation the router does not route this round).
 //   - PerRow non-nil: rows still need a per-row dimension (a grid row hash
 //     on a non-partition attribute), but the span-level decision — which
 //     hitter plan, which block — is resolved once at compile time. PerRow
@@ -163,10 +165,10 @@ type Cluster struct {
 	// when zero. Like Senders it controls work granularity only, never
 	// where tuples are delivered.
 	ResidentChunk int
-	// Ctx, when non-nil, is checked at in-round checkpoints: sharded route
+	// Ctx, when non-nil, is checked at in-round checkpoints: the route
 	// workers test it per claimed send part, so canceling mid-round aborts
 	// the round instead of running it to completion. The round returns the
-	// context's error and the engine discards its staged deliveries, leaving
+	// context's error and the engine drops its route logs, leaving
 	// fragments and load counters untouched.
 	Ctx context.Context
 	// Faults, when non-nil, injects the seeded fault schedule (torn rounds,
@@ -179,8 +181,8 @@ type Cluster struct {
 	// across Resize/Reset so pooled clusters stop allocating at steady
 	// state.
 	pool []*Server
-	// comm is the sharded engine's reusable scratch (mailboxes, worker
-	// destination tables, slab free lists).
+	// comm is the engine's reusable scratch (worker tables, retained
+	// route-log storage, the commit's per-(relation, server) table).
 	comm commState
 	// curRound is the Faults round number of the communication phase in
 	// flight (set by communicate before workers start; workers only read).
@@ -276,12 +278,7 @@ func (c *Cluster) RoundRelations(router Router, rels ...*data.Relation) error {
 	}
 	var parts []sendPart
 	for _, rel := range rels {
-		m := rel.Size()
-		chunk := (m + senders - 1) / senders
-		if chunk == 0 {
-			chunk = 1
-		}
-		parts = appendChunkedParts(parts, rel, chunk)
+		parts = appendChunkedParts(parts, rel, (rel.Size()+senders-1)/senders)
 	}
 	return c.communicate(parts, router)
 }
@@ -322,9 +319,9 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 			if !ok {
 				continue
 			}
-			// Detach before routing: receivers append to s.Received[name]
-			// concurrently, so the outgoing fragment must no longer be
-			// reachable there.
+			// Detach before routing: the commit accumulates onto whatever
+			// s.Received[name] holds, so the outgoing fragment must no
+			// longer be reachable there.
 			delete(s.Received, name)
 			moved = append(moved, detached{s, frag})
 			parts = appendChunkedParts(parts, frag, chunk)
@@ -351,11 +348,10 @@ type sendPart struct {
 }
 
 // appendChunkedParts appends rel split into send parts of at most chunk
-// rows each; empty relations contribute nothing.
+// rows each — and at most 2^31-1, so a part's route-log counts fit in int32;
+// empty relations contribute nothing.
 func appendChunkedParts(parts []sendPart, rel *data.Relation, chunk int) []sendPart {
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk = max(1, min(chunk, math.MaxInt32))
 	m := rel.Size()
 	for lo := 0; lo < m; lo += chunk {
 		hi := min(lo+chunk, m)
@@ -371,12 +367,12 @@ func appendChunkedParts(parts []sendPart, rel *data.Relation, chunk int) []sendP
 // executor calls this after a torn round before re-driving it.
 func (c *Cluster) MarkReplay() { c.replayRound = true }
 
-// communicate runs one communication phase as a transaction: routed slabs
-// are staged in mailboxes and committed into receiver fragments only once
-// every part of the round has arrived. A torn round (the injected fault:
-// only a prefix of the parts arrives) or a mid-round context cancellation
-// discards the staged state wholesale, leaving fragments and load counters
-// bit-identical to the pre-round state.
+// communicate runs one communication phase as a transaction: the route
+// pass only logs where rows go, and the commit — the one writer of
+// fragments and load counters — runs only once every part of the round has
+// arrived. A torn round (the injected fault: only a prefix of the parts
+// arrives) or a mid-round context cancellation drops the logs, leaving
+// fragments and load counters bit-identical to the pre-round state.
 func (c *Cluster) communicate(parts []sendPart, router Router) error {
 	if len(parts) == 0 {
 		c.replayRound = false
@@ -397,19 +393,15 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		}
 	}
 	c.replayRound = false
-	var err error
-	if len(parts) > 0 {
-		err = c.stageSharded(parts, router)
+	logs, err := c.route(parts, router)
+	if err != nil {
+		return err
 	}
-	if err != nil || torn {
-		c.discardStaged()
-		if err != nil {
-			return err
-		}
+	if torn {
 		return fmt.Errorf("mpc: round %d attempt %d delivered %d of %d parts: %w",
 			c.curRound, c.curAttempt, len(parts), total, ErrTornRound)
 	}
-	c.commitStaged()
+	c.commit(parts, logs)
 	return nil
 }
 

@@ -50,7 +50,7 @@ func TestAttemptPredicates(t *testing.T) {
 	}
 }
 
-// snapshotCluster captures per-server loads and sorted fragments for exact
+// snapshotCluster captures per-server loads and fragment copies for exact
 // state comparison around a torn round.
 type serverSnap struct {
 	bits, tuples int64
@@ -62,7 +62,7 @@ func snapshotCluster(c *Cluster) []serverSnap {
 	for i, s := range c.Servers {
 		sn := serverSnap{bits: s.BitsIn, tuples: s.TuplesIn, frags: make(map[string]*data.Relation)}
 		for name, f := range s.Received {
-			sn.frags[name] = sortedFragment(f)
+			sn.frags[name] = f.Clone()
 		}
 		snaps[i] = sn
 	}
@@ -85,12 +85,11 @@ func assertSnapshotUnchanged(t *testing.T, want []serverSnap, c *Cluster) {
 			if gf == nil {
 				t.Fatalf("server %d lost fragment %q to a torn round", i, name)
 			}
-			g := sortedFragment(gf)
-			if g.Size() != wf.Size() {
-				t.Fatalf("server %d fragment %q resized: %d vs %d", i, name, g.Size(), wf.Size())
+			if gf.Size() != wf.Size() {
+				t.Fatalf("server %d fragment %q resized: %d vs %d", i, name, gf.Size(), wf.Size())
 			}
 			for col := 0; col < wf.Arity; col++ {
-				gc, wc := g.Column(col), wf.Column(col)
+				gc, wc := gf.Column(col), wf.Column(col)
 				for row := range wc {
 					if gc[row] != wc[row] {
 						t.Fatalf("server %d fragment %q mutated by torn round (col %d row %d)", i, name, col, row)

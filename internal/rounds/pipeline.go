@@ -279,6 +279,10 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 		leftKey: leftKey, rightKey: rightKey,
 		cartesian: cartesian,
 		heavy:     heavy, p: p, family: family,
+		keySeeds: make([]uint64, max(len(leftKey), len(rightKey))),
+	}
+	for i := range router.keySeeds {
+		router.keySeeds[i] = family.DimSeed(dimKey + i)
 	}
 	if len(heavy) > 0 {
 		var keys []int64
@@ -432,6 +436,7 @@ type stepRouter struct {
 	heavy     []heavyPlan
 	p         int
 	family    *hashing.Family
+	keySeeds  []uint64   // family.DimSeed(dimKey+i) for key position i
 	proj      data.Tuple // key-projection scratch
 }
 
@@ -601,7 +606,7 @@ func (r *stepRouter) gridRoute(isLeft bool, base, p1, p2 int, rh int64, dst []in
 func (r *stepRouter) keyHash(key data.Tuple) int {
 	h := 0
 	for i, v := range key {
-		h = h*31 + r.family.Hash(dimKey+i, v, 1<<30)
+		h = h*31 + hashing.HashSeeded(r.keySeeds[i], v, 1<<30)
 	}
 	if h < 0 {
 		h = -h

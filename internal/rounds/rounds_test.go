@@ -1,6 +1,7 @@
 package rounds
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/data"
@@ -344,5 +345,40 @@ func TestSkewAwareNoGridBloatOnSparseIntermediates(t *testing.T) {
 	_, out := execute(t, cpp, cdb)
 	if len(out) != 0 {
 		t.Errorf("disjoint chain produced %d tuples", len(out))
+	}
+}
+
+// TestKeyHashMatchesFamilyHash: the step router hashes join keys with the
+// per-position seeds it resolved once at plan time, and every key lands on
+// exactly the server the per-value Family.Hash form picks — for one- and
+// two-column keys, over random values of every magnitude and sign.
+func TestKeyHashMatchesFamilyHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	widths := map[int]bool{}
+	for _, q := range []*query.Query{query.Triangle(), query.MustParse("q(a,b,c) = R(a,b), S(a,b,c)")} {
+		db := dbFor(q, 200, 50, 3)
+		for _, st := range PlanPipeline(q, db, Config{P: 64, Seed: 5}).Pipe.Stages {
+			r := st.Plan.Router.(*stepRouter)
+			widths[len(r.keySeeds)] = true
+			key := make(data.Tuple, len(r.keySeeds))
+			for n := 0; n < 2000; n++ {
+				for i := range key {
+					key[i] = int64(rng.Uint64()) >> rng.Intn(64)
+				}
+				h := 0
+				for i, v := range key {
+					h = h*31 + r.family.Hash(dimKey+i, v, 1<<30)
+				}
+				if h < 0 {
+					h = -h
+				}
+				if got, want := r.keyHash(key), h%r.p; got != want {
+					t.Fatalf("%s: keyHash(%v) = %d, Family.Hash form %d", q.Name, key, got, want)
+				}
+			}
+		}
+	}
+	if !widths[1] || !widths[2] {
+		t.Fatalf("key widths covered: %v, want 1 and 2", widths)
 	}
 }
