@@ -431,12 +431,10 @@ type ExecOptions struct {
 	// P overrides the engine's server count when > 0.
 	P int
 	// Serving keys the plan cache by database identity + schema instead of
-	// content, so cached plans survive Database.Apply deltas; pair it with
-	// a DriftFactor so drifted plans get rebuilt. See planKey.
+	// content, so cached plans survive Database.Apply deltas; the engine's
+	// Config.DriftFactor then decides when drifted plans get rebuilt. See
+	// planKey.
 	Serving bool
-	// DriftFactor overrides the engine's drift threshold when > 0 (only
-	// meaningful with Serving).
-	DriftFactor float64
 }
 
 // settings is the resolved effective configuration of one execution.
@@ -476,9 +474,6 @@ func (e *Engine) settings(opts ExecOptions) settings {
 	}
 	if opts.P > 0 {
 		s.p = opts.P
-	}
-	if opts.DriftFactor > 0 {
-		s.drift = opts.DriftFactor
 	}
 	if !s.serving {
 		// Content-keyed entries can never drift: any content change is a

@@ -25,8 +25,8 @@ var copyS = query.MustParse("Q(x,y) :- S(x,y)")
 
 // modRouter sends tuple (a,b) to server a mod p.
 func modRouter(p int) mpc.Router {
-	return mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-		return append(dst, int(t[0])%p)
+	return mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0))%p)
 	})
 }
 
@@ -94,7 +94,7 @@ func TestRunDedup(t *testing.T) {
 		Physical: 3,
 		// Broadcast: every server holds every tuple, so without Dedup the
 		// output would triple.
-		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
+		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
 		Query: copyS,
@@ -122,7 +122,7 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 		Physical: 3,
 		// Broadcast, so every server computes the whole join and Dedup has
 		// two copies of each answer to drop.
-		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
+		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
 		Query: q,
@@ -193,14 +193,14 @@ func TestRunScratchReuse(t *testing.T) {
 	}
 }
 
-// pipelineStage builds a test stage: route S by t[0] mod v, then keep each
+// pipelineStage builds a test stage: route S by column 0 mod v, then keep each
 // server's fragment under outName with +1 applied to column 0.
 func incStage(in string, out string, v int) Stage {
 	return Stage{
 		Plan: &PhysicalPlan{
 			Strategy: "test", Virtual: v, Physical: 2,
-			Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-				return append(dst, int(t[0])%v)
+			Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+				return append(dst, int(rel.At(row, 0))%v)
 			}),
 		},
 		LocalFragment: func(s *mpc.Server) *data.Relation {

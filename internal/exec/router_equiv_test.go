@@ -45,30 +45,20 @@ func destSet(dst []int) []int {
 	return slices.Compact(s)
 }
 
-// checkRouter asserts, on every row of every probe, that the router's three
-// entry points agree — Destinations on the row's tuple, DestinationsAt on
-// the row in place, and the route CompileSpan resolves for the row's value
-// at each attribute the router spans — and that the two per-row entry
-// points, annotated //skewlint:noalloc, do not allocate.
+// checkRouter asserts, on every row of every probe, that the route
+// CompileSpan resolves for the row's value at each attribute the router
+// spans delivers where Destinations does, and that Destinations, annotated
+// //skewlint:noalloc, does not allocate.
 func checkRouter(t *testing.T, name string, router mpc.Router, probes ...*data.Relation) {
 	t.Helper()
-	r := router
-	if ps, ok := r.(mpc.PerSenderRouter); ok {
-		r = ps.ForSender()
-	}
-	cr := r.(mpc.ColumnRouter)
+	r := mpc.SenderRouter(router)
+	sr, spans := r.(mpc.SpanRouter)
 	routed := 0
 	for _, rel := range probes {
-		tuple := make(data.Tuple, rel.Arity)
 		for row := 0; row < rel.Size(); row++ {
-			at := cr.DestinationsAt(rel, row, nil)
-			byTuple := r.Destinations(rel.Name, rel.ReadTuple(row, tuple), nil)
-			if !slices.Equal(at, byTuple) {
-				t.Fatalf("%s: %s row %d %v: Destinations %v, DestinationsAt %v", name, rel.Name, row, tuple, byTuple, at)
-			}
+			at := r.Destinations(rel, row, nil)
 			routed += len(at)
-			sr, ok := r.(mpc.SpanRouter)
-			for attr := 0; ok && attr < rel.Arity; attr++ {
+			for attr := 0; spans && attr < rel.Arity; attr++ {
 				if !sr.SpansAttr(rel, attr) {
 					continue
 				}
@@ -81,21 +71,16 @@ func checkRouter(t *testing.T, name string, router mpc.Router, probes ...*data.R
 					span = route.PerRow(row, nil)
 				}
 				if !slices.Equal(destSet(span), destSet(at)) {
-					t.Fatalf("%s: %s row %d %v: span on attr %d routes to %v, DestinationsAt to %v",
-						name, rel.Name, row, tuple, attr, destSet(span), destSet(at))
+					t.Fatalf("%s: %s row %d %v: span on attr %d routes to %v, Destinations to %v",
+						name, rel.Name, row, rel.Tuple(row), attr, destSet(span), destSet(at))
 				}
 			}
 		}
-		if rel.Size() == 0 {
-			continue
-		}
 		dst := make([]int, 0, 1<<16)
-		rel.ReadTuple(0, tuple)
 		if n := testing.AllocsPerRun(50, func() {
 			for row := 0; row < rel.Size(); row++ {
-				dst = cr.DestinationsAt(rel, row, dst[:0])
+				dst = r.Destinations(rel, row, dst[:0])
 			}
-			dst = r.Destinations(rel.Name, tuple, dst[:0])
 		}); n != 0 {
 			t.Errorf("%s: routing %s allocates %v times per pass, want 0", name, rel.Name, n)
 		}

@@ -15,7 +15,9 @@ import (
 // per-server state, then maintains the result under single-tuple deltas.
 // ApplyOp routes one inserted or deleted tuple through the plan's (frozen,
 // deterministic) router to exactly the virtual servers a full execution
-// would deliver it to, joins it against each server's resident fragments
+// would deliver it to — the tuple is copied into its atom's one-row staging
+// relation, so the router reads it in place exactly as it reads a row of a
+// round — joins it against each server's resident fragments
 // of the *other* atoms, and folds the resulting derivations — positive for
 // inserts, negative for deletes — into a counted output fragment. An
 // advance therefore costs O(|delta| · matched derivations) instead of the
@@ -68,6 +70,11 @@ type deltaAtom struct {
 	atom query.Atom
 	rel  int   // the relation's number in the resident layout (-1: unindexed)
 	bits int64 // BitsPerTuple of the relation, for load accounting
+	// stage is a one-row relation named and shaped like the atom's, whose
+	// columns alias row: ApplyOp refills row in place and routes stage's
+	// row 0, so routing an op allocates nothing.
+	stage *data.Relation
+	row   []int64
 	// steps covers every other atom exactly once.
 	steps []deltaStep
 }
@@ -170,7 +177,14 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 // (relation, bound positions) it will probe.
 func (s *Standing) compile(db *data.Database) {
 	for j, atom := range s.q.Atoms {
-		da := &deltaAtom{atom: atom, bits: db.MustGet(atom.Name).BitsPerTuple()}
+		src := db.MustGet(atom.Name)
+		da := &deltaAtom{atom: atom, bits: src.BitsPerTuple(), row: make([]int64, src.Arity)}
+		cols := make([][]int64, src.Arity)
+		for a := range cols {
+			cols[a] = da.row[a : a+1]
+		}
+		da.stage = data.NewRelation(atom.Name, src.Arity, src.Domain)
+		da.stage.AdoptColumns(cols, 1)
 		bound := make(map[int]bool, s.q.NumVars())
 		for _, v := range atom.Vars {
 			bound[v] = true
@@ -227,7 +241,8 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 	if da == nil {
 		return nil
 	}
-	s.dst = s.router.Destinations(rel, vals, s.dst[:0])
+	copy(da.row, vals)
+	s.dst = s.router.Destinations(da.stage, 0, s.dst[:0])
 	s.routedTuples += int64(len(s.dst))
 	s.routedBits += da.bits * int64(len(s.dst))
 	for _, d := range s.dst {

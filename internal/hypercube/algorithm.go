@@ -18,20 +18,20 @@ import (
 // The residual subcube of an atom is a fixed set of linear offsets, so it
 // is enumerated once at router construction; per tuple, routing is one
 // hash per bound dimension plus one append per destination — no odometer
-// and no per-tuple scratch. Destinations caches the last relation binding,
-// so a Router is not safe for concurrent use; it implements
-// mpc.PerSenderRouter and mpc.Round gives each sender its own instance.
+// and no per-tuple scratch. Destinations caches the atom table of the last
+// relation it routed, so a Router is not safe for concurrent use; it
+// implements mpc.PerSenderRouter and mpc.Round gives each sender its own
+// instance.
 type Router struct {
 	q      *query.Query
 	grid   *hashing.Grid
 	shares []int
 	stride []int // linearization strides, stride[k-1] = 1
 	atoms  map[string]*routerAtom
-	// last-bound relation, so Destinations/DestinationsAt resolve the atom
-	// table and column slices with an equality check instead of a map
-	// lookup (senders route one relation chunk at a time).
+	// last-routed relation, so Destinations resolves the atom table with a
+	// pointer comparison instead of a map lookup (senders route one
+	// relation chunk at a time).
 	lastRel  *data.Relation
-	lastName string
 	lastAtom *routerAtom
 }
 
@@ -132,57 +132,26 @@ func (r *Router) Size() int { return r.grid.Size() }
 // grid and offset tables but owns a private relation-binding cache.
 func (r *Router) ForSender() mpc.Router {
 	c := *r
-	c.lastRel, c.lastName, c.lastAtom = nil, "", nil
+	c.lastRel, c.lastAtom = nil, nil
 	return &c
 }
 
-// atomFor resolves the routing table of an atom name; nil means the
-// relation is not part of the query. The database may carry relations
-// outside the query (the engine routes whatever the caller staged), and
-// the other strategies' routers skip those, so the HC router must too —
-// a panic here would kill a sender goroutine mid-round.
-func (r *Router) atomFor(rel string) *routerAtom {
-	return r.atoms[rel]
-}
-
-// Destinations implements mpc.Router: the subcube of servers receiving t,
-// in lexicographic coordinate order, with no allocations beyond growing
-// dst. Relations outside the query are not routed.
+// Destinations implements mpc.Router: the subcube of servers receiving the
+// row, in lexicographic coordinate order, hashing the relation's columns in
+// place with no allocations beyond growing dst. Relations outside the
+// query are not routed: the database may carry relations the query does
+// not name (the engine routes whatever the caller staged), and a panic
+// here would kill a sender goroutine mid-round.
 //
 //skewlint:noalloc
-func (r *Router) Destinations(rel string, t data.Tuple, dst []int) []int {
-	ra := r.lastAtom
-	if rel != r.lastName || ra == nil {
-		ra = r.atomFor(rel)
-		if ra == nil {
-			return dst
-		}
-		r.lastName, r.lastAtom = rel, ra
-		r.lastRel = nil
-	}
-	lin := 0
-	for pos := range ra.dims {
-		d := &ra.dims[pos]
-		lin += hashing.HashSeeded(d.seed, t[pos], d.share) * d.stride
-	}
-	for _, off := range ra.offsets {
-		dst = append(dst, lin+off)
-	}
-	return dst
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing to
-// Destinations, hashing the relation's column strides directly.
-//
-//skewlint:noalloc
-func (r *Router) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
+func (r *Router) Destinations(rel *data.Relation, row int, dst []int) []int {
 	ra := r.lastAtom
 	if rel != r.lastRel || ra == nil {
-		ra = r.atomFor(rel.Name)
+		ra = r.atoms[rel.Name]
 		if ra == nil {
 			return dst
 		}
-		r.lastRel, r.lastName, r.lastAtom = rel, rel.Name, ra
+		r.lastRel, r.lastAtom = rel, ra
 	}
 	cols := rel.Columns()
 	lin := 0

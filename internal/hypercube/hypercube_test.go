@@ -199,6 +199,13 @@ func TestRoundingStrings(t *testing.T) {
 	}
 }
 
+// oneRow returns the one-row relation name(vals).
+func oneRow(name string, vals ...int64) *data.Relation {
+	r := data.NewRelation(name, len(vals), 1<<20)
+	r.Add(vals...)
+	return r
+}
+
 func TestRouterDestinationsSubcube(t *testing.T) {
 	q := query.Join2() // vars x,y,z
 	shares := []int{2, 3, 4}
@@ -207,12 +214,12 @@ func TestRouterDestinationsSubcube(t *testing.T) {
 		t.Fatalf("Size = %d", r.Size())
 	}
 	// S1(x,z) tuple: fixed x and z, free y → exactly 3 destinations.
-	dst := r.Destinations("S1", data.Tuple{5, 7}, nil)
+	dst := r.Destinations(oneRow("S1", 5, 7), 0, nil)
 	if len(dst) != 3 {
 		t.Errorf("S1 destinations = %v, want 3", dst)
 	}
 	// S2(y,z): free x → 2 destinations.
-	dst = r.Destinations("S2", data.Tuple{5, 7}, nil)
+	dst = r.Destinations(oneRow("S2", 5, 7), 0, nil)
 	if len(dst) != 2 {
 		t.Errorf("S2 destinations = %v, want 2", dst)
 	}
@@ -224,8 +231,8 @@ func TestRouterOutputCoverage(t *testing.T) {
 	q := query.Join2()
 	shares := []int{2, 3, 4}
 	r := NewRouter(q, shares, hashing.NewFamily(2))
-	d1 := r.Destinations("S1", data.Tuple{11, 99}, nil) // x=11,z=99
-	d2 := r.Destinations("S2", data.Tuple{22, 99}, nil) // y=22,z=99
+	d1 := r.Destinations(oneRow("S1", 11, 99), 0, nil) // x=11,z=99
+	d2 := r.Destinations(oneRow("S2", 22, 99), 0, nil) // y=22,z=99
 	common := 0
 	for _, a := range d1 {
 		for _, b := range d2 {
@@ -245,16 +252,11 @@ func TestRouterSkipsUnknownRelation(t *testing.T) {
 	// kill a sender goroutine mid-round).
 	q := query.Join2()
 	r := NewRouter(q, []int{1, 1, 2}, hashing.NewFamily(1))
-	if dst := r.Destinations("nope", data.Tuple{1, 2}, nil); len(dst) != 0 {
+	if dst := r.Destinations(oneRow("nope", 1, 2), 0, nil); len(dst) != 0 {
 		t.Errorf("unknown relation routed to %v", dst)
 	}
-	rel := data.NewRelation("nope", 2, 10)
-	rel.Add(1, 2)
-	if dst := r.DestinationsAt(rel, 0, nil); len(dst) != 0 {
-		t.Errorf("unknown relation routed to %v (columnar)", dst)
-	}
 	// And known relations still route after an unknown one was seen.
-	if dst := r.Destinations("S1", data.Tuple{1, 2}, nil); len(dst) == 0 {
+	if dst := r.Destinations(oneRow("S1", 1, 2), 0, nil); len(dst) == 0 {
 		t.Error("known relation stopped routing")
 	}
 }
@@ -598,14 +600,13 @@ func TestHashJoinSharesRouteByZ(t *testing.T) {
 			counts := make([]int64, p)
 			for _, name := range []string{"S1", "S2"} {
 				rel := db.MustGet(name)
-				rel.Each(func(_ int, tu data.Tuple) bool {
-					want := fam.Hash(2, tu[1], p)
-					if got := pl.Phys.Router.Destinations(name, tu, nil); len(got) != 1 || got[0] != want {
-						t.Fatalf("p=%d seed=%d: %s%v routed to %v, want [%d]", p, seed, name, tu, got, want)
+				for row := 0; row < rel.Size(); row++ {
+					want := fam.Hash(2, rel.At(row, 1), p)
+					if got := pl.Phys.Router.Destinations(rel, row, nil); len(got) != 1 || got[0] != want {
+						t.Fatalf("p=%d seed=%d: %s%v routed to %v, want [%d]", p, seed, name, rel.Tuple(row), got, want)
 					}
 					counts[want]++
-					return true
-				})
+				}
 			}
 			bpt := db.MustGet("S1").BitsPerTuple()
 			for id, bits := range res.PerServerBits {

@@ -18,8 +18,8 @@ var NoAlloc = &analysis.Analyzer{
 	Doc: `flag allocating constructs in functions annotated //skewlint:noalloc
 
 A function whose doc comment contains a //skewlint:noalloc line is a
-per-tuple hot path (router Destinations/DestinationsAt, the comm engine's
-route and scatter loops): its body must not allocate at steady state. Function literals
+per-tuple hot path (router Destinations, the comm engine's route and
+scatter loops): its body must not allocate at steady state. Function literals
 assigned to mpc.SpanRoute.PerRow are implicitly annotated — the span
 contract runs them once per row.
 

@@ -77,7 +77,6 @@ type commWorker struct {
 	log     []int32 // the log of the part being routed
 	dst     []int
 	dedup   dedupSet
-	scratch data.Tuple
 	span    SpanRoute // CompileSpan scratch, reused across spans
 }
 
@@ -155,8 +154,7 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 // route is one worker's share of the route pass: claim parts off the shared
 // counter until none remain, logging part pi into logs[pi].
 func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next *atomic.Int64, router Router, report func(error)) {
-	r := forSender(router)
-	cr, columnar := r.(ColumnRouter)
+	r := SenderRouter(router)
 	sr, spannable := r.(SpanRouter)
 	for {
 		pi := int(next.Add(1)) - 1
@@ -182,7 +180,7 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next *a
 		if idx := part.rel.Partitions(); spannable && idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
 			w.routeSpans(c, part, idx, sr, report)
 		} else {
-			w.routeRows(c, part.rel, part.lo, part.hi, r, cr, columnar, report)
+			w.routeRows(c, part.rel, part.lo, part.hi, r, report)
 		}
 		logs[pi].recs = len(w.log)
 		for _, server := range w.touched {
@@ -199,19 +197,9 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next *a
 // declined spans.
 //
 //skewlint:noalloc
-func (w *commWorker) routeRows(c *Cluster, rel *data.Relation, lo, hi int, r Router, cr ColumnRouter, columnar bool, report func(error)) {
-	arity := rel.Arity
-	if cap(w.scratch) < arity {
-		//skewlint:allow noalloc — one-time scratch growth to the widest arity, amortized across rounds
-		w.scratch = make(data.Tuple, arity)
-	}
-	scratch := w.scratch[:arity]
+func (w *commWorker) routeRows(c *Cluster, rel *data.Relation, lo, hi int, r Router, report func(error)) {
 	for row := lo; row < hi; row++ {
-		if columnar {
-			w.dst = cr.DestinationsAt(rel, row, w.dst[:0])
-		} else {
-			w.dst = r.Destinations(rel.Name, rel.ReadTuple(row, scratch), w.dst[:0])
-		}
+		w.dst = r.Destinations(rel, row, w.dst[:0])
 		w.logRow(c, w.dst, report)
 	}
 }
@@ -224,7 +212,7 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 	rel := part.rel
 	lo, hi := part.lo, part.hi
 	if lo < idx.LightEnd {
-		w.routeRows(c, rel, lo, min(hi, idx.LightEnd), sr, sr, true, report)
+		w.routeRows(c, rel, lo, min(hi, idx.LightEnd), sr, report)
 	}
 	pos := max(lo, idx.LightEnd)
 	spans := idx.Spans
@@ -239,7 +227,7 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 		w.span.PerRow = nil
 		switch {
 		case !sr.CompileSpan(rel, idx.Attr, sp.Value, &w.span):
-			w.routeRows(c, rel, slo, shi, sr, sr, true, report)
+			w.routeRows(c, rel, slo, shi, sr, report)
 		case w.span.PerRow != nil:
 			w.routePerRow(c, slo, shi, w.span.PerRow, report)
 		default:
@@ -247,7 +235,7 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 		}
 	}
 	if hi > idx.Rows {
-		w.routeRows(c, rel, max(lo, idx.Rows), hi, sr, sr, true, report)
+		w.routeRows(c, rel, max(lo, idx.Rows), hi, sr, report)
 	}
 	// Don't pin the last compiled closure (and whatever it captured) on the
 	// pooled worker past the round.

@@ -13,7 +13,8 @@ import (
 )
 
 // fuzzDB builds a small random database from rng: 1–3 relations of arity
-// 1–3 over a modest domain.
+// 1–3 over a modest domain, a third of whose values come from {0..3} so
+// that low partition thresholds find heavy runs.
 func fuzzDB(rng *rand.Rand) *data.Database {
 	db := data.NewDatabase()
 	names := []string{"A", "B", "C"}
@@ -23,44 +24,123 @@ func fuzzDB(rng *rand.Rand) *data.Database {
 		r := data.NewRelation(name, arity, domain)
 		m := rng.Intn(400)
 		for i := 0; i < m; i++ {
-			vals := make([]int64, arity)
-			for a := range vals {
-				vals[a] = rng.Int63n(domain)
-			}
-			r.Add(vals...)
+			r.Add(fuzzTuple(rng, arity, domain)...)
 		}
 		db.Put(r)
 	}
 	return db
 }
 
-// fuzzRouter is a pure router with a mix of fan-out shapes: singles, small
-// fan-outs with duplicates, and wide broadcasts (exercising the map-based
-// dedup path). Destinations depend only on (rel, tuple, seed).
-func fuzzRouter(p int, seed uint64) Router {
-	return RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-		h := seed
-		for _, c := range rel {
-			h = h*1099511628211 + uint64(c)
+func fuzzTuple(rng *rand.Rand, arity int, domain int64) []int64 {
+	vals := make([]int64, arity)
+	for a := range vals {
+		if vals[a] = rng.Int63n(domain); rng.Intn(3) == 0 {
+			vals[a] %= 4
 		}
-		for _, v := range t {
-			h = h*1099511628211 + uint64(v)
+	}
+	return vals
+}
+
+// fuzzPartition builds the heavy-partition layout of a random subset of
+// rels, each on a random attribute with a low threshold, and appends a few
+// rows past some layouts (the uncovered tail). Identical rng states give
+// identical layouts.
+func fuzzPartition(rng *rand.Rand, rels ...*data.Relation) {
+	for _, rel := range rels {
+		if rng.Intn(2) == 0 {
+			continue
 		}
-		pick := func(i int) int { return int((h ^ (h >> 7) ^ uint64(i)*2654435761) % uint64(p)) }
-		switch h % 8 {
-		case 0: // wide broadcast with duplicates, beyond the scan limit
-			n := dedupScanLimit + 8 + int(h%17)
-			for i := 0; i < n; i++ {
-				dst = append(dst, pick(i%((n/2)+1)))
+		rel.BuildPartitions(rng.Intn(rel.Arity), int64(1+rng.Intn(4)))
+		for n := rng.Intn(4); n > 0; n-- {
+			rel.Add(fuzzTuple(rng, rel.Arity, rel.Domain)...)
+		}
+	}
+}
+
+// fuzzRouter is a pure span router with a mix of fan-out shapes: singles,
+// small fan-outs with duplicates, and wide broadcasts (exercising the
+// map-based dedup path). A row's destinations depend only on (relation
+// name, its values, seed); when the row's value v at its relation's span
+// attribute falls in v's uniform class they depend on v alone, which is
+// what lets a heavy run of v compile to one uniform destination list. Runs
+// of the per-row class compile to a closure and the rest are declined, so
+// the engine takes every route path its contract allows.
+type fuzzRouter struct {
+	p    int
+	seed uint64
+	attr map[string]int // relation name → its span attribute
+}
+
+const (
+	fuzzUniform = iota
+	fuzzPerRow
+	fuzzDeclined
+)
+
+func (r *fuzzRouter) class(v int64) uint64 {
+	return (r.seed ^ uint64(v)*0x9e3779b97f4a7c15) >> 33 % 3
+}
+
+func (r *fuzzRouter) nameHash(name string) uint64 {
+	h := r.seed
+	for _, c := range name {
+		h = h*1099511628211 + uint64(c)
+	}
+	return h
+}
+
+func (r *fuzzRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
+	h := r.nameHash(rel.Name)
+	if a, ok := r.attr[rel.Name]; ok && r.class(rel.At(row, a)) == fuzzUniform {
+		return fuzzFanOut(h*1099511628211+uint64(rel.At(row, a)), r.p, dst)
+	}
+	for a := 0; a < rel.Arity; a++ {
+		h = h*1099511628211 + uint64(rel.At(row, a))
+	}
+	return fuzzFanOut(h, r.p, dst)
+}
+
+func (r *fuzzRouter) SpansAttr(rel *data.Relation, attr int) bool {
+	a, ok := r.attr[rel.Name]
+	return ok && a == attr
+}
+
+func (r *fuzzRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *SpanRoute) bool {
+	h := r.nameHash(rel.Name)
+	switch r.class(v) {
+	case fuzzUniform:
+		route.Dests = fuzzFanOut(h*1099511628211+uint64(v), r.p, route.Dests)
+	case fuzzPerRow:
+		cols, p := rel.Columns(), r.p
+		route.PerRow = func(row int, dst []int) []int {
+			rh := h
+			for _, col := range cols {
+				rh = rh*1099511628211 + uint64(col[row])
 			}
-		case 1, 2: // small fan-out with duplicates
-			d := pick(0)
-			dst = append(dst, d, pick(1), d)
-		default:
-			dst = append(dst, pick(0))
+			return fuzzFanOut(rh, p, dst)
 		}
-		return dst
-	})
+	default:
+		return false
+	}
+	return true
+}
+
+// fuzzFanOut appends the destinations hash h picks among p servers.
+func fuzzFanOut(h uint64, p int, dst []int) []int {
+	pick := func(i int) int { return int((h ^ (h >> 7) ^ uint64(i)*2654435761) % uint64(p)) }
+	switch h % 8 {
+	case 0: // wide broadcast with duplicates, beyond the scan limit
+		n := dedupScanLimit + 8 + int(h%17)
+		for i := 0; i < n; i++ {
+			dst = append(dst, pick(i%((n/2)+1)))
+		}
+	case 1, 2: // small fan-out with duplicates
+		d := pick(0)
+		dst = append(dst, d, pick(1), d)
+	default:
+		dst = append(dst, pick(0))
+	}
+	return dst
 }
 
 // assertClustersEquivalent checks both clusters delivered identical loads
@@ -102,16 +182,15 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 
 // referenceRound is the oracle the delivery engine is differentially tested
 // against: the communication phase exactly as the model states it, serially
-// on the calling goroutine. Every tuple is routed through Destinations alone
-// (no ColumnRouter, spans, logs or workers), duplicate
-// destinations are dropped through a per-tuple set, and each surviving
-// (tuple, server) pair is one appended row plus BitsPerTuple of load.
+// on the calling goroutine. Every row is routed through Destinations alone
+// (no spans, logs or workers), duplicate destinations are dropped through
+// a per-row set, and each surviving (row, server) pair is one appended row
+// plus BitsPerTuple of load.
 func referenceRound(c *Cluster, router Router, rels ...*data.Relation) error {
 	for _, rel := range rels {
 		for row := 0; row < rel.Size(); row++ {
-			tu := rel.Tuple(row)
 			seen := map[int]bool{}
-			for _, server := range router.Destinations(rel.Name, tu, nil) {
+			for _, server := range router.Destinations(rel, row, nil) {
 				if seen[server] {
 					continue
 				}
@@ -125,7 +204,7 @@ func referenceRound(c *Cluster, router Router, rels ...*data.Relation) error {
 					frag = data.NewRelation(rel.Name, rel.Arity, rel.Domain)
 					s.Received[rel.Name] = frag
 				}
-				frag.Add(tu...)
+				frag.AppendRow(rel, row)
 				s.BitsIn += rel.BitsPerTuple()
 				s.TuplesIn++
 			}
@@ -150,24 +229,33 @@ func referenceShuffle(c *Cluster, router Router, names ...string) error {
 }
 
 // runEngines routes db (plus a resident shuffle) through the engine and the
-// serial reference delivery and asserts equivalence.
+// serial reference delivery and asserts equivalence. A random subset of the
+// relations, and later of the shuffled fragments, is heavy-partitioned, so
+// span routing is compared row for row against the reference too.
 func runEngines(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	db := fuzzDB(rng)
 	p := 1 + rng.Intn(40)
-	router := fuzzRouter(p, seed)
+	var rels []*data.Relation
+	attr := map[string]int{}
+	for _, name := range db.Names() {
+		rel := db.Relations[name]
+		rels = append(rels, rel)
+		if rng.Intn(4) > 0 {
+			attr[name] = rng.Intn(rel.Arity)
+		}
+	}
+	fuzzPartition(rng, rels...)
+	router := &fuzzRouter{p: p, seed: seed, attr: attr}
 
 	reference := NewCluster(p)
-	var rels []*data.Relation
-	for _, name := range db.Names() {
-		rels = append(rels, db.Relations[name])
-	}
 	if err := referenceRound(reference, router, rels...); err != nil {
 		t.Fatalf("reference delivery: %v", err)
 	}
 	engine := NewCluster(p)
 	engine.Senders = 1 + rng.Intn(12)
+	engine.ResidentChunk = 1 + rng.Intn(64)
 	if err := engine.Round(db, router); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -175,8 +263,21 @@ func runEngines(t *testing.T, seed uint64) {
 
 	// A resident shuffle through a second pure router must also agree
 	// (exercises fragment chunking on whatever skew the first round made).
-	router2 := fuzzRouter(p, seed^0x9e3779b97f4a7c15)
+	// Both clusters' fragments are equal sequences, so two generators in the
+	// same state partition them identically.
 	names := db.Names()
+	layout := rng.Int63()
+	for _, c := range []*Cluster{reference, engine} {
+		lr := rand.New(rand.NewSource(layout))
+		for _, s := range c.Servers {
+			for _, name := range names {
+				if frag := s.Received[name]; frag != nil {
+					fuzzPartition(lr, frag)
+				}
+			}
+		}
+	}
+	router2 := &fuzzRouter{p: p, seed: seed ^ 0x9e3779b97f4a7c15, attr: attr}
 	if err := referenceShuffle(reference, router2, names...); err != nil {
 		t.Fatalf("reference shuffle: %v", err)
 	}
@@ -196,9 +297,10 @@ func TestEnginesEquivalent(t *testing.T) {
 
 // FuzzCommunicateEngines differentially fuzzes the engine against the
 // serial reference delivery: identical per-server loads and identical
-// delivered fragments, row for row, on random databases, routers and
-// Senders, after a round and after a resident shuffle (a fragment holds its
-// rows in (part, row) order, which is the reference's append order).
+// delivered fragments, row for row, on random databases, partition layouts,
+// span routers, Senders and chunk sizes, after a round and after a resident
+// shuffle (a fragment holds its rows in (part, row) order, which is the
+// reference's append order, whichever route path each row took).
 func FuzzCommunicateEngines(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 20, 0xdeadbeef} {
 		f.Add(seed)
@@ -224,8 +326,8 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 	}
 	db := data.NewDatabase()
 	db.Put(rel)
-	router := RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%2), 1, int(tu[0]%2))
+	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%2), 1, int(rel.At(row, 0)%2))
 	})
 	reference := NewCluster(2)
 	if err := referenceRound(reference, router, rel); err != nil {
@@ -261,7 +363,7 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 func TestShardedOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -275,8 +377,8 @@ func TestShardedOutOfRangeReportsError(t *testing.T) {
 func TestResizeReusesServersAndMaps(t *testing.T) {
 	c := NewCluster(8)
 	db := singleRel(100)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +405,8 @@ func TestResizeReusesServersAndMaps(t *testing.T) {
 	if c.Servers[0] != s0 || c.Servers[7] != s7 {
 		t.Error("growing back did not reuse parked servers")
 	}
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +468,13 @@ func TestShuffleResidentChunksHotFragment(t *testing.T) {
 	}
 	db.Put(r)
 	c := NewCluster(8)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0) // one hot server holds the whole intermediate
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleResident(RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
@@ -448,8 +550,8 @@ func TestShardedGoroutineBound(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 3; r++ {
-			if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-				return append(dst, int(tu[0]%512), int((tu[0]*7)%512))
+			if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+				return append(dst, int(rel.At(row, 0)%512), int((rel.At(row, 0)*7)%512))
 			})); err != nil {
 				t.Error(err)
 				return
@@ -489,13 +591,13 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	}
 	before := heap()
 	c := NewCluster(p)
-	if err := c.Round(db, RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%p))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%p))
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleResident(RouterFunc(func(_ string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]/7%p))
+	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)/7%p))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@
 //
 // The one-round restriction is enforced structurally: a Router decides the
 // destinations of a tuple from the tuple alone plus global statistics fixed
-// before the round, never from other servers' data.
+// before the round, never from other servers' data. It has one method,
+// which reads the tuple in place as a row of its relation.
 package mpc
 
 import (
@@ -22,7 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,33 +31,21 @@ import (
 )
 
 // Router decides which servers receive a tuple of a relation during the
-// communication phase. Implementations must be pure functions of
-// (relation, tuple) and pre-round statistics. Destinations appends server
-// IDs to dst and returns it (allowing allocation-free reuse); IDs must lie
-// in [0, P). Duplicate IDs are delivered once.
+// communication phase. Destinations reads row `row` of rel in place (its
+// name and column values, never a materialized row view) and must be a
+// pure function of (rel.Name, the row's values) and pre-round statistics.
+// It appends server IDs to dst and returns it (allowing allocation-free
+// reuse); IDs must lie in [0, P). Duplicate IDs are delivered once.
 type Router interface {
-	Destinations(rel string, t data.Tuple, dst []int) []int
+	Destinations(rel *data.Relation, row int, dst []int) []int
 }
 
 // RouterFunc adapts a function to the Router interface.
-type RouterFunc func(rel string, t data.Tuple, dst []int) []int
+type RouterFunc func(rel *data.Relation, row int, dst []int) []int
 
 // Destinations implements Router.
-func (f RouterFunc) Destinations(rel string, t data.Tuple, dst []int) []int {
-	return f(rel, t, dst)
-}
-
-// ColumnRouter is an optional Router extension for columnar routing:
-// DestinationsAt decides the destinations of row `row` of rel by reading
-// the relation's column strides directly, so the communication phase never
-// materializes a row view. Semantics are otherwise identical to
-// Destinations(rel.Name, rel.Tuple(row), dst) — the two entry points must
-// route every tuple to the same servers in the same order. The delivery
-// engine prefers this path; Routers without it are driven through a
-// gathered scratch row.
-type ColumnRouter interface {
-	Router
-	DestinationsAt(rel *data.Relation, row int, dst []int) []int
+func (f RouterFunc) Destinations(rel *data.Relation, row int, dst []int) []int {
+	return f(rel, row, dst)
 }
 
 // SpanRoute is the compiled routing of one heavy partition span — a
@@ -70,8 +59,8 @@ type ColumnRouter interface {
 //   - PerRow non-nil: rows still need a per-row dimension (a grid row hash
 //     on a non-partition attribute), but the span-level decision — which
 //     hitter plan, which block — is resolved once at compile time. PerRow
-//     appends to dst and returns it, like ColumnRouter.DestinationsAt, and
-//     is called only from the compiling worker's goroutine.
+//     appends to dst and returns it, like Router.Destinations, and is
+//     called only from the compiling worker's goroutine.
 //
 // Both slices may be retained and reused by the engine across spans.
 type SpanRoute struct {
@@ -79,21 +68,21 @@ type SpanRoute struct {
 	PerRow func(row int, dst []int) []int
 }
 
-// SpanRouter is an optional ColumnRouter extension for partition-wise
-// routing over heavy-value runs (data.PartitionIndex). When a routed
-// relation carries a partition index on attribute attr and the router
-// acknowledges that attribute via SpansAttr, the delivery engine resolves
-// each heavy span with one CompileSpan call and ships it wholesale; rows in
-// the light region and the uncovered tail always take the per-tuple path.
+// SpanRouter is an optional Router extension for partition-wise routing
+// over heavy-value runs (data.PartitionIndex). When a routed relation
+// carries a partition index on attribute attr and the router acknowledges
+// that attribute via SpansAttr, the delivery engine resolves each heavy
+// span with one CompileSpan call and ships it wholesale; rows in the light
+// region and the uncovered tail always take the per-tuple path.
 //
 // Contract: for every row whose value at attr is v, the compiled route must
-// deliver to exactly the servers DestinationsAt would (order may differ;
+// deliver to exactly the servers Destinations would (order may differ;
 // duplicates are delivered once either way). CompileSpan may return false to
 // decline a span (the engine falls back to per-tuple for those rows), and is
 // invoked on the ForSender instance when the router is a PerSenderRouter, so
 // compiled closures may use per-sender scratch.
 type SpanRouter interface {
-	ColumnRouter
+	Router
 	// SpansAttr reports whether CompileSpan understands spans of rel
 	// partitioned on attribute attr.
 	SpansAttr(rel *data.Relation, attr int) bool
@@ -114,8 +103,11 @@ type PerSenderRouter interface {
 	ForSender() Router
 }
 
-// forSender resolves the router instance a worker goroutine should use.
-func forSender(r Router) Router {
+// SenderRouter resolves the router instance one goroutine should use: the
+// private-scratch instance for a PerSenderRouter, the router itself
+// otherwise. Every route worker calls it, and so does a standing query,
+// which routes delta tuples outside any communication phase.
+func SenderRouter(r Router) Router {
 	if ps, ok := r.(PerSenderRouter); ok {
 		return ps.ForSender()
 	}
@@ -481,7 +473,7 @@ func (c *Cluster) ComputeOn(ids []int, body func(s *Server)) []int {
 			run(i)
 		}
 	}
-	sort.Ints(failed)
+	slices.Sort(failed)
 	return failed
 }
 
@@ -560,12 +552,7 @@ func (c *Cluster) GiniCoefficient() float64 {
 	if total == 0 {
 		return 0
 	}
-	// Sort ascending (insertion sort: n is the server count, small).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && loads[j] < loads[j-1]; j-- {
-			loads[j], loads[j-1] = loads[j-1], loads[j]
-		}
-	}
+	slices.Sort(loads)
 	var weighted float64
 	for i, l := range loads {
 		weighted += float64(i+1) * float64(l)

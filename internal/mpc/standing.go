@@ -20,14 +20,6 @@ import (
 	"repro/internal/data"
 )
 
-// SenderRouter resolves the router instance one goroutine should use for
-// routing: the private-scratch instance for PerSenderRouter
-// implementations, the router itself otherwise. Standing queries route
-// delta tuples outside a communication phase (single-threaded, one tuple
-// at a time) and need the same per-goroutine discipline the phase workers
-// get internally.
-func SenderRouter(r Router) Router { return forSender(r) }
-
 // ResidentIndex names one hash index a standing query maintains: the
 // fragment of relation Rel indexed by the (ascending) attribute positions
 // Pos. An empty Pos indexes the whole fragment under the empty key — the

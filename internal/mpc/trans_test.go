@@ -117,11 +117,11 @@ func TestTornRoundLeavesStateUntouched(t *testing.T) {
 		r.Add(i * 3 % 1024)
 	}
 	db2.Put(r)
-	route1 := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	route1 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})
-	route2 := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%5), int(tu[0]%7))
+	route2 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%5), int(rel.At(row, 0)%7))
 	})
 
 	c := NewCluster(8)
@@ -161,11 +161,11 @@ func TestShuffleResidentRestoresOnTear(t *testing.T) {
 			f.WouldTearRoundAttempt(2, 1) && !f.WouldTearRoundAttempt(2, 2)
 	})
 	db := singleRel(1000)
-	route1 := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%10))
+	route1 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%10))
 	})
-	route2 := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]/100))
+	route2 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)/100))
 	})
 
 	c := NewCluster(10)
@@ -214,8 +214,8 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 	db := singleRel(160)
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestComputeOnGatherRerunsOnlyFailed(t *testing.T) {
 	})
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := c.Round(singleRel(160), RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(singleRel(160), RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}

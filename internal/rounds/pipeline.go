@@ -423,8 +423,8 @@ const dimKey, dimLeft, dimRight = 0, 1, 2
 // grids, cartesian steps over a p-server grid, everything else by hash
 // join on the key columns. Inputs are identified by relation name — base
 // relations arriving from the input servers and resident intermediates
-// shuffled server-to-server route identically. The columnar entry point
-// reads key columns in place; its projection scratch makes it per-sender
+// shuffled server-to-server route identically. Destinations reads key
+// columns in place; its projection scratch makes it per-sender
 // (mpc.PerSenderRouter).
 type stepRouter struct {
 	leftName, rightName string
@@ -471,39 +471,12 @@ func (r *stepRouter) heavyPlanOf(key []int64) *heavyPlan {
 	return nil
 }
 
-// Destinations implements mpc.Router. Relations that are not this step's
-// inputs are not routed.
+// Destinations implements mpc.Router, reading the key columns (and, on the
+// grid paths, all columns for the row hash) in place. Relations that are
+// not this step's inputs are not routed.
 //
 //skewlint:noalloc
-func (r *stepRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	isLeft := rel == r.leftName
-	if !isLeft && rel != r.rightName {
-		return dst
-	}
-	kp := r.rightKey
-	if isLeft {
-		kp = r.leftKey
-	}
-	key := r.keyScratch(len(kp))
-	for i, pos := range kp {
-		key[i] = t[pos]
-	}
-	if hp := r.heavyPlanOf(key); hp != nil {
-		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHash(t), dst)
-	}
-	if r.cartesian {
-		g1, g2 := r.cartesianGrid()
-		return r.gridRoute(isLeft, 0, g1, g2, rowHash(t), dst)
-	}
-	return append(dst, r.keyHash(key))
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing, reading
-// the key columns (and, on the grid paths, all columns for the row hash)
-// in place.
-//
-//skewlint:noalloc
-func (r *stepRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
+func (r *stepRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
 	isLeft := rel.Name == r.leftName
 	if !isLeft && rel.Name != r.rightName {
 		return dst
@@ -518,11 +491,11 @@ func (r *stepRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []in
 		key[i] = cols[pos][row]
 	}
 	if hp := r.heavyPlanOf(key); hp != nil {
-		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHashCols(cols, row), dst)
+		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHash(cols, row), dst)
 	}
 	if r.cartesian {
 		g1, g2 := r.cartesianGrid()
-		return r.gridRoute(isLeft, 0, g1, g2, rowHashCols(cols, row), dst)
+		return r.gridRoute(isLeft, 0, g1, g2, rowHash(cols, row), dst)
 	}
 	return append(dst, r.keyHash(key))
 }
@@ -556,7 +529,7 @@ func (r *stepRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *m
 		fam := r.family
 		if isLeft {
 			route.PerRow = func(row int, dst []int) []int {
-				gr := fam.Hash(dimLeft, rowHashCols(cols, row), p1)
+				gr := fam.Hash(dimLeft, rowHash(cols, row), p1)
 				for c := 0; c < p2; c++ {
 					dst = append(dst, base+gr*p2+c)
 				}
@@ -564,7 +537,7 @@ func (r *stepRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *m
 			}
 		} else {
 			route.PerRow = func(row int, dst []int) []int {
-				gc := fam.Hash(dimRight, rowHashCols(cols, row), p2)
+				gc := fam.Hash(dimRight, rowHash(cols, row), p2)
 				for rr := 0; rr < p1; rr++ {
 					dst = append(dst, base+rr*p2+gc)
 				}
@@ -627,19 +600,9 @@ func keyPositions(schema, joinVars []int) []int {
 	return pos
 }
 
-// rowHash folds a whole tuple into one value for the non-key dimension of
-// a cartesian grid.
-func rowHash(t data.Tuple) int64 {
-	h := int64(1469598103934665603)
-	for _, v := range t {
-		h = h ^ v
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rowHashCols is rowHash over a columnar row.
-func rowHashCols(cols [][]int64, row int) int64 {
+// rowHash folds a whole row into one value for the non-key dimension of a
+// cartesian grid.
+func rowHash(cols [][]int64, row int) int64 {
 	h := int64(1469598103934665603)
 	for _, col := range cols {
 		h = h ^ col[row]

@@ -317,25 +317,13 @@ func (r *generalRouter) ensureScratch() {
 	}
 }
 
-// Destinations implements mpc.Router over the bin-combination layout.
+// Destinations implements mpc.Router over the bin-combination layout. The
+// row is gathered into reusable scratch: the §4.2 projections touch every
+// attribute subset, so unlike the HC and skew-join routers there is no
+// untouched column to skip.
 //
 //skewlint:noalloc
-func (r *generalRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	j, ok := r.atomIndex[rel]
-	if !ok {
-		return dst
-	}
-	r.ensureScratch()
-	return r.route(r.steps[j], j, t, dst)
-}
-
-// DestinationsAt implements mpc.ColumnRouter: the row is gathered into
-// reusable scratch (the §4.2 projections touch every attribute subset, so
-// unlike the HC and skew-join routers there is no untouched column to
-// skip) and routed identically to Destinations.
-//
-//skewlint:noalloc
-func (r *generalRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
+func (r *generalRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
 	j, ok := r.atomIndex[rel.Name]
 	if !ok {
 		return dst

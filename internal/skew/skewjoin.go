@@ -314,8 +314,8 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 // joinRouter routes the §4.1 skew join: light z-values hash-join over
 // servers [0,p), heavy hitters go to their per-hitter blocks. It carries
 // only plan-time tables (hitter classes frozen into plans) and no mutable
-// scratch, so one instance is safe for concurrent senders. The columnar
-// entry point reads the z and x columns directly; no row is materialized.
+// scratch, so one instance is safe for concurrent senders. Destinations
+// reads the z and x columns in place; no row is materialized.
 type joinRouter struct {
 	sh    joinShape
 	plans map[int64]*hitterPlan
@@ -324,27 +324,11 @@ type joinRouter struct {
 	zSeed, xSeed, ySeed uint64
 }
 
-// Destinations implements mpc.Router.
+// Destinations implements mpc.Router, hashing the join columns in place.
+// The database may carry relations outside the join; they are not routed.
 //
 //skewlint:noalloc
-func (r *joinRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	// The database may carry relations outside the join (the engine no
-	// longer isolates the two via a renamed copy); they are not routed.
-	first := rel == r.sh.name1
-	if !first && rel != r.sh.name2 {
-		return dst
-	}
-	if first {
-		return r.route(true, t[r.sh.zPos1], t[r.sh.xPos1], dst)
-	}
-	return r.route(false, t[r.sh.zPos2], t[r.sh.xPos2], dst)
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing, hashing
-// the join columns in place.
-//
-//skewlint:noalloc
-func (r *joinRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
+func (r *joinRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
 	first := rel.Name == r.sh.name1
 	if !first && rel.Name != r.sh.name2 {
 		return dst
