@@ -72,11 +72,13 @@ func BenchmarkShareLPTriangle(b *testing.B) {
 	}
 }
 
+// BenchmarkPackingVertexEnumeration times the exact enumeration itself;
+// packing.Vertices and PK would time hits in their per-shape memo.
 func BenchmarkPackingVertexEnumeration(b *testing.B) {
 	for _, q := range []*query.Query{query.Triangle(), query.Path(3), query.Cycle(4), query.Star(3)} {
 		b.Run(q.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				packing.PK(q)
+				lp.EnumerateVertices(packing.Polytope(q))
 			}
 		})
 	}
@@ -201,6 +203,21 @@ func BenchmarkCollectDB(b *testing.B) {
 		stats.CollectDB(db, 64)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// BenchmarkBestLowerColdPlan is the lower bound of a cold plan by itself:
+// BestLowerWith on cold_plan's triangle at p = 64, through a fresh pass on
+// which CollectDB has already built the groupings, as in core's planning.
+func BenchmarkBestLowerColdPlan(b *testing.B) {
+	q, db := query.Triangle(), coldPlanGraphs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ps := new(stats.Pass)
+		ps.CollectDB(db, 64)
+		b.StartTimer()
+		bounds.BestLowerWith(q, db, 64, 0, ps)
+	}
 }
 
 // BenchmarkColdPlanTriangle is one whole cold_plan op: an uncached

@@ -11,7 +11,10 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/join"
@@ -126,19 +129,6 @@ func SpaceExponent(q *query.Query, bitsM []float64, p int) float64 {
 	return eps
 }
 
-// ExpectedAnswers returns E[|q(I)|] = n^{k-a}·Π_j m_j for the uniform
-// random-instance space (Lemma A.1). m in tuples, n the domain size.
-func ExpectedAnswers(q *query.Query, m []float64, n float64) float64 {
-	if len(m) != q.NumAtoms() {
-		panic("bounds: m length mismatch")
-	}
-	out := math.Pow(n, float64(q.NumVars()-q.TotalArity()))
-	for _, mj := range m {
-		out *= mj
-	}
-	return out
-}
-
 // ResidualBound is the bound L_x(u, M, p) of one saturating packing for one
 // variable set x (Theorem 4.7, Eq. 12).
 type ResidualBound struct {
@@ -162,46 +152,88 @@ func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (fl
 
 // atomProj is atom j's projection onto its x-variables x_j.
 type atomProj struct {
-	rel   *data.Relation
 	attrs []int       // attribute positions of x_j in the atom
 	xIdx  []int       // matching indices into xSorted
-	freq  *stats.Freq // rel counted over attrs; nil when x_j = ∅
+	freq  *stats.Freq // the atom's relation counted over attrs; nil when x_j = ∅
 	key   []int64     // h_j scratch, in attrs order
 	bitsW float64     // bits per tuple of the atom
 	mBits float64     // full M_j in bits
 }
 
+// residual is the Eq. (12) work of one variable set x with everything it
+// reads from the statistics pass already resolved, so that evaluating it
+// only reads Freqs and projections: the saturating packings as floats, each
+// atom's projection, and the support query over x's variables.
+type residual struct {
+	xSorted []int
+	sat     [][]float64
+	projs   []atomProj
+	support *query.Query // over x's variables; one atom per atom meeting x
+	rels    map[string]*data.Relation
+}
+
 func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps *stats.Pass) (float64, []ResidualBound) {
-	sat := packing.SaturatingPackings(q, x)
-	if len(sat) == 0 {
+	r := newResidual(q, x, db, ps)
+	if r == nil {
 		return 0, nil
 	}
-	xSorted := x.Sorted()
-	projs := make([]atomProj, q.NumAtoms())
+	best, table := r.eval(p)
+	sort.Slice(table, func(i, j int) bool { return table[i].Bound > table[j].Bound })
+	return best, table
+}
+
+// newResidual resolves x's saturating packings and, through the pass, every
+// atom's frequencies and projection. It returns nil when no vertex saturates
+// x (then x contributes no bound).
+func newResidual(q *query.Query, x query.VarSet, db *data.Database, ps *stats.Pass) *residual {
+	sat := packing.SaturatingPackings(q, x)
+	if len(sat) == 0 {
+		return nil
+	}
+	r := &residual{
+		xSorted: x.Sorted(),
+		projs:   make([]atomProj, q.NumAtoms()),
+		support: &query.Query{Name: "support"},
+		rels:    make(map[string]*data.Relation),
+	}
+	for _, vtx := range sat {
+		r.sat = append(r.sat, vtx.Floats())
+	}
+	for _, v := range r.xSorted {
+		r.support.Vars = append(r.support.Vars, q.Vars[v])
+	}
 	for j, a := range q.Atoms {
-		pr := &projs[j]
-		pr.rel = db.MustGet(a.Name)
-		pr.bitsW = float64(pr.rel.BitsPerTuple())
-		pr.mBits = float64(pr.rel.Bits())
+		pr := &r.projs[j]
+		rel := db.MustGet(a.Name)
+		pr.bitsW = float64(rel.BitsPerTuple())
+		pr.mBits = float64(rel.Bits())
 		for pos, v := range a.Vars {
-			for xi, xv := range xSorted {
+			for xi, xv := range r.xSorted {
 				if v == xv {
 					pr.attrs = append(pr.attrs, pos)
 					pr.xIdx = append(pr.xIdx, xi)
 				}
 			}
 		}
-		if len(pr.attrs) > 0 {
-			pr.freq = ps.Frequencies(pr.rel, pr.attrs)
-			pr.key = make([]int64, len(pr.attrs))
+		if len(pr.attrs) == 0 {
+			continue
 		}
+		pr.freq = ps.Frequencies(rel, pr.attrs)
+		pr.key = make([]int64, len(pr.attrs))
+		r.support.Atoms = append(r.support.Atoms, query.Atom{Name: a.Name, Vars: pr.xIdx})
+		r.rels[a.Name] = ps.Projection(rel, pr.attrs)
 	}
-	assignments := supportAssignments(q, xSorted, projs)
+	return r
+}
 
+// eval computes L_x(u, M, p) for every saturating packing u, in packing
+// order, and the best of them. It writes only r's own scratch, so distinct
+// residuals evaluate concurrently.
+func (r *residual) eval(p int) (float64, []ResidualBound) {
+	assignments := r.supportAssignments()
 	var best float64
 	var table []ResidualBound
-	for _, vtx := range sat {
-		u := vtx.Floats()
+	for _, u := range r.sat {
 		total := 0.0
 		for _, uj := range u {
 			total += uj
@@ -210,13 +242,14 @@ func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps 
 			continue
 		}
 		sum := 0.0
-		for _, h := range assignments {
+		for i := 0; i < assignments.N; i++ {
+			h := assignments.At(i)
 			term := 1.0
-			for j := range projs {
+			for j := range r.projs {
 				if u[j] == 0 {
 					continue
 				}
-				pr := &projs[j]
+				pr := &r.projs[j]
 				var mjh float64
 				if pr.freq == nil {
 					mjh = pr.mBits // x_j = ∅: M_j(h) = M_j
@@ -235,12 +268,11 @@ func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps 
 			sum += term
 		}
 		b := math.Pow(sum/float64(p), 1/total)
-		table = append(table, ResidualBound{X: xSorted, U: u, Bound: b})
+		table = append(table, ResidualBound{X: r.xSorted, U: u, Bound: b})
 		if b > best {
 			best = b
 		}
 	}
-	sort.Slice(table, func(i, j int) bool { return table[i].Bound > table[j].Bound })
 	return best, table
 }
 
@@ -255,39 +287,14 @@ const maxSupport = 1 << 18
 // at maxSupport. Each projection lists its table's distinct keys in
 // first-occurrence order, so the join — and with it the Eq. (12) summation
 // order — is a function of the data's row order alone.
-func supportAssignments(q *query.Query, xSorted []int, projs []atomProj) []data.Tuple {
-	if len(xSorted) == 0 {
-		return []data.Tuple{{}}
+func (r *residual) supportAssignments() data.Rows {
+	switch {
+	case len(r.xSorted) == 0:
+		return data.Rows{N: 1} // the one empty assignment
+	case len(r.support.Atoms) == 0:
+		return data.Rows{}
 	}
-	// Build a projection query over the x variables only.
-	pq := &query.Query{Name: "support"}
-	for _, v := range xSorted {
-		pq.Vars = append(pq.Vars, q.Vars[v])
-	}
-	rels := make(map[string]*data.Relation)
-	for j, a := range q.Atoms {
-		pr := &projs[j]
-		if pr.freq == nil {
-			continue
-		}
-		cols := make([][]int64, len(pr.attrs))
-		for i := range cols {
-			cols[i] = make([]int64, 0, pr.freq.Distinct())
-		}
-		pr.freq.Each(func(key []int64, _ int64) {
-			for i, v := range key {
-				cols[i] = append(cols[i], v)
-			}
-		})
-		prj := data.NewRelation(a.Name, len(pr.attrs), pr.rel.Domain)
-		prj.AdoptColumns(cols, pr.freq.Distinct())
-		pq.Atoms = append(pq.Atoms, query.Atom{Name: a.Name, Vars: pr.xIdx})
-		rels[a.Name] = prj
-	}
-	if len(pq.Atoms) == 0 {
-		return nil
-	}
-	return join.JoinLimit(pq, rels, maxSupport)
+	return join.Rows(r.support, r.rels, maxSupport)
 }
 
 // BestLower maximizes over the simple bound (x = ∅) and the residual
@@ -301,6 +308,12 @@ func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, str
 // BestLowerWith is BestLower counting through the caller's statistics
 // pass: one query's variable sets ask for the same few (relation, attribute
 // list) groupings over and over, and so do the planners sharing the pass.
+//
+// The variable sets are resolved against the pass one by one, in mask
+// order, so only the caller writes the pass; their support joins and Eq.
+// (12) sums then run on up to GOMAXPROCS workers that only read; the bounds
+// are reduced in mask order by the serial b > best rule, so neither the
+// value nor the description depends on the workers.
 func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats.Pass) (float64, string) {
 	bitsM := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {
@@ -312,6 +325,7 @@ func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats
 	if maxX <= 0 || maxX > k {
 		maxX = k
 	}
+	var jobs []*residual
 	for mask := 1; mask < 1<<k; mask++ {
 		var vs []int
 		for i := 0; i < k; i++ {
@@ -322,22 +336,39 @@ func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats
 		if len(vs) > maxX {
 			continue
 		}
-		x := query.NewVarSet(vs...)
-		b, _ := residualLower(q, x, db, p, ps)
+		if r := newResidual(q, query.NewVarSet(vs...), db, ps); r != nil {
+			jobs = append(jobs, r)
+		}
+	}
+	for i, b := range evalAll(jobs, p) {
 		if b > best {
 			best = b
-			desc = fmt.Sprintf("residual x=%v", vs)
+			desc = fmt.Sprintf("residual x=%v", jobs[i].xSorted)
 		}
 	}
 	return best, desc
 }
 
-// LPLowerEqualsVertexMax verifies Theorem 3.6 numerically for a given
-// query/statistics: the LP-based upper bound p^λ equals the vertex-based
-// maximum. Returns the two values for comparison (used by tests and the
-// experiment harness).
-func LPLowerEqualsVertexMax(q *query.Query, bitsM []float64, p int, lambda float64) (lpBound, vertexBound float64) {
-	lpBound = math.Pow(float64(p), lambda)
-	vertexBound, _ = SimpleLower(q, bitsM, p)
-	return lpBound, vertexBound
+// evalAll returns each residual's best bound, in order. With two or more
+// residuals and GOMAXPROCS ≥ 2 they are evaluated by a pool of workers
+// claiming indices off one counter, the caller being the last worker.
+func evalAll(jobs []*residual, p int) []float64 {
+	out := make([]float64, len(jobs))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			out[i], _ = jobs[i].eval(p)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out
 }

@@ -329,3 +329,26 @@ func TestResidualLowerTwoVariableSet(t *testing.T) {
 		t.Errorf("d=2 residual bound = %v, want %v", got, want)
 	}
 }
+
+// ExpectedAnswers returns E[|q(I)|] = n^{k-a}·Π_j m_j for the uniform
+// random-instance space (Lemma A.1). m in tuples, n the domain size.
+func ExpectedAnswers(q *query.Query, m []float64, n float64) float64 {
+	if len(m) != q.NumAtoms() {
+		panic("bounds: m length mismatch")
+	}
+	out := math.Pow(n, float64(q.NumVars()-q.TotalArity()))
+	for _, mj := range m {
+		out *= mj
+	}
+	return out
+}
+
+// LPLowerEqualsVertexMax verifies Theorem 3.6 numerically for a given
+// query/statistics: the LP-based upper bound p^λ equals the vertex-based
+// maximum. Returns the two values for comparison (used by tests and the
+// experiment harness).
+func LPLowerEqualsVertexMax(q *query.Query, bitsM []float64, p int, lambda float64) (lpBound, vertexBound float64) {
+	lpBound = math.Pow(float64(p), lambda)
+	vertexBound, _ = SimpleLower(q, bitsM, p)
+	return lpBound, vertexBound
+}

@@ -38,11 +38,6 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 	return Rows(q, rels, 0).AppendTuples(nil)
 }
 
-// JoinLimit is Rows with one header per answer.
-func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
-	return Rows(q, rels, limit).AppendTuples(nil)
-}
-
 // Rows is the join kernel: the answers of q over rels as one flat row-major
 // arena of q.NumVars() values per answer, in Join's order, with no
 // per-answer header. The executor gathers these per server and writes the

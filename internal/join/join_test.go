@@ -508,3 +508,8 @@ func TestJoinChainCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// JoinLimit is Rows with one header per answer.
+func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
+	return Rows(q, rels, limit).AppendTuples(nil)
+}

@@ -8,12 +8,17 @@
 // extracts the non-dominated vertex set pk(q) of Theorem 3.6, computes the
 // maximum packing value τ* (= fractional vertex covering number), fractional
 // edge covers and the AGM size bound, and the saturating packings of
-// residual queries used by the skew lower bounds of §4.3.
+// residual queries used by the skew lower bounds of §4.3. The polytope
+// depends on the query's shape alone, so its vertices are enumerated once
+// per shape and memoized for the life of the process; every exported
+// function hands out copies.
 package packing
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/query"
@@ -44,10 +49,63 @@ func Polytope(q *query.Query) (*rational.Matrix, rational.Vector) {
 }
 
 // Vertices returns all vertices of the packing polytope of q, in
-// lexicographic order.
+// lexicographic order. The vectors are the caller's: they are copied out of
+// the shape memo (see vertices).
 func Vertices(q *query.Query) []rational.Vector {
-	a, b := Polytope(q)
-	return lp.EnumerateVertices(a, b)
+	return cloneAll(vertices(q))
+}
+
+// maxShapes bounds the vertex memo. Past it, a new shape is enumerated
+// without being stored.
+const maxShapes = 4096
+
+// memo holds the vertices of every polytope shape enumerated so far. A
+// shape's vertices are computed once and never written again, so readers
+// share them; they must not leave the package uncopied.
+var memo = struct {
+	sync.Mutex
+	shapes map[string][]rational.Vector
+}{shapes: make(map[string][]rational.Vector)}
+
+// vertices returns the vertices of q's packing polytope from the memo,
+// enumerating them on a miss. The polytope is a function of the query's
+// shape alone — its variable count and each atom's variable list — so a
+// residual query q_x and any renamed query of the same shape share one
+// entry. The result is shared and read-only.
+func vertices(q *query.Query) []rational.Vector {
+	key := shapeKey(q)
+	memo.Lock()
+	vs, ok := memo.shapes[key]
+	memo.Unlock()
+	if ok {
+		return vs
+	}
+	vs = lp.EnumerateVertices(Polytope(q))
+	memo.Lock()
+	if len(memo.shapes) < maxShapes {
+		memo.shapes[key] = vs
+	}
+	memo.Unlock()
+	return vs
+}
+
+// shapeKey encodes what Polytope reads of q: NumVars, then each atom's
+// variable list, names ignored.
+func shapeKey(q *query.Query) string {
+	key := fmt.Sprint(q.NumVars())
+	for _, a := range q.Atoms {
+		key += fmt.Sprint(a.Vars)
+	}
+	return key
+}
+
+// cloneAll deep-copies vs, so no memo entry reaches a caller.
+func cloneAll(vs []rational.Vector) []rational.Vector {
+	out := make([]rational.Vector, len(vs))
+	for i, v := range vs {
+		out[i] = v.Clone()
+	}
+	return out
 }
 
 // NonDominated filters a vertex list down to the vectors not dominated by
@@ -74,70 +132,7 @@ func NonDominated(vs []rational.Vector) []rational.Vector {
 // (Theorem 3.6). By that theorem, both the optimal HyperCube load and the
 // lower bound are max_{u ∈ pk(q)} L(u, M, p).
 func PK(q *query.Query) []rational.Vector {
-	return NonDominated(Vertices(q))
-}
-
-// IsPacking reports whether u is a feasible fractional edge packing of q.
-func IsPacking(q *query.Query, u rational.Vector) bool {
-	if len(u) != q.NumAtoms() {
-		return false
-	}
-	for _, x := range u {
-		if x.Sign() < 0 {
-			return false
-		}
-	}
-	one := rational.One()
-	for i := 0; i < q.NumVars(); i++ {
-		sum := new(big.Rat)
-		for _, j := range q.AtomsWithVar(i) {
-			sum.Add(sum, u[j])
-		}
-		if sum.Cmp(one) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsCover reports whether u is a feasible fractional edge cover of q
-// (Eq. 2 with ≥).
-func IsCover(q *query.Query, u rational.Vector) bool {
-	if len(u) != q.NumAtoms() {
-		return false
-	}
-	for _, x := range u {
-		if x.Sign() < 0 {
-			return false
-		}
-	}
-	one := rational.One()
-	for i := 0; i < q.NumVars(); i++ {
-		sum := new(big.Rat)
-		for _, j := range q.AtomsWithVar(i) {
-			sum.Add(sum, u[j])
-		}
-		if sum.Cmp(one) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsTight reports whether u satisfies every variable constraint with
-// equality; a tight packing is simultaneously a tight cover (§2.2).
-func IsTight(q *query.Query, u rational.Vector) bool {
-	one := rational.One()
-	for i := 0; i < q.NumVars(); i++ {
-		sum := new(big.Rat)
-		for _, j := range q.AtomsWithVar(i) {
-			sum.Add(sum, u[j])
-		}
-		if sum.Cmp(one) != 0 {
-			return false
-		}
-	}
-	return true
+	return cloneAll(NonDominated(vertices(q)))
 }
 
 // Value returns u = Σ_j u_j, the value of the packing.
@@ -146,12 +141,12 @@ func Value(u rational.Vector) *big.Rat { return u.Sum() }
 // MaxPacking returns a maximum fractional edge packing of q and its value
 // τ*, which equals the fractional vertex covering number of q.
 func MaxPacking(q *query.Query) (rational.Vector, *big.Rat) {
-	vs := Vertices(q)
 	ones := rational.NewVector(q.NumAtoms())
 	for j := range ones {
 		ones[j].SetInt64(1)
 	}
-	return lp.MaximizeOverVertices(vs, ones)
+	u, val := lp.MaximizeOverVertices(vertices(q), ones)
+	return u.Clone(), val
 }
 
 // Tau returns τ*(q) as a float for convenience.
@@ -231,21 +226,15 @@ func Saturates(q *query.Query, u rational.Vector, x query.VarSet) bool {
 	return true
 }
 
-// ResidualVertices returns the vertices of the packing polytope of the
-// residual query q_x. Atom order (and hence weight indices) matches q.
-func ResidualVertices(q *query.Query, x query.VarSet) []rational.Vector {
-	res, _ := q.Residual(x)
-	return Vertices(res)
-}
-
 // SaturatingPackings returns the residual-polytope vertices that saturate x,
 // the candidate set for the lower bound L_x of Theorem 4.7. The result may
 // be empty (then x contributes no bound).
 func SaturatingPackings(q *query.Query, x query.VarSet) []rational.Vector {
+	res, _ := q.Residual(x)
 	var out []rational.Vector
-	for _, u := range ResidualVertices(q, x) {
+	for _, u := range vertices(res) {
 		if Saturates(q, u, x) {
-			out = append(out, u)
+			out = append(out, u.Clone())
 		}
 	}
 	return out

@@ -12,6 +12,51 @@ import (
 
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
+// IsPacking reports whether u is a feasible fractional edge packing of q.
+func IsPacking(q *query.Query, u rational.Vector) bool {
+	return nonNegative(q, u) && everyVarSum(q, u, func(c int) bool { return c <= 0 })
+}
+
+// IsCover reports whether u is a feasible fractional edge cover of q
+// (Eq. 2 with ≥).
+func IsCover(q *query.Query, u rational.Vector) bool {
+	return nonNegative(q, u) && everyVarSum(q, u, func(c int) bool { return c >= 0 })
+}
+
+// IsTight reports whether u satisfies every variable constraint with
+// equality; a tight packing is simultaneously a tight cover (§2.2).
+func IsTight(q *query.Query, u rational.Vector) bool {
+	return everyVarSum(q, u, func(c int) bool { return c == 0 })
+}
+
+func nonNegative(q *query.Query, u rational.Vector) bool {
+	if len(u) != q.NumAtoms() {
+		return false
+	}
+	for _, x := range u {
+		if x.Sign() < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// everyVarSum reports whether ok holds for every variable's
+// Σ_{j: x_i ∈ S_j} u_j compared against 1.
+func everyVarSum(q *query.Query, u rational.Vector, ok func(cmp int) bool) bool {
+	one := rational.One()
+	for i := 0; i < q.NumVars(); i++ {
+		sum := new(big.Rat)
+		for _, j := range q.AtomsWithVar(i) {
+			sum.Add(sum, u[j])
+		}
+		if !ok(sum.Cmp(one)) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPKTriangleMatchesExample37(t *testing.T) {
 	// Example 3.7: pk(C3) has exactly four vertices:
 	// (1/2,1/2,1/2), (1,0,0), (0,1,0), (0,0,1).
@@ -336,4 +381,11 @@ func TestAGMEqualCardinalitiesProperty(t *testing.T) {
 			t.Errorf("%s: AGM = %v, want m^ρ* = %v", q.Name, got, want)
 		}
 	}
+}
+
+// ResidualVertices returns the vertices of the packing polytope of the
+// residual query q_x. Atom order (and hence weight indices) matches q.
+func ResidualVertices(q *query.Query, x query.VarSet) []rational.Vector {
+	res, _ := q.Residual(x)
+	return Vertices(res)
 }

@@ -271,3 +271,46 @@ func TestRankScaleInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Rank returns the rank of a, computed by exact row reduction. a is not
+// modified.
+func Rank(a *Matrix) int {
+	w := a.Clone()
+	t := new(big.Rat)
+	rank := 0
+	for col := 0; col < w.Cols && rank < w.Rows; col++ {
+		pivot := -1
+		for r := rank; r < w.Rows; r++ {
+			if !IsZero(w.At(r, col)) {
+				pivot = r
+				break
+			}
+		}
+		if pivot == -1 {
+			continue
+		}
+		if pivot != rank {
+			for j := 0; j < w.Cols; j++ {
+				pv, cv := Clone(w.At(pivot, j)), Clone(w.At(rank, j))
+				w.Set(pivot, j, cv)
+				w.Set(rank, j, pv)
+			}
+		}
+		inv := new(big.Rat).Inv(w.At(rank, col))
+		for j := 0; j < w.Cols; j++ {
+			w.Set(rank, j, t.Mul(w.At(rank, j), inv))
+		}
+		for r := 0; r < w.Rows; r++ {
+			if r == rank || IsZero(w.At(r, col)) {
+				continue
+			}
+			factor := Clone(w.At(r, col))
+			for j := 0; j < w.Cols; j++ {
+				t.Mul(factor, w.At(rank, j))
+				w.Set(r, j, new(big.Rat).Sub(w.At(r, j), t))
+			}
+		}
+		rank++
+	}
+	return rank
+}

@@ -44,7 +44,8 @@ type Freq struct {
 	Attrs []int // attribute positions, in the order keys are given and reported
 	Total int64 // Σ counts = m_j
 	idx   data.GroupIndex
-	cols  [][]int64 // the key columns, in Attrs order
+	cols  [][]int64      // the key columns, in Attrs order
+	keys  *data.Relation // the distinct keys; built by Pass.Projection
 }
 
 // Frequencies computes the exact frequency table of r over the given
@@ -293,8 +294,11 @@ func (rs *RelationStats) FreqMapFor(attrs []int) *FreqMap {
 // for, so that strategy selection, the lower bounds, the planners and the
 // heavy watch group each (relation, attribute list) once between them. It
 // indexes whole base relations: drop it when planning returns, and let
-// nothing a plan keeps point into it. The zero value is ready to use; only
-// CollectDB's own fan-out may use it concurrently.
+// nothing a plan keeps point into it. The zero value is ready to use. Its
+// methods build, so they are for one goroutine at a time (CollectDB's
+// fan-out gives each goroutine a relation of its own); the Freqs and
+// projections it has handed out are read-only, and any number of
+// goroutines may read them at once, as BestLowerWith's join workers do.
 type Pass struct {
 	rels []*relPass
 }
@@ -332,6 +336,28 @@ func (rp *relPass) frequencies(attrs []int) *Freq {
 	f := FrequenciesOrdered(rp.rel, attrs)
 	rp.freqs = append(rp.freqs, f)
 	return f
+}
+
+// Projection returns the distinct keys of r over attrs as a relation of
+// their own: one row per key, in first-occurrence order, columns in attrs
+// order. It is read off the Freq's representative rows and built once per
+// pass, beside that Freq.
+func (ps *Pass) Projection(r *data.Relation, attrs []int) *data.Relation {
+	f := ps.Frequencies(r, attrs)
+	if f.keys == nil {
+		n := f.Distinct()
+		vals := make([]int64, n*len(f.cols))
+		cols := make([][]int64, len(f.cols))
+		for i, col := range f.cols {
+			cols[i] = vals[i*n : (i+1)*n]
+			for g := range cols[i] {
+				cols[i][g] = col[f.idx.Rep(g)]
+			}
+		}
+		f.keys = data.NewRelation(r.Name, len(attrs), r.Domain)
+		f.keys.AdoptColumns(cols, n)
+	}
+	return f.keys
 }
 
 // Groupings returns the number of groupings the pass has built.

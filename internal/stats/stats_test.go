@@ -52,6 +52,32 @@ func TestFrequenciesMultiAttr(t *testing.T) {
 	}
 }
 
+// TestPassProjection: the distinct keys in first-occurrence order, columns
+// in the caller's attribute order, built once beside their Freq.
+func TestPassProjection(t *testing.T) {
+	r := data.NewRelation("S", 3, 100)
+	for _, row := range [][]int64{{1, 2, 3}, {4, 5, 3}, {1, 6, 3}, {4, 7, 9}, {1, 8, 3}} {
+		r.Add(row...)
+	}
+	ps := new(Pass)
+	prj := ps.Projection(r, []int{2, 0})
+	want := [][]int64{{3, 1}, {3, 4}, {9, 4}}
+	if prj.Size() != len(want) || prj.Arity != 2 || prj.Domain != r.Domain {
+		t.Fatalf("projection has %d rows of arity %d over %d, want %d of 2 over %d", prj.Size(), prj.Arity, prj.Domain, len(want), r.Domain)
+	}
+	for i, w := range want {
+		if got := prj.Tuple(i); !slices.Equal(got, w) {
+			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
+	}
+	if again := ps.Projection(r, []int{2, 0}); again != prj {
+		t.Error("a second request built the projection again")
+	}
+	if ps.Frequencies(r, []int{2, 0}).Distinct() != len(want) || ps.Groupings() != 1 {
+		t.Errorf("the pass holds %d groupings, want the projection's one", ps.Groupings())
+	}
+}
+
 func TestFrequenciesSortsAttrs(t *testing.T) {
 	r := data.NewRelation("S", 2, 100)
 	r.Add(1, 2)

@@ -184,8 +184,8 @@ func WithMultiRound(on bool) ExecOption {
 }
 
 // WithoutCache bypasses the plan cache for this call: plan, execute,
-// discard. Diagnostics and one-off queries use it to avoid polluting the
-// serving cache.
+// discard. Every data-dependent quantity (statistics, bounds) is still
+// recomputed.
 func WithoutCache() ExecOption {
 	return ExecOption{func(o *core.ExecOptions) { o.NoCache = true }}
 }
