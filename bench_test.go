@@ -254,6 +254,38 @@ func BenchmarkLocalJoinTriangle(b *testing.B) {
 // per answer — the kernel's floor is the answer arena (k·8 B) plus one
 // slice header (24 B) per answer.
 func BenchmarkLocalJoinZipfOutput(b *testing.B) {
+	q, rels, answers := busiestZipfServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(join.Join(q, rels)) != answers {
+			b.Fatal("answer count changed")
+		}
+	}
+	b.ReportMetric(float64(answers), "answers")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(answers)), "ns/answer")
+}
+
+// BenchmarkLocalJoinZipfRows is the kernel alone on the same server:
+// join.Rows writes the flat answer arena and no header, so ns/answer is
+// the join's own cost per answer and B/op over answers is k·8 B.
+func BenchmarkLocalJoinZipfRows(b *testing.B) {
+	q, rels, answers := busiestZipfServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if join.Rows(q, rels, 0).N != answers {
+			b.Fatal("answer count changed")
+		}
+	}
+	b.ReportMetric(float64(answers), "answers")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(answers)), "ns/answer")
+}
+
+// busiestZipfServer routes the hit_zipf shape once through the skew-join
+// plan and returns the fragments of the server with the most answers.
+func busiestZipfServer(b *testing.B) (*query.Query, map[string]*data.Relation, int) {
+	b.Helper()
 	// The degrees mirror zipfDegrees in bench/workloads.go (rounded up here,
 	// largest-remainder there; the value permutation does not matter to one
 	// server's join).
@@ -275,22 +307,14 @@ func BenchmarkLocalJoinZipfOutput(b *testing.B) {
 	if err := cluster.Round(db, plan.Router); err != nil {
 		b.Fatal(err)
 	}
-	var busiest *mpc.Server
+	var busiest map[string]*data.Relation
 	answers := 0
 	for _, s := range cluster.Servers {
-		if n := len(join.Join(q, s.Received)); n > answers {
-			busiest, answers = s, n
+		if n := join.Rows(q, s.Received, 0).N; n > answers {
+			busiest, answers = s.Received, n
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(join.Join(q, busiest.Received)) != answers {
-			b.Fatal("answer count changed")
-		}
-	}
-	b.ReportMetric(float64(answers), "answers")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(answers)), "ns/answer")
+	return q, busiest, answers
 }
 
 func BenchmarkHyperCubeEndToEnd(b *testing.B) {

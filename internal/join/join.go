@@ -6,19 +6,17 @@
 //
 // The MPC model gives servers unlimited computational power, but the
 // reproduction does not: local joins are most of a serving call, so Join
-// runs on the columnar group-by kernel (data.GroupIndex) and guarantees
-// three things. Order: answers come out in a fixed sequence — atoms in
-// planOrder's greedy order, bindings in the previous step's order, matching
-// rows ascending — which, over fragments the comm engine delivers in
-// (part, row) order, keeps every Result.Output and every sum over the
-// answers reproducible. No duplicates on duplicate-free input. Arena
-// aliasing: the answers of one call are slices of one backing array (see
-// Join).
+// runs on the columnar group-by kernel (data.GroupIndex), fills answers a
+// match run at a time (see Rows) and guarantees three things. Order: a
+// fixed sequence — atoms in planOrder's greedy order, bindings in the
+// previous step's order, matching rows ascending — which, over fragments
+// the comm engine delivers in (part, row) order, keeps every Result.Output
+// and every sum over the answers reproducible. No duplicates on
+// duplicate-free input. Arena aliasing: the answers of one call are slices
+// of one backing array (see Join).
 package join
 
 import (
-	"sort"
-
 	"repro/internal/data"
 	"repro/internal/query"
 )
@@ -43,6 +41,12 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 // per-answer header. The executor gathers these per server and writes the
 // headers once, into the final output.
 //
+// Each atom costs a count pass, which sizes the next arena exactly, and a
+// fill pass over the bindings' match runs. A run is written column by
+// column: every variable bound before the atom is one strided constant fill
+// down the run, every variable the atom binds fresh one strided gather from
+// its column. No answer is copied from its binding.
+//
 // limit caps intermediate and final result sizes: whenever the binding set
 // exceeds limit, it is truncated to the first limit bindings, so the output
 // is an arbitrary subset of the true answers. limit ≤ 0 means unlimited.
@@ -55,16 +59,13 @@ func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 	// arena holds n partial assignments to the k query variables, k values
 	// each; bound tracks which variables are assigned (same for every
 	// binding at a given step).
-	arena := make([]int64, k)
-	n := 1
+	arena, n := make([]int64, k), 1
 	bound := make([]bool, k)
-
 	var (
-		idx     data.GroupIndex
-		joinPos []int              // positions within the atom of already-bound variables
-		joinVar []int              // the corresponding query variables
-		probe   = make([]int64, k) // key of one binding
-		groups  []int32            // group each binding matched, -1 for none
+		idx    data.GroupIndex
+		probe  = make([]int64, k) // key of one binding
+		groups []int32            // group each binding matched, -1 for none
+		split  = make([]int, k)   // an atom's positions: joinPos, then fresh
 	)
 	for _, j := range order {
 		atom := q.Atoms[j]
@@ -72,11 +73,16 @@ func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 		if rel == nil || rel.Size() == 0 {
 			return data.Rows{K: k}
 		}
-		joinPos, joinVar = joinPos[:0], joinVar[:0]
+		joinPos := split[:0]
 		for pos, v := range atom.Vars {
 			if bound[v] {
 				joinPos = append(joinPos, pos)
-				joinVar = append(joinVar, v)
+			}
+		}
+		fresh := joinPos[len(joinPos):]
+		for pos, v := range atom.Vars {
+			if !bound[v] {
+				fresh = append(fresh, pos)
 			}
 		}
 		// Group the relation by its key columns only — the payload columns
@@ -89,12 +95,12 @@ func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 			groups = make([]int32, n)
 		}
 		groups = groups[:n]
-		probe = probe[:len(joinVar)]
+		probe = probe[:len(joinPos)]
 		total := 0
 		for b := 0; b < n; b++ {
 			base := b * k
-			for a, v := range joinVar {
-				probe[a] = arena[base+v]
+			for a, pos := range joinPos {
+				probe[a] = arena[base+atom.Vars[pos]]
 			}
 			g := idx.Lookup(probe)
 			groups[b] = int32(g)
@@ -108,8 +114,10 @@ func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 			return data.Rows{K: k}
 		}
 
-		// Fill pass: copy each binding once per matching row and bind the
-		// atom's variables from that row.
+		// Fill pass, one binding's match run (seg) at a time. A bound
+		// variable repeats the binding's value down the run — a join variable
+		// too, as Lookup verified the rows hold it — a fresh one is gathered
+		// through the run's row ids, and an unbound one stays zero.
 		cols := rel.Columns()
 		next := make([]int64, total*k)
 		out := 0
@@ -118,15 +126,28 @@ func Rows(q *query.Query, rels map[string]*data.Relation, limit int) data.Rows {
 			if len(rows) > total-out {
 				rows = rows[:total-out]
 			}
-			src := arena[b*k : (b+1)*k]
-			for _, ti := range rows {
-				dst := next[out*k : (out+1)*k]
-				copy(dst, src)
-				for pos, v := range atom.Vars {
-					dst[v] = cols[pos][ti]
-				}
-				out++
+			if len(rows) == 0 {
+				continue
 			}
+			seg := next[out*k : (out+len(rows))*k]
+			src := arena[b*k : (b+1)*k]
+			for v, isBound := range bound {
+				if !isBound {
+					continue
+				}
+				c := src[v]
+				for o := v; o < len(seg); o += k {
+					seg[o] = c
+				}
+			}
+			for _, pos := range fresh {
+				col, o := cols[pos], atom.Vars[pos]
+				for _, r := range rows {
+					seg[o] = col[r]
+					o += k
+				}
+			}
+			out += len(rows)
 		}
 		arena, n = next, total
 		for _, v := range atom.Vars {
@@ -148,9 +169,9 @@ func planOrder(q *query.Query, rels map[string]*data.Relation) []int {
 		}
 		return 0
 	}
-	used := make([]bool, l)
-	bound := make(map[int]bool)
-	var order []int
+	flags := make([]bool, l+q.NumVars())
+	used, bound := flags[:l], flags[l:]
+	order := make([]int, 0, l)
 	for len(order) < l {
 		best, bestShared, bestSize := -1, -1, 0
 		for j := 0; j < l; j++ {
@@ -230,48 +251,47 @@ func FromDatabase(db *data.Database) map[string]*data.Relation {
 	return db.Relations
 }
 
-// SortTuples orders tuples lexicographically in place and returns them.
-func SortTuples(ts []data.Tuple) []data.Tuple {
-	sort.Slice(ts, func(a, b int) bool {
-		ta, tb := ts[a], ts[b]
-		for i := range ta {
-			if ta[i] != tb[i] {
-				return ta[i] < tb[i]
-			}
-		}
-		return false
-	})
-	return ts
-}
-
 // EqualTupleSets reports whether two tuple collections are equal as
-// multisets.
+// multisets. The tuples are of one width, as the answers of one query are.
 func EqualTupleSets(a, b []data.Tuple) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	counts := make(map[data.Key]int, len(a))
+	var seen data.KeyTable
+	if len(a) > 0 {
+		seen.Reset(len(a[0]))
+	}
+	var counts []int // occurrences in a not yet matched in b, per entry
 	for _, t := range a {
-		counts[data.KeyOf(t)]++
+		e, added := seen.Insert(t)
+		if added {
+			counts = append(counts, 0)
+		}
+		counts[e]++
 	}
 	for _, t := range b {
-		k := data.KeyOf(t)
-		counts[k]--
-		if counts[k] < 0 {
+		e := -1
+		if len(t) == seen.Width() {
+			e = seen.Lookup(t)
+		}
+		if e < 0 || counts[e] == 0 {
 			return false
 		}
+		counts[e]--
 	}
 	return true
 }
 
-// Dedup removes duplicate tuples, preserving first occurrence order.
+// Dedup removes duplicate tuples, preserving first occurrence order. The
+// tuples are of one width, as the answers of one query are.
 func Dedup(ts []data.Tuple) []data.Tuple {
-	seen := make(map[data.Key]bool, len(ts))
+	var seen data.KeyTable
+	if len(ts) > 0 {
+		seen.Reset(len(ts[0]))
+	}
 	out := ts[:0]
 	for _, t := range ts {
-		k := data.KeyOf(t)
-		if !seen[k] {
-			seen[k] = true
+		if _, added := seen.Insert(t); added {
 			out = append(out, t)
 		}
 	}

@@ -3,6 +3,7 @@ package join
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -297,6 +298,159 @@ func TestJoinMatchesReferenceOrder(t *testing.T) {
 	check(t, "wide key", wide, wideRels)
 }
 
+// TestJoinMatchesReferenceOrderLongRuns pins the sequence where the fill
+// pass does its work: bindings that each match a long run of rows. Beside
+// the full join it checks every limit one before, on and one after each of
+// the first 20 run boundaries of the step with the long runs, so a clip
+// lands inside a run, at its end and just past it.
+func TestJoinMatchesReferenceOrderLongRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// A triangle through one heavy vertex 1, linked to 60 others both ways
+	// in every relation, beside sparse noise among the others.
+	tri := make(map[string]*data.Relation)
+	for _, name := range []string{"S1", "S2", "S3"} {
+		r := data.NewRelation(name, 2, 100)
+		var seen data.KeyTable
+		seen.Reset(2)
+		add := func(a, b int64) {
+			if _, added := seen.Insert([]int64{a, b}); added {
+				r.Add(a, b)
+			}
+		}
+		for v := int64(2); v < 62; v++ {
+			add(1, v)
+			add(v, 1)
+		}
+		for i := 0; i < 120; i++ {
+			add(int64(2+rng.Intn(60)), int64(2+rng.Intn(60)))
+		}
+		tri[name] = r
+	}
+	cases := []struct {
+		name   string
+		q      *query.Query
+		rels   map[string]*data.Relation
+		step   int // the step (index into planOrder) whose runs are long
+		minRun int
+	}{
+		// zipf(1.5) over 20 join values: the heaviest value holds over 100
+		// rows on each side.
+		{"zipf join2", query.Join2(), map[string]*data.Relation{
+			"S1": workload.Zipf("S1", 400, 1<<16, 1, 1.5, 20, 1),
+			"S2": workload.Zipf("S2", 400, 1<<16, 1, 1.5, 20, 2),
+		}, 1, 100},
+		// The second step matches every binding ending at the heavy vertex
+		// with its 60 partners; the last step closes the cycle row by row.
+		{"heavy-vertex triangle", query.Triangle(), tri, 1, 60},
+		// The middle atom is the smallest, so planOrder starts there and x1
+		// and x4 stay unbound through the first step (x4 through the second).
+		{"chain from the middle", query.Path(3), map[string]*data.Relation{
+			"S1": workload.Zipf("S1", 300, 1<<16, 1, 1.5, 10, 3),
+			"S2": workload.Uniform("S2", 2, 30, 10, 4),
+			"S3": workload.Zipf("S3", 300, 1<<16, 0, 1.5, 10, 5),
+		}, 2, 50},
+	}
+	if order := planOrder(cases[2].q, cases[2].rels); order[0] != 1 {
+		t.Fatalf("chain starts at atom %d, not the middle one", order[0])
+	}
+	for _, c := range cases {
+		ends := runEnds(c.q, c.rels, c.step)
+		longest := ends[0]
+		for i := 1; i < len(ends); i++ {
+			longest = max(longest, ends[i]-ends[i-1])
+		}
+		if longest < c.minRun || len(ends) < 20 {
+			t.Fatalf("%s: %d runs, longest %d: want 20 runs, one of %d rows or more",
+				c.name, len(ends), longest, c.minRun)
+		}
+		if n := len(referenceJoinLimit(c.q, c.rels, 0)); c.step == c.q.NumAtoms()-1 && ends[len(ends)-1] != n {
+			t.Fatalf("%s: the last step's runs hold %d answers, the join %d", c.name, ends[len(ends)-1], n)
+		}
+		limits := []int{0}
+		for _, e := range ends[:20] {
+			limits = append(limits, e-1, e, e+1)
+		}
+		for _, limit := range limits {
+			got, want := JoinLimit(c.q, c.rels, limit), referenceJoinLimit(c.q, c.rels, limit)
+			if !sameSequence(got, want) {
+				t.Errorf("%s limit %d: %d answers, reference has %d (or the order differs)",
+					c.name, limit, len(got), len(want))
+			}
+		}
+	}
+}
+
+// runEnds returns the binding counts at which the match runs of step s
+// (an index into planOrder) end, with no limit. It extends bindings by
+// plain row-by-row matching, sharing nothing with Rows or the reference.
+func runEnds(q *query.Query, rels map[string]*data.Relation, s int) []int {
+	bindings := []data.Tuple{make(data.Tuple, q.NumVars())}
+	bound := make([]bool, q.NumVars())
+	var ends []int
+	for _, j := range planOrder(q, rels)[:s+1] {
+		atom := q.Atoms[j]
+		var next []data.Tuple
+		ends = ends[:0]
+		for _, b := range bindings {
+			rels[atom.Name].Each(func(_ int, row data.Tuple) bool {
+				nb := slices.Clone(b)
+				for pos, v := range atom.Vars {
+					if bound[v] && b[v] != row[pos] {
+						return true
+					}
+					nb[v] = row[pos]
+				}
+				next = append(next, nb)
+				return true
+			})
+			if len(next) > 0 && (len(ends) == 0 || ends[len(ends)-1] < len(next)) {
+				ends = append(ends, len(next))
+			}
+		}
+		bindings = next
+		for _, v := range atom.Vars {
+			bound[v] = true
+		}
+	}
+	return ends
+}
+
+// FuzzJoinRowsMatchesReference checks the kernel against the reference
+// join, in order, on a random catalog query over a small instance drawn
+// from a skewed value pool, so that match runs repeat, under a random
+// limit (0 is unlimited).
+func FuzzJoinRowsMatchesReference(f *testing.F) {
+	f.Add(uint8(0), int64(1), uint8(0))
+	f.Add(uint8(2), int64(7), uint8(5))
+	f.Add(uint8(4), int64(3), uint8(40))
+	f.Fuzz(func(t *testing.T, pick uint8, seed int64, limit uint8) {
+		names := query.CatalogNames()
+		q := query.Catalog()[names[int(pick)%len(names)]]
+		rng := rand.New(rand.NewSource(seed))
+		rels := make(map[string]*data.Relation)
+		for _, a := range q.Atoms {
+			r := data.NewRelation(a.Name, a.Arity(), 8)
+			var seen data.KeyTable
+			seen.Reset(a.Arity())
+			row := make([]int64, a.Arity())
+			for i := rng.Intn(48); i > 0; i-- {
+				for c := range row {
+					row[c] = int64(rng.Intn(1 + rng.Intn(8))) // small values are common
+				}
+				if _, added := seen.Insert(row); added {
+					r.Add(row...)
+				}
+			}
+			rels[a.Name] = r
+		}
+		got, want := Rows(q, rels, int(limit)).AppendTuples(nil), referenceJoinLimit(q, rels, int(limit))
+		if !sameSequence(got, want) {
+			t.Fatalf("%s limit %d: %d answers, reference has %d (or the order differs)",
+				q.Name, limit, len(got), len(want))
+		}
+	})
+}
+
 // TestJoinAnswersAliasOneArena pins the aliasing contract of the answers:
 // they share a backing array, but every header is capped to its own values
 // and the arena belongs to one call.
@@ -458,6 +612,17 @@ func TestEqualTupleSets(t *testing.T) {
 	if EqualTupleSets(a, c) {
 		t.Error("multiset counts must match")
 	}
+	if !EqualTupleSets(nil, []data.Tuple{}) {
+		t.Error("empty collections differ")
+	}
+	// Width 0 compares counts alone; width 9 is wider than data.Key inlines.
+	if !EqualTupleSets([]data.Tuple{{}, {}}, []data.Tuple{{}, {}}) || EqualTupleSets([]data.Tuple{{}}, []data.Tuple{{1}}) {
+		t.Error("width 0 misjudged")
+	}
+	w1, w2 := data.Tuple{1, 2, 3, 4, 5, 6, 7, 8, 9}, data.Tuple{1, 2, 3, 4, 5, 6, 7, 8, 0}
+	if !EqualTupleSets([]data.Tuple{w1, w2, w1}, []data.Tuple{w1, w1, w2}) || EqualTupleSets([]data.Tuple{w1, w2}, []data.Tuple{w1, w1}) {
+		t.Error("width 9 misjudged")
+	}
 }
 
 func TestDedup(t *testing.T) {
@@ -465,6 +630,16 @@ func TestDedup(t *testing.T) {
 	got := Dedup(ts)
 	if len(got) != 3 || got[0][0] != 1 || got[1][0] != 2 || got[2][0] != 3 {
 		t.Errorf("Dedup = %v", got)
+	}
+	if got := Dedup([]data.Tuple{}); got == nil || len(got) != 0 {
+		t.Errorf("Dedup(empty) = %#v, want the input", got)
+	}
+	if got := Dedup([]data.Tuple{{}, {}, {}}); len(got) != 1 {
+		t.Errorf("Dedup at width 0 kept %d", len(got))
+	}
+	w1, w2 := data.Tuple{1, 2, 3, 4, 5, 6, 7, 8, 9}, data.Tuple{1, 2, 3, 4, 5, 6, 7, 8, 0}
+	if got := Dedup([]data.Tuple{w2, w1, w2, w1}); !sameSequence(got, []data.Tuple{w2, w1}) {
+		t.Errorf("Dedup at width 9 = %v", got)
 	}
 }
 
@@ -507,6 +682,20 @@ func TestJoinChainCountProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// SortTuples orders tuples lexicographically in place and returns them.
+func SortTuples(ts []data.Tuple) []data.Tuple {
+	sort.Slice(ts, func(a, b int) bool {
+		ta, tb := ts[a], ts[b]
+		for i := range ta {
+			if ta[i] != tb[i] {
+				return ta[i] < tb[i]
+			}
+		}
+		return false
+	})
+	return ts
 }
 
 // JoinLimit is Rows with one header per answer.

@@ -112,13 +112,6 @@ func attemptEvent(event, attempt uint64) uint64 {
 	return hashing.Mix64(event ^ hashing.Mix64(attempt))
 }
 
-// WouldTearRound reports whether the first attempt of communication round
-// number `round` (1-based, in cluster call order) tears under this
-// schedule. Equivalent to WouldTearRoundAttempt(round, 1).
-func (f *Faults) WouldTearRound(round uint64) bool {
-	return f.WouldTearRoundAttempt(round, 1)
-}
-
 // WouldTearRoundAttempt reports whether attempt number `attempt` (1-based)
 // of communication round `round` tears under this schedule. A replayed
 // round keeps its round number and advances the attempt, so tests compose
@@ -128,25 +121,11 @@ func (f *Faults) WouldTearRoundAttempt(round, attempt uint64) bool {
 	return f.chance(streamTorn, attemptEvent(round, attempt), f.TornRound)
 }
 
-// WouldFailCompute reports whether the given server fails on the first
-// attempt of compute phase number `phase` (1-based, in cluster call order).
-// Equivalent to WouldFailComputeAttempt(phase, 1, server).
-func (f *Faults) WouldFailCompute(phase uint64, server int) bool {
-	return f.WouldFailComputeAttempt(phase, 1, server)
-}
-
 // WouldFailComputeAttempt reports whether the given server fails on attempt
 // number `attempt` (1-based) of compute phase `phase`. Re-running the
 // failed servers of a phase advances the attempt, never the phase number.
 func (f *Faults) WouldFailComputeAttempt(phase, attempt uint64, server int) bool {
 	return f.chance(streamComp, attemptEvent(phase<<20^uint64(server), attempt), f.ComputeFail)
-}
-
-// WouldStraggle reports whether part index `part` of the first attempt of
-// communication round `round` stalls at its checkpoint. Equivalent to
-// WouldStraggleAttempt(round, 1, part).
-func (f *Faults) WouldStraggle(round uint64, part int) bool {
-	return f.WouldStraggleAttempt(round, 1, part)
 }
 
 // WouldStraggleAttempt reports whether part index `part` of attempt number

@@ -21,22 +21,10 @@ func findFaultSeed(t *testing.T, mk func(seed uint64) *Faults, ok func(*Faults) 
 	return 0
 }
 
-// TestAttemptPredicates pins the attempt dimension's contract: attempt 1 is
-// the legacy schedule (old seeds keep their meaning), further attempts are
+// TestAttemptPredicates pins the attempt dimension's contract: attempts are
 // independent deterministic draws.
 func TestAttemptPredicates(t *testing.T) {
 	f := &Faults{Seed: 42, TornRound: 0.5, ComputeFail: 0.5, Straggler: 0.5}
-	for round := uint64(1); round < 50; round++ {
-		if f.WouldTearRound(round) != f.WouldTearRoundAttempt(round, 1) {
-			t.Fatalf("round %d: WouldTearRound != WouldTearRoundAttempt(·, 1)", round)
-		}
-		if f.WouldFailCompute(round, 3) != f.WouldFailComputeAttempt(round, 1, 3) {
-			t.Fatalf("phase %d: WouldFailCompute != WouldFailComputeAttempt(·, 1, ·)", round)
-		}
-		if f.WouldStraggle(round, 3) != f.WouldStraggleAttempt(round, 1, 3) {
-			t.Fatalf("round %d: WouldStraggle != WouldStraggleAttempt(·, 1, ·)", round)
-		}
-	}
 	// Attempts draw independently: across many rounds, some torn first
 	// attempt must pair with a clean second attempt and vice versa.
 	healed, relapsed := false, false
