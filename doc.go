@@ -24,9 +24,9 @@
 //     derivation counting) and emitting a ResultDelta.
 //
 //     Sessions are built for sustained concurrent serving: reads execute
-//     against immutable snapshot epochs (Database.Apply publishes a new
-//     epoch per batch, so an Exec never blocks behind a writer or observes
-//     a half-applied delta); admission control (Config.MaxInFlight,
+//     against immutable snapshot epochs (a read after Database.Apply
+//     publishes the next one, so an Exec never blocks behind a writer or
+//     observes a half-applied delta); admission control (Config.MaxInFlight,
 //     Config.MaxQueue) bounds in-flight executions and sheds the excess
 //     promptly with ErrOverloaded; Close drains in-flight calls and then
 //     rejects the rest with ErrSessionClosed; Config.BackgroundReplan

@@ -66,9 +66,9 @@ type StandingStats struct {
 // serialize on an internal mutex, and delta capture runs under the
 // database's write lock independently of that mutex. Advance never takes
 // the database lock: it consumes the captured delta stream and, when it
-// must re-read content (schema checks, reseeds, multi-round fallback), it
-// reads an immutable snapshot epoch — so advances never block Apply and
-// Apply never blocks advances.
+// must re-read content (reseeds, multi-round fallback), it reads an
+// immutable snapshot epoch — so advances never block Apply and Apply never
+// blocks advances.
 type StandingQuery struct {
 	e    *Engine
 	q    *query.Query
@@ -233,8 +233,8 @@ func (h *StandingQuery) Advance(ctx context.Context) (ResultDelta, error) {
 	}
 
 	// Drain the capture queue. No database lock is needed: Apply notifies
-	// watchers after it has published, so every drained delta's effects are
-	// fully visible, and anything applied after the drain stays queued for
+	// watchers after its version bump, so the next Snapshot reflects every
+	// drained delta, and anything applied after the drain stays queued for
 	// the next Advance. The version the incremental result reflects is the
 	// drained tail's.
 	h.queueMu.Lock()
@@ -258,7 +258,7 @@ func (h *StandingQuery) Advance(ctx context.Context) (ResultDelta, error) {
 	}
 
 	reseed := h.stale.Load()
-	if !reseed && h.schema != stats.SchemaFingerprint(h.db.Snapshot()) {
+	if !reseed && h.schema != stats.SchemaFingerprint(h.db.Master()) {
 		reseed = true
 	}
 	if !reseed && len(live) > 0 && live[0].version != h.appliedVersion+1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -449,5 +450,80 @@ func TestStandingClose(t *testing.T) {
 	}
 	if st := h.Stats(); st.Pending != 0 {
 		t.Errorf("closed handle captured %d deltas", st.Pending)
+	}
+}
+
+// TestApplyAdvanceStreamFlatInDatabaseSize: after the seed (which reads an
+// epoch and so freezes every row), a stream of two-op Apply + Advance steps
+// allocates the same few bytes per step at 2,000 and at 200,000 tuples per
+// relation.
+// Apply publishes no epoch and the incremental Advance reads none, so only
+// the stream's first delete copies the frozen columns.
+func TestApplyAdvanceStreamFlatInDatabaseSize(t *testing.T) {
+	bytesPerStep := func(m int) uint64 {
+		const domain = 1 << 20
+		q := query.Join2()
+		db := data.NewDatabase()
+		s1 := workload.Matching("S1", 2, m, domain, 1)
+		s2 := workload.Matching("S2", 2, m, domain, 2)
+		// Two S1 tuples that join nothing, so every step's answers are the
+		// same at both sizes: fresh x values and a z absent from both.
+		used := make(map[int64]bool, 4*m)
+		for _, col := range [][]int64{s1.Column(0), s1.Column(1), s2.Column(1)} {
+			for _, v := range col {
+				used[v] = true
+			}
+		}
+		var fresh []int64
+		for v := int64(domain - 1); len(fresh) < 3; v-- {
+			if !used[v] {
+				fresh = append(fresh, v)
+			}
+		}
+		x0, x1, z := fresh[0], fresh[1], fresh[2]
+		s1.Add(x0, z)
+		db.Put(s1)
+		db.Put(s2)
+		e, err := New(Config{P: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Standing(context.Background(), q, db, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		swap := []*data.Delta{
+			new(data.Delta).Delete("S1", x0, z).Insert("S1", x1, z),
+			new(data.Delta).Delete("S1", x1, z).Insert("S1", x0, z),
+		}
+		step := func(i int) {
+			if err := db.Apply(swap[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Advance(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step(0) // the one copy: the seed froze the row this delete moves
+		step(1)
+		const steps = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			step(i)
+		}
+		runtime.ReadMemStats(&after)
+		if st := h.Stats(); st.Reseeds != 0 {
+			t.Fatalf("m=%d: %d reseeds, want the incremental path only", m, st.Reseeds)
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / steps
+	}
+	// TotalAlloc is process-wide, so a stray runtime allocation can land in
+	// either window; one column copy at 200k tuples is 1.6 MB.
+	small, large := bytesPerStep(2000), bytesPerStep(200000)
+	t.Logf("bytes per step: %d at 2k tuples per relation, %d at 200k", small, large)
+	if large > small+1024 {
+		t.Errorf("a two-op Apply + Advance allocates %d B at 2k tuples per relation, %d B at 200k", small, large)
 	}
 }

@@ -63,8 +63,8 @@ func (d *Delta) EachOp(f func(rel string, vals []int64, insert bool)) {
 //
 // Apply holds the database's write lock, excluding other Apply calls and
 // legacy RLock readers. Snapshot readers (repro.Session's Exec) are not
-// blocked: before returning, Apply republishes the snapshot epoch so the
-// next Database.Snapshot observes the delta without taking the write lock.
+// blocked: a published epoch never changes, and Apply publishes none — the
+// next Database.Snapshot does (see snapshot.go).
 func (db *Database) Apply(d *Delta) error {
 	if db.parent != nil {
 		return fmt.Errorf("data: Apply on a snapshot: snapshots are immutable, apply to the master database")
@@ -133,14 +133,9 @@ func (db *Database) Apply(d *Delta) error {
 			r.removeRow(r.index.Lookup(op.vals))
 		}
 	}
+	// A consumer that observes version v (watch callback, drained capture
+	// queue) gets an epoch ≥ v: Snapshot publishes on a version it has not seen.
 	db.version++
-	// Republish the snapshot epoch before notifying watchers: a consumer
-	// that observes version v (through the watch callback or a drained
-	// capture queue) is guaranteed Snapshot() returns an epoch ≥ v. Before
-	// the first Snapshot there is no epoch to refresh and nothing to pay.
-	if db.snap.Load() != nil {
-		db.publishLocked()
-	}
 	for _, w := range db.watchers {
 		w(db.version, d)
 	}

@@ -278,32 +278,44 @@ func ExampleDatabase_Apply() {
 }
 
 // BenchmarkApplyAfterSnapshot gives the snapshot copy-on-write its number:
-// each op is a two-op Apply (delete one tuple, insert another) after a
-// Snapshot, as a serving loop of Apply and Advance runs it. The published
-// epoch shares the relation's columns, so every such delete copies all of
-// them first (Relation.unshare), and B/op grows with the relation while
-// the delta stays two ops.
+// each op is a two-op Apply (delete one tuple, insert another), with a
+// Snapshot before every one (read=each: a reader between any two writes)
+// or never (read=none: an Apply stream no reader looks at, as Apply then
+// StandingQuery.Advance runs it). A Snapshot publishes an epoch that
+// shares the relation's columns, so under read=each every delete copies
+// all of them first (Relation.unshare) and B/op grows with the relation
+// while the delta stays two ops. Apply publishes nothing, so under
+// read=none only the first delete copies and the op is O(delta).
 func BenchmarkApplyAfterSnapshot(b *testing.B) {
-	for _, rows := range []int{2000, 200000} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			db := NewDatabase()
-			r := NewRelation("R", 2, int64(rows)+1)
-			for i := 0; i < rows; i++ {
-				r.Add(int64(i), int64(i))
+	for _, read := range []bool{true, false} {
+		for _, rows := range []int{2000, 200000} {
+			name := fmt.Sprintf("read=none/rows=%d", rows)
+			if read {
+				name = fmt.Sprintf("read=each/rows=%d", rows)
 			}
-			db.Put(r)
-			n := int64(rows)
-			swap := []*Delta{
-				new(Delta).Delete("R", 0, 0).Insert("R", n, n),
-				new(Delta).Delete("R", n, n).Insert("R", 0, 0),
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				db.Snapshot()
-				if err := db.Apply(swap[i%2]); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				db := NewDatabase()
+				r := NewRelation("R", 2, int64(rows)+1)
+				for i := 0; i < rows; i++ {
+					r.Add(int64(i), int64(i))
 				}
-			}
-		})
+				db.Put(r)
+				db.Snapshot() // a seed or an Exec read the relation once
+				n := int64(rows)
+				swap := []*Delta{
+					new(Delta).Delete("R", 0, 0).Insert("R", n, n),
+					new(Delta).Delete("R", n, n).Insert("R", 0, 0),
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if read {
+						db.Snapshot()
+					}
+					if err := db.Apply(swap[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -208,9 +208,7 @@ const partitionTailMax = 4
 // snapshot itself is immutable; the rebuilt layout reaches the next epoch).
 // It reports whether a rebuild happened.
 func (db *Database) EnsurePartitioned(name string, attr, p int) bool {
-	if db.parent != nil {
-		return db.parent.EnsurePartitioned(name, attr, p)
-	}
+	db = db.Master()
 	if p < 1 {
 		panic(fmt.Sprintf("data: EnsurePartitioned: p=%d", p))
 	}

@@ -635,10 +635,10 @@ type Database struct {
 	// immutable — Apply rejects them and Snapshot/Watch delegate to the
 	// parent.
 	parent *Database
-	// snap is the master's current published epoch, or nil before the
-	// first Snapshot. Apply republishes it under the write lock, so
-	// Snapshot's fast path is one RLock and an atomic load.
-	snap atomic.Pointer[Database]
+	// snap is the master's last published epoch, or nil before the first
+	// Snapshot. Only Snapshot writes it, under the write lock. Apply leaves it
+	// stale, so it may keep one pre-unshare backing per relation alive.
+	snap *Database
 	// overlay is Apply's validation scratch, retained across calls so a
 	// steady Apply stream stops allocating it per batch.
 	overlay *overlay
@@ -695,10 +695,7 @@ func (db *Database) VersionLocked() uint64 { return db.version }
 // re-reading the database, they replay exactly the operations that changed
 // it.
 func (db *Database) Watch(w func(version uint64, d *Delta)) (unwatch func()) {
-	if db.parent != nil {
-		// Snapshots never change; watch the mutable master they came from.
-		return db.parent.Watch(w)
-	}
+	db = db.Master() // snapshots never change; watch the master they came from
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.watchers == nil {

@@ -14,9 +14,11 @@ package data
 // (or reallocate), so they are invisible to live views; the one interior
 // write in the system — removeRow's swap-with-last under Apply — copies the
 // columns first when it would touch the frozen prefix (Relation.unshare).
-// Apply republishes the epoch under the write lock it already holds, reusing
-// every view whose relation did not change, so publication is O(relations)
-// slice headers, not O(tuples).
+// Epochs are published when read, not when written: Apply only bumps the
+// version, and the first Snapshot after it publishes under the write lock,
+// reusing every view whose relation did not change (O(relations) slice
+// headers). Publishing freezes rows, so Applies no reader looks at copy no
+// column, and a delete copies only the first time after a read.
 
 // Snapshot returns the database's current published epoch: an immutable
 // *Database that shares the master's identity (ID) and storage but never
@@ -28,28 +30,31 @@ package data
 // Mutating a snapshot is an error: Apply rejects it, and callers must not
 // reach around the API (Put, Relation.Add) on one.
 func (db *Database) Snapshot() *Database {
-	if db.parent != nil {
-		return db.parent.Snapshot()
-	}
+	db = db.Master()
 	db.mu.RLock()
-	if s := db.snap.Load(); s != nil && db.snapCurrentLocked(s) {
+	if s := db.snap; s != nil && db.snapCurrentLocked(s) {
 		db.mu.RUnlock()
 		return s
 	}
 	db.mu.RUnlock()
-	// Stale or never published (construction-time mutation happens outside
-	// Apply and does not republish eagerly): publish under the write lock.
+	// Stale or never published: publish under the write lock.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if s := db.snap.Load(); s != nil && db.snapCurrentLocked(s) {
+	if s := db.snap; s != nil && db.snapCurrentLocked(s) {
 		return s
 	}
 	return db.publishLocked()
 }
 
-// IsSnapshot reports whether db is an immutable snapshot epoch rather than
-// a mutable master.
-func (db *Database) IsSnapshot() bool { return db.parent != nil }
+// Master returns the mutable database db's epochs come from: db itself, or
+// a snapshot's master. Unlike Snapshot it publishes nothing, so a reader
+// that needs only the schema (which Apply never changes) freezes no rows.
+func (db *Database) Master() *Database {
+	if db.parent != nil {
+		return db.parent
+	}
+	return db
+}
 
 // snapCurrentLocked reports whether s still describes the master's current
 // state: same version, same relation set, and every view frozen at its
@@ -70,7 +75,7 @@ func (db *Database) snapCurrentLocked(s *Database) bool {
 // publishLocked builds and installs a fresh epoch under db.mu (write mode),
 // reusing views from the previous epoch for relations that did not change.
 func (db *Database) publishLocked() *Database {
-	prev := db.snap.Load()
+	prev := db.snap
 	s := &Database{
 		Relations: make(map[string]*Relation, len(db.Relations)),
 		parent:    db,
@@ -86,6 +91,6 @@ func (db *Database) publishLocked() *Database {
 		}
 		s.Relations[name] = r.view()
 	}
-	db.snap.Store(s)
+	db.snap = s
 	return s
 }

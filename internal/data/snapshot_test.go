@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -40,8 +41,8 @@ func snapshotSeedDB(t testing.TB, rows int) *Database {
 func TestSnapshotStableUnderApply(t *testing.T) {
 	db := snapshotSeedDB(t, 500)
 	snap := db.Snapshot()
-	if !snap.IsSnapshot() || db.IsSnapshot() {
-		t.Fatalf("IsSnapshot: snap=%v db=%v", snap.IsSnapshot(), db.IsSnapshot())
+	if snap.Master() != db || db.Master() != db {
+		t.Fatalf("Master: of the snapshot %p, of the master %p, want %p", snap.Master(), db.Master(), db)
 	}
 	if snap.ID() != db.ID() {
 		t.Fatalf("snapshot ID %d != master ID %d", snap.ID(), db.ID())
@@ -72,6 +73,94 @@ func TestSnapshotStableUnderApply(t *testing.T) {
 	}
 	if got, want := fresh.VersionLocked(), db.Version(); got != want {
 		t.Fatalf("fresh snapshot version %d, want %d", got, want)
+	}
+}
+
+// TestApplyStreamCopiesNoColumn: Apply publishes no epoch, so once the
+// first delete after a Snapshot has copied the frozen columns, a stream of
+// Applies no reader looks at writes in place. The stale epoch stays
+// published and unchanged until the next Snapshot replaces it, and that
+// read freezes the rows again: the next delete copies once more.
+func TestApplyStreamCopiesNoColumn(t *testing.T) {
+	db := snapshotSeedDB(t, 500)
+	snap := db.Snapshot()
+	before := relTuples(snap.MustGet("S1"))
+	swap := []*Delta{
+		new(Delta).Delete("S1", 3, 3).Insert("S1", 1<<19, 3),
+		new(Delta).Delete("S1", 1<<19, 3).Insert("S1", 3, 3),
+	}
+	step := 0
+	apply := func() {
+		if err := db.Apply(swap[step%2]); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	}
+	apply() // row 3 is frozen: this delete copies the columns
+	r := db.MustGet("S1")
+	backing := &r.Column(0)[0]
+	for i := 0; i < 100; i++ {
+		apply()
+	}
+	if &r.Column(0)[0] != backing {
+		t.Error("an Apply with no read since the last one replaced the column backing")
+	}
+	if db.snap != snap {
+		t.Error("Apply published an epoch")
+	}
+	if !sameTuples(before, relTuples(snap.MustGet("S1"))) {
+		t.Fatal("the stale epoch changed under Apply")
+	}
+
+	fresh := db.Snapshot()
+	if fresh == snap || fresh.VersionLocked() != db.Version() {
+		t.Fatalf("Snapshot after %d Applies returned version %d, want a new epoch at %d", step, fresh.VersionLocked(), db.Version())
+	}
+	if !sameTuples(relTuples(r), relTuples(fresh.MustGet("S1"))) {
+		t.Fatal("the new epoch does not hold the master's rows")
+	}
+	apply()
+	if &r.Column(0)[0] == backing {
+		t.Error("a delete of a row the new epoch froze wrote into its backing")
+	}
+}
+
+// TestSnapshotsIsolatedUnderRandomInterleaving interleaves two-op Applies
+// (a delete of a random row, frozen or not, and an insert) with Snapshot
+// reads at random points. Every Snapshot must hold every Apply before it,
+// and every epoch taken must keep its rows and version to the end, however
+// many unread Applies (each publishing nothing) followed it.
+func TestSnapshotsIsolatedUnderRandomInterleaving(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := snapshotSeedDB(t, 200)
+	r := db.MustGet("S1")
+	type epoch struct {
+		snap    *Database
+		version uint64
+		rows    map[Key]bool
+	}
+	var epochs []epoch
+	next := int64(1 << 19)
+	for step := 0; step < 400; step++ {
+		if rng.Intn(4) == 0 {
+			s := db.Snapshot()
+			rows := relTuples(r)
+			if s.VersionLocked() != db.Version() || !sameTuples(rows, relTuples(s.MustGet("S1"))) {
+				t.Fatalf("step %d: Snapshot misses an Apply before it", step)
+			}
+			epochs = append(epochs, epoch{s, s.VersionLocked(), rows})
+			continue
+		}
+		d := new(Delta).Delete("S1", r.Tuple(rng.Intn(r.Size()))...).Insert("S1", next, next%97)
+		next++
+		if err := db.Apply(d); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	for i, e := range epochs {
+		if e.snap.VersionLocked() != e.version || !sameTuples(e.rows, relTuples(e.snap.MustGet("S1"))) {
+			t.Errorf("epoch %d (version %d) changed after it was published", i, e.version)
+		}
 	}
 }
 
@@ -201,7 +290,7 @@ func TestSnapshotConcurrentReadersWriter(t *testing.T) {
 func BenchmarkApplyDelta2Op(b *testing.B) {
 	db := snapshotSeedDB(b, 100_000)
 	// Warm: enable maintenance and publish an epoch so the bench measures
-	// the steady serving state (republish included).
+	// the steady serving state (the Applies below publish none).
 	if err := db.Apply(new(Delta).Insert("S1", 1<<19, 1).Delete("S1", 1<<19, 1)); err != nil {
 		b.Fatal(err)
 	}
