@@ -25,14 +25,14 @@ func powerLawRelation(name string, arity, m int, n int64, s float64, seed int64)
 		cdf[v] = total
 	}
 	r := data.NewRelation(name, arity, n)
-	seen := make(map[data.Key]bool)
+	seen := make(map[string]bool)
 	t := make(data.Tuple, arity)
 	for i := 0; i < m; i++ {
 		t[0] = int64(sort.SearchFloat64s(cdf, rng.Float64()*total))
 		for a := 1; a < arity; a++ {
 			t[a] = rng.Int63n(n)
 		}
-		if k := data.KeyOf(t); !seen[k] {
+		if k := t.Key(); !seen[k] {
 			seen[k] = true
 			r.Add(t...)
 		}

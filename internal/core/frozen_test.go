@@ -17,7 +17,7 @@ import (
 )
 
 // frozenPlan is what the engine planned and shipped for one bench/ workload
-// instance at the commit before statistics moved from map[data.Key] tables
+// instance at the commit before statistics moved from boxed-key map tables
 // onto the group-by kernel. Planning must reproduce it bit for bit: the
 // kernel changes how frequencies are counted, never which values are heavy
 // or what they weigh.

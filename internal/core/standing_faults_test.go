@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/mpc"
 )
 
@@ -29,15 +28,15 @@ func standingFaultCase(t *testing.T, f *mpc.Faults, r Retry) (*StandingQuery, *E
 
 func assertStandingResult(t *testing.T, h *StandingQuery, o *dbOracle) {
 	t.Helper()
-	got := make(map[data.Key]bool)
+	got := make(map[string]bool)
 	for _, tu := range h.Result() {
-		got[data.KeyOf(tu)] = true
+		got[tu.Key()] = true
 	}
 	if len(got) != len(o.want) {
 		t.Fatalf("standing result = %d answers, oracle %d", len(got), len(o.want))
 	}
 	for _, tu := range o.want {
-		if !got[data.KeyOf(tu)] {
+		if !got[tu.Key()] {
 			t.Fatalf("standing result missing %v", tu)
 		}
 	}

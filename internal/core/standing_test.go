@@ -21,17 +21,17 @@ func standingOracle(q *query.Query, db *data.Database) []data.Tuple {
 // applyDelta folds a ResultDelta into a key→tuple view of the previous
 // result, failing the test on inconsistent transitions (removing an
 // absent answer, adding a present one).
-func applyDelta(t *testing.T, view map[data.Key]data.Tuple, rd ResultDelta) {
+func applyDelta(t *testing.T, view map[string]data.Tuple, rd ResultDelta) {
 	t.Helper()
 	for _, tu := range rd.Removed {
-		k := data.KeyOf(tu)
+		k := tu.Key()
 		if _, ok := view[k]; !ok {
 			t.Fatalf("delta removed %v which was not in the result", tu)
 		}
 		delete(view, k)
 	}
 	for _, tu := range rd.Added {
-		k := data.KeyOf(tu)
+		k := tu.Key()
 		if _, ok := view[k]; ok {
 			t.Fatalf("delta added %v which was already in the result", tu)
 		}
@@ -39,12 +39,12 @@ func applyDelta(t *testing.T, view map[data.Key]data.Tuple, rd ResultDelta) {
 	}
 }
 
-func viewEquals(view map[data.Key]data.Tuple, want []data.Tuple) bool {
+func viewEquals(view map[string]data.Tuple, want []data.Tuple) bool {
 	if len(view) != len(want) {
 		return false
 	}
 	for _, tu := range want {
-		if _, ok := view[data.KeyOf(tu)]; !ok {
+		if _, ok := view[tu.Key()]; !ok {
 			return false
 		}
 	}
@@ -90,9 +90,9 @@ func TestStandingDifferentialRandomDeltas(t *testing.T) {
 			}
 			defer h.Close()
 
-			view := make(map[data.Key]data.Tuple)
+			view := make(map[string]data.Tuple)
 			for _, tu := range h.Result() {
-				view[data.KeyOf(tu)] = tu
+				view[tu.Key()] = tu
 			}
 			if want := standingOracle(q, db); !viewEquals(view, want) {
 				t.Fatalf("seed result has %d answers, oracle %d", len(view), len(want))
@@ -397,9 +397,9 @@ func TestStandingMultiRoundFallback(t *testing.T) {
 	}
 	defer h.Close()
 
-	view := make(map[data.Key]data.Tuple)
+	view := make(map[string]data.Tuple)
 	for _, tu := range h.Result() {
-		view[data.KeyOf(tu)] = tu
+		view[tu.Key()] = tu
 	}
 	for step := 0; step < 5; step++ {
 		rel := q.AtomNames()[step%len(q.AtomNames())]

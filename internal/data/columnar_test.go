@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,8 +13,8 @@ type shadowRel struct {
 	rows  [][]int64
 }
 
-// keyAt is the map key of row i, for tests that compare rows as data.Keys.
-func keyAt(r *Relation, i int) Key { return KeyOf(r.Tuple(i)) }
+// keyAt is the map key of row i, for tests that compare rows as strings.
+func keyAt(r *Relation, i int) string { return r.Tuple(i).Key() }
 
 func (s *shadowRel) add(vals ...int64) {
 	s.rows = append(s.rows, append([]int64(nil), vals...))
@@ -45,8 +46,8 @@ func TestColumnarViewsAgree(t *testing.T) {
 					i, a, got[a], rt[a], r.At(i, a), r.Column(a)[i], want[a])
 			}
 		}
-		if k := keyAt(r, i); k != KeyOf(want) {
-			t.Fatalf("row %d: keyAt = %v, want %v", i, k, KeyOf(want))
+		if k := keyAt(r, i); k != Tuple(want).Key() {
+			t.Fatalf("row %d: keyAt = %v, want %v", i, k, want)
 		}
 	}
 	i := 0
@@ -76,8 +77,8 @@ func TestColumnarRoundTrip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.Add(rng.Int63n(1000), rng.Int63n(1000))
 	}
-	counts := func(rel *Relation) map[Key]int {
-		m := make(map[Key]int)
+	counts := func(rel *Relation) map[string]int {
+		m := make(map[string]int)
 		for i := 0; i < rel.Size(); i++ {
 			m[keyAt(rel, i)]++
 		}
@@ -96,7 +97,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 1; i < r.Size(); i++ {
-		if keyAt(r, i).Less(keyAt(r, i-1)) {
+		if slices.Compare(r.Tuple(i), r.Tuple(i-1)) < 0 {
 			t.Fatalf("Sort: row %d out of order", i)
 		}
 	}
@@ -160,66 +161,6 @@ func TestArityEdgeCases(t *testing.T) {
 	}
 }
 
-// TestKeyOf pins Key's inline and overflow representations: map equality
-// matches tuple equality, and At/Tuple/String round-trip, across the
-// inline boundary at keyInline values.
-func TestKeyOf(t *testing.T) {
-	widths := []int{0, 1, 2, keyInline - 1, keyInline, keyInline + 1, keyInline + 5}
-	rng := rand.New(rand.NewSource(3))
-	for _, w := range widths {
-		tu := make(Tuple, w)
-		for i := range tu {
-			tu[i] = rng.Int63() - rng.Int63() // exercise negatives too
-		}
-		k := KeyOf(tu)
-		if k.Len() != w {
-			t.Fatalf("width %d: Len = %d", w, k.Len())
-		}
-		for i, v := range tu {
-			if k.At(i) != v {
-				t.Fatalf("width %d: At(%d) = %d, want %d", w, i, k.At(i), v)
-			}
-		}
-		back := k.Tuple()
-		for i := range tu {
-			if back[i] != tu[i] {
-				t.Fatalf("width %d: Tuple round-trip %v != %v", w, back, tu)
-			}
-		}
-		if k.String() != tu.Key() {
-			t.Fatalf("width %d: String = %q, want %q", w, k.String(), tu.Key())
-		}
-		if k != KeyOf(back) {
-			t.Fatalf("width %d: keys of equal tuples differ", w)
-		}
-		// Perturb one value: keys must differ.
-		if w > 0 {
-			other := append(Tuple(nil), tu...)
-			other[w-1]++
-			if KeyOf(other) == k {
-				t.Fatalf("width %d: distinct tuples share a key", w)
-			}
-		}
-	}
-	// Less is a strict weak order consistent with lexicographic tuples.
-	a, b := KeyOf(Tuple{1, 2}), KeyOf(Tuple{1, 3})
-	if !a.Less(b) || b.Less(a) || a.Less(a) {
-		t.Fatal("Less ordering broken")
-	}
-	if !KeyOf(Tuple{1}).Less(KeyOf(Tuple{1, 0})) {
-		t.Fatal("shorter prefix must sort first")
-	}
-}
-
-// TestKey1MatchesKeyOf pins the single-value fast path.
-func TestKey1MatchesKeyOf(t *testing.T) {
-	for _, v := range []int64{0, 1, -5, 1 << 40} {
-		if Key1(v) != KeyOf(Tuple{v}) {
-			t.Fatalf("Key1(%d) != KeyOf", v)
-		}
-	}
-}
-
 // FuzzRowColumnarAgreement drives the columnar Relation and a row-major
 // shadow with the same operation stream decoded from fuzz bytes, then
 // requires every view (Tuple, At, Each, keyAt, Sort order) to agree.
@@ -258,7 +199,7 @@ func FuzzRowColumnarAgreement(f *testing.F) {
 						t.Fatalf("row %d: %v vs %v", i, got, want)
 					}
 				}
-				if keyAt(r, i) != KeyOf(want) {
+				if keyAt(r, i) != Tuple(want).Key() {
 					t.Fatalf("row %d: key mismatch", i)
 				}
 			}
@@ -269,7 +210,7 @@ func FuzzRowColumnarAgreement(f *testing.F) {
 		rows := sh.rows
 		for i := 1; i < len(rows); i++ {
 			for j := i; j > 0; j-- {
-				if KeyOf(rows[j]).Less(KeyOf(rows[j-1])) {
+				if slices.Compare(rows[j], rows[j-1]) < 0 {
 					rows[j], rows[j-1] = rows[j-1], rows[j]
 				} else {
 					break
@@ -284,9 +225,9 @@ func FuzzRowColumnarAgreement(f *testing.F) {
 }
 
 func shadowHasDup(rows [][]int64) bool {
-	seen := make(map[Key]bool)
+	seen := make(map[string]bool)
 	for _, row := range rows {
-		k := KeyOf(row)
+		k := Tuple(row).Key()
 		if seen[k] {
 			return true
 		}

@@ -54,12 +54,11 @@ func (d *Delta) EachOp(f func(rel string, vals []int64, insert bool)) {
 // inserted earlier.
 //
 // Apply maintains each touched relation's serving state incrementally: the
-// content-hash sum behind stats.Fingerprint (a reversible per-tuple fold),
-// the per-attribute value frequencies, and the tuple index. The first Apply
-// touching a relation builds that state with one scan; every later Apply
-// costs O(delta), and fingerprinting the database afterwards costs
-// O(relations) — the database mutates under live plan caches without any
-// per-execution rescan.
+// content-hash sum behind stats.Fingerprint (a reversible per-tuple fold)
+// and the tuple index. The first Apply touching a relation builds that
+// state with one scan; every later Apply costs O(delta), and fingerprinting
+// the database afterwards costs O(relations) — the database mutates under
+// live plan caches without any per-execution rescan.
 //
 // Apply holds the database's write lock, excluding other Apply calls and
 // legacy RLock readers. Snapshot readers (repro.Session's Exec) are not
@@ -97,7 +96,7 @@ func (db *Database) Apply(d *Delta) error {
 				}
 			}
 		}
-		if err := r.enableStats(); err != nil {
+		if err := r.enableIndex(); err != nil {
 			return err
 		}
 		ov.op = append(ov.op, int32(ov.touch(r)))

@@ -42,11 +42,11 @@ func TestApplyInsertDelete(t *testing.T) {
 	if s1.Size() != 3 {
 		t.Fatalf("S1 size = %d, want 3", s1.Size())
 	}
-	seen := map[Key]bool{}
+	seen := map[string]bool{}
 	for i := 0; i < s1.Size(); i++ {
 		seen[keyAt(s1, i)] = true
 	}
-	if seen[KeyOf([]int64{1, 2})] || !seen[KeyOf([]int64{7, 8})] {
+	if seen[Tuple{1, 2}.Key()] || !seen[Tuple{7, 8}.Key()] {
 		t.Fatalf("wrong tuples after apply: %v", seen)
 	}
 	if db.MustGet("S2").Size() != 2 {
@@ -152,14 +152,14 @@ func TestApplyMaintainedState(t *testing.T) {
 	db := NewDatabase()
 	const domain = 40
 	r := NewRelation("R", 2, domain)
-	live := map[Key][2]int64{}
+	live := map[[2]int64]bool{}
 	for i := 0; i < 60; i++ {
 		a, b := rng.Int63n(domain), rng.Int63n(domain)
-		k := KeyOf([]int64{a, b})
-		if _, dup := live[k]; dup {
+		k := [2]int64{a, b}
+		if live[k] {
 			continue
 		}
-		live[k] = [2]int64{a, b}
+		live[k] = true
 		r.Add(a, b)
 	}
 	db.Put(r)
@@ -167,7 +167,7 @@ func TestApplyMaintainedState(t *testing.T) {
 	for step := 0; step < 200; step++ {
 		d := new(Delta)
 		nOps := 1 + rng.Intn(6)
-		pending := map[Key]bool{} // membership after the ops queued so far
+		pending := map[[2]int64]bool{} // membership after the ops queued so far
 		for k := range live {
 			pending[k] = true
 		}
@@ -178,13 +178,13 @@ func TestApplyMaintainedState(t *testing.T) {
 					if !present {
 						continue
 					}
-					d.Delete("R", k.At(0), k.At(1))
+					d.Delete("R", k[0], k[1])
 					pending[k] = false
 					break
 				}
 			} else {
 				a, b := rng.Int63n(domain), rng.Int63n(domain)
-				k := KeyOf([]int64{a, b})
+				k := [2]int64{a, b}
 				if pending[k] {
 					continue
 				}
@@ -195,30 +195,14 @@ func TestApplyMaintainedState(t *testing.T) {
 		if err := db.Apply(d); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		live = map[Key][2]int64{}
+		live = map[[2]int64]bool{}
 		for i := 0; i < r.Size(); i++ {
-			live[keyAt(r, i)] = [2]int64{r.At(i, 0), r.At(i, 1)}
+			live[[2]int64{r.At(i, 0), r.At(i, 1)}] = true
 		}
 
 		// Content sum == fresh scan.
 		if got, want := r.ContentSum(), contentSumScan(r); got != want {
 			t.Fatalf("step %d: content sum %d, want %d", step, got, want)
-		}
-		// Attribute frequencies == fresh count.
-		for a := 0; a < r.Arity; a++ {
-			want := map[int64]int64{}
-			for _, v := range r.Column(a) {
-				want[v]++
-			}
-			got := r.AttrCounts(a)
-			if len(got) != len(want) {
-				t.Fatalf("step %d attr %d: %d distinct, want %d", step, a, len(got), len(want))
-			}
-			for v, c := range want {
-				if got[v] != c {
-					t.Fatalf("step %d attr %d: freq[%d] = %d, want %d", step, a, v, got[v], c)
-				}
-			}
 		}
 		// Index maps every live tuple to its row.
 		if r.index.Len() != r.Size() {

@@ -3,25 +3,26 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// checkGroupIndex holds x, built over rel by keyCols, to a map[Key][]int
-// reference: same groups in first-occurrence order, same ascending rows,
-// and Lookup finds exactly the keys present.
+// checkGroupIndex holds x, built over rel by keyCols, to a map[string][]int
+// reference keyed by Tuple.Key: same groups in first-occurrence order, same
+// ascending rows, and Lookup finds exactly the keys present.
 func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) {
 	t.Helper()
-	ref := make(map[Key][]int)
-	var order []Key
-	key := make([]int64, len(keyCols))
+	ref := make(map[string][]int)
+	var order []Tuple
 	for i := 0; i < rel.Size(); i++ {
+		key := make(Tuple, len(keyCols))
 		for a, c := range keyCols {
 			key[a] = rel.At(i, c)
 		}
-		k := KeyOf(key)
+		k := key.Key()
 		if _, ok := ref[k]; !ok {
-			order = append(order, k)
+			order = append(order, key)
 		}
 		ref[k] = append(ref[k], i)
 	}
@@ -29,8 +30,8 @@ func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) 
 		t.Fatalf("Groups = %d, want %d", x.Groups(), len(order))
 	}
 	total := 0
-	for g, k := range order {
-		want := ref[k]
+	for g, key := range order {
+		want := ref[key.Key()]
 		if x.Rep(g) != want[0] {
 			t.Fatalf("group %d: Rep = %d, want first row %d", g, x.Rep(g), want[0])
 		}
@@ -44,7 +45,7 @@ func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) 
 			}
 		}
 		total += len(rows)
-		probe := k.Tuple()
+		probe := slices.Clone(key)
 		if got := x.Lookup(probe); got != g {
 			t.Fatalf("Lookup(%v) = %d, want group %d", probe, got, g)
 		}
@@ -52,7 +53,7 @@ func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) 
 		// says so.
 		if len(probe) > 0 {
 			probe[len(probe)-1]++
-			_, present := ref[KeyOf(probe)]
+			_, present := ref[probe.Key()]
 			if got := x.Lookup(probe); (got >= 0) != present {
 				t.Fatalf("Lookup(%v) = %d, but present = %v", probe, got, present)
 			}

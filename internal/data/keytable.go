@@ -34,9 +34,12 @@ func (t *KeyTable) Len() int { return len(t.hash) }
 // Width returns the number of values in every key.
 func (t *KeyTable) Width() int { return t.width }
 
-// Key returns entry e's key. The slice aliases the arena: read-only, and
-// valid until the next Insert or Delete.
-func (t *KeyTable) Key(e int) []int64 { return t.keys[e*t.width : (e+1)*t.width] }
+// Key returns entry e's key. The slice aliases the arena (capacity clamped,
+// so an append cannot reach the next key): read-only, and valid until the
+// next Insert or Delete.
+func (t *KeyTable) Key(e int) []int64 {
+	return t.keys[e*t.width : (e+1)*t.width : (e+1)*t.width]
+}
 
 func hashKey(key []int64) uint64 {
 	var h uint64

@@ -7,29 +7,30 @@ import (
 )
 
 // keyRef is the map reference a KeyTable is checked against: the same dense
-// entry numbering, kept by the same swap-remove, over map[Key] membership.
+// entry numbering, kept by the same swap-remove, over map membership keyed
+// by each key's Tuple.Key rendering.
 type keyRef struct {
 	keys [][]int64
-	pos  map[Key]int
+	pos  map[string]int
 }
 
-func newKeyRef() *keyRef { return &keyRef{pos: make(map[Key]int)} }
+func newKeyRef() *keyRef { return &keyRef{pos: make(map[string]int)} }
 
 func (m *keyRef) insert(key []int64) (int, bool) {
-	if e, ok := m.pos[KeyOf(key)]; ok {
+	if e, ok := m.pos[Tuple(key).Key()]; ok {
 		return e, false
 	}
-	m.pos[KeyOf(key)] = len(m.keys)
+	m.pos[Tuple(key).Key()] = len(m.keys)
 	m.keys = append(m.keys, slices.Clone(key))
 	return len(m.keys) - 1, true
 }
 
 func (m *keyRef) delete(e int) int {
 	last := len(m.keys) - 1
-	delete(m.pos, KeyOf(m.keys[e]))
+	delete(m.pos, Tuple(m.keys[e]).Key())
 	if e != last {
 		m.keys[e] = m.keys[last]
-		m.pos[KeyOf(m.keys[e])] = e
+		m.pos[Tuple(m.keys[e]).Key()] = e
 	}
 	m.keys = m.keys[:last]
 	return last
@@ -53,7 +54,7 @@ func checkKeyTable(t *testing.T, tab *KeyTable, ref *keyRef) {
 		if len(want) > 0 {
 			off := slices.Clone(want)
 			off[len(off)-1]++
-			wantE, ok := ref.pos[KeyOf(off)]
+			wantE, ok := ref.pos[Tuple(off).Key()]
 			if got := tab.Lookup(off); (got >= 0) != ok || (ok && got != wantE) {
 				t.Fatalf("Lookup(%v) = %d, reference has it: %v at %d", off, got, ok, wantE)
 			}
@@ -87,7 +88,7 @@ func runKeyOps(t *testing.T, rng *rand.Rand, tab *KeyTable, ref *keyRef, width, 
 				t.Fatalf("op %d: Delete(%d) moved %d, want %d", op, e, moved, want)
 			}
 		case 2:
-			we, ok := ref.pos[KeyOf(key)]
+			we, ok := ref.pos[Tuple(key).Key()]
 			if !ok {
 				we = -1
 			}
@@ -301,7 +302,7 @@ func FuzzKeyTable(f *testing.F) {
 					}
 				}
 			case 2:
-				we, ok := ref.pos[KeyOf(key)]
+				we, ok := ref.pos[Tuple(key).Key()]
 				if !ok {
 					we = -1
 				}

@@ -2,9 +2,9 @@ package data
 
 // Skew-adaptive physical layout (heavy-hitter partitioned columns).
 //
-// A partitioned relation segregates the rows of its maintained heavy
-// hitters on one attribute into contiguous per-value runs at the top of the
-// column arrays, with the remaining light rows densely packed below them:
+// A partitioned relation segregates the rows of its heavy hitters on one
+// attribute into contiguous per-value runs at the top of the column arrays,
+// with the remaining light rows densely packed below them:
 //
 //	[ light rows | value v₁ run | value v₂ run | ... ]
 //	0         LightEnd                              Rows
@@ -22,8 +22,9 @@ package data
 // threshold or the unpartitioned tail grew past a quarter of the relation.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PartitionSpan is one contiguous run of rows sharing a heavy value on the
@@ -77,63 +78,63 @@ func (r *Relation) Partitions() *PartitionIndex { return r.part }
 // threshold — and installs the resulting index. The reorder gathers every
 // column onto fresh backing (published snapshot views keep their arrays),
 // preserves nothing about row order beyond the layout contract, and leaves
-// content-derived state (content sum, frequency maps) untouched; only the
-// tuple index is rebuilt. Callers synchronize like any other mutation
-// (Database.EnsurePartitioned does this under the serving write lock).
+// the content sum untouched; only the tuple index is rebuilt. Callers
+// synchronize like any other mutation (Database.EnsurePartitioned does this
+// under the serving write lock).
 func (r *Relation) BuildPartitions(attr int, threshold int64) *PartitionIndex {
 	if attr < 0 || attr >= r.Arity {
 		panic(fmt.Sprintf("data: %s: partition attribute %d outside arity %d", r.Name, attr, r.Arity))
 	}
-	counts := r.AttrCounts(attr)
-	if counts == nil {
-		counts = make(map[int64]int64)
-		for _, v := range r.cols[attr][:r.rows] {
-			counts[v]++
-		}
-	}
-	r.buildPartitionsFrom(attr, threshold, counts)
+	r.buildPartitionsFrom(attr, threshold, r.heavySpans(attr, threshold))
 	return r.part
 }
 
-// buildPartitionsFrom is BuildPartitions with the attribute counts already
-// in hand (EnsurePartitioned computes them for its drift check first).
-func (r *Relation) buildPartitionsFrom(attr int, threshold int64, counts map[int64]int64) {
-	heavy := make([]int64, 0, 16)
-	for v, c := range counts {
-		if c > threshold {
-			heavy = append(heavy, v)
+// heavySpans counts attribute attr on a GroupIndex and returns the runs a
+// layout built now would have: one per value occurring more than threshold
+// times, in ascending value order, back to back up to the last row.
+func (r *Relation) heavySpans(attr int, threshold int64) []PartitionSpan {
+	var g GroupIndex
+	g.Build(r, []int{attr})
+	col := r.cols[attr]
+	var spans []PartitionSpan
+	heavyRows := 0
+	for k := 0; k < g.Groups(); k++ {
+		if n := g.Count(k); int64(n) > threshold {
+			// End holds the run's length until the runs are laid out below.
+			spans = append(spans, PartitionSpan{Value: col[g.Rep(k)], End: n})
+			heavyRows += n
 		}
 	}
-	sort.Slice(heavy, func(a, b int) bool { return heavy[a] < heavy[b] })
+	slices.SortFunc(spans, func(a, b PartitionSpan) int { return cmp.Compare(a.Value, b.Value) })
+	off := r.rows - heavyRows
+	for i := range spans {
+		spans[i].Start, spans[i].End = off, off+spans[i].End
+		off = spans[i].End
+	}
+	return spans
+}
 
-	idx := &PartitionIndex{Attr: attr, Threshold: threshold, Rows: r.rows}
-	if len(heavy) == 0 {
+// buildPartitionsFrom is BuildPartitions with the heavy runs already in hand
+// (EnsurePartitioned computes them for its drift check first).
+func (r *Relation) buildPartitionsFrom(attr int, threshold int64, spans []PartitionSpan) {
+	idx := &PartitionIndex{Attr: attr, Threshold: threshold, Rows: r.rows, LightEnd: r.rows}
+	if len(spans) == 0 {
 		// Everything is light: the layout holds trivially, no reorder.
-		idx.LightEnd = r.rows
 		r.part = idx
 		return
 	}
-
-	idx.byValue = make(map[int64]int, len(heavy))
-	idx.Spans = make([]PartitionSpan, len(heavy))
-	heavyRows := 0
-	for si, v := range heavy {
-		idx.byValue[v] = si
-		heavyRows += int(counts[v])
-	}
-	idx.LightEnd = r.rows - heavyRows
-	off := idx.LightEnd
-	for si, v := range heavy {
-		idx.Spans[si] = PartitionSpan{Value: v, Start: off, End: off + int(counts[v])}
-		off = idx.Spans[si].End
+	idx.Spans, idx.LightEnd = spans, spans[0].Start
+	idx.byValue = make(map[int64]int, len(spans))
+	for si, sp := range spans {
+		idx.byValue[sp.Value] = si
 	}
 
 	// Destination permutation: light rows keep their relative order in
 	// [0, LightEnd), each heavy row goes to the next free slot of its run.
 	out := make([]int, r.rows)
-	next := make([]int, len(heavy))
-	for si := range idx.Spans {
-		next[si] = idx.Spans[si].Start
+	next := make([]int, len(spans))
+	for si := range spans {
+		next[si] = spans[si].Start
 	}
 	lightNext := 0
 	for i, v := range r.cols[attr][:r.rows] {
@@ -152,9 +153,9 @@ func (r *Relation) buildPartitionsFrom(attr int, threshold int64, counts map[int
 	gatherColumns(r.cols, r.rows, out)
 	r.frozen = 0
 	r.gen++
-	// Content sum and frequency maps are permutation-invariant; the tuple
-	// index maps rows and must follow the permutation.
-	if r.track.Load()&trackStats != 0 {
+	// The content sum is permutation-invariant; the tuple index maps rows
+	// and must follow the permutation.
+	if r.track.Load()&trackIndex != 0 {
 		reindex(r.index, r)
 	}
 	r.part = idx
@@ -199,14 +200,15 @@ func gatherColumns(cols [][]int64, rows int, out []int) {
 const partitionTailMax = 4
 
 // EnsurePartitioned lazily maintains the heavy-partition layout of the named
-// relation on attribute attr for a p-server round (heavy threshold m/p). It
-// is the serving entry point: cheap when the layout is current — one read
-// lock and a generation check — and rebuilding under the write lock only
-// when the relation is unpartitioned for attr, the maintained heavy set
-// drifted across the threshold, or the unpartitioned tail outgrew a quarter
-// of the relation. On snapshots it delegates to the mutable master (the
-// snapshot itself is immutable; the rebuilt layout reaches the next epoch).
-// It reports whether a rebuild happened.
+// relation on attribute attr for a p-server round (heavy threshold m/p, at
+// least one tuple). It is the serving entry point: cheap when the layout is
+// current — one read lock and a generation check. After a mutation it
+// counts the attribute once, under the write lock, and rebuilds only when
+// the relation is unpartitioned for attr, the heavy set drifted across the
+// threshold, or the unpartitioned tail outgrew a quarter of the relation.
+// On snapshots it delegates to the mutable master (the snapshot itself is
+// immutable; the rebuilt layout reaches the next epoch). It reports whether
+// a rebuild happened.
 func (db *Database) EnsurePartitioned(name string, attr, p int) bool {
 	db = db.Master()
 	if p < 1 {
@@ -237,39 +239,26 @@ func (db *Database) EnsurePartitioned(name string, attr, p int) bool {
 	if r.part != nil && r.part.Attr == attr && r.partCheckedGen == r.gen {
 		return false
 	}
-	threshold := int64(r.rows) / int64(p)
-	counts := r.AttrCounts(attr)
-	if counts == nil {
-		counts = make(map[int64]int64)
-		for _, v := range r.cols[attr][:r.rows] {
-			counts[v]++
-		}
-	}
-	if idx := r.part; idx != nil && idx.Attr == attr && partitionCurrent(idx, counts, threshold, r.rows) {
+	// With m < p the quotient floors to 0 and would make every value heavy;
+	// a value that occurs once never is (as in stats.Collect).
+	threshold := max(1, int64(r.rows)/int64(p))
+	spans := r.heavySpans(attr, threshold)
+	if idx := r.part; idx != nil && idx.Attr == attr && partitionCurrent(idx, spans, r.rows) {
 		r.partCheckedGen = r.gen
 		return false
 	}
-	r.buildPartitionsFrom(attr, threshold, counts)
+	r.buildPartitionsFrom(attr, threshold, spans)
 	r.partCheckedGen = r.gen
 	return true
 }
 
 // partitionCurrent reports whether an existing index still matches the
-// relation: the heavy set under the new threshold is exactly the span set,
-// and the unpartitioned tail is small.
-func partitionCurrent(idx *PartitionIndex, counts map[int64]int64, threshold int64, rows int) bool {
+// relation: the heavy values of spans, the runs a rebuild would lay out, are
+// exactly the index's, and the unpartitioned tail is small.
+func partitionCurrent(idx *PartitionIndex, spans []PartitionSpan, rows int) bool {
 	tail := rows - idx.Rows
 	if tail < 0 || tail*partitionTailMax > rows {
 		return false
 	}
-	heavyNow := 0
-	for v, c := range counts {
-		if c > threshold {
-			heavyNow++
-			if _, ok := idx.byValue[v]; !ok {
-				return false
-			}
-		}
-	}
-	return heavyNow == len(idx.Spans)
+	return slices.EqualFunc(spans, idx.Spans, func(a, b PartitionSpan) bool { return a.Value == b.Value })
 }

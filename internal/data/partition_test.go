@@ -220,6 +220,28 @@ func TestEnsurePartitionedLifecycle(t *testing.T) {
 	}
 }
 
+// TestEnsurePartitionedFloorsThreshold: at m < p the threshold m/p floors to
+// 0, which would make every value heavy. A value that occurs once never is,
+// so only the one repeated value gets a span.
+func TestEnsurePartitionedFloorsThreshold(t *testing.T) {
+	db := NewDatabase()
+	r := NewRelation("R", 2, 1000)
+	for i := int64(0); i < 10; i++ {
+		r.Add(i, i)
+	}
+	r.Add(3, 100)
+	db.Put(r)
+	if !db.EnsurePartitioned("R", 0, 16) {
+		t.Fatal("first ensure did not build")
+	}
+	idx := r.Partitions()
+	checkLayout(t, r, idx)
+	if idx.Threshold != 1 || len(idx.Spans) != 1 || idx.Spans[0].Value != 3 {
+		t.Fatalf("m=11 p=16: threshold %d and %d spans %v, want threshold 1 and one span for value 3",
+			idx.Threshold, len(idx.Spans), idx.Spans)
+	}
+}
+
 func TestEnsurePartitionedHeavySetDrift(t *testing.T) {
 	db := NewDatabase()
 	r := NewRelation("R", 1, 1<<20)

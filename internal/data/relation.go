@@ -20,8 +20,8 @@ import (
 // Tuple is one row of a relation; len(Tuple) is the relation's arity.
 type Tuple []int64
 
-// Key renders a tuple as a compact map key. It allocates; hot paths use
-// KeyOf instead and keep Key() for error/debug formatting only.
+// Key renders a tuple as a string, for error and debug formatting and as a
+// map key in tests. It allocates.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {
@@ -32,94 +32,6 @@ func (t Tuple) Key() string {
 	}
 	return b.String()
 }
-
-// keyInline is the arity up to which Key stores values inline without
-// allocating. Base relations in this repository have arity ≤ 3 and
-// attribute subsets are no wider; the overflow path exists so that wide
-// intermediate relations (multi-round plans) stay correct.
-const keyInline = 8
-
-// Key is a comparable, allocation-free rendering of a tuple for use as a
-// map key: values up to keyInline are stored inline, wider tuples spill
-// the remainder into a packed string (one allocation, still comparable).
-// The zero Key is the key of the empty tuple.
-type Key struct {
-	v        [keyInline]int64
-	n        int32
-	overflow string
-}
-
-// KeyOf returns the map key of vals. It never allocates for
-// len(vals) ≤ keyInline.
-func KeyOf(vals []int64) Key {
-	k := Key{n: int32(len(vals))}
-	if len(vals) <= keyInline {
-		copy(k.v[:], vals)
-		return k
-	}
-	copy(k.v[:], vals[:keyInline])
-	var sb strings.Builder
-	sb.Grow((len(vals) - keyInline) * 8)
-	for _, v := range vals[keyInline:] {
-		u := uint64(v)
-		sb.Write([]byte{
-			byte(u >> 56), byte(u >> 48), byte(u >> 40), byte(u >> 32),
-			byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u),
-		})
-	}
-	k.overflow = sb.String()
-	return k
-}
-
-// Key1 is KeyOf for a single value — the hot single-attribute case.
-func Key1(v int64) Key {
-	k := Key{n: 1}
-	k.v[0] = v
-	return k
-}
-
-// Len returns the arity of the keyed tuple.
-func (k Key) Len() int { return int(k.n) }
-
-// At returns the i-th value of the keyed tuple.
-func (k Key) At(i int) int64 {
-	if i < keyInline {
-		return k.v[i]
-	}
-	off := (i - keyInline) * 8
-	var u uint64
-	for b := 0; b < 8; b++ {
-		u = u<<8 | uint64(k.overflow[off+b])
-	}
-	return int64(u)
-}
-
-// Tuple materializes the keyed tuple.
-func (k Key) Tuple() Tuple {
-	t := make(Tuple, k.n)
-	for i := range t {
-		t[i] = k.At(i)
-	}
-	return t
-}
-
-// Less orders keys by their value sequences (shorter prefixes first).
-func (k Key) Less(o Key) bool {
-	n := int(k.n)
-	if int(o.n) < n {
-		n = int(o.n)
-	}
-	for i := 0; i < n; i++ {
-		a, b := k.At(i), o.At(i)
-		if a != b {
-			return a < b
-		}
-	}
-	return k.n < o.n
-}
-
-// String renders the key like Tuple.Key (debug only).
-func (k Key) String() string { return k.Tuple().Key() }
 
 // BitsPerValue returns ⌈log₂ n⌉ (minimum 1), the bits needed to encode one
 // value from a domain of size n.
@@ -155,10 +67,9 @@ const (
 	// trackContent: contentSum mirrors the commutative fold of per-tuple
 	// hashes, so fingerprints stop scanning this relation.
 	trackContent uint32 = 1 << iota
-	// trackStats: attrFreq (per-attribute value frequencies) and index
-	// (tuple → row) are maintained, enabling O(delta) Database.Apply and
-	// O(distinct) single-attribute statistics.
-	trackStats
+	// trackIndex: index (tuple → row) is maintained, enabling O(delta)
+	// Database.Apply.
+	trackIndex
 )
 
 // Relation is a named multiset-free relation instance S_j ⊆ [domain]^arity,
@@ -167,10 +78,11 @@ const (
 // produce duplicates; AddUnique enforces it when needed).
 //
 // A relation lazily maintains serving state — a reversible content-hash sum
-// (ContentSum), per-attribute value frequencies, and a tuple index — once a
-// fingerprint or a Database.Apply first touches it. Maintenance must not be
-// enabled concurrently with mutation: the serving path orders them through
-// the Database lock (Apply writes under Lock, executions read under RLock).
+// (ContentSum) and a tuple index — once a fingerprint or a Database.Apply
+// first touches it. It counts no values: statistics group the columns when
+// a plan asks (stats.Pass). Maintenance must not be enabled concurrently
+// with mutation: the serving path orders them through the Database lock
+// (Apply writes under Lock, executions read under RLock).
 type Relation struct {
 	Name   string
 	Arity  int
@@ -207,7 +119,6 @@ type Relation struct {
 	// trackMu guards lazy initialization of the maintained state.
 	trackMu    sync.Mutex
 	contentSum uint64
-	attrFreq   []map[int64]int64
 	// index holds every row's tuple with entry i = row i: appends insert,
 	// removeRow's swap-remove is mirrored by the table's own, and row
 	// permutations (Sort, BuildPartitions) rebuild it.
@@ -220,9 +131,9 @@ type Relation struct {
 // to the view and reallocate rather than overwrite. The master's frozen
 // mark advances to the current row count, which is what makes later
 // interior mutation (removeRow's swap, below frozen) copy first. The view
-// inherits the maintained content sum (fingerprints stay O(relations));
-// frequency maps and the tuple index stay master-only — they mutate in
-// place under Apply and cannot be shared with concurrent readers.
+// inherits the maintained content sum (fingerprints stay O(relations)); the
+// tuple index stays master-only — it mutates in place under Apply and cannot
+// be shared with concurrent readers.
 func (r *Relation) view() *Relation {
 	v := &Relation{
 		Name: r.Name, Arity: r.Arity, Domain: r.Domain,
@@ -293,39 +204,30 @@ func (r *Relation) ContentSum() uint64 {
 	return sum
 }
 
-// enableStats builds the per-attribute frequency maps and the tuple index
-// (and the content sum, sharing the same scan), enabling O(delta) Apply and
-// O(distinct) single-attribute statistics. It errors on a duplicate tuple:
-// delta semantics (delete one occurrence, reject duplicate inserts) need
-// duplicate-free relations, which every generator in this repository
-// produces.
-func (r *Relation) enableStats() error {
-	if r.track.Load()&trackStats != 0 {
+// enableIndex builds the tuple index (and the content sum), enabling
+// O(delta) Apply. It errors on a duplicate tuple: delta semantics (delete
+// one occurrence, reject duplicate inserts) need duplicate-free relations,
+// which every generator in this repository produces.
+func (r *Relation) enableIndex() error {
+	if r.track.Load()&trackIndex != 0 {
 		return nil
 	}
 	r.trackMu.Lock()
 	defer r.trackMu.Unlock()
-	if r.track.Load()&trackStats != 0 {
+	if r.track.Load()&trackIndex != 0 {
 		return nil
 	}
 	index := new(KeyTable)
 	if dup := reindex(index, r); dup >= 0 {
 		return fmt.Errorf("data: %s: duplicate tuple %v: deltas require duplicate-free relations", r.Name, r.Tuple(dup))
 	}
-	freq := make([]map[int64]int64, r.Arity)
-	for a := range freq {
-		freq[a] = make(map[int64]int64)
-	}
 	var sum uint64
 	for i := 0; i < r.rows; i++ {
-		for a, col := range r.cols {
-			freq[a][col[i]]++
-		}
 		sum += r.rowHash(i)
 	}
-	r.attrFreq, r.index = freq, index
+	r.index = index
 	r.contentSum = sum
-	r.track.Store(r.track.Load() | trackContent | trackStats)
+	r.track.Store(r.track.Load() | trackContent | trackIndex)
 	return nil
 }
 
@@ -342,34 +244,23 @@ func reindex(index *KeyTable, r *Relation) (dup int) {
 	return -1
 }
 
-// AttrCounts returns the maintained frequency map of attribute a (value →
-// count), or nil when serving statistics are not being maintained for this
-// relation. The map is live internal state: read-only, and only valid while
-// the relation is not mutated.
-func (r *Relation) AttrCounts(a int) map[int64]int64 {
-	if r.track.Load()&trackStats == 0 {
-		return nil
-	}
-	return r.attrFreq[a]
-}
-
 // noteAppended folds row i (just appended) into the maintained state.
 func (r *Relation) noteAppended(i int) {
 	t := r.track.Load()
 	if t&trackContent != 0 {
 		r.contentSum += r.rowHash(i)
 	}
-	if t&trackStats != 0 {
-		for a, col := range r.cols {
-			r.attrFreq[a][col[i]]++
+	if t&trackIndex != 0 {
+		var buf [8]int64 // wider rows spill to the heap
+		row := buf[:0]
+		for _, col := range r.cols {
+			row = append(row, col[i])
 		}
-		var buf [keyInline]int64
-		row := r.ReadTuple(i, append(buf[:0], make([]int64, r.Arity)...))
 		if _, added := r.index.Insert(row); !added {
 			// A duplicate appended outside Apply (Add does not check) breaks
 			// entry i = row i; the next Apply rebuilds and rejects it.
-			r.attrFreq, r.index = nil, nil
-			r.track.Store(t &^ trackStats)
+			r.index = nil
+			r.track.Store(t &^ trackIndex)
 		}
 	}
 }
@@ -396,15 +287,7 @@ func (r *Relation) removeRow(i int) {
 	if t&trackContent != 0 {
 		r.contentSum -= r.rowHash(i)
 	}
-	if t&trackStats != 0 {
-		for a, col := range r.cols {
-			v := col[i]
-			if n := r.attrFreq[a][v] - 1; n == 0 {
-				delete(r.attrFreq[a], v)
-			} else {
-				r.attrFreq[a][v] = n
-			}
-		}
+	if t&trackIndex != 0 {
 		r.index.Delete(i) // moves entry last to i, exactly as the rows move below
 	}
 	last := r.rows - 1
@@ -598,9 +481,9 @@ func (r *Relation) Sort() {
 	r.gen++
 	// Lexicographic order is not the partition layout.
 	r.part = nil
-	// The content sum and frequency maps are permutation-invariant; only the
-	// tuple index maps rows and must be rebuilt.
-	if r.track.Load()&trackStats != 0 {
+	// The content sum is permutation-invariant; only the tuple index maps
+	// rows and must be rebuilt.
+	if r.track.Load()&trackIndex != 0 {
 		reindex(r.index, r)
 	}
 }

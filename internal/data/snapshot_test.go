@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-func relTuples(r *Relation) map[Key]bool {
-	m := make(map[Key]bool, r.Size())
+func relTuples(r *Relation) map[string]bool {
+	m := make(map[string]bool, r.Size())
 	for i := 0; i < r.Size(); i++ {
 		m[keyAt(r, i)] = true
 	}
 	return m
 }
 
-func sameTuples(a, b map[Key]bool) bool {
+func sameTuples(a, b map[string]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -68,7 +68,7 @@ func TestSnapshotStableUnderApply(t *testing.T) {
 		t.Fatal("Snapshot did not republish after Apply")
 	}
 	ft := relTuples(fresh.MustGet("S1"))
-	if ft[KeyOf([]int64{3, 3})] || !ft[KeyOf([]int64{1 << 19, 7})] {
+	if ft[Tuple{3, 3}.Key()] || !ft[Tuple{1 << 19, 7}.Key()] {
 		t.Fatal("fresh snapshot does not reflect the applied delta")
 	}
 	if got, want := fresh.VersionLocked(), db.Version(); got != want {
@@ -137,7 +137,7 @@ func TestSnapshotsIsolatedUnderRandomInterleaving(t *testing.T) {
 	type epoch struct {
 		snap    *Database
 		version uint64
-		rows    map[Key]bool
+		rows    map[string]bool
 	}
 	var epochs []epoch
 	next := int64(1 << 19)

@@ -184,13 +184,13 @@ func referenceJoinLimit(q *query.Query, rels map[string]*data.Relation, limit in
 		for a, pos := range joinPos {
 			keyCols[a] = rel.Column(pos)
 		}
-		index := make(map[data.Key][]int, m)
+		index := make(map[string][]int, m)
 		key := make(data.Tuple, len(joinPos))
 		for i := 0; i < m; i++ {
 			for a, col := range keyCols {
 				key[a] = col[i]
 			}
-			ks := data.KeyOf(key)
+			ks := key.Key()
 			index[ks] = append(index[ks], i)
 		}
 		cols := rel.Columns()
@@ -201,7 +201,7 @@ func referenceJoinLimit(q *query.Query, rels map[string]*data.Relation, limit in
 			for a, v := range joinVar {
 				probe[a] = b[v]
 			}
-			for _, ti := range index[data.KeyOf(probe)] {
+			for _, ti := range index[probe.Key()] {
 				nb := append(data.Tuple(nil), b...)
 				for pos, v := range atom.Vars {
 					nb[v] = cols[pos][ti]
@@ -267,12 +267,11 @@ func TestJoinMatchesReferenceOrder(t *testing.T) {
 		t.Fatal("no instance produced an answer: the comparison is vacuous")
 	}
 
-	// A nine-column key is wider than data.Key stores inline, so the
-	// reference takes its overflow path; binary values make keys repeat.
+	// A nine-column key; binary values make keys repeat.
 	wide := query.MustParse("q(a,b,c,d,e,f,g,h,i,z) = R(a,b,c,d,e,f,g,h,i), S(a,b,c,d,e,f,g,h,i,z)")
 	r := data.NewRelation("R", 9, 2)
 	s := data.NewRelation("S", 10, 50)
-	seenR := map[data.Key]bool{}
+	seenR := map[string]bool{}
 	row := make(data.Tuple, 10)
 	for i := 0; i < 60; i++ {
 		for c := 0; c < 9; c++ {
@@ -284,7 +283,7 @@ func TestJoinMatchesReferenceOrder(t *testing.T) {
 				row[c] = 1
 			}
 		}
-		if k := data.KeyOf(row[:9]); !seenR[k] {
+		if k := row[:9].Key(); !seenR[k] {
 			seenR[k] = true
 			r.Add(row[:9]...)
 		}
@@ -615,7 +614,7 @@ func TestEqualTupleSets(t *testing.T) {
 	if !EqualTupleSets(nil, []data.Tuple{}) {
 		t.Error("empty collections differ")
 	}
-	// Width 0 compares counts alone; width 9 is wider than data.Key inlines.
+	// Width 0 compares counts alone; width 9 is a wide key.
 	if !EqualTupleSets([]data.Tuple{{}, {}}, []data.Tuple{{}, {}}) || EqualTupleSets([]data.Tuple{{}}, []data.Tuple{{1}}) {
 		t.Error("width 0 misjudged")
 	}

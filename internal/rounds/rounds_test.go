@@ -295,12 +295,12 @@ func TestSingleAtomColumnarFastPath(t *testing.T) {
 	if len(out) != 2 || len(res.Rounds) != 0 {
 		t.Fatalf("output = %v, rounds = %d", out, len(res.Rounds))
 	}
-	want := map[data.Key]bool{
-		data.KeyOf(data.Tuple{1, 2, 3}): true,
-		data.KeyOf(data.Tuple{4, 5, 6}): true,
+	want := map[string]bool{
+		data.Tuple{1, 2, 3}.Key(): true,
+		data.Tuple{4, 5, 6}.Key(): true,
 	}
 	for _, tu := range out {
-		if !want[data.KeyOf(tu)] {
+		if !want[tu.Key()] {
 			t.Errorf("unexpected head-order tuple %v", tu)
 		}
 	}

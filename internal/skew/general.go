@@ -393,7 +393,7 @@ func (gs *generalState) extend(bPrime *binCombo) {
 				pAttrs, pVals, hasPrev := gs.atomProj(j, bPrime.xSorted, hPrime)
 				threshold := gs.overweightThreshold(bPrime, j, thresholdVars)
 				for _, hh := range hitters {
-					vals := hh.Key.Tuple()
+					vals := data.Tuple(hh.Key)
 					if hasPrev && !consistentWith(attrs, vals, pAttrs, pVals) {
 						continue
 					}

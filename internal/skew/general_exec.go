@@ -224,7 +224,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		PredictedBits: predicted,
 	}
 	// Partition hints: for each atom, the single attribute carrying the
-	// largest maintained heavy-hitter mass — its runs gain the most from
+	// largest heavy-hitter mass — its runs gain the most from
 	// span compilation (generalRouter accepts any attribute, the hint only
 	// picks which layout to maintain). Atoms with no single-attribute heavy
 	// hitter are left unhinted.
@@ -241,9 +241,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 				continue
 			}
 			var mass int64
-			for _, c := range fm.Counts {
-				mass += c
-			}
+			fm.Each(func(_ []int64, c int64) { mass += c })
 			if mass > bestMass {
 				bestAttr, bestMass = pos, mass
 			}

@@ -14,8 +14,9 @@ import "repro/internal/data"
 // The watch maintains its *own* per-attribute frequency counts, seeded from
 // the snapshot it was built on and advanced by Note — it never reads the
 // database after construction, so standing-query advances consult it
-// without holding any database lock while Apply churns the master's
-// maintained statistics.
+// without holding any database lock while Apply mutates the master. They
+// are the only counts in the engine kept op by op: relations count nothing,
+// and the master may be ahead of the version the watch has consumed.
 //
 // The watch covers single attributes only — per-variable frequencies — so a
 // value combination over ≥2 attributes crossing the threshold is not

@@ -8,20 +8,13 @@ import (
 	"repro/internal/data"
 )
 
-// withSmallParallelThreshold lowers the serial cutoff and forces GOMAXPROCS
-// above the single-CPU floor so the chunked paths genuinely run on
-// test-sized relations (and on single-core CI machines, where
-// scanChunks would otherwise always stay serial), restoring both
-// afterwards.
-func withSmallParallelThreshold(t *testing.T) {
+// withParallelProcs forces GOMAXPROCS above the single-CPU floor so that
+// CollectDB's per-relation fan-out runs even on single-core machines,
+// restoring it afterwards.
+func withParallelProcs(t *testing.T) {
 	t.Helper()
-	old := parallelMinRows
-	parallelMinRows = 8
 	oldProcs := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() {
-		parallelMinRows = old
-		runtime.GOMAXPROCS(oldProcs)
-	})
+	t.Cleanup(func() { runtime.GOMAXPROCS(oldProcs) })
 }
 
 // randomRelation builds a skewed random relation: a small value domain on
@@ -37,19 +30,13 @@ func randomRelation(rng *rand.Rand, n int) *data.Relation {
 }
 
 func freqMapsEqual(a, b *FreqMap) bool {
-	if a.Total != b.Total || len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for k, c := range a.Counts {
-		if b.Counts[k] != c {
-			return false
-		}
-	}
-	return true
+	same := a.Total == b.Total && len(a.counts) == len(b.counts)
+	a.Each(func(key []int64, c int64) { same = same && b.Count(key) == c })
+	return same
 }
 
 func TestParallelCardinalityMatchesSerial(t *testing.T) {
-	withSmallParallelThreshold(t)
+	withParallelProcs(t)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		r := randomRelation(rng, 50+rng.Intn(2000))
@@ -65,57 +52,8 @@ func TestParallelCardinalityMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelFingerprintRescanBitIdentical asserts the chunked rescan is
-// bit-identical to the serial fold (the content term is a commutative sum)
-// and still agrees with the incrementally-maintained Fingerprint after
-// delta sequences.
-func TestParallelFingerprintRescanBitIdentical(t *testing.T) {
-	oldProcs := runtime.GOMAXPROCS(4) // chunked scans need >1 proc even on 1-CPU CI
-	defer runtime.GOMAXPROCS(oldProcs)
-	rng := rand.New(rand.NewSource(13))
-	db := data.NewDatabase()
-	r := data.NewRelation("R", 2, 1<<20)
-	for i := 0; i < 40000; i++ { // above the real parallelMinRows
-		r.Add(int64(rng.Intn(100)), int64(i))
-	}
-	db.Put(r)
-
-	serial := func() uint64 {
-		old := parallelMinRows
-		parallelMinRows = 1 << 62
-		defer func() { parallelMinRows = old }()
-		return FingerprintRescan(db)
-	}
-
-	if got, want := FingerprintRescan(db), serial(); got != want {
-		t.Fatalf("parallel rescan %x differs from serial %x", got, want)
-	}
-	if got, want := FingerprintRescan(db), Fingerprint(db); got != want {
-		t.Fatalf("rescan %x disagrees with maintained fingerprint %x", got, want)
-	}
-
-	next := int64(500000)
-	for i := 0; i < 10; i++ {
-		d := &data.Delta{}
-		for j := 0; j < 50; j++ {
-			next++
-			d.Insert("R", int64(rng.Intn(100)), next)
-		}
-		d.Delete("R", r.Tuple(rng.Intn(r.Size()))...)
-		if err := db.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := FingerprintRescan(db), serial(); got != want {
-			t.Fatalf("delta %d: parallel rescan diverged from serial", i)
-		}
-		if got, want := FingerprintRescan(db), Fingerprint(db); got != want {
-			t.Fatalf("delta %d: rescan disagrees with maintained fingerprint", i)
-		}
-	}
-}
-
 func TestParallelCollectDBMatchesSerial(t *testing.T) {
-	withSmallParallelThreshold(t)
+	withParallelProcs(t)
 	rng := rand.New(rand.NewSource(17))
 	db := data.NewDatabase()
 	for _, name := range []string{"A", "B", "C"} {
@@ -150,29 +88,29 @@ func TestSampleFrequenciesDense(t *testing.T) {
 		r.Add(int64(i))
 	}
 	f := SampleFrequencies(r, []int{0}, m, 99)
-	if len(f.Counts) != m {
-		t.Fatalf("sampleSize=m visited %d of %d distinct values", len(f.Counts), m)
+	if len(f.counts) != m {
+		t.Fatalf("sampleSize=m visited %d of %d distinct values", len(f.counts), m)
 	}
-	for k, c := range f.Counts {
+	f.Each(func(k []int64, c int64) {
 		if c != 1 {
 			t.Fatalf("value %v estimated at %d, want exactly 1", k, c)
 		}
-	}
+	})
 	// Dense but partial (sampleSize = m/2 ≥ m/2 boundary): counts stay
 	// without replacement — no value can be counted more than once, so no
 	// estimate exceeds the scale factor.
 	half := SampleFrequencies(r, []int{0}, m/2, 99)
-	if len(half.Counts) != m/2 {
-		t.Fatalf("half sample drew %d distinct rows, want %d (without replacement)", len(half.Counts), m/2)
+	if len(half.counts) != m/2 {
+		t.Fatalf("half sample drew %d distinct rows, want %d (without replacement)", len(half.counts), m/2)
 	}
-	for k, c := range half.Counts {
+	half.Each(func(k []int64, c int64) {
 		if c != 2 { // one occurrence × scale m/(m/2)
 			t.Fatalf("value %v estimated at %d, want 2", k, c)
 		}
-	}
+	})
 	// Sparse samples keep the classical with-replacement estimator.
 	sparse := SampleFrequencies(r, []int{0}, 10, 99)
-	if len(sparse.Counts) == 0 || len(sparse.Counts) > 10 {
-		t.Fatalf("sparse sample produced %d estimates", len(sparse.Counts))
+	if len(sparse.counts) == 0 || len(sparse.counts) > 10 {
+		t.Fatalf("sparse sample produced %d estimates", len(sparse.counts))
 	}
 }

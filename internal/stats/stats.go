@@ -7,11 +7,13 @@
 //
 // Exact frequencies are counted on the group-by kernel (data.GroupIndex):
 // a Freq is one relation grouped by one attribute list, a Pass memoizes the
-// Freqs of one plan, and only the O(p) heavy entries ever reach a map. A
-// plan keeps a Dictionary: the kernel over its heavy keys alone.
+// Freqs of one plan, and only the O(p) heavy entries are ever copied out,
+// into a FreqMap's KeyTable. A plan keeps a Dictionary: the kernel over its
+// heavy keys alone.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -93,10 +95,10 @@ func (f *Freq) Each(fn func(key []int64, count int64)) {
 // Heavy materializes the entries with frequency strictly greater than
 // threshold. With threshold = m/p there are fewer than p of them.
 func (f *Freq) Heavy(threshold int64) *FreqMap {
-	h := &FreqMap{Attrs: f.Attrs, Counts: make(map[data.Key]int64), Total: f.Total}
+	h := newFreqMap(f.Attrs, f.Total)
 	f.Each(func(key []int64, c int64) {
 		if c > threshold {
-			h.Counts[data.KeyOf(key)] = c
+			h.add(key, c)
 		}
 	})
 	return h
@@ -105,28 +107,44 @@ func (f *Freq) Heavy(threshold int64) *FreqMap {
 // FreqMap records the frequencies of some value combinations of one
 // relation over one attribute subset: the heavy entries of an exact table
 // (Freq.Heavy, RelationStats.ByAttrs) or the scaled counts of a sample
-// (SampleFrequencies). Keys are data.Key, the fixed-size rendering.
+// (SampleFrequencies). The combinations get dense codes in a KeyTable and
+// their counts sit in a column beside it. It is read-only once built.
 type FreqMap struct {
-	Attrs  []int              // sorted attribute positions within the relation
-	Counts map[data.Key]int64 // projected-tuple key → frequency
-	Total  int64              // m_j, the size of the relation counted
+	Attrs  []int // sorted attribute positions within the relation
+	Total  int64 // m_j, the size of the relation counted
+	keys   data.KeyTable
+	counts []int64 // counts[e] is the frequency of keys.Key(e)
+}
+
+func newFreqMap(attrs []int, total int64) *FreqMap {
+	f := &FreqMap{Attrs: attrs, Total: total}
+	f.keys.Reset(len(attrs))
+	return f
+}
+
+// add adds c to the frequency of key.
+func (f *FreqMap) add(key []int64, c int64) {
+	e, added := f.keys.Insert(key)
+	if added {
+		f.counts = append(f.counts, 0)
+	}
+	f.counts[e] += c
 }
 
 // Count returns the recorded frequency of the projected values (0 if
 // absent).
 func (f *FreqMap) Count(projected data.Tuple) int64 {
-	return f.Counts[data.KeyOf(projected)]
+	if e := f.keys.Lookup(projected); e >= 0 {
+		return f.counts[e]
+	}
+	return 0
 }
 
-// Each calls fn with every recorded key and its frequency, in no particular
-// order. key is scratch reused across calls.
+// Each calls fn with every recorded key and its frequency, in the order
+// they were recorded. key is a read-only view of the map.
 func (f *FreqMap) Each(fn func(key []int64, count int64)) {
-	key := make([]int64, len(f.Attrs))
-	for k, c := range f.Counts {
-		for i := range key {
-			key[i] = k.At(i)
-		}
-		fn(key, c)
+	for e, c := range f.counts {
+		fn(f.keys.Key(e), c)
 	}
 }
 
@@ -144,7 +162,7 @@ func (f *FreqMap) Each(fn func(key []int64, count int64)) {
 func SampleFrequencies(r *data.Relation, attrs []int, sampleSize int, seed int64) *FreqMap {
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
-	f := &FreqMap{Attrs: sorted, Counts: make(map[data.Key]int64)}
+	f := newFreqMap(sorted, 0)
 	m := r.Size()
 	if m == 0 || sampleSize <= 0 {
 		return f
@@ -156,40 +174,38 @@ func SampleFrequencies(r *data.Relation, attrs []int, sampleSize int, seed int64
 	f.Total = int64(m)
 	proj := make(data.Tuple, len(sorted))
 	rng := rand.New(rand.NewSource(seed))
-	raw := make(map[data.Key]int64)
+	var perm []int
 	if sampleSize >= (m+1)/2 {
 		// Dense: partial Fisher–Yates draws sampleSize distinct rows.
-		perm := make([]int, m)
+		perm = make([]int, m)
 		for i := range perm {
 			perm[i] = i
 		}
-		for i := 0; i < sampleSize; i++ {
+	}
+	for i := 0; i < sampleSize; i++ {
+		var row int
+		if perm != nil {
 			j := i + rng.Intn(m-i)
 			perm[i], perm[j] = perm[j], perm[i]
-			for a, pos := range sorted {
-				proj[a] = r.At(perm[i], pos)
-			}
-			raw[data.KeyOf(proj)]++
+			row = perm[i]
+		} else {
+			row = rng.Intn(m)
 		}
-	} else {
-		for i := 0; i < sampleSize; i++ {
-			row := rng.Intn(m)
-			for a, pos := range sorted {
-				proj[a] = r.At(row, pos)
-			}
-			raw[data.KeyOf(proj)]++
+		for a, pos := range sorted {
+			proj[a] = r.At(row, pos)
 		}
+		f.add(proj, 1)
 	}
 	scale := float64(m) / float64(sampleSize)
-	for k, c := range raw {
-		f.Counts[k] = int64(math.Round(float64(c) * scale))
+	for e, c := range f.counts {
+		f.counts[e] = int64(math.Round(float64(c) * scale))
 	}
 	return f
 }
 
 // HeavyHitter is one skewed value combination with its frequency.
 type HeavyHitter struct {
-	Key   data.Key
+	Key   []int64 // a read-only view of the FreqMap's key
 	Count int64
 }
 
@@ -197,16 +213,16 @@ type HeavyHitter struct {
 // greater than threshold, sorted by descending count then key.
 func (f *FreqMap) HeavyHitters(threshold int64) []HeavyHitter {
 	var out []HeavyHitter
-	for k, c := range f.Counts {
+	f.Each(func(key []int64, c int64) {
 		if c > threshold {
-			out = append(out, HeavyHitter{Key: k, Count: c})
+			out = append(out, HeavyHitter{Key: key, Count: c})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	})
+	slices.SortFunc(out, func(a, b HeavyHitter) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return out[i].Key.Less(out[j].Key)
+		return slices.Compare(a.Key, b.Key)
 	})
 	return out
 }
@@ -397,19 +413,6 @@ func (rp *relPass) collect(p int) *RelationStats {
 		p:         p,
 	}
 	for _, attrs := range nonEmptySubsets(r.Arity) {
-		// Mutating workloads maintain per-attribute frequencies on the
-		// relation (enabled by Database.Apply); a single attribute then
-		// reads them in O(distinct values) without grouping the column.
-		if counts := r.AttrCounts(attrs[0]); len(attrs) == 1 && counts != nil {
-			h := &FreqMap{Attrs: attrs, Counts: make(map[data.Key]int64), Total: m}
-			for v, c := range counts {
-				if c > rs.Threshold {
-					h.Counts[data.Key1(v)] = c
-				}
-			}
-			rs.ByAttrs[AttrKey(attrs)] = h
-			continue
-		}
 		rs.ByAttrs[AttrKey(attrs)] = rp.frequencies(attrs).Heavy(rs.Threshold)
 	}
 	rp.stats = append(rp.stats, rs)
@@ -474,9 +477,8 @@ const (
 // fold of avalanched per-tuple hashes, maintained incrementally by the
 // relation itself (data.Relation.ContentSum): the first fingerprint of a
 // relation scans it once, and every fingerprint after that — including
-// after Database.Apply deltas — costs O(relations), not O(tuples).
-// FingerprintRescan is the reference scanning implementation the
-// maintained sums are property-tested against; the two always agree.
+// after Database.Apply deltas — costs O(relations), not O(tuples). The
+// tests hold it to a serial rescan after arbitrary delta sequences.
 func Fingerprint(db *data.Database) uint64 {
 	h := fnvOffset
 	for _, name := range db.Names() {
@@ -488,29 +490,6 @@ func Fingerprint(db *data.Database) uint64 {
 		h = (h ^ uint64(r.Domain)) * fnvPrime
 		h = (h ^ uint64(r.Size())) * fnvPrime
 		h = (h ^ r.ContentSum()) * fnvPrime
-	}
-	return h
-}
-
-// FingerprintRescan recomputes the fingerprint from scratch with a full
-// scan, ignoring maintained content sums. It is the reference for the
-// incremental maintenance (tests assert Fingerprint == FingerprintRescan
-// after arbitrary delta sequences) and the baseline the serving benchmark
-// measures the old per-Execute rescan cost with.
-func FingerprintRescan(db *data.Database) uint64 {
-	h := fnvOffset
-	for _, name := range db.Names() {
-		r := db.Relations[name]
-		for i := 0; i < len(name); i++ {
-			h = (h ^ uint64(name[i])) * fnvPrime
-		}
-		h = (h ^ uint64(r.Arity)) * fnvPrime
-		h = (h ^ uint64(r.Domain)) * fnvPrime
-		h = (h ^ uint64(r.Size())) * fnvPrime
-		// The content fold is a commutative sum, so the chunked parallel
-		// rescan is bit-identical to the serial reference.
-		content := rescanContent(r.Columns(), r.Size())
-		h = (h ^ content) * fnvPrime
 	}
 	return h
 }

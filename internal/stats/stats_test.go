@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/data"
@@ -48,7 +49,7 @@ func TestFrequenciesMultiAttr(t *testing.T) {
 	r.Add(1, 5, 3)
 	f := Frequencies(r, []int{0, 1})
 	if f.Count(data.Tuple{1, 2}) != 2 || f.Count(data.Tuple{1, 5}) != 1 {
-		t.Errorf("multi-attr counts wrong: %v", f.Heavy(0).Counts)
+		t.Errorf("multi-attr counts wrong: %v", f.Heavy(0).HeavyHitters(0))
 	}
 }
 
@@ -92,7 +93,7 @@ func TestHeavyHitters(t *testing.T) {
 	f := Frequencies(r, []int{1})
 	// threshold m/p with p=10: 100/10 = 10; only value 7 (40) is heavy.
 	hh := f.Heavy(10).HeavyHitters(10)
-	if len(hh) != 1 || hh[0].Key != data.Key1(7) || hh[0].Count != 40 {
+	if len(hh) != 1 || !slices.Equal(hh[0].Key, []int64{7}) || hh[0].Count != 40 {
 		t.Errorf("HeavyHitters = %v", hh)
 	}
 	// threshold 0: every distinct value is heavy; sorted by count desc.
@@ -102,6 +103,69 @@ func TestHeavyHitters(t *testing.T) {
 	}
 	if all[0].Count != 40 {
 		t.Error("not sorted by count")
+	}
+}
+
+// TestHeavyHittersOrder pins HeavyHitters' order, count descending with ties
+// broken lexicographically by key, against a plain reference sort at key
+// widths 1, 2 and 9.
+func TestHeavyHittersOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, width := range []int{1, 2, 9} {
+		r := data.NewRelation("W", width, 4)
+		attrs := make([]int, width)
+		vals := make([]int64, width)
+		for a := range attrs {
+			attrs[a] = a
+		}
+		for i := 0; i < 600; i++ {
+			for a := range vals {
+				vals[a] = int64(rng.Intn(2) * rng.Intn(4)) // mostly 0, so keys repeat and counts tie
+			}
+			r.Add(vals...)
+		}
+		type entry struct {
+			key   data.Tuple
+			count int64
+		}
+		byKey := make(map[string]*entry)
+		r.Each(func(_ int, tu data.Tuple) bool {
+			if e := byKey[tu.Key()]; e != nil {
+				e.count++
+			} else {
+				byKey[tu.Key()] = &entry{key: slices.Clone(tu), count: 1}
+			}
+			return true
+		})
+		for _, threshold := range []int64{0, 1, 3} {
+			var want []entry
+			for _, e := range byKey {
+				if e.count > threshold {
+					want = append(want, *e)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].count != want[j].count {
+					return want[i].count > want[j].count
+				}
+				for a := range want[i].key {
+					if want[i].key[a] != want[j].key[a] {
+						return want[i].key[a] < want[j].key[a]
+					}
+				}
+				return false
+			})
+			got := Frequencies(r, attrs).Heavy(0).HeavyHitters(threshold)
+			if len(got) != len(want) {
+				t.Fatalf("width %d threshold %d: %d hitters, reference %d", width, threshold, len(got), len(want))
+			}
+			for i, w := range want {
+				if !slices.Equal(got[i].Key, w.key) || got[i].Count != w.count {
+					t.Fatalf("width %d threshold %d: hitter %d is %v×%d, reference %v×%d",
+						width, threshold, i, got[i].Key, got[i].Count, w.key, w.count)
+				}
+			}
+		}
 	}
 }
 
@@ -117,7 +181,7 @@ func TestSampleFrequenciesFindsBigHitter(t *testing.T) {
 func TestSampleFrequenciesEmpty(t *testing.T) {
 	r := data.NewRelation("S", 1, 10)
 	f := SampleFrequencies(r, []int{0}, 100, 1)
-	if len(f.Counts) != 0 {
+	if len(f.counts) != 0 {
 		t.Error("empty relation should sample nothing")
 	}
 }
@@ -237,8 +301,8 @@ func TestCollectPrunesLight(t *testing.T) {
 	r := makeSkewed(t)
 	rs := new(Pass).Collect(r, 10)
 	f := rs.ByAttrs[AttrKey([]int{1})]
-	if len(f.Counts) != 1 {
-		t.Errorf("pruned map holds %d entries, want 1 (only heavy)", len(f.Counts))
+	if len(f.counts) != 1 {
+		t.Errorf("pruned map holds %d entries, want 1 (only heavy)", len(f.counts))
 	}
 }
 
@@ -279,59 +343,56 @@ func TestAttrKey(t *testing.T) {
 	}
 }
 
+// refFreq is a reference frequency table: one map entry per distinct
+// projection, keyed by its Tuple.Key rendering.
+type refFreq struct {
+	Attrs  []int
+	Total  int64
+	Counts map[string]int64
+}
+
 // refFrequenciesOrdered is the map-based FrequenciesOrdered this package
-// had before frequencies moved onto the group-by kernel, kept verbatim
-// (less its chunked-scan branch, which merged to the same map) as the
-// reference the kernel is checked against: one map[data.Key] entry per
-// distinct projection.
-func refFrequenciesOrdered(r *data.Relation, attrs []int) *FreqMap {
-	f := &FreqMap{Attrs: append([]int(nil), attrs...), Counts: make(map[data.Key]int64)}
+// had before frequencies moved onto the group-by kernel, less its
+// chunked-scan and maintained-counts branches (both reached the same map),
+// kept as the reference the kernel is checked against.
+func refFrequenciesOrdered(r *data.Relation, attrs []int) *refFreq {
+	f := &refFreq{Attrs: append([]int(nil), attrs...), Counts: make(map[string]int64)}
 	m := r.Size()
 	f.Total = int64(m)
-	if len(attrs) == 1 {
-		if counts := r.AttrCounts(attrs[0]); counts != nil {
-			for v, c := range counts {
-				f.Counts[data.Key1(v)] = c
-			}
-			return f
-		}
-	}
-	cols := make([][]int64, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.Column(a)
-	}
-	if len(attrs) == 1 {
-		for _, v := range cols[0] {
-			f.Counts[data.Key1(v)]++
-		}
-		return f
-	}
 	proj := make(data.Tuple, len(attrs))
 	for row := 0; row < m; row++ {
-		for i, col := range cols {
-			proj[i] = col[row]
+		for i, a := range attrs {
+			proj[i] = r.At(row, a)
 		}
-		f.Counts[data.KeyOf(proj)]++
+		f.Counts[proj.Key()]++
 	}
 	return f
 }
 
+// refStats is RelationStats with reference tables in ByAttrs.
+type refStats struct {
+	RelationStats
+	ByAttrs map[string]*refFreq
+}
+
 // refCollect is the Collect of the same commit, verbatim except for the
-// one-tuple floor on Threshold that this commit's bug fix adds.
-func refCollect(r *data.Relation, p int) *RelationStats {
+// one-tuple floor on Threshold that a later bug fix added.
+func refCollect(r *data.Relation, p int) *refStats {
 	m := int64(r.Size())
-	rs := &RelationStats{
-		Name:      r.Name,
-		Arity:     r.Arity,
-		M:         m,
-		Bits:      r.Bits(),
-		Domain:    r.Domain,
-		Threshold: max(1, m/int64(p)),
-		ByAttrs:   make(map[string]*FreqMap),
+	rs := &refStats{
+		RelationStats: RelationStats{
+			Name:      r.Name,
+			Arity:     r.Arity,
+			M:         m,
+			Bits:      r.Bits(),
+			Domain:    r.Domain,
+			Threshold: max(1, m/int64(p)),
+		},
+		ByAttrs: make(map[string]*refFreq),
 	}
 	for _, attrs := range nonEmptySubsets(r.Arity) {
 		full := refFrequenciesOrdered(r, attrs)
-		pruned := &FreqMap{Attrs: full.Attrs, Counts: make(map[data.Key]int64), Total: full.Total}
+		pruned := &refFreq{Attrs: full.Attrs, Counts: make(map[string]int64), Total: full.Total}
 		for k, c := range full.Counts {
 			if c > rs.Threshold {
 				pruned.Counts[k] = c
@@ -340,6 +401,14 @@ func refCollect(r *data.Relation, p int) *RelationStats {
 		rs.ByAttrs[AttrKey(attrs)] = pruned
 	}
 	return rs
+}
+
+// matchesRef reports whether f records exactly ref's keys and counts over
+// the same Total.
+func matchesRef(f *FreqMap, ref *refFreq) bool {
+	same := f.Total == ref.Total && len(f.counts) == len(ref.Counts)
+	f.Each(func(key []int64, c int64) { same = same && ref.Counts[data.Tuple(key).Key()] == c })
+	return same
 }
 
 // checkAgainstReference asserts that Collect reports exactly the reference's
@@ -357,7 +426,7 @@ func checkAgainstReference(t *testing.T, name string, r *data.Relation, p int, a
 	}
 	for key, wf := range want.ByAttrs {
 		gf := got.ByAttrs[key]
-		if gf == nil || !slices.Equal(gf.Attrs, wf.Attrs) || !freqMapsEqual(gf, wf) {
+		if gf == nil || !slices.Equal(gf.Attrs, wf.Attrs) || !matchesRef(gf, wf) {
 			t.Fatalf("%s p=%d attrs %s: heavy hitters %+v, reference %+v", name, p, key, gf, wf)
 		}
 	}
@@ -370,7 +439,7 @@ func checkAgainstReference(t *testing.T, name string, r *data.Relation, p int, a
 	seen := 0
 	f.Each(func(key []int64, c int64) {
 		seen++
-		if want := ref.Counts[data.KeyOf(key)]; c != want || f.Count(key) != want {
+		if want := ref.Counts[data.Tuple(key).Key()]; c != want || f.Count(key) != want {
 			t.Fatalf("%s attrs %v key %v: Each %d, Count %d, reference %d", name, attrs, key, c, f.Count(key), want)
 		}
 	})
@@ -380,7 +449,7 @@ func checkAgainstReference(t *testing.T, name string, r *data.Relation, p int, a
 }
 
 func TestCollectMatchesReference(t *testing.T) {
-	wide := data.NewRelation("W9", 9, 4) // 9-attribute keys spill data.Key's inline array
+	wide := data.NewRelation("W9", 9, 4) // 9-attribute keys
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]int64, 9)
 	for i := 0; i < 40; i++ {
@@ -415,8 +484,8 @@ func TestCollectMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Snapshot views count like their masters; a master that has served
-	// deltas answers single attributes off its maintained AttrCounts.
+	// Snapshot views count like their masters, and a master that has served
+	// deltas counts like a relation built with its rows.
 	db := data.NewDatabase()
 	z := workload.Zipf("Z", 1500, 1<<20, 1, 1.3, 200, 9)
 	db.Put(z)
@@ -431,9 +500,6 @@ func TestCollectMatchesReference(t *testing.T) {
 		d.Delete("Z", z.Tuple(rng.Intn(z.Size()))...)
 		if err := db.Apply(d); err != nil {
 			t.Fatal(err)
-		}
-		if z.AttrCounts(1) == nil {
-			t.Fatal("Apply did not enable the maintained counts")
 		}
 		checkAgainstReference(t, "after Apply", z, 16, []int{1})
 		checkAgainstReference(t, "snapshot after Apply", db.Snapshot().MustGet("Z"), 16, []int{0, 1})
@@ -479,6 +545,65 @@ func TestHeavyWatchIgnoresSingletonsBelowP(t *testing.T) {
 	if !w.Note("S", []int64{1002, 1001}, true) {
 		t.Error("a value seen twice at threshold 1 was not reported heavy")
 	}
+}
+
+// FuzzHeavyWatchMatchesRecount feeds an insert/delete stream over a small
+// domain through Database.Apply and a HeavyWatch built on the first
+// snapshot. After every applied operation, Note's verdict must equal a
+// recount of the replayed relation: some value of an inserted tuple now
+// occurs more often than the frozen threshold and was not heavy at
+// construction. Deletes never report.
+func FuzzHeavyWatchMatchesRecount(f *testing.F) {
+	f.Add([]byte{4, 1, 1, 2, 1, 3, 2, 4, 3, 0, 1, 5, 0, 1, 4, 1, 1, 2, 0, 2, 1, 0, 3, 1}, uint8(4))
+	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 2, 3}, uint8(16))
+	f.Add([]byte{6, 0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 0, 3, 0, 0, 0, 4, 1, 0, 0}, uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, pByte uint8) {
+		const domain = 6
+		p := 1 + int(pByte%32)
+		r := data.NewRelation("S", 2, domain)
+		seeded := make(map[[2]int64]bool)
+		n := 0
+		if len(raw) > 0 {
+			n, raw = int(raw[0]%16), raw[1:]
+		}
+		for ; n > 0 && len(raw) >= 2; n, raw = n-1, raw[2:] {
+			if k := [2]int64{int64(raw[0] % domain), int64(raw[1] % domain)}; !seeded[k] {
+				seeded[k] = true
+				r.Add(k[0], k[1])
+			}
+		}
+		db := data.NewDatabase()
+		db.Put(r)
+		threshold := max(1, int64(r.Size())/int64(p))
+		wasHeavy := func(a int, v int64) bool { return Frequencies(r, []int{a}).Count([]int64{v}) > threshold }
+		var heavyAtStart [2][domain]bool
+		for a := range heavyAtStart {
+			for v := range heavyAtStart[a] {
+				heavyAtStart[a][v] = wasHeavy(a, int64(v))
+			}
+		}
+		w := NewHeavyWatch(new(Pass), db.Snapshot(), []string{"S"}, p)
+		for ; len(raw) >= 3; raw = raw[3:] {
+			insert := raw[0]%2 == 0
+			vals := []int64{int64(raw[1] % domain), int64(raw[2] % domain)}
+			d := new(data.Delta)
+			if insert {
+				d.Insert("S", vals...)
+			} else {
+				d.Delete("S", vals...)
+			}
+			if db.Apply(d) != nil {
+				continue // a duplicate insert or an absent delete changes nothing
+			}
+			want := false
+			for a, v := range vals {
+				want = want || insert && wasHeavy(a, v) && !heavyAtStart[a][v]
+			}
+			if got := w.Note("S", vals, insert); got != want {
+				t.Fatalf("p=%d threshold %d: Note(%v, insert=%v) = %v, recount says %v", p, threshold, vals, insert, got, want)
+			}
+		}
+	})
 }
 
 // TestHeavyWatchKeepsNothingOfItsPass is the heap check for the watch's

@@ -345,9 +345,9 @@ type (
 	// Faults is a seeded deterministic fault-injection schedule; see
 	// Config.Faults.
 	Faults = mpc.Faults
-	// Delta is a batched database mutation applied by Database.Apply; the
-	// maintained statistics make the apply (and every fingerprint after
-	// it) cost O(delta), not O(database).
+	// Delta is a batched database mutation applied by Database.Apply; a
+	// maintained content sum and tuple index make the apply (and every
+	// fingerprint after it) cost O(delta), not O(database).
 	Delta = data.Delta
 	// StandingQuery is a live incremental view over a mutable database;
 	// see Session.Standing.
