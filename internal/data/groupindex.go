@@ -17,9 +17,10 @@ import (
 //
 // The zero value is ready to use, and Build may be called any number of
 // times: a warm index (one that has seen a relation at least as large)
-// rebuilds without allocating. The index reads the relation's columns in
-// place, so it is valid only until the relation is next mutated, and it
-// must not be shared by concurrent Builds.
+// rebuilds without allocating — the local joins keep theirs in a pool. The
+// index reads the relation's columns in place, so it is valid only until
+// the relation is next mutated, it must not be shared by concurrent Builds,
+// and a kept index pins the relation until Release.
 type GroupIndex struct {
 	cols  [][]int64 // key columns, in the caller's order
 	slots []int32   // group id + 1; 0 = empty; len is a power of two
@@ -117,6 +118,13 @@ func (x *GroupIndex) sameKey(i, j int) bool {
 		}
 	}
 	return true
+}
+
+// Release drops the index's references to the columns it was built over;
+// Build it again before the next Lookup.
+func (x *GroupIndex) Release() {
+	clear(x.cols[:cap(x.cols)])
+	x.cols = x.cols[:0]
 }
 
 // Lookup returns the group whose rows carry key (one value per key column,

@@ -167,14 +167,22 @@ func TestGroupIndexLowBitCollisions(t *testing.T) {
 
 // TestGroupIndexReuse rebuilds one index over relations of growing, then
 // shrinking size: no slot, group or row of an earlier Build may survive.
+// Every other Build is followed by a Release, which must leave no reference
+// to any column, even one an earlier, wider key left beyond len(cols).
 func TestGroupIndexReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var x GroupIndex
-	for _, rows := range []int{3, 40, 900, 5000, 700, 12, 0, 1} {
+	for i, rows := range []int{3, 40, 900, 5000, 700, 12, 0, 1} {
 		rel := randomRelation(rng, 3, rows, 1+int64(rows)/3)
 		keyCols := []int{2, 0}[:1+rows%2]
 		x.Build(rel, keyCols)
 		checkGroupIndex(t, &x, rel, keyCols)
+		if i%2 == 1 {
+			x.Release()
+			if slices.ContainsFunc(x.cols[:cap(x.cols)], func(c []int64) bool { return c != nil }) {
+				t.Fatalf("build %d: Release kept a column reference", i)
+			}
+		}
 	}
 }
 

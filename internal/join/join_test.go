@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -508,6 +509,114 @@ func TestJoinAnswersAliasOneArena(t *testing.T) {
 	}
 }
 
+// TestRowsPooledScratchConcurrent runs Rows from several goroutines at
+// once, each on its own instance, and has each overwrite every value of
+// every arena it gets back before its next call: a returned arena must be
+// the caller's alone — never scratch a later call reuses, never read by
+// one — and scratch must never be shared by calls in flight. The queries
+// are a single atom (its first step is also its last), a 3-atom chain that
+// starts in the middle, and a triangle, each under limit cut-offs.
+func TestRowsPooledScratchConcurrent(t *testing.T) {
+	type instance struct {
+		name   string
+		q      *query.Query
+		rels   map[string]*data.Relation
+		limits []int
+		want   [][]data.Tuple // referenceJoinLimit per limit
+	}
+	tri := workload.ForQuery([]workload.AtomSpec{
+		{Name: "S1", Arity: 2, M: 120, Domain: 16},
+		{Name: "S2", Arity: 2, M: 110, Domain: 16},
+		{Name: "S3", Arity: 2, M: 100, Domain: 16},
+	}, 9)
+	instances := []*instance{
+		{name: "single atom", q: query.MustParse("q(x,y) = R(x,y)"),
+			rels: map[string]*data.Relation{"R": workload.Uniform("R", 2, 150, 40, 1)}},
+		{name: "chain from the middle", q: query.Path(3), rels: map[string]*data.Relation{
+			"S1": workload.Zipf("S1", 300, 1<<16, 1, 1.5, 10, 3),
+			"S2": workload.Uniform("S2", 2, 30, 10, 4),
+			"S3": workload.Zipf("S3", 300, 1<<16, 0, 1.5, 10, 5),
+		}},
+		{name: "triangle", q: query.Triangle(), rels: FromDatabase(tri)},
+	}
+	if order := planOrder(instances[1].q, instances[1].rels); order[0] != 1 {
+		t.Fatalf("chain starts at atom %d, not the middle one", order[0])
+	}
+	for _, in := range instances {
+		full := len(referenceJoinLimit(in.q, in.rels, 0))
+		if full < 10 {
+			t.Fatalf("%s: %d answers, want a few", in.name, full)
+		}
+		in.limits = []int{0, 1, full / 3, full - 1}
+		for _, limit := range in.limits {
+			in.want = append(in.want, referenceJoinLimit(in.q, in.rels, limit))
+		}
+	}
+	const workers, calls = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(in *instance) {
+			defer wg.Done()
+			var prev []int64 // the previous call's arena, overwritten with -1
+			for c := 0; c < calls; c++ {
+				li := c % len(in.limits)
+				got := Rows(in.q, in.rels, in.limits[li])
+				if !sameSequence(got.AppendTuples(nil), in.want[li]) {
+					t.Errorf("%s limit %d, call %d: answers differ from the reference", in.name, in.limits[li], c)
+					return
+				}
+				for _, v := range prev {
+					if v != -1 {
+						t.Errorf("%s call %d: a later call wrote into an earlier call's answers", in.name, c)
+						return
+					}
+				}
+				prev = got.Vals[:got.N*got.K]
+				for i := range prev {
+					prev[i] = -1
+				}
+			}
+		}(instances[w%len(instances)])
+	}
+	wg.Wait()
+}
+
+// TestWarmRowsAllocatesOnlyItsAnswers: with the scratch pool warm, one
+// Rows call on a triangle allocates exactly once, the arena it returns.
+func TestWarmRowsAllocatesOnlyItsAnswers(t *testing.T) {
+	if !poolKeepsPuts() {
+		t.Skip("sync.Pool drops Puts in this build (race detector)")
+	}
+	q := query.Triangle()
+	rels := FromDatabase(workload.ForQuery([]workload.AtomSpec{
+		{Name: "S1", Arity: 2, M: 300, Domain: 40},
+		{Name: "S2", Arity: 2, M: 300, Domain: 40},
+		{Name: "S3", Arity: 2, M: 300, Domain: 40},
+	}, 4))
+	if n := Rows(q, rels, 0).N; n == 0 {
+		t.Fatal("instance has no triangles")
+	}
+	if n := testing.AllocsPerRun(100, func() { Rows(q, rels, 0) }); n != 1 {
+		t.Errorf("warm Rows allocates %v times per call, want 1 (the answers)", n)
+	}
+}
+
+// poolKeepsPuts reports whether a sync.Pool hands back what was just put
+// into it. Under the race detector Put drops a quarter of its items at
+// random, and no pin on what a warm pool saves can hold.
+func poolKeepsPuts() bool {
+	var p sync.Pool
+	for range 64 {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
+}
+
 func TestJoinProducesNoDuplicates(t *testing.T) {
 	q := query.Triangle()
 	db := workload.ForQuery([]workload.AtomSpec{
@@ -695,6 +804,11 @@ func SortTuples(ts []data.Tuple) []data.Tuple {
 		return false
 	})
 	return ts
+}
+
+// planOrder is Rows' atom order, on a fresh scratch.
+func planOrder(q *query.Query, rels map[string]*data.Relation) []int {
+	return new(Scratch).planOrder(q, rels)
 }
 
 // JoinLimit is Rows with one header per answer.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/hashing"
+	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -360,9 +361,10 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 // localJoin builds a stage's local computation: group the right fragment by
 // its key columns, count each left row's matches, then fill output columns
 // allocated once at their final size, which the output fragment then adopts
-// as its storage: a stage's output is materialized once. The values come
-// from the two input fragments, whose domains the output domain covers, so
-// they are trusted as AdoptColumns requires.
+// as its storage: a stage's output is materialized once. The index and the
+// match groups are join's pooled scratch. The values come from the two
+// input fragments, whose domains the output domain covers, so they are
+// trusted as AdoptColumns requires.
 func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domain int64) func(s *mpc.Server) *data.Relation {
 	leftName, rightName, outName := st.Left, st.Right, st.Output
 	return func(s *mpc.Server) *data.Relation {
@@ -370,11 +372,13 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 		if lf == nil || rf == nil || lf.Size() == 0 || rf.Size() == 0 {
 			return nil
 		}
-		var idx data.GroupIndex
+		sc := join.GetScratch()
+		defer join.PutScratch(sc)
+		idx := &sc.Index
 		idx.Build(rf, rightKey)
 		lCols, rCols := lf.Columns(), rf.Columns()
 		probe := make([]int64, len(leftKey))
-		groups := make([]int32, lf.Size())
+		groups := sc.Groups(lf.Size())
 		total := 0
 		for li := range groups {
 			for a, pos := range leftKey {
