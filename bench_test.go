@@ -28,7 +28,7 @@ import (
 // One benchmark per experiment/ablation in DESIGN.md's index. Each runs
 // the corresponding harness at Quick scale and reports whether the
 // paper's predicted shape held (pass metric 1 = all internal checks
-// passed). `go test -bench=.` therefore regenerates every table.
+// passed); `go run ./cmd/skewbench` prints the tables themselves.
 
 func benchExperiment(b *testing.B, run func(exp.Scale) exp.Table) {
 	b.ReportAllocs()

@@ -8,14 +8,14 @@
 //
 //   - Session: the serving-grade entry point. Open(Config) validates an
 //     immutable configuration; Exec(ctx, q, db, opts...) evaluates with
-//     per-call functional options (WithStrategy, WithMultiRound,
-//     WithoutCache, WithP), honors context cancellation both between
-//     communication rounds and mid-round at the routing checkpoints
-//     inside them, and serves from a plan cache that databases
-//     may mutate under: Database.Apply applies batched tuple deltas while
-//     maintaining fingerprints and per-attribute statistics incrementally,
-//     and Config.ReplanDriftFactor arms adaptive re-planning when realized
-//     loads drift from the statistics a cached plan froze. Standing(ctx,
+//     per-call functional options (WithStrategy, WithoutCache, WithP),
+//     honors context cancellation both between communication rounds and
+//     mid-round at the routing checkpoints inside them, and serves from a
+//     plan cache that databases may mutate under: Database.Apply applies
+//     batched tuple deltas while maintaining content fingerprints
+//     incrementally, and Config.ReplanDriftFactor arms adaptive
+//     re-planning when realized loads drift from the statistics a cached
+//     plan froze. Standing(ctx,
 //     q, db, opts...) registers an incremental view over a mutable
 //     database: after the seeding execution, each Advance routes only the
 //     applied delta tuples — not the database — through the frozen
@@ -29,11 +29,9 @@
 //     observes a half-applied delta); admission control (Config.MaxInFlight,
 //     Config.MaxQueue) bounds in-flight executions and sheds the excess
 //     promptly with ErrOverloaded; Close drains in-flight calls and then
-//     rejects the rest with ErrSessionClosed; Config.BackgroundReplan
-//     moves drift-triggered replanning off the request path; and
-//     Config.Faults arms a seeded, deterministic fault-injection schedule
-//     (torn rounds, failed computes, stragglers) for exercising every
-//     degradation path.
+//     rejects the rest with ErrSessionClosed; and Config.Faults arms a
+//     seeded, deterministic fault-injection schedule (torn rounds, failed
+//     computes, stragglers) for exercising every degradation path.
 //
 //     Fault recovery is round-granular. The sharded communication engine
 //     commits a round's deliveries transactionally, so a torn round leaves
@@ -55,9 +53,8 @@
 //     lazily as deltas shift the heavy hitters, so the routers resolve one
 //     plan per heavy run and ship whole column spans instead of routing
 //     tuple by tuple. The layout is a pure physical reorder — answers,
-//     realized loads, and fingerprints are identical either way —
-//     and Config.DisableAutoPartition turns the maintenance off;
-//     CacheStats.Repartitions counts rebuilds.
+//     realized loads, and fingerprints are identical either way — so every
+//     Exec maintains it; CacheStats.Repartitions counts rebuilds.
 //
 //   - Run: one uncached execution of one forced strategy, without a
 //     session; HyperCube shares (1, 1, p) on Join2Query are the paper's
@@ -93,12 +90,11 @@
 //	if err != nil { ... }
 //	fmt.Println(len(res.Output), res.MaxLoadBits, res.Plan.Reason)
 //
-//	// Mutate under the live plan cache; statistics and fingerprints
-//	// update in O(delta).
+//	// Mutate under the live plan cache; fingerprints update in O(delta).
 //	err = db.Apply(repro.NewDelta().Insert("S1", 7, 8).Delete("S2", 1, 2))
 //
 // See DESIGN.md for the planner/executor layering and system inventory;
-// `go test -bench .` regenerates the paper-versus-measured experiment
+// `go run ./cmd/skewbench` prints the paper-versus-measured experiment
 // tables, and `go run ./bench` is the one end-to-end performance benchmark
 // (bench/README.md). The engine's invariant contracts (deterministic core,
 // allocation-free routing hot paths, context flow, error wrapping) are

@@ -87,14 +87,6 @@ type Config struct {
 	// (Result.Replanned reports it). 0 disables; values in (0, 1) are
 	// rejected — they would demand realized loads below the prediction.
 	DriftFactor float64
-	// BackgroundReplan moves drift-triggered replanning off the request
-	// path: a stale cache entry keeps serving (a physical plan stays correct
-	// for any content, merely load-suboptimal) while a background worker
-	// rebuilds it against a fresh snapshot's statistics and swaps the new
-	// plan in. Off, the next execution after a drift mark replans inline and
-	// reports Result.Replanned. Engines with this set own a worker goroutine;
-	// Close stops it.
-	BackgroundReplan bool
 	// Faults, when non-nil, arms a seeded fault-injection schedule for every
 	// execution (see mpc.Faults). Injected faults are recovered at round
 	// granularity within the Retry budget — a torn round is re-driven in
@@ -113,13 +105,6 @@ type Config struct {
 	// at a time until a probe succeeds (see HealthStats). 0 disables the
 	// breaker.
 	BreakerThreshold int
-	// DisableAutoPartition turns off the lazy heavy-partition layout
-	// maintenance serving executions drive by default: after planning, the
-	// engine calls data.Database.EnsurePartitioned for every (relation,
-	// attribute) the plan's router can span-route, so heavy runs ship
-	// wholesale on subsequent executions. Rebuilds are counted in
-	// CacheStats.Repartitions.
-	DisableAutoPartition bool
 }
 
 // Engine evaluates conjunctive queries in one communication round on p
@@ -161,17 +146,8 @@ type Engine struct {
 	// Guarded by mu; the flag itself is an atomic on the handle, so no
 	// handle lock is ever taken under mu.
 	standing map[*StandingQuery]struct{}
-	// replanCh feeds the background replan worker (Config.BackgroundReplan):
-	// markStale enqueues stale keys, the worker rebuilds against a fresh
-	// snapshot and swaps the plan in under mu. Nil when background
-	// replanning is off. replanClosed (guarded by mu) stops enqueues once
-	// Close has closed the channel.
-	replanCh     chan planKey
-	replanClosed bool
-	replanWG     sync.WaitGroup
-	bgReplans    uint64
 	// repartitions counts heavy-partition layout rebuilds driven by serving
-	// executions (see Config.DisableAutoPartition). Guarded by mu.
+	// executions (see ensurePartitions). Guarded by mu.
 	repartitions uint64
 	// breaker is the per-engine circuit breaker over cluster-fault
 	// failures; nil unless Config.BreakerThreshold armed it.
@@ -179,22 +155,18 @@ type Engine struct {
 }
 
 // cacheEntry is one LRU node: the key (so eviction can unmap it) plus the
-// cached plan bundle and its staleness mark (set by drift detection). q, db,
-// and s capture the inputs the entry was planned from so the background
-// replan worker can rebuild it off the request path (db may be a snapshot;
-// the worker re-snapshots it for fresh statistics).
+// cached plan bundle and its staleness mark (set by drift detection).
 type cacheEntry struct {
 	key   planKey
 	cp    *cachedPlan
 	stale bool
-	q     *query.Query
-	db    *data.Database
-	s     settings
 }
 
 // planKey identifies a cached plan: q.String() is a canonical rendering of
 // the query (names, variable order, atom order), p/seed pin the layout and
-// hash family, and forced pins the strategy override in effect.
+// hash family, and forced pins the strategy override in effect. Multi-round
+// consideration is fixed per engine (Config.ConsiderMultiRound), so it needs
+// no key field.
 //
 // Two keying modes coexist. Content mode (serving=false) sets fp =
 // stats.Fingerprint(db): any content change is a different key, so a cached
@@ -213,7 +185,6 @@ type planKey struct {
 	p       int
 	seed    uint64
 	forced  Strategy // -1 when no override
-	mrAware bool     // multi-round consideration changes plan selection
 	serving bool
 }
 
@@ -299,9 +270,7 @@ type Result struct {
 	PredictedBits float64
 	// Replanned reports that this execution rebuilt a cached plan that
 	// drift detection had marked stale: the statistics the old plan froze
-	// had diverged from realized loads. (With Config.BackgroundReplan the
-	// rebuild happens off the request path, so serving executions never
-	// report it.)
+	// had diverged from realized loads.
 	Replanned bool
 	// Recovery reports the fault recovery this execution needed: retry
 	// attempts consumed, rounds replayed in place, servers recomputed, and
@@ -341,91 +310,19 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BreakerThreshold > 0 {
 		e.breaker = &breaker{threshold: cfg.BreakerThreshold}
 	}
-	if cfg.BackgroundReplan {
-		e.replanCh = make(chan planKey, replanQueueDepth)
-		e.replanWG.Add(1)
-		go e.replanWorker()
-	}
 	return e, nil
 }
 
-// replanQueueDepth bounds the background replan queue. A full queue drops
-// the enqueue — the entry stays stale and every subsequent cache hit
-// re-enqueues it, so a rebuild is delayed, never lost.
-const replanQueueDepth = 64
-
-// replanWorker drains replanCh: for each still-stale entry it rebuilds the
-// plan against a fresh snapshot of the entry's database and swaps it in.
-// Planning runs outside the engine lock (it is the expensive part); the
-// swap re-checks the entry under mu, so a concurrent ClearPlanCache or
-// eviction just discards the rebuilt plan.
-func (e *Engine) replanWorker() {
-	defer e.replanWG.Done()
-	for key := range e.replanCh {
-		e.mu.Lock()
-		var q *query.Query
-		var db *data.Database
-		var s settings
-		if el, ok := e.cache[key]; ok {
-			if ent := el.Value.(*cacheEntry); ent.stale {
-				q, db, s = ent.q, ent.db, ent.s
-			}
-		}
-		e.mu.Unlock()
-		if q == nil || db == nil {
-			continue
-		}
-		cp := buildPlan(q, db.Snapshot(), s, nil)
-		e.mu.Lock()
-		if el, ok := e.cache[key]; ok {
-			if ent := el.Value.(*cacheEntry); ent.stale {
-				ent.cp = cp
-				ent.stale = false
-				e.replans++
-				e.bgReplans++
-			}
-		}
-		// Standing queries flagged by the same markStale reseed themselves
-		// on their next Advance; the swapped-in plan is what their planFor
-		// will pick up.
-		e.mu.Unlock()
-	}
-}
-
-// Close stops the engine's background workers (the replan worker, when
-// Config.BackgroundReplan is set) and waits for them to exit. Engines
-// without background workers Close as a no-op; Close is idempotent and safe
-// to call concurrently.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.replanCh != nil && !e.replanClosed {
-		e.replanClosed = true
-		close(e.replanCh)
-	}
-	e.mu.Unlock()
-	e.replanWG.Wait()
-}
-
-// enqueueReplanLocked hands key to the background replan worker if one is
-// running. Callers hold e.mu.
-func (e *Engine) enqueueReplanLocked(key planKey) {
-	if e.replanCh == nil || e.replanClosed {
-		return
-	}
-	select {
-	case e.replanCh <- key:
-	default:
-		// Queue full: the entry stays stale and the next hit re-enqueues.
-	}
-}
+// Close does nothing: the engine owns no goroutine or other resource that
+// outlives a call. The method remains only because the frozen
+// bench/trace.go calls it; it goes when that file can change.
+func (e *Engine) Close() {}
 
 // ExecOptions are per-call overrides for ExecuteContext. The zero value
 // means "use the engine's configuration".
 type ExecOptions struct {
 	// Strategy forces plan selection when non-nil.
 	Strategy *Strategy
-	// MultiRound overrides the engine's ConsiderMultiRound when non-nil.
-	MultiRound *bool
 	// NoCache bypasses the plan cache for this call (plan and discard).
 	NoCache bool
 	// P overrides the engine's server count when > 0.
@@ -433,23 +330,22 @@ type ExecOptions struct {
 	// Serving keys the plan cache by database identity + schema instead of
 	// content, so cached plans survive Database.Apply deltas; the engine's
 	// Config.DriftFactor then decides when drifted plans get rebuilt. See
-	// planKey.
+	// planKey. Serving executions also maintain heavy-partition layouts
+	// (see ensurePartitions).
 	Serving bool
 }
 
 // settings is the resolved effective configuration of one execution.
 type settings struct {
-	p             int
-	seed          uint64
-	forced        *Strategy
-	mr            bool
-	noCache       bool
-	serving       bool
-	drift         float64
-	bgReplan      bool
-	faults        *mpc.Faults
-	retry         Retry
-	autoPartition bool
+	p       int
+	seed    uint64
+	forced  *Strategy
+	mr      bool
+	noCache bool
+	serving bool
+	drift   float64
+	faults  *mpc.Faults
+	retry   Retry
 	// shares fixes the HyperCube shares (Run only; never cached).
 	shares []int
 }
@@ -458,19 +354,15 @@ type settings struct {
 func (e *Engine) settings(opts ExecOptions) settings {
 	c := &e.conf
 	s := settings{
-		p:        c.P,
-		seed:     c.Seed,
-		forced:   opts.Strategy,
-		mr:       c.ConsiderMultiRound,
-		noCache:  opts.NoCache,
-		serving:  opts.Serving,
-		drift:    c.DriftFactor,
-		bgReplan: c.BackgroundReplan,
-		faults:   c.Faults,
-		retry:    c.Retry,
-	}
-	if opts.MultiRound != nil {
-		s.mr = *opts.MultiRound
+		p:       c.P,
+		seed:    c.Seed,
+		forced:  opts.Strategy,
+		mr:      c.ConsiderMultiRound,
+		noCache: opts.NoCache,
+		serving: opts.Serving,
+		drift:   c.DriftFactor,
+		faults:  c.Faults,
+		retry:   c.Retry,
 	}
 	if opts.P > 0 {
 		s.p = opts.P
@@ -480,13 +372,6 @@ func (e *Engine) settings(opts ExecOptions) settings {
 		// new key already.
 		s.drift = 0
 	}
-	// Auto-partitioning is a serving-mode feature: serving executions read
-	// immutable snapshots, so the master rebuild behind the database lock
-	// never races an in-flight round. (A non-serving execution reads its
-	// database directly and may run concurrently with another, so the
-	// engine must not mutate layouts there; such callers partition
-	// explicitly via data.Database.EnsurePartitioned.)
-	s.autoPartition = s.serving && !c.DisableAutoPartition
 	return s
 }
 
@@ -613,13 +498,17 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		}
 	}
 	cp, key, replanned := e.planFor(q, db, s, nil)
-	if s.autoPartition {
+	if s.serving {
 		// Lazy skew-adaptive layout maintenance: make sure every relation
 		// the plan's router can span-route carries a current heavy-partition
 		// index. Rebuilds land on the mutable master and reach the *next*
 		// epoch — this execution's snapshot keeps its frozen layout (current
 		// or not, routing is correct either way; stale layouts just route
-		// per-tuple or span-wise with yesterday's runs).
+		// per-tuple or span-wise with yesterday's runs). Only serving
+		// executions maintain layouts: they read immutable snapshots, so the
+		// master rebuild never races an in-flight round, whereas a
+		// non-serving execution reads its database directly and may run
+		// concurrently with another.
 		e.ensurePartitions(cp, db, s.p)
 	}
 	// Pooled load-accounting scratch.
@@ -746,16 +635,14 @@ func isInjectedFault(err error) bool {
 	return errors.Is(err, mpc.ErrTornRound) || errors.Is(err, mpc.ErrComputeFailed)
 }
 
-// markStale marks the cached entry for key (if still cached) so it gets
-// rebuilt against current statistics — inline by the next execution, or off
-// the request path when the background replan worker is running — and flags
-// every standing query built from that plan so its next Advance reseeds.
+// markStale marks the cached entry for key (if still cached) so the next
+// execution rebuilds it against current statistics, and flags every
+// standing query built from that plan so its next Advance reseeds.
 func (e *Engine) markStale(key planKey) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if el, ok := e.cache[key]; ok {
 		el.Value.(*cacheEntry).stale = true
-		e.enqueueReplanLocked(key)
 	}
 	for sq := range e.standing {
 		if sq.key == key {
@@ -773,7 +660,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	if s.noCache {
 		return buildPlan(q, db, s, ps), planKey{}, false
 	}
-	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, mrAware: s.mr, serving: s.serving}
+	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, serving: s.serving}
 	if s.forced != nil {
 		key.forced = *s.forced
 	}
@@ -787,14 +674,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	e.mu.Lock()
 	if el, ok := e.cache[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		if !ent.stale || s.bgReplan {
-			// A stale entry under background replanning still serves as a
-			// hit: the plan is correct for any content, and the worker is
-			// rebuilding it off the request path. Re-enqueue in case the
-			// original enqueue was dropped on a full queue.
-			if ent.stale {
-				e.enqueueReplanLocked(key)
-			}
+		if !ent.stale {
 			e.hits++
 			e.lru.MoveToFront(el)
 			cp := ent.cp
@@ -823,7 +703,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	if e.cache == nil {
 		e.cache = make(map[planKey]*list.Element)
 	}
-	e.cache[key] = e.lru.PushFront(&cacheEntry{key: key, cp: cp, q: q, db: db, s: s})
+	e.cache[key] = e.lru.PushFront(&cacheEntry{key: key, cp: cp})
 	for e.capacity > 0 && e.lru.Len() > e.capacity {
 		cold := e.lru.Back()
 		e.lru.Remove(cold)
@@ -894,13 +774,11 @@ type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	// Replans counts drift-triggered rebuilds of stale entries (an inline
-	// replan also counts as a miss: it plans). BackgroundReplans of them
-	// were rebuilt off the request path by the background worker.
-	Replans           uint64
-	BackgroundReplans uint64
+	// Replans counts drift-triggered rebuilds of stale entries (a replan
+	// also counts as a miss: it plans).
+	Replans uint64
 	// Repartitions counts heavy-partition layout rebuilds driven by serving
-	// executions (Config.DisableAutoPartition turns the maintenance off).
+	// executions.
 	Repartitions uint64
 	Size         int // live entries
 	Capacity     int // effective bound (≤ 0 means unbounded)
@@ -911,14 +789,13 @@ func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return CacheStats{
-		Hits:              e.hits,
-		Misses:            e.misses,
-		Evictions:         e.evictions,
-		Replans:           e.replans,
-		BackgroundReplans: e.bgReplans,
-		Repartitions:      e.repartitions,
-		Size:              len(e.cache),
-		Capacity:          e.capacity,
+		Hits:         e.hits,
+		Misses:       e.misses,
+		Evictions:    e.evictions,
+		Replans:      e.replans,
+		Repartitions: e.repartitions,
+		Size:         len(e.cache),
+		Capacity:     e.capacity,
 	}
 }
 
@@ -936,7 +813,7 @@ func (e *Engine) ClearPlanCache() {
 	defer e.mu.Unlock()
 	e.cache = nil
 	e.lru.Init()
-	e.hits, e.misses, e.evictions, e.replans, e.bgReplans, e.repartitions = 0, 0, 0, 0, 0, 0
+	e.hits, e.misses, e.evictions, e.replans, e.repartitions = 0, 0, 0, 0, 0
 	for sq := range e.standing {
 		sq.stale.Store(true)
 	}

@@ -155,12 +155,8 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 // version past the snapshot's and is consumed by the next Advance).
 func (h *StandingQuery) seed(ctx context.Context) error {
 	snap := h.db.Snapshot()
-	// A reseed needs the fresh plan now — resident routing is being rebuilt
-	// around it — so bypass serve-stale-while-background-replanning.
-	ps := h.s
-	ps.bgReplan = false
 	pass := new(stats.Pass) // shared by the plan build and the heavy watch
-	cp, key, _ := h.e.planFor(h.q, snap, ps, pass)
+	cp, key, _ := h.e.planFor(h.q, snap, h.s, pass)
 	if cp.phys != nil {
 		var rec Recovery
 		st, err := exec.NewStanding(cp.phys, h.q, snap, exec.Config{

@@ -55,9 +55,6 @@ func (b *binCombo) key() string {
 type GeneralConfig struct {
 	P    int
 	Seed uint64
-	// MaxVirtual caps the total number of virtual servers (safety valve
-	// for experiments); 0 means no cap.
-	MaxVirtual int
 	// OverweightFactor is the multiplier C in the overweight threshold
 	// C·m_j/p^{β_j+Σe_i}. The paper uses C = N_bc (the number of bin
 	// combinations) to prove |C'(B)| ≤ p; at laptop scales that makes the

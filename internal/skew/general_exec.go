@@ -1,7 +1,6 @@
 package skew
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -167,9 +166,6 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		if pl := math.Pow(float64(gs.p), b.lambda); pl > predicted {
 			predicted = pl
 		}
-	}
-	if cfg.MaxVirtual > 0 && virtual > cfg.MaxVirtual {
-		panic(fmt.Sprintf("skew: %d virtual servers exceed cap %d", virtual, cfg.MaxVirtual))
 	}
 	if virtual == 0 {
 		virtual = 1

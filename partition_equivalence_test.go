@@ -17,22 +17,19 @@ func skewedJoin2DB(m int) *Database {
 }
 
 // TestPartitionedVsFlatEquivalence is the storage-layout property test: the
-// heavy-partition layout is a pure physical reorder, so a session running
-// with auto-partitioning (span routing over heavy runs) must produce
-// exactly the same answers, the same realized loads, and the same content
-// fingerprints as one running flat — under every single-round strategy,
-// across a random delta sequence that forces rebuilds and invalidations.
+// heavy-partition layout is a pure physical reorder, so a session (which
+// maintains layouts and span-routes over heavy runs) must produce exactly
+// the same answers, the same realized loads, and the same content
+// fingerprints as Run, which never partitions — under every single-round
+// strategy, across a random delta sequence that forces rebuilds and
+// invalidations. The session plans WithoutCache so both sides plan from the
+// same statistics; its cached Exec must agree on answers too.
 func TestPartitionedVsFlatEquivalence(t *testing.T) {
 	strategies := []Strategy{StrategyHyperCube, StrategySkewJoin, StrategyBinCombination}
 	q := Join2Query()
 	rng := rand.New(rand.NewSource(3))
 
 	dbFlat, dbPart := skewedJoin2DB(800), skewedJoin2DB(800)
-	sFlat, err := Open(Config{P: 8, Seed: 7, DisableAutoPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sFlat.Close()
 	sPart, err := Open(Config{P: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +71,11 @@ func TestPartitionedVsFlatEquivalence(t *testing.T) {
 			t.Fatalf("step %d: fingerprints diverged: %x vs %x", step, got, want)
 		}
 		for _, st := range strategies {
-			rFlat, err := sFlat.Exec(ctx, q, dbFlat, WithStrategy(st))
+			rFlat, err := Run(q, dbFlat, RunConfig{Strategy: st, P: 8, Seed: 7})
 			if err != nil {
 				t.Fatalf("step %d %v flat: %v", step, st, err)
 			}
-			rPart, err := sPart.Exec(ctx, q, dbPart, WithStrategy(st))
+			rPart, err := sPart.Exec(ctx, q, dbPart, WithStrategy(st), WithoutCache())
 			if err != nil {
 				t.Fatalf("step %d %v partitioned: %v", step, st, err)
 			}
@@ -90,6 +87,14 @@ func TestPartitionedVsFlatEquivalence(t *testing.T) {
 				t.Fatalf("step %d %v: realized loads diverge: flat %d, partitioned %d",
 					step, st, rFlat.MaxLoadBits, rPart.MaxLoadBits)
 			}
+			rCached, err := sPart.Exec(ctx, q, dbPart, WithStrategy(st))
+			if err != nil {
+				t.Fatalf("step %d %v cached: %v", step, st, err)
+			}
+			if !equalTupleSets(rFlat.Output, rCached.Output) {
+				t.Fatalf("step %d %v: cached outputs diverge (%d vs %d tuples)",
+					step, st, len(rFlat.Output), len(rCached.Output))
+			}
 		}
 		// Partitioning must not leak into the flat layout's fingerprint.
 		if got, want := DatabaseFingerprint(dbPart), DatabaseFingerprint(dbFlat); got != want {
@@ -98,9 +103,6 @@ func TestPartitionedVsFlatEquivalence(t *testing.T) {
 	}
 	if sPart.CacheStats().Repartitions == 0 {
 		t.Fatal("partitioned session never rebuilt a layout: the equivalence test exercised nothing")
-	}
-	if sFlat.CacheStats().Repartitions != 0 {
-		t.Fatal("DisableAutoPartition session rebuilt a layout")
 	}
 }
 

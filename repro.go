@@ -26,7 +26,7 @@ type (
 	Relation = data.Relation
 	// Database is a set of relations keyed by name. Serving workloads
 	// mutate it with Apply (batched Delta of inserts/deletes), which
-	// maintains fingerprints and per-attribute statistics incrementally.
+	// maintains content fingerprints incrementally.
 	Database = data.Database
 	// Plan describes the algorithm the engine chose and its bound.
 	Plan = core.Plan
@@ -118,12 +118,12 @@ func Run(q *Query, db *Database, cfg RunConfig) (Result, error) {
 	return core.Run(q, db, cfg)
 }
 
-// DatabaseFingerprint returns the content hash the engine's plan cache
-// keys on: equal fingerprints mean any cached plan remains valid. The
-// hash is maintained incrementally by the relations (first call scans,
-// Database.Apply updates per delta), so it costs O(relations) once warm.
-// It holds the database's read lock, so it is safe to call concurrently
-// with Apply.
+// DatabaseFingerprint returns the database's content hash. Sessions key
+// plans on database identity and schema; drift detection compares this
+// hash with the one a plan was built at. The hash is maintained
+// incrementally by the relations (first call scans, Database.Apply updates
+// per delta), so it costs O(relations) once warm. It holds the database's
+// read lock, so it is safe to call concurrently with Apply.
 func DatabaseFingerprint(db *Database) uint64 {
 	db.RLock()
 	defer db.RUnlock()

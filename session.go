@@ -24,8 +24,8 @@ type Config struct {
 	// PlanCacheCapacity bounds the plan cache: 0 means the default (64),
 	// negative means unbounded.
 	PlanCacheCapacity int
-	// ConsiderMultiRound adds multi-round pipelines to plan selection;
-	// WithMultiRound overrides it per call.
+	// ConsiderMultiRound lets multi-round pipelines compete with the
+	// one-round strategies on predicted cost in every unforced Exec.
 	ConsiderMultiRound bool
 	// ReplanDriftFactor arms adaptive re-planning: when an execution's
 	// realized max load exceeds ReplanDriftFactor × the plan's predicted
@@ -44,12 +44,6 @@ type Config struct {
 	// negative means no queue — calls at capacity shed immediately.
 	// Ignored when the in-flight bound is disabled.
 	MaxQueue int
-	// BackgroundReplan moves drift-triggered replanning off the request
-	// path: a drift-marked plan keeps serving (correct for any content,
-	// merely load-suboptimal) while a background worker rebuilds it against
-	// fresh statistics and swaps it in — so no Exec ever pays the replan
-	// latency. Sessions with it set should be Closed to stop the worker.
-	BackgroundReplan bool
 	// Faults, when non-nil, arms a seeded deterministic fault-injection
 	// schedule (see Faults): injected torn rounds and failed computes are
 	// recovered at round/server granularity within Retry's budget
@@ -69,14 +63,6 @@ type Config struct {
 	// at a time tests whether the cluster recovered (see HealthStats). 0
 	// disables the breaker; negative is rejected by Open.
 	BreakerThreshold int
-	// DisableAutoPartition turns off the skew-adaptive storage maintenance
-	// Execs drive by default: after planning, relations the plan routes by
-	// a single heavy attribute get a heavy-partition column layout
-	// (contiguous per-hitter runs) so later Execs bulk-ship whole runs
-	// instead of routing tuple by tuple. Rebuilds happen on the mutable
-	// master and surface on the next snapshot epoch; Stats reports them as
-	// Repartitions.
-	DisableAutoPartition bool
 }
 
 // Session is the serving-grade entry point: an Engine behind an immutable
@@ -89,8 +75,8 @@ type Config struct {
 // holding the database's read lock, so queries never block Apply and Apply
 // never blocks queries; and every Exec passes an admission gate
 // (Config.MaxInFlight/MaxQueue) that sheds excess load with ErrOverloaded
-// instead of letting latency collapse. See the package documentation's
-// "Serving under overload" discussion.
+// instead of letting latency collapse. See "Serving under overload" in
+// DESIGN.md.
 //
 // Unlike the pre-Session Engine API, a Session never panics on invalid
 // input: Open and Exec return errors.
@@ -102,16 +88,14 @@ type Session struct {
 // Open validates cfg and returns a Session.
 func Open(cfg Config) (*Session, error) {
 	eng, err := core.New(core.Config{
-		P:                    cfg.P,
-		Seed:                 cfg.Seed,
-		PlanCacheCapacity:    cfg.PlanCacheCapacity,
-		ConsiderMultiRound:   cfg.ConsiderMultiRound,
-		DriftFactor:          cfg.ReplanDriftFactor,
-		BackgroundReplan:     cfg.BackgroundReplan,
-		Faults:               cfg.Faults,
-		Retry:                cfg.Retry,
-		BreakerThreshold:     cfg.BreakerThreshold,
-		DisableAutoPartition: cfg.DisableAutoPartition,
+		P:                  cfg.P,
+		Seed:               cfg.Seed,
+		PlanCacheCapacity:  cfg.PlanCacheCapacity,
+		ConsiderMultiRound: cfg.ConsiderMultiRound,
+		DriftFactor:        cfg.ReplanDriftFactor,
+		Faults:             cfg.Faults,
+		Retry:              cfg.Retry,
+		BreakerThreshold:   cfg.BreakerThreshold,
 	})
 	if err != nil {
 		return nil, err
@@ -144,14 +128,12 @@ func admissionBounds(maxInFlight, maxQueue int) (capacity, queue int) {
 }
 
 // Close drains and closes the session: new Exec calls and queued waiters
-// fail with ErrSessionClosed, Close blocks until every in-flight call has
-// finished, and the session's background workers (BackgroundReplan) are
-// stopped. Standing queries opened from the session are independent handles
+// fail with ErrSessionClosed, and Close blocks until every in-flight call has
+// finished. Standing queries opened from the session are independent handles
 // and are closed separately. Close is idempotent; it always returns nil
 // (the error return is for future compatibility).
 func (s *Session) Close() error {
 	s.gate.Close()
-	s.eng.Close()
 	return nil
 }
 
@@ -170,16 +152,6 @@ func WithStrategy(s Strategy) ExecOption {
 	return ExecOption{func(o *core.ExecOptions) {
 		forced := s
 		o.Strategy = &forced
-	}}
-}
-
-// WithMultiRound overrides the session's ConsiderMultiRound for this call:
-// whether multi-round pipelines compete with the one-round strategies on
-// predicted cost.
-func WithMultiRound(on bool) ExecOption {
-	return ExecOption{func(o *core.ExecOptions) {
-		mr := on
-		o.MultiRound = &mr
 	}}
 }
 

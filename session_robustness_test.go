@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -51,47 +52,55 @@ func plantSkew(t *testing.T, db *Database) {
 	}
 }
 
-func TestSessionBackgroundReplan(t *testing.T) {
-	s, q, db := driftingSession(t, Config{P: 16, Seed: 1, ReplanDriftFactor: 3, BackgroundReplan: true})
+// TestSessionConcurrentStaleExec races Execs on an entry drift marked
+// stale: exactly one of them replans, the rest hit the rebuilt entry or
+// plan a redundant miss, and every answer matches the oracle.
+func TestSessionConcurrentStaleExec(t *testing.T) {
+	s, q, db := driftingSession(t, Config{P: 16, Seed: 1, ReplanDriftFactor: 3})
 	defer s.Close()
 	ctx := context.Background()
-
-	r1, err := s.Exec(ctx, q, db)
+	if _, err := s.Exec(ctx, q, db); err != nil {
+		t.Fatal(err)
+	}
+	plantSkew(t, db)
+	oracle, err := freshExec(16, 1, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Plan.Strategy != StrategyHyperCube {
-		t.Fatalf("initial strategy %v", r1.Plan.Strategy)
+	// The drifted call serves the stale plan and marks the entry.
+	if r, err := s.Exec(ctx, q, db); err != nil || r.Replanned {
+		t.Fatalf("drifted call: err=%v replanned=%v", err, r.Replanned)
 	}
-	plantSkew(t, db)
 
-	// The drifted call marks the entry stale; with background replanning the
-	// stale plan keeps serving and no request ever reports Replanned.
-	for i := 0; i < 2; i++ {
-		r, err := s.Exec(ctx, q, db)
-		if err != nil {
-			t.Fatal(err)
+	const workers = 8
+	results := make([]Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = s.Exec(ctx, q, db)
+		}()
+	}
+	wg.Wait()
+	replanned := 0
+	for i, r := range results {
+		if errs[i] != nil {
+			t.Fatalf("exec %d: %v", i, errs[i])
 		}
 		if r.Replanned {
-			t.Fatalf("exec %d replanned on the request path", i)
+			replanned++
+		}
+		if !equalTupleSets(r.Output, oracle.Output) {
+			t.Fatalf("exec %d: %d answers, want %d", i, len(r.Output), len(oracle.Output))
 		}
 	}
-	spinUntil(t, "background replan completed", func() bool {
-		return s.CacheStats().BackgroundReplans >= 1
-	})
-	// The swapped-in plan was built from post-skew statistics.
-	spinUntil(t, "swapped plan picks skew-join", func() bool {
-		r, err := s.Exec(ctx, q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Replanned {
-			t.Fatal("post-swap exec reported Replanned")
-		}
-		return r.Plan.Strategy == StrategySkewJoin
-	})
-	if st := s.CacheStats(); st.BackgroundReplans < 1 {
-		t.Fatalf("BackgroundReplans = %d", st.BackgroundReplans)
+	if replanned != 1 {
+		t.Fatalf("%d executions report Replanned, want 1", replanned)
+	}
+	if st := s.CacheStats(); st.Replans != 1 {
+		t.Fatalf("Replans = %d, want 1 (stats: %+v)", st.Replans, st)
 	}
 }
 
@@ -159,7 +168,7 @@ func TestSessionCloseMidFlight(t *testing.T) {
 	db.Put(MatchingRelation("S1", 2, 400, 1<<20, 1))
 	db.Put(MatchingRelation("S2", 2, 400, 1<<20, 2))
 	q := Join2Query()
-	s, err := Open(Config{P: 8, Seed: 1, MaxInFlight: 1, MaxQueue: -1, BackgroundReplan: true, Faults: f})
+	s, err := Open(Config{P: 8, Seed: 1, MaxInFlight: 1, MaxQueue: -1, Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +206,7 @@ func TestSessionCloseMidFlight(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	// Everything the session owned (gate waiters, replan worker) is gone.
+	// Everything the session owned (gate waiters) is gone.
 	spinUntil(t, "goroutines drained after Close", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})

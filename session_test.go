@@ -133,9 +133,13 @@ func TestSessionExecMatchesEngineAndOptions(t *testing.T) {
 		t.Fatalf("WithoutCache touched the cache: %+v -> %+v", before, after)
 	}
 
-	// WithMultiRound(true) lets the pipeline compete per call.
-	if _, err := s.Exec(context.Background(), q, db, WithMultiRound(true)); err != nil {
+	// ConsiderMultiRound lets the pipeline compete on every unforced Exec.
+	mr, err := Open(Config{P: 8, Seed: 3, ConsiderMultiRound: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if r, err := mr.Exec(context.Background(), q, db); err != nil || !equalTupleSets(r.Output, oracle.Output) {
+		t.Fatalf("ConsiderMultiRound: err=%v answers=%d", err, len(r.Output))
 	}
 }
 
