@@ -147,7 +147,9 @@ type ResidualBound struct {
 // x realized in the data (absent assignments contribute M_j(h_j) = 0 for
 // atoms with u_j > 0, hence vanish). Returns 0 if no vertex saturates x.
 func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (float64, []ResidualBound) {
-	return residualLower(q, x, db, p, new(stats.Pass))
+	ps := new(stats.Pass)
+	defer ps.Release()
+	return residualLower(q, x, db, p, ps)
 }
 
 // atomProj is atom j's projection onto its x-variables x_j.
@@ -227,13 +229,45 @@ func newResidual(q *query.Query, x query.VarSet, db *data.Database, ps *stats.Pa
 }
 
 // eval computes L_x(u, M, p) for every saturating packing u, in packing
-// order, and the best of them. It writes only r's own scratch, so distinct
-// residuals evaluate concurrently.
+// order, and the best of them. It walks the support once, reading each
+// atom's M_j(h_j) once per assignment h, and adds h's term to every
+// packing's own sum, so each sum adds its terms in support order. It writes
+// only r's own scratch, so distinct residuals evaluate concurrently.
 func (r *residual) eval(p int) (float64, []ResidualBound) {
 	assignments := r.supportAssignments()
+	sums := make([]float64, len(r.sat))
+	mjh := make([]float64, len(r.projs))
+	for i := 0; i < assignments.N; i++ {
+		h := assignments.At(i)
+		for j := range r.projs {
+			pr := &r.projs[j]
+			if pr.freq == nil {
+				mjh[j] = pr.mBits // x_j = ∅: M_j(h) = M_j
+				continue
+			}
+			for a, xi := range pr.xIdx {
+				pr.key[a] = h[xi]
+			}
+			mjh[j] = float64(pr.freq.Count(pr.key)) * pr.bitsW
+		}
+		for k, u := range r.sat {
+			term := 1.0
+			for j, uj := range u {
+				if uj == 0 {
+					continue
+				}
+				if mjh[j] == 0 {
+					term = 0
+					break
+				}
+				term *= math.Pow(mjh[j], uj)
+			}
+			sums[k] += term
+		}
+	}
 	var best float64
 	var table []ResidualBound
-	for _, u := range r.sat {
+	for k, u := range r.sat {
 		total := 0.0
 		for _, uj := range u {
 			total += uj
@@ -241,33 +275,7 @@ func (r *residual) eval(p int) (float64, []ResidualBound) {
 		if total == 0 {
 			continue
 		}
-		sum := 0.0
-		for i := 0; i < assignments.N; i++ {
-			h := assignments.At(i)
-			term := 1.0
-			for j := range r.projs {
-				if u[j] == 0 {
-					continue
-				}
-				pr := &r.projs[j]
-				var mjh float64
-				if pr.freq == nil {
-					mjh = pr.mBits // x_j = ∅: M_j(h) = M_j
-				} else {
-					for a, xi := range pr.xIdx {
-						pr.key[a] = h[xi]
-					}
-					mjh = float64(pr.freq.Count(pr.key)) * pr.bitsW
-				}
-				if mjh == 0 {
-					term = 0
-					break
-				}
-				term *= math.Pow(mjh, u[j])
-			}
-			sum += term
-		}
-		b := math.Pow(sum/float64(p), 1/total)
+		b := math.Pow(sums[k]/float64(p), 1/total)
 		table = append(table, ResidualBound{X: r.xSorted, U: u, Bound: b})
 		if b > best {
 			best = b
@@ -302,7 +310,9 @@ func (r *residual) supportAssignments() data.Rows {
 // winning bound and a description of where it came from (Theorem 1.2's
 // L_lower = max_{x,u} L_x(u, M, p)).
 func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, string) {
-	return BestLowerWith(q, db, p, maxX, new(stats.Pass))
+	ps := new(stats.Pass)
+	defer ps.Release()
+	return BestLowerWith(q, db, p, maxX, ps)
 }
 
 // BestLowerWith is BestLower counting through the caller's statistics

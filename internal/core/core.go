@@ -717,11 +717,14 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 // physical plan, and — when multi-round consideration is on — cost-compares
 // the one-round choice against a multi-round pipeline (predicted SumMaxBits
 // vs the one-round PredictedBits), switching to the pipeline when cheaper.
-// Every step counts through the one pass ps (nil: the build's own), so each
-// (relation, attribute list) is grouped once; the plan keeps nothing of ps.
+// Every step counts through the one pass ps, so each (relation, attribute
+// list) is grouped once; the plan keeps nothing of ps. A nil ps means a
+// pass of the build's own, released before it returns; a caller's pass is
+// the caller's to release.
 func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *cachedPlan {
 	if ps == nil {
 		ps = new(stats.Pass)
+		defer ps.Release()
 	}
 	cp := &cachedPlan{plan: logicalPlan(q, db, s, ps)}
 	cp.plannedFP = stats.Fingerprint(db)

@@ -29,6 +29,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
+	defer ps.Release()
 	cp := buildPlan(q, db, s, ps)
 	plan := cp.plan
 	var b strings.Builder

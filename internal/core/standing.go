@@ -156,6 +156,7 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 func (h *StandingQuery) seed(ctx context.Context) error {
 	snap := h.db.Snapshot()
 	pass := new(stats.Pass) // shared by the plan build and the heavy watch
+	defer pass.Release()
 	cp, key, _ := h.e.planFor(h.q, snap, h.s, pass)
 	if cp.phys != nil {
 		var rec Recovery

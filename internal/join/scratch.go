@@ -10,8 +10,9 @@ import (
 // group each binding matched, the key probe, the atom order and flags, and
 // two ping-pong arenas of intermediate bindings. It is dead once the join
 // returns, so every local join takes one from a single sync.Pool, which the
-// collector drains, and allocates only the answers it returns. No pooled
-// memory outlives the call that took it: no fragment, answer or input.
+// collector drains, and allocates only the answers it returns. A planning
+// pass (stats.Pass) holds one per grouping until it is released. No pooled
+// memory outlives its holder: no fragment, answer, plan or input.
 type Scratch struct {
 	Index  data.GroupIndex
 	groups []int32
@@ -41,6 +42,9 @@ func (s *Scratch) Groups(n int) []int32 {
 	s.groups = grow(s.groups, n)
 	return s.groups
 }
+
+// Values returns a buffer of n values with unspecified contents.
+func (s *Scratch) Values(n int) []int64 { return s.arena(0, n) }
 
 // arena returns intermediate arena i (0 or 1) holding n values.
 func (s *Scratch) arena(i, n int) []int64 {

@@ -6,9 +6,95 @@ import (
 	"testing"
 
 	"repro/internal/hypercube"
+	"repro/internal/lp"
 	"repro/internal/query"
 	"repro/internal/rational"
 )
+
+// This file implements, and tests, the §3.3 duality machinery that proves
+// Theorem 3.6: the dual LP (8) of the share-exponent LP (5), and the
+// fractional vertex cover LP whose optimum equals τ* by LP duality
+// ("the value of the maximal fractional edge packing ... is equal to the
+// fractional vertex covering number for q").
+
+// FractionalVertexCover solves min Σ_i w_i subject to, for every atom S_j,
+// Σ_{i ∈ S_j} w_i ≥ 1 and w ≥ 0, returning an optimal cover and its value.
+// By LP duality this value equals τ*(q).
+func FractionalVertexCover(q *query.Query) (rational.Vector, *big.Rat) {
+	k := q.NumVars()
+	p := lp.NewProblem(k)
+	for i := 0; i < k; i++ {
+		p.Objective[i].SetInt64(1)
+	}
+	for _, a := range q.Atoms {
+		row := rational.NewVector(k)
+		for _, v := range a.Vars {
+			row[v].SetInt64(1)
+		}
+		p.AddConstraint(row, lp.GE, rational.One())
+	}
+	s := p.Solve()
+	if s.Status != lp.Optimal {
+		panic("packing: vertex cover LP " + s.Status.String())
+	}
+	return s.X, s.Objective
+}
+
+// DualShareLP solves the dual (8) of the share-exponent LP (5) exactly:
+//
+//	maximize Σ_j μ_j f_j − f
+//	s.t. Σ_j f_j ≤ 1;  ∀i: Σ_{j: i ∈ S_j} f_j − f ≤ 0;  f_j, f ≥ 0
+//
+// μ is given as exact rationals. By strong duality the optimum equals the
+// primal λ; the transformation u_j = f_j/f of Lemma 3.8 maps the optimal
+// dual solution onto a fractional edge packing, which is how Theorem 3.6
+// identifies pk(q) as the witnesses of the bound.
+func DualShareLP(q *query.Query, mu rational.Vector) (f rational.Vector, fScalar *big.Rat, objective *big.Rat) {
+	l := q.NumAtoms()
+	if len(mu) != l {
+		panic("packing: mu length mismatch")
+	}
+	// Variables: f_0..f_{l-1}, then f.
+	p := lp.NewProblem(l + 1)
+	p.Maximize = true
+	for j := 0; j < l; j++ {
+		p.Objective[j].Set(mu[j])
+	}
+	p.Objective[l].SetInt64(-1)
+
+	sum := rational.NewVector(l + 1)
+	for j := 0; j < l; j++ {
+		sum[j].SetInt64(1)
+	}
+	p.AddConstraint(sum, lp.LE, rational.One())
+	for i := 0; i < q.NumVars(); i++ {
+		row := rational.NewVector(l + 1)
+		for _, j := range q.AtomsWithVar(i) {
+			row[j].SetInt64(1)
+		}
+		row[l].SetInt64(-1)
+		p.AddConstraint(row, lp.LE, rational.Zero())
+	}
+	s := p.Solve()
+	if s.Status != lp.Optimal {
+		panic("packing: dual share LP " + s.Status.String())
+	}
+	return s.X[:l], s.X[l], s.Objective
+}
+
+// PackingFromDual applies the Lemma 3.8 transformation u_j = f_j/f to a
+// dual solution, returning the induced fractional edge packing (nil when
+// f = 0, in which case the dual optimum does not correspond to a packing).
+func PackingFromDual(f rational.Vector, fScalar *big.Rat) rational.Vector {
+	if fScalar.Sign() == 0 {
+		return nil
+	}
+	u := rational.NewVector(len(f))
+	for j := range f {
+		u[j].Quo(f[j], fScalar)
+	}
+	return u
+}
 
 func TestFractionalVertexCoverEqualsTau(t *testing.T) {
 	// LP duality: the fractional vertex covering number equals τ* (§3.2).

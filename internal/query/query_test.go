@@ -271,3 +271,34 @@ func TestStringParseRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: Parse never panics, and any query it accepts prints, through
+// String, a text that parses back to a query printing the same text.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"C3(x,y,z) = S1(x,y), S2(y,z), S3(z,x)",
+		"q(x,y,z) :- S1(x,z), S2(y,z)",
+		"  q( x , y )  =  R( x , y ) ",
+		"q() = R()",
+		"q(x) = R(x), , S(x)",
+		"q(a_1,b) = R(a_1), S(b,a_1)",
+		"q(x) = R((x))",
+		"q(é) :- R(é)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := Parse(input)
+		if err != nil {
+			return
+		}
+		text := q.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted; its String %q does not re-parse: %v", input, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("Parse(%q).String() = %q, but that re-parses to %q", input, text, got)
+		}
+	})
+}

@@ -165,7 +165,9 @@ type PipelinePlan struct {
 // PlanPipeline builds the left-deep logical plan for q and lowers it over
 // db's statistics, on a statistics pass of its own.
 func PlanPipeline(q *query.Query, db *data.Database, cfg Config) *PipelinePlan {
-	return Lower(BuildPlan(q), db, cfg, new(stats.Pass))
+	ps := new(stats.Pass)
+	defer ps.Release()
+	return Lower(BuildPlan(q), db, cfg, ps)
 }
 
 // ExecuteWith runs the pipeline over db with the caller's executor

@@ -96,7 +96,9 @@ type generalState struct {
 // db and lowers the layout to a reusable PhysicalPlan. Statistics are
 // frozen at plan time, so the plan stays valid while (q, db, p) do.
 func PlanGeneral(q *query.Query, db *data.Database, cfg GeneralConfig) *GeneralPlan {
-	return PlanGeneralWith(q, db, cfg, new(stats.Pass))
+	ps := new(stats.Pass)
+	defer ps.Release()
+	return PlanGeneralWith(q, db, cfg, ps)
 }
 
 // PlanGeneralWith is PlanGeneral taking heavy-hitter statistics from the

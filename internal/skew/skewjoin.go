@@ -141,7 +141,9 @@ type classRange struct {
 // plan is a pure function of the tuple plus the heavy-hitter statistics
 // frozen at plan time.
 func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
-	return PlanJoinWith(q, db, cfg, new(stats.Pass))
+	ps := new(stats.Pass)
+	defer ps.Release()
+	return PlanJoinWith(q, db, cfg, ps)
 }
 
 // PlanJoinWith is PlanJoin reading the exact join-column frequencies

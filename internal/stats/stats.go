@@ -7,9 +7,9 @@
 //
 // Exact frequencies are counted on the group-by kernel (data.GroupIndex):
 // a Freq is one relation grouped by one attribute list, a Pass memoizes the
-// Freqs of one plan, and only the O(p) heavy entries are ever copied out,
-// into a FreqMap's KeyTable. A plan keeps a Dictionary: the kernel over its
-// heavy keys alone.
+// Freqs of one plan on the join scratch pool until it is released, and only
+// the O(p) heavy entries are ever copied out, into a FreqMap's KeyTable. A
+// plan keeps a Dictionary: the kernel over its heavy keys alone.
 package stats
 
 import (
@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/join"
 )
 
 // AttrKey canonically encodes an attribute-position subset, e.g. [0,2] →
@@ -41,13 +42,14 @@ func AttrKey(attrs []int) string {
 // list: the relation grouped by those attributes, counted. Count probes the
 // grouping and Each walks it; nothing else is stored per distinct value. It
 // reads the relation's columns in place and is valid only until the
-// relation is next mutated.
+// relation is next mutated, or, for a Freq a Pass built, until the pass is
+// released: then Count, Each and Projection panic.
 type Freq struct {
-	Attrs []int // attribute positions, in the order keys are given and reported
-	Total int64 // Σ counts = m_j
-	idx   data.GroupIndex
+	Attrs []int          // attribute positions, in the order keys are given and reported
+	Total int64          // Σ counts = m_j
+	sc    *join.Scratch  // holds the grouping (Index); nil once released
 	cols  [][]int64      // the key columns, in Attrs order
-	keys  *data.Relation // the distinct keys; built by Pass.Projection
+	keys  *data.Relation // the distinct keys, in sc; built by Pass.Projection
 }
 
 // Frequencies computes the exact frequency table of r over the given
@@ -62,33 +64,40 @@ func Frequencies(r *data.Relation, attrs []int) *Freq {
 // sorting: keys project attrs in exactly the caller's order, as the
 // multi-round planner needs to probe with keys in join-variable order.
 func FrequenciesOrdered(r *data.Relation, attrs []int) *Freq {
-	f := &Freq{Attrs: append([]int(nil), attrs...), Total: int64(r.Size())}
+	return newFreq(r, attrs, new(join.Scratch))
+}
+
+// newFreq groups r by attrs into sc's index.
+func newFreq(r *data.Relation, attrs []int, sc *join.Scratch) *Freq {
+	f := &Freq{Attrs: append([]int(nil), attrs...), Total: int64(r.Size()), sc: sc}
 	for _, a := range attrs {
 		f.cols = append(f.cols, r.Column(a))
 	}
-	f.idx.Build(r, attrs)
+	sc.Index.Build(r, attrs)
 	return f
 }
 
 // Count returns the frequency of key, one value per attribute in Attrs
 // order (0 if absent).
 func (f *Freq) Count(key []int64) int64 {
-	return int64(f.idx.Count(f.idx.Lookup(key)))
+	idx := &f.sc.Index
+	return int64(idx.Count(idx.Lookup(key)))
 }
 
 // Distinct returns the number of distinct keys.
-func (f *Freq) Distinct() int { return f.idx.Groups() }
+func (f *Freq) Distinct() int { return f.sc.Index.Groups() }
 
 // Each calls fn with every distinct key and its frequency, in order of each
 // key's first row. key is scratch reused across calls.
 func (f *Freq) Each(fn func(key []int64, count int64)) {
+	idx := &f.sc.Index
 	key := make([]int64, len(f.cols))
-	for g, n := 0, f.idx.Groups(); g < n; g++ {
-		rep := f.idx.Rep(g)
+	for g, n := 0, idx.Groups(); g < n; g++ {
+		rep := idx.Rep(g)
 		for i, col := range f.cols {
 			key[i] = col[rep]
 		}
-		fn(key, int64(f.idx.Count(g)))
+		fn(key, int64(idx.Count(g)))
 	}
 }
 
@@ -309,8 +318,9 @@ func (rs *RelationStats) FreqMapFor(attrs []int) *FreqMap {
 // Pass is the statistics pass of one plan: it memoizes every Freq asked
 // for, so that strategy selection, the lower bounds, the planners and the
 // heavy watch group each (relation, attribute list) once between them. It
-// indexes whole base relations: drop it when planning returns, and let
-// nothing a plan keeps point into it. The zero value is ready to use. Its
+// indexes whole base relations on the join scratch pool: Release it when
+// planning returns, and let nothing a plan keeps point into it (DESIGN.md
+// audits what reads it). The zero value is ready to use. Its
 // methods build, so they are for one goroutine at a time (CollectDB's
 // fan-out gives each goroutine a relation of its own); the Freqs and
 // projections it has handed out are read-only, and any number of
@@ -349,25 +359,39 @@ func (rp *relPass) frequencies(attrs []int) *Freq {
 			return f
 		}
 	}
-	f := FrequenciesOrdered(rp.rel, attrs)
+	f := newFreq(rp.rel, attrs, join.GetScratch())
 	rp.freqs = append(rp.freqs, f)
 	return f
+}
+
+// Release hands every grouping and projection the pass built back to the
+// join scratch pool. A released Freq's Count, Each and Projection panic
+// rather than read a recycled table. Release is idempotent.
+func (ps *Pass) Release() {
+	for _, rp := range ps.rels {
+		for _, f := range rp.freqs {
+			if f.sc != nil {
+				join.PutScratch(f.sc)
+				f.sc, f.keys = nil, nil
+			}
+		}
+	}
 }
 
 // Projection returns the distinct keys of r over attrs as a relation of
 // their own: one row per key, in first-occurrence order, columns in attrs
 // order. It is read off the Freq's representative rows and built once per
-// pass, beside that Freq.
+// pass, into the Freq's scratch, so it too is valid until Release.
 func (ps *Pass) Projection(r *data.Relation, attrs []int) *data.Relation {
 	f := ps.Frequencies(r, attrs)
 	if f.keys == nil {
 		n := f.Distinct()
-		vals := make([]int64, n*len(f.cols))
+		vals := f.sc.Values(n * len(f.cols))
 		cols := make([][]int64, len(f.cols))
 		for i, col := range f.cols {
 			cols[i] = vals[i*n : (i+1)*n]
 			for g := range cols[i] {
-				cols[i][g] = col[f.idx.Rep(g)]
+				cols[i][g] = col[f.sc.Index.Rep(g)]
 			}
 		}
 		f.keys = data.NewRelation(r.Name, len(attrs), r.Domain)
@@ -551,5 +575,7 @@ func (ps *Pass) CollectDB(db *data.Database, p int) *DBStats {
 
 // CollectDB is Pass.CollectDB on a pass of its own.
 func CollectDB(db *data.Database, p int) *DBStats {
-	return new(Pass).CollectDB(db, p)
+	ps := new(Pass)
+	defer ps.Release()
+	return ps.CollectDB(db, p)
 }

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/join"
 	"repro/internal/workload"
 )
 
@@ -637,4 +639,90 @@ func TestHeavyWatchKeepsNothingOfItsPass(t *testing.T) {
 	if watchOnly > 256<<10 {
 		t.Errorf("the watch alone keeps %d bytes alive (with its pass: %d): it retains a grouping", watchOnly, withPass)
 	}
+}
+
+// TestPassReleaseReturnsEverything: Release hands every grouping a pass
+// built, projections included and CollectDB's parallel ones too, back to
+// the join scratch pool, and a released Freq panics on every read rather
+// than read a recycled table.
+func TestPassReleaseReturnsEverything(t *testing.T) {
+	withParallelProcs(t)
+	db := data.NewDatabase()
+	for i, name := range []string{"A", "B", "C"} {
+		r := data.NewRelation(name, 3, 1<<20)
+		for j := int64(0); j < 400; j++ {
+			r.Add(j%int64(5+i), j%7, j)
+		}
+		db.Put(r)
+	}
+	ps := new(Pass)
+	ps.CollectDB(db, 8)
+	a := db.MustGet("A")
+	ps.Projection(a, []int{2, 0})
+	var freqs []*Freq
+	held := make(map[*join.Scratch]bool)
+	for _, rp := range ps.rels {
+		for _, f := range rp.freqs {
+			freqs = append(freqs, f)
+			held[f.sc] = true
+		}
+	}
+	if len(freqs) != 3*7+1 || len(held) != len(freqs) {
+		t.Fatalf("%d groupings on %d scratches, want 22 on as many", len(freqs), len(held))
+	}
+	// One P and an emptied pool: the next Gets return exactly what
+	// Release puts.
+	runtime.GOMAXPROCS(1)
+	runtime.GC()
+	runtime.GC()
+	ps.Release()
+	ps.Release() // idempotent: nothing is put twice
+	for _, f := range freqs {
+		if f.sc != nil || f.keys != nil {
+			t.Fatalf("Freq over %v still holds its scratch after Release", f.Attrs)
+		}
+	}
+	if poolKeepsPuts() {
+		got := make([]*join.Scratch, len(held))
+		for i := range got {
+			got[i] = join.GetScratch()
+			if !held[got[i]] {
+				t.Errorf("Get %d after Release returned a scratch the pass never held", i)
+			}
+			delete(held, got[i])
+		}
+		for _, sc := range got {
+			join.PutScratch(sc)
+		}
+	}
+	f := ps.Frequencies(a, []int{2, 0})
+	for name, read := range map[string]func(){
+		"Count":      func() { f.Count([]int64{0, 0}) },
+		"Each":       func() { f.Each(func([]int64, int64) {}) },
+		"Projection": func() { ps.Projection(a, []int{2, 0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released Freq did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+}
+
+// poolKeepsPuts reports whether a sync.Pool hands back what was just put
+// into it. Under the race detector Put drops a quarter of its items at
+// random, and no pin on what a warm pool saves can hold.
+func poolKeepsPuts() bool {
+	var p sync.Pool
+	for range 64 {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
 }
