@@ -11,14 +11,12 @@ package bounds
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/join"
 	"repro/internal/packing"
+	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/stats"
 )
@@ -321,7 +319,7 @@ func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, str
 //
 // The variable sets are resolved against the pass one by one, in mask
 // order, so only the caller writes the pass; their support joins and Eq.
-// (12) sums then run on up to GOMAXPROCS workers that only read; the bounds
+// (12) sums then run on internal/par workers that only read; the bounds
 // are reduced in mask order by the serial b > best rule, so neither the
 // value nor the description depends on the workers.
 func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats.Pass) (float64, string) {
@@ -359,26 +357,10 @@ func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats
 	return best, desc
 }
 
-// evalAll returns each residual's best bound, in order. With two or more
-// residuals and GOMAXPROCS ≥ 2 they are evaluated by a pool of workers
-// claiming indices off one counter, the caller being the last worker.
+// evalAll returns each residual's best bound, in order, evaluated on
+// par.Each's workers.
 func evalAll(jobs []*residual, p int) []float64 {
 	out := make([]float64, len(jobs))
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-			out[i], _ = jobs[i].eval(p)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.Each(len(jobs), func(i int) { out[i], _ = jobs[i].eval(p) })
 	return out
 }

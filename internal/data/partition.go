@@ -25,6 +25,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"repro/internal/par"
 )
 
 // PartitionSpan is one contiguous run of rows sharing a heavy value on the
@@ -162,7 +164,7 @@ func (r *Relation) buildPartitionsFrom(attr int, threshold int64, spans []Partit
 }
 
 // gatherMinRows is the row count below which the per-column gather is not
-// worth a goroutine per column.
+// worth fanning out over the columns.
 const gatherMinRows = 1 << 15
 
 // gatherColumns replaces each of the first `rows` entries of every column
@@ -176,22 +178,13 @@ func gatherColumns(cols [][]int64, rows int, out []int) {
 		}
 		cols[a] = nc
 	}
-	if rows < gatherMinRows || len(cols) < 2 {
+	if rows < gatherMinRows {
 		for a := range cols {
 			gather(a)
 		}
 		return
 	}
-	done := make(chan int, len(cols))
-	for a := range cols {
-		go func(a int) {
-			gather(a)
-			done <- a
-		}(a)
-	}
-	for range cols {
-		<-done
-	}
+	par.Each(len(cols), gather)
 }
 
 // partitionTailMax is the denominator of the lazy-rebuild tail rule: once

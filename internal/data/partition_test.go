@@ -2,6 +2,8 @@ package data
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -166,6 +168,65 @@ func TestBuildPartitionsRandomized(t *testing.T) {
 			}
 			if ok && int64(sp.End-sp.Start) != c {
 				t.Fatalf("trial %d: value %d run length %d, count %d", trial, v, sp.End-sp.Start, c)
+			}
+		}
+	}
+}
+
+// TestBuildPartitionsParallelGather reaches the gather's parallel branch
+// (at least gatherMinRows rows, more than one column): at GOMAXPROCS 1 and
+// 4 the columns equal a serial stable partition — light rows in arrival
+// order, then each heavy run in ascending value and arrival order — and a
+// snapshot published before the build keeps its old arrays.
+func TestBuildPartitionsParallelGather(t *testing.T) {
+	const rows, threshold = 40_000, 1_000
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(int64(procs)))
+		r := NewRelation("R", 3, 1<<40)
+		for i := 0; i < rows; i++ {
+			v := int64(1_000_000 + i) // light: distinct
+			if rng.Intn(8) < 3 {
+				v = int64(rng.Intn(5)) // heavy: ≈ 3,000 copies of each of 0..4
+			}
+			r.Add(v, rng.Int63n(1<<40), int64(i))
+		}
+		db := NewDatabase()
+		db.Put(r)
+		old := [][]int64{
+			slices.Clone(r.Column(0)), slices.Clone(r.Column(1)), slices.Clone(r.Column(2)),
+		}
+		view := db.Snapshot().MustGet("R")
+
+		// The serial reference: row order after the layout, by old row.
+		var order []int
+		for i, v := range old[0] {
+			if v >= 1_000_000 {
+				order = append(order, i)
+			}
+		}
+		for h := int64(0); h < 5; h++ {
+			for i, v := range old[0] {
+				if v == h {
+					order = append(order, i)
+				}
+			}
+		}
+
+		idx := r.BuildPartitions(0, threshold)
+		runtime.GOMAXPROCS(prev)
+		if rows < gatherMinRows || len(idx.Spans) != 5 {
+			t.Fatalf("procs=%d: %d rows, %d spans: the parallel gather branch was not reached", procs, rows, len(idx.Spans))
+		}
+		for a := range old {
+			col := r.Column(a)
+			for j, i := range order {
+				if col[j] != old[a][i] {
+					t.Fatalf("procs=%d: column %d row %d = %d, want old row %d's %d", procs, a, j, col[j], i, old[a][i])
+				}
+			}
+			if !slices.Equal(view.Column(a), old[a]) {
+				t.Fatalf("procs=%d: column %d of the published view changed", procs, a)
 			}
 		}
 	}

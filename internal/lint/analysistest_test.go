@@ -194,14 +194,20 @@ func TestAnalyzersGolden(t *testing.T) {
 }
 
 // TestNoDeterminismOutOfScope re-checks core-forbidden calls under a
-// non-core import path: the path scoping must silence them all.
+// non-core import path, and a go statement under internal/par's test
+// variant: the path scoping must silence them all.
 func TestNoDeterminismOutOfScope(t *testing.T) {
-	pkg := loadTestdata(t, "nodeterminism_outofscope", "repro/internal/stats")
-	findings, err := Run([]*load.Package{pkg}, []*analysis.Analyzer{NoDeterminismBreak})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("out-of-scope corpus produced a finding: %s", f)
+	for _, tc := range []struct{ dir, asPath string }{
+		{"nodeterminism_outofscope", "repro/internal/stats"},
+		{"nodeterminism_par", "repro/internal/par [repro/internal/par.test]"},
+	} {
+		pkg := loadTestdata(t, tc.dir, tc.asPath)
+		findings, err := Run([]*load.Package{pkg}, []*analysis.Analyzer{NoDeterminismBreak})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			t.Errorf("out-of-scope corpus produced a finding: %s", f)
+		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
+	"repro/internal/par"
 )
 
 // Analyzers returns the four invariant analyzers — everything cmd/skewlint
@@ -71,66 +71,49 @@ func (f Finding) String() string {
 // Run executes the analyzers over the packages and returns the surviving
 // findings: deduplicated (a file shared by a package and its test variant
 // is analyzed twice) and with //skewlint:allow suppressions applied,
-// sorted by position.
+// sorted by position. When analyzers fail, the error is the first failing
+// package's, in pkgs order.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	type keyed struct {
-		key string
-		f   Finding
-	}
-	var mu sync.Mutex
-	var all []keyed
-	var firstErr error
-
-	var wg sync.WaitGroup
-	for _, pkg := range pkgs {
-		wg.Add(1)
-		go func(pkg *load.Package) {
-			defer wg.Done()
-			allow := allowDirectives(pkg)
-			for _, a := range analyzers {
-				pass := &analysis.Pass{
-					Analyzer:  a,
-					Fset:      pkg.Fset,
-					Files:     pkg.Syntax,
-					Pkg:       pkg.Types,
-					TypesInfo: pkg.TypesInfo,
-					IsTest:    pkg.IsTest,
-				}
-				pass.Report = func(d analysis.Diagnostic) {
-					pos := pkg.Fset.Position(d.Pos)
-					if allow.allows(a.Name, pos) {
-						return
-					}
-					mu.Lock()
-					all = append(all, keyed{
-						key: fmt.Sprintf("%s|%s|%s", pos, a.Name, d.Message),
-						f:   Finding{Pos: pos, Category: a.Name, Message: d.Message},
-					})
-					mu.Unlock()
-				}
-				if err := a.Run(pass); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ID, err)
-					}
-					mu.Unlock()
+	found := make([][]Finding, len(pkgs))
+	errs := make([]error, len(pkgs))
+	par.Each(len(pkgs), func(i int) {
+		pkg := pkgs[i]
+		allow := allowDirectives(pkg)
+		for _, a := range analyzers {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Syntax,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				IsTest:    pkg.IsTest,
+			}
+			pass.Report = func(d analysis.Diagnostic) {
+				if pos := pkg.Fset.Position(d.Pos); !allow.allows(a.Name, pos) {
+					found[i] = append(found[i], Finding{Pos: pos, Category: a.Name, Message: d.Message})
 				}
 			}
-		}(pkg)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			if err := a.Run(pass); err != nil {
+				errs[i] = fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ID, err)
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	seen := map[string]bool{}
+	seen := map[Finding]bool{}
 	var out []Finding
-	for _, k := range all {
-		if seen[k.key] {
-			continue
+	for _, fs := range found {
+		for _, f := range fs {
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
+			}
 		}
-		seen[k.key] = true
-		out = append(out, k.f)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

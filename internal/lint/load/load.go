@@ -31,10 +31,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Package is one type-checked target package.
@@ -164,27 +164,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	fset := token.NewFileSet()
 	out := make([]*Package, len(targets))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	errs := make([]error, len(targets))
-	for i, lp := range targets {
-		wg.Add(1)
-		go func(i int, lp *listPkg) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = check(fset, exports, lp)
-		}(i, lp)
-	}
-	wg.Wait()
-	var pkgs []*Package
-	for i, p := range out {
-		if errs[i] != nil {
-			return nil, errs[i]
+	par.Each(len(targets), func(i int) { out[i], errs[i] = check(fset, exports, targets[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		pkgs = append(pkgs, p)
 	}
-	return pkgs, nil
+	return out, nil
 }
 
 // check parses and type-checks one listed package.

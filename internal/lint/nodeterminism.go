@@ -3,14 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/analysis"
 )
 
 // NoDeterminismBreak enforces the determinism contract of the execution
 // core (PRs 7/9): fault decisions, backoff jitter, and routing must be
-// pure functions of seeds, and tests must stay sleep-free so -race runs
-// are schedule-independent rather than timing-dependent.
+// pure functions of seeds, tests must stay sleep-free so -race runs are
+// schedule-independent rather than timing-dependent, and goroutines start
+// only in internal/par.
 var NoDeterminismBreak = &analysis.Analyzer{
 	Name: "nodeterminismbreak",
 	Doc: `forbid wall-clock and global-randomness calls in the deterministic core
@@ -23,7 +25,9 @@ through explicitly seeded sources (rand.New(rand.NewSource(seed))) — the
 global functions draw from process-global state and break seed replay.
 In every package, _test.go files must not call time.Sleep: the test suite
 is sleep-free by construction (tests that need delay inject hooks and
-block on channels).`,
+block on channels). Outside _test.go files, repro/internal/par is the one
+package with go statements: every other fan-out runs on par.Each or
+par.For, which bound the workers at GOMAXPROCS.`,
 	Run: runNoDeterminismBreak,
 }
 
@@ -39,9 +43,14 @@ var seededConstructors = map[string]bool{
 
 func runNoDeterminismBreak(pass *analysis.Pass) error {
 	core := enginePaths[pass.Pkg.Path()]
+	// A test variant's path carries a " [p.test]" suffix.
+	par := strings.Fields(pass.Pkg.Path())[0] == "repro/internal/par"
 	for i, file := range pass.Files {
 		inTest := i < len(pass.IsTest) && pass.IsTest[i]
 		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && !inTest && !par {
+				pass.Reportf(g.Pos(), "go statement outside internal/par: fan out with par.Each or par.For")
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -22,6 +22,11 @@ func BadGlobalRand() int {
 	return rand.Intn(10) // want `global math/rand.Intn`
 }
 
+// BadFanOut starts its own goroutine instead of running on internal/par.
+func BadFanOut(done chan struct{}) {
+	go func() { close(done) }() // want `go statement outside internal/par`
+}
+
 // GoodSeeded mirrors the engine idiom: explicitly seeded sources only.
 func GoodSeeded(seed int64) int {
 	r := rand.New(rand.NewSource(seed))

@@ -13,3 +13,11 @@ func TestSleepy(t *testing.T) {
 		t.Fatal("clock is broken")
 	}
 }
+
+// TestGoroutine may start goroutines: the go-statement rule covers
+// non-test code only.
+func TestGoroutine(t *testing.T) {
+	done := make(chan struct{})
+	go func() { close(done) }()
+	<-done
+}

@@ -1,5 +1,5 @@
 // The count-then-scatter communication engine. A round is two passes of
-// min(GOMAXPROCS, parts) workers claiming sendParts off a shared counter:
+// internal/par workers claiming sendParts off a shared counter:
 //
 //  1. Route: each part records where its rows go — a destination log plus
 //     sparse per-server row counts (partLog). No value is copied.
@@ -20,13 +20,12 @@ package mpc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/par"
 )
 
 // partLog is the route pass's record of one send part: one int32 record
@@ -89,31 +88,19 @@ type commState struct {
 	cols    [][]int64        // AdoptColumns header scratch
 }
 
-// parallel runs fn on min(GOMAXPROCS, n) pooled workers sharing one claim
-// counter; the calling goroutine is the last of them.
-func (c *Cluster) parallel(n int, fn func(w *commWorker, next *atomic.Int64)) {
-	st := &c.comm
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+// parallel runs fn on par.Workers(n) workers, each with its pooled state.
+func (c *Cluster) parallel(n int, fn func(w *commWorker, next func() int)) {
+	st, workers := &c.comm, par.Workers(n)
 	for len(st.workers) < workers {
 		st.workers = append(st.workers, &commWorker{})
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i, w := range st.workers[:workers] {
+	par.For(workers, func(i int, next func() int) {
+		w := st.workers[i]
 		if len(w.count) < c.P {
 			w.count = make([]int, c.P)
 		}
-		if i == workers-1 {
-			fn(w, &next)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, &next)
-		}()
-	}
-	wg.Wait()
+		fn(w, next)
+	})
 }
 
 // route runs the route pass and returns one log per part. It writes no
@@ -145,7 +132,7 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 		n := logCap(part)
 		logs[i].log, buf = buf[:0:n], buf[n:]
 	}
-	c.parallel(len(parts), func(w *commWorker, next *atomic.Int64) {
+	c.parallel(len(parts), func(w *commWorker, next func() int) {
 		w.route(c, parts, logs, next, router, report)
 	})
 	return logs, routeErr
@@ -153,11 +140,11 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 
 // route is one worker's share of the route pass: claim parts off the shared
 // counter until none remain, logging part pi into logs[pi].
-func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next *atomic.Int64, router Router, report func(error)) {
+func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next func() int, router Router, report func(error)) {
 	r := SenderRouter(router)
 	sr, spannable := r.(SpanRouter)
 	for {
-		pi := int(next.Add(1)) - 1
+		pi := next()
 		if pi >= len(parts) {
 			return
 		}
@@ -389,8 +376,8 @@ func (c *Cluster) commit(parts []sendPart, logs []partLog) {
 		clear(cols)
 		st.cols = cols
 	}
-	c.parallel(len(parts), func(w *commWorker, next *atomic.Int64) {
-		for pi := int(next.Add(1)) - 1; pi < len(parts); pi = int(next.Add(1)) - 1 {
+	c.parallel(len(parts), func(w *commWorker, next func() int) {
+		for pi := next(); pi < len(parts); pi = next() {
 			r := logs[pi].recv * p
 			w.scatter(parts[pi], &logs[pi], slots[r:r+p])
 		}

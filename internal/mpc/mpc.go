@@ -6,8 +6,8 @@
 //
 // The model charges only for bits received, so the simulator keeps its own
 // costs out of the way: the communication phase runs on a count-then-scatter
-// engine (see comm.go) whose goroutine count is O(GOMAXPROCS) regardless of
-// the virtual-server count and which allocates each received fragment once,
+// engine (see comm.go) on internal/par's O(GOMAXPROCS) workers, regardless of
+// the virtual-server count, and allocates each received fragment once,
 // at its exact size, holding its rows in a deterministic order; clusters are
 // reusable (Resize) so executors can pool them instead of reallocating Θ(p)
 // servers per run.
@@ -22,12 +22,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/par"
 )
 
 // Router decides which servers receive a tuple of a relation during the
@@ -424,9 +423,9 @@ func (c *Cluster) reportComputeFault(id int) {
 // that lost servers re-runs only those while the survivors' results stand.
 // A server whose compute fails under the injected schedule never sees body
 // (its fragments stay untouched); the failed IDs are returned in ascending
-// order. Servers are claimed off a shared counter by a bounded pool of
-// min(GOMAXPROCS, servers) goroutines, never Θ(Virtual) of them. Load
-// counters are untouched: local computation is free in the MPC model.
+// order. Servers are claimed by par.Each's workers, min(GOMAXPROCS,
+// servers) of them, never Θ(Virtual). Load counters are untouched: local
+// computation is free in the MPC model.
 func (c *Cluster) ComputeOn(ids []int, body func(s *Server)) []int {
 	var flt *Faults
 	if f := c.Faults; f != nil && f.ComputeFail > 0 {
@@ -455,24 +454,7 @@ func (c *Cluster) ComputeOn(ids []int, body func(s *Server)) []int {
 		}
 		body(s)
 	}
-	if workers := min(runtime.GOMAXPROCS(0), n); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-	}
+	par.Each(n, run)
 	slices.Sort(failed)
 	return failed
 }

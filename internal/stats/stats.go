@@ -17,14 +17,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/join"
+	"repro/internal/par"
 )
 
 // AttrKey canonically encodes an attribute-position subset, e.g. [0,2] →
@@ -322,7 +321,7 @@ func (rs *RelationStats) FreqMapFor(attrs []int) *FreqMap {
 // planning returns, and let nothing a plan keeps point into it (DESIGN.md
 // audits what reads it). The zero value is ready to use. Its
 // methods build, so they are for one goroutine at a time (CollectDB's
-// fan-out gives each goroutine a relation of its own); the Freqs and
+// fan-out gives each worker relations of its own); the Freqs and
 // projections it has handed out are read-only, and any number of
 // goroutines may read them at once, as BestLowerWith's join workers do.
 type Pass struct {
@@ -544,9 +543,9 @@ type DBStats struct {
 }
 
 // CollectDB computes statistics for every relation in db. Relations are
-// collected concurrently, mirroring the paper's setting where every input
-// server computes its partition's statistics at once; each goroutine works
-// on its own relation's part of the pass.
+// collected on par.Each's workers, mirroring the paper's setting where
+// every input server computes its partition's statistics at once; each
+// relation's part of the pass is written by the one worker that claims it.
 func (ps *Pass) CollectDB(db *data.Database, p int) *DBStats {
 	names := db.Names()
 	var parts []*relPass // distinct, even if two names share a relation
@@ -555,17 +554,7 @@ func (ps *Pass) CollectDB(db *data.Database, p int) *DBStats {
 			parts = append(parts, rp)
 		}
 	}
-	if len(parts) >= 2 && runtime.GOMAXPROCS(0) >= 2 {
-		var wg sync.WaitGroup
-		for _, rp := range parts {
-			wg.Add(1)
-			go func(rp *relPass) {
-				defer wg.Done()
-				rp.collect(p)
-			}(rp)
-		}
-		wg.Wait()
-	}
+	par.Each(len(parts), func(i int) { parts[i].collect(p) })
 	s := &DBStats{P: p, Relations: make(map[string]*RelationStats, len(names))}
 	for _, name := range names {
 		s.Relations[name] = ps.Collect(db.Relations[name], p)
