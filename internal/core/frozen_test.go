@@ -46,7 +46,10 @@ var frozenPlans = []frozenPlan{
 	{"delta_advance", 5, HyperCube, 0x40a9640000000002, 0x40a9640000000000, []int{16}, 0xe2da4c0a6e3b6e38, 0x5820e9fb6b759072},
 	{"planted_triangle", 1, BinCombination, 0x40c740c102881dd3, 0x40c740c102881dc8, []int{123}, 0x5e1e6570cd4c94b4, 0xf44d02e21b85854f},
 	{"planted_triangle", 5, BinCombination, 0x40c740c102881dd3, 0x40c740c102881dc8, []int{123}, 0x6cd7529b8b68a677, 0xf44d02e21b85854f},
-	{"zipf_multiround", 1, MultiRound, 0x4151a7fc50000000, 0x40cf010158b57d10, []int{66, 32}, 0xa80bcc3dd362d7a7, 0x11f30780c73f658a},
+	// Re-pinned for §4.1's per-class budgets in multi-round steps: step 1
+	// has one key heavy on the left only (fL = 128, fR = 103, threshold
+	// 125), which gets a 32×1 block of its own.
+	{"zipf_multiround", 1, MultiRound, 0x4151a7fc50000000, 0x40cf010158b57d10, []int{97, 32}, 0x447fc87dacfad130, 0x11f30780c73f658a},
 	{"zipf_multiround", 5, MultiRound, 0x4151498908000000, 0x40cf010158b57d10, []int{65, 32}, 0xee281517fafe9de4, 0x11f30780c73f658a},
 }
 

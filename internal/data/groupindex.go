@@ -153,6 +153,32 @@ probe:
 	}
 }
 
+// LookupRow is Lookup of the key that row carries in cols at the positions
+// keyCols, read in place.
+//
+//skewlint:noalloc
+func (x *GroupIndex) LookupRow(cols [][]int64, keyCols []int, row int) int {
+	var h uint64
+	for _, a := range keyCols {
+		h = mixKey(h, cols[a][row])
+	}
+	mask := uint32(len(x.slots) - 1)
+probe:
+	for s := uint32(h) & mask; ; s = (s + 1) & mask {
+		g := x.slots[s] - 1
+		if g < 0 {
+			return -1
+		}
+		r := x.first[g]
+		for i, col := range x.cols {
+			if col[r] != cols[keyCols[i]][row] {
+				continue probe
+			}
+		}
+		return int(g)
+	}
+}
+
 // Groups returns the number of distinct keys. Group ids are 0..Groups()-1
 // in order of each key's first row.
 func (x *GroupIndex) Groups() int { return len(x.first) }

@@ -10,7 +10,8 @@ import (
 
 // checkGroupIndex holds x, built over rel by keyCols, to a map[string][]int
 // reference keyed by Tuple.Key: same groups in first-occurrence order, same
-// ascending rows, and Lookup finds exactly the keys present.
+// ascending rows, Lookup finds exactly the keys present, and LookupRow
+// finds every row's group in place.
 func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) {
 	t.Helper()
 	ref := make(map[string][]int)
@@ -42,6 +43,9 @@ func checkGroupIndex(t *testing.T, x *GroupIndex, rel *Relation, keyCols []int) 
 		for i, r := range rows {
 			if int(r) != want[i] {
 				t.Fatalf("group %d: Rows = %v, want %v", g, rows, want)
+			}
+			if got := x.LookupRow(rel.Columns(), keyCols, int(r)); got != g {
+				t.Fatalf("LookupRow(row %d) = %d, want group %d", r, got, g)
 			}
 		}
 		total += len(rows)

@@ -140,6 +140,21 @@ func TestRouterEntryPointsAgree(t *testing.T) {
 	}
 	checkRouter(t, "join/zipf", jp.Phys.Router, probesOf(zipf)...)
 
+	// One key of each §4.1 class: the broadcast side of the H1 and H2 blocks
+	// compiles to bulk Dests, on the skew join and on the one-step pipeline
+	// that shares its router.
+	mixed := data.NewDatabase()
+	mixed.Put(workload.PlantedHeavy("S1", 5000, 1<<20, 1, []workload.HeavySpec{{Value: 1, Count: 1500}, {Value: 2, Count: 800}, {Value: 3, Count: 60}}, 1))
+	mixed.Put(workload.PlantedHeavy("S2", 5000, 1<<20, 1, []workload.HeavySpec{{Value: 1, Count: 1500}, {Value: 2, Count: 60}, {Value: 3, Count: 800}}, 2))
+	mixedProbes := probesOf(mixed)
+	mjp := skew.PlanJoin(query.Join2(), mixed, skew.JoinConfig{P: 16, Seed: 1})
+	if mjp.NumH1 != 1 || mjp.NumH2 != 1 || mjp.NumH12 != 1 {
+		t.Fatalf("mixed join2 planned H1/H2/H12 = %d/%d/%d, want one of each", mjp.NumH1, mjp.NumH2, mjp.NumH12)
+	}
+	checkRouter(t, "join/mixed", mjp.Phys.Router, mixedProbes...)
+	mpp := rounds.PlanPipeline(query.Join2(), mixed, rounds.Config{P: 16, Seed: 1, SkewAware: true})
+	checkRouter(t, "step/mixed", mpp.Pipe.Stages[0].Plan.Router, mixedProbes...)
+
 	// Step routers: a heavy single-column key (stage 1 of the zipf
 	// triangle), a stage with nothing heavy (its stage 2, where the
 	// dictionary is nil and no key is probed), and a heavy two-column key.

@@ -3,8 +3,6 @@ package rounds
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/exec"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/mpc"
 	"repro/internal/query"
+	"repro/internal/skew"
 	"repro/internal/stats"
 )
 
@@ -136,27 +135,22 @@ func estFreq(fs []factor, k []int64, scratch []int64) float64 {
 }
 
 // planStage lowers one step: it detects heavy join keys (exact on base
-// sides, join-product-estimated on intermediate sides), allocates their
-// §4.1 cartesian grids over virtual servers, and emits the executor stage
-// plus the planner's view of the step output and the round's predicted
-// maximum per-server load in bits.
+// sides, join-product-estimated on intermediate sides), plans the round as
+// §4.1's binary join (skew.Binary), and emits the executor stage plus the
+// planner's view of the step output and the round's predicted maximum
+// per-server load in bits.
 func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) (exec.Stage, *input, float64) {
 	p := cfg.P
 	leftKey := keyPositions(st.LeftVars, st.JoinVars)
 	rightKey := keyPositions(st.RightVars, st.JoinVars)
-	family := hashing.NewFamily(cfg.Seed*1315423911 + uint64(si) + 1)
 	cartesian := len(st.JoinVars) == 0
 
-	type heavyKey struct {
-		k      []int64
-		fL, fR float64
-	}
-	var heavyKeys []heavyKey
+	var heavy []skew.HeavyKey
 	anyCover := false
 	var estOut float64
 	// Frequency statistics are only collected in skew-aware mode: a plain
 	// step is a hash join whose routing needs no statistics at all, so
-	// plain lowering stays as cheap as the step router itself.
+	// plain lowering stays as cheap as its router.
 	if cfg.SkewAware && !cartesian {
 		lf := sideFactors(left, st.JoinVars, ps)
 		rf := sideFactors(right, st.JoinVars, ps)
@@ -206,17 +200,17 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 		thrL := math.Max(1, sumL/float64(p))
 		thrR := math.Max(1, sumR/float64(p))
 		for c := range estL {
-			if estL[c] > thrL || estR[c] > thrR {
-				heavyKeys = append(heavyKeys, heavyKey{keys[c*width : (c+1)*width], estL[c], estR[c]})
+			if hL, hR := estL[c] > thrL, estR[c] > thrR; hL || hR {
+				heavy = append(heavy, skew.HeavyKey{Key: keys[c*width : (c+1)*width], FL: estL[c], FR: estR[c], HeavyL: hL, HeavyR: hR})
 			}
 		}
-		// Deterministic virtual-server allocation: only the (few) heavy
-		// keys need a canonical order, not the full candidate set.
-		sort.Slice(heavyKeys, func(i, j int) bool { return slices.Compare(heavyKeys[i].k, heavyKeys[j].k) < 0 })
 	}
 	switch {
 	case cartesian:
+		// The one empty key joins everything with everything: §4.1's grid
+		// for a key heavy on both sides.
 		estOut = left.est * right.est
+		heavy = []skew.HeavyKey{{FL: left.est, FR: right.est, HeavyL: true, HeavyR: true}}
 	case !anyCover:
 		// Plain mode, or no full-cover factor anywhere (bushy custom plans):
 		// a crude linear guess — later-round predictions degrade, routing
@@ -224,73 +218,31 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 		estOut = left.est + right.est
 	}
 
-	// Virtual-server allocation: [0, p) is the light hash range; each heavy
-	// key gets a p1×p2 cartesian grid sized by its share of the estimated
-	// join product, exactly as §4.1 sizes hitter blocks.
-	virtual := p
-	var heavy []heavyPlan // by heavyKeys index, the code its dictionary gives the key
+	// The round is §4.1's binary join on its own inputs: light keys hash
+	// over [0, p), each heavy key gets a block sized from its class's
+	// budget, and a heavy key's rows spread over the block by a hash of the
+	// whole row.
+	family := hashing.NewFamily(cfg.Seed*1315423911 + uint64(si) + 1)
+	keySeeds := make([]uint64, len(leftKey))
+	for i := range keySeeds {
+		keySeeds[i] = family.DimSeed(dimKey + i)
+	}
+	bp := (&skew.Binary{
+		P:        p,
+		Left:     skew.BinarySide{Name: st.Left, Key: leftKey, Spread: allColumns(left.arity), Seed: family.DimSeed(dimLeft)},
+		Right:    skew.BinarySide{Name: st.Right, Key: rightKey, Spread: allColumns(right.arity), Seed: family.DimSeed(dimRight)},
+		KeySeeds: keySeeds,
+		Heavy:    heavy,
+	}).Plan()
+	// The round's predicted max load: the balanced hash load, or a heavy
+	// key's heaviest grid cell.
 	bL, bR := float64(left.bits), float64(right.bits)
 	pred := (left.est*bL + right.est*bR) / float64(p)
-	if cartesian {
-		g1 := int(math.Max(1, math.Sqrt(float64(p))))
-		g2 := p / g1
-		if g2 < 1 {
-			g2 = 1
+	for i, b := range bp.Blocks {
+		hk := heavy[i]
+		if grid := math.Max(1, hk.FL)/float64(b.P1)*bL + math.Max(1, hk.FR)/float64(b.P2)*bR; grid > pred {
+			pred = grid
 		}
-		pred = left.est*bL/float64(g1) + right.est*bR/float64(g2)
-	}
-	if cfg.SkewAware && len(heavyKeys) > 0 {
-		var sumK float64
-		for _, hk := range heavyKeys {
-			sumK += math.Max(1, hk.fL) * math.Max(1, hk.fR)
-		}
-		for _, hk := range heavyKeys {
-			kw := math.Max(1, hk.fL) * math.Max(1, hk.fR)
-			ph := int(math.Ceil(float64(p) * kw / sumK))
-			r1 := math.Max(1, hk.fL)
-			r2 := math.Max(1, hk.fR)
-			p1 := int(math.Round(math.Sqrt(float64(ph) * r1 / r2)))
-			if p1 < 1 {
-				p1 = 1
-			}
-			if p1 > ph {
-				p1 = ph
-			}
-			p2 := ph / p1
-			if p2 < 1 {
-				p2 = 1
-			}
-			heavy = append(heavy, heavyPlan{base: virtual, p1: p1, p2: p2})
-			virtual += p1 * p2
-			if grid := r1/float64(p1)*bL + r2/float64(p2)*bR; grid > pred {
-				pred = grid
-			}
-		}
-	} else {
-		for _, hk := range heavyKeys {
-			// Plain hash join: the whole key lands on one server.
-			if hot := hk.fL*bL + hk.fR*bR; hot > pred {
-				pred = hot
-			}
-		}
-	}
-
-	router := &stepRouter{
-		leftName: st.Left, rightName: st.Right,
-		leftKey: leftKey, rightKey: rightKey,
-		cartesian: cartesian,
-		heavy:     heavy, p: p, family: family,
-		keySeeds: make([]uint64, max(len(leftKey), len(rightKey))),
-	}
-	for i := range router.keySeeds {
-		router.keySeeds[i] = family.DimSeed(dimKey + i)
-	}
-	if len(heavy) > 0 {
-		var keys []int64
-		for _, hk := range heavyKeys {
-			keys = append(keys, hk.k...)
-		}
-		router.heavyCode = stats.Dictionary(len(st.JoinVars), keys)
 	}
 
 	outArity := len(st.OutVars)
@@ -314,9 +266,9 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 	stage := exec.Stage{
 		Plan: &exec.PhysicalPlan{
 			Strategy: "multi-round",
-			Virtual:  virtual,
+			Virtual:  bp.Virtual,
 			Physical: p,
-			Router:   router,
+			Router:   bp.Router,
 		},
 		LocalFragment: localJoin(st, leftKey, rightKey, rightPosOf, outArity, domain),
 		OutName:       st.Output,
@@ -324,17 +276,14 @@ func planStage(si int, st Step, left, right *input, cfg Config, ps *stats.Pass) 
 		OutDomain:     domain,
 	}
 	// Base inputs keyed on a single column route span-wise when partitioned
-	// (stepRouter implements mpc.SpanRouter for exactly that shape).
-	// Intermediates are rebuilt every round and never carry an index; a
-	// self-joined input is classified as left by the router, so only the
-	// left key is hinted.
-	if !cartesian {
-		if left.rel != nil && len(leftKey) == 1 {
-			stage.Plan.PartitionHints = append(stage.Plan.PartitionHints, exec.PartitionHint{Rel: st.Left, Attr: leftKey[0]})
-		}
-		if right.rel != nil && len(rightKey) == 1 && st.Right != st.Left {
-			stage.Plan.PartitionHints = append(stage.Plan.PartitionHints, exec.PartitionHint{Rel: st.Right, Attr: rightKey[0]})
-		}
+	// (BinaryRouter spans exactly that shape). Intermediates are rebuilt
+	// every round and never carry an index; a self-joined input is
+	// classified as left by the router, so only the left key is hinted.
+	if left.rel != nil && len(leftKey) == 1 {
+		stage.Plan.PartitionHints = append(stage.Plan.PartitionHints, exec.PartitionHint{Rel: st.Left, Attr: leftKey[0]})
+	}
+	if right.rel != nil && len(rightKey) == 1 && st.Right != st.Left {
+		stage.Plan.PartitionHints = append(stage.Plan.PartitionHints, exec.PartitionHint{Rel: st.Right, Attr: rightKey[0]})
 	}
 	for _, in := range []struct {
 		name string
@@ -377,14 +326,10 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 		idx := &sc.Index
 		idx.Build(rf, rightKey)
 		lCols, rCols := lf.Columns(), rf.Columns()
-		probe := make([]int64, len(leftKey))
 		groups := sc.Groups(lf.Size())
 		total := 0
 		for li := range groups {
-			for a, pos := range leftKey {
-				probe[a] = lCols[pos][li]
-			}
-			g := idx.Lookup(probe)
+			g := idx.LookupRow(lCols, leftKey, li)
 			groups[li] = int32(g)
 			total += idx.Count(g)
 		}
@@ -415,181 +360,8 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 	}
 }
 
-// heavyPlan is a per-heavy-key cartesian grid of virtual servers.
-type heavyPlan struct {
-	base, p1, p2 int
-}
-
 // Hash-family dimensions used by one join round.
 const dimKey, dimLeft, dimRight = 0, 1, 2
-
-// stepRouter routes one binary-join round: heavy keys to their cartesian
-// grids, cartesian steps over a p-server grid, everything else by hash
-// join on the key columns. Inputs are identified by relation name — base
-// relations arriving from the input servers and resident intermediates
-// shuffled server-to-server route identically. Destinations reads key
-// columns in place; its projection scratch makes it per-sender
-// (mpc.PerSenderRouter).
-type stepRouter struct {
-	leftName, rightName string
-	leftKey, rightKey   []int
-	cartesian           bool
-	// heavyCode turns a heavy join key into its index in heavy; nil when no
-	// key is heavy, and then no key is ever probed.
-	heavyCode *data.GroupIndex
-	heavy     []heavyPlan
-	p         int
-	family    *hashing.Family
-	keySeeds  []uint64   // family.DimSeed(dimKey+i) for key position i
-	proj      data.Tuple // key-projection scratch
-}
-
-// ForSender implements mpc.PerSenderRouter.
-func (r *stepRouter) ForSender() mpc.Router {
-	c := *r
-	c.proj = nil
-	return &c
-}
-
-func (r *stepRouter) keyScratch(n int) data.Tuple {
-	want := len(r.leftKey)
-	if len(r.rightKey) > want {
-		want = len(r.rightKey)
-	}
-	if r.proj == nil {
-		r.proj = make(data.Tuple, want)
-	}
-	return r.proj[:n]
-}
-
-// heavyPlanOf returns the grid of a heavy join key, nil for a light one.
-//
-//skewlint:noalloc
-func (r *stepRouter) heavyPlanOf(key []int64) *heavyPlan {
-	if r.heavyCode == nil {
-		return nil
-	}
-	if c := r.heavyCode.Lookup(key); c >= 0 {
-		return &r.heavy[c]
-	}
-	return nil
-}
-
-// Destinations implements mpc.Router, reading the key columns (and, on the
-// grid paths, all columns for the row hash) in place. Relations that are
-// not this step's inputs are not routed.
-//
-//skewlint:noalloc
-func (r *stepRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
-	isLeft := rel.Name == r.leftName
-	if !isLeft && rel.Name != r.rightName {
-		return dst
-	}
-	cols := rel.Columns()
-	kp := r.rightKey
-	if isLeft {
-		kp = r.leftKey
-	}
-	key := r.keyScratch(len(kp))
-	for i, pos := range kp {
-		key[i] = cols[pos][row]
-	}
-	if hp := r.heavyPlanOf(key); hp != nil {
-		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHash(cols, row), dst)
-	}
-	if r.cartesian {
-		g1, g2 := r.cartesianGrid()
-		return r.gridRoute(isLeft, 0, g1, g2, rowHash(cols, row), dst)
-	}
-	return append(dst, r.keyHash(key))
-}
-
-// SpansAttr implements mpc.SpanRouter: a single-column join key of either
-// input (the run's value is the whole key, so one dictionary lookup decides
-// the routing of the entire run).
-func (r *stepRouter) SpansAttr(rel *data.Relation, attr int) bool {
-	if r.cartesian {
-		return false
-	}
-	if rel.Name == r.leftName {
-		return len(r.leftKey) == 1 && attr == r.leftKey[0]
-	}
-	if rel.Name == r.rightName {
-		return len(r.rightKey) == 1 && attr == r.rightKey[0]
-	}
-	return false
-}
-
-// CompileSpan implements mpc.SpanRouter. Light runs compile to their single
-// hash-join server; heavy runs keep the per-row grid hash but with the
-// heavy plan resolved once.
-func (r *stepRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *mpc.SpanRoute) bool {
-	isLeft := rel.Name == r.leftName
-	key := r.keyScratch(1)
-	key[0] = v
-	if hp := r.heavyPlanOf(key); hp != nil {
-		cols := rel.Columns()
-		base, p1, p2 := hp.base, hp.p1, hp.p2
-		fam := r.family
-		if isLeft {
-			route.PerRow = func(row int, dst []int) []int {
-				gr := fam.Hash(dimLeft, rowHash(cols, row), p1)
-				for c := 0; c < p2; c++ {
-					dst = append(dst, base+gr*p2+c)
-				}
-				return dst
-			}
-		} else {
-			route.PerRow = func(row int, dst []int) []int {
-				gc := fam.Hash(dimRight, rowHash(cols, row), p2)
-				for rr := 0; rr < p1; rr++ {
-					dst = append(dst, base+rr*p2+gc)
-				}
-				return dst
-			}
-		}
-		return true
-	}
-	route.Dests = append(route.Dests, r.keyHash(key))
-	return true
-}
-
-// cartesianGrid splits p into a g1 × g2 grid for key-less steps.
-func (r *stepRouter) cartesianGrid() (int, int) {
-	g1 := int(math.Max(1, math.Sqrt(float64(r.p))))
-	return g1, r.p / g1
-}
-
-// gridRoute places a left row in one grid row (replicated across columns)
-// and a right row in one grid column (replicated across rows).
-//
-//skewlint:noalloc
-func (r *stepRouter) gridRoute(isLeft bool, base, p1, p2 int, rh int64, dst []int) []int {
-	if isLeft {
-		row := r.family.Hash(dimLeft, rh, p1)
-		for c := 0; c < p2; c++ {
-			dst = append(dst, base+row*p2+c)
-		}
-	} else {
-		col := r.family.Hash(dimRight, rh, p2)
-		for rr := 0; rr < p1; rr++ {
-			dst = append(dst, base+rr*p2+col)
-		}
-	}
-	return dst
-}
-
-// keyHash maps a join key to one of the p light servers.
-func (r *stepRouter) keyHash(key data.Tuple) int {
-	h := 0
-	for i, v := range key {
-		h = h*31 + hashing.HashSeeded(r.keySeeds[i], v, 1<<30)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return h % r.p
-}
 
 // keyPositions maps join variables to their column positions in a schema.
 func keyPositions(schema, joinVars []int) []int {
@@ -604,13 +376,11 @@ func keyPositions(schema, joinVars []int) []int {
 	return pos
 }
 
-// rowHash folds a whole row into one value for the non-key dimension of a
-// cartesian grid.
-func rowHash(cols [][]int64, row int) int64 {
-	h := int64(1469598103934665603)
-	for _, col := range cols {
-		h = h ^ col[row]
-		h *= 1099511628211
+// allColumns lists the positions of an arity-wide schema.
+func allColumns(arity int) []int {
+	cols := make([]int, arity)
+	for i := range cols {
+		cols[i] = i
 	}
-	return h
+	return cols
 }

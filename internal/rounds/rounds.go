@@ -6,10 +6,11 @@
 //
 // A logical plan is a left-deep sequence of binary join steps. The package
 // is a pure planner: Lower turns the logical plan into an exec.Pipeline —
-// one executor stage per step, each with its own virtual-server layout and
-// router (with §4.1-style heavy-hitter grids per join key when skew-aware
-// mode is on) — and exec.RunPipeline executes it on one persistent cluster,
-// keeping every intermediate resident on the servers between rounds. Loads
+// one executor stage per step, each planned as §4.1's binary join on its
+// own inputs (skew.Binary; heavy join keys get blocks of their own when
+// skew-aware mode is on) — and exec.RunPipeline executes it on one
+// persistent cluster, keeping every intermediate resident on the servers
+// between rounds. Loads
 // are tracked per round and summed per server, so the multi-round cost is
 // directly comparable to the one-round algorithms.
 package rounds
@@ -118,9 +119,9 @@ func containsInt(xs []int, v int) bool {
 type Config struct {
 	P    int
 	Seed uint64
-	// SkewAware enables §4.1-style per-step heavy-hitter handling: heavy
-	// join keys get p_h-server cartesian grids instead of a single hash
-	// bucket. Without it every step is a plain hash join.
+	// SkewAware enables §4.1's per-step heavy-hitter handling: heavy join
+	// keys get blocks of p_h servers instead of a single hash bucket.
+	// Without it every step is a plain hash join.
 	SkewAware bool
 }
 
@@ -156,9 +157,9 @@ type PipelinePlan struct {
 	// which need no communication at all.
 	Pipe *exec.Pipeline
 	// PredictedSumMaxBits is the planner's multi-round cost model: per
-	// round, the predicted maximum per-server load in bits (balanced hash
-	// load plus per-heavy-key grid or hotspot terms, with intermediate
-	// sizes estimated from base-relation statistics), summed over rounds.
+	// round, the predicted maximum per-server load in bits (the balanced
+	// hash load or a heavy key's heaviest grid cell, with intermediate sizes
+	// estimated from base-relation statistics), summed over rounds.
 	PredictedSumMaxBits float64
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/exec"
+	"repro/internal/hashing"
 	"repro/internal/join"
 	"repro/internal/query"
+	"repro/internal/skew"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -351,34 +353,80 @@ func TestSkewAwareNoGridBloatOnSparseIntermediates(t *testing.T) {
 // TestKeyHashMatchesFamilyHash: the step router hashes join keys with the
 // per-position seeds it resolved once at plan time, and every key lands on
 // exactly the server the per-value Family.Hash form picks — for one- and
-// two-column keys, over random values of every magnitude and sign.
+// two-column keys, over random values of every magnitude and sign. Nothing
+// is heavy in plain mode, so each left row routes to its key's light server.
 func TestKeyHashMatchesFamilyHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	widths := map[int]bool{}
 	for _, q := range []*query.Query{query.Triangle(), query.MustParse("q(a,b,c) = R(a,b), S(a,b,c)")} {
 		db := dbFor(q, 200, 50, 3)
-		for _, st := range PlanPipeline(q, db, Config{P: 64, Seed: 5}).Pipe.Stages {
-			r := st.Plan.Router.(*stepRouter)
-			widths[len(r.keySeeds)] = true
-			key := make(data.Tuple, len(r.keySeeds))
-			for n := 0; n < 2000; n++ {
-				for i := range key {
-					key[i] = int64(rng.Uint64()) >> rng.Intn(64)
+		pp := PlanPipeline(q, db, Config{P: 64, Seed: 5})
+		for si, st := range pp.Pipe.Stages {
+			r := st.Plan.Router.(*skew.BinaryRouter)
+			step := pp.Logical.Steps[si]
+			family := hashing.NewFamily(5*1315423911 + uint64(si) + 1)
+			keyPos := keyPositions(step.LeftVars, step.JoinVars)
+			widths[len(keyPos)] = true
+			const n = 2000
+			cols := make([][]int64, len(step.LeftVars))
+			for a := range cols {
+				cols[a] = make([]int64, n)
+				for i := range cols[a] {
+					cols[a][i] = int64(rng.Uint64()) >> rng.Intn(64)
 				}
+			}
+			rel := data.NewRelation(step.Left, len(cols), 1<<62)
+			rel.AdoptColumns(cols, n)
+			for row := 0; row < n; row++ {
 				h := 0
-				for i, v := range key {
-					h = h*31 + r.family.Hash(dimKey+i, v, 1<<30)
+				for i, pos := range keyPos {
+					h = h*31 + family.Hash(dimKey+i, cols[pos][row], 1<<30)
 				}
 				if h < 0 {
 					h = -h
 				}
-				if got, want := r.keyHash(key), h%r.p; got != want {
-					t.Fatalf("%s: keyHash(%v) = %d, Family.Hash form %d", q.Name, key, got, want)
+				if got, want := r.Destinations(rel, row, nil), h%64; len(got) != 1 || got[0] != want {
+					t.Fatalf("%s: key %v routes to %v, Family.Hash form %d", q.Name, rel.Tuple(row), got, want)
 				}
 			}
 		}
 	}
 	if !widths[1] || !widths[2] {
 		t.Fatalf("key widths covered: %v, want 1 and 2", widths)
+	}
+}
+
+// mixedJoin2 is a join2 whose key 1 is heavy on both sides, key 2 on S1
+// only and key 3 on S2 only (at p = 16 and 64).
+func mixedJoin2() *data.Database {
+	db := data.NewDatabase()
+	db.Put(workload.PlantedHeavy("S1", 5000, 1<<20, 1, []workload.HeavySpec{{Value: 1, Count: 1500}, {Value: 2, Count: 800}, {Value: 3, Count: 60}}, 1))
+	db.Put(workload.PlantedHeavy("S2", 5000, 1<<20, 1, []workload.HeavySpec{{Value: 1, Count: 1500}, {Value: 2, Count: 60}, {Value: 3, Count: 800}}, 2))
+	return db
+}
+
+// TestStepPlansLikeSkewJoin: a one-step pipeline is §4.1's skew join on its
+// own inputs, so both lay out the same virtual servers and classify the
+// same heavy keys — one budget per class, not one product-weighted sum.
+func TestStepPlansLikeSkewJoin(t *testing.T) {
+	db := mixedJoin2()
+	for _, p := range []int{16, 64, 256} {
+		jp := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: p, Seed: 1})
+		pp := PlanPipeline(query.Join2(), db, Config{P: p, Seed: 1, SkewAware: true})
+		if len(pp.Pipe.Stages) != 1 {
+			t.Fatalf("join2 lowered to %d stages, want 1", len(pp.Pipe.Stages))
+		}
+		st := pp.Pipe.Stages[0].Plan
+		if st.Virtual != jp.Phys.Virtual {
+			t.Errorf("p=%d: step has %d virtual servers, skew join %d", p, st.Virtual, jp.Phys.Virtual)
+		}
+		h1, h2, h12 := st.Router.(*skew.BinaryRouter).Classes()
+		if h1 != jp.NumH1 || h2 != jp.NumH2 || h12 != jp.NumH12 {
+			t.Errorf("p=%d: step classes H1/H2/H12 = %d/%d/%d, skew join %d/%d/%d",
+				p, h1, h2, h12, jp.NumH1, jp.NumH2, jp.NumH12)
+		}
+		if p == 16 && (jp.NumH1 != 1 || jp.NumH2 != 1 || jp.NumH12 != 1) {
+			t.Errorf("p=16: H1/H2/H12 = %d/%d/%d, want one of each", jp.NumH1, jp.NumH2, jp.NumH12)
+		}
 	}
 }

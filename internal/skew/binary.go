@@ -1,0 +1,295 @@
+package skew
+
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"repro/internal/data"
+	"repro/internal/hashing"
+	"repro/internal/mpc"
+	"repro/internal/stats"
+)
+
+// Binary is one binary join on a shared key, laid out as §4.1 lays out
+// q(x,y,z) = S1(x,z), S2(y,z): light keys hash over virtual servers [0, P),
+// and every heavy key gets a block of servers of its own. The skew join and
+// every multi-round step plan through it; each detects its own heavy keys.
+type Binary struct {
+	P           int
+	Left, Right BinarySide
+	// KeySeeds hash a light key, one seed per key column.
+	KeySeeds []uint64
+	// Heavy lists the heavy keys. A width-0 (cartesian) join has one key,
+	// the empty one, and lists it here heavy on both sides.
+	Heavy []HeavyKey
+}
+
+// BinarySide is one input of a Binary join.
+type BinarySide struct {
+	Name string // the input's relation name; a self-join routes as Left
+	Key  []int  // the key's columns, in one order on both sides
+	// Spread are the columns that place a heavy key's row inside its block:
+	// one column is hashed as it is, several are folded into one value first.
+	Spread []int
+	Seed   uint64 // the spread hash's seed
+}
+
+// HeavyKey is one heavy key of a Binary join: its values, one per key
+// column, its frequency on each side (exact or estimated), and which sides
+// reach their heavy threshold. Heavy on both sides is §4.1's H12, on the
+// left only H1, on the right only H2.
+type HeavyKey struct {
+	Key            []int64
+	FL, FR         float64
+	HeavyL, HeavyR bool
+}
+
+// The §4.1 classes of a heavy key, in allocation order.
+const (
+	classH12 = iota
+	classH1
+	classH2
+)
+
+func (h *HeavyKey) class() int {
+	switch {
+	case h.HeavyL && h.HeavyR:
+		return classH12
+	case h.HeavyL:
+		return classH1
+	}
+	return classH2
+}
+
+// weight is the key's share of its class's budget: fL·fR for H12, the heavy
+// side's frequency otherwise. An estimate below one tuple counts as one.
+func (h *HeavyKey) weight() float64 {
+	fl, fr := math.Max(1, h.FL), math.Max(1, h.FR)
+	switch h.class() {
+	case classH12:
+		return fl * fr
+	case classH1:
+		return fl
+	}
+	return fr
+}
+
+// Block is a heavy key's P1×P2 grid of virtual servers from Base on: a left
+// row goes to one grid row, copied across the columns, and a right row to
+// one grid column, copied down the rows. An H1 key's grid is ph×1 and an H2
+// key's 1×ph, so their light side is broadcast over the block.
+type Block struct{ Base, P1, P2 int }
+
+// BinaryPlan is a planned Binary join.
+type BinaryPlan struct {
+	Router  *BinaryRouter
+	Virtual int
+	// Blocks[i] is the block of Heavy[i], in the order Plan sorted Heavy.
+	Blocks []Block
+	sums   [3]float64 // each class's budget: Σ weight over its keys
+}
+
+// Plan sorts b.Heavy into allocation order — the H12 keys, then H1, then
+// H2, each by key — and lays out the virtual servers: [0, P) for the light
+// keys (none in a cartesian join), then one block per heavy key, sized from
+// its class's own budget as Eq. (10) bounds each class separately. A key of
+// weight w in a class of total W gets ph = ⌈P·w/W⌉ servers; an H12 block
+// splits them p1 ∝ √(ph·fL/fR) rows by ph/p1 columns.
+func (b *Binary) Plan() *BinaryPlan {
+	slices.SortFunc(b.Heavy, func(x, y HeavyKey) int {
+		if c := cmp.Compare(x.class(), y.class()); c != 0 {
+			return c
+		}
+		return slices.Compare(x.Key, y.Key)
+	})
+	r := &BinaryRouter{sides: [2]BinarySide{b.Left, b.Right}, p: b.P, keySeeds: b.KeySeeds}
+	bp := &BinaryPlan{Router: r, Blocks: make([]Block, len(b.Heavy))}
+	var keys []int64
+	for i := range b.Heavy {
+		h := &b.Heavy[i]
+		bp.sums[h.class()] += h.weight()
+		r.classes[h.class()]++
+		keys = append(keys, h.Key...)
+	}
+	next := b.P
+	if len(b.Left.Key) == 0 {
+		next = 0
+	}
+	for i := range b.Heavy {
+		h := &b.Heavy[i]
+		ph := int(math.Ceil(float64(b.P) * h.weight() / bp.sums[h.class()]))
+		p1, p2 := ph, 1
+		switch h.class() {
+		case classH12:
+			p1 = min(max(1, int(math.Round(math.Sqrt(float64(ph)*math.Max(1, h.FL)/math.Max(1, h.FR))))), ph)
+			p2 = max(1, ph/p1)
+		case classH2:
+			p1, p2 = 1, ph
+		}
+		bp.Blocks[i] = Block{next, p1, p2}
+		next += p1 * p2
+	}
+	bp.Virtual = next
+	r.blocks = bp.Blocks
+	r.heavy = stats.Dictionary(len(b.Left.Key), keys)
+	return bp
+}
+
+// PredictedTuples is Eq. (10), L = max(mL/p, mR/p, L12, L1, L2) tuples, for
+// inputs of mL and mR tuples: each class's budget W spread over p servers
+// costs √(W/p).
+func (bp *BinaryPlan) PredictedTuples(mL, mR float64) float64 {
+	p := float64(bp.Router.p)
+	l := math.Max(mL/p, mR/p)
+	for _, w := range bp.sums {
+		l = math.Max(l, math.Sqrt(w/p))
+	}
+	return l
+}
+
+// BinaryRouter routes a planned Binary join: a light key to its hash over
+// [0, p), a heavy key's row to its line of the key's block. It holds only
+// plan-time tables, so one instance serves every sender, and Destinations
+// reads the key and spread columns in place.
+type BinaryRouter struct {
+	sides    [2]BinarySide
+	p        int
+	keySeeds []uint64
+	// heavy turns a heavy key into its index in blocks; nil when no key is
+	// heavy (or the join is cartesian), and then no key is probed.
+	heavy   *data.GroupIndex
+	blocks  []Block
+	classes [3]int // heavy keys per class
+}
+
+// Classes returns how many heavy keys are H1, H2 and H12.
+func (r *BinaryRouter) Classes() (h1, h2, h12 int) {
+	return r.classes[classH1], r.classes[classH2], r.classes[classH12]
+}
+
+// side is 0 for the left input, 1 for the right, -1 for any other relation.
+func (r *BinaryRouter) side(rel *data.Relation) int {
+	switch rel.Name {
+	case r.sides[0].Name:
+		return 0
+	case r.sides[1].Name:
+		return 1
+	}
+	return -1
+}
+
+// Destinations implements mpc.Router. Relations that are not the join's
+// inputs are not routed.
+//
+//skewlint:noalloc
+func (r *BinaryRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
+	s := r.side(rel)
+	if s < 0 {
+		return dst
+	}
+	sd, cols := &r.sides[s], rel.Columns()
+	b := r.blockOf(cols, sd.Key, row)
+	if b == nil {
+		return append(dst, r.lightServer(cols, sd.Key, row))
+	}
+	return b.place(s, sd.Seed, spreadValue(cols, sd.Spread, row), dst)
+}
+
+// blockOf returns the block of the key row carries at the key columns, nil
+// for a light key. A cartesian join's one empty key has block 0.
+//
+//skewlint:noalloc
+func (r *BinaryRouter) blockOf(cols [][]int64, key []int, row int) *Block {
+	switch {
+	case len(key) == 0:
+		return &r.blocks[0]
+	case r.heavy == nil:
+		return nil
+	}
+	if g := r.heavy.LookupRow(cols, key, row); g >= 0 {
+		return &r.blocks[g]
+	}
+	return nil
+}
+
+// lightServer hashes a light key onto [0, p): a one-column key by its seed
+// directly, a wider one by folding each column's 30-bit hash.
+func (r *BinaryRouter) lightServer(cols [][]int64, key []int, row int) int {
+	if len(key) == 1 {
+		return hashing.HashSeeded(r.keySeeds[0], cols[key[0]][row], r.p)
+	}
+	h := 0
+	for i, a := range key {
+		h = h*31 + hashing.HashSeeded(r.keySeeds[i], cols[a][row], 1<<30)
+	}
+	if h < 0 {
+		h = -h
+	}
+	return h % r.p
+}
+
+// spreadValue is the value that places a heavy key's row inside its block.
+func spreadValue(cols [][]int64, spread []int, row int) int64 {
+	if len(spread) == 1 {
+		return cols[spread[0]][row]
+	}
+	h := int64(1469598103934665603)
+	for _, a := range spread {
+		h = (h ^ cols[a][row]) * 1099511628211
+	}
+	return h
+}
+
+// place appends the servers of the line a row with spread value v picks
+// under the spread seed: grid row hash(v) for a left row, grid column
+// hash(v) for a right one.
+//
+//skewlint:noalloc
+func (b *Block) place(s int, seed uint64, v int64, dst []int) []int {
+	if s == 0 {
+		i := hashing.HashSeeded(seed, v, b.P1)
+		for c := 0; c < b.P2; c++ {
+			dst = append(dst, b.Base+i*b.P2+c)
+		}
+		return dst
+	}
+	i := hashing.HashSeeded(seed, v, b.P2)
+	for rr := 0; rr < b.P1; rr++ {
+		dst = append(dst, b.Base+rr*b.P2+i)
+	}
+	return dst
+}
+
+// SpansAttr implements mpc.SpanRouter: the key column of an input keyed on
+// one column, so a run's value is its whole key.
+func (r *BinaryRouter) SpansAttr(rel *data.Relation, attr int) bool {
+	s := r.side(rel)
+	return s >= 0 && len(r.sides[s].Key) == 1 && attr == r.sides[s].Key[0]
+}
+
+// CompileSpan implements mpc.SpanRouter: the key's block is resolved once
+// per run. A light run, or a side with one line to pick (the broadcast side
+// of an H1 or H2 block), compiles to one destination list the engine ships
+// in bulk; otherwise each row still hashes its spread, through a closure.
+func (r *BinaryRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *mpc.SpanRoute) bool {
+	key := [1]int64{v}
+	g := -1
+	if r.heavy != nil {
+		g = r.heavy.Lookup(key[:])
+	}
+	if g < 0 {
+		route.Dests = append(route.Dests, hashing.HashSeeded(r.keySeeds[0], v, r.p))
+		return true
+	}
+	s, b := r.side(rel), r.blocks[g]
+	if s == 0 && b.P1 == 1 || s == 1 && b.P2 == 1 {
+		route.Dests = b.place(s, 0, 0, route.Dests)
+		return true
+	}
+	sd, cols := r.sides[s], rel.Columns()
+	route.PerRow = func(row int, dst []int) []int {
+		return b.place(s, sd.Seed, spreadValue(cols, sd.Spread, row), dst)
+	}
+	return true
+}

@@ -225,32 +225,6 @@ func TestRunJoinPanicsOnBadP(t *testing.T) {
 	PlanJoin(query.Join2(), data.NewDatabase(), JoinConfig{P: 0})
 }
 
-func TestByClassBreakdown(t *testing.T) {
-	// Mixed classes: each class's max must be positive where hitters
-	// exist and the overall max must equal the max over classes.
-	s1 := workload.PlantedHeavy("S1", 600, 100000, 1, []workload.HeavySpec{
-		{Value: 1, Count: 150}, {Value: 2, Count: 120},
-	}, 7)
-	s2 := workload.PlantedHeavy("S2", 600, 100000, 1, []workload.HeavySpec{
-		{Value: 1, Count: 100}, {Value: 3, Count: 140},
-	}, 8)
-	db := joinDB(s1, s2)
-	jp, res := runJoin(t, db, JoinConfig{P: 8, Seed: 9}, true)
-	bc := jp.ClassLoads(res.PerServerBits)
-	if bc.Light <= 0 || bc.H12 <= 0 || bc.H1 <= 0 || bc.H2 <= 0 {
-		t.Errorf("class loads should all be positive: %+v", bc)
-	}
-	max := bc.Light
-	for _, v := range []int64{bc.H1, bc.H2, bc.H12} {
-		if v > max {
-			max = v
-		}
-	}
-	if max != res.MaxVirtualBits {
-		t.Errorf("class max %d != overall max %d", max, res.MaxVirtualBits)
-	}
-}
-
 func TestByClassLightBoundedByMOverP(t *testing.T) {
 	// The light class is a plain hash join: its max load is O(log p · m/p)
 	// bits on light-only data.
@@ -262,11 +236,10 @@ func TestByClassLightBoundedByMOverP(t *testing.T) {
 	jp, res := runJoin(t, db, JoinConfig{P: p, Seed: 3}, true)
 	bitsPer := db.MustGet("S1").BitsPerTuple()
 	budget := 8 * int64(4000/p) * bitsPer
-	bc := jp.ClassLoads(res.PerServerBits)
-	if bc.Light > budget {
-		t.Errorf("light-class load %d exceeds budget %d", bc.Light, budget)
+	if jp.NumH1+jp.NumH2+jp.NumH12 != 0 {
+		t.Errorf("no heavy hitters expected: H1 %d, H2 %d, H12 %d", jp.NumH1, jp.NumH2, jp.NumH12)
 	}
-	if bc.H12 != 0 || bc.H1 != 0 || bc.H2 != 0 {
-		t.Errorf("no heavy classes expected: %+v", bc)
+	if res.MaxVirtualBits > budget {
+		t.Errorf("light load %d exceeds budget %d", res.MaxVirtualBits, budget)
 	}
 }

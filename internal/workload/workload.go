@@ -120,9 +120,12 @@ func SingleValue(name string, arity, m int, domain int64, col int, value int64, 
 
 // Zipf returns a binary relation S(a, b) of m tuples where column col draws
 // from a Zipf(s) distribution over [0, distinct) (heavier skew for larger
-// s > 1), and the other column holds distinct values so no tuple repeats.
-// Requires domain ≥ m and distinct ≤ domain.
+// s), and the other column holds distinct values so no tuple repeats.
+// Requires s > 1, domain ≥ m and distinct ≤ domain.
 func Zipf(name string, m int, domain int64, col int, s float64, distinct uint64, seed int64) *data.Relation {
+	if !(s > 1) {
+		panic("workload: Zipf needs s > 1")
+	}
 	if int64(m) > domain {
 		panic("workload: Zipf needs domain >= m")
 	}

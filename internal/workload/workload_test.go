@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -123,6 +124,21 @@ func TestZipfNoDuplicateTuples(t *testing.T) {
 	r := Zipf("S", 5000, 50000, 0, 2.0, 100, 13)
 	if r.ContainsDuplicates() {
 		t.Error("duplicates")
+	}
+}
+
+// TestZipfPanicsOnFlatExponent: s ≤ 1 (and NaN) is refused with the
+// generator's own precondition message, not math/rand's nil-Zipf crash.
+func TestZipfPanicsOnFlatExponent(t *testing.T) {
+	for _, s := range []float64{1, 0.8, 0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if got := recover(); got != "workload: Zipf needs s > 1" {
+					t.Errorf("Zipf(s=%v) panicked with %v", s, got)
+				}
+			}()
+			Zipf("S", 100, 1000, 1, s, 50, 1)
+		}()
 	}
 }
 
