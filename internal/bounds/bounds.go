@@ -36,13 +36,19 @@ func K(u, m []float64) float64 {
 	return out
 }
 
-// L returns L(u, M, p) = (K(u, M)/p)^{1/u} with u = Σ_j u_j (Eq. 7).
-// A zero packing yields 0 (it bounds nothing).
-func L(u, m []float64, p int) float64 {
+// sum returns u = Σ_j u_j, the value of the packing u.
+func sum(u []float64) float64 {
 	total := 0.0
 	for _, uj := range u {
 		total += uj
 	}
+	return total
+}
+
+// L returns L(u, M, p) = (K(u, M)/p)^{1/u} with u = Σ_j u_j (Eq. 7).
+// A zero packing yields 0 (it bounds nothing).
+func L(u, m []float64, p int) float64 {
+	total := sum(u)
 	if total == 0 {
 		return 0
 	}
@@ -145,6 +151,7 @@ type ResidualBound struct {
 // x realized in the data (absent assignments contribute M_j(h_j) = 0 for
 // atoms with u_j > 0, hence vanish). Returns 0 if no vertex saturates x.
 func ResidualLower(q *query.Query, x query.VarSet, db *data.Database, p int) (float64, []ResidualBound) {
+	mustValidate(q)
 	ps := new(stats.Pass)
 	defer ps.Release()
 	return residualLower(q, x, db, p, ps)
@@ -173,7 +180,7 @@ type residual struct {
 }
 
 func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps *stats.Pass) (float64, []ResidualBound) {
-	r := newResidual(q, x, db, ps)
+	r := newResidual(q, x, db, p, math.Inf(-1), ps)
 	if r == nil {
 		return 0, nil
 	}
@@ -183,9 +190,10 @@ func residualLower(q *query.Query, x query.VarSet, db *data.Database, p int, ps 
 }
 
 // newResidual resolves x's saturating packings and, through the pass, every
-// atom's frequencies and projection. It returns nil when no vertex saturates
-// x (then x contributes no bound).
-func newResidual(q *query.Query, x query.VarSet, db *data.Database, ps *stats.Pass) *residual {
+// atom's frequencies. It returns nil when no vertex saturates x, or when
+// x's cap at p cannot beat floor: then x contributes no bound that wins,
+// and the projections its support join would read are never built.
+func newResidual(q *query.Query, x query.VarSet, db *data.Database, p int, floor float64, ps *stats.Pass) *residual {
 	sat := packing.SaturatingPackings(q, x)
 	if len(sat) == 0 {
 		return nil
@@ -221,9 +229,57 @@ func newResidual(q *query.Query, x query.VarSet, db *data.Database, ps *stats.Pa
 		pr.freq = ps.Frequencies(rel, pr.attrs)
 		pr.key = make([]int64, len(pr.attrs))
 		r.support.Atoms = append(r.support.Atoms, query.Atom{Name: a.Name, Vars: pr.xIdx})
-		r.rels[a.Name] = ps.Projection(rel, pr.attrs)
+	}
+	if r.cap(p)*(1+1e-9) <= floor {
+		return nil
+	}
+	for j, a := range q.Atoms {
+		if pr := &r.projs[j]; pr.freq != nil {
+			r.rels[a.Name] = ps.Projection(db.MustGet(a.Name), pr.attrs)
+		}
 	}
 	return r
+}
+
+// cap bounds every L_x(u, M, p) from above without the support join. The
+// support has at most AGM(support query, each projection's distinct keys)
+// assignments, and never more than maxSupport; each term Π_j M_j(h_j)^{u_j}
+// is at most Π_j maxdeg_j^{u_j}, where maxdeg_j is atom j's largest
+// frequency in bits (M_j when the atom does not meet x). An atom that meets
+// x and has no rows empties the support: the cap is 0.
+func (r *residual) cap(p int) float64 {
+	maxdeg := make([]float64, len(r.projs))
+	var distinct []float64
+	for j := range r.projs {
+		pr := &r.projs[j]
+		if pr.freq == nil {
+			maxdeg[j] = pr.mBits
+			continue
+		}
+		if pr.freq.Distinct() == 0 {
+			return 0
+		}
+		distinct = append(distinct, float64(pr.freq.Distinct()))
+		// No count exceeds Total − Distinct + 1, and with that at 1 every
+		// count is 1: the walk is needed only when some key repeats.
+		most := pr.freq.Total - int64(pr.freq.Distinct()) + 1
+		if most > 1 {
+			most = 0
+			pr.freq.Each(func(_ []int64, n int64) { most = max(most, n) })
+		}
+		maxdeg[j] = float64(most) * pr.bitsW
+	}
+	rows := 1.0 // x = ∅: the one empty assignment
+	if len(r.xSorted) > 0 {
+		rows = math.Min(packing.AGMBound(r.support, distinct), maxSupport)
+	}
+	var best float64
+	for _, u := range r.sat {
+		if total := sum(u); total > 0 {
+			best = math.Max(best, math.Pow(rows*K(u, maxdeg)/float64(p), 1/total))
+		}
+	}
+	return best
 }
 
 // eval computes L_x(u, M, p) for every saturating packing u, in packing
@@ -266,10 +322,7 @@ func (r *residual) eval(p int) (float64, []ResidualBound) {
 	var best float64
 	var table []ResidualBound
 	for k, u := range r.sat {
-		total := 0.0
-		for _, uj := range u {
-			total += uj
-		}
+		total := sum(u)
 		if total == 0 {
 			continue
 		}
@@ -308,20 +361,34 @@ func (r *residual) supportAssignments() data.Rows {
 // winning bound and a description of where it came from (Theorem 1.2's
 // L_lower = max_{x,u} L_x(u, M, p)).
 func BestLower(q *query.Query, db *data.Database, p int, maxX int) (float64, string) {
+	mustValidate(q)
 	ps := new(stats.Pass)
 	defer ps.Release()
 	return BestLowerWith(q, db, p, maxX, ps)
 }
 
+// mustValidate panics on a query outside the model, which the bounds
+// would otherwise misread (a self-join's atoms share one relation name).
+func mustValidate(q *query.Query) {
+	if err := q.Validate(); err != nil {
+		panic(fmt.Sprintf("bounds: invalid query: %v", err))
+	}
+}
+
 // BestLowerWith is BestLower counting through the caller's statistics
 // pass: one query's variable sets ask for the same few (relation, attribute
 // list) groupings over and over, and so do the planners sharing the pass.
+// It does not validate q; the caller has.
 //
 // The variable sets are resolved against the pass one by one, in mask
-// order, so only the caller writes the pass; their support joins and Eq.
-// (12) sums then run on internal/par workers that only read; the bounds
-// are reduced in mask order by the serial b > best rule, so neither the
-// value nor the description depends on the workers.
+// order, so only the caller writes the pass. A set whose cap cannot beat
+// the simple bound is dropped there, before its support join: the
+// reduction below takes only a strictly larger bound, so dropping it
+// changes neither value nor description, and the simple bound is known
+// before any worker starts. The remaining support joins and Eq. (12) sums
+// run on internal/par workers that only read; the bounds are reduced in
+// mask order by the serial b > best rule, so neither the value nor the
+// description depends on the workers.
 func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats.Pass) (float64, string) {
 	bitsM := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {
@@ -344,7 +411,7 @@ func BestLowerWith(q *query.Query, db *data.Database, p int, maxX int, ps *stats
 		if len(vs) > maxX {
 			continue
 		}
-		if r := newResidual(q, query.NewVarSet(vs...), db, ps); r != nil {
+		if r := newResidual(q, query.NewVarSet(vs...), db, p, best, ps); r != nil {
 			jobs = append(jobs, r)
 		}
 	}

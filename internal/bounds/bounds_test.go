@@ -336,7 +336,11 @@ func ExpectedAnswers(q *query.Query, m []float64, n float64) float64 {
 	if len(m) != q.NumAtoms() {
 		panic("bounds: m length mismatch")
 	}
-	out := math.Pow(n, float64(q.NumVars()-q.TotalArity()))
+	arity := 0 // a = Σ_j a_j
+	for _, at := range q.Atoms {
+		arity += at.Arity()
+	}
+	out := math.Pow(n, float64(q.NumVars()-arity))
 	for _, mj := range m {
 		out *= mj
 	}

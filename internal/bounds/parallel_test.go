@@ -115,9 +115,9 @@ func TestEvalAllKeepsJobOrder(t *testing.T) {
 		heavy.Put(powerLawRelation(a.Name, 2, 40000, 1<<16, 0.5, int64(j+1)))
 		light.Put(powerLawRelation(a.Name, 2, 8, 4, 1, int64(j+1)))
 	}
-	jobs := []*residual{newResidual(q, z, heavy, new(stats.Pass))}
+	jobs := []*residual{newResidual(q, z, heavy, p, math.Inf(-1), new(stats.Pass))}
 	for i := 0; i < 15; i++ {
-		jobs = append(jobs, newResidual(q, z, light, new(stats.Pass)))
+		jobs = append(jobs, newResidual(q, z, light, p, math.Inf(-1), new(stats.Pass)))
 	}
 	want := make([]float64, len(jobs))
 	for i, r := range jobs {

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,6 +11,12 @@ import (
 	"repro/internal/query"
 	"repro/internal/rational"
 )
+
+// Vertices returns all vertices of the packing polytope of q, in
+// lexicographic order, copied out of the shape memo.
+func Vertices(q *query.Query) []rational.Vector {
+	return cloneAll(vertices(q))
+}
 
 // memoQueries is the catalog plus seeded random queries.
 func memoQueries() []*query.Query {
@@ -64,15 +71,19 @@ func emptyMemo(t *testing.T) {
 	})
 }
 
-// TestMemoMatchesDirectEnumeration holds the memoized PK and
-// SaturatingPackings, on a miss and on a hit, to the vertices enumerated
-// directly from the polytope.
+// TestMemoMatchesDirectEnumeration holds the memoized PK,
+// SaturatingPackings and cover vertices, on a miss and on a hit, to the
+// vertices enumerated directly from the polytope.
 func TestMemoMatchesDirectEnumeration(t *testing.T) {
 	for _, q := range memoQueries() {
 		wantPK := NonDominated(lp.EnumerateVertices(Polytope(q)))
+		wantCover := lp.EnumerateVertices(coverPolytope(q))
 		for round := 0; round < 2; round++ {
 			if got := PK(q); !equalVectors(got, wantPK) {
 				t.Fatalf("%v, call %d: PK = %v, direct %v", q, round, got, wantPK)
+			}
+			if got := memoized(q, true); !equalVectors(got, wantCover) {
+				t.Fatalf("%v, call %d: cover vertices = %v, direct %v", q, round, got, wantCover)
 			}
 		}
 		for _, x := range varSets(q) {
@@ -105,7 +116,12 @@ func TestMemoHandsOutCopies(t *testing.T) {
 			u, _ := MaxPacking(q)
 			return []rational.Vector{u}
 		},
+		"MinCover": func() []rational.Vector {
+			w, _ := MinCover(q)
+			return []rational.Vector{w}
+		},
 	}
+	agm := AGMBound(q, []float64{8, 8, 8})
 	for name, call := range calls {
 		want := cloneAll(call())
 		for _, v := range call() {
@@ -116,6 +132,9 @@ func TestMemoHandsOutCopies(t *testing.T) {
 		if got := call(); !equalVectors(got, want) {
 			t.Errorf("%s: after writing into a result, the next call returns %v, want %v", name, got, want)
 		}
+	}
+	if got := AGMBound(q, []float64{8, 8, 8}); got != agm {
+		t.Errorf("AGMBound after writing into every result = %v, want %v", got, agm)
 	}
 }
 
@@ -173,12 +192,14 @@ func TestMemoStopsAtCap(t *testing.T) {
 func TestMemoConcurrentCallers(t *testing.T) {
 	qs := memoQueries()
 	want := make([][]rational.Vector, len(qs))
+	wantAGM := make([]float64, len(qs))
 	for i, q := range qs {
 		want[i] = NonDominated(lp.EnumerateVertices(Polytope(q)))
+		wantAGM[i] = agmBoundLP(q, agmCards(q))
 	}
 	emptyMemo(t) // every shape starts as a miss
 	var wg sync.WaitGroup
-	errs := make(chan string, 4*len(qs))
+	errs := make(chan string, 8*len(qs))
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -186,6 +207,9 @@ func TestMemoConcurrentCallers(t *testing.T) {
 			for i, q := range qs {
 				if got := PK(q); !equalVectors(got, want[i]) {
 					errs <- fmt.Sprintf("%v: PK = %v, want %v", q, got, want[i])
+				}
+				if got := AGMBound(q, agmCards(q)); math.Abs(got-wantAGM[i]) > 1e-9*wantAGM[i] {
+					errs <- fmt.Sprintf("%v: AGMBound = %v, want %v", q, got, wantAGM[i])
 				}
 				for _, x := range varSets(q) {
 					SaturatingPackings(q, x)
@@ -198,4 +222,13 @@ func TestMemoConcurrentCallers(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// agmCards gives atom j of q the cardinality 2^(j+3), so no two atoms tie.
+func agmCards(q *query.Query) []float64 {
+	m := make([]float64, q.NumAtoms())
+	for j := range m {
+		m[j] = math.Exp2(float64(j + 3))
+	}
+	return m
 }

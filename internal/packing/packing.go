@@ -48,18 +48,27 @@ func Polytope(q *query.Query) (*rational.Matrix, rational.Vector) {
 	return a, b
 }
 
-// Vertices returns all vertices of the packing polytope of q, in
-// lexicographic order. The vectors are the caller's: they are copied out of
-// the shape memo (see vertices).
-func Vertices(q *query.Query) []rational.Vector {
-	return cloneAll(vertices(q))
+// coverPolytope returns the fractional edge cover polytope
+// {0 ≤ w ≤ 1 : Σ_{j: x_i ∈ S_j} w_j ≥ 1} of q in Polytope's form: each
+// variable row negated, the atom caps kept. The caps keep it bounded and
+// never cut off the minimum of an objective with non-negative weights.
+func coverPolytope(q *query.Query) (*rational.Matrix, rational.Vector) {
+	a, b := Polytope(q)
+	for i := 0; i < q.NumVars(); i++ {
+		for _, j := range q.AtomsWithVar(i) {
+			a.SetInt(i, j, -1)
+		}
+		b[i].SetInt64(-1)
+	}
+	return a, b
 }
 
 // maxShapes bounds the vertex memo. Past it, a new shape is enumerated
 // without being stored.
 const maxShapes = 4096
 
-// memo holds the vertices of every polytope shape enumerated so far. A
+// memo holds the vertices of every polytope enumerated so far, the packing
+// polytope's and the cover polytope's of each shape apart. A
 // shape's vertices are computed once and never written again, so readers
 // share them; they must not leave the package uncopied.
 var memo = struct {
@@ -67,36 +76,36 @@ var memo = struct {
 	shapes map[string][]rational.Vector
 }{shapes: make(map[string][]rational.Vector)}
 
-// vertices returns the vertices of q's packing polytope from the memo,
-// enumerating them on a miss. The polytope is a function of the query's
-// shape alone — its variable count and each atom's variable list — so a
-// residual query q_x and any renamed query of the same shape share one
-// entry. The result is shared and read-only.
-func vertices(q *query.Query) []rational.Vector {
-	key := shapeKey(q)
+// vertices returns the memoized vertices of q's packing polytope.
+func vertices(q *query.Query) []rational.Vector { return memoized(q, false) }
+
+// memoized returns the vertices of q's packing or, with cover, cover
+// polytope from the memo, enumerating them on a miss. Either polytope is a
+// function of the query's shape alone — its variable count and each atom's
+// variable list — so a residual query q_x and any renamed query of the same
+// shape share one entry. The result is shared and read-only.
+func memoized(q *query.Query, cover bool) []rational.Vector {
+	key := fmt.Sprint(cover, q.NumVars())
+	for _, a := range q.Atoms {
+		key += fmt.Sprint(a.Vars)
+	}
 	memo.Lock()
 	vs, ok := memo.shapes[key]
 	memo.Unlock()
 	if ok {
 		return vs
 	}
-	vs = lp.EnumerateVertices(Polytope(q))
+	polytope := Polytope
+	if cover {
+		polytope = coverPolytope
+	}
+	vs = lp.EnumerateVertices(polytope(q))
 	memo.Lock()
 	if len(memo.shapes) < maxShapes {
 		memo.shapes[key] = vs
 	}
 	memo.Unlock()
 	return vs
-}
-
-// shapeKey encodes what Polytope reads of q: NumVars, then each atom's
-// variable list, names ignored.
-func shapeKey(q *query.Query) string {
-	key := fmt.Sprint(q.NumVars())
-	for _, a := range q.Atoms {
-		key += fmt.Sprint(a.Vars)
-	}
-	return key
 }
 
 // cloneAll deep-copies vs, so no memo entry reaches a caller.
@@ -110,7 +119,7 @@ func cloneAll(vs []rational.Vector) []rational.Vector {
 
 // NonDominated filters a vertex list down to the vectors not dominated by
 // another vector in the list (u is dominated by u' when u' ≥ u
-// componentwise and u' ≠ u). This is pk(q) when applied to Vertices(q).
+// componentwise and u' ≠ u). This is pk(q) when applied to q's vertices.
 func NonDominated(vs []rational.Vector) []rational.Vector {
 	var out []rational.Vector
 	for i, u := range vs {
@@ -135,9 +144,6 @@ func PK(q *query.Query) []rational.Vector {
 	return cloneAll(NonDominated(vertices(q)))
 }
 
-// Value returns u = Σ_j u_j, the value of the packing.
-func Value(u rational.Vector) *big.Rat { return u.Sum() }
-
 // MaxPacking returns a maximum fractional edge packing of q and its value
 // τ*, which equals the fractional vertex covering number of q.
 func MaxPacking(q *query.Query) (rational.Vector, *big.Rat) {
@@ -156,57 +162,30 @@ func Tau(q *query.Query) float64 {
 	return f
 }
 
-// MinCover returns a minimum fractional edge cover of q and its value ρ*
-// by solving the covering LP exactly.
-func MinCover(q *query.Query) (rational.Vector, *big.Rat) {
-	l := q.NumAtoms()
-	p := lp.NewProblem(l)
-	for j := 0; j < l; j++ {
-		p.Objective[j].SetInt64(1)
-	}
-	for i := 0; i < q.NumVars(); i++ {
-		row := rational.NewVector(l)
-		for _, j := range q.AtomsWithVar(i) {
-			row[j].SetInt64(1)
-		}
-		p.AddConstraint(row, lp.GE, rational.One())
-	}
-	s := p.Solve()
-	if s.Status != lp.Optimal {
-		panic("packing: covering LP not optimal: " + s.Status.String())
-	}
-	return s.X, s.Objective
-}
-
 // AGMBound returns the Atserias–Grohe–Marx bound on the number of output
-// tuples: min over fractional edge covers u of Π_j m_j^{u_j}, computed by
-// minimizing Σ_j u_j·log(m_j) over the covering LP. Cardinalities must be
-// ≥ 1.
+// tuples: min over fractional edge covers w of Π_j m_j^{w_j}. With every
+// m_j ≥ 1, the minimum of Σ_j w_j·log(m_j) lies on a vertex of the cover
+// polytope, so it is taken over the memoized vertices (+Inf when some
+// variable is in no atom). Cardinalities must be ≥ 1.
 func AGMBound(q *query.Query, m []float64) float64 {
 	if len(m) != q.NumAtoms() {
 		panic("packing: AGMBound cardinality count mismatch")
 	}
-	l := q.NumAtoms()
-	p := lp.NewProblem(l)
-	for j := 0; j < l; j++ {
-		if m[j] < 1 {
+	for _, mj := range m {
+		if mj < 1 {
 			panic("packing: AGMBound needs cardinalities >= 1")
 		}
-		p.Objective[j] = rational.FromFloat(math.Log2(m[j]))
 	}
-	for i := 0; i < q.NumVars(); i++ {
-		row := rational.NewVector(l)
-		for _, j := range q.AtomsWithVar(i) {
-			row[j].SetInt64(1)
+	best := math.Inf(1)
+	for _, w := range memoized(q, true) {
+		exp := 0.0
+		for j, wj := range w {
+			f, _ := wj.Float64()
+			exp += f * math.Log2(m[j])
 		}
-		p.AddConstraint(row, lp.GE, rational.One())
+		best = math.Min(best, exp)
 	}
-	s := p.Solve()
-	if s.Status != lp.Optimal {
-		panic("packing: AGM LP not optimal: " + s.Status.String())
-	}
-	obj, _ := s.Objective.Float64()
-	return math.Exp2(obj)
+	return math.Exp2(best)
 }
 
 // Saturates reports whether the packing u of the residual query q_x

@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 )
 
 // This file provides constructors for the query families the paper analyzes:
@@ -109,10 +109,6 @@ func CatalogNames() []string {
 	for n := range c {
 		names = append(names, n)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && strings.Compare(names[j], names[j-1]) < 0; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	return names
 }

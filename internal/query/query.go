@@ -5,6 +5,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -54,15 +55,6 @@ func (q *Query) AtomNames() []string {
 	return names
 }
 
-// TotalArity returns a = Σ_j a_j.
-func (q *Query) TotalArity() int {
-	total := 0
-	for _, a := range q.Atoms {
-		total += a.Arity()
-	}
-	return total
-}
-
 // AtomsWithVar returns the indices of atoms containing variable v.
 func (q *Query) AtomsWithVar(v int) []int {
 	var out []int
@@ -72,16 +64,6 @@ func (q *Query) AtomsWithVar(v int) []int {
 		}
 	}
 	return out
-}
-
-// VarIndex returns the index of the named variable, or -1.
-func (q *Query) VarIndex(name string) int {
-	for i, v := range q.Vars {
-		if v == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // AtomIndex returns the index of the named atom, or -1.
@@ -207,27 +189,12 @@ func (s VarSet) Sorted() []int {
 	for v := range s {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Ints(out)
 	return out
 }
 
 // Contains reports membership.
 func (s VarSet) Contains(v int) bool { return s[v] }
-
-// Intersect returns s ∩ other.
-func (s VarSet) Intersect(other VarSet) VarSet {
-	out := make(VarSet)
-	for v := range s {
-		if other[v] {
-			out[v] = true
-		}
-	}
-	return out
-}
 
 // Residual returns the residual query q_x: the query obtained by deleting
 // the variables in x from every atom and from the head (§4.3 of the paper).

@@ -6,6 +6,36 @@ import (
 	"testing"
 )
 
+// TotalArity returns a = Σ_j a_j.
+func (q *Query) TotalArity() int {
+	total := 0
+	for _, a := range q.Atoms {
+		total += a.Arity()
+	}
+	return total
+}
+
+// VarIndex returns the index of the named variable, or -1.
+func (q *Query) VarIndex(name string) int {
+	for i, v := range q.Vars {
+		if v == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Intersect returns s ∩ other.
+func (s VarSet) Intersect(other VarSet) VarSet {
+	out := make(VarSet)
+	for v := range s {
+		if other[v] {
+			out[v] = true
+		}
+	}
+	return out
+}
+
 func TestParseBasic(t *testing.T) {
 	q, err := Parse("C3(x,y,z) = S1(x,y), S2(y,z), S3(z,x)")
 	if err != nil {

@@ -84,15 +84,6 @@ func (v Vector) Dot(w Vector) *big.Rat {
 	return sum
 }
 
-// Sum returns the sum of the entries of v.
-func (v Vector) Sum() *big.Rat {
-	sum := new(big.Rat)
-	for _, x := range v {
-		sum.Add(sum, x)
-	}
-	return sum
-}
-
 // Equal reports componentwise equality.
 func (v Vector) Equal(w Vector) bool {
 	if len(v) != len(w) {

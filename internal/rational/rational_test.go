@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// Sum returns the sum of the entries of v.
+func (v Vector) Sum() *big.Rat {
+	sum := new(big.Rat)
+	for _, x := range v {
+		sum.Add(sum, x)
+	}
+	return sum
+}
+
 func TestConstructors(t *testing.T) {
 	if Zero().Sign() != 0 {
 		t.Error("Zero() not zero")
