@@ -181,13 +181,6 @@ func (g *Gate) Close() {
 	<-idle
 }
 
-// Closed reports whether Close has been called.
-func (g *Gate) Closed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
-
 // Stats returns the gate's counters and occupancy.
 func (g *Gate) Stats() AdmissionStats {
 	g.mu.Lock()

@@ -144,3 +144,10 @@ func TestGateUnboundedNeverQueues(t *testing.T) {
 	}
 	g.Close()
 }
+
+// Closed reports whether Close has been called.
+func (g *Gate) Closed() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.closed
+}

@@ -60,15 +60,6 @@ type PartitionIndex struct {
 	byValue map[int64]int
 }
 
-// Span returns the heavy run of value v, if v was heavy at build time.
-func (idx *PartitionIndex) Span(v int64) (PartitionSpan, bool) {
-	si, ok := idx.byValue[v]
-	if !ok {
-		return PartitionSpan{}, false
-	}
-	return idx.Spans[si], true
-}
-
 // Partitions returns the relation's current heavy-partition index, or nil
 // when the relation is unpartitioned (never built, or invalidated by an
 // interior delete or a Sort). The index is immutable; on snapshot views it

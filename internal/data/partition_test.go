@@ -461,3 +461,12 @@ func TestPartitionRebuildRacesSnapshots(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Span returns the heavy run of value v, if v was heavy at build time.
+func (idx *PartitionIndex) Span(v int64) (PartitionSpan, bool) {
+	si, ok := idx.byValue[v]
+	if !ok {
+		return PartitionSpan{}, false
+	}
+	return idx.Spans[si], true
+}

@@ -111,15 +111,6 @@ func (g *Grid) Coords(t data.Tuple) []int {
 	return c
 }
 
-// Bucket returns the linearized bucket index of a full tuple.
-func (g *Grid) Bucket(t data.Tuple) int {
-	b := 0
-	for i, v := range t {
-		b += g.family.Hash(i, v, g.Shares[i]) * g.stride[i]
-	}
-	return b
-}
-
 // Linear converts per-dimension coordinates to the linear bucket index.
 func (g *Grid) Linear(coords []int) int {
 	b := 0

@@ -197,3 +197,12 @@ func TestUint64Deterministic(t *testing.T) {
 		t.Error("Uint64 should differ across dims (w.h.p.)")
 	}
 }
+
+// Bucket returns the linearized bucket index of a full tuple.
+func (g *Grid) Bucket(t data.Tuple) int {
+	b := 0
+	for i, v := range t {
+		b += g.family.Hash(i, v, g.Shares[i]) * g.stride[i]
+	}
+	return b
+}

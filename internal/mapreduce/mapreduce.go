@@ -65,16 +65,6 @@ func ReplicationLowerBound(q *query.Query, bitsM []float64, l float64) float64 {
 	return best
 }
 
-// MinReducers returns the Theorem 5.1 consequence p ≥ r·|I|/L on the
-// number of reducers, using the replication lower bound.
-func MinReducers(q *query.Query, bitsM []float64, l float64) float64 {
-	sumM := 0.0
-	for _, m := range bitsM {
-		sumM += m
-	}
-	return ReplicationLowerBound(q, bitsM, l) * sumM / l
-}
-
 // MeasuredReplication routes q's HyperCube plan to p reducers and reports
 // (replication rate, max reducer load in bits). Sweeping p trades reducer
 // size against replication — the r-versus-L curve of Example 5.2. Both

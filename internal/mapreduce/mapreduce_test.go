@@ -104,3 +104,13 @@ func TestReplicationLowerBoundAllFitTrivial(t *testing.T) {
 		t.Errorf("all-fit bound = %v, want 1", got)
 	}
 }
+
+// MinReducers returns the Theorem 5.1 consequence p ≥ r·|I|/L on the
+// number of reducers, using the replication lower bound.
+func MinReducers(q *query.Query, bitsM []float64, l float64) float64 {
+	sumM := 0.0
+	for _, m := range bitsM {
+		sumM += m
+	}
+	return ReplicationLowerBound(q, bitsM, l) * sumM / l
+}

@@ -1,8 +1,9 @@
 // The count-then-scatter communication engine. A round is two passes of
 // internal/par workers claiming sendParts off a shared counter:
 //
-//  1. Route: each part records where its rows go — a destination log plus
-//     sparse per-server row counts (partLog). No value is copied.
+//  1. Route: each part records where its rows go — one code per row, the
+//     destination sets its rows share (interned once per worker) and sparse
+//     per-server row counts (partLog). No value is copied.
 //  2. Commit: an exclusive prefix sum over parts, in part order, gives every
 //     (relation, server) pair its final size and every part its disjoint
 //     range within it; each received fragment is allocated once, at its
@@ -28,23 +29,30 @@ import (
 	"repro/internal/par"
 )
 
-// partLog is the route pass's record of one send part: one int32 record
-// per routed row or run of rows, in row order, then one (server, count)
-// pair per server the part reaches. A record is either s ≥ 0 — one row to
-// server s, the common case — or -n, k and k servers: the next n rows, each
-// to all k (a multi-destination row has n = 1, a uniform span n = its
-// length). The commit's prefix pass overwrites each pair's count with the
-// part's first row in that server's fragment.
+// partLog is the route pass's record of one send part. codes holds one
+// int32 per row, in row order: s ≥ 0 sends the row to server s alone, the
+// common case; -1-off sends it to every server of the set stored at sets[off]
+// as k, s₁…s_k. Rows with the same destinations share one set, interned by
+// the worker that routed the part (sets is its scratch), so the log is as
+// long as the part whatever its fan-out. pairs holds one (server, count)
+// pair per server the part reaches; the commit's prefix pass overwrites each
+// count with the part's first row in that server's fragment.
 type partLog struct {
-	log  []int32
-	recs int // log[:recs] are the records, log[recs:] the pairs
-	recv int // index into commState.rels
+	codes []int32
+	sets  []int32
+	pairs []int32
+	recv  int // index into commState.rels
 }
 
 // logBudget bounds the route-log storage (int32 entries) a cluster retains
 // between rounds; a larger round allocates its logs afresh and drops them,
 // so one giant round doesn't pin its routed volume on a pooled cluster.
-const logBudget = 32 << 10
+// Likewise a worker drops its set scratch when a round leaves it past
+// setBudget entries, and a round of over logBudget/512 parts its log headers.
+const (
+	logBudget = 32 << 10
+	setBudget = logBudget / 8
+)
 
 // recvSlot is one (relation, server) pair of the round being committed.
 type recvSlot struct {
@@ -73,16 +81,29 @@ type commWorker struct {
 	// between parts.
 	count   []int
 	touched []int   // servers with a nonzero count, in first-touch order
-	log     []int32 // the log of the part being routed
+	codes   []int32 // the codes of the part being routed
 	dst     []int
-	dedup   dedupSet
+	seen    []uint32 // per server, the stamp of the row that last named it
+	stamp   uint32
 	span    SpanRoute // CompileSpan scratch, reused across spans
+
+	// sets holds each destination set the worker met in the round, once, as
+	// rows, k, s₁…s_k, where rows counts the part being routed; used lists
+	// the offsets of the sets the part reached. index is an
+	// open-addressing table of nsets set offsets (0 is a free slot): a set
+	// with hash h sits in the first free slot from h>>shift on.
+	sets  []int32
+	used  []int32
+	index []int32
+	nsets int
+	shift uint
 }
 
 // commState is the cluster-owned engine scratch, reused across rounds.
 type commState struct {
 	workers []*commWorker
 	arena   []int32          // retained route-log storage, at most logBudget entries
+	logs    []partLog        // the round's log headers, one per part
 	rels    []*data.Relation // per receiving name, its first part's relation
 	slots   []recvSlot       // len(rels)·P, relation-major
 	cols    [][]int64        // AdoptColumns header scratch
@@ -97,7 +118,10 @@ func (c *Cluster) parallel(n int, fn func(w *commWorker, next func() int)) {
 	par.For(workers, func(i int, next func() int) {
 		w := st.workers[i]
 		if len(w.count) < c.P {
-			w.count = make([]int, c.P)
+			w.count, w.seen = make([]int, c.P), make([]uint32, c.P)
+		}
+		if w.index == nil {
+			w.index, w.shift = make([]int32, 64), 64-6
 		}
 		fn(w, next)
 	})
@@ -111,13 +135,14 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 	report := func(err error) {
 		errOnce.Do(func() { routeErr = err })
 	}
-	// Presize every log to one record per row plus one pair per server the
-	// part can reach, carved from one buffer: the retained arena when the
-	// round fits in it.
-	logCap := func(part sendPart) int { return part.hi - part.lo + 2*min(part.hi-part.lo, c.P) }
+	// Every part gets one code per row and room for pairs to min(rows, P)
+	// servers, carved from one buffer: the retained arena when the round
+	// fits in it. Only a part whose few rows fan out wider outgrows its pairs.
+	logCap := func(part sendPart) (int, int) { return part.hi - part.lo, 2 * min(part.hi-part.lo, c.P) }
 	need := 0
 	for _, part := range parts {
-		need += logCap(part)
+		n, m := logCap(part)
+		need += n + m
 	}
 	st := &c.comm
 	buf := st.arena
@@ -127,10 +152,13 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 		st.arena = make([]int32, need)
 		buf = st.arena
 	}
-	logs := make([]partLog, len(parts))
+	if cap(st.logs) < len(parts) {
+		st.logs = make([]partLog, len(parts))
+	}
+	logs := st.logs[:len(parts)]
 	for i, part := range parts {
-		n := logCap(part)
-		logs[i].log, buf = buf[:0:n], buf[n:]
+		n, m := logCap(part)
+		logs[i].codes, logs[i].pairs, buf = buf[:0:n], buf[n:n:n+m], buf[n+m:]
 	}
 	c.parallel(len(parts), func(w *commWorker, next func() int) {
 		w.route(c, parts, logs, next, router, report)
@@ -138,9 +166,26 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 	return logs, routeErr
 }
 
+// endRound releases what the round held: the log headers are cleared so
+// that no round pins another's logs, and a worker's set scratch past
+// setBudget is dropped.
+func (st *commState) endRound() {
+	clear(st.logs)
+	if cap(st.logs) > logBudget/512 {
+		st.logs = nil
+	}
+	for _, w := range st.workers {
+		if cap(w.sets)+cap(w.used)+len(w.index) > setBudget {
+			w.sets, w.used, w.index = nil, nil, nil
+		}
+	}
+}
+
 // route is one worker's share of the route pass: claim parts off the shared
 // counter until none remain, logging part pi into logs[pi].
 func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next func() int, router Router, report func(error)) {
+	clear(w.index)
+	w.sets, w.nsets = w.sets[:0], 0
 	r := SenderRouter(router)
 	sr, spannable := r.(SpanRouter)
 	for {
@@ -163,20 +208,33 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next fu
 			}
 		}
 		part := parts[pi]
-		w.log = logs[pi].log
+		w.codes = logs[pi].codes
 		if idx := part.rel.Partitions(); spannable && idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
 			w.routeSpans(c, part, idx, sr, report)
 		} else {
 			w.routeRows(c, part.rel, part.lo, part.hi, r, report)
 		}
-		logs[pi].recs = len(w.log)
-		for _, server := range w.touched {
-			w.log = append(w.log, int32(server), int32(w.count[server]))
-			w.count[server] = 0
-		}
-		w.touched = w.touched[:0]
-		logs[pi].log, w.log = w.log, nil
+		w.endPart(&logs[pi])
 	}
+}
+
+// endPart completes the part being routed into lg: its codes, the sets, and
+// a (server, count) pair per server reached, each set's rows counted once
+// for each of its servers.
+func (w *commWorker) endPart(lg *partLog) {
+	for _, off := range w.used {
+		for _, server := range w.sets[off+1 : off+1+w.sets[off]] {
+			w.note(int(server), int(w.sets[off-1]))
+		}
+		w.sets[off-1] = 0
+	}
+	pairs := lg.pairs
+	for _, server := range w.touched {
+		pairs = append(pairs, int32(server), int32(w.count[server]))
+		w.count[server] = 0
+	}
+	lg.codes, lg.sets, lg.pairs = w.codes, w.sets, pairs
+	w.codes, w.touched, w.used = nil, w.touched[:0], w.used[:0]
 }
 
 // routeRows routes rows [lo, hi) of rel one tuple at a time — the general
@@ -187,14 +245,14 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next fu
 func (w *commWorker) routeRows(c *Cluster, rel *data.Relation, lo, hi int, r Router, report func(error)) {
 	for row := lo; row < hi; row++ {
 		w.dst = r.Destinations(rel, row, w.dst[:0])
-		w.logRow(c, w.dst, report)
+		w.logRows(c, 1, w.dst, report)
 	}
 }
 
 // routeSpans routes one send part of a partitioned relation partition-wise:
 // the light prefix and the uncovered tail per-tuple, each heavy span through
-// one CompileSpan call — one run record when the route is uniform, a
-// pre-resolved per-row closure otherwise.
+// one CompileSpan call — one code for all its rows when the route is
+// uniform, a pre-resolved per-row closure otherwise.
 func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIndex, sr SpanRouter, report func(error)) {
 	rel := part.rel
 	lo, hi := part.lo, part.hi
@@ -218,7 +276,7 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 		case w.span.PerRow != nil:
 			w.routePerRow(c, slo, shi, w.span.PerRow, report)
 		default:
-			w.logRun(shi-slo, w.valid(c, w.span.Dests, report))
+			w.logRows(c, shi-slo, w.span.Dests, report)
 		}
 	}
 	if hi > idx.Rows {
@@ -235,58 +293,113 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 func (w *commWorker) routePerRow(c *Cluster, lo, hi int, perRow func(row int, dst []int) []int, report func(error)) {
 	for row := lo; row < hi; row++ {
 		w.dst = perRow(row, w.dst[:0])
-		w.logRow(c, w.dst, report)
+		w.logRows(c, 1, w.dst, report)
 	}
 }
 
-// logRow records one row's destinations.
+// logRows records n consecutive rows that all go to the servers in dst.
 //
 //skewlint:noalloc
-func (w *commWorker) logRow(c *Cluster, dst []int, report func(error)) {
-	if dst = w.valid(c, dst, report); len(dst) != 1 {
-		w.logRun(1, dst)
-		return
+func (w *commWorker) logRows(c *Cluster, n int, dst []int, report func(error)) {
+	var code int32
+	if dst = w.valid(c, dst, report); len(dst) == 1 {
+		code = int32(dst[0])
+		w.note(dst[0], n)
+	} else {
+		code = w.intern(dst, n)
 	}
-	w.reserve(1)
-	w.log = append(w.log, int32(dst[0]))
-	w.note(dst[0], 1)
+	for ; n > 0; n-- {
+		w.codes = append(w.codes, code)
+	}
 }
 
-// logRun records n consecutive rows that all go to the servers in dst.
+// intern adds n rows to the destination set dst (deduplicated, not a single
+// server) and returns its code, storing dst the first time the worker meets
+// it in the round.
 //
 //skewlint:noalloc
-func (w *commWorker) logRun(n int, dst []int) {
-	w.reserve(2 + len(dst))
-	w.log = append(w.log, int32(-n), int32(len(dst)))
-	for _, server := range dst {
-		w.log = append(w.log, int32(server))
-		w.note(server, n)
+func (w *commWorker) intern(dst []int, n int) int32 {
+	slot := int(setHash(dst) >> w.shift)
+	for w.index[slot] != 0 && !w.holds(w.index[slot], dst) {
+		slot = (slot + 1) & (len(w.index) - 1)
+	}
+	off := w.index[slot]
+	if off == 0 {
+		off = int32(len(w.sets)) + 1
+		w.index[slot] = off
+		//skewlint:allow noalloc — growth: the worker's set scratch is retained across rounds
+		w.sets = append(w.sets, 0, int32(len(dst)))
+		for _, server := range dst {
+			//skewlint:allow noalloc — growth, as above
+			w.sets = append(w.sets, int32(server))
+		}
+		if w.nsets++; 2*w.nsets > len(w.index) {
+			w.growIndex()
+		}
+	}
+	if w.sets[off-1] == 0 {
+		//skewlint:allow noalloc — growth, as above
+		w.used = append(w.used, off)
+	}
+	w.sets[off-1] += int32(n)
+	return -1 - off
+}
+
+// holds reports whether the set stored at sets[off] is dst.
+func (w *commWorker) holds(off int32, dst []int) bool {
+	set := w.sets[off:]
+	ok := int(set[0]) == len(dst)
+	for j := 0; ok && j < len(dst); j++ {
+		ok = int(set[1+j]) == dst[j]
+	}
+	return ok
+}
+
+// growIndex doubles the set index and re-slots the sets into it.
+func (w *commWorker) growIndex() {
+	old := w.index
+	w.index, w.shift = make([]int32, 2*len(old)), w.shift-1
+	for _, off := range old {
+		if off != 0 {
+			slot := int(setHash(w.sets[off+1:off+1+w.sets[off]]) >> w.shift)
+			for w.index[slot] != 0 {
+				slot = (slot + 1) & (len(w.index) - 1)
+			}
+			w.index[slot] = off
+		}
 	}
 }
 
-// reserve makes room for n more log entries. A part whose rows fan out
-// outgrows its presized log; doubling keeps that to a few regrowths however
-// large the part is.
-func (w *commWorker) reserve(n int) {
-	if cap(w.log)-len(w.log) < n {
-		w.log = slices.Grow(w.log, max(n, len(w.log)))
+// setHash hashes a destination list.
+func setHash[S int | int32](set []S) uint64 {
+	h := uint64(len(set))
+	for _, server := range set {
+		h = (h + uint64(server)) * 0x9e3779b97f4a7c15
 	}
+	return h
 }
 
-// valid deduplicates dst in place and drops, reporting, servers outside
-// [0, P).
+// valid drops, reporting, servers outside [0, P) from dst, and duplicates
+// (the model delivers a duplicate once), in place and keeping first
+// occurrences: a server is a duplicate when seen holds the row's stamp.
 //
 //skewlint:noalloc
 func (w *commWorker) valid(c *Cluster, dst []int, report func(error)) []int {
+	if w.stamp++; w.stamp == 0 {
+		clear(w.seen)
+		w.stamp = 1
+	}
 	n := 0
-	for _, server := range w.dedup.dedup(dst) {
-		if server < 0 || server >= c.P {
+	for _, server := range dst {
+		switch {
+		case server < 0 || server >= c.P:
 			//skewlint:allow noalloc — error path: a malformed router has already broken the round
 			report(fmt.Errorf("mpc: destination %d out of range [0,%d)", server, c.P))
-			continue
+		case w.seen[server] != w.stamp:
+			w.seen[server] = w.stamp
+			dst[n] = server
+			n++
 		}
-		dst[n] = server
-		n++
 	}
 	return dst[:n]
 }
@@ -327,7 +440,7 @@ func (c *Cluster) commit(parts []sendPart, logs []partLog) {
 		lg := &logs[i]
 		rel := st.rels[lg.recv]
 		bits := parts[i].rel.BitsPerTuple()
-		pairs := lg.log[lg.recs:]
+		pairs := lg.pairs
 		for j := 0; j < len(pairs); j += 2 {
 			server, n := int(pairs[j]), int(pairs[j+1])
 			s := c.Servers[server]
@@ -388,98 +501,37 @@ func (c *Cluster) commit(parts []sendPart, logs []partLog) {
 }
 
 // scatter copies one committed part's rows into its ranges of the receiving
-// fragments (slots, indexed by server). Parts own disjoint ranges, so
-// workers need no locks.
+// fragments (slots, indexed by server). Consecutive rows with one code go
+// as one run, one copy per column and destination. Parts own disjoint
+// ranges, so workers need no locks.
 //
 //skewlint:noalloc
 func (w *commWorker) scatter(part sendPart, lg *partLog, slots []recvSlot) {
 	at := w.count
-	pairs := lg.log[lg.recs:]
-	for j := 0; j < len(pairs); j += 2 {
-		at[pairs[j]] = int(pairs[j+1])
+	for j := 0; j < len(lg.pairs); j += 2 {
+		at[lg.pairs[j]] = int(lg.pairs[j+1])
 	}
 	cols := part.rel.Columns()
-	log, row := lg.log[:lg.recs], part.lo
-	for i := 0; i < len(log); {
-		if v := log[i]; v >= 0 {
-			slots[v].put(at[v], cols, row, 1)
-			at[v]++
-			i++
-			row++
-			continue
-		}
-		n, k := int(-log[i]), int(log[i+1])
-		for _, s := range log[i+2 : i+2+k] {
-			slots[s].put(at[s], cols, row, n)
-			at[s] += n
-		}
-		i += 2 + k
-		row += n
-	}
-	for j := 0; j < len(pairs); j += 2 {
-		at[pairs[j]] = 0
-	}
-}
-
-// dedupScanLimit is the fan-out up to which dedup uses the allocation-free
-// quadratic scan; routers rarely emit duplicates and rarely fan out wider.
-const dedupScanLimit = 32
-
-// dedupSet removes duplicate destinations from wide fan-outs with a map
-// reused across tuples. The map is dropped and resized down when its
-// allocated size dwarfs the fan-outs it is serving — one §4.2 broadcast
-// must not pin a huge map for the rest of the run.
-type dedupSet struct {
-	seen map[int]struct{}
-	// sized is the fan-out the map was last allocated (or grown) for.
-	sized int
-}
-
-// dedupShrinkFloor and dedupShrinkFactor gate the shrink: recreate the map
-// only when it was sized for at least the floor and the current fan-out is
-// a factor smaller, so alternating medium fan-outs don't thrash.
-const (
-	dedupShrinkFloor  = 1024
-	dedupShrinkFactor = 4
-)
-
-// dedup removes duplicate server IDs from dst in place, preserving
-// first-occurrence order (the model delivers duplicates once).
-func (ds *dedupSet) dedup(dst []int) []int {
-	if len(dst) <= dedupScanLimit {
-		n := 0
-	outer:
-		for _, server := range dst {
-			for _, prev := range dst[:n] {
-				if prev == server {
-					continue outer
-				}
-			}
-			dst[n] = server
+	codes, row := lg.codes, part.lo
+	for i := 0; i < len(codes); {
+		code, n := codes[i], 1
+		for i+n < len(codes) && codes[i+n] == code {
 			n++
 		}
-		return dst[:n]
-	}
-	if ds.seen != nil && ds.sized >= dedupShrinkFloor && ds.sized >= dedupShrinkFactor*len(dst) {
-		ds.seen = nil
-	}
-	if ds.seen == nil {
-		ds.seen = make(map[int]struct{}, len(dst))
-		ds.sized = len(dst)
-	} else {
-		clear(ds.seen)
-		if len(dst) > ds.sized {
-			ds.sized = len(dst)
+		if code >= 0 {
+			slots[code].put(at[code], cols, row, n)
+			at[code] += n
+		} else {
+			set := lg.sets[-1-code:]
+			for _, s := range set[1 : 1+set[0]] {
+				slots[s].put(at[s], cols, row, n)
+				at[s] += n
+			}
 		}
+		i += n
+		row += n
 	}
-	n := 0
-	for _, server := range dst {
-		if _, dup := ds.seen[server]; dup {
-			continue
-		}
-		ds.seen[server] = struct{}{}
-		dst[n] = server
-		n++
+	for j := 0; j < len(lg.pairs); j += 2 {
+		at[lg.pairs[j]] = 0
 	}
-	return dst[:n]
 }

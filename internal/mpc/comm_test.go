@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -125,18 +126,23 @@ func (r *fuzzRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *S
 	return true
 }
 
-// fuzzFanOut appends the destinations hash h picks among p servers.
+// fuzzFanOut appends the destinations hash h picks among p servers: the
+// destination sets of a relation's rows mostly differ (a large one meets
+// well over 64 of them), except the family of four, which rows share.
 func fuzzFanOut(h uint64, p int, dst []int) []int {
 	pick := func(i int) int { return int((h ^ (h >> 7) ^ uint64(i)*2654435761) % uint64(p)) }
 	switch h % 8 {
-	case 0: // wide broadcast with duplicates, beyond the scan limit
-		n := dedupScanLimit + 8 + int(h%17)
+	case 0: // wide broadcast with duplicates
+		n := 40 + int(h%17)
 		for i := 0; i < n; i++ {
 			dst = append(dst, pick(i%((n/2)+1)))
 		}
 	case 1, 2: // small fan-out with duplicates
 		d := pick(0)
 		dst = append(dst, d, pick(1), d)
+	case 3, 4: // one of a family of four sets
+		f := int(h >> 32 % 4)
+		dst = append(dst, f%p, (f+1)%p, (f+3)%p)
 	default:
 		dst = append(dst, pick(0))
 	}
@@ -502,39 +508,37 @@ func TestShuffleResidentChunksHotFragment(t *testing.T) {
 	}
 }
 
-func TestDedupSetShrinksAfterWideBroadcast(t *testing.T) {
-	var ds dedupSet
-	wide := make([]int, 4*dedupShrinkFloor)
-	for i := range wide {
-		wide[i] = i
+// TestValidDropsDuplicatesInPlace: valid keeps each in-range server's first
+// occurrence, in order, reports every out-of-range one, and still tells
+// rows apart once the row stamp wraps around.
+func TestValidDropsDuplicatesInPlace(t *testing.T) {
+	c := NewCluster(8)
+	w := &commWorker{seen: make([]uint32, 8)}
+	var reported []error
+	report := func(err error) { reported = append(reported, err) }
+	got := w.valid(c, []int{3, 1, 9, 3, 2, 1, -1, 3}, report)
+	if want := []int{3, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("valid = %v, want %v", got, want)
 	}
-	ds.dedup(wide)
-	if ds.sized != len(wide) {
-		t.Fatalf("sized = %d after wide dedup, want %d", ds.sized, len(wide))
+	if len(reported) != 2 {
+		t.Fatalf("reported %d errors, want 2 (servers 9 and -1)", len(reported))
 	}
-	// A narrow (but still map-path) fan-out must drop the huge map.
-	narrow := make([]int, dedupScanLimit+4)
-	for i := range narrow {
-		narrow[i] = i % 8
+	// A wide fan-out naming every server four times.
+	wide := make([]int, 0, 32)
+	for i := 0; i < 32; i++ {
+		wide = append(wide, (i*5)%8)
 	}
-	out := ds.dedup(narrow)
-	if len(out) != 8 {
-		t.Fatalf("narrow dedup kept %d, want 8", len(out))
+	if got := w.valid(c, wide, report); !slices.Equal(got, []int{0, 5, 2, 7, 4, 1, 6, 3}) {
+		t.Fatalf("wide valid = %v, want every server once in first-occurrence order", got)
 	}
-	if ds.sized != len(narrow) {
-		t.Errorf("sized = %d after shrink (map should be recreated at the narrow fan-out), want %d", ds.sized, len(narrow))
-	}
-	// Small fan-outs never touch the map at all.
-	small := []int{3, 1, 3, 2, 1}
-	got := ds.dedup(small)
-	want := []int{3, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("scan dedup = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan dedup = %v, want %v (order must be first-occurrence)", got, want)
-		}
+	// The stamp wraps around: neither a stamp left from 2^32 rows ago
+	// (seen[6] = 1) nor a server never named (seen[4] = 0) passes for a
+	// duplicate.
+	w.stamp = math.MaxUint32
+	clear(w.seen)
+	w.seen[6] = 1
+	if got := w.valid(c, []int{4, 4, 6}, report); !slices.Equal(got, []int{4, 6}) {
+		t.Fatalf("valid after the stamp wraps = %v, want [4 6]", got)
 	}
 }
 
@@ -577,9 +581,12 @@ func TestShardedGoroutineBound(t *testing.T) {
 }
 
 // TestParkedClusterRetainsBoundedScratch: after a Round and a chunked
-// resident shuffle that route a million tuples each, a parked (Reset)
+// resident shuffle that route a million tuples each, and a third
+// million-tuple round that sends every row to two servers, a parked (Reset)
 // cluster pins no more than the route-log budget plus its O(P) tables — a
-// large round's logs are garbage once it commits.
+// large round's logs are garbage once it commits. The third round is the
+// worst case for the workers' set tables: p = 16 admits 240 ordered pairs
+// of servers, and any 240 consecutive rows name all of them.
 func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	const m, p = 1 << 20, 16
 	db := singleRel(m)
@@ -601,16 +608,181 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Loads().TotalTuples; got != 2*m {
-		t.Fatalf("routed %d tuples, want %d", got, 2*m)
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		v := int(rel.At(row, 0))
+		a := v % p
+		return append(dst, a, (a+1+v/p%(p-1))%p)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Loads().TotalTuples; got != 4*m {
+		t.Fatalf("routed %d tuples, want %d", got, 4*m)
 	}
 	c.Reset()
 	retained := heap() - before
 	if limit := int64(4*logBudget + 64<<10); retained > limit {
-		t.Errorf("parked cluster retains %d bytes after routing %d tuples, limit %d", retained, 2*m, limit)
+		t.Errorf("parked cluster retains %d bytes after routing %d tuples, limit %d", retained, 4*m, limit)
 	}
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(db)
+}
+
+// TestWorkerDropsOversizedSetScratch: a round whose rows name thousands of
+// distinct destination sets leaves no worker holding more than setBudget
+// entries of set scratch, and the rounds after it, which start from
+// dropped tables, still deliver exactly what the reference does.
+func TestWorkerDropsOversizedSetScratch(t *testing.T) {
+	const m, p = 20000, 16
+	rel := singleRel(m).MustGet("S")
+	// Row v goes to the servers of the bits of v mod 2^16 − 1, plus one:
+	// every nonempty subset of the 16 servers once per 65,535 rows.
+	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		bits := rel.At(row, 0)%(1<<p-1) + 1
+		for s := 0; s < p; s++ {
+			if bits>>s&1 == 1 {
+				dst = append(dst, s)
+			}
+		}
+		return dst
+	})
+	reference, engine := NewCluster(p), NewCluster(p)
+	for round := 0; round < 2; round++ {
+		if err := referenceRound(reference, router, rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.RoundRelations(router, rel); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range engine.comm.workers {
+			if n := cap(w.sets) + cap(w.used) + len(w.index); n > setBudget {
+				t.Fatalf("round %d: worker %d keeps %d entries of set scratch, budget %d", round, i, n, setBudget)
+			}
+		}
+	}
+	assertClustersEquivalent(t, reference, engine)
+}
+
+// TestWarmFanOutRoundAllocatesOnlyFragments: on a warmed cluster, a round
+// whose every row fans out to four servers allocates its fragments and a
+// constant besides — its route logs stay one code per row, in the retained
+// arena, instead of growing with the fan-out. R(x, y) and S(y, z) route
+// through a 4×4×4 subcube router at p = 64: R to (x, y, *), S to (*, y, z),
+// 16 distinct destination sets each.
+func TestWarmFanOutRoundAllocatesOnlyFragments(t *testing.T) {
+	const m, p = 4096, 64
+	rng := rand.New(rand.NewSource(1))
+	db := data.NewDatabase()
+	for _, name := range []string{"R", "S"} {
+		rel := data.NewRelation(name, 2, 1<<12)
+		for i := 0; i < m; i++ {
+			rel.Add(rng.Int63n(1<<12), rng.Int63n(1<<12))
+		}
+		db.Put(rel)
+	}
+	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		a, b := int(rel.At(row, 0)%4), int(rel.At(row, 1)%4)
+		for free := 0; free < 4; free++ {
+			if rel.Name == "R" {
+				dst = append(dst, a*16+b*4+free)
+			} else {
+				dst = append(dst, free*16+a*4+b)
+			}
+		}
+		return dst
+	})
+	c := NewCluster(p)
+	for warm := 0; warm < 3; warm++ {
+		c.Reset()
+		if err := c.Round(db, router); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := c.Round(db, router); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fragments, frags := int64(0), int64(0)
+	for _, s := range c.Servers {
+		for _, f := range s.Received {
+			fragments += int64(8 * f.Arity * f.Size())
+			frags++
+		}
+	}
+	if fragments != 8*2*2*4*m {
+		t.Fatalf("fragments hold %d bytes, want %d", fragments, 8*2*2*4*m)
+	}
+	// Per fragment a relation header and its column slices, per round a
+	// few closures and slices.
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	if limit := fragments + 512*frags + 16<<10; allocated > limit {
+		t.Errorf("a warm fan-out round allocated %d bytes for %d bytes of fragments, limit %d", allocated, fragments, limit)
+	}
+	t.Logf("allocated %d bytes: %d of fragments, %d besides over %d fragments", allocated, fragments, allocated-fragments, frags)
+}
+
+// TestInternCollisionStoresSetAgain: a set whose slot in the worker's table
+// holds a different set is stored again, and rows routed through sets
+// stored twice are delivered exactly as the reference delivers them.
+func TestInternCollisionStoresSetAgain(t *testing.T) {
+	const m, p = 600, 8
+	rel := singleRel(m).MustGet("S")
+	// Rows go to one server or to one of five sets, some of them repeated
+	// in runs (v/3 changes every third row).
+	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		switch v := int(rel.At(row, 0)) / 3; v % 6 {
+		case 0:
+			return append(dst, v%p)
+		default:
+			return append(dst, v%6, (v%6+2)%p, (v%6+5)%p)
+		}
+	})
+	c := NewCluster(p)
+	c.parallel(1, func(*commWorker, func() int) {})
+	w := c.comm.workers[0]
+	report := func(err error) { t.Fatal(err) }
+	lg := partLog{codes: make([]int32, 0, m), pairs: make([]int32, 0, 2*p)}
+	w.codes = lg.codes
+	first := int32(0) // the offset of the first set stored, which every collision names
+	for row := 0; row < m; row++ {
+		w.dst = router.Destinations(rel, row, w.dst[:0])
+		if len(w.dst) == 1 || first == 0 {
+			w.logRows(c, 1, w.dst, report)
+			if len(w.dst) > 1 {
+				first = -1 - w.codes[len(w.codes)-1]
+			}
+			continue
+		}
+		// Point the row's slot at the first set, as a hash collision with
+		// it would.
+		w.index[setHash(w.dst)>>w.shift] = first
+		w.logRows(c, 1, w.dst, report)
+		off := -1 - w.codes[len(w.codes)-1]
+		if got := w.sets[off+1 : off+1+w.sets[off]]; !slices.Equal(got, []int32{int32(w.dst[0]), int32(w.dst[1]), int32(w.dst[2])}) {
+			t.Fatalf("row %d: code names set %v, want %v", row, got, w.dst)
+		}
+		if row%2 == 0 {
+			// Hand the set's own slot to the first set too: the next row
+			// naming it must store it again.
+			for i, o := range w.index {
+				if o == off {
+					w.index[i] = first
+				}
+			}
+		}
+	}
+	if w.nsets <= 5 {
+		t.Errorf("the worker stored %d sets, want duplicates past the 5 distinct", w.nsets)
+	}
+	w.endPart(&lg)
+	c.commit([]sendPart{{rel: rel, lo: 0, hi: m}}, []partLog{lg})
+	reference := NewCluster(p)
+	if err := referenceRound(reference, router, rel); err != nil {
+		t.Fatal(err)
+	}
+	assertClustersEquivalent(t, reference, c)
 }
 
 // TestCommitPanicsPastInt32Rows: fragment offsets are int32, so a round
@@ -620,7 +792,7 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 func TestCommitPanicsPastInt32Rows(t *testing.T) {
 	rel := data.NewRelation("S", 1, 2)
 	parts := []sendPart{{rel: rel}, {rel: rel}}
-	logs := []partLog{{log: []int32{0, 1 << 30}}, {log: []int32{0, 1 << 30}}}
+	logs := []partLog{{pairs: []int32{0, 1 << 30}}, {pairs: []int32{0, 1 << 30}}}
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "past 2^31-1") {
 			t.Fatalf("a 2^31-row fragment panicked with %q, want the row-bound panic", msg)

@@ -52,9 +52,9 @@ func (f RouterFunc) Destinations(rel *data.Relation, row int, dst []int) []int {
 // Exactly one of the two forms is produced per span:
 //
 //   - Uniform (PerRow nil): every row of the span goes to Dests. The engine
-//     logs the span as one record and ships it with one copy per column and
-//     destination — no per-row router work at all. An empty Dests ships
-//     nothing (a relation the router does not route this round).
+//     logs Dests' one code for every row, and its scatter ships the run with
+//     one copy per column and destination — no per-row router work at all.
+//     An empty Dests ships nothing (a relation the router does not route).
 //   - PerRow non-nil: rows still need a per-row dimension (a grid row hash
 //     on a non-partition attribute), but the span-level decision — which
 //     hitter plan, which block — is resolved once at compile time. PerRow
@@ -384,6 +384,7 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		}
 	}
 	c.replayRound = false
+	defer c.comm.endRound()
 	logs, err := c.route(parts, router)
 	if err != nil {
 		return err

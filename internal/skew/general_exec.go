@@ -249,28 +249,6 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	return gp
 }
 
-// ComboLoads breaks an execution's per-virtual-server loads
-// (exec.Result.PerServerBits of a run of gp.Phys) down per bin combination —
-// Corollary 4.4's per-combination statement: MaxBits is the max over the
-// combination's servers. The metadata is deep-copied: plans are reused
-// across executions, so callers must not be able to mutate the cached slices.
-func (gp *GeneralPlan) ComboLoads(perServerBits []int64) []ComboLoad {
-	out := make([]ComboLoad, len(gp.comboMeta))
-	for i, cm := range gp.comboMeta {
-		cm.Vars = append([]int(nil), cm.Vars...)
-		cm.Bins = append([]int(nil), cm.Bins...)
-		out[i] = cm
-	}
-	for id, bits := range perServerBits {
-		for pi, vr := range gp.comboRanges {
-			if id >= vr.lo && id < vr.hi && bits > out[pi].MaxBits {
-				out[pi].MaxBits = bits
-			}
-		}
-	}
-	return out
-}
-
 // generalRouter routes tuples to every bin combination's subgrid. It
 // carries only plan-time tables (thresholds and frequency maps are frozen
 // into the comboPlans), never the planning state, so cached plans don't
