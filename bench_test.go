@@ -50,8 +50,6 @@ func BenchmarkE5SkewJoin(b *testing.B)             { benchExperiment(b, exp.E5Sk
 func BenchmarkE6ResidualBounds(b *testing.B)       { benchExperiment(b, exp.E6ResidualBounds) }
 func BenchmarkE7BinCombGeneral(b *testing.B)       { benchExperiment(b, exp.E7BinCombGeneral) }
 func BenchmarkE8ReplicationRate(b *testing.B)      { benchExperiment(b, exp.E8ReplicationRate) }
-func BenchmarkE9SkewResilience(b *testing.B)       { benchExperiment(b, exp.E9SkewResilience) }
-func BenchmarkE10CartesianProduct(b *testing.B)    { benchExperiment(b, exp.E10CartesianProduct) }
 func BenchmarkE11KnowledgeBound(b *testing.B)      { benchExperiment(b, exp.E11KnowledgeBound) }
 func BenchmarkE12RoundsTradeoff(b *testing.B)      { benchExperiment(b, exp.E12RoundsTradeoff) }
 func BenchmarkA1ShareRounding(b *testing.B)        { benchExperiment(b, exp.A1ShareRounding) }

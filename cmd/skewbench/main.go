@@ -1,15 +1,13 @@
 // Command skewbench runs the full experiment suite of DESIGN.md — one
 // experiment per table/example in "Skew in Parallel Query Processing"
 // (Beame–Koutris–Suciu, PODS 2014) plus the ablations — and prints
-// paper-versus-measured tables. With -fig it instead emits one figure-style
-// CSV series from the same harness (load versus server count, load versus
-// skew, the skew resilience of equal-share HyperCube).
+// paper-versus-measured tables. The paper's exponents in p are checked by
+// the fitted-slope tests of internal/hypercube, internal/skew and
+// internal/rounds (go test -run Slope), not here.
 //
 // Usage:
 //
 //	skewbench [-scale quick|full] [-exp E1,E5,A2] [-markdown out.md]
-//	skewbench [-scale quick|full] -fig load-vs-p > loadvsp.csv
-//	skewbench -fig list
 //	skewbench -faultbench fault.json
 //
 // Performance is measured by the one end-to-end benchmark, go run ./bench
@@ -21,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -32,7 +29,6 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	expFlag := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 	mdFlag := flag.String("markdown", "", "also write results as markdown to this file")
-	figFlag := flag.String("fig", "", "print this figure's CSV series and exit (\"list\" names them)")
 	faultFlag := flag.String("faultbench", "", "measure round-replay vs whole-execution fault recovery on the triangle pipeline, write JSON here, and exit")
 	flag.Parse()
 
@@ -52,26 +48,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "skewbench: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
-	}
-
-	if *figFlag != "" {
-		figs := exp.Figures()
-		if *figFlag == "list" {
-			names := make([]string, 0, len(figs))
-			for n := range figs {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Println(strings.Join(names, "\n"))
-			return
-		}
-		gen, ok := figs[*figFlag]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "skewbench: unknown figure %q (use -fig list)\n", *figFlag)
-			os.Exit(2)
-		}
-		fmt.Print(exp.CSV(gen(scale)))
-		return
 	}
 
 	want := map[string]bool{}

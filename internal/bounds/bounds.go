@@ -84,8 +84,10 @@ func SimpleLower(q *query.Query, bitsM []float64, p int) (float64, []PackingBoun
 
 // SpaceExponent returns the space exponent ε for the given statistics
 // (§3.3): writing M = max_j M_j and the optimal load as M/p^{v*}, the space
-// exponent is 1 − v*. Relations with M_j ≤ M/p are broadcast (removed), as
-// the paper prescribes.
+// exponent is 1 − v*. With M_j = M/p^{ν_j}, Eq. (7) gives
+// L(u) = M/p^{(Σ_j ν_j u_j + 1)/Σ_j u_j}, so 1 − v* = 1 + log_p(L_lower/M).
+// Relations with M_j ≤ M/p are broadcast, as the paper prescribes: they
+// are clamped at M/p (ν_j = 1), where their contribution vanishes.
 func SpaceExponent(q *query.Query, bitsM []float64, p int) float64 {
 	maxM := 0.0
 	for _, m := range bitsM {
@@ -93,44 +95,18 @@ func SpaceExponent(q *query.Query, bitsM []float64, p int) float64 {
 			maxM = m
 		}
 	}
-	if maxM == 0 {
+	if maxM == 0 || p < 2 {
 		return 0
 	}
-	// ν_j from M_j = M/p^{ν_j}; broadcast relations get weight-0 atoms by
-	// clamping ν_j at 1 (their contribution to the bound vanishes).
-	logP := math.Log(float64(p))
-	nu := make([]float64, len(bitsM))
+	clamped := make([]float64, len(bitsM))
 	for j, m := range bitsM {
-		if m <= maxM/float64(p) {
-			nu[j] = 1
-		} else {
-			nu[j] = math.Log(maxM/m) / logP
-		}
+		clamped[j] = math.Max(m, maxM/float64(p))
 	}
-	vStar := math.Inf(1)
-	for _, vtx := range packing.PK(q) {
-		u := vtx.Floats()
-		total := 0.0
-		dot := 0.0
-		for j := range u {
-			total += u[j]
-			dot += nu[j] * u[j]
-		}
-		if total == 0 {
-			continue
-		}
-		if v := dot + 1/total; v < vStar {
-			vStar = v
-		}
-	}
-	if math.IsInf(vStar, 1) {
+	lower, _ := SimpleLower(q, clamped, p)
+	if lower <= 0 {
 		return 0
 	}
-	eps := 1 - vStar
-	if eps < 0 {
-		eps = 0
-	}
-	return eps
+	return math.Max(0, 1+math.Log(lower/maxM)/math.Log(float64(p)))
 }
 
 // ResidualBound is the bound L_x(u, M, p) of one saturating packing for one

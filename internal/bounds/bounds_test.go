@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/hypercube"
+	"repro/internal/packing"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -133,6 +134,57 @@ func TestSpaceExponentBroadcastRelation(t *testing.T) {
 	// load M/p, ε = 0.
 	if !approx(eps, 0, 1e-9) {
 		t.Errorf("ε = %v, want 0", eps)
+	}
+}
+
+// TestSpaceExponentUnequalSizes checks §3.3 under M_j = M/p^{ν_j} with no
+// relation below M/p: ε = 1 − min_u (Σ_j ν_j u_j + 1)/Σ_j u_j over pk(q),
+// which is 1 + log_p(L_lower/M), across the catalog and several ν.
+func TestSpaceExponentUnequalSizes(t *testing.T) {
+	const bigM = float64(1 << 30)
+	patterns := [][]float64{{0}, {0, 1.0 / 3}, {0, 0, 0.5}, {0, 0.9}, {0, 0.25, 0.6}}
+	for _, name := range query.CatalogNames() {
+		q := query.Catalog()[name]
+		for _, pat := range patterns {
+			for _, p := range []int{64, 4096} {
+				nu := make([]float64, q.NumAtoms())
+				bits := make([]float64, q.NumAtoms())
+				for j := range nu {
+					nu[j] = pat[j%len(pat)]
+					bits[j] = bigM / math.Pow(float64(p), nu[j])
+				}
+				vStar := math.Inf(1)
+				for _, vtx := range packing.PK(q) {
+					dot, total := 0.0, 0.0
+					for j, u := range vtx.Floats() {
+						dot += nu[j] * u
+						total += u
+					}
+					vStar = math.Min(vStar, (dot+1)/total)
+				}
+				lower, _ := SimpleLower(q, bits, p)
+				fromLower := 1 + math.Log(lower/bigM)/math.Log(float64(p))
+				got := SpaceExponent(q, bits, p)
+				if math.Abs(got-(1-vStar)) > 1e-9 || math.Abs(got-fromLower) > 1e-9 {
+					t.Errorf("%s ν=%v p=%d: ε = %v, want 1 − v* = %v = 1 + log_p(L_lower/M) = %v",
+						name, nu, p, got, 1-vStar, fromLower)
+				}
+			}
+		}
+	}
+	// The two §3.3 triangle instances worked by hand.
+	for _, c := range []struct {
+		nu   []float64
+		want float64
+	}{{[]float64{0, 1.0 / 3, 1.0 / 3}, 1.0 / 9}, {[]float64{0, 0, 0.5}, 1.0 / 6}} {
+		p := 4096
+		bits := make([]float64, 3)
+		for j, v := range c.nu {
+			bits[j] = bigM / math.Pow(float64(p), v)
+		}
+		if got := SpaceExponent(query.Triangle(), bits, p); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("C3 ν=%v: ε = %v, want %v", c.nu, got, c.want)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func TestNoAlgorithmBeatsTheLowerBound(t *testing.T) {
 		}
 		hc := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1})
 		check("hypercube-LP", runPhys(t, hc.Phys, inst.db, true).MaxVirtualBits)
-		eq := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, EqualShares: true})
+		eq := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, Shares: hypercube.EqualShares(inst.q.NumVars(), p)})
 		check("hypercube-equal", runPhys(t, eq.Phys, inst.db, true).MaxVirtualBits)
 		gen := skew.PlanGeneral(inst.q, inst.db, skew.GeneralConfig{P: p, Seed: 1})
 		check("bin-combination", runPhys(t, gen.Phys, inst.db, true).MaxVirtualBits)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -293,6 +294,26 @@ func TestExplainContainsAnalysis(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExecutedSharesMatchExplain pins HyperCube's default rounding: at
+// p = 100 the triangle's LP shares 100^{1/3} round greedily to a product of
+// 100, and the plan that runs is the one Explain prints.
+func TestExecutedSharesMatchExplain(t *testing.T) {
+	q := query.Triangle()
+	db := data.NewDatabase()
+	db.Put(workload.Matching("S1", 2, 500, 100000, 1))
+	db.Put(workload.Matching("S2", 2, 500, 100000, 2))
+	db.Put(workload.Matching("S3", 2, 500, 100000, 3))
+	e := newEngine(t, Config{P: 100, Seed: 1})
+	res := execute(t, e, q, db, ExecOptions{})
+	if res.Plan.Strategy != HyperCube {
+		t.Fatalf("strategy %v, want hypercube", res.Plan.Strategy)
+	}
+	line := fmt.Sprintf("integer shares: %v (100 of 100 servers used)", res.Plan.Shares)
+	if out := e.Explain(q, db); !strings.Contains(out, line) {
+		t.Errorf("executed shares %v are not Explain's 100-server shares:\n%s", res.Plan.Shares, out)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 				trial, q, len(hc.Output), len(want))
 		}
 		// HyperCube with equal shares (skew-resilient mode).
-		eq := runPhys(t, hypercube.BuildPlan(q, db, hypercube.Config{P: 8, Seed: uint64(trial), EqualShares: true}).Phys, db, false)
+		eq := runPhys(t, hypercube.BuildPlan(q, db, hypercube.Config{P: 8, Seed: uint64(trial), Shares: hypercube.EqualShares(q.NumVars(), 8)}).Phys, db, false)
 		if !join.EqualTupleSets(eq.Output, want) {
 			t.Fatalf("trial %d %s: equal-share HC %d vs %d",
 				trial, q, len(eq.Output), len(want))

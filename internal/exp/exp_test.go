@@ -79,8 +79,8 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	if len(seen) != 18 {
-		t.Errorf("expected 18 experiments, got %d", len(seen))
+	if len(seen) != 16 {
+		t.Errorf("expected 16 experiments, got %d", len(seen))
 	}
 }
 

@@ -445,70 +445,3 @@ func E8ReplicationRate(s Scale) Table {
 		OK:       ok,
 	}
 }
-
-// E9SkewResilience validates Corollary 3.2 (ii): equal shares keep the HC
-// load at O(m/p^{1/k}) on any database, while the hash join collapses.
-func E9SkewResilience(s Scale) Table {
-	m, p := sizes(s, 4000, 64, 40000, 512)
-	domain := int64(1 << 21)
-	db := joinDB(
-		workload.SingleValue("S1", 2, m, domain, 1, 7, 1),
-		workload.SingleValue("S2", 2, m, domain, 1, 7, 2),
-	)
-	q := query.Join2()
-	mf, pf := float64(m), float64(p)
-	eq := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, EqualShares: true})
-	hash := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 3, Shares: []int{1, 1, p}})
-	resEq, resHash := route(eq.Phys, db), route(hash.Phys, db)
-	predEq := 2 * mf / math.Pow(pf, 1.0/3)
-	predHash := 2 * mf
-	okEq := within(float64(resEq.Loads.MaxTuples), predEq, 0.2, 6)
-	okHash := within(float64(resHash.Loads.MaxTuples), predHash, 0.9, 1.1)
-	rows := [][]string{
-		{"HC equal shares", fmt.Sprint(eq.Shares), fi(resEq.Loads.MaxTuples), f1(predEq), fmt.Sprint(okEq)},
-		{"hash join", fmt.Sprint(hash.Shares), fi(resHash.Loads.MaxTuples), f1(predHash), fmt.Sprint(okHash)},
-	}
-	return Table{
-		ID: "E9", Title: "Skew resilience of HyperCube with equal shares",
-		PaperRef: "Corollary 3.2 (ii)",
-		Claim:    "equal shares bound the load by O(m/p^{1/k}) with no knowledge of skew; hash join hits Ω(m)",
-		Columns:  []string{"algorithm", "shares", "max load (tuples)", "predicted", "ok"},
-		Rows:     rows,
-		Notes:    fmt.Sprintf("worst case: all %d tuples share one z; p=%d", m, p),
-		OK:       okEq && okHash,
-	}
-}
-
-// E10CartesianProduct reproduces the §1 warm-up: the optimal load for
-// S1 × S2 is 2·sqrt(m1·m2/p) tuples, achieved by the p1×p2 grid.
-func E10CartesianProduct(s Scale) Table {
-	m1, p := sizes(s, 8000, 64, 64000, 256)
-	m2 := m1 / 4
-	q := query.Cartesian(2)
-	db := data.NewDatabase()
-	db.Put(workload.Uniform("S1", 1, m1, 1<<21, 1))
-	db.Put(workload.Uniform("S2", 1, m2, 1<<21, 2))
-	hc := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: 5})
-	res := route(hc.Phys, db)
-	pred := 2 * math.Sqrt(float64(m1)*float64(m2)/float64(p))
-	got := float64(res.Loads.MaxTuples)
-	bitsM := []float64{float64(db.MustGet("S1").Bits()), float64(db.MustGet("S2").Bits())}
-	lower, _ := bounds.SimpleLower(q, bitsM, p)
-	ok := within(got, pred, 0.4, 3)
-	rows := [][]string{
-		{"shares", fmt.Sprint(hc.Shares), ""},
-		{"measured max load (tuples)", f1(got), f2(got / pred)},
-		{"predicted 2·sqrt(m1m2/p)", f1(pred), "1.00"},
-		{"lower bound (bits)", fk(lower), ""},
-		{"measured (bits)", fk(float64(res.Loads.MaxBits)), f2(float64(res.Loads.MaxBits) / lower)},
-	}
-	return Table{
-		ID: "E10", Title: "Cartesian product: grid allocation is optimal",
-		PaperRef: "§1 (overview), footnote 2",
-		Claim:    "the p1×p2 grid with p1=sqrt(m1p/m2) achieves load 2·sqrt(m1m2/p), matching the inner-product lower bound",
-		Columns:  []string{"quantity", "value", "ratio"},
-		Rows:     rows,
-		Notes:    fmt.Sprintf("m1=%d, m2=%d, p=%d", m1, m2, p),
-		OK:       ok,
-	}
-}

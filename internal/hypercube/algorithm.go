@@ -177,9 +177,6 @@ type Config struct {
 	// UseAfratiUllman selects the baseline total-load optimizer instead of
 	// the paper's LP (ablation A2).
 	UseAfratiUllman bool
-	// EqualShares forces the skew-resilient p^{1/k} configuration
-	// (Corollary 3.2 (ii)).
-	EqualShares bool
 }
 
 // Plan is the §3.1 planner output: the selected shares with their LP
@@ -193,8 +190,8 @@ type Plan struct {
 }
 
 // BuildPlan selects shares for q over db (LP-optimal by default; cfg can
-// force explicit shares, equal shares, or the Afrati–Ullman objective) and
-// lowers them to a PhysicalPlan on the cfg.P-cell hypercube.
+// force explicit shares, EqualShares among them, or the Afrati–Ullman
+// objective) and lowers them to a PhysicalPlan on the cfg.P-cell hypercube.
 func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 	if cfg.P < 1 {
 		panic("hypercube: P must be >= 1")
@@ -204,8 +201,6 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 	switch {
 	case cfg.Shares != nil:
 		pl.Shares = append([]int(nil), cfg.Shares...)
-	case cfg.EqualShares:
-		pl.Shares = EqualShares(q.NumVars(), cfg.P)
 	case cfg.UseAfratiUllman:
 		pl.Shares = RoundShares(AfratiUllmanExponents(q, bits, cfg.P), cfg.P, cfg.Strategy)
 	default:

@@ -312,7 +312,7 @@ func TestRunExplicitShares(t *testing.T) {
 func TestRunEqualShares(t *testing.T) {
 	q := query.Triangle()
 	db := mkDB(q, 200, 40, 9)
-	pl, res := run(t, q, db, Config{P: 27, Seed: 4, EqualShares: true}, false)
+	pl, res := run(t, q, db, Config{P: 27, Seed: 4, Shares: EqualShares(q.NumVars(), 27)}, false)
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Error("equal-share run incorrect")

@@ -147,12 +147,12 @@ type Rounding int
 
 // Rounding strategies (ablation A1).
 const (
-	// RoundFloor takes p_i = max(1, ⌊p^{e_i}⌋).
-	RoundFloor Rounding = iota
 	// RoundGreedy starts from RoundFloor and greedily increments the
 	// dimension with the largest fractional loss while the product stays
-	// ≤ p. This is the default.
-	RoundGreedy
+	// ≤ p. It is the zero value, so the default.
+	RoundGreedy Rounding = iota
+	// RoundFloor takes p_i = max(1, ⌊p^{e_i}⌋).
+	RoundFloor
 	// RoundPowerOfTwo rounds each share down to a power of two, then
 	// greedily doubles dimensions while the product stays ≤ p.
 	RoundPowerOfTwo
