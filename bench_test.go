@@ -9,7 +9,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/data"
 	"repro/internal/exec"
-	"repro/internal/exp"
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
 	"repro/internal/join"
@@ -24,40 +23,6 @@ import (
 	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
-
-// One benchmark per experiment/ablation in DESIGN.md's index. Each runs
-// the corresponding harness at Quick scale and reports whether the
-// paper's predicted shape held (pass metric 1 = all internal checks
-// passed); `go run ./cmd/skewbench` prints the tables themselves.
-
-func benchExperiment(b *testing.B, run func(exp.Scale) exp.Table) {
-	b.ReportAllocs()
-	pass := 1.0
-	for i := 0; i < b.N; i++ {
-		t := run(exp.Quick)
-		if !t.OK {
-			pass = 0
-		}
-	}
-	b.ReportMetric(pass, "pass")
-}
-
-func BenchmarkE1ExampleJoinShares(b *testing.B)    { benchExperiment(b, exp.E1ExampleJoinShares) }
-func BenchmarkE2TrianglePackingTable(b *testing.B) { benchExperiment(b, exp.E2TrianglePackingTable) }
-func BenchmarkE3MatchingBounds(b *testing.B)       { benchExperiment(b, exp.E3MatchingBounds) }
-func BenchmarkE4HashingLemma(b *testing.B)         { benchExperiment(b, exp.E4HashingLemma) }
-func BenchmarkE5SkewJoin(b *testing.B)             { benchExperiment(b, exp.E5SkewJoin) }
-func BenchmarkE6ResidualBounds(b *testing.B)       { benchExperiment(b, exp.E6ResidualBounds) }
-func BenchmarkE7BinCombGeneral(b *testing.B)       { benchExperiment(b, exp.E7BinCombGeneral) }
-func BenchmarkE8ReplicationRate(b *testing.B)      { benchExperiment(b, exp.E8ReplicationRate) }
-func BenchmarkE11KnowledgeBound(b *testing.B)      { benchExperiment(b, exp.E11KnowledgeBound) }
-func BenchmarkE12RoundsTradeoff(b *testing.B)      { benchExperiment(b, exp.E12RoundsTradeoff) }
-func BenchmarkA1ShareRounding(b *testing.B)        { benchExperiment(b, exp.A1ShareRounding) }
-func BenchmarkA2ShareOptimizers(b *testing.B)      { benchExperiment(b, exp.A2ShareOptimizers) }
-func BenchmarkA3Threshold(b *testing.B)            { benchExperiment(b, exp.A3Threshold) }
-func BenchmarkA4OverweightFactor(b *testing.B)     { benchExperiment(b, exp.A4OverweightFactor) }
-func BenchmarkA5SamplingStats(b *testing.B)        { benchExperiment(b, exp.A5SamplingStats) }
-func BenchmarkA6LocalJoinAlgorithm(b *testing.B)   { benchExperiment(b, exp.A6LocalJoinAlgorithm) }
 
 // Micro-benchmarks of the load-bearing primitives.
 

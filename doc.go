@@ -93,9 +93,9 @@
 //	// Mutate under the live plan cache; fingerprints update in O(delta).
 //	err = db.Apply(repro.NewDelta().Insert("S1", 7, 8).Delete("S2", 1, 2))
 //
-// See DESIGN.md for the planner/executor layering and system inventory;
-// `go run ./cmd/skewbench` prints the paper-versus-measured experiment
-// tables, and `go run ./bench` is the one end-to-end performance benchmark
+// See DESIGN.md for the planner/executor layering and system inventory.
+// The paper's claims are tests in the packages they check (go test ./...),
+// and `go run ./bench` is the one end-to-end performance benchmark
 // (bench/README.md). The engine's invariant contracts (deterministic core,
 // allocation-free routing hot paths, context flow, error wrapping) are
 // mechanically enforced by the custom static-analysis suite in

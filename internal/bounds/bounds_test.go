@@ -2,10 +2,12 @@ package bounds
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/hypercube"
+	"repro/internal/join"
 	"repro/internal/packing"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -198,6 +200,62 @@ func TestExpectedAnswers(t *testing.T) {
 	if !approx(got, want, 1e-12) {
 		t.Errorf("E = %v, want %v", got, want)
 	}
+}
+
+// TestTheorem35KnowledgeBound checks the counting step of Theorem 3.5 (1)
+// (Appendix A) on a dense triangle: a server that holds a uniform fraction
+// f of each relation knows an answer only when it holds all of its tuples,
+// so it knows ≈ f^3 of the answers. That stays within the budget
+// (L/c)^u/K(u,M) · |q(I)| the theorem grants a load-L server, and decays
+// with f at a log-log slope of at least u = 3/2.
+func TestTheorem35KnowledgeBound(t *testing.T) {
+	const m = 3000
+	q := query.Triangle()
+	specs := make([]workload.AtomSpec, 3)
+	for j, a := range q.Atoms {
+		specs[j] = workload.AtomSpec{Name: a.Name, Arity: 2, M: m, Domain: 256}
+	}
+	db := workload.ForQuery(specs, 41)
+	answers := float64(len(join.Join(q, join.FromDatabase(db))))
+	if answers == 0 {
+		t.Fatal("empty join: raise the density")
+	}
+	u, uTotal := []float64{0.5, 0.5, 0.5}, 1.5
+	bitsM := make([]float64, 3)
+	for j, a := range q.Atoms {
+		bitsM[j] = float64(db.MustGet(a.Name).Bits())
+	}
+	kUM := K(u, bitsM)
+	const c = 1.0 / 6 // c = (a_j − δ)/(3a_j) with a_j = 2, δ = 1
+	rng := rand.New(rand.NewSource(43))
+	fs := []float64{0.2, 0.4, 0.8}
+	known := make([]float64, len(fs))
+	for i, f := range fs {
+		sub := make(map[string]*data.Relation)
+		loadBits := 0.0
+		for _, a := range q.Atoms {
+			rel := db.MustGet(a.Name)
+			keep := data.NewRelation(a.Name, rel.Arity, rel.Domain)
+			rel.Each(func(_ int, tu data.Tuple) bool {
+				if rng.Float64() < f {
+					keep.Add(tu...)
+				}
+				return true
+			})
+			sub[a.Name] = keep
+			loadBits += float64(keep.Bits())
+		}
+		known[i] = float64(len(join.Join(q, sub)))
+		if budget := math.Pow(loadBits, uTotal) / (math.Pow(c, uTotal) * kUM) * answers; known[i] > budget {
+			t.Errorf("f = %.1f: knows %.0f answers, above the budget %.0f", f, known[i], budget)
+		}
+	}
+	last := len(fs) - 1
+	slope := math.Log(known[last]/known[0]) / math.Log(fs[last]/fs[0])
+	if slope < uTotal {
+		t.Errorf("knowledge decays at log-log slope %.2f, want ≥ u = %.2f", slope, uTotal)
+	}
+	t.Logf("known answers %v of %.0f; log-log slope %.2f", known, answers, slope)
 }
 
 func TestResidualLowerJoinExample48(t *testing.T) {

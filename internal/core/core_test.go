@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/exec"
+	"repro/internal/hypercube"
 	"repro/internal/join"
 	"repro/internal/query"
 	"repro/internal/rounds"
@@ -355,36 +356,79 @@ func TestForceMultiRound(t *testing.T) {
 	}
 }
 
+// TestConsiderMultiRoundCostComparison checks the one-round versus
+// one-join-per-round tradeoff that motivates the paper (§1). On sparse
+// matchings each round costs ~m/p, beating the one-round m/p^{2/3}; on
+// dense data round one's intermediate explodes and one round wins. On
+// both, the measured winner is the engine's pick, and the pick agrees
+// with the two predictions it compares.
 func TestConsiderMultiRoundCostComparison(t *testing.T) {
-	// Sparse matchings: per-round loads ~m/p beat the one-round m/p^{2/3},
-	// so the cost comparison should flip to the pipeline — and the choice
-	// must agree with the two predictions it compares.
+	const m, p = 4096, 64
 	q := query.Triangle()
-	db := data.NewDatabase()
+	matchings := func(domain int64) *data.Database {
+		db := data.NewDatabase()
+		for j, a := range q.Atoms {
+			db.Put(workload.Matching(a.Name, 2, m, domain, int64(j+1)))
+		}
+		return db
+	}
+	dense := data.NewDatabase()
 	for j, a := range q.Atoms {
-		db.Put(workload.Matching(a.Name, 2, 4096, 1<<20, int64(j+1)))
+		dense.Put(workload.Uniform(a.Name, 2, m, 128, int64(j+10))) // domain 2√m
 	}
-	e := newEngine(t, Config{P: 64, Seed: 3, ConsiderMultiRound: true})
-	plan := e.PlanQuery(q, db)
+	for _, c := range []struct {
+		name      string
+		db        *data.Database
+		seed      uint64
+		wantMulti bool
+	}{
+		{"matchings", matchings(1 << 20), 3, true},
+		{"matchings_domain_2^21", matchings(1 << 21), 5, true},
+		{"dense", dense, 5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.db
+			e := newEngine(t, Config{P: p, Seed: c.seed, ConsiderMultiRound: true})
+			plan := e.PlanQuery(q, db)
 
-	base := newEngine(t, Config{P: 64, Seed: 3}).PlanQuery(q, db)
-	mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: 3, SkewAware: true}).PredictedSumMaxBits
-	wantMR := base.PredictedBits > 0 && mrPred < base.PredictedBits
-	if gotMR := plan.Strategy == MultiRound; gotMR != wantMR {
-		t.Fatalf("choice %v disagrees with predictions (one-round %.0f, multi-round %.0f)",
-			plan.Strategy, base.PredictedBits, mrPred)
-	}
-	if wantMR && !strings.Contains(plan.Reason, "beats one-round") {
-		t.Errorf("reason does not explain the comparison: %q", plan.Reason)
-	}
-	if !wantMR && !strings.Contains(plan.Reason, "multi-round rejected") {
-		t.Errorf("reason does not record the rejection: %q", plan.Reason)
-	}
-	// Execution under the comparison stays correct.
-	res := execute(t, e, q, db, ExecOptions{})
-	want := join.Join(q, join.FromDatabase(db))
-	if !join.EqualTupleSets(join.Dedup(res.Output), want) {
-		t.Errorf("cost-comparing engine output %d tuples, want %d", len(res.Output), len(want))
+			// The measured winner: HyperCube's routed max load against the
+			// pipeline's sum of per-round maxima.
+			hc, err := exec.Run(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: c.seed}).Phys, db, exec.Config{SkipCompute: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mr, _, err := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed}).ExecuteWith(db, exec.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if multiWins := mr.SumMaxBits <= hc.Loads.MaxBits; multiWins != c.wantMulti {
+				t.Errorf("multi-round Σmax %d bits vs one-round %d bits, want multi-round winning = %v",
+					mr.SumMaxBits, hc.Loads.MaxBits, c.wantMulti)
+			}
+			if gotMulti := plan.Strategy == MultiRound; gotMulti != c.wantMulti {
+				t.Errorf("engine picked %v, want multi-round = %v", plan.Strategy, c.wantMulti)
+			}
+
+			base := newEngine(t, Config{P: p, Seed: c.seed}).PlanQuery(q, db)
+			mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed, SkewAware: true}).PredictedSumMaxBits
+			wantMR := base.PredictedBits > 0 && mrPred < base.PredictedBits
+			if gotMR := plan.Strategy == MultiRound; gotMR != wantMR {
+				t.Fatalf("choice %v disagrees with predictions (one-round %.0f, multi-round %.0f)",
+					plan.Strategy, base.PredictedBits, mrPred)
+			}
+			if wantMR && !strings.Contains(plan.Reason, "beats one-round") {
+				t.Errorf("reason does not explain the comparison: %q", plan.Reason)
+			}
+			if !wantMR && !strings.Contains(plan.Reason, "multi-round rejected") {
+				t.Errorf("reason does not record the rejection: %q", plan.Reason)
+			}
+			// Execution under the comparison stays correct.
+			res := execute(t, e, q, db, ExecOptions{})
+			want := join.Join(q, join.FromDatabase(db))
+			if !join.EqualTupleSets(join.Dedup(res.Output), want) {
+				t.Errorf("cost-comparing engine output %d tuples, want %d", len(res.Output), len(want))
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bounds"
@@ -109,7 +110,11 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		plan.LowerBoundBits)
 
 	exps, lambda := hypercube.OptimalExponents(q, bitsM, p)
-	shares := hypercube.RoundShares(exps, p, hypercube.RoundGreedy)
+	ideal := make([]float64, len(exps))
+	for i, e := range exps {
+		ideal[i] = math.Pow(float64(p), e)
+	}
+	shares := hypercube.RoundToBudget(ideal, p)
 	fmt.Fprintf(&b, "\nshare exponents (LP 5): %s, λ = %.4f → predicted p^λ bits\n",
 		fmtExps(q, exps), lambda)
 	fmt.Fprintf(&b, "integer shares: %v (%d of %d servers used)\n",

@@ -24,7 +24,7 @@ import (
 // instance.
 type Router struct {
 	q      *query.Query
-	grid   *hashing.Grid
+	size   int // Π p_i, the number of hypercube cells
 	shares []int
 	stride []int // linearization strides, stride[k-1] = 1
 	atoms  map[string]*routerAtom
@@ -61,15 +61,17 @@ func NewRouter(q *query.Query, shares []int, family *hashing.Family) *Router {
 	k := len(shares)
 	r := &Router{
 		q:      q,
-		grid:   hashing.NewGrid(shares, family),
+		size:   1,
 		shares: append([]int(nil), shares...),
 		stride: make([]int, k),
 		atoms:  make(map[string]*routerAtom),
 	}
-	size := 1
 	for i := k - 1; i >= 0; i-- {
-		r.stride[i] = size
-		size *= shares[i]
+		if shares[i] < 1 {
+			panic(fmt.Sprintf("hypercube: share[%d] = %d", i, shares[i]))
+		}
+		r.stride[i] = r.size
+		r.size *= shares[i]
 	}
 	for _, a := range q.Atoms {
 		ra := &routerAtom{dims: make([]atomDim, len(a.Vars))}
@@ -126,10 +128,10 @@ func enumerateFree(shares, stride []int, fixed []bool) []int {
 }
 
 // Size returns the number of hypercube cells (Π p_i).
-func (r *Router) Size() int { return r.grid.Size() }
+func (r *Router) Size() int { return r.size }
 
 // ForSender implements mpc.PerSenderRouter: the copy shares the immutable
-// grid and offset tables but owns a private relation-binding cache.
+// stride and offset tables but owns a private relation-binding cache.
 func (r *Router) ForSender() mpc.Router {
 	c := *r
 	c.lastRel, c.lastAtom = nil, nil
@@ -172,11 +174,6 @@ type Config struct {
 
 	// Shares overrides share selection entirely when non-nil.
 	Shares []int
-	// Strategy selects integer rounding (default RoundGreedy).
-	Strategy Rounding
-	// UseAfratiUllman selects the baseline total-load optimizer instead of
-	// the paper's LP (ablation A2).
-	UseAfratiUllman bool
 }
 
 // Plan is the §3.1 planner output: the selected shares with their LP
@@ -189,24 +186,25 @@ type Plan struct {
 	Phys          *exec.PhysicalPlan
 }
 
-// BuildPlan selects shares for q over db (LP-optimal by default; cfg can
-// force explicit shares, EqualShares among them, or the Afrati–Ullman
-// objective) and lowers them to a PhysicalPlan on the cfg.P-cell hypercube.
+// BuildPlan selects shares for q over db (LP-optimal, rounded by
+// RoundToBudget, unless cfg forces explicit shares, EqualShares among them)
+// and lowers them to a PhysicalPlan on the cfg.P-cell hypercube.
 func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 	if cfg.P < 1 {
 		panic("hypercube: P must be >= 1")
 	}
 	pl := &Plan{}
 	bits := atomBits(q, db)
-	switch {
-	case cfg.Shares != nil:
+	if cfg.Shares != nil {
 		pl.Shares = append([]int(nil), cfg.Shares...)
-	case cfg.UseAfratiUllman:
-		pl.Shares = RoundShares(AfratiUllmanExponents(q, bits, cfg.P), cfg.P, cfg.Strategy)
-	default:
+	} else {
 		e, lambda := OptimalExponents(q, bits, cfg.P)
 		pl.PredictedBits = math.Pow(float64(cfg.P), lambda)
-		pl.Shares = RoundShares(e, cfg.P, cfg.Strategy)
+		ideal := make([]float64, len(e))
+		for i, ei := range e {
+			ideal[i] = math.Pow(float64(cfg.P), ei)
+		}
+		pl.Shares = RoundToBudget(ideal, cfg.P)
 	}
 	if got := product(pl.Shares); got > cfg.P {
 		panic(fmt.Sprintf("hypercube: shares %v use %d > p = %d servers", pl.Shares, got, cfg.P))

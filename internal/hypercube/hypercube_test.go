@@ -93,89 +93,18 @@ func TestOptimalExponentsPanics(t *testing.T) {
 	}
 }
 
-func TestAfratiUllmanMatchesLPOnSymmetricTriangle(t *testing.T) {
-	// For the symmetric triangle both optimizers should land on (1/3,1/3,1/3).
-	q := query.Triangle()
-	M := []float64{1 << 20, 1 << 20, 1 << 20}
-	e := AfratiUllmanExponents(q, M, 64)
-	for i, ei := range e {
-		if math.Abs(ei-1.0/3) > 0.02 {
-			t.Errorf("AU e[%d] = %v, want ≈1/3", i, ei)
-		}
-	}
-}
-
-func TestAfratiUllmanStaysOnSimplex(t *testing.T) {
-	q := query.Path(3)
-	M := []float64{1 << 10, 1 << 20, 1 << 14}
-	e := AfratiUllmanExponents(q, M, 128)
-	sum := 0.0
-	for _, ei := range e {
-		if ei < -1e-9 {
-			t.Errorf("negative exponent %v", ei)
-		}
-		sum += ei
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("Σe = %v, want 1", sum)
-	}
-}
-
-func TestProjectSimplex(t *testing.T) {
-	v := []float64{0.5, 0.5, 0.5}
-	projectSimplex(v)
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("projection sum = %v", sum)
-	}
-	w := []float64{-5, -1}
-	projectSimplex(w)
-	sum = w[0] + w[1]
-	if math.Abs(sum-1) > 1e-12 || w[0] < 0 || w[1] < 0 {
-		t.Errorf("projection of negatives = %v", w)
-	}
-}
-
 func TestRoundSharesProductBound(t *testing.T) {
-	for _, strat := range []Rounding{RoundFloor, RoundGreedy, RoundPowerOfTwo} {
-		for _, p := range []int{8, 64, 100, 1000, 4096} {
-			e := []float64{0.5, 0.3, 0.2}
-			s := RoundShares(e, p, strat)
-			if product(s) > p {
-				t.Errorf("%v p=%d: shares %v product %d > p", strat, p, s, product(s))
-			}
-			for _, si := range s {
-				if si < 1 {
-					t.Errorf("%v p=%d: share < 1: %v", strat, p, s)
-				}
+	for _, p := range []int{8, 64, 100, 1000, 4096} {
+		ideal := []float64{math.Pow(float64(p), 0.5), math.Pow(float64(p), 0.3), math.Pow(float64(p), 0.2)}
+		s := RoundToBudget(ideal, p)
+		if product(s) > p {
+			t.Errorf("p=%d: shares %v product %d > p", p, s, product(s))
+		}
+		for _, si := range s {
+			if si < 1 {
+				t.Errorf("p=%d: share < 1: %v", p, s)
 			}
 		}
-	}
-}
-
-func TestRoundGreedyBeatsFloor(t *testing.T) {
-	// Greedy must use at least as many servers as floor.
-	e := []float64{0.5, 0.5}
-	p := 512
-	floor := RoundShares(e, p, RoundFloor)
-	greedy := RoundShares(e, p, RoundGreedy)
-	if product(greedy) < product(floor) {
-		t.Errorf("greedy %v worse than floor %v", greedy, floor)
-	}
-}
-
-func TestRoundPowerOfTwo(t *testing.T) {
-	s := RoundShares([]float64{0.5, 0.5}, 64, RoundPowerOfTwo)
-	for _, si := range s {
-		if si&(si-1) != 0 {
-			t.Errorf("share %d not a power of two", si)
-		}
-	}
-	if product(s) > 64 {
-		t.Errorf("product %d > 64", product(s))
 	}
 }
 
@@ -189,13 +118,6 @@ func TestEqualShares(t *testing.T) {
 		if si != 4 {
 			t.Errorf("EqualShares(3,64) = %v, want (4,4,4)", s)
 		}
-	}
-}
-
-func TestRoundingStrings(t *testing.T) {
-	if RoundFloor.String() != "floor" || RoundGreedy.String() != "greedy" ||
-		RoundPowerOfTwo.String() != "pow2" || Rounding(9).String() != "?" {
-		t.Error("Rounding strings wrong")
 	}
 }
 
@@ -335,6 +257,19 @@ func TestRunSharesExceedPPanics(t *testing.T) {
 	BuildPlan(q, db, Config{P: 4, Shares: []int{2, 2, 2}})
 }
 
+// A zero share passes BuildPlan's product check (0 ≤ p) but names no
+// hypercube cell; the router rejects it.
+func TestRunZeroSharePanics(t *testing.T) {
+	q := query.Join2()
+	db := mkDB(q, 10, 100, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	BuildPlan(q, db, Config{P: 16, Shares: []int{0, 4, 4}})
+}
+
 func TestRunDeterministicAcrossSeeds(t *testing.T) {
 	q := query.Join2()
 	db := mkDB(q, 100, 200, 3)
@@ -432,68 +367,60 @@ func TestRunWithWCOJLocalJoins(t *testing.T) {
 	}
 }
 
-// Property: RoundShares respects the budget for arbitrary exponent vectors
-// on the simplex, for every strategy.
-func TestRoundSharesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(5)
-		e := make([]float64, k)
-		sum := 0.0
-		for i := range e {
-			e[i] = rng.Float64()
-			sum += e[i]
-		}
-		for i := range e {
-			e[i] /= sum // normalize onto the simplex
-		}
-		p := 2 + rng.Intn(2000)
-		for _, strat := range []Rounding{RoundFloor, RoundGreedy, RoundPowerOfTwo} {
-			s := RoundShares(e, p, strat)
-			if product(s) > p {
-				return false
+// Property: RoundToBudget never exceeds its budget and fills at least half
+// of it when ideals allow (greedy increments until blocked). The inputs
+// are arbitrary ideals, and HC's own: p^{e_i} for exponents e on the
+// simplex, rounded to budget p.
+func TestRoundToBudgetProperty(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		ideal func(rng *rand.Rand, k int) ([]float64, int)
+	}{
+		{"arbitrary_ideals", func(rng *rand.Rand, k int) ([]float64, int) {
+			ideal := make([]float64, k)
+			for i := range ideal {
+				ideal[i] = 1 + rng.Float64()*20
 			}
-			for _, si := range s {
-				if si < 1 {
+			return ideal, 1 + rng.Intn(500)
+		}},
+		{"simplex_exponents", func(rng *rand.Rand, k int) ([]float64, int) {
+			// Exponents on the simplex, as the share LP returns them.
+			budget := 2 + rng.Intn(2000)
+			ideal := make([]float64, k)
+			sum := 0.0
+			for i := range ideal {
+				ideal[i] = rng.Float64()
+				sum += ideal[i]
+			}
+			for i := range ideal {
+				ideal[i] = math.Pow(float64(budget), ideal[i]/sum)
+			}
+			return ideal, budget
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				ideal, budget := c.ideal(rng, 1+rng.Intn(4))
+				s := RoundToBudget(ideal, budget)
+				if product(s) > budget {
 					return false
 				}
+				// Greedy exhaustion: no single increment can still fit.
+				prod := product(s)
+				for i := range s {
+					if s[i] < 1 || prod/s[i]*(s[i]+1) <= budget {
+						// an increment fits but gain could be 0 only if ideal < 1,
+						// which we excluded — so this would be a greedy bug
+						return false
+					}
+				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: RoundToBudget never exceeds its budget and fills at least half
-// of it when ideals allow (greedy increments until blocked).
-func TestRoundToBudgetProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(4)
-		ideal := make([]float64, k)
-		for i := range ideal {
-			ideal[i] = 1 + rng.Float64()*20
-		}
-		budget := 1 + rng.Intn(500)
-		s := RoundToBudget(ideal, budget)
-		if product(s) > budget {
-			return false
-		}
-		// Greedy exhaustion: no single increment can still fit.
-		prod := product(s)
-		for i := range s {
-			if prod/s[i]*(s[i]+1) <= budget {
-				// an increment fits but gain could be 0 only if ideal < 1,
-				// which we excluded — so this would be a greedy bug
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Error(err)
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
+		})
 	}
 }
 

@@ -2,16 +2,15 @@
 // Beame–Koutris–Suciu: the p servers are organized into a k-dimensional
 // hypercube with one dimension per query variable; every tuple is hashed on
 // its own variables and replicated along the remaining dimensions. The
-// package covers share selection (the LP (5) of the paper, the
-// Afrati–Ullman total-load optimizer as a baseline, and the skew-resilient
-// equal-share configuration), integer share rounding, subcube routing, and
-// the end-to-end one-round algorithm on the MPC simulator.
+// package covers share selection (the LP (5) of the paper and the
+// skew-resilient equal-share configuration), integer share rounding,
+// subcube routing, and the end-to-end one-round algorithm on the MPC
+// simulator.
 package hypercube
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 	"repro/internal/query"
@@ -68,171 +67,11 @@ func OptimalExponents(q *query.Query, bits []float64, p int) (e []float64, lambd
 	return e, lambda
 }
 
-// AfratiUllmanExponents reproduces the share optimization of Afrati &
-// Ullman (EDBT 2010): minimize the total (sum, not max) load
-// Σ_j bits_j / p^{Σ_{i∈S_j} e_i} over the simplex Σ_i e_i = 1, e ≥ 0.
-// The objective is convex in e, so projected gradient descent converges;
-// we run a fixed budget of iterations, ample for the tiny dimension counts
-// here. This serves as the baseline share picker in ablation A2.
-func AfratiUllmanExponents(q *query.Query, bits []float64, p int) []float64 {
-	k := q.NumVars()
-	e := make([]float64, k)
-	for i := range e {
-		e[i] = 1.0 / float64(k)
-	}
-	logP := math.Log(float64(p))
-	grad := make([]float64, k)
-	for iter := 0; iter < 4000; iter++ {
-		for i := range grad {
-			grad[i] = 0
-		}
-		for j, a := range q.Atoms {
-			exp := 0.0
-			for _, v := range a.Vars {
-				exp += e[v]
-			}
-			load := bits[j] * math.Exp(-logP*exp)
-			for _, v := range a.Vars {
-				grad[v] -= logP * load
-			}
-		}
-		// Normalize the gradient scale so the step size is dimensionless.
-		norm := 0.0
-		for _, g := range grad {
-			norm += g * g
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-15 {
-			break
-		}
-		step := 0.5 / (1 + float64(iter)/40)
-		for i := range e {
-			e[i] -= step * grad[i] / norm
-		}
-		projectSimplex(e)
-	}
-	return e
-}
-
-// projectSimplex projects v onto {x ≥ 0, Σ x_i = 1} in Euclidean norm
-// (the standard sort-based algorithm).
-func projectSimplex(v []float64) {
-	n := len(v)
-	u := append([]float64(nil), v...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
-	css := 0.0
-	rho := -1
-	var theta float64
-	for i := 0; i < n; i++ {
-		css += u[i]
-		t := (css - 1) / float64(i+1)
-		if u[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	if rho < 0 {
-		for i := range v {
-			v[i] = 1.0 / float64(n)
-		}
-		return
-	}
-	for i := range v {
-		v[i] = math.Max(0, v[i]-theta)
-	}
-}
-
-// Rounding selects how fractional shares p^{e_i} become integers.
-type Rounding int
-
-// Rounding strategies (ablation A1).
-const (
-	// RoundGreedy starts from RoundFloor and greedily increments the
-	// dimension with the largest fractional loss while the product stays
-	// ≤ p. It is the zero value, so the default.
-	RoundGreedy Rounding = iota
-	// RoundFloor takes p_i = max(1, ⌊p^{e_i}⌋).
-	RoundFloor
-	// RoundPowerOfTwo rounds each share down to a power of two, then
-	// greedily doubles dimensions while the product stays ≤ p.
-	RoundPowerOfTwo
-)
-
-func (r Rounding) String() string {
-	switch r {
-	case RoundFloor:
-		return "floor"
-	case RoundGreedy:
-		return "greedy"
-	case RoundPowerOfTwo:
-		return "pow2"
-	}
-	return "?"
-}
-
-// RoundShares converts share exponents into integer shares with product
-// ≤ p. Exponents must be ≥ 0 and sum to ≤ 1 (tolerating float slack).
-func RoundShares(e []float64, p int, strategy Rounding) []int {
-	k := len(e)
-	ideal := make([]float64, k)
-	shares := make([]int, k)
-	for i, ei := range e {
-		ideal[i] = math.Pow(float64(p), ei)
-		shares[i] = int(ideal[i] + 1e-9) // floor with float-noise guard
-		if shares[i] < 1 {
-			shares[i] = 1
-		}
-	}
-	switch strategy {
-	case RoundFloor:
-		// done
-	case RoundGreedy:
-		for {
-			prod := product(shares)
-			best, bestGain := -1, 0.0
-			for i := range shares {
-				if prod/shares[i]*(shares[i]+1) > p {
-					continue
-				}
-				gain := ideal[i] / float64(shares[i])
-				if gain > bestGain {
-					best, bestGain = i, gain
-				}
-			}
-			if best == -1 {
-				break
-			}
-			shares[best]++
-		}
-	case RoundPowerOfTwo:
-		for i := range shares {
-			shares[i] = 1 << uint(math.Floor(math.Log2(float64(shares[i]))))
-		}
-		for {
-			prod := product(shares)
-			best, bestGain := -1, 0.0
-			for i := range shares {
-				if prod/shares[i]*(shares[i]*2) > p {
-					continue
-				}
-				gain := ideal[i] / float64(shares[i])
-				if gain > bestGain {
-					best, bestGain = i, gain
-				}
-			}
-			if best == -1 {
-				break
-			}
-			shares[best] *= 2
-		}
-	}
-	return shares
-}
-
 // RoundToBudget rounds ideal (fractional) shares down to integers and then
 // greedily increments the dimension with the largest fractional loss while
-// the product stays within budget. Used by the bin-combination algorithm,
-// whose per-hitter blocks have budget p^{1-α} rather than p.
+// the product stays within budget. It is the one integer rounding: HC
+// rounds its LP shares p^{e_i} to budget p, and the bin-combination
+// algorithm its per-hitter blocks to budget p^{1-α}.
 func RoundToBudget(ideal []float64, budget int) []int {
 	if budget < 1 {
 		budget = 1
@@ -283,11 +122,11 @@ func RoundToBudget(ideal []float64, budget int) []int {
 // product stays ≤ p), guaranteeing max load O(max_j M_j / p^{1/k}) on any
 // database, skewed or not.
 func EqualShares(k, p int) []int {
-	e := make([]float64, k)
-	for i := range e {
-		e[i] = 1.0 / float64(k)
+	ideal := make([]float64, k)
+	for i := range ideal {
+		ideal[i] = math.Pow(float64(p), 1.0/float64(k))
 	}
-	return RoundShares(e, p, RoundGreedy)
+	return RoundToBudget(ideal, p)
 }
 
 func product(xs []int) int {

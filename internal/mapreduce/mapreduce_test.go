@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,24 +77,51 @@ func TestMinReducersTriangle(t *testing.T) {
 	}
 }
 
+// TestMeasuredReplicationShape checks §5 on the triangle: more reducers
+// mean a smaller reducer size L and a larger replication rate r, r stays
+// above the Theorem 5.1 bound, and r scales as L^{-1/2} (Example 5.2):
+// between consecutive p, the ratio of r is within a factor 2 of
+// sqrt(L ratio).
 func TestMeasuredReplicationShape(t *testing.T) {
-	// More reducers → smaller max load, larger replication; the measured
-	// r should grow roughly like sqrt(p) for the triangle (r = p^{1/3}·...
-	// shape check: r increases with p and max load decreases).
 	q := query.Triangle()
-	specs := []workload.AtomSpec{
-		{Name: "S1", Arity: 2, M: 5000, Domain: 1 << 20},
-		{Name: "S2", Arity: 2, M: 5000, Domain: 1 << 20},
-		{Name: "S3", Arity: 2, M: 5000, Domain: 1 << 20},
-	}
-	db := workload.ForQuery(specs, 9)
-	r8, load8 := MeasuredReplication(q, db, 8, 1)
-	r64, load64 := MeasuredReplication(q, db, 64, 1)
-	if r64 <= r8 {
-		t.Errorf("replication should grow with p: r8=%v r64=%v", r8, r64)
-	}
-	if load64 >= load8 {
-		t.Errorf("max load should shrink with p: %d vs %d", load8, load64)
+	for _, c := range []struct {
+		m        int
+		domain   int64
+		dbSeed   int64
+		hashSeed uint64
+		ps       []int
+	}{
+		{5000, 1 << 20, 9, 1, []int{8, 64}},
+		{4000, 1 << 21, 31, 31, []int{8, 64, 512}},
+	} {
+		t.Run(fmt.Sprintf("m=%d", c.m), func(t *testing.T) {
+			specs := make([]workload.AtomSpec, 3)
+			for j, a := range q.Atoms {
+				specs[j] = workload.AtomSpec{Name: a.Name, Arity: 2, M: c.m, Domain: c.domain}
+			}
+			db := workload.ForQuery(specs, c.dbSeed)
+			bitsM := make([]float64, 3)
+			for j, a := range q.Atoms {
+				bitsM[j] = float64(db.MustGet(a.Name).Bits())
+			}
+			var prevR, prevL float64
+			for i, p := range c.ps {
+				r, maxBits := MeasuredReplication(q, db, p, c.hashSeed)
+				l := float64(maxBits)
+				if lb := ReplicationLowerBound(q, bitsM, l); r < lb {
+					t.Errorf("p=%d: r = %.2f below the Theorem 5.1 bound %.2f", p, r, lb)
+				}
+				if i > 0 {
+					if r <= prevR || l >= prevL {
+						t.Errorf("p=%d: r %.2f → %.2f and L %.0f → %.0f, want r up and L down", p, prevR, r, prevL, l)
+					}
+					if got, want := r/prevR, math.Sqrt(prevL/l); got < 0.5*want || got > 2*want {
+						t.Errorf("p=%d: r ratio %.2f, want within 2× of sqrt(L ratio) %.2f", p, got, want)
+					}
+				}
+				prevR, prevL = r, l
+			}
+		})
 	}
 }
 

@@ -55,16 +55,6 @@ func (b *binCombo) key() string {
 type GeneralConfig struct {
 	P    int
 	Seed uint64
-	// OverweightFactor is the multiplier C in the overweight threshold
-	// C·m_j/p^{β_j+Σe_i}. The paper uses C = N_bc (the number of bin
-	// combinations) to prove |C'(B)| ≤ p; at laptop scales that makes the
-	// threshold vacuous (nothing is ever overweight and the algorithm
-	// degenerates to plain HC), so the default is the practical C = 1,
-	// which preserves correctness (coverage never depends on C) and lets
-	// the mechanism engage. Set UsePaperNbc for the paper-faithful value.
-	OverweightFactor float64
-	// UsePaperNbc selects C = N_bc, overriding OverweightFactor.
-	UsePaperNbc bool
 }
 
 // ComboLoad reports one bin combination's realized load against its own
@@ -80,10 +70,9 @@ type ComboLoad struct {
 
 // generalState carries everything the construction needs.
 type generalState struct {
-	q   *query.Query
-	p   int
-	st  map[string]*stats.RelationStats
-	nbc float64 // the N_bc multiplier in the overweight threshold
+	q  *query.Query
+	p  int
+	st map[string]*stats.RelationStats
 
 	// varPos[j] maps variable index → attribute position in atom j (-1 if
 	// the variable does not occur in the atom).
@@ -108,22 +97,8 @@ func PlanGeneralWith(q *query.Query, db *data.Database, cfg GeneralConfig, ps *s
 		panic("skew: PlanGeneral needs P >= 2")
 	}
 	gs := newGeneralState(q, db, cfg.P, ps)
-	gs.applyOverweightFactor(cfg)
 	gs.buildCombos()
 	return gs.plan(cfg)
-}
-
-// applyOverweightFactor resolves the overweight multiplier from cfg: the
-// paper-faithful N_bc, an explicit factor, or the practical default 1.
-func (gs *generalState) applyOverweightFactor(cfg GeneralConfig) {
-	switch {
-	case cfg.UsePaperNbc:
-		// keep gs.nbc as computed
-	case cfg.OverweightFactor > 0:
-		gs.nbc = cfg.OverweightFactor
-	default:
-		gs.nbc = 1
-	}
 }
 
 func newGeneralState(q *query.Query, db *data.Database, p int, ps *stats.Pass) *generalState {
@@ -146,26 +121,6 @@ func newGeneralState(q *query.Query, db *data.Database, p int, ps *stats.Pass) *
 			gs.varPos[j][v] = pos
 		}
 	}
-	// N_bc: an a-priori bound on the number of bin combinations, used in
-	// the overweight threshold. Σ over variable sets x of
-	// NumBins^{#relations touched}; this is the log^{O(1)} p quantity of
-	// §4.2 (a conservative choice only loosens the load bound, never
-	// correctness).
-	nb := float64(stats.NumBins(p))
-	total := 0.0
-	for mask := 0; mask < 1<<q.NumVars(); mask++ {
-		touched := 0
-		for j := range q.Atoms {
-			for _, v := range q.Atoms[j].Vars {
-				if mask&(1<<v) != 0 {
-					touched++
-					break
-				}
-			}
-		}
-		total += math.Pow(nb, float64(touched))
-	}
-	gs.nbc = total
 	return gs
 }
 
@@ -302,14 +257,18 @@ func (gs *generalState) solveLP(b *binCombo) {
 
 // overweightThreshold is the frequency above which a heavy hitter over
 // attrs (extending x_j, with bin exponent β_j in B) is overweight for B:
-// N_bc · m_j / p^{β_j + Σ_{i ∈ attrs−x_j} e_i^{(B)}}.
+// m_j / p^{β_j + Σ_{i ∈ attrs−x_j} e_i^{(B)}}. The paper multiplies it by
+// N_bc, the number of bin combinations, to prove |C'(B)| ≤ p; at practical
+// sizes that makes the threshold vacuous (nothing is ever overweight and
+// the algorithm degenerates to plain HC), so the factor here is 1, which
+// never affects coverage and lets the mechanism engage.
 func (gs *generalState) overweightThreshold(b *binCombo, j int, extraVars []int) float64 {
 	exp := b.betas[j]
 	for _, v := range extraVars {
 		exp += b.expo[v]
 	}
 	rs := gs.st[gs.q.Atoms[j].Name]
-	return gs.nbc * float64(rs.M) / math.Pow(float64(gs.p), exp)
+	return float64(rs.M) / math.Pow(float64(gs.p), exp)
 }
 
 // buildCombos runs the inductive Appendix-D construction level by level.

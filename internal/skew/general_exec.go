@@ -505,12 +505,10 @@ type BinComboInfo struct {
 	Alpha  float64
 }
 
-// InspectBinCombos runs only the construction phase and reports the combos
-// (with the practical overweight factor of GeneralConfig's default),
+// InspectBinCombos runs only the construction phase and reports the combos,
 // reading statistics through ps.
 func InspectBinCombos(q *query.Query, db *data.Database, p int, ps *stats.Pass) []BinComboInfo {
 	gs := newGeneralState(q, db, p, ps)
-	gs.applyOverweightFactor(GeneralConfig{})
 	gs.buildCombos()
 	keys := make([]string, 0, len(gs.combos))
 	for key, b := range gs.combos {

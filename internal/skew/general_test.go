@@ -1,6 +1,7 @@
 package skew
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -136,6 +137,37 @@ func TestRunGeneralLoadBeatsVanillaUnderSkew(t *testing.T) {
 	if res.MaxVirtualBits*3 > vanillaMax {
 		t.Errorf("general (%d bits) not clearly better than vanilla (%d bits)",
 			res.MaxVirtualBits, vanillaMax)
+	}
+}
+
+// TestRunGeneralWithinTheorem46 checks Theorem 4.6: on skewed join2 and
+// triangle instances the construction builds bin combinations and the
+// load is within polylog(p) of max_B p^{λ(B)}.
+func TestRunGeneralWithinTheorem46(t *testing.T) {
+	const m, p, domain = 2000, 16, 1 << 21
+	heavyX := []workload.HeavySpec{{Value: 0, Count: m / 8}}
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+		rels []*data.Relation
+	}{
+		{"join2 single-z", query.Join2(), []*data.Relation{
+			workload.SingleValue("S1", 2, m, domain, 1, 7, 1), workload.SingleValue("S2", 2, m, domain, 1, 7, 2)}},
+		{"join2 zipf", query.Join2(), []*data.Relation{
+			workload.Zipf("S1", m, domain, 1, 1.7, m/8, 3), workload.Zipf("S2", m, domain, 1, 1.7, m/8, 4)}},
+		{"C3 popular vertex", query.Triangle(), []*data.Relation{
+			workload.PlantedHeavy("S1", m/2, domain, 0, heavyX, 5),
+			workload.Uniform("S2", 2, m/2, m, 6),
+			workload.PlantedHeavy("S3", m/2, domain, 1, heavyX, 7)}},
+	} {
+		gp, res := runGeneral(t, c.q, generalDB(c.q, c.rels...), GeneralConfig{P: p, Seed: 29}, true)
+		if gp.NumBinCombos < 1 {
+			t.Errorf("%s: no bin combinations", c.name)
+		}
+		lnP := math.Log(p)
+		if r := float64(res.MaxVirtualBits) / gp.PredictedBits; r > 20*lnP*lnP {
+			t.Errorf("%s: measured / max_B p^λ(B) = %.2f, want ≤ 20 ln² p", c.name, r)
+		}
 	}
 }
 

@@ -25,17 +25,6 @@ import (
 type JoinConfig struct {
 	P    int
 	Seed uint64
-	// ThresholdNum/ThresholdDen scale the heavy-hitter threshold to
-	// (Num/Den)·m/p; both default to 1 (the paper's m/p). Ablation A3.
-	ThresholdNum, ThresholdDen int64
-	// SampleSize, when positive, detects heavy hitters from a uniform
-	// sample of that many tuples per relation instead of an exact pass —
-	// the sampling practice the paper cites for skew joins. Misclassified
-	// hitters only shift load, never correctness: every z-value is still
-	// routed consistently by whichever class the (shared) estimate gave
-	// it. SampleSeed fixes the sample.
-	SampleSize int
-	SampleSeed int64
 }
 
 // joinShape is the §4.1 query shape extracted from q's own atoms: relation
@@ -118,35 +107,22 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 	if err != nil {
 		panic(err.Error())
 	}
-	num, den := cfg.ThresholdNum, cfg.ThresholdDen
-	if num <= 0 {
-		num = 1
-	}
-	if den <= 0 {
-		den = 1
-	}
 	s1, s2 := db.MustGet(sh.name1), db.MustGet(sh.name2)
 	m1, m2 := int64(s1.Size()), int64(s2.Size())
-	// heavyOf returns the join-column values of s with frequency ≥ thr (the
-	// paper's H_j sets use m_j(h) ≥ m_j/p) and their counts: exact, or
-	// scaled from a sample.
-	heavyOf := func(s *data.Relation, zPos int, m int64, seed int64) map[int64]int64 {
-		thr := float64(m) * float64(num) / (float64(cfg.P) * float64(den))
+	// heavyOf returns the join-column values of s with frequency ≥ m/p (the
+	// paper's H_j sets) and their exact counts.
+	heavyOf := func(s *data.Relation, zPos int, m int64) map[int64]int64 {
+		thr := float64(m) / float64(cfg.P)
 		heavy := make(map[int64]int64)
-		keep := func(key []int64, c int64) {
+		ps.Frequencies(s, []int{zPos}).Each(func(key []int64, c int64) {
 			if float64(c) >= thr {
 				heavy[key[0]] = c
 			}
-		}
-		if cfg.SampleSize > 0 {
-			stats.SampleFrequencies(s, []int{zPos}, cfg.SampleSize, seed).Each(keep)
-		} else {
-			ps.Frequencies(s, []int{zPos}).Each(keep)
-		}
+		})
 		return heavy
 	}
-	heavy1 := heavyOf(s1, sh.zPos1, m1, cfg.SampleSeed)
-	heavy2 := heavyOf(s2, sh.zPos2, m2, cfg.SampleSeed+1)
+	heavy1 := heavyOf(s1, sh.zPos1, m1)
+	heavy2 := heavyOf(s2, sh.zPos2, m2)
 	var heavy []HeavyKey
 	for v, c := range heavy1 {
 		c2, both := heavy2[v]

@@ -75,42 +75,3 @@ func TestParallelCollectDBMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestSampleFrequenciesDense is the regression test for dense sampling:
-// with sampleSize = m over m distinct values, the with-replacement
-// estimator re-counted collided rows and scaled, reporting frequencies of 2
-// and 3 for values that occur exactly once. Dense samples now draw without
-// replacement, so every estimate is exact.
-func TestSampleFrequenciesDense(t *testing.T) {
-	m := 1000
-	r := data.NewRelation("R", 1, 1<<20)
-	for i := 0; i < m; i++ {
-		r.Add(int64(i))
-	}
-	f := SampleFrequencies(r, []int{0}, m, 99)
-	if len(f.counts) != m {
-		t.Fatalf("sampleSize=m visited %d of %d distinct values", len(f.counts), m)
-	}
-	f.Each(func(k []int64, c int64) {
-		if c != 1 {
-			t.Fatalf("value %v estimated at %d, want exactly 1", k, c)
-		}
-	})
-	// Dense but partial (sampleSize = m/2 ≥ m/2 boundary): counts stay
-	// without replacement — no value can be counted more than once, so no
-	// estimate exceeds the scale factor.
-	half := SampleFrequencies(r, []int{0}, m/2, 99)
-	if len(half.counts) != m/2 {
-		t.Fatalf("half sample drew %d distinct rows, want %d (without replacement)", len(half.counts), m/2)
-	}
-	half.Each(func(k []int64, c int64) {
-		if c != 2 { // one occurrence × scale m/(m/2)
-			t.Fatalf("value %v estimated at %d, want 2", k, c)
-		}
-	})
-	// Sparse samples keep the classical with-replacement estimator.
-	sparse := SampleFrequencies(r, []int{0}, 10, 99)
-	if len(sparse.counts) == 0 || len(sparse.counts) > 10 {
-		t.Fatalf("sparse sample produced %d estimates", len(sparse.counts))
-	}
-}

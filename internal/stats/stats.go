@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -114,8 +113,7 @@ func (f *Freq) Heavy(threshold int64) *FreqMap {
 
 // FreqMap records the frequencies of some value combinations of one
 // relation over one attribute subset: the heavy entries of an exact table
-// (Freq.Heavy, RelationStats.ByAttrs) or the scaled counts of a sample
-// (SampleFrequencies). The combinations get dense codes in a KeyTable and
+// (Freq.Heavy, RelationStats.ByAttrs). The combinations get dense codes in a KeyTable and
 // their counts sit in a column beside it. It is read-only once built.
 type FreqMap struct {
 	Attrs  []int // sorted attribute positions within the relation
@@ -154,61 +152,6 @@ func (f *FreqMap) Each(fn func(key []int64, count int64)) {
 	for e, c := range f.counts {
 		fn(f.keys.Key(e), c)
 	}
-}
-
-// SampleFrequencies estimates frequencies from a uniform sample of
-// sampleSize tuples, scaling counts by m/sampleSize. It implements the
-// "detect heavy hitters by sampling" practice the paper cites; estimates
-// are only reliable above roughly m/sampleSize.
-//
-// Sparse samples (sampleSize below m/2) draw with replacement, the
-// classical estimator. Dense samples draw without replacement: with
-// replacement, birthday collisions re-count rows, and scaling the inflated
-// counts by m/sampleSize then overestimates frequencies just as the
-// estimator should be converging — at sampleSize = m every count should be
-// exact, and now is (the whole relation is scanned, scale 1).
-func SampleFrequencies(r *data.Relation, attrs []int, sampleSize int, seed int64) *FreqMap {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	f := newFreqMap(sorted, 0)
-	m := r.Size()
-	if m == 0 || sampleSize <= 0 {
-		return f
-	}
-	if sampleSize >= m {
-		// The sample covers the relation: exact counts, no estimation.
-		return FrequenciesOrdered(r, sorted).Heavy(0)
-	}
-	f.Total = int64(m)
-	proj := make(data.Tuple, len(sorted))
-	rng := rand.New(rand.NewSource(seed))
-	var perm []int
-	if sampleSize >= (m+1)/2 {
-		// Dense: partial Fisher–Yates draws sampleSize distinct rows.
-		perm = make([]int, m)
-		for i := range perm {
-			perm[i] = i
-		}
-	}
-	for i := 0; i < sampleSize; i++ {
-		var row int
-		if perm != nil {
-			j := i + rng.Intn(m-i)
-			perm[i], perm[j] = perm[j], perm[i]
-			row = perm[i]
-		} else {
-			row = rng.Intn(m)
-		}
-		for a, pos := range sorted {
-			proj[a] = r.At(row, pos)
-		}
-		f.add(proj, 1)
-	}
-	scale := float64(m) / float64(sampleSize)
-	for e, c := range f.counts {
-		f.counts[e] = int64(math.Round(float64(c) * scale))
-	}
-	return f
 }
 
 // HeavyHitter is one skewed value combination with its frequency.

@@ -171,23 +171,6 @@ func TestHeavyHittersOrder(t *testing.T) {
 	}
 }
 
-func TestSampleFrequenciesFindsBigHitter(t *testing.T) {
-	r := makeSkewed(t)
-	f := SampleFrequencies(r, []int{1}, 400, 7)
-	got := f.Count(data.Tuple{7})
-	if got < 20 || got > 60 {
-		t.Errorf("sampled count(7) = %d, want ≈40", got)
-	}
-}
-
-func TestSampleFrequenciesEmpty(t *testing.T) {
-	r := data.NewRelation("S", 1, 10)
-	f := SampleFrequencies(r, []int{0}, 100, 1)
-	if len(f.counts) != 0 {
-		t.Error("empty relation should sample nothing")
-	}
-}
-
 func TestNumBins(t *testing.T) {
 	cases := []struct{ p, want int }{
 		{1, 2}, {2, 2}, {4, 3}, {8, 4}, {1024, 11}, {1000, 11},

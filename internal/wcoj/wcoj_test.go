@@ -1,6 +1,7 @@
 package wcoj
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,24 +168,39 @@ func TestHubInstanceStaysTractable(t *testing.T) {
 	}
 }
 
-// The double star of experiment A6: every restricted atom reaches the last
-// variable with n+1 candidate rows of which one matches, so the deepest
-// level's tuple probe decides every answer.
+// The double star is AGM-hard for binary join plans: every two-atom
+// sub-join of C3 binds ≥ n² rows, whatever order a binary plan picks,
+// while the triangle has only 3n+1 answers. Every restricted atom reaches
+// the last variable with n+1 candidate rows of which one matches, so the
+// deepest level's tuple probe decides every answer.
 func TestDoubleStarMatchesHashJoin(t *testing.T) {
-	const n = 200
-	rels := make(map[string]*data.Relation)
-	for _, name := range []string{"S1", "S2", "S3"} {
-		r := data.NewRelation(name, 2, 1<<20)
-		for i := int64(1); i <= n; i++ {
-			r.Add(0, i)
-			r.Add(i, 0)
-		}
-		r.Add(0, 0)
-		rels[name] = r
-	}
 	q := query.Triangle()
-	got, want := Join(q, rels), join.Join(q, rels)
-	if len(got) != 3*n+1 || !join.EqualTupleSets(got, want) {
-		t.Fatalf("double star: wcoj %d answers, hash join %d, want %d", len(got), len(want), 3*n+1)
+	subJoins := []*query.Query{
+		query.MustParse("q(x1,x2,x3) = S1(x1,x2), S2(x2,x3)"),
+		query.MustParse("q(x1,x2,x3) = S2(x2,x3), S3(x3,x1)"),
+		query.MustParse("q(x1,x2,x3) = S1(x1,x2), S3(x3,x1)"),
+	}
+	for _, n := range []int{200, 600} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rels := make(map[string]*data.Relation)
+			for _, name := range []string{"S1", "S2", "S3"} {
+				r := data.NewRelation(name, 2, 1<<20)
+				for i := int64(1); i <= int64(n); i++ {
+					r.Add(0, i)
+					r.Add(i, 0)
+				}
+				r.Add(0, 0)
+				rels[name] = r
+			}
+			got, want := Join(q, rels), join.Join(q, rels)
+			if len(got) != 3*n+1 || !join.EqualTupleSets(got, want) {
+				t.Fatalf("wcoj %d answers, hash join %d, want %d", len(got), len(want), 3*n+1)
+			}
+			for _, sub := range subJoins {
+				if b := len(join.Join(sub, rels)); b < n*n {
+					t.Errorf("%s binds %d rows, want ≥ n² = %d", sub, b, n*n)
+				}
+			}
+		})
 	}
 }
