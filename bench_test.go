@@ -362,7 +362,7 @@ func BenchmarkGeneralSkewSweepP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				plan := skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: uint64(i)})
 				_, _ = exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
-				b.ReportMetric(float64(plan.NumBinCombos), "combos")
+				b.ReportMetric(float64(len(plan.Combos)), "combos")
 			}
 		})
 	}

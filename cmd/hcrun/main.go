@@ -62,15 +62,6 @@ func main() {
 		fmt.Print(engine.Explain(q, db))
 		return
 	}
-	plan := engine.PlanQuery(q, db)
-	fmt.Printf("query:        %s\n", q)
-	fmt.Printf("servers:      p = %d\n", *pFlag)
-	fmt.Printf("input:        %d relations × %d tuples (%d bits total)\n",
-		q.NumAtoms(), *mFlag, db.TotalBits())
-	fmt.Printf("plan:         %s\n", plan.Strategy)
-	fmt.Printf("reason:       %s\n", plan.Reason)
-	fmt.Printf("lower bound:  %.0f bits per server (Thm 1.2)\n\n", plan.LowerBoundBits)
-
 	var res core.Result
 	for i := 0; i < max(*repeatFlag, 1); i++ {
 		if res, err = engine.ExecuteContext(context.Background(), q, db, core.ExecOptions{}); err != nil {
@@ -78,6 +69,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	plan := res.Plan
+	fmt.Printf("query:        %s\n", q)
+	fmt.Printf("servers:      p = %d\n", *pFlag)
+	fmt.Printf("input:        %d relations × %d tuples (%d bits total)\n",
+		q.NumAtoms(), *mFlag, db.TotalBits())
+	fmt.Printf("plan:         %s\n", plan.Strategy)
+	fmt.Printf("reason:       %s\n", plan.Reason)
+	fmt.Printf("lower bound:  %.0f bits per server (Thm 1.2)\n\n", plan.LowerBoundBits)
 	fmt.Printf("answers:      %d tuples\n", len(res.Output))
 	fmt.Printf("max load:     %d bits per (virtual) server\n", res.MaxLoadBits)
 	if res.PredictedBits > 0 {

@@ -46,40 +46,58 @@ func TestPlanCacheHitSkipsReplanning(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMissOnChange: mutating the database content, changing the
-// query, or forcing a different strategy must all bypass the cached entry.
+// TestPlanCacheMissOnChange: the key is the database's identity and
+// schema, not its content. A content change — a construction-time Add or an
+// Apply — keeps the cached plan, which then answers for the new content;
+// replacing a relation with one of a different arity, changing the query,
+// forcing a different strategy, or overriding p each miss.
 func TestPlanCacheMissOnChange(t *testing.T) {
 	q := query.Join2()
 	db := db2(
 		workload.Matching("S1", 2, 300, 100000, 1),
 		workload.Matching("S2", 2, 300, 100000, 2),
 	)
+	db.Put(workload.Matching("T", 2, 10, 100000, 3)) // outside the query
 	e := newEngine(t, Config{P: 8, Seed: 1})
 	execute(t, e, q, db, ExecOptions{})
 
-	// Same shape, different content: the fingerprint must differ.
+	// Same shape, different content: the one key still hits.
 	db.MustGet("S1").Add(42, 99)
 	execute(t, e, q, db, ExecOptions{})
-	wantHM(t, e, "after db mutation", 0, 2)
+	wantHM(t, e, "after db mutation", 1, 1)
+	d := new(data.Delta).Insert("S1", 5000, 7).Insert("S2", 5001, 7).Insert("S2", 5002, 7)
+	if err := db.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	res := execute(t, e, q, db, ExecOptions{})
+	wantHM(t, e, "after Apply", 2, 1)
+	if want := join.Join(q, join.FromDatabase(db)); !join.EqualTupleSets(res.Output, want) {
+		t.Errorf("cached plan after Apply: %d answers, oracle %d", len(res.Output), len(want))
+	}
+
+	// A relation replaced with a different arity changes the schema.
+	db.Put(workload.Uniform("T", 3, 10, 100000, 3))
+	execute(t, e, q, db, ExecOptions{})
+	wantHM(t, e, "after replacing T with a ternary relation", 2, 2)
 
 	// Different query text (renamed head variables keep the same semantics
 	// but a different canonical form — conservative misses are fine).
 	execute(t, e, query.MustParse("q(a,b,c) = S1(a,c), S2(b,c)"), db, ExecOptions{})
-	wantHM(t, e, "after query change", 0, 3)
+	wantHM(t, e, "after query change", 2, 3)
 
 	// A forced strategy is part of the key.
 	force := BinCombination
 	execute(t, e, q, db, ExecOptions{Strategy: &force})
-	wantHM(t, e, "after forcing strategy", 0, 4)
+	wantHM(t, e, "after forcing strategy", 2, 4)
 
 	// So is the server count: a per-call p must not reuse the p=8 layout.
 	execute(t, e, q, db, ExecOptions{P: 4})
-	wantHM(t, e, "after overriding p", 0, 5)
+	wantHM(t, e, "after overriding p", 2, 5)
 
-	// And the original (query, db) entries are still live.
+	// And the original (query, db) entry is still live.
 	execute(t, e, q, db, ExecOptions{})
-	if cs := e.CacheStats(); cs.Hits != 1 {
-		t.Errorf("original entry evicted: hits=%d, want 1", cs.Hits)
+	if cs := e.CacheStats(); cs.Hits != 3 {
+		t.Errorf("original entry evicted: hits=%d, want 3", cs.Hits)
 	}
 }
 

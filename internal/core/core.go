@@ -61,8 +61,8 @@ func (s Strategy) String() string {
 
 // DefaultPlanCacheCapacity bounds the plan cache when the engine does not
 // set an explicit capacity: enough for a realistic working set of
-// (query, database-version) pairs, small enough that a churn of one-off
-// fingerprints cannot grow the engine without bound.
+// (query, database) pairs, small enough that a churn of one-off databases
+// cannot grow the engine without bound.
 const DefaultPlanCacheCapacity = 64
 
 // Config is the immutable engine configuration, validated once by New so a
@@ -79,8 +79,8 @@ type Config struct {
 	// when its predicted cost undercuts the chosen one-round strategy's,
 	// the engine plans, caches, and executes the pipeline instead.
 	ConsiderMultiRound bool
-	// DriftFactor enables adaptive re-planning for serving-mode executions
-	// (ExecOptions.Serving): when a run's realized max load exceeds
+	// DriftFactor enables adaptive re-planning of cached plans: when a
+	// cached execution's realized max load exceeds
 	// DriftFactor × the plan's predicted bits and the database content has
 	// changed since the plan was built, the cached entry is marked stale
 	// and the next execution replans against current statistics
@@ -111,15 +111,13 @@ type Config struct {
 // simulated servers.
 //
 // ExecuteContext caches physical plans keyed by (query canonical form,
-// database fingerprint, p, forced strategy): repeated calls on unchanged
-// inputs — the heavy repeated-traffic case — skip statistics collection, LP
-// solving, and heavy-hitter planning. The fingerprint itself is maintained
-// incrementally by the relations (data.Relation.ContentSum), so the
-// cache-hit path costs O(relations), not a database rescan. The cache is a
-// bounded LRU (Config.PlanCacheCapacity); least-recently-used plans are
-// evicted and counted in CacheStats. Engines are built by New, configured
-// per call through ExecuteContext's ExecOptions, and safe for concurrent
-// use.
+// database identity and schema, p, forced strategy): repeated calls on one
+// database — the heavy repeated-traffic case — skip statistics collection,
+// LP solving, and heavy-hitter planning, also across content deltas (see
+// planKey). The cache is a bounded LRU (Config.PlanCacheCapacity);
+// least-recently-used plans are evicted and counted in CacheStats. Engines
+// are built by New, configured per call through ExecuteContext's
+// ExecOptions, and safe for concurrent use.
 type Engine struct {
 	conf Config
 
@@ -146,7 +144,7 @@ type Engine struct {
 	// Guarded by mu; the flag itself is an atomic on the handle, so no
 	// handle lock is ever taken under mu.
 	standing map[*StandingQuery]struct{}
-	// repartitions counts heavy-partition layout rebuilds driven by serving
+	// repartitions counts heavy-partition layout rebuilds driven by
 	// executions (see ensurePartitions). Guarded by mu.
 	repartitions uint64
 	// breaker is the per-engine circuit breaker over cluster-fault
@@ -163,29 +161,26 @@ type cacheEntry struct {
 }
 
 // planKey identifies a cached plan: q.String() is a canonical rendering of
-// the query (names, variable order, atom order), p/seed pin the layout and
+// the query (names, variable order, atom order), id and schema are the
+// database's identity and schema fingerprint, p/seed pin the layout and
 // hash family, and forced pins the strategy override in effect. Multi-round
 // consideration is fixed per engine (Config.ConsiderMultiRound), so it needs
 // no key field.
 //
-// Two keying modes coexist. Content mode (serving=false) sets fp =
-// stats.Fingerprint(db): any content change is a different key, so a cached
-// plan is provably built from the statistics of the database it runs on.
-// Serving mode (serving=true) sets fp = the database's identity and schema
-// = its schema fingerprint: content deltas (Database.Apply) keep the key —
-// a physical plan routes by column position and stays *correct* for any
-// content, merely load-suboptimal — and drift detection decides when
+// Content is not part of the key: content deltas (Database.Apply, or a
+// construction-time Add) keep it, because a physical plan routes by column
+// position through statistics frozen before the round and stays *correct*
+// for any content, merely load-suboptimal — drift detection decides when
 // suboptimal has become bad enough to replan. A schema change (relation
 // replaced with a different shape) does change the key, because positional
 // routing would be wrong.
 type planKey struct {
-	query   string
-	fp      uint64
-	schema  uint64
-	p       int
-	seed    uint64
-	forced  Strategy // -1 when no override
-	serving bool
+	query  string
+	id     uint64
+	schema uint64
+	p      int
+	seed   uint64
+	forced Strategy // -1 when no override
 }
 
 // cachedPlan holds the logical plan plus its executable form — phys for the
@@ -219,11 +214,11 @@ func (cp *cachedPlan) forEachPartitionHint(fn func(exec.PartitionHint)) {
 	}
 }
 
-// ensurePartitions drives lazy skew-adaptive layout maintenance for a
-// serving execution: every hinted relation gets a current heavy-partition
-// index (data.Database.EnsurePartitioned) so span routing kicks in on the
-// next epoch's snapshots. db may be a snapshot — the ensure delegates to
-// the mutable master behind it.
+// ensurePartitions drives lazy skew-adaptive layout maintenance for an
+// execution: every hinted relation gets a current heavy-partition index
+// (data.Database.EnsurePartitioned) so span routing kicks in on the next
+// epoch's snapshots. db may be a snapshot — the ensure delegates to the
+// mutable master behind it.
 func (e *Engine) ensurePartitions(cp *cachedPlan, db *data.Database, p int) {
 	rebuilt := 0
 	cp.forEachPartitionHint(func(h exec.PartitionHint) {
@@ -327,11 +322,10 @@ type ExecOptions struct {
 	NoCache bool
 	// P overrides the engine's server count when > 0.
 	P int
-	// Serving keys the plan cache by database identity + schema instead of
-	// content, so cached plans survive Database.Apply deltas; the engine's
-	// Config.DriftFactor then decides when drifted plans get rebuilt. See
-	// planKey. Serving executions also maintain heavy-partition layouts
-	// (see ensurePartitions).
+	// Serving is read by nothing: every execution keys its plan by
+	// database identity and schema (see planKey). The field remains only
+	// because the frozen bench/trace.go sets it; it goes when that file can
+	// change.
 	Serving bool
 }
 
@@ -342,7 +336,6 @@ type settings struct {
 	forced  *Strategy
 	mr      bool
 	noCache bool
-	serving bool
 	drift   float64
 	faults  *mpc.Faults
 	retry   Retry
@@ -359,18 +352,12 @@ func (e *Engine) settings(opts ExecOptions) settings {
 		forced:  opts.Strategy,
 		mr:      c.ConsiderMultiRound,
 		noCache: opts.NoCache,
-		serving: opts.Serving,
 		drift:   c.DriftFactor,
 		faults:  c.Faults,
 		retry:   c.Retry,
 	}
 	if opts.P > 0 {
 		s.p = opts.P
-	}
-	if !s.serving {
-		// Content-keyed entries can never drift: any content change is a
-		// new key already.
-		s.drift = 0
 	}
 	return s
 }
@@ -462,17 +449,20 @@ func CheckStrategy(q *query.Query, forced *Strategy) error {
 
 // ExecuteContext plans and runs the query through the unified executor
 // with per-call options, returning answers and realized loads, or an error
-// for invalid input. Plans are cached: a repeat call with the same query,
-// database content, and p reuses the cached physical plan. The context is
-// checked before planning, before the communication round, and between the
-// rounds of a multi-round pipeline; a canceled execution returns ctx.Err().
+// for invalid input. The execution reads one immutable epoch: a snapshot db
+// as given, a mutable master through the db.Snapshot() it takes itself, so
+// a concurrent Database.Apply can neither tear the read nor race the
+// heavy-partition layout rebuilds the execution drives on the master.
 //
-// With opts.Serving set, the plan cache keys on database identity + schema
-// (cached plans survive Database.Apply deltas), and a configured drift
-// factor arms adaptive re-planning: an execution whose realized max load
-// exceeds driftFactor × the plan's prediction, on content that changed
-// since the plan was built, marks the entry stale; the next call replans
-// against current statistics and reports Result.Replanned.
+// Plans are cached under the one key of planKey: a repeat call with the
+// same query, database (identity and schema) and p reuses the cached
+// physical plan, across content deltas too. A configured drift factor arms
+// adaptive re-planning: a cached execution whose realized max load exceeds
+// driftFactor × the plan's prediction, on content that changed since the
+// plan was built, marks the entry stale; the next call replans against
+// current statistics and reports Result.Replanned. The context is checked
+// before planning, before the communication round, and between the rounds
+// of a multi-round pipeline; a canceled execution returns ctx.Err().
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Database, opts ExecOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -483,6 +473,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	}
 	if err := checkInputs(q, db, s.forced); err != nil {
 		return Result{}, err
+	}
+	if db.Master() == db {
+		db = db.Snapshot()
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -498,19 +491,13 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		}
 	}
 	cp, key, replanned := e.planFor(q, db, s, nil)
-	if s.serving {
-		// Lazy skew-adaptive layout maintenance: make sure every relation
-		// the plan's router can span-route carries a current heavy-partition
-		// index. Rebuilds land on the mutable master and reach the *next*
-		// epoch — this execution's snapshot keeps its frozen layout (current
-		// or not, routing is correct either way; stale layouts just route
-		// per-tuple or span-wise with yesterday's runs). Only serving
-		// executions maintain layouts: they read immutable snapshots, so the
-		// master rebuild never races an in-flight round, whereas a
-		// non-serving execution reads its database directly and may run
-		// concurrently with another.
-		e.ensurePartitions(cp, db, s.p)
-	}
+	// Lazy skew-adaptive layout maintenance: make sure every relation the
+	// plan's router can span-route carries a current heavy-partition index.
+	// Rebuilds land on the mutable master and reach the *next* epoch — this
+	// execution's snapshot keeps its frozen layout (current or not, routing
+	// is correct either way; stale layouts just route per-tuple or span-wise
+	// with yesterday's runs), so the rebuild never races an in-flight round.
+	e.ensurePartitions(cp, db, s.p)
 	// Pooled load-accounting scratch.
 	sc, _ := e.scratchPool.Get().(*exec.Scratch)
 	if sc == nil {
@@ -660,15 +647,9 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	if s.noCache {
 		return buildPlan(q, db, s, ps), planKey{}, false
 	}
-	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, serving: s.serving}
+	key := planKey{query: q.String(), id: db.ID(), schema: stats.SchemaFingerprint(db), p: s.p, seed: s.seed, forced: -1}
 	if s.forced != nil {
 		key.forced = *s.forced
-	}
-	if s.serving {
-		key.fp = db.ID()
-		key.schema = stats.SchemaFingerprint(db)
-	} else {
-		key.fp = stats.Fingerprint(db)
 	}
 	replanned := false
 	e.mu.Lock()
@@ -780,7 +761,7 @@ type CacheStats struct {
 	// Replans counts drift-triggered rebuilds of stale entries (a replan
 	// also counts as a miss: it plans).
 	Replans uint64
-	// Repartitions counts heavy-partition layout rebuilds driven by serving
+	// Repartitions counts heavy-partition layout rebuilds driven by
 	// executions.
 	Repartitions uint64
 	Size         int // live entries

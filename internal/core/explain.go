@@ -26,13 +26,15 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	}
 	// Plan once: the cost table reuses the chosen strategy's prediction (and
 	// the multi-round pipeline, if that is what was chosen) and plans the
-	// other strategies only for their cost, all off one statistics pass.
+	// other strategies only for their cost, all off one statistics pass. The
+	// §4.2 plan also lists its bin combinations below.
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
 	defer ps.Release()
 	cp := buildPlan(q, db, s, ps)
 	plan := cp.plan
+	general := skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps)
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
 	fmt.Fprintf(&b, "servers:  p = %d\n", p)
@@ -69,9 +71,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	} else {
 		writeCost(SkewJoin, "(query not §4.1-shaped)", noCost)
 	}
-	writeCost(BinCombination, "(max_B p^λ(B))", func() float64 {
-		return skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps).PredictedBits
-	})
+	writeCost(BinCombination, "(max_B p^λ(B))", func() float64 { return general.PredictedBits })
 	if mr := cp.mr; mr != nil || q.NumAtoms() >= 2 {
 		if mr == nil {
 			mr = planMultiRound(q, db, s, ps)
@@ -122,13 +122,13 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 
 	if plan.HasSkew && plan.Strategy == BinCombination {
 		fmt.Fprintf(&b, "\nbin combinations (§4.2):\n")
-		for _, info := range skew.InspectBinCombos(q, db, p, ps) {
-			vars := make([]string, len(info.Vars))
-			for i, v := range info.Vars {
+		for _, c := range general.Combos {
+			vars := make([]string, len(c.Vars))
+			for i, v := range c.Vars {
 				vars[i] = q.Vars[v]
 			}
 			fmt.Fprintf(&b, "  x = {%s}  bins = %v  |C'| = %d  λ = %.3f\n",
-				strings.Join(vars, ","), info.Bins, info.CSize, info.Lambda)
+				strings.Join(vars, ","), c.Bins, c.CSize, c.Lambda)
 		}
 	}
 	return b.String()

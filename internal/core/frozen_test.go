@@ -12,7 +12,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/query"
 	"repro/internal/skew"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -167,9 +166,9 @@ func loadDigest(t *testing.T, cp *cachedPlan, db *data.Database) uint64 {
 
 // comboDigest folds the §4.2 bin-combination list (variable set, bins,
 // |C'(B)|, λ and α bits) in its reported order.
-func comboDigest(infos []skew.BinComboInfo) uint64 {
+func comboDigest(combos []skew.Combo) uint64 {
 	h := fnv.New64a()
-	for _, in := range infos {
+	for _, in := range combos {
 		fmt.Fprintf(h, "%v%v%d:%x:%x;", in.Vars, in.Bins, in.CSize, math.Float64bits(in.Lambda), math.Float64bits(in.Alpha))
 	}
 	return h.Sum64()
@@ -187,7 +186,7 @@ func TestPlansBitIdenticalToFrozen(t *testing.T) {
 			predicted: math.Float64bits(cp.plan.PredictedBits),
 			lower:     math.Float64bits(cp.plan.LowerBoundBits),
 			loads:     loadDigest(t, cp, db),
-			combos:    comboDigest(skew.InspectBinCombos(q, db, p, new(stats.Pass))),
+			combos:    comboDigest(skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: 1}).Combos),
 		}
 		if cp.phys != nil {
 			got.virtual = []int{cp.phys.Virtual}

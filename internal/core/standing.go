@@ -86,9 +86,9 @@ type StandingQuery struct {
 	stale atomic.Bool
 
 	mu             sync.Mutex
-	st             *exec.Standing // nil in multi-round fallback mode
-	fallback       *mpc.Counted   // fallback mode's current counted result
-	watch          *stats.HeavyWatch
+	st             *exec.Standing    // nil in multi-round fallback mode
+	fallback       *mpc.Counted      // fallback mode's current counted result
+	watch          *stats.HeavyWatch // nil in multi-round fallback mode
 	schema         uint64
 	appliedVersion uint64
 	closed         bool
@@ -109,11 +109,10 @@ type pendingDelta struct {
 }
 
 // Standing opens a standing query for q over db: it plans (or reuses the
-// cached serving-mode plan), executes the communication and local phases
-// once to seed resident per-server state, and subscribes to db's delta
-// stream. opts are resolved exactly as in ExecuteContext, except that
-// Serving is forced on (standing state only makes sense across content
-// deltas) and NoCache is ignored — the handle's identity with the plan
+// cached plan, under ExecuteContext's one key), executes the communication
+// and local phases once to seed resident per-server state, and subscribes
+// to db's delta stream. opts are resolved exactly as in ExecuteContext,
+// except that NoCache is ignored — the handle's identity with the plan
 // cache is what lets drift-triggered replans flag it for reseeding.
 //
 // The caller must not be holding db's lock. Close the handle when done or
@@ -122,7 +121,6 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts.Serving = true
 	opts.NoCache = false
 	s := e.settings(opts)
 	if s.p < 2 {
@@ -172,15 +170,17 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 			return err
 		}
 		h.st, h.fallback = st, nil
+		h.watch = stats.NewHeavyWatch(pass, snap, h.q.AtomNames(), h.s.p)
 	} else {
+		// A multi-round handle re-executes on every Advance and never
+		// consults a heavy watch.
 		res, err := h.e.ExecuteContext(ctx, h.q, snap, h.opts)
 		if err != nil {
 			return err
 		}
 		h.stats.Recovery.Add(res.Recovery)
-		h.st, h.fallback = nil, countAnswers(h.q, res.Output)
+		h.st, h.fallback, h.watch = nil, countAnswers(h.q, res.Output), nil
 	}
-	h.watch = stats.NewHeavyWatch(pass, snap, h.q.AtomNames(), h.s.p)
 	h.schema = stats.SchemaFingerprint(snap)
 	h.appliedVersion = snap.VersionLocked()
 	h.stale.Store(false)
@@ -307,34 +307,19 @@ func (h *StandingQuery) Advance(ctx context.Context) (ResultDelta, error) {
 		// Resident state is inconsistent; fall through to a reseed.
 		reseed = true
 	}
-	if !reseed && h.st == nil {
-		// Multi-round fallback: re-execute in full against a fresh snapshot
-		// and diff — correctness behind the same API, none of the
-		// incremental savings. (ExecuteContext's own drift detection can
-		// still flag the plan, in which case the next Advance replans.)
-		// The snapshot may be ahead of the drained queue tail; the deltas
-		// in between are already reflected in it, and the gate drops their
-		// queued copies next Advance.
-		snap := h.db.Snapshot()
-		res, err := h.e.ExecuteContext(ctx, h.q, snap, h.opts)
-		if err != nil {
-			h.stale.Store(true)
-			return ResultDelta{}, err
-		}
-		h.stats.Recovery.Add(res.Recovery)
-		c := countAnswers(h.q, res.Output)
-		added, removed := diffCounted(h.fallback, c)
-		h.fallback = c
-		h.appliedVersion = snap.VersionLocked()
-		h.stats.Reseeds++
-		return ResultDelta{Added: added, Removed: removed, Version: h.appliedVersion}, nil
-	}
 
-	// Reseed: replan against current statistics, rebuild resident state
-	// once, and report the diff of the materialized results. markStale
-	// forces planFor to rebuild even when the cache entry was still live
-	// (new-heavy-hitter reseeds are invisible to drift detection).
-	h.e.markStale(h.key)
+	// Reseed: rebuild resident state once against a fresh snapshot and
+	// report the diff of the materialized results. The snapshot may be
+	// ahead of the drained queue tail; the deltas in between are already
+	// reflected in it, and the gate drops their queued copies next Advance.
+	// A multi-round handle holds no resident state to advance, so it lands
+	// here on every non-empty Advance with its cached plan still valid;
+	// every other reseed first marks the plan stale so planFor replans
+	// against current statistics (new-heavy-hitter reseeds are invisible to
+	// drift detection).
+	if reseed {
+		h.e.markStale(h.key)
+	}
 	old := h.counted()
 	err := h.seed(ctx)
 	if err != nil && isInjectedFault(err) && ctx.Err() == nil && h.s.retry.MaxAttempts >= 0 {

@@ -379,7 +379,10 @@ func TestStandingClearPlanCacheReseeds(t *testing.T) {
 }
 
 // TestStandingMultiRoundFallback forces the multi-round strategy: the
-// handle must serve correct results by full re-execution per advance.
+// handle must serve correct results by full re-execution per advance, each
+// advance one reseed through the ordinary reseed path — off the still-valid
+// cached plan (no miss, no replan) and with no heavy watch, which nothing
+// on that path would consult.
 func TestStandingMultiRoundFallback(t *testing.T) {
 	q := query.Path(3)
 	db := data.NewDatabase()
@@ -396,6 +399,10 @@ func TestStandingMultiRoundFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	if h.watch != nil {
+		t.Error("multi-round handle built a heavy watch")
+	}
+	misses := e.CacheStats().Misses
 
 	view := make(map[string]data.Tuple)
 	for _, tu := range h.Result() {
@@ -419,9 +426,12 @@ func TestStandingMultiRoundFallback(t *testing.T) {
 		if got := h.Result(); !join.EqualTupleSets(got, want) {
 			t.Fatalf("step %d: fallback result diverges from oracle", step)
 		}
-	}
-	if st := h.Stats(); st.Reseeds != 5 {
-		t.Errorf("fallback advances = 5 but reseeds = %d", st.Reseeds)
+		if st := h.Stats(); st.Reseeds != uint64(step+1) {
+			t.Fatalf("step %d: %d reseeds after %d advances", step, st.Reseeds, step+1)
+		}
+		if cs := e.CacheStats(); cs.Misses != misses || cs.Replans != 0 {
+			t.Fatalf("step %d: advance replanned: %+v, misses before %d", step, cs, misses)
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/join"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -100,5 +103,81 @@ func TestConcurrentExecuteSharedEngine(t *testing.T) {
 	if stats := e.CacheStats(); stats.Hits < goroutines*iters {
 		t.Errorf("cache hits = %d, want >= %d (stress must exercise the cached-plan path)",
 			stats.Hits, goroutines*iters)
+	}
+}
+
+// TestExecuteRawMasterRacesApply: ExecuteContext handed a mutable master
+// reads a snapshot it takes itself, so executions racing Database.Apply —
+// and the heavy-partition rebuilds they drive on the master — are
+// race-free under -race, and every answer set is the oracle's at some
+// version of the database.
+func TestExecuteRawMasterRacesApply(t *testing.T) {
+	q := query.Join2()
+	mk := func() *data.Database {
+		return db2(
+			workload.Zipf("S1", 300, 1<<20, 1, 1.6, 60, 1),
+			workload.Zipf("S2", 300, 1<<20, 1, 1.6, 60, 2),
+		)
+	}
+	db, ref := mk(), mk()
+	// Each step adds one answer and retracts the previous step's.
+	const steps = 6
+	deltas := make([]*data.Delta, steps)
+	for i := range deltas {
+		z := int64(1<<19 + i)
+		deltas[i] = new(data.Delta).Insert("S1", z, z).Insert("S2", z+1000, z)
+		if i > 0 {
+			deltas[i].Delete("S1", z-1, z-1)
+		}
+	}
+	oracle := func() []data.Tuple {
+		ts := join.Join(q, join.FromDatabase(ref))
+		sortTuples(ts)
+		return ts
+	}
+	oracles := [][]data.Tuple{oracle()}
+	for _, d := range deltas {
+		if err := ref.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		oracles = append(oracles, oracle())
+	}
+
+	e := newEngine(t, Config{P: 16, Seed: 3})
+	const workers, iters = 3, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*iters+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, d := range deltas {
+			if err := db.Apply(d); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				res, err := e.ExecuteContext(context.Background(), q, db, ExecOptions{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				sortTuples(res.Output)
+				if !slices.ContainsFunc(oracles, func(want []data.Tuple) bool { return tuplesEqual(res.Output, want) }) {
+					errs <- fmt.Errorf("%d answers match the oracle at no version", len(res.Output))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

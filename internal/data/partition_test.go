@@ -406,7 +406,7 @@ func TestSortDropsPartitions(t *testing.T) {
 }
 
 // TestPartitionRebuildRacesSnapshots drives concurrent snapshot readers
-// against partition rebuilds and deltas on the master — the serving-mode
+// against partition rebuilds and deltas on the master — the serving
 // interleaving the engine's auto-partition hook produces. Run under -race.
 func TestPartitionRebuildRacesSnapshots(t *testing.T) {
 	db := NewDatabase()

@@ -536,7 +536,7 @@ func NewDatabase() *Database {
 }
 
 // ID returns a process-unique identity for this database, assigned on first
-// use. Serving-mode plan caches key on it (plus the schema) instead of the
+// use. The engine's plan cache keys on it (plus the schema) instead of the
 // content fingerprint, so cached plans survive Apply deltas.
 func (db *Database) ID() uint64 {
 	if id := db.id.Load(); id != 0 {

@@ -9,10 +9,12 @@ import (
 )
 
 // TestClusterPoolBounded: a burst of Puts beyond the per-bucket depth
-// discards clusters instead of pinning them, and Stats reports it.
+// discards clusters instead of pinning them, and Stats reports it; parked
+// clusters serve the next Gets, and each bucket bounds its own depth.
 func TestClusterPoolBounded(t *testing.T) {
-	cp := ClusterPool{Depth: 2}
-	burst := make([]*mpc.Cluster, 6)
+	const depth, extra = DefaultClusterPoolDepth, 3
+	var cp ClusterPool
+	burst := make([]*mpc.Cluster, depth+extra)
 	for i := range burst {
 		burst[i] = cp.Get(8)
 	}
@@ -20,39 +22,46 @@ func TestClusterPoolBounded(t *testing.T) {
 		cp.Put(c)
 	}
 	st := cp.Stats()
-	if st.Parked != 2 {
-		t.Fatalf("parked = %d, want depth 2", st.Parked)
+	if st.Parked != depth {
+		t.Fatalf("parked = %d, want depth %d", st.Parked, depth)
 	}
-	if st.Discards != 4 {
-		t.Fatalf("discards = %d, want 4", st.Discards)
+	if st.Discards != extra {
+		t.Fatalf("discards = %d, want %d", st.Discards, extra)
 	}
-	if st.Gets != 6 || st.Puts != 6 || st.Reuses != 0 {
+	if st.Gets != depth+extra || st.Puts != depth+extra || st.Reuses != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.ParkedServers != 16 {
-		t.Fatalf("parked servers = %d, want 2×8", st.ParkedServers)
+	if st.ParkedServers != depth*8 {
+		t.Fatalf("parked servers = %d, want %d×8", st.ParkedServers, depth)
 	}
-	// The two parked clusters serve the next two Gets.
-	a, b := cp.Get(8), cp.Get(8)
-	if st := cp.Stats(); st.Reuses != 2 || st.Parked != 0 {
+	// The parked clusters serve the next depth Gets.
+	reused := make([]*mpc.Cluster, depth)
+	for i := range reused {
+		reused[i] = cp.Get(8)
+	}
+	if st := cp.Stats(); st.Reuses != depth || st.Parked != 0 {
 		t.Fatalf("after reuse: %+v", st)
 	}
-	cp.Put(a)
-	cp.Put(b)
+	for _, c := range reused {
+		cp.Put(c)
+	}
 
 	// Different buckets have independent depths.
-	big := make([]*mpc.Cluster, 3)
+	big := make([]*mpc.Cluster, depth+1)
 	for i := range big {
 		big[i] = cp.Get(100)
 	}
 	for _, c := range big {
 		cp.Put(c)
 	}
-	if st := cp.Stats(); st.Parked != 4 { // 2 in bucket-8, 2 in bucket-128
-		t.Fatalf("parked = %d, want 4 across buckets", st.Parked)
+	if st := cp.Stats(); st.Parked != 2*depth { // depth in bucket-8, depth in bucket-128
+		t.Fatalf("parked = %d, want %d across buckets", st.Parked, 2*depth)
 	}
 }
 
+// TestClusterPoolDefaultDepth: a zero-value pool, at a bucket size other
+// than TestClusterPoolBounded's, parks DefaultClusterPoolDepth clusters
+// and discards the rest.
 func TestClusterPoolDefaultDepth(t *testing.T) {
 	var cp ClusterPool
 	clusters := make([]*mpc.Cluster, DefaultClusterPoolDepth+3)

@@ -16,18 +16,14 @@ import (
 // cluster parked there (mpc.Cluster.Resize re-targets it and resets its
 // state, retaining servers and map storage).
 //
-// The pool is bounded: each bucket parks at most Depth clusters
-// (DefaultClusterPoolDepth when zero), so a burst of oversized plans
-// cannot pin unbounded cluster memory — clusters put back into a full
-// bucket are discarded to the garbage collector and counted in Stats.
+// The pool is bounded: each bucket parks at most DefaultClusterPoolDepth
+// clusters, so a burst of oversized plans cannot pin unbounded cluster
+// memory — clusters put back into a full bucket are discarded to the
+// garbage collector and counted in Stats.
 //
 // The zero value is ready to use. Clusters obtained from Get are owned
 // exclusively until Put; the pool itself is safe for concurrent use.
 type ClusterPool struct {
-	// Depth bounds the clusters parked per size bucket; 0 means
-	// DefaultClusterPoolDepth. Set it before the pool is shared.
-	Depth int
-
 	mu      sync.Mutex
 	buckets [64][]*mpc.Cluster
 	parked  int
@@ -35,10 +31,10 @@ type ClusterPool struct {
 	gets, reuses, puts, discards uint64
 }
 
-// DefaultClusterPoolDepth is the per-bucket bound when ClusterPool.Depth is
-// zero: enough parked clusters to serve a small burst of same-sized
-// concurrent executions, small enough that 64 buckets cannot pin more than
-// a few hundred clusters process-wide.
+// DefaultClusterPoolDepth is the per-bucket bound of every ClusterPool:
+// enough parked clusters to serve a small burst of same-sized concurrent
+// executions, small enough that 64 buckets cannot pin more than a few
+// hundred clusters process-wide.
 const DefaultClusterPoolDepth = 4
 
 // PoolStats reports a ClusterPool's traffic and occupancy.
@@ -65,14 +61,6 @@ func clusterBucket(n int) int {
 // (over a million virtual servers) clusters are sized exactly to avoid
 // absurd rounding overhead.
 const clusterPrealloc = 20
-
-// depth returns the effective per-bucket bound.
-func (cp *ClusterPool) depth() int {
-	if cp.Depth > 0 {
-		return cp.Depth
-	}
-	return DefaultClusterPoolDepth
-}
 
 // Get returns a cluster resized to exactly virtual servers with all
 // fragments and loads cleared — recycled when the bucket has one, freshly
@@ -104,7 +92,7 @@ func (cp *ClusterPool) Get(virtual int) *mpc.Cluster {
 }
 
 // Put parks a cluster for reuse, or discards it when its bucket is already
-// holding Depth clusters. The caller must not touch it afterwards.
+// holding DefaultClusterPoolDepth clusters. The caller must not touch it afterwards.
 func (cp *ClusterPool) Put(c *mpc.Cluster) {
 	if c == nil {
 		return
@@ -117,7 +105,7 @@ func (cp *ClusterPool) Put(c *mpc.Cluster) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.puts++
-	if len(cp.buckets[b]) >= cp.depth() {
+	if len(cp.buckets[b]) >= DefaultClusterPoolDepth {
 		cp.discards++
 		return
 	}

@@ -109,8 +109,8 @@ func TestRouterEntryPointsAgree(t *testing.T) {
 	planted.Put(workload.PlantedHeavy("S2", 3000, 1<<20, 1, hv, 2))
 	planted.Put(workload.Zipf("S3", 3000, 1<<20, 0, 1.3, 400, 3))
 	gp := skew.PlanGeneral(query.Triangle(), planted, skew.GeneralConfig{P: 32, Seed: 1})
-	if gp.NumBinCombos < 2 {
-		t.Fatalf("planted triangle planned %d bin combinations, want heavy ones too", gp.NumBinCombos)
+	if len(gp.Combos) < 2 {
+		t.Fatalf("planted triangle planned %d bin combinations, want heavy ones too", len(gp.Combos))
 	}
 	checkRouter(t, "general/planted-triangle", gp.Phys.Router, probesOf(planted)...)
 

@@ -61,8 +61,3 @@ func HashSeeded(dimSeed uint64, value int64, buckets int) int {
 	}
 	return int(mix64(dimSeed^uint64(value)) % uint64(buckets))
 }
-
-// Uint64 returns a raw 64-bit hash for (dim, value).
-func (f *Family) Uint64(dim int, value int64) uint64 {
-	return mix64(f.DimSeed(dim) ^ uint64(value))
-}

@@ -82,13 +82,3 @@ func TestHashUniformity(t *testing.T) {
 		}
 	}
 }
-
-func TestUint64Deterministic(t *testing.T) {
-	f := NewFamily(1)
-	if f.Uint64(0, 5) != f.Uint64(0, 5) {
-		t.Error("Uint64 not deterministic")
-	}
-	if f.Uint64(0, 5) == f.Uint64(1, 5) {
-		t.Error("Uint64 should differ across dims (w.h.p.)")
-	}
-}

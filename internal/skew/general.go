@@ -57,15 +57,17 @@ type GeneralConfig struct {
 	Seed uint64
 }
 
-// ComboLoad reports one bin combination's realized load against its own
-// LP optimum — the per-combination statement of Corollary 4.4.
-type ComboLoad struct {
-	Vars      []int
-	Bins      []int
-	CSize     int
-	Lambda    float64
-	MaxBits   int64
+// Combo describes one planned bin combination B = (x, (β_j)_j) of §4.2.
+type Combo struct {
+	Vars      []int   // x, as sorted variable indices
+	Bins      []int   // per atom: the frequency bin of x_j (0 when x_j = ∅)
+	CSize     int     // |C'(B)|, the heavy-hitter assignments to x
+	Lambda    float64 // the LP (11) optimum λ(B)
+	Alpha     float64 // log_p |C'(B)|
 	Predicted float64 // p^λ(B) in bits
+	// Lo and Hi bound the combination's virtual servers [Lo, Hi): one HC
+	// subgrid per assignment in C'(B).
+	Lo, Hi int
 }
 
 // generalState carries everything the construction needs.

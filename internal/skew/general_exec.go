@@ -9,7 +9,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
 	"repro/internal/mpc"
-	"repro/internal/query"
 	"repro/internal/stats"
 )
 
@@ -49,7 +48,6 @@ func (ap *atomPlan) basesOf(proj []int64) []int {
 // comboPlan is the executable layout of one bin combination: an HC subgrid
 // of blockSize virtual servers per assignment h ∈ C'(B).
 type comboPlan struct {
-	combo     *binCombo
 	freeDims  []int // V−x, sorted (grid dimensions)
 	shares    []int // integer share per free dim, product = blockSize
 	strides   []int
@@ -59,20 +57,17 @@ type comboPlan struct {
 
 // GeneralPlan is the §4.2 planner output: every bin combination's HC
 // subgrid layout lowered to the unified executor's PhysicalPlan (run it with
-// exec.Run), plus the per-combination ranges for the load breakdown. Plans
-// are reusable across executions.
+// exec.Run), plus the combinations themselves. Plans are reusable across
+// executions.
 type GeneralPlan struct {
-	Phys         *exec.PhysicalPlan
-	NumBinCombos int
+	Phys *exec.PhysicalPlan
+	// Combos lists the planned bin combinations (those with a non-empty
+	// C'(B)) in the order of their sorted keys, which is also the order of
+	// their virtual-server ranges.
+	Combos []Combo
 	// PredictedBits is max_B p^{λ(B)} (Theorem 4.6 up to log factors).
 	PredictedBits float64
-	p             int
-	comboRanges   []vrange
-	comboMeta     []ComboLoad
 }
-
-// vrange is the virtual-ID range [lo, hi) of one bin combination.
-type vrange struct{ lo, hi int }
 
 // plan lays out virtual servers for every bin combination and lowers the
 // layout to a PhysicalPlan.
@@ -88,7 +83,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	virtual := 0
 	predicted := 0.0
 	var plans []*comboPlan
-	var comboRanges []vrange
+	combos := make([]Combo, 0, len(keys))
 	steps := make([][]spanStep, gs.q.NumAtoms()) // per atom, one per combination
 	for _, key := range keys {
 		b := gs.combos[key]
@@ -115,7 +110,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 			blockSize *= shares[i]
 		}
 		plan := &comboPlan{
-			combo: b, freeDims: freeDims, shares: shares,
+			freeDims: freeDims, shares: shares,
 			strides: strides, blockSize: blockSize,
 			byAtom: make([]atomPlan, gs.q.NumAtoms()),
 		}
@@ -162,10 +157,13 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 			})
 		}
 		plans = append(plans, plan)
-		comboRanges = append(comboRanges, vrange{rangeLo, virtual})
-		if pl := math.Pow(float64(gs.p), b.lambda); pl > predicted {
-			predicted = pl
-		}
+		pl := math.Pow(float64(gs.p), b.lambda)
+		combos = append(combos, Combo{
+			Vars: b.xSorted, Bins: b.bins, CSize: len(b.cprime),
+			Lambda: b.lambda, Alpha: b.alpha, Predicted: pl,
+			Lo: rangeLo, Hi: virtual,
+		})
+		predicted = max(predicted, pl)
 	}
 	if virtual == 0 {
 		virtual = 1
@@ -185,22 +183,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		}
 	}
 
-	gp := &GeneralPlan{
-		NumBinCombos:  len(plans),
-		PredictedBits: predicted,
-		p:             gs.p,
-		comboRanges:   comboRanges,
-	}
-	gp.comboMeta = make([]ComboLoad, len(plans))
-	for pi, plan := range plans {
-		gp.comboMeta[pi] = ComboLoad{
-			Vars:      append([]int(nil), plan.combo.xSorted...),
-			Bins:      append([]int(nil), plan.combo.bins...),
-			CSize:     len(plan.combo.cprime),
-			Lambda:    plan.combo.lambda,
-			Predicted: math.Pow(float64(gs.p), plan.combo.lambda),
-		}
-	}
+	gp := &GeneralPlan{Combos: combos, PredictedBits: predicted}
 	q := gs.q
 	gp.Phys = &exec.PhysicalPlan{
 		Strategy:  "bin-combination",
@@ -493,40 +476,4 @@ func (gs *generalState) exclusionChecks(j int, b *binCombo) []exclCheck {
 		}
 	}
 	return checks
-}
-
-// BinCombos exposes, for inspection and tests, the bin combinations built
-// for q over db at p servers, as (variable set, bins, |C'|, λ) tuples.
-type BinComboInfo struct {
-	Vars   []int
-	Bins   []int
-	CSize  int
-	Lambda float64
-	Alpha  float64
-}
-
-// InspectBinCombos runs only the construction phase and reports the combos,
-// reading statistics through ps.
-func InspectBinCombos(q *query.Query, db *data.Database, p int, ps *stats.Pass) []BinComboInfo {
-	gs := newGeneralState(q, db, p, ps)
-	gs.buildCombos()
-	keys := make([]string, 0, len(gs.combos))
-	for key, b := range gs.combos {
-		if len(b.cprime) > 0 {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	var out []BinComboInfo
-	for _, key := range keys {
-		b := gs.combos[key]
-		out = append(out, BinComboInfo{
-			Vars:   append([]int(nil), b.xSorted...),
-			Bins:   append([]int(nil), b.bins...),
-			CSize:  len(b.cprime),
-			Lambda: b.lambda,
-			Alpha:  b.alpha,
-		})
-	}
-	return out
 }

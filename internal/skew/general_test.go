@@ -2,13 +2,13 @@ package skew
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/query"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -60,8 +60,8 @@ func TestRunGeneralJoin2SkewedBoth(t *testing.T) {
 		t.Errorf("general algorithm wrong on skewed join2: got %d, want %d",
 			len(res.Output), len(want))
 	}
-	if gp.NumBinCombos < 2 {
-		t.Errorf("expected multiple bin combos on skewed data, got %d", gp.NumBinCombos)
+	if len(gp.Combos) < 2 {
+		t.Errorf("expected multiple bin combos on skewed data, got %d", len(gp.Combos))
 	}
 }
 
@@ -161,7 +161,7 @@ func TestRunGeneralWithinTheorem46(t *testing.T) {
 			workload.PlantedHeavy("S3", m/2, domain, 1, heavyX, 7)}},
 	} {
 		gp, res := runGeneral(t, c.q, generalDB(c.q, c.rels...), GeneralConfig{P: p, Seed: 29}, true)
-		if gp.NumBinCombos < 1 {
+		if len(gp.Combos) < 1 {
 			t.Errorf("%s: no bin combinations", c.name)
 		}
 		lnP := math.Log(p)
@@ -185,13 +185,17 @@ func TestRunGeneralDeterministic(t *testing.T) {
 	}
 }
 
-func TestInspectBinCombos(t *testing.T) {
+// TestPlanGeneralCombos: the plan lists B∅ and the planted hitter's
+// combination, and the combinations' virtual ranges tile [0, Virtual) in
+// list order.
+func TestPlanGeneralCombos(t *testing.T) {
 	q := query.Join2()
 	db := generalDB(q,
 		workload.SingleValue("S1", 2, 200, 10000, 1, 7, 71),
 		workload.SingleValue("S2", 2, 150, 10000, 1, 7, 72),
 	)
-	infos := InspectBinCombos(q, db, 16, new(stats.Pass))
+	gp := PlanGeneral(q, db, GeneralConfig{P: 16, Seed: 1})
+	infos := gp.Combos
 	if len(infos) < 2 {
 		t.Fatalf("expected B∅ plus at least one heavy combo, got %d", len(infos))
 	}
@@ -217,6 +221,16 @@ func TestInspectBinCombos(t *testing.T) {
 	}
 	if !foundZ {
 		t.Error("missing bin combination on {z} for the planted hitter")
+	}
+	lo := 0
+	for _, c := range infos {
+		if c.Lo != lo || c.Hi <= c.Lo {
+			t.Errorf("combo %v range [%d,%d) does not continue at %d", c.Vars, c.Lo, c.Hi, lo)
+		}
+		lo = c.Hi
+	}
+	if lo != gp.Phys.Virtual {
+		t.Errorf("combo ranges end at %d, plan has %d virtual servers", lo, gp.Phys.Virtual)
 	}
 }
 
@@ -289,18 +303,16 @@ func TestRunGeneralDeepBinCombos(t *testing.T) {
 	db.Put(r)
 	db.Put(s)
 
-	infos := InspectBinCombos(q, db, 8, new(stats.Pass))
+	gp, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 5}, false)
 	deep := false
-	for _, in := range infos {
-		if len(in.Vars) >= 2 {
+	for _, c := range gp.Combos {
+		if len(c.Vars) >= 2 {
 			deep = true
 		}
 	}
 	if !deep {
-		t.Errorf("expected a |x| >= 2 bin combination, got %+v", infos)
+		t.Errorf("expected a |x| >= 2 bin combination, got %+v", gp.Combos)
 	}
-
-	_, res := runGeneral(t, q, db, GeneralConfig{P: 8, Seed: 5}, false)
 	want := refJoin(q, db)
 	if len(want) == 0 {
 		t.Fatal("instance has no answers")
@@ -317,55 +329,22 @@ func TestRunGeneralByComboAccounting(t *testing.T) {
 		workload.SingleValue("S2", 2, 400, 10000, 1, 7, 2),
 	)
 	gp, res := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 5}, true)
-	byCombo := gp.ComboLoads(res.PerServerBits)
-	if len(byCombo) != gp.NumBinCombos {
-		t.Fatalf("ByCombo has %d entries, want %d", len(byCombo), gp.NumBinCombos)
-	}
-	var max int64
-	for _, c := range byCombo {
-		if c.MaxBits > max {
-			max = c.MaxBits
-		}
+	// Corollary 4.4's per-combination statement: each combination's max
+	// load, over its own virtual range, within polylog of max(m_j/p, p^λ).
+	var overall int64
+	mjOverP := float64(db.MustGet("S1").Bits()) / 16
+	for _, c := range gp.Combos {
 		if c.Predicted <= 0 || c.CSize < 1 {
 			t.Errorf("combo %+v incomplete", c)
 		}
-	}
-	if max != res.MaxVirtualBits {
-		t.Errorf("per-combo max %d != overall %d", max, res.MaxVirtualBits)
-	}
-	// Corollary 4.4 shape: each combo's load within polylog of
-	// max(m_j/p, p^λ).
-	mjOverP := float64(db.MustGet("S1").Bits()) / 16
-	for _, c := range byCombo {
-		budget := c.Predicted
-		if mjOverP > budget {
-			budget = mjOverP
-		}
-		if float64(c.MaxBits) > 40*budget {
+		comboMax := slices.Max(res.PerServerBits[c.Lo:c.Hi])
+		overall = max(overall, comboMax)
+		if budget := math.Max(c.Predicted, mjOverP); float64(comboMax) > 40*budget {
 			t.Errorf("combo vars=%v load %d far above its Cor 4.4 budget %.0f",
-				c.Vars, c.MaxBits, budget)
+				c.Vars, comboMax, budget)
 		}
 	}
-}
-
-// ComboLoads breaks an execution's per-virtual-server loads
-// (exec.Result.PerServerBits of a run of gp.Phys) down per bin combination —
-// Corollary 4.4's per-combination statement: MaxBits is the max over the
-// combination's servers. The metadata is deep-copied: plans are reused
-// across executions, so callers must not be able to mutate the cached slices.
-func (gp *GeneralPlan) ComboLoads(perServerBits []int64) []ComboLoad {
-	out := make([]ComboLoad, len(gp.comboMeta))
-	for i, cm := range gp.comboMeta {
-		cm.Vars = append([]int(nil), cm.Vars...)
-		cm.Bins = append([]int(nil), cm.Bins...)
-		out[i] = cm
+	if overall != res.MaxVirtualBits {
+		t.Errorf("per-combo max %d != overall %d", overall, res.MaxVirtualBits)
 	}
-	for id, bits := range perServerBits {
-		for pi, vr := range gp.comboRanges {
-			if id >= vr.lo && id < vr.hi && bits > out[pi].MaxBits {
-				out[pi].MaxBits = bits
-			}
-		}
-	}
-	return out
 }

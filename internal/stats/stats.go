@@ -461,7 +461,7 @@ func Fingerprint(db *data.Database) uint64 {
 }
 
 // SchemaFingerprint hashes only the database's shape — relation names,
-// arities, and domains — ignoring content. Serving-mode plan caches key on
+// arities, and domains — ignoring content. The engine's plan cache keys on
 // it (with the database identity): a cached physical plan routes by column
 // positions, so it stays *correct* across content deltas but becomes
 // invalid if a relation's schema changes under it.

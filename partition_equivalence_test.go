@@ -106,7 +106,7 @@ func TestPartitionedVsFlatEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionRebuildRacesServing drives the serving-mode interleaving end
+// TestPartitionRebuildRacesServing drives the serving interleaving end
 // to end under -race: concurrent Execs (whose auto-partition hook rebuilds
 // layouts on the master), Apply writers, and a standing query advancing over
 // the same database.

@@ -187,9 +187,10 @@ func WithP(p int) ExecOption {
 // Once admitted, Exec reads an immutable snapshot epoch of db
 // (Database.Snapshot) — it never holds the database lock, so a slow query
 // cannot block Database.Apply and a large Apply cannot stall queries; each
-// Exec observes the epoch current at admission time.
+// Exec observes the epoch current at admission time (or, handed a
+// snapshot, that snapshot).
 func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...ExecOption) (Result, error) {
-	o := core.ExecOptions{Serving: true}
+	var o core.ExecOptions
 	for _, opt := range opts {
 		if opt.apply != nil {
 			opt.apply(&o)
@@ -202,7 +203,7 @@ func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...Exec
 		return Result{}, err
 	}
 	defer s.gate.Leave()
-	return s.eng.ExecuteContext(ctx, q, db.Snapshot(), o)
+	return s.eng.ExecuteContext(ctx, q, db, o)
 }
 
 // Standing registers q over db as a standing query: it executes once to

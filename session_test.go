@@ -143,9 +143,8 @@ func TestSessionExecMatchesEngineAndOptions(t *testing.T) {
 	}
 }
 
-// TestSessionCacheSurvivesApply: serving-mode plans are keyed by database
-// identity + schema, so content deltas keep them hot — where the legacy
-// content-fingerprint path replans.
+// TestSessionCacheSurvivesApply: plans are keyed by database identity +
+// schema, so content deltas keep them hot, and a schema change misses.
 func TestSessionCacheSurvivesApply(t *testing.T) {
 	db := NewDatabase()
 	db.Put(MatchingRelation("S1", 2, 400, 1<<20, 1))
