@@ -70,11 +70,10 @@ type StandingStats struct {
 // immutable snapshot epoch — so advances never block Apply and Apply never
 // blocks advances.
 type StandingQuery struct {
-	e    *Engine
-	q    *query.Query
-	db   *data.Database
-	s    settings
-	opts ExecOptions
+	e  *Engine
+	q  *query.Query
+	db *data.Database
+	s  settings
 
 	// key is the plan-cache key the resident state was seeded from,
 	// guarded by e.mu (markStale matches handles by key while holding it;
@@ -129,7 +128,7 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 	if err := checkInputs(q, db, s.forced); err != nil {
 		return nil, err
 	}
-	h := &StandingQuery{e: e, q: q, db: db, s: s, opts: opts}
+	h := &StandingQuery{e: e, q: q, db: db, s: s}
 	// Subscribe before seeding: anything applied between subscription and
 	// the seed's snapshot is captured with version ≤ the snapshot's version
 	// and dropped by the gate, so no delta can fall between seed and stream.
@@ -156,15 +155,12 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	pass := new(stats.Pass) // shared by the plan build and the heavy watch
 	defer pass.Release()
 	cp, key, _ := h.e.planFor(h.q, snap, h.s, pass)
+	// Both modes run the plan looked up above, so a seed costs one plan-cache
+	// lookup, and neither consults the breaker or marks drift.
+	var rec Recovery
+	ec := exec.Config{Clusters: &h.e.clusters, Ctx: ctx, Faults: h.s.faults, Retry: h.s.retry, Recovery: &rec}
 	if cp.phys != nil {
-		var rec Recovery
-		st, err := exec.NewStanding(cp.phys, h.q, snap, exec.Config{
-			Clusters: &h.e.clusters,
-			Ctx:      ctx,
-			Faults:   h.s.faults,
-			Retry:    h.s.retry,
-			Recovery: &rec,
-		})
+		st, err := exec.NewStanding(cp.phys, h.q, snap, ec)
 		h.stats.Recovery.Add(rec)
 		if err != nil {
 			return err
@@ -174,11 +170,11 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	} else {
 		// A multi-round handle re-executes on every Advance and never
 		// consults a heavy watch.
-		res, err := h.e.ExecuteContext(ctx, h.q, snap, h.opts)
+		res, err := runPlan(cp, snap, ec)
+		h.stats.Recovery.Add(rec)
 		if err != nil {
 			return err
 		}
-		h.stats.Recovery.Add(res.Recovery)
 		h.st, h.fallback, h.watch = nil, countAnswers(h.q, res.Output), nil
 	}
 	h.schema = stats.SchemaFingerprint(snap)

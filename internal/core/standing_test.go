@@ -382,7 +382,8 @@ func TestStandingClearPlanCacheReseeds(t *testing.T) {
 // handle must serve correct results by full re-execution per advance, each
 // advance one reseed through the ordinary reseed path — off the still-valid
 // cached plan (no miss, no replan) and with no heavy watch, which nothing
-// on that path would consult.
+// on that path would consult. Each seed looks its plan up once: opening
+// costs one miss and no hit, and every advance exactly one hit.
 func TestStandingMultiRoundFallback(t *testing.T) {
 	q := query.Path(3)
 	db := data.NewDatabase()
@@ -402,7 +403,9 @@ func TestStandingMultiRoundFallback(t *testing.T) {
 	if h.watch != nil {
 		t.Error("multi-round handle built a heavy watch")
 	}
-	misses := e.CacheStats().Misses
+	if cs := e.CacheStats(); cs.Misses != 1 || cs.Hits != 0 {
+		t.Fatalf("opening the handle: %d misses, %d hits; want 1 and 0", cs.Misses, cs.Hits)
+	}
 
 	view := make(map[string]data.Tuple)
 	for _, tu := range h.Result() {
@@ -429,8 +432,8 @@ func TestStandingMultiRoundFallback(t *testing.T) {
 		if st := h.Stats(); st.Reseeds != uint64(step+1) {
 			t.Fatalf("step %d: %d reseeds after %d advances", step, st.Reseeds, step+1)
 		}
-		if cs := e.CacheStats(); cs.Misses != misses || cs.Replans != 0 {
-			t.Fatalf("step %d: advance replanned: %+v, misses before %d", step, cs, misses)
+		if cs := e.CacheStats(); cs.Misses != 1 || cs.Hits != uint64(step+1) || cs.Replans != 0 {
+			t.Fatalf("step %d: after %d advances the cache reads %+v; want 1 miss, %d hits, no replan", step, step+1, cs, step+1)
 		}
 	}
 }

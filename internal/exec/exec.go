@@ -24,9 +24,9 @@ import (
 // PhysicalPlan is the executable form a strategy planner produces: a
 // virtual-server layout, a router over virtual IDs, and the query every
 // server joins its received fragments on. Plans are immutable once built and
-// safe to execute repeatedly (and concurrently) — routers that keep mutable
-// scratch must implement mpc.PerSenderRouter so every sender goroutine works
-// on its own instance. This is what Engine's plan cache stores.
+// safe to execute repeatedly (and concurrently): the router is a plan-time
+// table that every sender goroutine of every execution shares (see
+// mpc.Router). This is what Engine's plan cache stores.
 type PhysicalPlan struct {
 	// Strategy labels the plan in diagnostics and panics.
 	Strategy string

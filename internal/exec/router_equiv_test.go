@@ -3,9 +3,11 @@ package exec_test
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/hypercube"
 	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/rounds"
@@ -45,13 +47,42 @@ func destSet(dst []int) []int {
 	return slices.Compact(s)
 }
 
+// routeAll routes every row of every probe through r and concatenates, row
+// by row, the list Destinations appends and then, for each attribute r
+// spans, the list of a span compiled for the row's value: its Dests, or what
+// its PerRow appends for the row.
+func routeAll(r mpc.Router, probes []*data.Relation) []int {
+	sr, spans := r.(mpc.SpanRouter)
+	var out []int
+	for _, rel := range probes {
+		for row := 0; row < rel.Size(); row++ {
+			out = r.Destinations(rel, row, out)
+			for attr := 0; spans && attr < rel.Arity; attr++ {
+				var route mpc.SpanRoute
+				if !sr.SpansAttr(rel, attr) || !sr.CompileSpan(rel, attr, rel.At(row, attr), &route) {
+					continue
+				}
+				if route.PerRow != nil {
+					out = route.PerRow(row, out)
+				} else {
+					out = append(out, route.Dests...)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // checkRouter asserts, on every row of every probe, that the route
 // CompileSpan resolves for the row's value at each attribute the router
 // spans delivers where Destinations does, and that Destinations, annotated
-// //skewlint:noalloc, does not allocate.
-func checkRouter(t *testing.T, name string, router mpc.Router, probes ...*data.Relation) {
+// //skewlint:noalloc, does not allocate. A router is an immutable plan-time
+// table that every sender of a round uses at once (mpc.Router), so the one
+// instance is also driven from four goroutines at once, through Destinations
+// and compiled spans, and each must route exactly as a serial pass does;
+// under -race this also proves that routing writes no shared state.
+func checkRouter(t *testing.T, name string, r mpc.Router, probes ...*data.Relation) {
 	t.Helper()
-	r := mpc.SenderRouter(router)
 	sr, spans := r.(mpc.SpanRouter)
 	routed := 0
 	for _, rel := range probes {
@@ -88,6 +119,24 @@ func checkRouter(t *testing.T, name string, router mpc.Router, probes ...*data.R
 	if routed == 0 {
 		t.Fatalf("%s: no probe row was routed anywhere", name)
 	}
+
+	const senders = 4
+	want := routeAll(r, probes)
+	got := make([][]int, senders)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = routeAll(r, probes)
+		}()
+	}
+	wg.Wait()
+	for g, dests := range got {
+		if !slices.Equal(dests, want) {
+			t.Errorf("%s: sender %d of %d routed differently from a serial pass", name, g, senders)
+		}
+	}
 }
 
 func TestRouterEntryPointsAgree(t *testing.T) {
@@ -99,6 +148,13 @@ func TestRouterEntryPointsAgree(t *testing.T) {
 		}
 		return out
 	}
+
+	// HC router on the triangle.
+	uniform := data.NewDatabase()
+	for i, name := range query.Triangle().AtomNames() {
+		uniform.Put(workload.Uniform(name, 2, 2000, 1<<20, int64(i+1)))
+	}
+	checkRouter(t, "hypercube/triangle", hypercube.BuildPlan(query.Triangle(), uniform, hypercube.Config{P: 64, Seed: 1}).Phys.Router, probesOf(uniform)...)
 
 	// §4.2 router: overweight exclusions and block lookups, single-column
 	// (planted triangle) and two-column (the heavy (x,z) pair of a ternary

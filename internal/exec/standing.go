@@ -34,9 +34,8 @@ import (
 // A Standing is not safe for concurrent use; callers serialize ApplyOp and
 // Flush (core.StandingQuery holds a handle mutex).
 type Standing struct {
-	plan   *PhysicalPlan
-	q      *query.Query
-	router mpc.Router
+	plan *PhysicalPlan
+	q    *query.Query
 
 	layout    *mpc.ResidentLayout
 	residents []*mpc.Resident
@@ -108,7 +107,6 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 	s := &Standing{
 		plan:    plan,
 		q:       q,
-		router:  mpc.SenderRouter(plan.Router),
 		layout:  &mpc.ResidentLayout{},
 		atoms:   make(map[string]*deltaAtom, q.NumAtoms()),
 		counted: mpc.NewCounted(q.NumVars()),
@@ -242,7 +240,7 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 		return nil
 	}
 	copy(da.row, vals)
-	s.dst = s.router.Destinations(da.stage, 0, s.dst[:0])
+	s.dst = s.plan.Router.Destinations(da.stage, 0, s.dst[:0])
 	s.routedTuples += int64(len(s.dst))
 	s.routedBits += da.bits * int64(len(s.dst))
 	for _, d := range s.dst {

@@ -7,49 +7,18 @@ import (
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/hashing"
-	"repro/internal/mpc"
 	"repro/internal/query"
 )
 
 // Router routes tuples to hypercube subcubes: a tuple of S_j fixes the
 // coordinates of the dimensions of vars(S_j) by hashing and is replicated
-// over every combination of the remaining dimensions (§3.1).
-//
-// The residual subcube of an atom is a fixed set of linear offsets, so it
-// is enumerated once at router construction; per tuple, routing is one
-// hash per bound dimension plus one append per destination — no odometer
-// and no per-tuple scratch. Destinations caches the atom table of the last
-// relation it routed, so a Router is not safe for concurrent use; it
-// implements mpc.PerSenderRouter and mpc.Round gives each sender its own
-// instance.
+// over every combination of the remaining dimensions (§3.1), through the
+// atom's Subcube. It holds only plan-time tables, so one instance serves
+// every sender concurrently.
 type Router struct {
-	q      *query.Query
-	size   int // Π p_i, the number of hypercube cells
-	shares []int
-	stride []int // linearization strides, stride[k-1] = 1
-	atoms  map[string]*routerAtom
-	// last-routed relation, so Destinations resolves the atom table with a
-	// pointer comparison instead of a map lookup (senders route one
-	// relation chunk at a time).
-	lastRel  *data.Relation
-	lastAtom *routerAtom
-}
-
-// routerAtom is the per-atom routing table: the hash dimensions of the
-// atom's own variables (with their per-dimension hash seeds and linear
-// strides precomputed) and the subcube offsets of the free dimensions, in
-// lexicographic coordinate order.
-type routerAtom struct {
-	dims    []atomDim // one per attribute position
-	offsets []int
-}
-
-// atomDim is one hashed dimension of an atom: attribute pos hashes with
-// seed into share buckets contributing coord·stride to the linear index.
-type atomDim struct {
-	seed   uint64
-	share  int
-	stride int
+	size  int // Π p_i, the number of hypercube cells
+	names []string
+	cubes []*Subcube // cubes[i] routes the atom named names[i]
 }
 
 // NewRouter builds the HC router for the given integer shares (one per
@@ -58,48 +27,121 @@ func NewRouter(q *query.Query, shares []int, family *hashing.Family) *Router {
 	if len(shares) != q.NumVars() {
 		panic("hypercube: shares length must equal variable count")
 	}
-	k := len(shares)
-	r := &Router{
-		q:      q,
-		size:   1,
-		shares: append([]int(nil), shares...),
-		stride: make([]int, k),
-		atoms:  make(map[string]*routerAtom),
-	}
-	for i := k - 1; i >= 0; i-- {
-		if shares[i] < 1 {
-			panic(fmt.Sprintf("hypercube: share[%d] = %d", i, shares[i]))
+	vars := make([]int, len(shares))
+	for i, s := range shares {
+		if s < 1 {
+			panic(fmt.Sprintf("hypercube: share[%d] = %d", i, s))
 		}
-		r.stride[i] = r.size
-		r.size *= shares[i]
+		vars[i] = i
 	}
+	r := &Router{size: product(shares)}
 	for _, a := range q.Atoms {
-		ra := &routerAtom{dims: make([]atomDim, len(a.Vars))}
-		for pos, v := range a.Vars {
-			ra.dims[pos] = atomDim{
-				seed:   family.DimSeed(v),
-				share:  shares[v],
-				stride: r.stride[v],
-			}
+		pos := make([]int, len(shares))
+		for i := range pos {
+			pos[i] = -1
 		}
-		fixed := make([]bool, k)
-		for _, v := range a.Vars {
-			fixed[v] = true
+		for p, v := range a.Vars {
+			pos[v] = p
 		}
-		ra.offsets = enumerateFree(r.shares, r.stride, fixed)
-		r.atoms[a.Name] = ra
+		r.names = append(r.names, a.Name)
+		r.cubes = append(r.cubes, NewSubcube(shares, vars, pos, family))
 	}
 	return r
 }
 
+// Size returns the number of hypercube cells (Π p_i).
+func (r *Router) Size() int { return r.size }
+
+// origin is the one block base of the §3.1 grid: the whole hypercube.
+var origin = []int{0}
+
+// Destinations implements mpc.Router: the subcube of servers receiving the
+// row, in lexicographic coordinate order, hashing the relation's columns in
+// place with no allocations beyond growing dst. Relations outside the
+// query are not routed: the database may carry relations the query does
+// not name (the engine routes whatever the caller staged), and a panic
+// here would kill a sender goroutine mid-round.
+//
+//skewlint:noalloc
+func (r *Router) Destinations(rel *data.Relation, row int, dst []int) []int {
+	for i, name := range r.names {
+		if name == rel.Name {
+			return r.cubes[i].Append(rel.Columns(), row, origin, dst)
+		}
+	}
+	return dst
+}
+
+// Subcube is the HyperCube routing of one atom over a grid of servers: the
+// grid dimensions whose variables the atom carries are fixed by hashing the
+// tuple, and the tuple is replicated over every combination of the free
+// ones. The free dimensions' linear offsets are enumerated once, at plan
+// time, so routing a tuple is one hash per bound dimension and one append
+// per destination. §3.1 routes each atom through one Subcube over the whole
+// hypercube; §4.2 routes it through one per bin combination, over every
+// heavy assignment's block of that combination. A Subcube is immutable.
+type Subcube struct {
+	bound   []boundDim
+	offsets []int // the free dimensions' offsets, last dimension fastest
+}
+
+// boundDim is one hashed dimension of a Subcube: attribute pos hashes with
+// seed into share cells, contributing coord·stride to the linear index.
+type boundDim struct {
+	pos    int
+	seed   uint64
+	share  int
+	stride int
+}
+
+// NewSubcube builds the kernel of one atom on the grid whose dimension d
+// has shares[d] cells (row-major, last dimension fastest) and hashes with
+// family's function of query variable vars[d]. pos[d] is the attribute of
+// the atom that binds dimension d, or -1 when d is free.
+func NewSubcube(shares, vars, pos []int, family *hashing.Family) *Subcube {
+	stride := make([]int, len(shares))
+	for d, size := len(shares)-1, 1; d >= 0; d-- {
+		stride[d] = size
+		size *= shares[d]
+	}
+	s := &Subcube{offsets: enumerateFree(shares, stride, pos)}
+	for d := range shares {
+		// A dimension of one cell always hashes to coordinate 0.
+		if pos[d] >= 0 && shares[d] > 1 {
+			s.bound = append(s.bound, boundDim{pos: pos[d], seed: family.DimSeed(vars[d]), share: shares[d], stride: stride[d]})
+		}
+	}
+	return s
+}
+
+// Append appends, for every block base in bases, the servers of the
+// subcube that row of the atom (its relation's columns cols, read in place)
+// occupies: for each free-dimension offset in order, every base. It
+// allocates nothing beyond growing dst.
+//
+//skewlint:noalloc
+func (s *Subcube) Append(cols [][]int64, row int, bases, dst []int) []int {
+	lin := 0
+	for i := range s.bound {
+		d := &s.bound[i]
+		lin += hashing.HashSeeded(d.seed, cols[d.pos][row], d.share) * d.stride
+	}
+	for _, off := range s.offsets {
+		for _, b := range bases {
+			dst = append(dst, b+lin+off)
+		}
+	}
+	return dst
+}
+
 // enumerateFree lists the linear offsets of every combination of the free
-// (non-fixed) dimensions in lexicographic coordinate order, last dimension
-// fastest — the same order the routing odometer used to produce.
-func enumerateFree(shares, stride []int, fixed []bool) []int {
+// dimensions (pos[d] < 0) in lexicographic coordinate order, last dimension
+// fastest.
+func enumerateFree(shares, stride, pos []int) []int {
 	k := len(shares)
 	n := 1
 	for d := 0; d < k; d++ {
-		if !fixed[d] {
+		if pos[d] < 0 {
 			n *= shares[d]
 		}
 	}
@@ -110,7 +152,7 @@ func enumerateFree(shares, stride []int, fixed []bool) []int {
 		offsets = append(offsets, lin)
 		d := k - 1
 		for ; d >= 0; d-- {
-			if fixed[d] {
+			if pos[d] >= 0 {
 				continue
 			}
 			if coords[d]+1 < shares[d] {
@@ -125,46 +167,6 @@ func enumerateFree(shares, stride []int, fixed []bool) []int {
 			return offsets
 		}
 	}
-}
-
-// Size returns the number of hypercube cells (Π p_i).
-func (r *Router) Size() int { return r.size }
-
-// ForSender implements mpc.PerSenderRouter: the copy shares the immutable
-// stride and offset tables but owns a private relation-binding cache.
-func (r *Router) ForSender() mpc.Router {
-	c := *r
-	c.lastRel, c.lastAtom = nil, nil
-	return &c
-}
-
-// Destinations implements mpc.Router: the subcube of servers receiving the
-// row, in lexicographic coordinate order, hashing the relation's columns in
-// place with no allocations beyond growing dst. Relations outside the
-// query are not routed: the database may carry relations the query does
-// not name (the engine routes whatever the caller staged), and a panic
-// here would kill a sender goroutine mid-round.
-//
-//skewlint:noalloc
-func (r *Router) Destinations(rel *data.Relation, row int, dst []int) []int {
-	ra := r.lastAtom
-	if rel != r.lastRel || ra == nil {
-		ra = r.atoms[rel.Name]
-		if ra == nil {
-			return dst
-		}
-		r.lastRel, r.lastAtom = rel, ra
-	}
-	cols := rel.Columns()
-	lin := 0
-	for pos := range ra.dims {
-		d := &ra.dims[pos]
-		lin += hashing.HashSeeded(d.seed, cols[pos][row], d.share) * d.stride
-	}
-	for _, off := range ra.offsets {
-		dst = append(dst, lin+off)
-	}
-	return dst
 }
 
 // Config controls HyperCube share selection.

@@ -186,8 +186,7 @@ func (st *commState) endRound() {
 func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next func() int, router Router, report func(error)) {
 	clear(w.index)
 	w.sets, w.nsets = w.sets[:0], 0
-	r := SenderRouter(router)
-	sr, spannable := r.(SpanRouter)
+	sr, spannable := router.(SpanRouter)
 	for {
 		pi := next()
 		if pi >= len(parts) {
@@ -212,7 +211,7 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next fu
 		if idx := part.rel.Partitions(); spannable && idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
 			w.routeSpans(c, part, idx, sr, report)
 		} else {
-			w.routeRows(c, part.rel, part.lo, part.hi, r, report)
+			w.routeRows(c, part.rel, part.lo, part.hi, router, report)
 		}
 		w.endPart(&logs[pi])
 	}

@@ -35,6 +35,11 @@ import (
 // pure function of (rel.Name, the row's values) and pre-round statistics.
 // It appends server IDs to dst and returns it (allowing allocation-free
 // reuse); IDs must lie in [0, P). Duplicate IDs are delivered once.
+//
+// A router is an immutable plan-time table: Destinations (and, for a
+// SpanRouter, SpansAttr and CompileSpan) must be safe for concurrent use,
+// because one instance serves every route worker of a round and every
+// standing query built on its plan.
 type Router interface {
 	Destinations(rel *data.Relation, row int, dst []int) []int
 }
@@ -77,9 +82,9 @@ type SpanRoute struct {
 // Contract: for every row whose value at attr is v, the compiled route must
 // deliver to exactly the servers Destinations would (order may differ;
 // duplicates are delivered once either way). CompileSpan may return false to
-// decline a span (the engine falls back to per-tuple for those rows), and is
-// invoked on the ForSender instance when the router is a PerSenderRouter, so
-// compiled closures may use per-sender scratch.
+// decline a span (the engine falls back to per-tuple for those rows). Like
+// Destinations, CompileSpan runs concurrently on one shared instance, and so
+// do the PerRow closures it returns.
 type SpanRouter interface {
 	Router
 	// SpansAttr reports whether CompileSpan understands spans of rel
@@ -88,29 +93,6 @@ type SpanRouter interface {
 	// CompileSpan resolves the routing of the heavy run of value v at attr
 	// into route (whose fields arrive zeroed: Dests empty, PerRow nil).
 	CompileSpan(rel *data.Relation, attr int, v int64, route *SpanRoute) bool
-}
-
-// PerSenderRouter is an optional Router extension for allocation-free
-// routing: a router that keeps reusable per-tuple scratch implements
-// ForSender, and the delivery engine hands each worker its own instance so
-// Destinations never allocates and never races. Routers without mutable
-// scratch simply don't implement it.
-type PerSenderRouter interface {
-	Router
-	// ForSender returns a router that routes identically but owns private
-	// scratch, safe for exclusive use by one goroutine.
-	ForSender() Router
-}
-
-// SenderRouter resolves the router instance one goroutine should use: the
-// private-scratch instance for a PerSenderRouter, the router itself
-// otherwise. Every route worker calls it, and so does a standing query,
-// which routes delta tuples outside any communication phase.
-func SenderRouter(r Router) Router {
-	if ps, ok := r.(PerSenderRouter); ok {
-		return ps.ForSender()
-	}
-	return r
 }
 
 // Server is one MPC worker: it accumulates the relation fragments routed to

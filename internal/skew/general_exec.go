@@ -24,7 +24,9 @@ type exclCheck struct {
 	over  *data.GroupIndex // the overweight projections over attrs; never nil
 }
 
-// atomPlan is the block lookup of one atom within one bin combination.
+// atomPlan is the routing of one atom within one bin combination: the
+// block lookup of its heavy assignments and its HC subcube of the
+// combination's grid over V−x, which every block replicates.
 type atomPlan struct {
 	xjAttrs []int // positions of x_j in the atom (sorted)
 	// blockCode turns a tuple's projection onto xjAttrs into an index into
@@ -32,27 +34,16 @@ type atomPlan struct {
 	// whenever x_j ≠ ∅: a planned combination has at least one assignment.
 	blockCode *data.GroupIndex
 	blocks    [][]int
+	cube      *hypercube.Subcube
 }
 
-// basesOf returns the block bases a tuple with the given projection onto
-// xjAttrs routes to (none when no assignment carries it).
-//
-//skewlint:noalloc
-func (ap *atomPlan) basesOf(proj []int64) []int {
-	if c := ap.blockCode.Lookup(proj); c >= 0 {
-		return ap.blocks[c]
+// blocksOf returns the block bases of blockCode's group c (none for the -1
+// of a projection no assignment carries).
+func (ap *atomPlan) blocksOf(c int) []int {
+	if c < 0 {
+		return nil
 	}
-	return nil
-}
-
-// comboPlan is the executable layout of one bin combination: an HC subgrid
-// of blockSize virtual servers per assignment h ∈ C'(B).
-type comboPlan struct {
-	freeDims  []int // V−x, sorted (grid dimensions)
-	shares    []int // integer share per free dim, product = blockSize
-	strides   []int
-	blockSize int
-	byAtom    []atomPlan
+	return ap.blocks[c]
 }
 
 // GeneralPlan is the §4.2 planner output: every bin combination's HC
@@ -80,9 +71,9 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	}
 	sort.Strings(keys)
 
+	family := hashing.NewFamily(cfg.Seed)
 	virtual := 0
 	predicted := 0.0
-	var plans []*comboPlan
 	combos := make([]Combo, 0, len(keys))
 	steps := make([][]spanStep, gs.q.NumAtoms()) // per atom, one per combination
 	for _, key := range keys {
@@ -104,15 +95,8 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		}
 		shares := hypercube.RoundToBudget(ideal, budget)
 		blockSize := 1
-		strides := make([]int, len(shares))
-		for i := len(shares) - 1; i >= 0; i-- {
-			strides[i] = blockSize
-			blockSize *= shares[i]
-		}
-		plan := &comboPlan{
-			freeDims: freeDims, shares: shares,
-			strides: strides, blockSize: blockSize,
-			byAtom: make([]atomPlan, gs.q.NumAtoms()),
+		for _, s := range shares {
+			blockSize *= s
 		}
 		// Deterministic block layout per assignment.
 		hKeys := make([]string, 0, len(b.cprime))
@@ -125,9 +109,13 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 			bases[hk] = virtual
 			virtual += blockSize
 		}
-		// Per-atom projections and exclusion checks.
+		// Per-atom projections, subcubes and exclusion checks.
 		for j := range gs.q.Atoms {
-			ap := &plan.byAtom[j]
+			pos := make([]int, len(freeDims))
+			for di, v := range freeDims {
+				pos[di] = gs.varPos[j][v]
+			}
+			ap := &atomPlan{cube: hypercube.NewSubcube(shares, freeDims, pos, family)}
 			var allBases []int  // every block, when x_j = ∅
 			var projs []int64   // else the assignments' projections onto x_j, end to end
 			var projBases []int // and the block base of each
@@ -151,12 +139,11 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 				}
 			}
 			steps[j] = append(steps[j], spanStep{
-				plan: plan, ap: ap,
+				ap:    ap,
 				bases: allBases, resolved: len(ap.xjAttrs) == 0,
 				exclude: gs.exclusionChecks(j, b),
 			})
 		}
-		plans = append(plans, plan)
 		pl := math.Pow(float64(gs.p), b.lambda)
 		combos = append(combos, Combo{
 			Vars: b.xSorted, Bins: b.bins, CSize: len(b.cprime),
@@ -170,17 +157,8 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	}
 
 	atomIndex := make(map[string]int, gs.q.NumAtoms())
-	maxScratch := 0
 	for j, a := range gs.q.Atoms {
 		atomIndex[a.Name] = j
-		if a.Arity() > maxScratch {
-			maxScratch = a.Arity()
-		}
-	}
-	for _, plan := range plans {
-		if len(plan.freeDims) > maxScratch {
-			maxScratch = len(plan.freeDims)
-		}
 	}
 
 	gp := &GeneralPlan{Combos: combos, PredictedBits: predicted}
@@ -190,14 +168,8 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		Virtual:   virtual,
 		Physical:  gs.p,
 		Relations: q.AtomNames(),
-		Router: &generalRouter{
-			varPos:    gs.varPos,
-			steps:     steps,
-			atomIndex: atomIndex,
-			family:    hashing.NewFamily(cfg.Seed),
-			scratch:   maxScratch,
-		},
-		Query: q,
+		Router:    &generalRouter{steps: steps, atomIndex: atomIndex},
+		Query:     q,
 		// Overlapping bin combinations may each produce the same answer.
 		Dedup:         true,
 		PredictedBits: predicted,
@@ -234,48 +206,17 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 
 // generalRouter routes tuples to every bin combination's subgrid. It
 // carries only plan-time tables (thresholds and frequency maps are frozen
-// into the comboPlans), never the planning state, so cached plans don't
-// pin the database they were built from. Its per-tuple projection and
-// odometer scratch is reused across calls, so a generalRouter is not safe
-// for concurrent use; it implements mpc.PerSenderRouter and mpc.Round
-// gives each sender its own instance.
+// into the steps), never the planning state, so cached plans don't pin the
+// database they were built from. It reads each row in place and keeps no
+// scratch, so one instance serves every sender concurrently.
 type generalRouter struct {
-	varPos    [][]int      // variable index → attribute position per atom
 	steps     [][]spanStep // per atom: one step per bin combination
 	atomIndex map[string]int
-	family    *hashing.Family
-	scratch   int // max of atom arities and free-dim counts
-	// Per-tuple scratch, reused across Destinations calls.
-	proj   data.Tuple
-	row    data.Tuple
-	coords []int
-	fixed  []bool
 }
 
-// ForSender implements mpc.PerSenderRouter: the copy shares the immutable
-// plan tables but owns fresh scratch.
-func (r *generalRouter) ForSender() mpc.Router {
-	c := *r
-	c.proj = make(data.Tuple, r.scratch)
-	c.row = make(data.Tuple, r.scratch)
-	c.coords = make([]int, r.scratch)
-	c.fixed = make([]bool, r.scratch)
-	return &c
-}
-
-func (r *generalRouter) ensureScratch() {
-	if r.proj == nil {
-		r.proj = make(data.Tuple, r.scratch)
-		r.row = make(data.Tuple, r.scratch)
-		r.coords = make([]int, r.scratch)
-		r.fixed = make([]bool, r.scratch)
-	}
-}
-
-// Destinations implements mpc.Router over the bin-combination layout. The
-// row is gathered into reusable scratch: the §4.2 projections touch every
-// attribute subset, so unlike the HC and skew-join routers there is no
-// untouched column to skip.
+// Destinations implements mpc.Router over the bin-combination layout,
+// probing the exclusion checks and block lookups with the row's columns in
+// place.
 //
 //skewlint:noalloc
 func (r *generalRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
@@ -283,8 +224,7 @@ func (r *generalRouter) Destinations(rel *data.Relation, row int, dst []int) []i
 	if !ok {
 		return dst
 	}
-	r.ensureScratch()
-	return r.route(r.steps[j], j, rel.ReadTuple(row, r.row[:rel.Arity]), dst)
+	return destinations(r.steps[j], rel.Columns(), row, dst)
 }
 
 // spanStep is one bin combination's routing of one atom. The steps every
@@ -292,43 +232,37 @@ func (r *generalRouter) Destinations(rel *data.Relation, row int, dst []int) []i
 // decided per row; a heavy run's steps have the exclusion checks and block
 // lookups over the partition attribute decided at compile time.
 type spanStep struct {
-	plan *comboPlan
-	ap   *atomPlan
+	ap *atomPlan
 	// bases is the resolved block list when resolved is true (xjAttrs is
 	// empty or exactly the partition attribute); otherwise the per-row
-	// basesOf lookup remains.
+	// block lookup remains.
 	bases    []int
 	resolved bool
 	exclude  []exclCheck // the overweight checks still to run per row
 }
 
-// route appends the destinations of tuple t of atom j over steps.
+// destinations appends the destinations of row (of an atom whose relation
+// has columns cols) over steps: every combination that does not exclude the
+// row places it, through the atom's subcube, in each block its projection
+// onto x_j maps to.
 //
 //skewlint:noalloc
-func (r *generalRouter) route(steps []spanStep, j int, t data.Tuple, dst []int) []int {
+func destinations(steps []spanStep, cols [][]int64, row int, dst []int) []int {
 next:
 	for si := range steps {
 		st := &steps[si]
 		// Overweight exclusion (the S^(B)_j membership test).
 		for _, ec := range st.exclude {
-			proj := r.proj[:len(ec.attrs)]
-			for pi, a := range ec.attrs {
-				proj[pi] = t[a]
-			}
-			if ec.over.Lookup(proj) >= 0 {
+			if ec.over.LookupRow(cols, ec.attrs, row) >= 0 {
 				continue next
 			}
 		}
 		bases := st.bases
 		if !st.resolved {
-			proj := r.proj[:len(st.ap.xjAttrs)]
-			for pi, a := range st.ap.xjAttrs {
-				proj[pi] = t[a]
-			}
-			bases = st.ap.basesOf(proj)
+			bases = st.ap.blocksOf(st.ap.blockCode.LookupRow(cols, st.ap.xjAttrs, row))
 		}
 		if len(bases) > 0 {
-			dst = r.appendSubcube(dst, st.plan, j, t, bases)
+			dst = st.ap.cube.Append(cols, row, bases, dst)
 		}
 	}
 	return dst
@@ -352,9 +286,7 @@ func (r *generalRouter) CompileSpan(rel *data.Relation, attr int, v int64, route
 	if !ok {
 		return true // not an input of this plan: ship nothing
 	}
-	r.ensureScratch()
-	run := r.proj[:1]
-	run[0] = v
+	run := [1]int64{v}
 	steps := make([]spanStep, 0, len(r.steps[j]))
 next:
 	for _, st := range r.steps[j] {
@@ -363,12 +295,12 @@ next:
 		for _, ec := range all {
 			if len(ec.attrs) != 1 || ec.attrs[0] != attr {
 				st.exclude = append(st.exclude, ec)
-			} else if ec.over.Lookup(run) >= 0 {
+			} else if ec.over.Lookup(run[:]) >= 0 {
 				continue next // the whole run is overweight here
 			}
 		}
 		if xj := st.ap.xjAttrs; len(xj) == 1 && xj[0] == attr {
-			st.bases, st.resolved = st.ap.basesOf(run), true
+			st.bases, st.resolved = st.ap.blocksOf(st.ap.blockCode.Lookup(run[:])), true
 		}
 		if st.resolved && len(st.bases) == 0 {
 			continue // the run maps to no block of this combination
@@ -379,55 +311,10 @@ next:
 		return true // uniform empty: every combination excluded the run
 	}
 	cols := rel.Columns()
-	arity := rel.Arity
 	route.PerRow = func(row int, dst []int) []int {
-		t := r.row[:arity]
-		for a, col := range cols {
-			t[a] = col[row]
-		}
-		return r.route(steps, j, t, dst)
+		return destinations(steps, cols, row, dst)
 	}
 	return true
-}
-
-// appendSubcube appends, for every base block, the servers of the HC
-// subcube that tuple t of atom j occupies: dimensions of vars(S_j)−x_j are
-// fixed by hashing, the remaining free dimensions replicate (odometer over
-// the free dimensions, reusing the router's scratch).
-func (r *generalRouter) appendSubcube(dst []int, plan *comboPlan, j int, t data.Tuple, bases []int) []int {
-	nd := len(plan.freeDims)
-	coords, fixed := r.coords[:nd], r.fixed[:nd]
-	offset := 0
-	for di, dim := range plan.freeDims {
-		coords[di] = 0
-		fixed[di] = false
-		if pos := r.varPos[j][dim]; pos >= 0 {
-			coords[di] = r.family.Hash(dim, t[pos], plan.shares[di])
-			fixed[di] = true
-			offset += coords[di] * plan.strides[di]
-		}
-	}
-	for {
-		for _, base := range bases {
-			dst = append(dst, base+offset)
-		}
-		di := nd - 1
-		for ; di >= 0; di-- {
-			if fixed[di] {
-				continue
-			}
-			if coords[di]+1 < plan.shares[di] {
-				coords[di]++
-				offset += plan.strides[di]
-				break
-			}
-			offset -= coords[di] * plan.strides[di]
-			coords[di] = 0
-		}
-		if di < 0 {
-			return dst
-		}
-	}
 }
 
 // exclusionChecks enumerates the overweight tests for atom j within B: all
