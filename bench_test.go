@@ -267,7 +267,7 @@ func busiestZipfServer(b *testing.B) (*query.Query, map[string]*data.Relation, i
 	q := query.Join2()
 	plan := skew.PlanJoin(q, db, skew.JoinConfig{P: 64, Seed: 1}).Phys
 	cluster := mpc.NewCluster(plan.Virtual)
-	if err := cluster.Round(db, plan.Router); err != nil {
+	if err := cluster.RoundRelations(plan.Router, db.MustGet("S1"), db.MustGet("S2")); err != nil {
 		b.Fatal(err)
 	}
 	var busiest map[string]*data.Relation
@@ -292,8 +292,8 @@ func BenchmarkHyperCubeEndToEnd(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				plan := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: uint64(i)})
-				res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
-				b.ReportMetric(float64(res.Loads.MaxBits), "maxload-bits")
+				res, _ := exec.Execute(exec.OneRound(plan.Phys), db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+				b.ReportMetric(float64(res.Rounds[0].MaxBits), "maxload-bits")
 			}
 		})
 	}
@@ -306,8 +306,8 @@ func BenchmarkSkewJoinEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		plan := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: 64, Seed: uint64(i)})
-		res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
-		b.ReportMetric(float64(res.MaxVirtualBits), "maxload-bits")
+		res, _ := exec.Execute(exec.OneRound(plan.Phys), db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+		b.ReportMetric(float64(res.MaxLoadBits()), "maxload-bits")
 	}
 }
 
@@ -361,7 +361,7 @@ func BenchmarkGeneralSkewSweepP(b *testing.B) {
 			db.Put(workload.Zipf("S2", 3000, 1<<20, 1, 1.7, 400, 2))
 			for i := 0; i < b.N; i++ {
 				plan := skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: uint64(i)})
-				_, _ = exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+				_, _ = exec.Execute(exec.OneRound(plan.Phys), db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
 				b.ReportMetric(float64(len(plan.Combos)), "combos")
 			}
 		})
@@ -369,7 +369,7 @@ func BenchmarkGeneralSkewSweepP(b *testing.B) {
 }
 
 // BenchmarkMultiRoundEndToEnd measures the pipelined multi-round path
-// (plan lowering + exec.RunPipeline with resident intermediates) on its
+// (plan lowering + exec.Execute with resident intermediates) on its
 // two canonical instances: the sparse triangle and the skew-aware zipf
 // join.
 func BenchmarkMultiRoundEndToEnd(b *testing.B) {
@@ -381,8 +381,8 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i)}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
-			b.ReportMetric(float64(res.SumMaxBits), "sum-max-bits")
+			res, _ := exec.Execute(rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i)}).Pipe, db, exec.Config{}) // no ctx, no faults: never errors
+			b.ReportMetric(float64(res.MaxLoadBits()), "sum-max-bits")
 		}
 	})
 	b.Run("zipf-join2-skew-aware", func(b *testing.B) {
@@ -392,8 +392,8 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		db.Put(workload.Zipf("S2", 5000, 1<<20, 1, 1.6, 500, 2))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, _, _ := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i), SkewAware: true}).ExecuteWith(db, exec.Config{}) // no ctx, no faults: never errors
-			b.ReportMetric(float64(res.SumMaxBits), "sum-max-bits")
+			res, _ := exec.Execute(rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: uint64(i), SkewAware: true}).Pipe, db, exec.Config{}) // no ctx, no faults: never errors
+			b.ReportMetric(float64(res.MaxLoadBits()), "sum-max-bits")
 		}
 	})
 	// Cached multi-round plans through the engine: lowering amortized away.

@@ -63,14 +63,14 @@ func TestNoAlgorithmBeatsTheLowerBound(t *testing.T) {
 			}
 		}
 		hc := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1})
-		check("hypercube-LP", runPhys(t, hc.Phys, inst.db, true).MaxVirtualBits)
+		check("hypercube-LP", runPhys(t, hc.Phys, inst.db, true).MaxLoadBits())
 		eq := hypercube.BuildPlan(inst.q, inst.db, hypercube.Config{P: p, Seed: 1, Shares: hypercube.EqualShares(inst.q.NumVars(), p)})
-		check("hypercube-equal", runPhys(t, eq.Phys, inst.db, true).MaxVirtualBits)
+		check("hypercube-equal", runPhys(t, eq.Phys, inst.db, true).MaxLoadBits())
 		gen := skew.PlanGeneral(inst.q, inst.db, skew.GeneralConfig{P: p, Seed: 1})
-		check("bin-combination", runPhys(t, gen.Phys, inst.db, true).MaxVirtualBits)
+		check("bin-combination", runPhys(t, gen.Phys, inst.db, true).MaxLoadBits())
 		if inst.q.NumAtoms() == 2 && inst.q.NumVars() == 3 && inst.q.AtomIndex("S1") == 0 {
 			sj := skew.PlanJoin(inst.q, inst.db, skew.JoinConfig{P: p, Seed: 1})
-			check("skew-join", runPhys(t, sj.Phys, inst.db, true).MaxVirtualBits)
+			check("skew-join", runPhys(t, sj.Phys, inst.db, true).MaxLoadBits())
 		}
 	}
 }

@@ -40,8 +40,9 @@ const (
 	// conjunctive queries with heavy hitters.
 	BinCombination
 	// MultiRound is the traditional one-join-per-round pipeline (skew-aware
-	// per-step heavy-hitter grids), executed through exec.RunPipeline with
-	// intermediates resident on the servers between rounds.
+	// per-step heavy-hitter grids), one stage per join with intermediates
+	// resident on the servers between rounds; exec.Execute runs it like
+	// every other plan.
 	MultiRound
 )
 
@@ -130,10 +131,6 @@ type Engine struct {
 	replans   uint64
 	// capacity is the effective cache bound (≤ 0 means unbounded).
 	capacity int
-	// scratchPool recycles exec.Scratch buffers across executions so
-	// repeated executions of cached plans don't allocate load-accounting
-	// slices.
-	scratchPool sync.Pool
 	// clusters recycles mpc clusters across executions (size-bucketed):
 	// cached-plan serving draws a warm cluster — servers and Received maps
 	// retained — instead of reallocating Θ(Virtual) of both per execution.
@@ -183,49 +180,31 @@ type planKey struct {
 	forced Strategy // -1 when no override
 }
 
-// cachedPlan holds the logical plan plus its executable form — phys for the
-// one-round strategies, mr for a multi-round pipeline; exactly one is set —
-// and the content fingerprint the statistics were frozen at (drift detection
-// replans only when the content actually moved since).
+// cachedPlan holds the logical plan, its executable form — a one-round
+// plan is a one-stage pipeline — and the content fingerprint the statistics
+// were frozen at (drift detection replans only when the content actually
+// moved since).
 type cachedPlan struct {
 	plan      Plan
 	plannedFP uint64
-	phys      *exec.PhysicalPlan
-	mr        *rounds.PipelinePlan
-}
-
-// forEachPartitionHint visits the (relation, attribute) pairs the cached
-// plan's routers can span-route (exec.PhysicalPlan.PartitionHints).
-// HyperCube plans hash uniformly and never hint.
-func (cp *cachedPlan) forEachPartitionHint(fn func(exec.PartitionHint)) {
-	if cp.phys != nil {
-		for _, h := range cp.phys.PartitionHints {
-			fn(h)
-		}
-		return
-	}
-	if cp.mr.Pipe == nil {
-		return // single-atom plan: no rounds, nothing routed
-	}
-	for _, st := range cp.mr.Pipe.Stages {
-		for _, h := range st.Plan.PartitionHints {
-			fn(h)
-		}
-	}
+	run       *exec.Pipeline
 }
 
 // ensurePartitions drives lazy skew-adaptive layout maintenance for an
-// execution: every hinted relation gets a current heavy-partition index
+// execution: every relation a stage's router can span-route
+// (exec.PhysicalPlan.PartitionHints) gets a current heavy-partition index
 // (data.Database.EnsurePartitioned) so span routing kicks in on the next
 // epoch's snapshots. db may be a snapshot — the ensure delegates to the
 // mutable master behind it.
 func (e *Engine) ensurePartitions(cp *cachedPlan, db *data.Database, p int) {
 	rebuilt := 0
-	cp.forEachPartitionHint(func(h exec.PartitionHint) {
-		if db.EnsurePartitioned(h.Rel, h.Attr, p) {
-			rebuilt++
+	for _, st := range cp.run.Stages {
+		for _, h := range st.Plan.PartitionHints {
+			if db.EnsurePartitioned(h.Rel, h.Attr, p) {
+				rebuilt++
+			}
 		}
-	})
+	}
 	if rebuilt > 0 {
 		e.mu.Lock()
 		e.repartitions += uint64(rebuilt)
@@ -259,8 +238,10 @@ type Result struct {
 	// one server computed are slices of that server's arena: each may be
 	// appended to or written independently, but retaining one retains that
 	// server's whole share of the output.
-	Output        []data.Tuple
-	MaxLoadBits   int64 // max virtual-processor load (what the theorems bound)
+	Output []data.Tuple
+	// MaxLoadBits sums each round's max virtual-server load (for one round,
+	// what the theorems bound); TotalBits sums every round's received bits.
+	MaxLoadBits   int64
 	TotalBits     int64
 	PredictedBits float64
 	// Replanned reports that this execution rebuilt a cached plan that
@@ -308,11 +289,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close does nothing: the engine owns no goroutine or other resource that
-// outlives a call. The method remains only because the frozen
-// bench/trace.go calls it; it goes when that file can change.
-func (e *Engine) Close() {}
-
 // ExecOptions are per-call overrides for ExecuteContext. The zero value
 // means "use the engine's configuration".
 type ExecOptions struct {
@@ -322,10 +298,7 @@ type ExecOptions struct {
 	NoCache bool
 	// P overrides the engine's server count when > 0.
 	P int
-	// Serving is read by nothing: every execution keys its plan by
-	// database identity and schema (see planKey). The field remains only
-	// because the frozen bench/trace.go sets it; it goes when that file can
-	// change.
+	// Serving is read by nothing (see frozen.go).
 	Serving bool
 }
 
@@ -498,13 +471,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	// is correct either way; stale layouts just route per-tuple or span-wise
 	// with yesterday's runs), so the rebuild never races an in-flight round.
 	e.ensurePartitions(cp, db, s.p)
-	// Pooled load-accounting scratch.
-	sc, _ := e.scratchPool.Get().(*exec.Scratch)
-	if sc == nil {
-		sc = new(exec.Scratch)
-	}
 	var rec Recovery
-	res, execErr := runPlan(cp, db, exec.Config{Scratch: sc, Clusters: &e.clusters, Ctx: ctx, Faults: s.faults, Retry: s.retry, Recovery: &rec})
+	res, execErr := runPlan(cp, db, exec.Config{Clusters: &e.clusters, Ctx: ctx, Faults: s.faults, Retry: s.retry, Recovery: &rec})
 	if execErr != nil {
 		// Recovery happened inside the executor (round replays, partial
 		// recomputes); an error here means the retry budget is spent. Surface
@@ -517,7 +485,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 			}
 			e.breaker.done(probe, outcome)
 		}
-		e.scratchPool.Put(sc)
 		return Result{}, execErr
 	}
 	if e.breaker != nil {
@@ -525,7 +492,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	}
 	res.Replanned = replanned
 	res.Recovery = rec
-	e.scratchPool.Put(sc)
 	// Adaptive re-planning: realized load drifted beyond the prediction on
 	// content that moved since the statistics were frozen → replan next
 	// call. (Equal content cannot replan: rebuilt statistics would be
@@ -541,36 +507,26 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 	return res, nil
 }
 
-// runPlan runs cp's executable form over db through the unified executor —
-// exec.Run for a one-round plan, the pipeline for a multi-round one — and
-// shapes the answers and realized loads into a Result.
+// runPlan is the engine's one call into the executor: it runs cp's
+// pipeline over db and shapes the answers and realized loads into a Result.
+// For every strategy the load is one formula: Σ over rounds of the round's
+// maximum (for one round, the max the paper's theorems bound), and the
+// total sums every round's bits.
 func runPlan(cp *cachedPlan, db *data.Database, ec exec.Config) (Result, error) {
-	res := Result{Plan: cp.plan, PredictedBits: cp.plan.PredictedBits}
-	// Callers own the Result; don't let them mutate the cached plan
-	// through the shared backing array.
-	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
-	if cp.phys != nil {
-		er, err := exec.Run(cp.phys, db, ec)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Output = er.Output
-		res.MaxLoadBits = er.Loads.MaxBits
-		res.TotalBits = er.Loads.TotalBits
-		return res, nil
-	}
-	pr, out, err := cp.mr.ExecuteWith(db, ec)
+	er, err := exec.Execute(cp.run, db, ec)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Output = out
-	// The multi-round analogue of the one-round max load is the summed
-	// per-round maxima: the most bits one server could have received across
-	// the whole computation.
-	res.MaxLoadBits = pr.SumMaxBits
-	for _, rl := range pr.Rounds {
-		res.TotalBits += rl.TotalBits
+	res := Result{
+		Plan:          cp.plan,
+		Output:        er.Output,
+		MaxLoadBits:   er.MaxLoadBits(),
+		TotalBits:     er.TotalBits(),
+		PredictedBits: cp.plan.PredictedBits,
 	}
+	// Callers own the Result; don't let them mutate the cached plan
+	// through the shared backing array.
+	res.Plan.Shares = append([]int(nil), cp.plan.Shares...)
 	return res, nil
 }
 
@@ -695,7 +651,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 }
 
 // buildPlan runs the logical planner, lowers the chosen strategy to its
-// physical plan, and — when multi-round consideration is on — cost-compares
+// pipeline, and — when multi-round consideration is on — cost-compares
 // the one-round choice against a multi-round pipeline (predicted SumMaxBits
 // vs the one-round PredictedBits), switching to the pipeline when cheaper.
 // Every step counts through the one pass ps, so each (relation, attribute
@@ -709,48 +665,42 @@ func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *c
 	}
 	cp := &cachedPlan{plan: logicalPlan(q, db, s, ps)}
 	cp.plannedFP = stats.Fingerprint(db)
-	cp.plan.Rounds = 1
 	switch cp.plan.Strategy {
 	case HyperCube:
 		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed, Shares: s.shares})
-		cp.phys = hc.Phys
+		cp.run = exec.OneRound(hc.Phys)
 		cp.plan.Shares = hc.Shares
 	case SkewJoin:
-		cp.phys = skew.PlanJoinWith(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}, ps).Phys
+		cp.run = exec.OneRound(skew.PlanJoinWith(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}, ps).Phys)
 	case BinCombination:
-		cp.phys = skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}, ps).Phys
+		cp.run = exec.OneRound(skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}, ps).Phys)
 	case MultiRound:
-		cp.mr = planMultiRound(q, db, s, ps)
-		cp.plan.PredictedBits = cp.mr.PredictedSumMaxBits
-		cp.plan.Rounds = len(cp.mr.Logical.Steps)
+		cp.run = planMultiRound(q, db, s, ps)
 	}
-	if cp.phys != nil {
-		cp.plan.PredictedBits = cp.phys.PredictedBits
-	}
-	if s.mr && s.forced == nil && cp.mr == nil && q.NumAtoms() >= 2 {
+	if s.mr && s.forced == nil && cp.plan.Strategy != MultiRound && q.NumAtoms() >= 2 {
 		mr := planMultiRound(q, db, s, ps)
-		one := cp.plan.PredictedBits
+		one := cp.run.PredictedSumMaxBits
 		if one > 0 && mr.PredictedSumMaxBits < one {
 			cp.plan.Reason = fmt.Sprintf(
 				"multi-round pipeline predicted Σmax %.0f bits beats one-round %s predicted %.0f bits (%s)",
 				mr.PredictedSumMaxBits, cp.plan.Strategy, one, cp.plan.Reason)
 			cp.plan.Strategy = MultiRound
 			cp.plan.Shares = nil
-			cp.plan.PredictedBits = mr.PredictedSumMaxBits
-			cp.plan.Rounds = len(mr.Logical.Steps)
-			cp.phys, cp.mr = nil, mr
+			cp.run = mr
 		} else {
 			cp.plan.Reason += fmt.Sprintf(
 				"; multi-round rejected (predicted Σmax %.0f bits over %d rounds)",
-				mr.PredictedSumMaxBits, len(mr.Logical.Steps))
+				mr.PredictedSumMaxBits, len(mr.Stages))
 		}
 	}
+	cp.plan.PredictedBits = cp.run.PredictedSumMaxBits
+	cp.plan.Rounds = len(cp.run.Stages)
 	return cp
 }
 
 // planMultiRound lowers the skew-aware multi-round pipeline for q.
-func planMultiRound(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *rounds.PipelinePlan {
-	return rounds.Lower(rounds.BuildPlan(q), db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true}, ps)
+func planMultiRound(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *exec.Pipeline {
+	return rounds.Lower(rounds.BuildPlan(q), db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true}, ps).Pipe
 }
 
 // CacheStats reports the plan cache counters and occupancy.

@@ -42,11 +42,11 @@ func execute(t testing.TB, e *Engine, q *query.Query, db *data.Database, opts Ex
 	return res
 }
 
-// runPhys is exec.Run for tests, route-only when skip is set: an error
+// runPhys executes a one-round plan for tests, route-only when skip is set: an error
 // fails the test.
 func runPhys(t testing.TB, plan *exec.PhysicalPlan, db *data.Database, skip bool) exec.Result {
 	t.Helper()
-	res, err := exec.Run(plan, db, exec.Config{SkipCompute: skip})
+	res, err := exec.Execute(exec.OneRound(plan), db, exec.Config{SkipCompute: skip})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func runPhys(t testing.TB, plan *exec.PhysicalPlan, db *data.Database, skip bool
 // head-ordered answers: an error fails the test.
 func runPipeline(t testing.TB, pp *rounds.PipelinePlan, db *data.Database) []data.Tuple {
 	t.Helper()
-	_, out, err := pp.ExecuteWith(db, exec.Config{})
+	res, err := exec.Execute(pp.Pipe, db, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return res.Output
 }
 
 func TestPlanSkewFreePicksHyperCube(t *testing.T) {
@@ -393,24 +393,24 @@ func TestConsiderMultiRoundCostComparison(t *testing.T) {
 
 			// The measured winner: HyperCube's routed max load against the
 			// pipeline's sum of per-round maxima.
-			hc, err := exec.Run(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: c.seed}).Phys, db, exec.Config{SkipCompute: true})
+			hc, err := exec.Execute(exec.OneRound(hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: c.seed}).Phys), db, exec.Config{SkipCompute: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mr, _, err := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed}).ExecuteWith(db, exec.Config{})
+			mr, err := exec.Execute(rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed}).Pipe, db, exec.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if multiWins := mr.SumMaxBits <= hc.Loads.MaxBits; multiWins != c.wantMulti {
+			if multiWins := mr.MaxLoadBits() <= hc.Rounds[0].MaxBits; multiWins != c.wantMulti {
 				t.Errorf("multi-round Σmax %d bits vs one-round %d bits, want multi-round winning = %v",
-					mr.SumMaxBits, hc.Loads.MaxBits, c.wantMulti)
+					mr.MaxLoadBits(), hc.Rounds[0].MaxBits, c.wantMulti)
 			}
 			if gotMulti := plan.Strategy == MultiRound; gotMulti != c.wantMulti {
 				t.Errorf("engine picked %v, want multi-round = %v", plan.Strategy, c.wantMulti)
 			}
 
 			base := newEngine(t, Config{P: p, Seed: c.seed}).PlanQuery(q, db)
-			mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed, SkewAware: true}).PredictedSumMaxBits
+			mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: p, Seed: c.seed, SkewAware: true}).Pipe.PredictedSumMaxBits
 			wantMR := base.PredictedBits > 0 && mrPred < base.PredictedBits
 			if gotMR := plan.Strategy == MultiRound; gotMR != wantMR {
 				t.Fatalf("choice %v disagrees with predictions (one-round %.0f, multi-round %.0f)",

@@ -24,16 +24,15 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	if err := checkInputs(q, db, nil); err != nil {
 		return "explain: " + err.Error() + "\n"
 	}
-	// Plan once: the cost table reuses the chosen strategy's prediction (and
-	// the multi-round pipeline, if that is what was chosen) and plans the
-	// other strategies only for their cost, all off one statistics pass. The
+	// Plan once: the cost table reads the chosen strategy's rounds and
+	// prediction off the plan and plans the other strategies only for their
+	// cost, all off one statistics pass. The
 	// §4.2 plan also lists its bin combinations below.
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
 	defer ps.Release()
-	cp := buildPlan(q, db, s, ps)
-	plan := cp.plan
+	plan := buildPlan(q, db, s, ps).plan
 	general := skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps)
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
@@ -72,12 +71,13 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		writeCost(SkewJoin, "(query not §4.1-shaped)", noCost)
 	}
 	writeCost(BinCombination, "(max_B p^λ(B))", func() float64 { return general.PredictedBits })
-	if mr := cp.mr; mr != nil || q.NumAtoms() >= 2 {
-		if mr == nil {
-			mr = planMultiRound(q, db, s, ps)
+	if plan.Strategy == MultiRound || q.NumAtoms() >= 2 {
+		rounds, cost := plan.Rounds, plan.PredictedBits
+		if plan.Strategy != MultiRound {
+			mr := planMultiRound(q, db, s, ps)
+			rounds, cost = len(mr.Stages), mr.PredictedSumMaxBits
 		}
-		writeCost(MultiRound, fmt.Sprintf("(SumMaxBits, %d rounds)", len(mr.Logical.Steps)),
-			func() float64 { return mr.PredictedSumMaxBits })
+		writeCost(MultiRound, fmt.Sprintf("(SumMaxBits, %d rounds)", rounds), func() float64 { return cost })
 	} else {
 		writeCost(MultiRound, "(single atom: no rounds needed)", noCost)
 	}

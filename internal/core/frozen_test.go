@@ -144,17 +144,17 @@ func benchZipfDegrees(m, distinct int, s float64, seed int64) map[int64]int {
 func loadDigest(t *testing.T, cp *cachedPlan, db *data.Database) uint64 {
 	t.Helper()
 	h := fnv.New64a()
-	if cp.phys != nil {
-		er, err := exec.Run(cp.phys, db, exec.Config{SkipCompute: true})
+	if cp.plan.Strategy != MultiRound {
+		er, err := exec.Execute(cp.run, db, exec.Config{SkipCompute: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bits := range er.PerServerBits {
+		for _, bits := range er.Rounds[0].PerServerBits {
 			fmt.Fprintf(h, "%d,", bits)
 		}
 		return h.Sum64()
 	}
-	pr, err := exec.RunPipeline(cp.mr.Pipe, db, exec.Config{SkipCompute: true})
+	pr, err := exec.Execute(cp.run, db, exec.Config{SkipCompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,8 @@ func TestPlansBitIdenticalToFrozen(t *testing.T) {
 			loads:     loadDigest(t, cp, db),
 			combos:    comboDigest(skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: 1}).Combos),
 		}
-		if cp.phys != nil {
-			got.virtual = []int{cp.phys.Virtual}
-		} else {
-			for _, st := range cp.mr.Pipe.Stages {
-				got.virtual = append(got.virtual, st.Plan.Virtual)
-			}
+		for _, st := range cp.run.Stages {
+			got.virtual = append(got.virtual, st.Plan.Virtual)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s seed %d:\n got %#v\nwant %#v", want.workload, want.seed, got, want)

@@ -95,7 +95,7 @@ func TestFuzzAllAlgorithmsAgree(t *testing.T) {
 				trial, q, res.Plan.Strategy, len(res.Output), len(want))
 		}
 		// The engine's multi-round pipeline, forced: must agree with every
-		// one-round strategy through the plan cache and exec.RunPipeline.
+		// one-round strategy through the plan cache and exec.Execute.
 		force := MultiRound
 		fres := execute(t, newEngine(t, cfg), q, db, ExecOptions{Strategy: &force})
 		if fres.Plan.Strategy != MultiRound {

@@ -159,8 +159,9 @@ func (h *StandingQuery) seed(ctx context.Context) error {
 	// lookup, and neither consults the breaker or marks drift.
 	var rec Recovery
 	ec := exec.Config{Clusters: &h.e.clusters, Ctx: ctx, Faults: h.s.faults, Retry: h.s.retry, Recovery: &rec}
-	if cp.phys != nil {
-		st, err := exec.NewStanding(cp.phys, h.q, snap, ec)
+	if cp.plan.Strategy != MultiRound {
+		// A one-round plan's layout is its pipeline's one stage.
+		st, err := exec.NewStanding(cp.run.Stages[0].Plan, h.q, snap, ec)
 		h.stats.Recovery.Add(rec)
 		if err != nil {
 			return err

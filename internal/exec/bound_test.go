@@ -80,13 +80,13 @@ func TestClusterPoolDefaultDepth(t *testing.T) {
 // returns ctx.Err(); a live context runs normally.
 func TestRunCanceledContext(t *testing.T) {
 	db := testDB()
-	plan := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4)}
+	plan := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4), Relations: []string{"S"}, Query: copyS}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(plan, db, Config{Ctx: ctx}); err != context.Canceled {
+	if _, err := Execute(OneRound(plan), db, Config{Ctx: ctx}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := Run(plan, db, Config{Ctx: context.Background()}); err != nil {
+	if _, err := Execute(OneRound(plan), db, Config{Ctx: context.Background()}); err != nil {
 		t.Fatalf("live context errored: %v", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestRunPipelineCanceledBetweenRounds(t *testing.T) {
 		Physical: 2,
 		Stages:   []Stage{stage("i1", true), stage("i2", false)},
 	}
-	_, err := RunPipeline(pl, db, Config{Clusters: &cp, Ctx: ctx})
+	_, err := Execute(pl, db, Config{Clusters: &cp, Ctx: ctx})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -131,7 +131,7 @@ func TestRunPipelineCanceledBetweenRounds(t *testing.T) {
 	}
 	// Without cancellation the same pipeline completes.
 	pl2 := &Pipeline{Strategy: "test", Physical: 2, Stages: []Stage{stage("i1", false), stage("i2", false)}}
-	if _, err := RunPipeline(pl2, db, Config{Clusters: &cp}); err != nil {
+	if _, err := Execute(pl2, db, Config{Clusters: &cp}); err != nil {
 		t.Fatalf("uncanceled pipeline errored: %v", err)
 	}
 }
@@ -145,14 +145,14 @@ func TestRunRelationsScoped(t *testing.T) {
 		filler.Add(i, i)
 	}
 	db.Put(filler)
-	scoped := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4), Relations: []string{"S"}}
-	r1, err := Run(scoped, db, Config{})
+	scoped := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4), Relations: []string{"S"}, Query: copyS}
+	r1, err := Execute(OneRound(scoped), db, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := testDB()
-	r2, _ := Run(&PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4)}, clean, Config{})
-	if r1.Loads.TotalBits != r2.Loads.TotalBits || r1.MaxVirtualBits != r2.MaxVirtualBits {
-		t.Fatalf("scoped run loads %+v differ from filler-free %+v", r1.Loads, r2.Loads)
+	r2, _ := Execute(OneRound(scoped), clean, Config{})
+	if r1.Rounds[0].LoadSummary != r2.Rounds[0].LoadSummary {
+		t.Fatalf("scoped run loads %+v differ from filler-free %+v", r1.Rounds[0].LoadSummary, r2.Rounds[0].LoadSummary)
 	}
 }

@@ -33,55 +33,50 @@ func modRouter(p int) mpc.Router {
 func TestRunRoutesComputesAndAccounts(t *testing.T) {
 	db := testDB()
 	plan := &PhysicalPlan{
-		Strategy: "test",
-		Virtual:  4,
-		Physical: 2,
-		Router:   modRouter(4),
-		Query:    copyS,
+		Strategy:  "test",
+		Virtual:   4,
+		Physical:  2,
+		Router:    modRouter(4),
+		Relations: []string{"S"},
+		Query:     copyS,
 	}
-	res, _ := Run(plan, db, Config{})
+	res, _ := Execute(OneRound(plan), db, Config{})
 	if len(res.Output) != 8 {
 		t.Errorf("output = %d tuples, want 8", len(res.Output))
 	}
-	if len(res.PerServerBits) != 4 {
-		t.Fatalf("PerServerBits = %d entries, want 4", len(res.PerServerBits))
+	if len(res.Rounds[0].PerServerBits) != 4 {
+		t.Fatalf("PerServerBits = %d entries, want 4", len(res.Rounds[0].PerServerBits))
 	}
 	// 8 tuples round-robin over 4 virtual servers: 2 tuples each.
 	bpt := db.MustGet("S").BitsPerTuple()
-	for id, bits := range res.PerServerBits {
+	for id, bits := range res.Rounds[0].PerServerBits {
 		if bits != 2*bpt {
 			t.Errorf("server %d: %d bits, want %d", id, bits, 2*bpt)
 		}
 	}
-	if res.MaxVirtualBits != 2*bpt {
-		t.Errorf("MaxVirtualBits = %d, want %d", res.MaxVirtualBits, 2*bpt)
+	if res.MaxLoadBits() != 2*bpt {
+		t.Errorf("MaxLoadBits = %d, want %d", res.MaxLoadBits(), 2*bpt)
 	}
-	// Virtual 0,2 → physical 0; 1,3 → physical 1: 4 tuples per machine.
-	if res.MaxPhysicalBits != 4*bpt {
-		t.Errorf("MaxPhysicalBits = %d, want %d", res.MaxPhysicalBits, 4*bpt)
-	}
-	if res.Loads.TotalBits != 8*bpt {
-		t.Errorf("TotalBits = %d, want %d", res.Loads.TotalBits, 8*bpt)
-	}
-	if res.Loads.Replication < 0.99 || res.Loads.Replication > 1.01 {
-		t.Errorf("Replication = %f, want 1", res.Loads.Replication)
+	if res.TotalBits() != 8*bpt {
+		t.Errorf("TotalBits = %d, want %d", res.TotalBits(), 8*bpt)
 	}
 }
 
 func TestRunSkipCompute(t *testing.T) {
 	db := testDB()
 	plan := &PhysicalPlan{
-		Strategy: "test",
-		Virtual:  2,
-		Physical: 2,
-		Router:   modRouter(2),
-		Query:    copyS,
+		Strategy:  "test",
+		Virtual:   2,
+		Physical:  2,
+		Router:    modRouter(2),
+		Relations: []string{"S"},
+		Query:     copyS,
 	}
-	res, _ := Run(plan, db, Config{SkipCompute: true})
+	res, _ := Execute(OneRound(plan), db, Config{SkipCompute: true})
 	if len(res.Output) != 0 {
 		t.Error("output non-empty despite SkipCompute")
 	}
-	if res.MaxVirtualBits == 0 {
+	if res.MaxLoadBits() == 0 {
 		t.Error("loads not accounted under SkipCompute")
 	}
 }
@@ -97,19 +92,20 @@ func TestRunDedup(t *testing.T) {
 		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
-		Query: copyS,
-		Dedup: true,
+		Relations: []string{"S"},
+		Query:     copyS,
+		Dedup:     true,
 	}
-	res, _ := Run(plan, db, Config{})
+	res, _ := Execute(OneRound(plan), db, Config{})
 	if len(res.Output) != 8 {
 		t.Errorf("deduped output = %d tuples, want 8", len(res.Output))
 	}
 }
 
 // TestRunGathersArenaAnswersInPlace runs the real local join — one arena
-// per server — through the gather and the in-place Dedup: a second run over
-// the same scratch returns the same answers in a header array of its own,
-// because an Output belongs to its caller and is never pooled.
+// per server — through the gather and the in-place Dedup: a second run
+// returns the same answers in a header array of its own, because an Output
+// belongs to its caller and is never pooled.
 func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 	q := query.Join2()
 	db := data.NewDatabase()
@@ -125,30 +121,33 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
-		Query: q,
-		Dedup: true,
+		Relations: q.AtomNames(),
+		Query:     q,
+		Dedup:     true,
 	}
-	sc := new(Scratch)
-	r1, _ := Run(plan, db, Config{Scratch: sc})
+	r1, _ := Execute(OneRound(plan), db, Config{})
 	if !join.EqualTupleSets(r1.Output, want) {
 		t.Fatalf("first run: %d answers, want %d", len(r1.Output), len(want))
 	}
 	first := &r1.Output[0]
-	r2, _ := Run(plan, db, Config{Scratch: sc})
+	r2, _ := Execute(OneRound(plan), db, Config{})
 	if &r2.Output[0] == first {
-		t.Error("second run over the same scratch overwrote the first run's Output")
+		t.Error("second run overwrote the first run's Output")
 	}
 	if !join.EqualTupleSets(r2.Output, want) || !join.EqualTupleSets(r1.Output, want) {
-		t.Errorf("after a second run over the same scratch: %d and %d answers, want %d", len(r1.Output), len(r2.Output), len(want))
+		t.Errorf("after a second run: %d and %d answers, want %d", len(r1.Output), len(r2.Output), len(want))
 	}
 }
 
 func TestRunPanicsOnBadPlan(t *testing.T) {
+	s := []string{"S"}
 	for _, plan := range []*PhysicalPlan{
-		{Strategy: "bad", Virtual: 0, Physical: 1, Router: modRouter(1)},
-		{Strategy: "bad", Virtual: 1, Physical: 0, Router: modRouter(1)},
+		{Strategy: "bad", Virtual: 0, Physical: 1, Router: modRouter(1), Relations: s, Query: copyS},
+		{Strategy: "bad", Virtual: 1, Physical: 0, Router: modRouter(1), Relations: s, Query: copyS},
 		// Router emits an out-of-range destination.
-		{Strategy: "bad", Virtual: 1, Physical: 1, Router: modRouter(5)},
+		{Strategy: "bad", Virtual: 1, Physical: 1, Router: modRouter(5), Relations: s, Query: copyS},
+		// No local phase: a one-round plan joins its Query.
+		{Strategy: "bad", Virtual: 1, Physical: 1, Router: modRouter(1), Relations: s},
 	} {
 		func() {
 			defer func() {
@@ -156,40 +155,8 @@ func TestRunPanicsOnBadPlan(t *testing.T) {
 					t.Errorf("plan %+v: expected panic", plan)
 				}
 			}()
-			Run(plan, testDB(), Config{})
+			Execute(OneRound(plan), testDB(), Config{})
 		}()
-	}
-}
-
-func TestRunScratchReuse(t *testing.T) {
-	db := testDB()
-	plan := &PhysicalPlan{
-		Strategy: "test",
-		Virtual:  4,
-		Physical: 2,
-		Router:   modRouter(4),
-	}
-	sc := new(Scratch)
-	r1, _ := Run(plan, db, Config{Scratch: sc})
-	first := &r1.PerServerBits[0]
-	want := append([]int64(nil), r1.PerServerBits...)
-	r2, _ := Run(plan, db, Config{Scratch: sc})
-	if &r2.PerServerBits[0] != first {
-		t.Error("scratch-backed PerServerBits was reallocated on the second run")
-	}
-	for i, b := range r2.PerServerBits {
-		if b != want[i] {
-			t.Errorf("server %d: %d bits on rerun, want %d", i, b, want[i])
-		}
-	}
-	// A smaller plan reuses the same backing array, zeroed.
-	small := &PhysicalPlan{Strategy: "test", Virtual: 2, Physical: 2, Router: modRouter(2)}
-	r3, _ := Run(small, db, Config{Scratch: sc})
-	if len(r3.PerServerBits) != 2 {
-		t.Fatalf("PerServerBits = %d entries, want 2", len(r3.PerServerBits))
-	}
-	if r3.MaxVirtualBits == 0 {
-		t.Error("loads missing after scratch reuse on a smaller plan")
 	}
 }
 
@@ -227,14 +194,14 @@ func TestRunPipelineResidentIntermediates(t *testing.T) {
 	}
 	pl.Stages[0].Base = []string{"S"}
 	pl.Stages[1].Resident = []string{"t1"}
-	res, _ := RunPipeline(pl, db, Config{})
+	res, _ := Execute(pl, db, Config{})
 	// Both stages increment column 0: output is (i+2, (i+1)%16).
-	if res.Output.Size() != 8 {
-		t.Fatalf("output = %d tuples, want 8", res.Output.Size())
+	if len(res.Output) != 8 {
+		t.Fatalf("output = %d tuples, want 8", len(res.Output))
 	}
 	seen := make(map[int64]int64)
-	for i := 0; i < 8; i++ {
-		seen[res.Output.At(i, 0)] = res.Output.At(i, 1)
+	for _, a := range res.Output {
+		seen[a[0]] = a[1]
 	}
 	for i := int64(0); i < 8; i++ {
 		if got, ok := seen[i+2]; !ok || got != (i+1)%16 {
@@ -262,20 +229,22 @@ func TestRunPipelineResidentIntermediates(t *testing.T) {
 			t.Errorf("round %d intermediate = %d, want 8", i, rl.Intermediate)
 		}
 	}
-	if res.SumMaxBits != res.Rounds[0].MaxBits+res.Rounds[1].MaxBits {
-		t.Error("SumMaxBits is not the sum of per-round maxima")
+	if res.MaxLoadBits() != res.Rounds[0].MaxBits+res.Rounds[1].MaxBits {
+		t.Error("MaxLoadBits is not the sum of per-round maxima")
 	}
 }
 
-func TestRunPipelineEmptyOutputTyped(t *testing.T) {
+// TestRunPipelineEmptyOutput: a resident output no server holds is no
+// answers, and the round that routed its input is still accounted.
+func TestRunPipelineEmptyOutput(t *testing.T) {
 	db := testDB()
 	st := incStage("S", "t1", 4)
 	st.Base = []string{"S"}
 	st.LocalFragment = func(s *mpc.Server) *data.Relation { return nil }
 	pl := &Pipeline{Strategy: "test", Physical: 2, Stages: []Stage{st}}
-	res, _ := RunPipeline(pl, db, Config{})
-	if res.Output == nil || res.Output.Size() != 0 || res.Output.Arity != 2 {
-		t.Errorf("empty pipeline output not typed: %+v", res.Output)
+	res, _ := Execute(pl, db, Config{})
+	if res.Output != nil || len(res.Rounds) != 1 || res.Rounds[0].TotalTuples != 8 {
+		t.Errorf("empty pipeline output: %d answers, rounds %+v", len(res.Output), res.Rounds)
 	}
 }
 
@@ -284,11 +253,16 @@ func TestRunPipelinePanicsOnBadStages(t *testing.T) {
 	good := incStage("S", "t1", 4)
 	good.Base = []string{"S"}
 	for name, pl := range map[string]*Pipeline{
-		"no stages":   {Strategy: "bad", Physical: 2},
-		"no physical": {Strategy: "bad", Physical: 0, Stages: []Stage{good}},
+		"no stages, no input": {Strategy: "bad", Physical: 2},
+		"no physical":         {Strategy: "bad", Physical: 0, Stages: []Stage{good}},
 		"no local": {Strategy: "bad", Physical: 2, Stages: []Stage{{
 			Plan: good.Plan, Base: []string{"S"}, OutName: "t1", OutArity: 2, OutDomain: 16,
 		}}},
+		// A stage whose answers are gathered must be the last.
+		"gather before the last stage": {Strategy: "bad", Physical: 2, Stages: []Stage{
+			{Plan: &PhysicalPlan{Strategy: "bad", Virtual: 4, Physical: 2, Router: modRouter(4), Query: copyS}, Base: []string{"S"}},
+			good,
+		}},
 	} {
 		func() {
 			defer func() {
@@ -296,7 +270,7 @@ func TestRunPipelinePanicsOnBadStages(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			RunPipeline(pl, db, Config{})
+			Execute(pl, db, Config{})
 		}()
 	}
 }

@@ -19,7 +19,7 @@ import (
 // header fill are deterministic, so every strategy returns the same
 // Result.Output sequence at GOMAXPROCS 1, 2 and 8 — HyperCube, SkewJoin
 // over a flat and over a heavy-partitioned relation, BinCombination, and
-// the forced multi-round triangle through RunPipeline.
+// the forced multi-round triangle.
 func TestOutputSequenceIndependentOfParallelism(t *testing.T) {
 	const p = 16
 	mk := func(rels ...*data.Relation) *data.Database {
@@ -34,7 +34,7 @@ func TestOutputSequenceIndependentOfParallelism(t *testing.T) {
 	}
 	run := func(plan *exec.PhysicalPlan, db *data.Database) func() []data.Tuple {
 		return func() []data.Tuple {
-			res, err := exec.Run(plan, db, exec.Config{})
+			res, err := exec.Execute(exec.OneRound(plan), db, exec.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +66,11 @@ func TestOutputSequenceIndependentOfParallelism(t *testing.T) {
 		{"skew-join/partitioned", run(skewJoin, part)},
 		{"bin-combination/triangle", run(skew.PlanGeneral(query.Triangle(), graphs, skew.GeneralConfig{P: p, Seed: 1}).Phys, graphs)},
 		{"multi-round/triangle", func() []data.Tuple {
-			_, out, err := pipeline.ExecuteWith(uniform, exec.Config{})
+			res, err := exec.Execute(pipeline.Pipe, uniform, exec.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out
+			return res.Output
 		}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

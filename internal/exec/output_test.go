@@ -61,7 +61,11 @@ func TestRunOutputIsServerOrderConcatenation(t *testing.T) {
 		}
 		for _, plan := range plans {
 			c := mpc.NewCluster(plan.Virtual)
-			if err := c.Round(db, plan.Router); err != nil {
+			var rels []*data.Relation
+			for _, name := range plan.Relations {
+				rels = append(rels, db.MustGet(name))
+			}
+			if err := c.RoundRelations(plan.Router, rels...); err != nil {
 				t.Fatalf("%s/%s: round: %v", name, plan.Strategy, err)
 			}
 			var want []data.Tuple
@@ -71,7 +75,7 @@ func TestRunOutputIsServerOrderConcatenation(t *testing.T) {
 			if plan.Dedup {
 				want = join.Dedup(want)
 			}
-			res, err := exec.Run(plan, db, exec.Config{})
+			res, err := exec.Execute(exec.OneRound(plan), db, exec.Config{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, plan.Strategy, err)
 			}
@@ -136,7 +140,7 @@ func TestRunAllocatesOneHeaderPerAnswer(t *testing.T) {
 			}
 			var pool exec.ClusterPool
 			cfg := exec.Config{Clusters: &pool}
-			warm, err := exec.Run(c.plan, c.db, cfg)
+			warm, err := exec.Execute(exec.OneRound(c.plan), c.db, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,13 +150,13 @@ func TestRunAllocatesOneHeaderPerAnswer(t *testing.T) {
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, err := exec.Run(c.plan, c.db, cfg)
+			res, err := exec.Execute(exec.OneRound(c.plan), c.db, cfg)
 			runtime.ReadMemStats(&after)
 			if err != nil || len(res.Output) != n {
 				t.Fatalf("second run: %d answers, err %v", len(res.Output), err)
 			}
 			got := after.TotalAlloc - before.TotalAlloc
-			if budget := c.budget(n, k, res.Loads.TotalTuples); got > budget {
+			if budget := c.budget(n, k, res.Rounds[0].TotalTuples); got > budget {
 				t.Errorf("one Run of %d answers allocated %d bytes, budget %d", n, got, budget)
 			}
 		})
@@ -186,7 +190,7 @@ func TestRunOutputAliasing(t *testing.T) {
 			columns = append(columns, slices.Clone(col))
 		}
 	}
-	res, err := exec.Run(skew.PlanJoin(q, db, skew.JoinConfig{P: 16, Seed: 1}).Phys, db, exec.Config{})
+	res, err := exec.Execute(exec.OneRound(skew.PlanJoin(q, db, skew.JoinConfig{P: 16, Seed: 1}).Phys), db, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +244,8 @@ func TestRunOutputEdges(t *testing.T) {
 		if router == nil {
 			router = hypercube.BuildPlan(q, db, hypercube.Config{P: 3, Seed: 1}).Phys.Router
 		}
-		plan := &exec.PhysicalPlan{Strategy: "test", Virtual: 3, Physical: 3, Router: router, Query: q}
-		res, err := exec.Run(plan, db, exec.Config{})
+		plan := &exec.PhysicalPlan{Strategy: "test", Virtual: 3, Physical: 3, Router: router, Relations: q.AtomNames(), Query: q}
+		res, err := exec.Execute(exec.OneRound(plan), db, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

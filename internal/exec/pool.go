@@ -130,6 +130,6 @@ func (cp *ClusterPool) Stats() PoolStats {
 	return st
 }
 
-// sharedClusters serves every Run/RunPipeline without an explicit
+// sharedClusters serves every execution without an explicit
 // Config.Clusters pool.
 var sharedClusters ClusterPool

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mpc"
@@ -67,10 +68,10 @@ func TestClusterPoolGetPanicsOnZero(t *testing.T) {
 // statistical), and loads must never drift — no state leaks through reuse.
 func TestRunReusesPooledCluster(t *testing.T) {
 	db := testDB()
-	plan := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4)}
+	plan := &PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4), Relations: []string{"S"}, Query: copyS}
 	var cp ClusterPool
 	cfg := Config{Clusters: &cp}
-	r1, _ := Run(plan, db, cfg)
+	r1, _ := Execute(OneRound(plan), db, cfg)
 	seen := make(map[*mpc.Cluster]bool)
 	reused := false
 	for i := 0; i < 64 && !reused; i++ {
@@ -80,9 +81,9 @@ func TestRunReusesPooledCluster(t *testing.T) {
 		}
 		seen[probe] = true
 		cp.Put(probe)
-		r, _ := Run(plan, db, cfg)
-		if r.Loads != r1.Loads || r.MaxVirtualBits != r1.MaxVirtualBits {
-			t.Fatalf("loads drifted across pooled reuse: %+v vs %+v", r.Loads, r1.Loads)
+		r, _ := Execute(OneRound(plan), db, cfg)
+		if r.Rounds[0].LoadSummary != r1.Rounds[0].LoadSummary || !slices.Equal(r.Rounds[0].PerServerBits, r1.Rounds[0].PerServerBits) {
+			t.Fatalf("loads drifted across pooled reuse: %+v vs %+v", r.Rounds[0], r1.Rounds[0])
 		}
 	}
 	if !reused {

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -39,10 +40,10 @@ func countRoutes(pipe *exec.Pipeline, rows *atomic.Int64) *exec.Pipeline {
 	return &out
 }
 
-func sortedKeys(r *data.Relation) []string {
-	keys := make([]string, r.Size())
-	for i := range keys {
-		keys[i] = r.Tuple(i).Key()
+func sortedKeys(ts []data.Tuple) []string {
+	keys := make([]string, len(ts))
+	for i, t := range ts {
+		keys[i] = t.Key()
 	}
 	slices.Sort(keys)
 	return keys
@@ -72,7 +73,7 @@ func TestRoundReplayRoutesLessThanFullRetry(t *testing.T) {
 	if total < 2 {
 		t.Fatalf("triangle pipeline drives %d rounds, want at least 2", total)
 	}
-	clean, err := exec.RunPipeline(pipe, db, exec.Config{})
+	clean, err := exec.Execute(pipe, db, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRoundReplayRoutesLessThanFullRetry(t *testing.T) {
 
 		var replayRows atomic.Int64
 		var rec exec.Recovery
-		res, err := exec.RunPipeline(countRoutes(pipe, &replayRows), db, exec.Config{
+		res, err := exec.Execute(countRoutes(pipe, &replayRows), db, exec.Config{
 			Faults:   &mpc.Faults{Seed: seed, TornRound: 0.5},
 			Retry:    exec.Retry{BaseBackoff: -1},
 			Recovery: &rec,
@@ -113,7 +114,7 @@ func TestRoundReplayRoutesLessThanFullRetry(t *testing.T) {
 		}
 		for i, rl := range res.Rounds {
 			rl.Replays = clean.Rounds[i].Replays
-			if rl != clean.Rounds[i] {
+			if !reflect.DeepEqual(rl, clean.Rounds[i]) {
 				t.Fatalf("round %d: stage %d load %+v, clean %+v", k, i, res.Rounds[i], clean.Rounds[i])
 			}
 		}
@@ -121,10 +122,10 @@ func TestRoundReplayRoutesLessThanFullRetry(t *testing.T) {
 		var fullRows atomic.Int64
 		full := countRoutes(pipe, &fullRows)
 		cfg := exec.Config{Faults: &mpc.Faults{Seed: seed, TornRound: 0.5}, Retry: exec.Retry{MaxAttempts: -1}}
-		if _, err := exec.RunPipeline(full, db, cfg); !errors.Is(err, mpc.ErrTornRound) {
+		if _, err := exec.Execute(full, db, cfg); !errors.Is(err, mpc.ErrTornRound) {
 			t.Fatalf("round %d: full retry's first run: err = %v, want ErrTornRound", k, err)
 		}
-		if _, err := exec.RunPipeline(full, db, cfg); err != nil {
+		if _, err := exec.Execute(full, db, cfg); err != nil {
 			t.Fatalf("round %d: full retry's rerun: %v", k, err)
 		}
 

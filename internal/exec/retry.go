@@ -4,12 +4,11 @@
 // round the natural unit of recovery: the communication engine logs where a
 // round's rows go and commits them only when every send part arrived (see
 // internal/mpc/comm.go), so a torn round leaves resident state
-// bit-identical to the pre-round state and can simply be re-driven. Run and
-// RunPipeline build on that invariant — a fault in pipeline round k replays
-// only round k, and a failed compute phase re-runs only the failed servers
-// (local compute is a pure function of a server's fragments). Retry is the
-// policy that bounds this recovery; Recovery reports how much of it an
-// execution needed.
+// bit-identical to the pre-round state and can simply be re-driven. Execute
+// builds on that invariant — a fault in round k replays only round k, and a
+// failed compute phase re-runs only the failed servers (local compute is a
+// pure function of a server's fragments). Retry is the policy that bounds
+// this recovery; Recovery reports how much of it an execution needed.
 package exec
 
 import (

@@ -48,17 +48,10 @@ func threeRoundPipeline() *Pipeline {
 	return &Pipeline{Strategy: "test", Physical: 2, Stages: []Stage{s1, s2, s3}}
 }
 
-// relRows canonicalizes a relation into sorted row tuples for multiset
-// comparison.
-func relRows(r *data.Relation) [][]int64 {
-	rows := make([][]int64, r.Size())
-	for i := 0; i < r.Size(); i++ {
-		row := make([]int64, r.Arity)
-		for c := 0; c < r.Arity; c++ {
-			row[c] = r.At(i, c)
-		}
-		rows[i] = row
-	}
+// sortedRows copies answers into sorted rows for multiset comparison.
+func sortedRows(ts []data.Tuple) []data.Tuple {
+	rows := make([]data.Tuple, len(ts))
+	copy(rows, ts)
 	sort.Slice(rows, func(i, j int) bool {
 		for c := range rows[i] {
 			if rows[i][c] != rows[j][c] {
@@ -70,12 +63,12 @@ func relRows(r *data.Relation) [][]int64 {
 	return rows
 }
 
-func assertSameOutput(t *testing.T, want, got *data.Relation) {
+func assertSameOutput(t *testing.T, want, got []data.Tuple) {
 	t.Helper()
-	if want.Arity != got.Arity || want.Size() != got.Size() {
-		t.Fatalf("output shape differs: %dx%d vs %dx%d", got.Size(), got.Arity, want.Size(), want.Arity)
+	if len(want) != len(got) {
+		t.Fatalf("output size differs: %d vs %d", len(got), len(want))
 	}
-	w, g := relRows(want), relRows(got)
+	w, g := sortedRows(want), sortedRows(got)
 	for i := range w {
 		for c := range w[i] {
 			if w[i][c] != g[i][c] {
@@ -90,58 +83,72 @@ func assertSameOutput(t *testing.T, want, got *data.Relation) {
 // exactly round k's first attempt must replay only round k — the other
 // stages report zero replays, the recovery counters say one replayed round,
 // and the output and per-round loads match the fault-free oracle exactly.
+// A one-round plan is a one-stage pipeline and reports its replay the same
+// way.
 func TestPipelineReplaysOnlyTornRound(t *testing.T) {
 	db := testDB()
-	oracle, err := RunPipeline(threeRoundPipeline(), db, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(seed uint64) *mpc.Faults { return &mpc.Faults{Seed: seed, TornRound: 0.5} }
-	for k := uint64(1); k <= 3; k++ {
-		k := k
-		seed := findRetrySeed(t, mk, func(f *mpc.Faults) bool {
-			for r := uint64(1); r <= 3; r++ {
-				if r == k {
-					if !f.WouldTearRoundAttempt(r, 1) || f.WouldTearRoundAttempt(r, 2) {
-						return false
+	oneRound := OneRound(&PhysicalPlan{Strategy: "test", Virtual: 4, Physical: 2, Router: modRouter(4), Relations: []string{"S"}, Query: copyS})
+	for _, c := range []struct {
+		name   string
+		pl     *Pipeline
+		rounds uint64
+	}{{"three rounds", threeRoundPipeline(), 3}, {"one round", oneRound, 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			oracle, err := Execute(c.pl, db, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func(seed uint64) *mpc.Faults { return &mpc.Faults{Seed: seed, TornRound: 0.5} }
+			for k := uint64(1); k <= c.rounds; k++ {
+				k := k
+				seed := findRetrySeed(t, mk, func(f *mpc.Faults) bool {
+					for r := uint64(1); r <= c.rounds; r++ {
+						if r == k {
+							if !f.WouldTearRoundAttempt(r, 1) || f.WouldTearRoundAttempt(r, 2) {
+								return false
+							}
+						} else if f.WouldTearRoundAttempt(r, 1) {
+							return false
+						}
 					}
-				} else if f.WouldTearRoundAttempt(r, 1) {
-					return false
+					return true
+				})
+				var rec Recovery
+				var rs recordSleep
+				res, err := Execute(c.pl, db, Config{
+					Faults:   mk(seed),
+					Retry:    Retry{Sleep: rs.sleep},
+					Recovery: &rec,
+				})
+				if err != nil {
+					t.Fatalf("round %d: recoverable tear surfaced: %v", k, err)
 				}
+				if rec.Attempts != 1 || rec.RoundsReplayed != 1 || rec.ServersRecomputed != 0 {
+					t.Fatalf("round %d: Recovery = %+v, want exactly 1 attempt replaying 1 round", k, rec)
+				}
+				if len(rs.waits) != 1 {
+					t.Fatalf("round %d: %d backoff waits, want 1", k, len(rs.waits))
+				}
+				for i, rl := range res.Rounds {
+					wantReplays := 0
+					if uint64(i+1) == k {
+						wantReplays = 1
+					}
+					if rl.Replays != wantReplays {
+						t.Fatalf("round %d: stage %d Replays = %d, want %d", k, i, rl.Replays, wantReplays)
+					}
+					want := oracle.Rounds[i]
+					if rl.MaxBits != want.MaxBits || rl.TotalBits != want.TotalBits ||
+						rl.Intermediate != want.Intermediate || rl.ResidentTuples != want.ResidentTuples {
+						t.Fatalf("round %d: stage %d load %+v differs from fault-free %+v", k, i, rl, want)
+					}
+					if !slices.Equal(rl.PerServerBits, want.PerServerBits) {
+						t.Fatalf("round %d: stage %d per-server bits %v differ from fault-free %v", k, i, rl.PerServerBits, want.PerServerBits)
+					}
+				}
+				assertSameOutput(t, oracle.Output, res.Output)
 			}
-			return true
 		})
-		var rec Recovery
-		var rs recordSleep
-		res, err := RunPipeline(threeRoundPipeline(), db, Config{
-			Faults:   mk(seed),
-			Retry:    Retry{Sleep: rs.sleep},
-			Recovery: &rec,
-		})
-		if err != nil {
-			t.Fatalf("round %d: recoverable tear surfaced: %v", k, err)
-		}
-		if rec.Attempts != 1 || rec.RoundsReplayed != 1 || rec.ServersRecomputed != 0 {
-			t.Fatalf("round %d: Recovery = %+v, want exactly 1 attempt replaying 1 round", k, rec)
-		}
-		if len(rs.waits) != 1 {
-			t.Fatalf("round %d: %d backoff waits, want 1", k, len(rs.waits))
-		}
-		for i, rl := range res.Rounds {
-			wantReplays := 0
-			if uint64(i+1) == k {
-				wantReplays = 1
-			}
-			if rl.Replays != wantReplays {
-				t.Fatalf("round %d: stage %d Replays = %d, want %d", k, i, rl.Replays, wantReplays)
-			}
-			want := oracle.Rounds[i]
-			if rl.MaxBits != want.MaxBits || rl.TotalBits != want.TotalBits ||
-				rl.Intermediate != want.Intermediate || rl.ResidentTuples != want.ResidentTuples {
-				t.Fatalf("round %d: stage %d load %+v differs from fault-free %+v", k, i, rl, want)
-			}
-		}
-		assertSameOutput(t, oracle.Output, res.Output)
 	}
 }
 
@@ -156,7 +163,7 @@ func TestPipelineRetryBudgetSharedAcrossRounds(t *testing.T) {
 	})
 	var rec Recovery
 	var rs recordSleep
-	_, err := RunPipeline(threeRoundPipeline(), testDB(), Config{
+	_, err := Execute(threeRoundPipeline(), testDB(), Config{
 		Faults:   mk(seed),
 		Retry:    Retry{MaxAttempts: 2, Sleep: rs.sleep},
 		Recovery: &rec,
@@ -173,7 +180,7 @@ func TestPipelineRetryBudgetSharedAcrossRounds(t *testing.T) {
 // just the failed servers; the recovered run matches the fault-free oracle.
 func TestPipelineRecomputesOnlyFailedServers(t *testing.T) {
 	db := testDB()
-	oracle, err := RunPipeline(threeRoundPipeline(), db, Config{})
+	oracle, err := Execute(threeRoundPipeline(), db, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +205,7 @@ func TestPipelineRecomputesOnlyFailedServers(t *testing.T) {
 	})
 	var rec Recovery
 	var rs recordSleep
-	res, err := RunPipeline(threeRoundPipeline(), db, Config{
+	res, err := Execute(threeRoundPipeline(), db, Config{
 		Faults:   mk(seed),
 		Retry:    Retry{Sleep: rs.sleep},
 		Recovery: &rec,
@@ -224,8 +231,8 @@ func TestPipelineRecomputesOnlyFailedServers(t *testing.T) {
 func TestRunRecomputesOnlyFailedServer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db := testDB()
-	plan := &PhysicalPlan{Strategy: "test", Virtual: 3, Physical: 3, Router: modRouter(3), Query: copyS}
-	oracle, err := Run(plan, db, Config{})
+	plan := &PhysicalPlan{Strategy: "test", Virtual: 3, Physical: 3, Router: modRouter(3), Relations: []string{"S"}, Query: copyS}
+	oracle, err := Execute(OneRound(plan), db, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +251,7 @@ func TestRunRecomputesOnlyFailedServer(t *testing.T) {
 	})
 	var rec Recovery
 	var rs recordSleep
-	res, err := Run(plan, db, Config{Faults: mk(seed), Retry: Retry{Sleep: rs.sleep}, Recovery: &rec})
+	res, err := Execute(OneRound(plan), db, Config{Faults: mk(seed), Retry: Retry{Sleep: rs.sleep}, Recovery: &rec})
 	if err != nil {
 		t.Fatalf("recoverable compute failure surfaced: %v", err)
 	}

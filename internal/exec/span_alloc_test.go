@@ -46,7 +46,7 @@ func TestSpanRoutedRoundDoesNotAllocatePerTuple(t *testing.T) {
 			}
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}); err != nil {
+			if _, err := exec.Execute(exec.OneRound(plan.Phys), db, exec.Config{SkipCompute: true}); err != nil {
 				t.Fatal(err)
 			}
 		})

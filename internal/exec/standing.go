@@ -10,7 +10,7 @@ import (
 	"repro/internal/query"
 )
 
-// Standing is the incremental counterpart of Run for a one-round plan: it
+// Standing is the incremental counterpart of Execute for a one-round plan: it
 // executes the plan's communication and local phases once to seed resident
 // per-server state, then maintains the result under single-tuple deltas.
 // ApplyOp routes one inserted or deleted tuple through the plan's (frozen,
@@ -21,7 +21,7 @@ import (
 // of the *other* atoms, and folds the resulting derivations — positive for
 // inserts, negative for deletes — into a counted output fragment. An
 // advance therefore costs O(|delta| · matched derivations) instead of the
-// full-database routing a cache-hit Run pays.
+// full-database routing a cache-hit Execute pays.
 //
 // Correctness rests on three invariants of this repository's plans: every
 // strategy's local phase is the natural join of the server's received
@@ -99,7 +99,7 @@ type deltaStep struct {
 // pass an immutable snapshot epoch (data.Database.Snapshot) or otherwise
 // exclude Apply — and the plan must be the same single-round, Query-bearing
 // plan the engine would execute for q. The seed's round and compute phase
-// recover injected faults exactly as Run does, within cfg.Retry's budget.
+// recover injected faults exactly as Execute does, within cfg.Retry's budget.
 func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Config) (*Standing, error) {
 	if plan.Query == nil {
 		return nil, fmt.Errorf("exec: standing: %s plan has no local phase", plan.Strategy)
@@ -126,10 +126,7 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		return cluster.RoundRelations(plan.Router, rels...)
 	})
 	if err != nil {
-		if cfg.recoverable(err) {
-			return nil, err
-		}
-		panic(fmt.Sprintf("exec: standing: %s routing failed: %v", plan.Strategy, err))
+		return nil, cfg.roundErr("standing: "+plan.Strategy+" routing", err)
 	}
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err

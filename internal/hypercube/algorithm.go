@@ -180,8 +180,8 @@ type Config struct {
 
 // Plan is the §3.1 planner output: the selected shares with their LP
 // prediction, lowered to the unified executor's PhysicalPlan; run it with
-// exec.Run. Plans are reusable across executions (Engine's plan cache holds
-// them).
+// exec.Execute(exec.OneRound(Phys), …). Plans are reusable across
+// executions (Engine's plan cache holds them).
 type Plan struct {
 	Shares        []int
 	PredictedBits float64 // p^λ for the LP optimum λ (LP-based share selection only)
@@ -220,7 +220,7 @@ func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 		Relations: q.AtomNames(),
 		Query:     q,
 		// The share product is validated above, so HC routing cannot emit
-		// out-of-range destinations; exec.Run treats any error as a bug.
+		// out-of-range destinations; exec.Execute treats any error as a bug.
 		PredictedBits: pl.PredictedBits,
 	}
 	return pl

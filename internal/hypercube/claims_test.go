@@ -74,7 +74,7 @@ func TestExample33JoinShares(t *testing.T) {
 		{"one-z/hash", oneZ, hashJoin, 2 * mf},
 	} {
 		_, res := run(t, q, c.db, Config{P: p, Seed: 9, Shares: c.shares}, true)
-		checkRatio(t, c.name+" max tuples", float64(res.Loads.MaxTuples), c.want, 0.2, 8*math.Log(pf))
+		checkRatio(t, c.name+" max tuples", float64(res.Rounds[0].MaxTuples), c.want, 0.2, 8*math.Log(pf))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestTheorems34to36MatchingBounds(t *testing.T) {
 		pl, res := run(t, c.q, db, Config{P: p, Seed: 11}, true)
 		checkRatio(t, c.q.Name+" PredictedBits / SimpleLower", pl.PredictedBits, lower, 0.999, 1.001)
 		polylog := 10 * math.Pow(math.Log(p), float64(c.q.NumVars()))
-		checkRatio(t, c.q.Name+" max bits / SimpleLower", float64(res.Loads.MaxBits), lower, 0.15, polylog)
+		checkRatio(t, c.q.Name+" max bits / SimpleLower", float64(res.Rounds[0].MaxBits), lower, 0.15, polylog)
 	}
 }
 
@@ -145,10 +145,10 @@ func TestLemma31RouterLoads(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, res := run(t, q, dbOf(c.r), Config{P: 256, Seed: 13, Shares: []int{16, 16}}, true)
-			if res.Loads.TotalTuples != m {
-				t.Errorf("routed %d tuples, want each of %d once", res.Loads.TotalTuples, m)
+			if res.Rounds[0].TotalTuples != m {
+				t.Errorf("routed %d tuples, want each of %d once", res.Rounds[0].TotalTuples, m)
 			}
-			checkRatio(t, "max tuples", float64(res.Loads.MaxTuples), c.ref, c.lo, c.hi)
+			checkRatio(t, "max tuples", float64(res.Rounds[0].MaxTuples), c.ref, c.lo, c.hi)
 		})
 	}
 	t.Run("one_dimension", func(t *testing.T) {
@@ -158,14 +158,14 @@ func TestLemma31RouterLoads(t *testing.T) {
 			r.Add(i * 97 % 100000)
 		}
 		_, res := run(t, query.MustParse("q(x) = R(x)"), dbOf(r), Config{P: p, Seed: 42, Shares: []int{p}}, true)
-		if res.Loads.TotalTuples != m {
-			t.Errorf("routed %d tuples, want each of %d once", res.Loads.TotalTuples, m)
+		if res.Rounds[0].TotalTuples != m {
+			t.Errorf("routed %d tuples, want each of %d once", res.Rounds[0].TotalTuples, m)
 		}
-		if res.Loads.MaxTuples < m/p {
-			t.Errorf("max load %d below the mean %d", res.Loads.MaxTuples, m/p)
+		if res.Rounds[0].MaxTuples < m/p {
+			t.Errorf("max load %d below the mean %d", res.Rounds[0].MaxTuples, m/p)
 		}
-		mean, least := res.Loads.TotalBits/p, res.Loads.MaxBits
-		for _, b := range res.PerServerBits {
+		mean, least := res.Rounds[0].TotalBits/p, res.Rounds[0].MaxBits
+		for _, b := range res.Rounds[0].PerServerBits {
 			least = min(least, b)
 		}
 		if least > mean {
@@ -206,11 +206,11 @@ func TestRoundGreedyBeatsFloor(t *testing.T) {
 		if used := product(greedy.Shares); used > p || used <= product(floor) {
 			t.Errorf("greedy shares %v use %d servers, want more than floor %v and at most %d", greedy.Shares, used, floor, p)
 		}
-		if gres.Loads.MaxTuples > fres.Loads.MaxTuples {
+		if gres.Rounds[0].MaxTuples > fres.Rounds[0].MaxTuples {
 			t.Errorf("greedy %v max tuples %d > floor %v max tuples %d",
-				greedy.Shares, gres.Loads.MaxTuples, floor, fres.Loads.MaxTuples)
+				greedy.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
 		}
-		t.Logf("greedy %v max tuples %d, floor %v max tuples %d", greedy.Shares, gres.Loads.MaxTuples, floor, fres.Loads.MaxTuples)
+		t.Logf("greedy %v max tuples %d, floor %v max tuples %d", greedy.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
 	})
 }
 

@@ -200,7 +200,7 @@ func mkDB(q *query.Query, m int, domain int64, seed int64) *data.Database {
 func run(t *testing.T, q *query.Query, db *data.Database, cfg Config, skip bool) (*Plan, exec.Result) {
 	t.Helper()
 	pl := BuildPlan(q, db, cfg)
-	res, err := exec.Run(pl.Phys, db, exec.Config{SkipCompute: skip})
+	res, err := exec.Execute(exec.OneRound(pl.Phys), db, exec.Config{SkipCompute: skip})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRunDeterministicAcrossSeeds(t *testing.T) {
 	db := mkDB(q, 100, 200, 3)
 	_, a := run(t, q, db, Config{P: 8, Seed: 42}, false)
 	_, b := run(t, q, db, Config{P: 8, Seed: 42}, false)
-	if a.Loads.MaxBits != b.Loads.MaxBits || len(a.Output) != len(b.Output) {
+	if a.Rounds[0].MaxBits != b.Rounds[0].MaxBits || len(a.Output) != len(b.Output) {
 		t.Error("same seed gave different runs")
 	}
 }
@@ -289,7 +289,7 @@ func TestRunLoadWithinPolylogOfPrediction(t *testing.T) {
 	if pl.PredictedBits <= 0 {
 		t.Fatal("no prediction")
 	}
-	factor := float64(res.Loads.MaxBits) / pl.PredictedBits
+	factor := float64(res.Rounds[0].MaxBits) / pl.PredictedBits
 	logK := math.Pow(math.Log(float64(p)), float64(q.NumVars()))
 	if factor > logK {
 		t.Errorf("measured/predicted = %v exceeds ln^k p = %v", factor, logK)
@@ -354,7 +354,11 @@ func TestRunWithWCOJLocalJoins(t *testing.T) {
 		db := mkDB(q, 250, 40, 13)
 		pl := BuildPlan(q, db, Config{P: 8, Seed: 2})
 		c := mpc.NewCluster(pl.Phys.Virtual)
-		if err := c.Round(db, pl.Phys.Router); err != nil {
+		var rels []*data.Relation
+		for _, name := range pl.Phys.Relations {
+			rels = append(rels, db.MustGet(name))
+		}
+		if err := c.RoundRelations(pl.Phys.Router, rels...); err != nil {
 			t.Fatalf("%s: round: %v", q.Name, err)
 		}
 		for _, s := range c.Servers {
@@ -462,7 +466,7 @@ func TestPredictLoadSkewFreeMatchesSimulation(t *testing.T) {
 	pred := PredictLoadSkewFree(q, bits, shares)
 	_, res := run(t, q, db, Config{P: 64, Seed: 3, Shares: shares}, true)
 	// Measured = Σ_j per-relation loads ≤ ℓ · max_j ... so within [1, 3]×.
-	ratio := float64(res.Loads.MaxBits) / pred
+	ratio := float64(res.Rounds[0].MaxBits) / pred
 	if ratio < 0.9 || ratio > 4 {
 		t.Errorf("measured/predicted = %v", ratio)
 	}
@@ -487,10 +491,10 @@ func TestPredictLoadWorstCaseHolds(t *testing.T) {
 	shares := EqualShares(3, 64)
 	pred := PredictLoadWorstCase(q, bits, shares)
 	_, res := run(t, q, db, Config{P: 64, Seed: 3, Shares: shares}, true)
-	ratio := float64(res.Loads.MaxBits) / pred
+	ratio := float64(res.Rounds[0].MaxBits) / pred
 	if ratio > 4 {
 		t.Errorf("measured %v exceeds worst-case formula %v by %vx",
-			res.Loads.MaxBits, pred, ratio)
+			res.Rounds[0].MaxBits, pred, ratio)
 	}
 }
 
@@ -536,7 +540,7 @@ func TestHashJoinSharesRouteByZ(t *testing.T) {
 				}
 			}
 			bpt := db.MustGet("S1").BitsPerTuple()
-			for id, bits := range res.PerServerBits {
+			for id, bits := range res.Rounds[0].PerServerBits {
 				if bits != counts[id]*bpt {
 					t.Errorf("p=%d seed=%d: server %d received %d bits, want %d tuples × %d", p, seed, id, bits, counts[id], bpt)
 				}

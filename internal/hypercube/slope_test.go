@@ -61,7 +61,7 @@ func checkSlope(t *testing.T, ps []int, loads []float64, want float64) {
 func maxBits(t *testing.T, q *query.Query, db *data.Database, cfg Config) float64 {
 	t.Helper()
 	_, res := run(t, q, db, cfg, true)
-	return float64(res.Loads.MaxBits)
+	return float64(res.Rounds[0].MaxBits)
 }
 
 // TestSlopeHyperCubeCatalog checks Theorem 3.5 on matchings: HyperCube's
@@ -111,7 +111,7 @@ func TestSlopeCartesianUnequal(t *testing.T) {
 	loads := make([]float64, len(sweepWide))
 	for i, p := range sweepWide {
 		_, res := run(t, q, db, Config{P: p, Seed: 5}, true)
-		loads[i] = float64(res.Loads.MaxTuples)
+		loads[i] = float64(res.Rounds[0].MaxTuples)
 		pred := 2 * math.Sqrt(float64(m1)*float64(m2)/float64(p))
 		if r := loads[i] / pred; r < 0.4 || r > 3 {
 			t.Errorf("p=%d: load %.0f tuples is %.2f× 2√(m1·m2/p)", p, loads[i], r)
@@ -135,12 +135,12 @@ func TestSlopeEqualSharesOneZ(t *testing.T) {
 	hash := make([]float64, len(sweepWide))
 	for i, p := range sweepWide {
 		_, res := run(t, q, db, Config{P: p, Seed: 3, Shares: EqualShares(3, p)}, true)
-		equal[i] = float64(res.Loads.MaxTuples)
+		equal[i] = float64(res.Rounds[0].MaxTuples)
 		if r := equal[i] / (2 * m / math.Cbrt(float64(p))); r < 0.2 || r > 6 {
 			t.Errorf("p=%d: equal shares load %.0f tuples is %.2f× 2m/∛p", p, equal[i], r)
 		}
 		_, res = run(t, q, db, Config{P: p, Seed: 3, Shares: []int{1, 1, p}}, true)
-		hash[i] = float64(res.Loads.MaxTuples)
+		hash[i] = float64(res.Rounds[0].MaxTuples)
 		if r := hash[i] / (2 * m); r < 0.9 || r > 1.1 {
 			t.Errorf("p=%d: hash join load %.0f tuples is %.2f× 2m", p, hash[i], r)
 		}

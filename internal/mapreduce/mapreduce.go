@@ -66,11 +66,20 @@ func ReplicationLowerBound(q *query.Query, bitsM []float64, l float64) float64 {
 }
 
 // MeasuredReplication routes q's HyperCube plan to p reducers and reports
-// (replication rate, max reducer load in bits). Sweeping p trades reducer
-// size against replication — the r-versus-L curve of Example 5.2. Both
-// depend on routing alone, so the reducers never compute the join.
+// (replication rate, max reducer load in bits). The rate is the bits routed
+// over the bits of q's relations — the input |I| — so relations q does not
+// name never dilute it. Sweeping p trades reducer size against replication
+// — the r-versus-L curve of Example 5.2. Both depend on routing alone, so
+// the reducers never compute the join.
 func MeasuredReplication(q *query.Query, db *data.Database, p int, seed uint64) (r float64, maxBits int64) {
-	plan := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed})
-	res, _ := exec.Run(plan.Phys, db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
-	return res.Loads.Replication, res.Loads.MaxBits
+	plan := hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed}).Phys
+	res, _ := exec.Execute(exec.OneRound(plan), db, exec.Config{SkipCompute: true}) // no ctx, no faults: never errors
+	var input int64
+	for _, name := range plan.Relations {
+		input += db.MustGet(name).Bits()
+	}
+	if input > 0 {
+		r = float64(res.TotalBits()) / float64(input)
+	}
+	return r, res.MaxLoadBits()
 }

@@ -81,7 +81,8 @@ func TestMinReducersTriangle(t *testing.T) {
 // mean a smaller reducer size L and a larger replication rate r, r stays
 // above the Theorem 5.1 bound, and r scales as L^{-1/2} (Example 5.2):
 // between consecutive p, the ratio of r is within a factor 2 of
-// sqrt(L ratio).
+// sqrt(L ratio). A relation the query does not name, living in the same
+// database, changes neither r nor L.
 func TestMeasuredReplicationShape(t *testing.T) {
 	q := query.Triangle()
 	for _, c := range []struct {
@@ -105,8 +106,10 @@ func TestMeasuredReplicationShape(t *testing.T) {
 				bitsM[j] = float64(db.MustGet(a.Name).Bits())
 			}
 			var prevR, prevL float64
+			rs, ls := make([]float64, len(c.ps)), make([]int64, len(c.ps))
 			for i, p := range c.ps {
 				r, maxBits := MeasuredReplication(q, db, p, c.hashSeed)
+				rs[i], ls[i] = r, maxBits
 				l := float64(maxBits)
 				if lb := ReplicationLowerBound(q, bitsM, l); r < lb {
 					t.Errorf("p=%d: r = %.2f below the Theorem 5.1 bound %.2f", p, r, lb)
@@ -120,6 +123,12 @@ func TestMeasuredReplicationShape(t *testing.T) {
 					}
 				}
 				prevR, prevL = r, l
+			}
+			db.Put(workload.Uniform("T", 2, c.m, c.domain, c.dbSeed+1))
+			for i, p := range c.ps {
+				if r, maxBits := MeasuredReplication(q, db, p, c.hashSeed); r != rs[i] || maxBits != ls[i] {
+					t.Errorf("p=%d: with an unrelated T in the database r = %.2f and L = %d, want %.2f and %d", p, r, maxBits, rs[i], ls[i])
+				}
 			}
 		})
 	}

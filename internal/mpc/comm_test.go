@@ -262,7 +262,7 @@ func runEngines(t *testing.T, seed uint64) {
 	engine := NewCluster(p)
 	engine.Senders = 1 + rng.Intn(12)
 	engine.ResidentChunk = 1 + rng.Intn(64)
-	if err := engine.Round(db, router); err != nil {
+	if err := roundAll(engine, db, router); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
 	assertClustersEquivalent(t, reference, engine)
@@ -340,7 +340,7 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := NewCluster(2)
-	if err := engine.Round(db, router); err != nil {
+	if err := roundAll(engine, db, router); err != nil {
 		t.Fatal(err)
 	}
 	want := []struct {
@@ -369,7 +369,7 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 func TestShardedOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -383,7 +383,7 @@ func TestShardedOutOfRangeReportsError(t *testing.T) {
 func TestResizeReusesServersAndMaps(t *testing.T) {
 	c := NewCluster(8)
 	db := singleRel(100)
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
@@ -411,7 +411,7 @@ func TestResizeReusesServersAndMaps(t *testing.T) {
 	if c.Servers[0] != s0 || c.Servers[7] != s7 {
 		t.Error("growing back did not reuse parked servers")
 	}
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
@@ -474,7 +474,7 @@ func TestShuffleResidentChunksHotFragment(t *testing.T) {
 	}
 	db.Put(r)
 	c := NewCluster(8)
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0) // one hot server holds the whole intermediate
 	})); err != nil {
 		t.Fatal(err)
@@ -554,7 +554,7 @@ func TestShardedGoroutineBound(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 3; r++ {
-			if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+			if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 				return append(dst, int(rel.At(row, 0)%512), int((rel.At(row, 0)*7)%512))
 			})); err != nil {
 				t.Error(err)
@@ -598,7 +598,7 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	}
 	before := heap()
 	c := NewCluster(p)
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%p))
 	})); err != nil {
 		t.Fatal(err)
@@ -608,7 +608,7 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		v := int(rel.At(row, 0))
 		a := v % p
 		return append(dst, a, (a+1+v/p%(p-1))%p)
@@ -693,14 +693,14 @@ func TestWarmFanOutRoundAllocatesOnlyFragments(t *testing.T) {
 	c := NewCluster(p)
 	for warm := 0; warm < 3; warm++ {
 		c.Reset()
-		if err := c.Round(db, router); err != nil {
+		if err := roundAll(c, db, router); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Reset()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := c.Round(db, router); err != nil {
+	if err := roundAll(c, db, router); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

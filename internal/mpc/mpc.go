@@ -172,10 +172,9 @@ type Cluster struct {
 	// phase number.
 	curPhase     uint64
 	phaseAttempt uint64
-	// faultMu/faultErr record the first injected compute failure of the
-	// current execution; TakeFault surfaces and clears it. faultMu also
-	// guards the failed-server list ComputeOn collects.
-	faultMu  sync.Mutex
+	// faultMu guards the failed-server list ComputeOn collects.
+	faultMu sync.Mutex
+	// faultErr is ComputeResident's first compute failure (frozen.go).
 	faultErr error
 }
 
@@ -224,26 +223,14 @@ func (c *Cluster) Resize(p int) *Cluster {
 // the largest p Resize can serve without growing.
 func (c *Cluster) Capacity() int { return len(c.pool) }
 
-// Round executes the communication phase: every tuple of every relation in
-// db is routed by router and delivered to its destination servers. Loads
-// accumulate across calls, so a multi-step single-round algorithm (like the
-// skew join's four logical steps) may call Round repeatedly before Compute.
+// RoundRelations executes the communication phase: every tuple of every
+// given relation is routed by router and delivered to its destination
+// servers. Loads accumulate across calls, so a multi-step single-round
+// algorithm may route in several calls before computing.
 //
-// Round returns an error if the router emits a destination outside
+// RoundRelations returns an error if the router emits a destination outside
 // [0, P); tuples with bad destinations are dropped and the first error is
 // reported after the phase drains.
-func (c *Cluster) Round(db *data.Database, router Router) error {
-	rels := make([]*data.Relation, 0, len(db.Relations))
-	for _, name := range db.Names() {
-		rels = append(rels, db.Relations[name])
-	}
-	return c.RoundRelations(router, rels...)
-}
-
-// RoundRelations is Round restricted to an explicit relation list: only the
-// given relations are routed, so a multi-round pipeline re-routes just the
-// relations entering the current round instead of rescanning the whole
-// database to produce empty destination lists.
 func (c *Cluster) RoundRelations(router Router, rels ...*data.Relation) error {
 	senders := c.Senders
 	if senders <= 0 {
@@ -272,9 +259,9 @@ const DefaultResidentChunkTuples = 1024
 // exactly the fragments newly delivered to it. This is how a multi-round
 // pipeline moves an intermediate result into the next round's layout
 // without concatenating it at the coordinator and re-ingesting it as a
-// fresh database. Loads accumulate exactly as in Round (received bits are
-// the model's load, whatever server sent them). Fragments larger than the
-// chunking threshold are split into multiple send parts.
+// fresh database. Loads accumulate exactly as in RoundRelations (received
+// bits are the model's load, whatever server sent them). Fragments larger
+// than the chunking threshold are split into multiple send parts.
 func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 	chunk := c.ResidentChunk
 	if chunk <= 0 {
@@ -313,8 +300,8 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 }
 
 // sendPart is one unit of routing work: rows [lo, hi) of one relation (an
-// input-server partition in Round, a resident server fragment — or a chunk
-// of one — in ShuffleResident).
+// input-server partition in RoundRelations, a resident server fragment — or
+// a chunk of one — in ShuffleResident).
 type sendPart struct {
 	rel    *data.Relation
 	lo, hi int
@@ -379,26 +366,6 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 	return nil
 }
 
-// TakeFault returns (and clears) the first injected compute failure
-// recorded since the last TakeFault/Reset, or nil.
-func (c *Cluster) TakeFault() error {
-	c.faultMu.Lock()
-	defer c.faultMu.Unlock()
-	err := c.faultErr
-	c.faultErr = nil
-	return err
-}
-
-// reportComputeFault records server id's injected failure in the current
-// compute phase, if it is the execution's first.
-func (c *Cluster) reportComputeFault(id int) {
-	c.faultMu.Lock()
-	if c.faultErr == nil {
-		c.faultErr = fmt.Errorf("mpc: compute phase %d, server %d: %w", c.curPhase, id, ErrComputeFailed)
-	}
-	c.faultMu.Unlock()
-}
-
 // ComputeOn is the one local-computation driver. With a nil ids it opens a
 // new compute phase and runs body on every server; with a non-nil ids it
 // runs body on exactly those servers as the next attempt of the current
@@ -442,36 +409,13 @@ func (c *Cluster) ComputeOn(ids []int, body func(s *Server)) []int {
 	return failed
 }
 
-// ComputeGather is gather-style compute: f runs on every server and its
-// output lands at outs[s.ID]; outs must have length P. Failed servers leave
-// their entry untouched and are returned for ComputeOn to re-run. Input
-// fragments are never consumed.
-func (c *Cluster) ComputeGather(outs [][]data.Tuple, f func(s *Server) []data.Tuple) []int {
-	return c.ComputeOn(nil, func(s *Server) { outs[s.ID] = f(s) })
-}
-
-// ComputeResident is resident-style compute without recovery: f runs on
-// every server and its result is installed as the server's sole resident
-// fragment (see Server.Install). An injected compute failure is recorded
-// for TakeFault and the failed server is left empty; callers that recover
-// drive ComputeOn themselves.
-func (c *Cluster) ComputeResident(f func(s *Server) *data.Relation) {
-	for _, id := range c.ComputeOn(nil, func(s *Server) { s.Install(f(s)) }) {
-		c.reportComputeFault(id)
-		clear(c.Servers[id].Received)
-	}
-}
-
-// LoadSummary aggregates per-server loads after one or more Round calls.
+// LoadSummary aggregates per-server loads after one or more rounds.
 type LoadSummary struct {
 	MaxBits     int64
 	MaxTuples   int64
 	TotalBits   int64
 	TotalTuples int64
 	P           int
-	// Replication is TotalBits divided by the input size in bits; callers
-	// supply the input size to WithReplication.
-	Replication float64
 }
 
 // Loads summarizes the current per-server loads.
@@ -487,15 +431,6 @@ func (c *Cluster) Loads() LoadSummary {
 		}
 		s.TotalBits += sv.BitsIn
 		s.TotalTuples += sv.TuplesIn
-	}
-	return s
-}
-
-// WithReplication returns a copy of s with Replication = TotalBits /
-// inputBits.
-func (s LoadSummary) WithReplication(inputBits int64) LoadSummary {
-	if inputBits > 0 {
-		s.Replication = float64(s.TotalBits) / float64(inputBits)
 	}
 	return s
 }

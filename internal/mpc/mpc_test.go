@@ -23,7 +23,7 @@ func singleRel(m int) *data.Database {
 func TestRoundHashPartition(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%10))
 	}))
 	loads := c.Loads()
@@ -43,7 +43,7 @@ func TestRoundBroadcast(t *testing.T) {
 	db := singleRel(50)
 	c := NewCluster(4)
 	all := []int{0, 1, 2, 3}
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, all...)
 	}))
 	loads := c.Loads()
@@ -63,7 +63,7 @@ func TestRoundBroadcast(t *testing.T) {
 func TestRoundDuplicateDestinationsDeliveredOnce(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0, 0, 0)
 	}))
 	if got := c.Servers[0].TuplesIn; got != 10 {
@@ -77,8 +77,8 @@ func TestRoundAccumulatesAcrossCalls(t *testing.T) {
 	r := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	})
-	c.Round(db, r)
-	c.Round(db, r)
+	roundAll(c, db, r)
+	roundAll(c, db, r)
 	if got := c.Servers[0].TuplesIn; got != 20 {
 		t.Errorf("TuplesIn = %d, want 20 after two rounds", got)
 	}
@@ -88,7 +88,7 @@ func TestRoundOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(1)
 	c := NewCluster(2)
 	c.Senders = 1
-	err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -102,10 +102,10 @@ func TestRoundOutOfRangeReportsError(t *testing.T) {
 func TestComputeCollects(t *testing.T) {
 	c := NewCluster(5)
 	outs := make([][]data.Tuple, c.P)
-	if failed := c.ComputeGather(outs, func(s *Server) []data.Tuple {
-		return []data.Tuple{{int64(s.ID)}}
+	if failed := c.ComputeOn(nil, func(s *Server) {
+		outs[s.ID] = []data.Tuple{{int64(s.ID)}}
 	}); len(failed) != 0 {
-		t.Fatalf("fault-free ComputeGather failed servers %v", failed)
+		t.Fatalf("fault-free ComputeOn failed servers %v", failed)
 	}
 	// Each server's output lands at its own index.
 	for i, out := range outs {
@@ -118,7 +118,7 @@ func TestComputeCollects(t *testing.T) {
 func TestReset(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	c.Reset()
@@ -131,14 +131,13 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestWithReplication(t *testing.T) {
-	s := LoadSummary{TotalBits: 300}
-	if got := s.WithReplication(100).Replication; got != 3 {
-		t.Errorf("Replication = %v, want 3", got)
+// roundAll routes every relation of db, in name order.
+func roundAll(c *Cluster, db *data.Database, router Router) error {
+	rels := make([]*data.Relation, 0, len(db.Relations))
+	for _, name := range db.Names() {
+		rels = append(rels, db.Relations[name])
 	}
-	if got := s.WithReplication(0).Replication; got != 0 {
-		t.Errorf("Replication with zero input = %v", got)
-	}
+	return c.RoundRelations(router, rels...)
 }
 
 func TestNewClusterPanics(t *testing.T) {
@@ -160,7 +159,7 @@ func TestRoundMultipleRelations(t *testing.T) {
 	db.Put(r1)
 	db.Put(r2)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		if rel.Name == "A" {
 			return append(dst, 0)
 		}
@@ -185,11 +184,11 @@ func TestRoundManySendersConsistent(t *testing.T) {
 	})
 	db := singleRel(5000)
 	ref.Senders = 1
-	ref.Round(db, refRouter)
+	roundAll(ref, db, refRouter)
 
 	c2 := NewCluster(8)
 	c2.Senders = 13
-	c2.Round(db, refRouter)
+	roundAll(c2, db, refRouter)
 
 	l1, l2 := ref.Loads(), c2.Loads()
 	if l1.TotalBits != l2.TotalBits || l1.MaxBits != l2.MaxBits {
@@ -201,7 +200,7 @@ func TestGiniCoefficient(t *testing.T) {
 	// All to one server: Gini near (n-1)/n.
 	db := singleRel(100)
 	c := NewCluster(4)
-	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	g := c.GiniCoefficient()
@@ -210,7 +209,7 @@ func TestGiniCoefficient(t *testing.T) {
 	}
 	// Balanced: near 0.
 	c2 := NewCluster(4)
-	c2.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c2, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%4))
 	}))
 	if g2 := c2.GiniCoefficient(); g2 > 0.1 {
@@ -230,9 +229,9 @@ func TestRouterPurityProperty(t *testing.T) {
 		return append(dst, int(rel.At(row, 0)%7), int((rel.At(row, 0)*13)%7))
 	})
 	a := NewCluster(7)
-	a.Round(db, router)
+	roundAll(a, db, router)
 	b := NewCluster(7)
-	b.Round(db, router)
+	roundAll(b, db, router)
 	for i := range a.Servers {
 		if a.Servers[i].BitsIn != b.Servers[i].BitsIn {
 			t.Fatalf("server %d loads differ across identical rounds", i)
@@ -247,7 +246,7 @@ func TestConcurrentClustersIndependent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			c := NewCluster(4)
-			c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+			roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 				return append(dst, int(rel.At(row, 0)%4))
 			}))
 			done <- c.Loads().TotalBits
@@ -265,7 +264,7 @@ func TestShuffleResidentMovesFragmentsServerToServer(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
 	// Round 1: mod-10 partition.
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%10))
 	})); err != nil {
 		t.Fatal(err)
@@ -316,15 +315,16 @@ func TestShuffleResidentSkipsMissingNames(t *testing.T) {
 func TestComputeResidentReplacesFragments(t *testing.T) {
 	db := singleRel(100)
 	c := NewCluster(4)
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%4))
 	})); err != nil {
 		t.Fatal(err)
 	}
-	c.ComputeResident(func(s *Server) *data.Relation {
+	c.ComputeOn(nil, func(s *Server) {
 		in := s.Fragment("S")
 		if s.ID == 3 {
-			return nil // one server produces nothing
+			s.Install(nil) // one server produces nothing
+			return
 		}
 		out := data.NewRelation("doubled", 1, in.Domain)
 		for _, v := range in.Column(0) {
@@ -332,7 +332,7 @@ func TestComputeResidentReplacesFragments(t *testing.T) {
 				out.Add(2 * v)
 			}
 		}
-		return out
+		s.Install(out)
 	})
 	for id, s := range c.Servers {
 		if s.Fragment("S") != nil {

@@ -312,7 +312,7 @@ func BenchmarkResidentChunk(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c.Reset()
-				if err := c.Round(db, hot); err != nil {
+				if err := roundAll(c, db, hot); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

@@ -114,11 +114,11 @@ func TestTornRoundLeavesStateUntouched(t *testing.T) {
 
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := c.Round(db1, route1); err != nil {
+	if err := roundAll(c, db1, route1); err != nil {
 		t.Fatalf("round 1: %v", err)
 	}
 	before := snapshotCluster(c)
-	err := c.Round(db2, route2)
+	err := roundAll(c, db2, route2)
 	if !errors.Is(err, ErrTornRound) {
 		t.Fatalf("round 2 err = %v, want ErrTornRound", err)
 	}
@@ -126,14 +126,14 @@ func TestTornRoundLeavesStateUntouched(t *testing.T) {
 
 	// Replay round 2 in place; the fault schedule's attempt 2 is clean.
 	c.MarkReplay()
-	if err := c.Round(db2, route2); err != nil {
+	if err := roundAll(c, db2, route2); err != nil {
 		t.Fatalf("replayed round 2: %v", err)
 	}
 	oracle := NewCluster(8)
-	if err := oracle.Round(db1, route1); err != nil {
+	if err := roundAll(oracle, db1, route1); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.Round(db2, route2); err != nil {
+	if err := roundAll(oracle, db2, route2); err != nil {
 		t.Fatal(err)
 	}
 	assertClustersEquivalent(t, oracle, c)
@@ -158,7 +158,7 @@ func TestShuffleResidentRestoresOnTear(t *testing.T) {
 
 	c := NewCluster(10)
 	c.Faults = mk(seed)
-	if err := c.Round(db, route1); err != nil {
+	if err := roundAll(c, db, route1); err != nil {
 		t.Fatalf("round 1: %v", err)
 	}
 	before := snapshotCluster(c)
@@ -173,7 +173,7 @@ func TestShuffleResidentRestoresOnTear(t *testing.T) {
 		t.Fatalf("replayed shuffle: %v", err)
 	}
 	oracle := NewCluster(10)
-	if err := oracle.Round(db, route1); err != nil {
+	if err := roundAll(oracle, db, route1); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.ShuffleResident(route2, "S"); err != nil {
@@ -202,7 +202,7 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 	db := singleRel(160)
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestComputeOnGatherRerunsOnlyFailed(t *testing.T) {
 	})
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := c.Round(singleRel(160), RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, singleRel(160), RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)

@@ -45,9 +45,12 @@ func Lower(plan Plan, db *data.Database, cfg Config, ps *stats.Pass) *PipelinePl
 	if cfg.P < 2 {
 		panic("rounds: need P >= 2")
 	}
-	pp := &PipelinePlan{Logical: plan}
+	pipe := &exec.Pipeline{Strategy: "multi-round", Physical: cfg.P}
+	pp := &PipelinePlan{Logical: plan, Pipe: pipe}
 	if len(plan.Steps) == 0 {
-		db.MustGet(plan.Query.Atoms[0].Name) // surface a missing relation at plan time
+		atom := plan.Query.Atoms[0]
+		db.MustGet(atom.Name) // surface a missing relation at plan time
+		pipe.Input, pipe.Head = atom.Name, headOf(plan.Query, atom.Vars)
 		return pp
 	}
 	inputs := make(map[string]*input)
@@ -59,7 +62,6 @@ func Lower(plan Plan, db *data.Database, cfg Config, ps *stats.Pass) *PipelinePl
 			bits: r.BitsPerTuple(),
 		}
 	}
-	pipe := &exec.Pipeline{Strategy: "multi-round", Physical: cfg.P}
 	for si, st := range plan.Steps {
 		left, right := inputs[st.Left], inputs[st.Right]
 		if left == nil || right == nil {
@@ -70,9 +72,17 @@ func Lower(plan Plan, db *data.Database, cfg Config, ps *stats.Pass) *PipelinePl
 		pipe.PredictedSumMaxBits += predBits
 		inputs[st.Output] = out
 	}
-	pp.Pipe = pipe
-	pp.PredictedSumMaxBits = pipe.PredictedSumMaxBits
+	pipe.Head = headOf(plan.Query, plan.Steps[len(plan.Steps)-1].OutVars)
 	return pp
+}
+
+// headOf maps each of q's head variables to its column in a schema.
+func headOf(q *query.Query, schema []int) []int {
+	head := make([]int, q.NumVars())
+	for pos, v := range schema {
+		head[v] = pos
+	}
+	return head
 }
 
 // factor is one term of a side's join-key frequency estimate: the

@@ -6,13 +6,13 @@
 //
 // A logical plan is a left-deep sequence of binary join steps. The package
 // is a pure planner: Lower turns the logical plan into an exec.Pipeline —
-// one executor stage per step, each planned as §4.1's binary join on its
-// own inputs (skew.Binary; heavy join keys get blocks of their own when
-// skew-aware mode is on) — and exec.RunPipeline executes it on one
-// persistent cluster, keeping every intermediate resident on the servers
-// between rounds. Loads
-// are tracked per round and summed per server, so the multi-round cost is
-// directly comparable to the one-round algorithms.
+// one stage per step, each planned as §4.1's binary join on its own inputs
+// (skew.Binary; heavy join keys get blocks of their own when skew-aware
+// mode is on) — and exec.Execute, the executor every strategy shares, runs
+// it on one persistent cluster, keeping every intermediate resident on the
+// servers between rounds. Loads are tracked per round and summed per
+// server, so the multi-round cost is directly comparable to the one-round
+// algorithms.
 package rounds
 
 import (
@@ -125,42 +125,20 @@ type Config struct {
 	SkewAware bool
 }
 
-// headOrderTuples materializes rel — whose columns follow the schema vars —
-// as head-ordered tuples. The permutation reorders column pointers; the
-// copy is one column-major pass into a single flat backing array.
-func headOrderTuples(q *query.Query, rel *data.Relation, vars []int) []data.Tuple {
-	k := q.NumVars()
-	n := rel.Size()
-	if n == 0 {
-		return nil
-	}
-	cols := make([][]int64, k)
-	for pos, v := range vars {
-		cols[v] = rel.Column(pos)
-	}
-	flat := make([]int64, n*k)
-	for v, col := range cols {
-		for i, x := range col {
-			flat[i*k+v] = x
-		}
-	}
-	return data.Rows{K: k, N: n, Vals: flat}.AppendTuples(nil)
-}
-
-// PipelinePlan is the planner output: the logical plan lowered to an
-// executor pipeline, plus the cost prediction the engine compares against
-// one-round strategies. Plans are immutable and reusable across executions
-// (the engine's plan cache holds them).
+// PipelinePlan is the planner output: the logical plan and its lowered
+// pipeline, which exec.Execute runs. Pipe.PredictedSumMaxBits is the
+// multi-round cost model the engine compares against one-round strategies:
+// per round, the predicted maximum per-server load in bits (the balanced
+// hash load or a heavy key's heaviest grid cell, with intermediate sizes
+// estimated from base-relation statistics), summed over rounds. Plans are
+// immutable and reusable across executions (the engine's plan cache holds
+// them).
 type PipelinePlan struct {
 	Logical Plan
-	// Pipe is the lowered pipeline; nil for zero-step (single-atom) plans,
-	// which need no communication at all.
+	// Pipe has one stage per step and answers in head order; a zero-step
+	// (single-atom) plan's has no stages — it needs no communication, and
+	// its answers are the base relation's columns in head order.
 	Pipe *exec.Pipeline
-	// PredictedSumMaxBits is the planner's multi-round cost model: per
-	// round, the predicted maximum per-server load in bits (the balanced
-	// hash load or a heavy key's heaviest grid cell, with intermediate sizes
-	// estimated from base-relation statistics), summed over rounds.
-	PredictedSumMaxBits float64
 }
 
 // PlanPipeline builds the left-deep logical plan for q and lowers it over
@@ -169,26 +147,4 @@ func PlanPipeline(q *query.Query, db *data.Database, cfg Config) *PipelinePlan {
 	ps := new(stats.Pass)
 	defer ps.Release()
 	return Lower(BuildPlan(q), db, cfg, ps)
-}
-
-// ExecuteWith runs the pipeline over db with the caller's executor
-// configuration (the engine passes its cluster pool so cached pipelines
-// reuse warm clusters, and its context so a long pipeline aborts between
-// rounds) and returns the per-round loads — stage i is Logical.Steps[i] —
-// with the answers permuted into head order. A zero-step (single-atom) plan
-// needs no communication: its loads are zero and its answers are the base
-// relation's columns in head order. The only errors are ec.Ctx's
-// cancellation and injected faults that outlived ec.Retry.
-func (pp *PipelinePlan) ExecuteWith(db *data.Database, ec exec.Config) (exec.PipelineResult, []data.Tuple, error) {
-	q := pp.Logical.Query
-	if len(pp.Logical.Steps) == 0 {
-		atom := q.Atoms[0]
-		return exec.PipelineResult{}, headOrderTuples(q, db.MustGet(atom.Name), atom.Vars), nil
-	}
-	pr, err := exec.RunPipeline(pp.Pipe, db, ec)
-	if err != nil {
-		return exec.PipelineResult{}, nil, err
-	}
-	last := pp.Logical.Steps[len(pp.Logical.Steps)-1]
-	return pr, headOrderTuples(q, pr.Output, last.OutVars), nil
 }

@@ -16,19 +16,19 @@ import (
 
 // run lowers plan over db and executes it: the per-round loads and the
 // head-ordered answers.
-func run(t *testing.T, plan Plan, db *data.Database, cfg Config) (exec.PipelineResult, []data.Tuple) {
+func run(t *testing.T, plan Plan, db *data.Database, cfg Config) (exec.Result, []data.Tuple) {
 	t.Helper()
 	return execute(t, Lower(plan, db, cfg, new(stats.Pass)), db)
 }
 
-// execute is ExecuteWith for tests: an error fails the test.
-func execute(t *testing.T, pp *PipelinePlan, db *data.Database) (exec.PipelineResult, []data.Tuple) {
+// execute runs pp's pipeline for tests: an error fails the test.
+func execute(t *testing.T, pp *PipelinePlan, db *data.Database) (exec.Result, []data.Tuple) {
 	t.Helper()
-	pr, out, err := pp.ExecuteWith(db, exec.Config{})
+	res, err := exec.Execute(pp.Pipe, db, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr, out
+	return res, res.Output
 }
 
 func dbFor(q *query.Query, m int, domain int64, seed int64) *data.Database {
@@ -132,17 +132,13 @@ func TestRunRoundsAccounting(t *testing.T) {
 		t.Fatalf("rounds = %d, want 2", len(res.Rounds))
 	}
 	var sum int64
-	var maxR int64
 	for _, r := range res.Rounds {
 		if r.MaxBits <= 0 || r.TotalBits < r.MaxBits {
 			t.Errorf("bad round load %+v", r)
 		}
 		sum += r.MaxBits
-		if r.MaxBits > maxR {
-			maxR = r.MaxBits
-		}
 	}
-	if res.SumMaxBits != sum || res.MaxBitsPerRound != maxR {
+	if res.MaxLoadBits() != sum {
 		t.Error("aggregate load bookkeeping wrong")
 	}
 }
@@ -273,14 +269,14 @@ func TestPredictedSumMaxBits(t *testing.T) {
 		db.Put(workload.Matching(a.Name, 2, 4096, 1<<20, int64(j+1)))
 	}
 	pp := PlanPipeline(q, db, Config{P: 64, Seed: 1, SkewAware: true})
-	if pp.PredictedSumMaxBits <= 0 {
+	if pp.Pipe.PredictedSumMaxBits <= 0 {
 		t.Fatal("no cost prediction")
 	}
 	res, _ := execute(t, pp, db)
-	ratio := pp.PredictedSumMaxBits / float64(res.SumMaxBits)
+	ratio := pp.Pipe.PredictedSumMaxBits / float64(res.MaxLoadBits())
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("prediction %f vs realized %d (ratio %f) implausible",
-			pp.PredictedSumMaxBits, res.SumMaxBits, ratio)
+			pp.Pipe.PredictedSumMaxBits, res.MaxLoadBits(), ratio)
 	}
 }
 

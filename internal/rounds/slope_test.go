@@ -51,11 +51,11 @@ func TestSlopeMultiRound(t *testing.T) {
 	ps := []int{8, 64, 512}
 	loads := make([]float64, len(ps))
 	for i, p := range ps {
-		pr, _, err := PlanPipeline(q, db, Config{P: p, Seed: 3}).ExecuteWith(db, exec.Config{SkipCompute: true})
+		pr, err := exec.Execute(PlanPipeline(q, db, Config{P: p, Seed: 3}).Pipe, db, exec.Config{SkipCompute: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads[i] = float64(pr.SumMaxBits)
+		loads[i] = float64(pr.MaxLoadBits())
 	}
 	got := fitSlope(ps, loads)
 	if math.Abs(got+1) > slopeTol {

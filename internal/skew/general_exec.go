@@ -47,8 +47,8 @@ func (ap *atomPlan) blocksOf(c int) []int {
 }
 
 // GeneralPlan is the §4.2 planner output: every bin combination's HC
-// subgrid layout lowered to the unified executor's PhysicalPlan (run it with
-// exec.Run), plus the combinations themselves. Plans are reusable across
+// subgrid layout lowered to the unified executor's PhysicalPlan (run it as
+// exec.OneRound(Phys)), plus the combinations themselves. Plans are reusable across
 // executions.
 type GeneralPlan struct {
 	Phys *exec.PhysicalPlan

@@ -134,9 +134,9 @@ func TestRunGeneralLoadBeatsVanillaUnderSkew(t *testing.T) {
 	p := 64
 	_, res := runGeneral(t, q, db, GeneralConfig{P: p, Seed: 53}, true)
 	vanillaMax := vanillaLoad(t, db, p, 53)
-	if res.MaxVirtualBits*3 > vanillaMax {
+	if res.MaxLoadBits()*3 > vanillaMax {
 		t.Errorf("general (%d bits) not clearly better than vanilla (%d bits)",
-			res.MaxVirtualBits, vanillaMax)
+			res.MaxLoadBits(), vanillaMax)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestRunGeneralWithinTheorem46(t *testing.T) {
 			t.Errorf("%s: no bin combinations", c.name)
 		}
 		lnP := math.Log(p)
-		if r := float64(res.MaxVirtualBits) / gp.PredictedBits; r > 20*lnP*lnP {
+		if r := float64(res.MaxLoadBits()) / gp.PredictedBits; r > 20*lnP*lnP {
 			t.Errorf("%s: measured / max_B p^λ(B) = %.2f, want ≤ 20 ln² p", c.name, r)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRunGeneralDeterministic(t *testing.T) {
 	)
 	pa, a := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 7}, false)
 	pb, b := runGeneral(t, q, db, GeneralConfig{P: 16, Seed: 7}, false)
-	if a.MaxVirtualBits != b.MaxVirtualBits || len(a.Output) != len(b.Output) ||
+	if a.MaxLoadBits() != b.MaxLoadBits() || len(a.Output) != len(b.Output) ||
 		pa.Phys.Virtual != pb.Phys.Virtual {
 		t.Error("same seed gave different general runs")
 	}
@@ -337,14 +337,14 @@ func TestRunGeneralByComboAccounting(t *testing.T) {
 		if c.Predicted <= 0 || c.CSize < 1 {
 			t.Errorf("combo %+v incomplete", c)
 		}
-		comboMax := slices.Max(res.PerServerBits[c.Lo:c.Hi])
+		comboMax := slices.Max(res.Rounds[0].PerServerBits[c.Lo:c.Hi])
 		overall = max(overall, comboMax)
 		if budget := math.Max(c.Predicted, mjOverP); float64(comboMax) > 40*budget {
 			t.Errorf("combo vars=%v load %d far above its Cor 4.4 budget %.0f",
 				c.Vars, comboMax, budget)
 		}
 	}
-	if overall != res.MaxVirtualBits {
-		t.Errorf("per-combo max %d != overall %d", overall, res.MaxVirtualBits)
+	if overall != res.MaxLoadBits() {
+		t.Errorf("per-combo max %d != overall %d", overall, res.MaxLoadBits())
 	}
 }

@@ -76,8 +76,8 @@ func CheckJoin(q *query.Query) error {
 }
 
 // JoinPlan is the §4.1 planner output: the Binary join's blocks lowered
-// to the unified executor's PhysicalPlan (run it with exec.Run). Plans are
-// reusable across executions.
+// to the unified executor's PhysicalPlan (run it as exec.OneRound(Phys)).
+// Plans are reusable across executions.
 type JoinPlan struct {
 	Phys                 *exec.PhysicalPlan
 	NumH1, NumH2, NumH12 int

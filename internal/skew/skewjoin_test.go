@@ -29,11 +29,11 @@ func reference(db *data.Database) []data.Tuple {
 	return join.Join(query.Join2(), join.FromDatabase(db))
 }
 
-// execute is exec.Run for tests, route-only when skip is set: an error
+// execute runs a one-round plan for tests, route-only when skip is set: an error
 // fails the test.
 func execute(t *testing.T, plan *exec.PhysicalPlan, db *data.Database, skip bool) exec.Result {
 	t.Helper()
-	res, err := exec.Run(plan, db, exec.Config{SkipCompute: skip})
+	res, err := exec.Execute(exec.OneRound(plan), db, exec.Config{SkipCompute: skip})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func runJoin(t *testing.T, db *data.Database, cfg JoinConfig, skip bool) (*JoinP
 func vanillaLoad(t *testing.T, db *data.Database, p int, seed uint64) int64 {
 	t.Helper()
 	hc := hypercube.BuildPlan(query.Join2(), db, hypercube.Config{P: p, Seed: seed, Shares: []int{1, 1, p}})
-	return execute(t, hc.Phys, db, true).MaxVirtualBits
+	return execute(t, hc.Phys, db, true).MaxLoadBits()
 }
 
 func TestRunJoinCorrectUniform(t *testing.T) {
@@ -153,8 +153,8 @@ func TestRunJoinBeatsVanillaOnSkew(t *testing.T) {
 	if vanillaMax < int64(m)*bitsPer {
 		t.Errorf("vanilla load %d should be >= m (it hashes all to one server)", vanillaMax)
 	}
-	if res.MaxVirtualBits*4 > vanillaMax {
-		t.Errorf("skew join (%d) not clearly better than vanilla (%d)", res.MaxVirtualBits, vanillaMax)
+	if res.MaxLoadBits()*4 > vanillaMax {
+		t.Errorf("skew join (%d) not clearly better than vanilla (%d)", res.MaxLoadBits(), vanillaMax)
 	}
 }
 
@@ -182,12 +182,12 @@ func TestRunJoinLoadNearPrediction(t *testing.T) {
 				t.Fatal("no prediction")
 			}
 			// O(log p) slack: 12 is below 10·ln 32 ≈ 34.7.
-			ratio := float64(res.MaxVirtualBits) / jp.PredictedBits
+			ratio := float64(res.MaxLoadBits()) / jp.PredictedBits
 			if ratio < 0.05 || ratio > 12 {
 				t.Errorf("measured/predicted = %.2f, want in [0.05, 12] (Eq. 10)", ratio)
 			}
-			if vanilla := vanillaLoad(t, db, p, c.seed); c.skewed && res.MaxVirtualBits > vanilla {
-				t.Errorf("skew join %d bits > hash join %d bits", res.MaxVirtualBits, vanilla)
+			if vanilla := vanillaLoad(t, db, p, c.seed); c.skewed && res.MaxLoadBits() > vanilla {
+				t.Errorf("skew join %d bits > hash join %d bits", res.MaxLoadBits(), vanilla)
 			}
 			t.Logf("measured/predicted = %.2f", ratio)
 		})
@@ -215,7 +215,7 @@ func TestRunJoinMeetsResidualBound(t *testing.T) {
 		t.Errorf("planted: residual bound %.0f not above simple %.0f", residual, simple)
 	}
 	_, res := runJoin(t, planted, JoinConfig{P: p, Seed: 23}, true)
-	if r := float64(res.MaxVirtualBits) / residual; r < 0.1 || r > 10*math.Log(p) {
+	if r := float64(res.MaxLoadBits()) / residual; r < 0.1 || r > 10*math.Log(p) {
 		t.Errorf("planted: skew join max bits / residual = %.2f, want in [0.1, 10 ln p]", r)
 	}
 	simple, residual = lower(joinDB(workload.Matching("S1", 2, m, domain, 3), workload.Matching("S2", 2, m, domain, 4)))
@@ -271,7 +271,7 @@ func TestByClassLightBoundedByMOverP(t *testing.T) {
 	if jp.NumH1+jp.NumH2+jp.NumH12 != 0 {
 		t.Errorf("no heavy hitters expected: H1 %d, H2 %d, H12 %d", jp.NumH1, jp.NumH2, jp.NumH12)
 	}
-	if res.MaxVirtualBits > budget {
-		t.Errorf("light load %d exceeds budget %d", res.MaxVirtualBits, budget)
+	if res.MaxLoadBits() > budget {
+		t.Errorf("light load %d exceeds budget %d", res.MaxLoadBits(), budget)
 	}
 }

@@ -87,7 +87,7 @@ func TestSlopeSkewJoin(t *testing.T) {
 				if got := fmt.Sprintf("%d/%d/%d", jp.NumH1, jp.NumH2, jp.NumH12); got != c.classes {
 					t.Fatalf("p=%d: H1/H2/H12 = %s, want %s", p, got, c.classes)
 				}
-				loads[i] = float64(res.MaxVirtualBits)
+				loads[i] = float64(res.MaxLoadBits())
 			}
 			checkSlope(t, c.ps, loads, c.want)
 		})
@@ -111,7 +111,7 @@ func TestSlopeBinCombination(t *testing.T) {
 	predicted := make([]float64, len(sweepWide))
 	for i, p := range sweepWide {
 		gp, res := runGeneral(t, q, db, GeneralConfig{P: p, Seed: 5}, true)
-		loads[i], predicted[i] = float64(res.MaxVirtualBits), gp.PredictedBits
+		loads[i], predicted[i] = float64(res.MaxLoadBits()), gp.PredictedBits
 	}
 	t.Run("realized", func(t *testing.T) { checkSlope(t, sweepWide, loads, -0.5) })
 	t.Run("predicted", func(t *testing.T) { checkSlope(t, sweepWide, predicted, -0.5) })
