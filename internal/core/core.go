@@ -341,7 +341,8 @@ func (e *Engine) settings(opts ExecOptions) settings {
 // prediction; ExecuteContext's plan cache avoids the duplicate work on the
 // hot path.
 func (e *Engine) PlanQuery(q *query.Query, db *data.Database) Plan {
-	return buildPlan(q, db, e.settings(ExecOptions{}), nil).plan
+	cp, _ := buildPlan(q, db, e.settings(ExecOptions{}), nil)
+	return cp.plan
 }
 
 // logicalPlan runs the one-round strategy selection of §3/§4.
@@ -569,7 +570,8 @@ func Run(q *query.Query, db *data.Database, cfg RunConfig) (Result, error) {
 		}
 	}
 	s := settings{p: cfg.P, seed: cfg.Seed, forced: &cfg.Strategy, shares: cfg.Shares}
-	return runPlan(buildPlan(q, db, s, nil), db, exec.Config{})
+	cp, _ := buildPlan(q, db, s, nil)
+	return runPlan(cp, db, exec.Config{})
 }
 
 // isInjectedFault reports whether err is a cluster-level fault error — the
@@ -601,7 +603,8 @@ func (e *Engine) markStale(key planKey) {
 // query passes its own, to build its heavy watch off the same groupings.
 func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, planKey, bool) {
 	if s.noCache {
-		return buildPlan(q, db, s, ps), planKey{}, false
+		cp, _ := buildPlan(q, db, s, ps)
+		return cp, planKey{}, false
 	}
 	key := planKey{query: q.String(), id: db.ID(), schema: stats.SchemaFingerprint(db), p: s.p, seed: s.seed, forced: -1}
 	if s.forced != nil {
@@ -628,7 +631,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 	e.mu.Unlock()
 	// Plan outside the lock: planning is the expensive part, and a
 	// duplicate build for a racing miss is just redundant work.
-	cp := buildPlan(q, db, s, ps)
+	cp, _ := buildPlan(q, db, s, ps)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.misses++
@@ -657,8 +660,10 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 // Every step counts through the one pass ps, so each (relation, attribute
 // list) is grouped once; the plan keeps nothing of ps. A nil ps means a
 // pass of the build's own, released before it returns; a caller's pass is
-// the caller's to release.
-func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *cachedPlan {
+// the caller's to release. The second result is the multi-round pipeline the
+// comparison lowered and rejected, nil when there was none; only Explain
+// reads it.
+func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, *exec.Pipeline) {
 	if ps == nil {
 		ps = new(stats.Pass)
 		defer ps.Release()
@@ -677,6 +682,7 @@ func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *c
 	case MultiRound:
 		cp.run = planMultiRound(q, db, s, ps)
 	}
+	var rejected *exec.Pipeline
 	if s.mr && s.forced == nil && cp.plan.Strategy != MultiRound && q.NumAtoms() >= 2 {
 		mr := planMultiRound(q, db, s, ps)
 		one := cp.run.PredictedSumMaxBits
@@ -691,11 +697,12 @@ func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) *c
 			cp.plan.Reason += fmt.Sprintf(
 				"; multi-round rejected (predicted Σmax %.0f bits over %d rounds)",
 				mr.PredictedSumMaxBits, len(mr.Stages))
+			rejected = mr
 		}
 	}
 	cp.plan.PredictedBits = cp.run.PredictedSumMaxBits
 	cp.plan.Rounds = len(cp.run.Stages)
-	return cp
+	return cp, rejected
 }
 
 // planMultiRound lowers the skew-aware multi-round pipeline for q.

@@ -25,14 +25,16 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		return "explain: " + err.Error() + "\n"
 	}
 	// Plan once: the cost table reads the chosen strategy's rounds and
-	// prediction off the plan and plans the other strategies only for their
-	// cost, all off one statistics pass. The
+	// prediction off the plan, and the multi-round pipeline's off the one
+	// the plan's cost comparison rejected, if it lowered one; it plans the
+	// other strategies only for their cost, all off one statistics pass. The
 	// §4.2 plan also lists its bin combinations below.
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
 	defer ps.Release()
-	plan := buildPlan(q, db, s, ps).plan
+	cp, rejected := buildPlan(q, db, s, ps)
+	plan := cp.plan
 	general := skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps)
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
@@ -74,7 +76,10 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	if plan.Strategy == MultiRound || q.NumAtoms() >= 2 {
 		rounds, cost := plan.Rounds, plan.PredictedBits
 		if plan.Strategy != MultiRound {
-			mr := planMultiRound(q, db, s, ps)
+			mr := rejected
+			if mr == nil {
+				mr = planMultiRound(q, db, s, ps)
+			}
 			rounds, cost = len(mr.Stages), mr.PredictedSumMaxBits
 		}
 		writeCost(MultiRound, fmt.Sprintf("(SumMaxBits, %d rounds)", rounds), func() float64 { return cost })

@@ -178,7 +178,7 @@ func TestPlansBitIdenticalToFrozen(t *testing.T) {
 	for _, want := range frozenPlans {
 		q, db, p, forced := benchInstance(want.workload, want.seed)
 		e := newEngine(t, Config{P: p, Seed: 1})
-		cp := buildPlan(q, db, e.settings(ExecOptions{Strategy: forced}), nil)
+		cp, _ := buildPlan(q, db, e.settings(ExecOptions{Strategy: forced}), nil)
 		got := frozenPlan{
 			workload:  want.workload,
 			seed:      want.seed,

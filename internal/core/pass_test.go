@@ -22,7 +22,7 @@ func TestBuildPlanGroupsEachProjectionOnce(t *testing.T) {
 	q, db, p, _ := benchInstance("cold_plan", 1)
 	e := newEngine(t, Config{P: p, Seed: 1})
 	ps := new(stats.Pass)
-	cp := buildPlan(q, db, e.settings(ExecOptions{}), ps)
+	cp, _ := buildPlan(q, db, e.settings(ExecOptions{}), ps)
 	if cp.plan.Strategy != BinCombination {
 		t.Fatalf("strategy = %v, want bin-combination", cp.plan.Strategy)
 	}
@@ -87,7 +87,7 @@ func TestCachedPlanRetainsNoGrouping(t *testing.T) {
 		s := e.settings(ExecOptions{Strategy: tc.forced})
 		before := liveHeap()
 		ps := new(stats.Pass)
-		cp := buildPlan(tc.q, tc.db, s, ps)
+		cp, _ := buildPlan(tc.q, tc.db, s, ps)
 		if cp.plan.Strategy != tc.want {
 			t.Fatalf("%s: planned %v", tc.name, cp.plan.Strategy)
 		}
@@ -199,9 +199,9 @@ func TestPlansSurviveRelease(t *testing.T) {
 		e := newEngine(t, Config{P: p, Seed: 1})
 		s := e.settings(ExecOptions{Strategy: tc.forced})
 		kept := new(stats.Pass)
-		ref := buildPlan(q, db, s, kept)
+		ref, _ := buildPlan(q, db, s, kept)
 		released := new(stats.Pass)
-		cp := buildPlan(q, db, s, released)
+		cp, _ := buildPlan(q, db, s, released)
 		released.Release()
 		churnScratch(2 * released.Groupings())
 		want, err := runPlan(ref, db, exec.Config{})

@@ -13,7 +13,8 @@ package data
 // z, a multi-round stage on its join key, the §4.2 block router on a bound
 // variable) can then resolve one routing decision per heavy run and bulk-ship
 // whole column spans, instead of paying a map lookup per tuple; light rows
-// keep the dense per-tuple path. See mpc.SpanRouter for the routing side.
+// keep the dense per-tuple path. See mpc.Route's CompileSpan for the routing
+// side.
 //
 // The layout is maintained lazily: appends land past the covered prefix and
 // leave the index valid (the uncovered tail routes per-tuple until the next

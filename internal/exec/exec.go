@@ -58,7 +58,7 @@ type PhysicalPlan struct {
 	PredictedBits float64
 	// PartitionHints names the (relation, attribute) pairs whose
 	// heavy-partition layout (data.PartitionIndex) this plan's router can
-	// exploit through mpc.SpanRouter. Hints are advisory: the serving
+	// exploit through mpc.Route.CompileSpan. Hints are advisory: the serving
 	// engine uses them to drive Database.EnsurePartitioned lazily, and an
 	// unpartitioned relation simply routes per-tuple.
 	PartitionHints []PartitionHint

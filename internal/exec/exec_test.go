@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -23,10 +24,29 @@ func testDB() *data.Database {
 // copyS makes every server answer with its own fragment of S.
 var copyS = query.MustParse("Q(x,y) :- S(x,y)")
 
+// RouterFunc routes every relation through one function of the relation's
+// name and the row, read in place from its columns. The exec_test package's
+// tests use it too.
+type RouterFunc func(name string, cols [][]int64, row int, dst []int) []int
+
+func (f RouterFunc) Bind(name string) mpc.Route { return funcRoute{f, name} }
+
+// funcRoute is a RouterFunc bound to one relation; it spans no run.
+type funcRoute struct {
+	f    RouterFunc
+	name string
+}
+
+func (r funcRoute) Destinations(cols [][]int64, row int, dst []int) []int {
+	return r.f(r.name, cols, row, dst)
+}
+
+func (funcRoute) CompileSpan([][]int64, int, int64, *mpc.SpanRoute) bool { return false }
+
 // modRouter sends tuple (a,b) to server a mod p.
 func modRouter(p int) mpc.Router {
-	return mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0))%p)
+	return RouterFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row])%p)
 	})
 }
 
@@ -89,7 +109,7 @@ func TestRunDedup(t *testing.T) {
 		Physical: 3,
 		// Broadcast: every server holds every tuple, so without Dedup the
 		// output would triple.
-		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		Router: RouterFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
 		Relations: []string{"S"},
@@ -118,7 +138,7 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 		Physical: 3,
 		// Broadcast, so every server computes the whole join and Dedup has
 		// two copies of each answer to drop.
-		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		Router: RouterFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
 		Relations: q.AtomNames(),
@@ -136,6 +156,38 @@ func TestRunGathersArenaAnswersInPlace(t *testing.T) {
 	}
 	if !join.EqualTupleSets(r2.Output, want) || !join.EqualTupleSets(r1.Output, want) {
 		t.Errorf("after a second run: %d and %d answers, want %d", len(r1.Output), len(r2.Output), len(want))
+	}
+}
+
+// bindOnly binds the relations in names through r and no other relation.
+type bindOnly struct {
+	r     mpc.Router
+	names []string
+}
+
+func (b bindOnly) Bind(name string) mpc.Route {
+	if !slices.Contains(b.names, name) {
+		return nil
+	}
+	return b.r.Bind(name)
+}
+
+// TestNewStandingRejectsUnboundAtom: a standing query routes each delta
+// through its atom's bound route, so a plan whose router does not bind one
+// of the query's atoms is refused up front, while the same plan binding
+// every atom stands.
+func TestNewStandingRejectsUnboundAtom(t *testing.T) {
+	q := query.MustParse("Q(x,y,z) :- S(x,y), T(y,z)")
+	db := testDB()
+	tr := data.NewRelation("T", 2, 16)
+	tr.Add(1, 2)
+	db.Put(tr)
+	for _, bound := range [][]string{{"S"}, {"S", "T"}} {
+		plan := &PhysicalPlan{Strategy: "test", Virtual: 2, Physical: 2, Router: bindOnly{modRouter(2), bound}, Relations: q.AtomNames(), Query: q}
+		_, err := NewStanding(plan, q, db, Config{})
+		if got, want := err != nil, len(bound) < 2; got != want {
+			t.Errorf("router binding %v: NewStanding error %v, want an error: %v", bound, err, want)
+		}
 	}
 }
 
@@ -166,8 +218,8 @@ func incStage(in string, out string, v int) Stage {
 	return Stage{
 		Plan: &PhysicalPlan{
 			Strategy: "test", Virtual: v, Physical: 2,
-			Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-				return append(dst, int(rel.At(row, 0))%v)
+			Router: RouterFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+				return append(dst, int(cols[0][row])%v)
 			}),
 		},
 		LocalFragment: func(s *mpc.Server) *data.Relation {

@@ -235,7 +235,7 @@ func TestRunOutputEdges(t *testing.T) {
 		}
 		return r
 	}
-	toZero := mpc.RouterFunc(func(*data.Relation, int, []int) []int { return []int{0} })
+	toZero := exec.RouterFunc(func(string, [][]int64, int, []int) []int { return []int{0} })
 	run := func(router mpc.Router, s1, s2 *data.Relation) []data.Tuple {
 		t.Helper()
 		db := data.NewDatabase()

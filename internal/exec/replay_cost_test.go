@@ -22,10 +22,26 @@ type countingRouter struct {
 	rows *atomic.Int64
 }
 
-func (r countingRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
-	r.rows.Add(1)
-	return r.Router.Destinations(rel, row, dst)
+func (r countingRouter) Bind(name string) mpc.Route {
+	if route := r.Router.Bind(name); route != nil {
+		return countingRoute{route, r.rows}
+	}
+	return nil
 }
+
+// countingRoute counts every row it routes; it declines every run, so that
+// each row is routed, and counted, one by one.
+type countingRoute struct {
+	mpc.Route
+	rows *atomic.Int64
+}
+
+func (r countingRoute) Destinations(cols [][]int64, row int, dst []int) []int {
+	r.rows.Add(1)
+	return r.Route.Destinations(cols, row, dst)
+}
+
+func (countingRoute) CompileSpan([][]int64, int, int64, *mpc.SpanRoute) bool { return false }
 
 // countRoutes returns a copy of pipe whose every stage routes through a
 // countingRouter adding to rows.

@@ -47,25 +47,25 @@ func destSet(dst []int) []int {
 	return slices.Compact(s)
 }
 
-// routeAll routes every row of every probe through r and concatenates, row
-// by row, the list Destinations appends and then, for each attribute r
-// spans, the list of a span compiled for the row's value: its Dests, or what
-// its PerRow appends for the row.
+// routeAll routes every row of every probe through the route r binds for it
+// and concatenates, row by row, the list Destinations appends and then, for
+// each attribute whose run the route compiles, the list of the run compiled
+// for the row's value: its Dests, or what its PerRow appends for the row.
 func routeAll(r mpc.Router, probes []*data.Relation) []int {
-	sr, spans := r.(mpc.SpanRouter)
 	var out []int
 	for _, rel := range probes {
+		route, cols := r.Bind(rel.Name), rel.Columns()
 		for row := 0; row < rel.Size(); row++ {
-			out = r.Destinations(rel, row, out)
-			for attr := 0; spans && attr < rel.Arity; attr++ {
-				var route mpc.SpanRoute
-				if !sr.SpansAttr(rel, attr) || !sr.CompileSpan(rel, attr, rel.At(row, attr), &route) {
+			out = route.Destinations(cols, row, out)
+			for attr := 0; attr < rel.Arity; attr++ {
+				var span mpc.SpanRoute
+				if !route.CompileSpan(cols, attr, cols[attr][row], &span) {
 					continue
 				}
-				if route.PerRow != nil {
-					out = route.PerRow(row, out)
+				if span.PerRow != nil {
+					out = span.PerRow(row, out)
 				} else {
-					out = append(out, route.Dests...)
+					out = append(out, span.Dests...)
 				}
 			}
 		}
@@ -73,44 +73,52 @@ func routeAll(r mpc.Router, probes []*data.Relation) []int {
 	return out
 }
 
-// checkRouter asserts, on every row of every probe, that the route
-// CompileSpan resolves for the row's value at each attribute the router
-// spans delivers where Destinations does, and that Destinations, annotated
-// //skewlint:noalloc, does not allocate. A router is an immutable plan-time
-// table that every sender of a round uses at once (mpc.Router), so the one
-// instance is also driven from four goroutines at once, through Destinations
-// and compiled spans, and each must route exactly as a serial pass does;
-// under -race this also proves that routing writes no shared state.
+// checkRouter asserts the router contract on every probe. Bind returns a
+// route for each probe's relation and nil for a name outside the plan, and
+// allocates nothing. On every row, the run the route compiles for the row's
+// value at each attribute it spans delivers where Destinations does, and
+// Destinations, annotated //skewlint:noalloc, does not allocate. A router is
+// an immutable plan-time table that every sender of a round uses at once
+// (mpc.Router), so the one instance is also driven from four goroutines at
+// once, through Destinations and compiled runs, and each must route exactly
+// as a serial pass does; under -race this also proves that routing writes
+// no shared state.
 func checkRouter(t *testing.T, name string, r mpc.Router, probes ...*data.Relation) {
 	t.Helper()
-	sr, spans := r.(mpc.SpanRouter)
+	if route := r.Bind("no such relation"); route != nil {
+		t.Errorf("%s: a relation outside the plan bound to %T", name, route)
+	}
 	routed := 0
 	for _, rel := range probes {
+		route, cols := r.Bind(rel.Name), rel.Columns()
+		if route == nil {
+			t.Fatalf("%s: %s is not bound", name, rel.Name)
+		}
+		if n := testing.AllocsPerRun(50, func() { route = r.Bind(rel.Name) }); n != 0 {
+			t.Errorf("%s: binding %s allocates %v times, want 0", name, rel.Name, n)
+		}
 		for row := 0; row < rel.Size(); row++ {
-			at := r.Destinations(rel, row, nil)
+			at := route.Destinations(cols, row, nil)
 			routed += len(at)
-			for attr := 0; spans && attr < rel.Arity; attr++ {
-				if !sr.SpansAttr(rel, attr) {
-					continue
-				}
-				var route mpc.SpanRoute
-				if !sr.CompileSpan(rel, attr, rel.At(row, attr), &route) {
+			for attr := 0; attr < rel.Arity; attr++ {
+				var span mpc.SpanRoute
+				if !route.CompileSpan(cols, attr, cols[attr][row], &span) {
 					continue // declined: the engine routes the run per tuple
 				}
-				span := route.Dests
-				if route.PerRow != nil {
-					span = route.PerRow(row, nil)
+				dests := span.Dests
+				if span.PerRow != nil {
+					dests = span.PerRow(row, nil)
 				}
-				if !slices.Equal(destSet(span), destSet(at)) {
+				if !slices.Equal(destSet(dests), destSet(at)) {
 					t.Fatalf("%s: %s row %d %v: span on attr %d routes to %v, Destinations to %v",
-						name, rel.Name, row, rel.Tuple(row), attr, destSet(span), destSet(at))
+						name, rel.Name, row, rel.Tuple(row), attr, destSet(dests), destSet(at))
 				}
 			}
 		}
 		dst := make([]int, 0, 1<<16)
 		if n := testing.AllocsPerRun(50, func() {
 			for row := 0; row < rel.Size(); row++ {
-				dst = r.Destinations(rel, row, dst[:0])
+				dst = route.Destinations(cols, row, dst[:0])
 			}
 		}); n != 0 {
 			t.Errorf("%s: routing %s allocates %v times per pass, want 0", name, rel.Name, n)

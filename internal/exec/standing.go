@@ -13,11 +13,11 @@ import (
 // Standing is the incremental counterpart of Execute for a one-round plan: it
 // executes the plan's communication and local phases once to seed resident
 // per-server state, then maintains the result under single-tuple deltas.
-// ApplyOp routes one inserted or deleted tuple through the plan's (frozen,
-// deterministic) router to exactly the virtual servers a full execution
-// would deliver it to — the tuple is copied into its atom's one-row staging
-// relation, so the router reads it in place exactly as it reads a row of a
-// round — joins it against each server's resident fragments
+// ApplyOp routes one inserted or deleted tuple through its atom's route,
+// bound once from the plan's (frozen, deterministic) router, to exactly the
+// virtual servers a full execution would deliver it to — the tuple is copied
+// into the atom's one-row columns, so the route reads it in place exactly as
+// it reads a row of a round — joins it against each server's resident fragments
 // of the *other* atoms, and folds the resulting derivations — positive for
 // inserts, negative for deletes — into a counted output fragment. An
 // advance therefore costs O(|delta| · matched derivations) instead of the
@@ -69,10 +69,11 @@ type deltaAtom struct {
 	atom query.Atom
 	rel  int   // the relation's number in the resident layout (-1: unindexed)
 	bits int64 // BitsPerTuple of the relation, for load accounting
-	// stage is a one-row relation named and shaped like the atom's, whose
-	// columns alias row: ApplyOp refills row in place and routes stage's
-	// row 0, so routing an op allocates nothing.
-	stage *data.Relation
+	// route is the atom's route under the plan's router. cols are one-row
+	// columns aliasing row: ApplyOp refills row in place and routes row 0
+	// of cols, so routing an op allocates nothing.
+	route mpc.Route
+	cols  [][]int64
 	row   []int64
 	// steps covers every other atom exactly once.
 	steps []deltaStep
@@ -98,8 +99,9 @@ type deltaStep struct {
 // the pool keeps serving ordinary runs. db must not mutate during the seed —
 // pass an immutable snapshot epoch (data.Database.Snapshot) or otherwise
 // exclude Apply — and the plan must be the same single-round, Query-bearing
-// plan the engine would execute for q. The seed's round and compute phase
-// recover injected faults exactly as Execute does, within cfg.Retry's budget.
+// plan the engine would execute for q; an atom its router does not bind is an
+// error. The seed's round and compute phase recover injected faults exactly
+// as Execute does, within cfg.Retry's budget.
 func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Config) (*Standing, error) {
 	if plan.Query == nil {
 		return nil, fmt.Errorf("exec: standing: %s plan has no local phase", plan.Strategy)
@@ -112,16 +114,19 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		counted: mpc.NewCounted(q.NumVars()),
 	}
 	s.compile(db)
+	rels := make([]*data.Relation, 0, q.NumAtoms())
+	for _, a := range q.Atoms {
+		if s.atoms[a.Name].route == nil {
+			return nil, fmt.Errorf("exec: standing: %s router does not route %s", plan.Strategy, a.Name)
+		}
+		rels = append(rels, db.MustGet(a.Name))
+	}
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
 	pool, cluster, rt := cfg.acquire(plan.Virtual)
 	defer pool.Put(cluster)
-	rels := make([]*data.Relation, 0, q.NumAtoms())
-	for _, a := range q.Atoms {
-		rels = append(rels, db.MustGet(a.Name))
-	}
 	err := rt.driveRound(nil, func() error {
 		return cluster.RoundRelations(plan.Router, rels...)
 	})
@@ -166,20 +171,19 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 }
 
 // compile builds the per-atom delta programs and the shared index layout:
-// for each atom as the delta source, a greedy extension order over the
-// remaining atoms (most bound variables first, mirroring join.planOrder's
-// preference for connected extensions), each step registering the index
-// (relation, bound positions) it will probe.
+// for each atom as the delta source, its route bound from the plan's router
+// and a greedy extension order over the remaining atoms (most bound
+// variables first, mirroring join.planOrder's preference for connected
+// extensions), each step registering the index (relation, bound positions)
+// it will probe.
 func (s *Standing) compile(db *data.Database) {
 	for j, atom := range s.q.Atoms {
 		src := db.MustGet(atom.Name)
-		da := &deltaAtom{atom: atom, bits: src.BitsPerTuple(), row: make([]int64, src.Arity)}
-		cols := make([][]int64, src.Arity)
-		for a := range cols {
-			cols[a] = da.row[a : a+1]
+		da := &deltaAtom{atom: atom, bits: src.BitsPerTuple(), route: s.plan.Router.Bind(atom.Name), row: make([]int64, src.Arity)}
+		da.cols = make([][]int64, src.Arity)
+		for a := range da.cols {
+			da.cols[a] = da.row[a : a+1]
 		}
-		da.stage = data.NewRelation(atom.Name, src.Arity, src.Domain)
-		da.stage.AdoptColumns(cols, 1)
 		bound := make(map[int]bool, s.q.NumVars())
 		for _, v := range atom.Vars {
 			bound[v] = true
@@ -237,7 +241,7 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 		return nil
 	}
 	copy(da.row, vals)
-	s.dst = s.plan.Router.Destinations(da.stage, 0, s.dst[:0])
+	s.dst = da.route.Destinations(da.cols, 0, s.dst[:0])
 	s.routedTuples += int64(len(s.dst))
 	s.routedBits += da.bits * int64(len(s.dst))
 	for _, d := range s.dst {

@@ -3,20 +3,21 @@ package hypercube
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/hashing"
+	"repro/internal/mpc"
 	"repro/internal/query"
 )
 
 // Router routes tuples to hypercube subcubes: a tuple of S_j fixes the
 // coordinates of the dimensions of vars(S_j) by hashing and is replicated
 // over every combination of the remaining dimensions (§3.1), through the
-// atom's Subcube. It holds only plan-time tables, so one instance serves
-// every sender concurrently.
+// atom's Subcube, which is the route Bind returns. It holds only plan-time
+// tables, so one instance serves every sender concurrently.
 type Router struct {
-	size  int // Π p_i, the number of hypercube cells
 	names []string
 	cubes []*Subcube // cubes[i] routes the atom named names[i]
 }
@@ -34,7 +35,7 @@ func NewRouter(q *query.Query, shares []int, family *hashing.Family) *Router {
 		}
 		vars[i] = i
 	}
-	r := &Router{size: product(shares)}
+	r := &Router{names: q.AtomNames()}
 	for _, a := range q.Atoms {
 		pos := make([]int, len(shares))
 		for i := range pos {
@@ -43,34 +44,36 @@ func NewRouter(q *query.Query, shares []int, family *hashing.Family) *Router {
 		for p, v := range a.Vars {
 			pos[v] = p
 		}
-		r.names = append(r.names, a.Name)
 		r.cubes = append(r.cubes, NewSubcube(shares, vars, pos, family))
 	}
 	return r
 }
 
-// Size returns the number of hypercube cells (Π p_i).
-func (r *Router) Size() int { return r.size }
+// Bind implements mpc.Router: the Subcube of the atom named name, nil for a
+// relation outside the query.
+func (r *Router) Bind(name string) mpc.Route {
+	if i := slices.Index(r.names, name); i >= 0 {
+		return r.cubes[i]
+	}
+	return nil
+}
 
 // origin is the one block base of the §3.1 grid: the whole hypercube.
 var origin = []int{0}
 
-// Destinations implements mpc.Router: the subcube of servers receiving the
-// row, in lexicographic coordinate order, hashing the relation's columns in
-// place with no allocations beyond growing dst. Relations outside the
-// query are not routed: the database may carry relations the query does
-// not name (the engine routes whatever the caller staged), and a panic
-// here would kill a sender goroutine mid-round.
+// Destinations implements mpc.Route for an atom routed over the whole grid:
+// the subcube of servers receiving the row, in lexicographic coordinate
+// order, hashing the relation's columns in place with no allocations beyond
+// growing dst.
 //
 //skewlint:noalloc
-func (r *Router) Destinations(rel *data.Relation, row int, dst []int) []int {
-	for i, name := range r.names {
-		if name == rel.Name {
-			return r.cubes[i].Append(rel.Columns(), row, origin, dst)
-		}
-	}
-	return dst
+func (s *Subcube) Destinations(cols [][]int64, row int, dst []int) []int {
+	return s.Append(cols, row, origin, dst)
 }
+
+// CompileSpan implements mpc.Route: HyperCube routing hashes every row, so
+// a Subcube spans no run and the engine routes its rows one by one.
+func (s *Subcube) CompileSpan([][]int64, int, int64, *mpc.SpanRoute) bool { return false }
 
 // Subcube is the HyperCube routing of one atom over a grid of servers: the
 // grid dimensions whose variables the atom carries are fixed by hashing the

@@ -121,29 +121,35 @@ func TestEqualShares(t *testing.T) {
 	}
 }
 
-// oneRow returns the one-row relation name(vals).
-func oneRow(name string, vals ...int64) *data.Relation {
-	r := data.NewRelation(name, len(vals), 1<<20)
-	r.Add(vals...)
-	return r
+// route returns the destinations r binds the relation name to for one row
+// of vals.
+func route(r *Router, name string, vals ...int64) []int {
+	cols := make([][]int64, len(vals))
+	for a := range vals {
+		cols[a] = vals[a : a+1]
+	}
+	return r.Bind(name).Destinations(cols, 0, nil)
 }
 
 func TestRouterDestinationsSubcube(t *testing.T) {
 	q := query.Join2() // vars x,y,z
 	shares := []int{2, 3, 4}
 	r := NewRouter(q, shares, hashing.NewFamily(1))
-	if r.Size() != 24 {
-		t.Fatalf("Size = %d", r.Size())
-	}
 	// S1(x,z) tuple: fixed x and z, free y → exactly 3 destinations.
-	dst := r.Destinations(oneRow("S1", 5, 7), 0, nil)
+	dst := route(r, "S1", 5, 7)
 	if len(dst) != 3 {
 		t.Errorf("S1 destinations = %v, want 3", dst)
 	}
 	// S2(y,z): free x → 2 destinations.
-	dst = r.Destinations(oneRow("S2", 5, 7), 0, nil)
-	if len(dst) != 2 {
-		t.Errorf("S2 destinations = %v, want 2", dst)
+	dst2 := route(r, "S2", 5, 7)
+	if len(dst2) != 2 {
+		t.Errorf("S2 destinations = %v, want 2", dst2)
+	}
+	// Every destination is one of the 2·3·4 = 24 hypercube cells.
+	for _, d := range append(dst, dst2...) {
+		if d < 0 || d >= 24 {
+			t.Errorf("destination %d outside the 24 cells", d)
+		}
 	}
 }
 
@@ -153,8 +159,8 @@ func TestRouterOutputCoverage(t *testing.T) {
 	q := query.Join2()
 	shares := []int{2, 3, 4}
 	r := NewRouter(q, shares, hashing.NewFamily(2))
-	d1 := r.Destinations(oneRow("S1", 11, 99), 0, nil) // x=11,z=99
-	d2 := r.Destinations(oneRow("S2", 22, 99), 0, nil) // y=22,z=99
+	d1 := route(r, "S1", 11, 99) // x=11,z=99
+	d2 := route(r, "S2", 22, 99) // y=22,z=99
 	common := 0
 	for _, a := range d1 {
 		for _, b := range d2 {
@@ -170,15 +176,15 @@ func TestRouterOutputCoverage(t *testing.T) {
 
 func TestRouterSkipsUnknownRelation(t *testing.T) {
 	// The database may stage relations the query doesn't mention; like the
-	// skew routers, the HC router must not route them (a panic here would
-	// kill a sender goroutine mid-round).
+	// skew routers, the HC router binds no route for them, so the engine
+	// ships their rows nowhere.
 	q := query.Join2()
 	r := NewRouter(q, []int{1, 1, 2}, hashing.NewFamily(1))
-	if dst := r.Destinations(oneRow("nope", 1, 2), 0, nil); len(dst) != 0 {
-		t.Errorf("unknown relation routed to %v", dst)
+	if got := r.Bind("nope"); got != nil {
+		t.Errorf("unknown relation bound to %v", got)
 	}
 	// And known relations still route after an unknown one was seen.
-	if dst := r.Destinations(oneRow("S1", 1, 2), 0, nil); len(dst) == 0 {
+	if dst := route(r, "S1", 1, 2); len(dst) == 0 {
 		t.Error("known relation stopped routing")
 	}
 }
@@ -533,7 +539,7 @@ func TestHashJoinSharesRouteByZ(t *testing.T) {
 				rel := db.MustGet(name)
 				for row := 0; row < rel.Size(); row++ {
 					want := fam.Hash(2, rel.At(row, 1), p)
-					if got := pl.Phys.Router.Destinations(rel, row, nil); len(got) != 1 || got[0] != want {
+					if got := pl.Phys.Router.Bind(name).Destinations(rel.Columns(), row, nil); len(got) != 1 || got[0] != want {
 						t.Fatalf("p=%d seed=%d: %s%v routed to %v, want [%d]", p, seed, name, rel.Tuple(row), got, want)
 					}
 					counts[want]++

@@ -129,7 +129,7 @@ func (c *Cluster) parallel(n int, fn func(w *commWorker, next func() int)) {
 
 // route runs the route pass and returns one log per part. It writes no
 // fragment and no load counter, so dropping the logs discards the round.
-func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
+func (c *Cluster) route(parts []sendPart) ([]partLog, error) {
 	var errOnce sync.Once
 	var routeErr error
 	report := func(err error) {
@@ -161,7 +161,7 @@ func (c *Cluster) route(parts []sendPart, router Router) ([]partLog, error) {
 		logs[i].codes, logs[i].pairs, buf = buf[:0:n], buf[n:n:n+m], buf[n+m:]
 	}
 	c.parallel(len(parts), func(w *commWorker, next func() int) {
-		w.route(c, parts, logs, next, router, report)
+		w.route(c, parts, logs, next, report)
 	})
 	return logs, routeErr
 }
@@ -183,10 +183,9 @@ func (st *commState) endRound() {
 
 // route is one worker's share of the route pass: claim parts off the shared
 // counter until none remain, logging part pi into logs[pi].
-func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next func() int, router Router, report func(error)) {
+func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next func() int, report func(error)) {
 	clear(w.index)
 	w.sets, w.nsets = w.sets[:0], 0
-	sr, spannable := router.(SpanRouter)
 	for {
 		pi := next()
 		if pi >= len(parts) {
@@ -208,10 +207,13 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, logs []partLog, next fu
 		}
 		part := parts[pi]
 		w.codes = logs[pi].codes
-		if idx := part.rel.Partitions(); spannable && idx != nil && sr.SpansAttr(part.rel, idx.Attr) {
-			w.routeSpans(c, part, idx, sr, report)
-		} else {
-			w.routeRows(c, part.rel, part.lo, part.hi, router, report)
+		switch idx := part.rel.Partitions(); {
+		case part.route == nil:
+			w.logRows(c, part.hi-part.lo, nil, report)
+		case idx != nil:
+			w.routeSpans(c, part, idx, report)
+		default:
+			w.routeRows(c, part.route, part.rel.Columns(), part.lo, part.hi, report)
 		}
 		w.endPart(&logs[pi])
 	}
@@ -236,27 +238,27 @@ func (w *commWorker) endPart(lg *partLog) {
 	w.codes, w.touched, w.used = nil, w.touched[:0], w.used[:0]
 }
 
-// routeRows routes rows [lo, hi) of rel one tuple at a time — the general
-// path for unpartitioned relations, light regions, uncovered tails, and
-// declined spans.
+// routeRows routes rows [lo, hi) of a relation with columns cols one tuple
+// at a time through its bound route — the general path for unpartitioned
+// relations, light regions, uncovered tails, and declined spans.
 //
 //skewlint:noalloc
-func (w *commWorker) routeRows(c *Cluster, rel *data.Relation, lo, hi int, r Router, report func(error)) {
+func (w *commWorker) routeRows(c *Cluster, r Route, cols [][]int64, lo, hi int, report func(error)) {
 	for row := lo; row < hi; row++ {
-		w.dst = r.Destinations(rel, row, w.dst[:0])
+		w.dst = r.Destinations(cols, row, w.dst[:0])
 		w.logRows(c, 1, w.dst, report)
 	}
 }
 
 // routeSpans routes one send part of a partitioned relation partition-wise:
-// the light prefix and the uncovered tail per-tuple, each heavy span through
-// one CompileSpan call — one code for all its rows when the route is
-// uniform, a pre-resolved per-row closure otherwise.
-func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIndex, sr SpanRouter, report func(error)) {
-	rel := part.rel
+// the light prefix, the uncovered tail and declined spans per-tuple, each
+// other heavy span through one CompileSpan call — one code for all its rows
+// when the route is uniform, a pre-resolved per-row closure otherwise.
+func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIndex, report func(error)) {
+	r, cols := part.route, part.rel.Columns()
 	lo, hi := part.lo, part.hi
 	if lo < idx.LightEnd {
-		w.routeRows(c, rel, lo, min(hi, idx.LightEnd), sr, report)
+		w.routeRows(c, r, cols, lo, min(hi, idx.LightEnd), report)
 	}
 	pos := max(lo, idx.LightEnd)
 	spans := idx.Spans
@@ -270,8 +272,8 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 		w.span.Dests = w.span.Dests[:0]
 		w.span.PerRow = nil
 		switch {
-		case !sr.CompileSpan(rel, idx.Attr, sp.Value, &w.span):
-			w.routeRows(c, rel, slo, shi, sr, report)
+		case !r.CompileSpan(cols, idx.Attr, sp.Value, &w.span):
+			w.routeRows(c, r, cols, slo, shi, report)
 		case w.span.PerRow != nil:
 			w.routePerRow(c, slo, shi, w.span.PerRow, report)
 		default:
@@ -279,7 +281,7 @@ func (w *commWorker) routeSpans(c *Cluster, part sendPart, idx *data.PartitionIn
 		}
 	}
 	if hi > idx.Rows {
-		w.routeRows(c, rel, max(lo, idx.Rows), hi, sr, report)
+		w.routeRows(c, r, cols, max(lo, idx.Rows), hi, report)
 	}
 	// Don't pin the last compiled closure (and whatever it captured) on the
 	// pooled worker past the round.

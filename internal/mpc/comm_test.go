@@ -58,14 +58,15 @@ func fuzzPartition(rng *rand.Rand, rels ...*data.Relation) {
 	}
 }
 
-// fuzzRouter is a pure span router with a mix of fan-out shapes: singles,
-// small fan-outs with duplicates, and wide broadcasts (exercising the
-// map-based dedup path). A row's destinations depend only on (relation
-// name, its values, seed); when the row's value v at its relation's span
-// attribute falls in v's uniform class they depend on v alone, which is
-// what lets a heavy run of v compile to one uniform destination list. Runs
-// of the per-row class compile to a closure and the rest are declined, so
-// the engine takes every route path its contract allows.
+// fuzzRouter is a pure router with a mix of fan-out shapes: singles, small
+// fan-outs with duplicates, and wide broadcasts (exercising the map-based
+// dedup path). It binds every relation, and a row's destinations depend
+// only on (relation name, its values, seed); when the row's value v at its
+// relation's span attribute falls in v's uniform class they depend on v
+// alone, which is what lets a heavy run of v compile to one uniform
+// destination list. Runs of the per-row class compile to a closure and the
+// rest are declined, as are runs on any other attribute, so the engine
+// takes every route path its contract allows.
 type fuzzRouter struct {
 	p    int
 	seed uint64
@@ -82,37 +83,46 @@ func (r *fuzzRouter) class(v int64) uint64 {
 	return (r.seed ^ uint64(v)*0x9e3779b97f4a7c15) >> 33 % 3
 }
 
-func (r *fuzzRouter) nameHash(name string) uint64 {
+func (r *fuzzRouter) Bind(name string) Route {
 	h := r.seed
 	for _, c := range name {
 		h = h*1099511628211 + uint64(c)
 	}
-	return h
-}
-
-func (r *fuzzRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
-	h := r.nameHash(rel.Name)
-	if a, ok := r.attr[rel.Name]; ok && r.class(rel.At(row, a)) == fuzzUniform {
-		return fuzzFanOut(h*1099511628211+uint64(rel.At(row, a)), r.p, dst)
+	attr, ok := r.attr[name]
+	if !ok {
+		attr = -1
 	}
-	for a := 0; a < rel.Arity; a++ {
-		h = h*1099511628211 + uint64(rel.At(row, a))
+	return &fuzzRoute{r: r, h: h, attr: attr}
+}
+
+// fuzzRoute is fuzzRouter bound to one relation: h hashes its name, attr is
+// its span attribute (-1: none).
+type fuzzRoute struct {
+	r    *fuzzRouter
+	h    uint64
+	attr int
+}
+
+func (f *fuzzRoute) Destinations(cols [][]int64, row int, dst []int) []int {
+	if f.attr >= 0 && f.r.class(cols[f.attr][row]) == fuzzUniform {
+		return fuzzFanOut(f.h*1099511628211+uint64(cols[f.attr][row]), f.r.p, dst)
 	}
-	return fuzzFanOut(h, r.p, dst)
+	h := f.h
+	for _, col := range cols {
+		h = h*1099511628211 + uint64(col[row])
+	}
+	return fuzzFanOut(h, f.r.p, dst)
 }
 
-func (r *fuzzRouter) SpansAttr(rel *data.Relation, attr int) bool {
-	a, ok := r.attr[rel.Name]
-	return ok && a == attr
-}
-
-func (r *fuzzRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *SpanRoute) bool {
-	h := r.nameHash(rel.Name)
-	switch r.class(v) {
+func (f *fuzzRoute) CompileSpan(cols [][]int64, attr int, v int64, route *SpanRoute) bool {
+	if attr != f.attr {
+		return false
+	}
+	switch f.r.class(v) {
 	case fuzzUniform:
-		route.Dests = fuzzFanOut(h*1099511628211+uint64(v), r.p, route.Dests)
+		route.Dests = fuzzFanOut(f.h*1099511628211+uint64(v), f.r.p, route.Dests)
 	case fuzzPerRow:
-		cols, p := rel.Columns(), r.p
+		h, p := f.h, f.r.p
 		route.PerRow = func(row int, dst []int) []int {
 			rh := h
 			for _, col := range cols {
@@ -188,15 +198,20 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 
 // referenceRound is the oracle the delivery engine is differentially tested
 // against: the communication phase exactly as the model states it, serially
-// on the calling goroutine. Every row is routed through Destinations alone
+// on the calling goroutine. Every row is routed through its relation's bound
+// route's Destinations alone
 // (no spans, logs or workers), duplicate destinations are dropped through
 // a per-row set, and each surviving (row, server) pair is one appended row
 // plus BitsPerTuple of load.
 func referenceRound(c *Cluster, router Router, rels ...*data.Relation) error {
 	for _, rel := range rels {
+		route := router.Bind(rel.Name)
+		if route == nil {
+			continue
+		}
 		for row := 0; row < rel.Size(); row++ {
 			seen := map[int]bool{}
-			for _, server := range router.Destinations(rel, row, nil) {
+			for _, server := range route.Destinations(rel.Columns(), row, nil) {
 				if seen[server] {
 					continue
 				}
@@ -332,8 +347,8 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 	}
 	db := data.NewDatabase()
 	db.Put(rel)
-	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%2), 1, int(rel.At(row, 0)%2))
+	router := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%2), 1, int(cols[0][row]%2))
 	})
 	reference := NewCluster(2)
 	if err := referenceRound(reference, router, rel); err != nil {
@@ -369,7 +384,7 @@ func TestReferenceDeliveryByHand(t *testing.T) {
 func TestShardedOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -383,8 +398,8 @@ func TestShardedOutOfRangeReportsError(t *testing.T) {
 func TestResizeReusesServersAndMaps(t *testing.T) {
 	c := NewCluster(8)
 	db := singleRel(100)
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +426,8 @@ func TestResizeReusesServersAndMaps(t *testing.T) {
 	if c.Servers[0] != s0 || c.Servers[7] != s7 {
 		t.Error("growing back did not reuse parked servers")
 	}
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +454,8 @@ func TestAppendChunkedParts(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		rel.Add(i)
 	}
-	parts := appendChunkedParts(nil, rel, 4)
-	want := []sendPart{{rel, 0, 4}, {rel, 4, 8}, {rel, 8, 10}}
+	parts := appendChunkedParts(nil, rel, nil, 4)
+	want := []sendPart{{rel, nil, 0, 4}, {rel, nil, 4, 8}, {rel, nil, 8, 10}}
 	if len(parts) != len(want) {
 		t.Fatalf("parts = %d, want %d", len(parts), len(want))
 	}
@@ -449,11 +464,11 @@ func TestAppendChunkedParts(t *testing.T) {
 			t.Errorf("part %d = [%d,%d), want [%d,%d)", i, p.lo, p.hi, want[i].lo, want[i].hi)
 		}
 	}
-	if got := appendChunkedParts(nil, data.NewRelation("E", 1, 2), 4); len(got) != 0 {
+	if got := appendChunkedParts(nil, data.NewRelation("E", 1, 2), nil, 4); len(got) != 0 {
 		t.Errorf("empty relation produced %d parts", len(got))
 	}
 	// A non-positive chunk degrades to single-row parts, never loops.
-	if got := appendChunkedParts(nil, rel, 0); len(got) != 10 {
+	if got := appendChunkedParts(nil, rel, nil, 0); len(got) != 10 {
 		t.Errorf("chunk 0 produced %d parts, want 10", len(got))
 	}
 }
@@ -474,13 +489,13 @@ func TestShuffleResidentChunksHotFragment(t *testing.T) {
 	}
 	db.Put(r)
 	c := NewCluster(8)
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0) // one hot server holds the whole intermediate
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	if err := c.ShuffleResident(routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
@@ -554,8 +569,8 @@ func TestShardedGoroutineBound(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 3; r++ {
-			if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-				return append(dst, int(rel.At(row, 0)%512), int((rel.At(row, 0)*7)%512))
+			if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+				return append(dst, int(cols[0][row]%512), int((cols[0][row]*7)%512))
 			})); err != nil {
 				t.Error(err)
 				return
@@ -598,18 +613,18 @@ func TestParkedClusterRetainsBoundedScratch(t *testing.T) {
 	}
 	before := heap()
 	c := NewCluster(p)
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%p))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%p))
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)/7%p))
+	if err := c.ShuffleResident(routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]/7%p))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		v := int(rel.At(row, 0))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		v := int(cols[0][row])
 		a := v % p
 		return append(dst, a, (a+1+v/p%(p-1))%p)
 	})); err != nil {
@@ -636,8 +651,8 @@ func TestWorkerDropsOversizedSetScratch(t *testing.T) {
 	rel := singleRel(m).MustGet("S")
 	// Row v goes to the servers of the bits of v mod 2^16 − 1, plus one:
 	// every nonempty subset of the 16 servers once per 65,535 rows.
-	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		bits := rel.At(row, 0)%(1<<p-1) + 1
+	router := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		bits := cols[0][row]%(1<<p-1) + 1
 		for s := 0; s < p; s++ {
 			if bits>>s&1 == 1 {
 				dst = append(dst, s)
@@ -679,10 +694,10 @@ func TestWarmFanOutRoundAllocatesOnlyFragments(t *testing.T) {
 		}
 		db.Put(rel)
 	}
-	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		a, b := int(rel.At(row, 0)%4), int(rel.At(row, 1)%4)
+	router := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		a, b := int(cols[0][row]%4), int(cols[1][row]%4)
 		for free := 0; free < 4; free++ {
-			if rel.Name == "R" {
+			if name == "R" {
 				dst = append(dst, a*16+b*4+free)
 			} else {
 				dst = append(dst, free*16+a*4+b)
@@ -731,14 +746,15 @@ func TestInternCollisionStoresSetAgain(t *testing.T) {
 	rel := singleRel(m).MustGet("S")
 	// Rows go to one server or to one of five sets, some of them repeated
 	// in runs (v/3 changes every third row).
-	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		switch v := int(rel.At(row, 0)) / 3; v % 6 {
+	router := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		switch v := int(cols[0][row]) / 3; v % 6 {
 		case 0:
 			return append(dst, v%p)
 		default:
 			return append(dst, v%6, (v%6+2)%p, (v%6+5)%p)
 		}
 	})
+	route := router.Bind("S")
 	c := NewCluster(p)
 	c.parallel(1, func(*commWorker, func() int) {})
 	w := c.comm.workers[0]
@@ -747,7 +763,7 @@ func TestInternCollisionStoresSetAgain(t *testing.T) {
 	w.codes = lg.codes
 	first := int32(0) // the offset of the first set stored, which every collision names
 	for row := 0; row < m; row++ {
-		w.dst = router.Destinations(rel, row, w.dst[:0])
+		w.dst = route.Destinations(rel.Columns(), row, w.dst[:0])
 		if len(w.dst) == 1 || first == 0 {
 			w.logRows(c, 1, w.dst, report)
 			if len(w.dst) > 1 {

@@ -12,10 +12,12 @@
 // reusable (Resize) so executors can pool them instead of reallocating Θ(p)
 // servers per run.
 //
-// The one-round restriction is enforced structurally: a Router decides the
-// destinations of a tuple from the tuple alone plus global statistics fixed
-// before the round, never from other servers' data. It has one method,
-// which reads the tuple in place as a row of its relation.
+// The one-round restriction is enforced structurally: a Router binds a
+// relation by its name once, before any row moves, and the bound Route
+// decides the destinations of a tuple from the tuple's values alone plus
+// global statistics fixed before the round, never from other servers' data.
+// It reads the tuple in place as a row of its relation's columns, and it can
+// resolve a heavy run of rows sharing one value at once (CompileSpan).
 package mpc
 
 import (
@@ -29,70 +31,50 @@ import (
 	"repro/internal/par"
 )
 
-// Router decides which servers receive a tuple of a relation during the
-// communication phase. Destinations reads row `row` of rel in place (its
-// name and column values, never a materialized row view) and must be a
-// pure function of (rel.Name, the row's values) and pre-round statistics.
-// It appends server IDs to dst and returns it (allowing allocation-free
-// reuse); IDs must lie in [0, P). Duplicate IDs are delivered once.
-//
-// A router is an immutable plan-time table: Destinations (and, for a
-// SpanRouter, SpansAttr and CompileSpan) must be safe for concurrent use,
-// because one instance serves every route worker of a round and every
-// standing query built on its plan.
+// Router is a plan-time routing table that binds each relation, by name,
+// to its Route. The engine binds a relation once per round and routes all
+// of its rows through the route, so only a row's values are read per row.
+// A router and its routes are immutable and safe for concurrent use: one
+// router serves every route worker of a round and every standing query
+// built on its plan.
 type Router interface {
-	Destinations(rel *data.Relation, row int, dst []int) []int
+	// Bind returns the route of the named relation, or nil when the router
+	// does not route it (its rows ship nowhere). It looks up tables built
+	// at plan time, so it allocates nothing.
+	Bind(name string) Route
 }
 
-// RouterFunc adapts a function to the Router interface.
-type RouterFunc func(rel *data.Relation, row int, dst []int) []int
-
-// Destinations implements Router.
-func (f RouterFunc) Destinations(rel *data.Relation, row int, dst []int) []int {
-	return f(rel, row, dst)
+// Route is one relation's routing: a row's destinations are a pure function
+// of its values and of statistics fixed before the round.
+type Route interface {
+	// Destinations reads row `row` of the relation's columns cols in place,
+	// appends the servers receiving it to dst and returns dst. IDs must lie
+	// in [0, P); a duplicate is delivered once.
+	Destinations(cols [][]int64, row int, dst []int) []int
+	// CompileSpan resolves a heavy run — rows sharing value v at attribute
+	// attr (data.PartitionIndex) — into route, which arrives zeroed. For
+	// every row of the run it must deliver where Destinations would (order
+	// and duplicates aside). It returns false for a run it cannot span, and
+	// the engine routes those rows through Destinations.
+	CompileSpan(cols [][]int64, attr int, v int64, route *SpanRoute) bool
 }
 
-// SpanRoute is the compiled routing of one heavy partition span — a
-// contiguous run of rows sharing one value on the partition attribute.
-// Exactly one of the two forms is produced per span:
+// SpanRoute is the compiled routing of one heavy run, in one of two forms:
 //
-//   - Uniform (PerRow nil): every row of the span goes to Dests. The engine
+//   - Uniform (PerRow nil): every row of the run goes to Dests. The engine
 //     logs Dests' one code for every row, and its scatter ships the run with
 //     one copy per column and destination — no per-row router work at all.
-//     An empty Dests ships nothing (a relation the router does not route).
+//     An empty Dests ships nothing.
 //   - PerRow non-nil: rows still need a per-row dimension (a grid row hash
-//     on a non-partition attribute), but the span-level decision — which
+//     on a non-partition attribute), but the run-level decision — which
 //     hitter plan, which block — is resolved once at compile time. PerRow
-//     appends to dst and returns it, like Router.Destinations, and is
-//     called only from the compiling worker's goroutine.
+//     appends to dst and returns it, like Route.Destinations, and is called
+//     only from the compiling worker's goroutine.
 //
-// Both slices may be retained and reused by the engine across spans.
+// Both slices may be retained and reused by the engine across runs.
 type SpanRoute struct {
 	Dests  []int
 	PerRow func(row int, dst []int) []int
-}
-
-// SpanRouter is an optional Router extension for partition-wise routing
-// over heavy-value runs (data.PartitionIndex). When a routed relation
-// carries a partition index on attribute attr and the router acknowledges
-// that attribute via SpansAttr, the delivery engine resolves each heavy
-// span with one CompileSpan call and ships it wholesale; rows in the light
-// region and the uncovered tail always take the per-tuple path.
-//
-// Contract: for every row whose value at attr is v, the compiled route must
-// deliver to exactly the servers Destinations would (order may differ;
-// duplicates are delivered once either way). CompileSpan may return false to
-// decline a span (the engine falls back to per-tuple for those rows). Like
-// Destinations, CompileSpan runs concurrently on one shared instance, and so
-// do the PerRow closures it returns.
-type SpanRouter interface {
-	Router
-	// SpansAttr reports whether CompileSpan understands spans of rel
-	// partitioned on attribute attr.
-	SpansAttr(rel *data.Relation, attr int) bool
-	// CompileSpan resolves the routing of the heavy run of value v at attr
-	// into route (whose fields arrive zeroed: Dests empty, PerRow nil).
-	CompileSpan(rel *data.Relation, attr int, v int64, route *SpanRoute) bool
 }
 
 // Server is one MPC worker: it accumulates the relation fragments routed to
@@ -104,8 +86,8 @@ type Server struct {
 	TuplesIn int64
 }
 
-// Fragment returns this server's fragment of the named relation (possibly
-// empty but never nil after a round that routed that relation).
+// Fragment returns this server's fragment of the named relation, nil if no
+// round delivered it a row of that relation.
 func (s *Server) Fragment(name string) *data.Relation { return s.Received[name] }
 
 // Install makes out the server's sole resident fragment (under the
@@ -224,8 +206,9 @@ func (c *Cluster) Resize(p int) *Cluster {
 func (c *Cluster) Capacity() int { return len(c.pool) }
 
 // RoundRelations executes the communication phase: every tuple of every
-// given relation is routed by router and delivered to its destination
-// servers. Loads accumulate across calls, so a multi-step single-round
+// given relation is routed through the route router binds for it, once, and
+// delivered to its destination servers; a relation the router does not bind
+// ships nothing. Loads accumulate across calls, so a multi-step single-round
 // algorithm may route in several calls before computing.
 //
 // RoundRelations returns an error if the router emits a destination outside
@@ -236,11 +219,11 @@ func (c *Cluster) RoundRelations(router Router, rels ...*data.Relation) error {
 	if senders <= 0 {
 		senders = DefaultSenders
 	}
-	var parts []sendPart
+	parts := make([]sendPart, 0, len(rels)*senders) // at most senders parts per relation
 	for _, rel := range rels {
-		parts = appendChunkedParts(parts, rel, (rel.Size()+senders-1)/senders)
+		parts = appendChunkedParts(parts, rel, router.Bind(rel.Name), (rel.Size()+senders-1)/senders)
 	}
-	return c.communicate(parts, router)
+	return c.communicate(parts)
 }
 
 // DefaultResidentChunkTuples caps the rows one send part carries out of a
@@ -255,7 +238,8 @@ const DefaultResidentChunkTuples = 1024
 
 // ShuffleResident executes a communication phase whose senders are the
 // cluster's own servers: each server routes its resident fragment of every
-// named relation through router, server-to-server, and afterwards holds
+// named relation through the route router binds for the name (once, shared
+// by every server's fragment), server-to-server, and afterwards holds
 // exactly the fragments newly delivered to it. This is how a multi-round
 // pipeline moves an intermediate result into the next round's layout
 // without concatenating it at the coordinator and re-ingesting it as a
@@ -271,10 +255,14 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 		s    *Server
 		frag *data.Relation
 	}
+	routes := make([]Route, len(names))
+	for i, name := range names {
+		routes[i] = router.Bind(name)
+	}
 	var parts []sendPart
 	var moved []detached
 	for _, s := range c.Servers {
-		for _, name := range names {
+		for i, name := range names {
 			frag, ok := s.Received[name]
 			if !ok {
 				continue
@@ -284,10 +272,10 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 			// longer be reachable there.
 			delete(s.Received, name)
 			moved = append(moved, detached{s, frag})
-			parts = appendChunkedParts(parts, frag, chunk)
+			parts = appendChunkedParts(parts, frag, routes[i], chunk)
 		}
 	}
-	err := c.communicate(parts, router)
+	err := c.communicate(parts)
 	if err != nil {
 		// The engine discarded the round wholesale, so re-attaching the
 		// outgoing fragments restores the exact pre-round state and the
@@ -301,21 +289,23 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 
 // sendPart is one unit of routing work: rows [lo, hi) of one relation (an
 // input-server partition in RoundRelations, a resident server fragment — or
-// a chunk of one — in ShuffleResident).
+// a chunk of one — in ShuffleResident) and the relation's bound route (nil:
+// the rows ship nothing).
 type sendPart struct {
 	rel    *data.Relation
+	route  Route
 	lo, hi int
 }
 
-// appendChunkedParts appends rel split into send parts of at most chunk
-// rows each — and at most 2^31-1, so a part's route-log counts fit in int32;
-// empty relations contribute nothing.
-func appendChunkedParts(parts []sendPart, rel *data.Relation, chunk int) []sendPart {
+// appendChunkedParts appends rel, routed through route, split into send
+// parts of at most chunk rows each — and at most 2^31-1, so a part's
+// route-log counts fit in int32; empty relations contribute nothing.
+func appendChunkedParts(parts []sendPart, rel *data.Relation, route Route, chunk int) []sendPart {
 	chunk = max(1, min(chunk, math.MaxInt32))
 	m := rel.Size()
 	for lo := 0; lo < m; lo += chunk {
 		hi := min(lo+chunk, m)
-		parts = append(parts, sendPart{rel: rel, lo: lo, hi: hi})
+		parts = append(parts, sendPart{rel: rel, route: route, lo: lo, hi: hi})
 	}
 	return parts
 }
@@ -333,7 +323,7 @@ func (c *Cluster) MarkReplay() { c.replayRound = true }
 // arrived. A torn round (the injected fault: only a prefix of the parts
 // arrives) or a mid-round context cancellation drops the logs, leaving
 // fragments and load counters bit-identical to the pre-round state.
-func (c *Cluster) communicate(parts []sendPart, router Router) error {
+func (c *Cluster) communicate(parts []sendPart) error {
 	if len(parts) == 0 {
 		c.replayRound = false
 		return nil
@@ -354,7 +344,7 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 	}
 	c.replayRound = false
 	defer c.comm.endRound()
-	logs, err := c.route(parts, router)
+	logs, err := c.route(parts)
 	if err != nil {
 		return err
 	}

@@ -23,8 +23,8 @@ func singleRel(m int) *data.Database {
 func TestRoundHashPartition(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%10))
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%10))
 	}))
 	loads := c.Loads()
 	if loads.TotalTuples != 1000 {
@@ -43,7 +43,7 @@ func TestRoundBroadcast(t *testing.T) {
 	db := singleRel(50)
 	c := NewCluster(4)
 	all := []int{0, 1, 2, 3}
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, all...)
 	}))
 	loads := c.Loads()
@@ -63,7 +63,7 @@ func TestRoundBroadcast(t *testing.T) {
 func TestRoundDuplicateDestinationsDeliveredOnce(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0, 0, 0)
 	}))
 	if got := c.Servers[0].TuplesIn; got != 10 {
@@ -74,7 +74,7 @@ func TestRoundDuplicateDestinationsDeliveredOnce(t *testing.T) {
 func TestRoundAccumulatesAcrossCalls(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	r := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	r := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0)
 	})
 	roundAll(c, db, r)
@@ -88,7 +88,7 @@ func TestRoundOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(1)
 	c := NewCluster(2)
 	c.Senders = 1
-	err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -118,7 +118,7 @@ func TestComputeCollects(t *testing.T) {
 func TestReset(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	c.Reset()
@@ -132,6 +132,24 @@ func TestReset(t *testing.T) {
 }
 
 // roundAll routes every relation of db, in name order.
+// routerFunc routes every relation through one function of the relation's
+// name and the row, read in place from its columns.
+type routerFunc func(name string, cols [][]int64, row int, dst []int) []int
+
+func (f routerFunc) Bind(name string) Route { return funcRoute{f, name} }
+
+// funcRoute is a routerFunc bound to one relation; it spans no run.
+type funcRoute struct {
+	f    routerFunc
+	name string
+}
+
+func (r funcRoute) Destinations(cols [][]int64, row int, dst []int) []int {
+	return r.f(r.name, cols, row, dst)
+}
+
+func (funcRoute) CompileSpan([][]int64, int, int64, *SpanRoute) bool { return false }
+
 func roundAll(c *Cluster, db *data.Database, router Router) error {
 	rels := make([]*data.Relation, 0, len(db.Relations))
 	for _, name := range db.Names() {
@@ -159,8 +177,8 @@ func TestRoundMultipleRelations(t *testing.T) {
 	db.Put(r1)
 	db.Put(r2)
 	c := NewCluster(2)
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		if rel.Name == "A" {
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		if name == "A" {
 			return append(dst, 0)
 		}
 		return append(dst, 1)
@@ -179,8 +197,8 @@ func TestRoundMultipleRelations(t *testing.T) {
 func TestRoundManySendersConsistent(t *testing.T) {
 	// Same routing with different sender counts must give identical loads.
 	ref := NewCluster(8)
-	refRouter := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8), int((rel.At(row, 0)*7)%8))
+	refRouter := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8), int((cols[0][row]*7)%8))
 	})
 	db := singleRel(5000)
 	ref.Senders = 1
@@ -200,7 +218,7 @@ func TestGiniCoefficient(t *testing.T) {
 	// All to one server: Gini near (n-1)/n.
 	db := singleRel(100)
 	c := NewCluster(4)
-	roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	g := c.GiniCoefficient()
@@ -209,8 +227,8 @@ func TestGiniCoefficient(t *testing.T) {
 	}
 	// Balanced: near 0.
 	c2 := NewCluster(4)
-	roundAll(c2, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%4))
+	roundAll(c2, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%4))
 	}))
 	if g2 := c2.GiniCoefficient(); g2 > 0.1 {
 		t.Errorf("balanced Gini = %v, want near 0", g2)
@@ -225,8 +243,8 @@ func TestGiniCoefficient(t *testing.T) {
 // must produce bit-identical loads.
 func TestRouterPurityProperty(t *testing.T) {
 	db := singleRel(2000)
-	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%7), int((rel.At(row, 0)*13)%7))
+	router := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%7), int((cols[0][row]*13)%7))
 	})
 	a := NewCluster(7)
 	roundAll(a, db, router)
@@ -246,8 +264,8 @@ func TestConcurrentClustersIndependent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			c := NewCluster(4)
-			roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-				return append(dst, int(rel.At(row, 0)%4))
+			roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+				return append(dst, int(cols[0][row]%4))
 			}))
 			done <- c.Loads().TotalBits
 		}()
@@ -264,16 +282,16 @@ func TestShuffleResidentMovesFragmentsServerToServer(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
 	// Round 1: mod-10 partition.
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%10))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%10))
 	})); err != nil {
 		t.Fatal(err)
 	}
 	bitsAfterRound := c.Loads().TotalBits
 	// Shuffle the resident fragments into a different layout (div-100
 	// partition) without touching the database.
-	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)/100))
+	if err := c.ShuffleResident(routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]/100))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +320,7 @@ func TestShuffleResidentMovesFragmentsServerToServer(t *testing.T) {
 
 func TestShuffleResidentSkipsMissingNames(t *testing.T) {
 	c := NewCluster(4)
-	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := c.ShuffleResident(routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0)
 	}), "nope"); err != nil {
 		t.Fatal(err)
@@ -315,8 +333,8 @@ func TestShuffleResidentSkipsMissingNames(t *testing.T) {
 func TestComputeResidentReplacesFragments(t *testing.T) {
 	db := singleRel(100)
 	c := NewCluster(4)
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%4))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%4))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +378,7 @@ func TestRoundRelationsRoutesOnlyListed(t *testing.T) {
 	extra.Add(1)
 	db.Put(extra)
 	c := NewCluster(4)
-	if err := c.RoundRelations(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+	if err := c.RoundRelations(routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
 		return append(dst, 0)
 	}), db.MustGet("S")); err != nil {
 		t.Fatal(err)
@@ -370,5 +388,55 @@ func TestRoundRelationsRoutesOnlyListed(t *testing.T) {
 	}
 	if c.Servers[0].Fragment("S") == nil || c.Servers[0].Fragment("S").Size() != 100 {
 		t.Error("listed relation not fully routed")
+	}
+}
+
+// bindOnly binds the relation named name through r and no other relation.
+type bindOnly struct {
+	name string
+	r    Router
+}
+
+func (b bindOnly) Bind(name string) Route {
+	if name != b.name {
+		return nil
+	}
+	return b.r.Bind(name)
+}
+
+// TestRoundRelationsShipsNothingUnbound routes a relation the router does not
+// bind next to one it does, heavy-partitioned so that the unbound one would
+// take the span path if it were bound: it ships nothing, no server holds a
+// fragment of it, and the bound relation is delivered, with its loads,
+// exactly as in a round without it.
+func TestRoundRelationsShipsNothingUnbound(t *testing.T) {
+	const p = 5
+	bound := singleRel(300).MustGet("S")
+	unbound := data.NewRelation("U", 2, 1024)
+	for i := int64(0); i < 400; i++ {
+		unbound.Add(i%3, i)
+	}
+	unbound.BuildPartitions(0, 10)
+	router := bindOnly{"S", routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row])%p, int(cols[0][row]*7)%p)
+	})}
+	for _, senders := range []int{1, 3} {
+		c, alone := NewCluster(p), NewCluster(p)
+		c.Senders, alone.Senders = senders, senders
+		if err := c.RoundRelations(router, unbound, bound); err != nil {
+			t.Fatal(err)
+		}
+		if err := alone.RoundRelations(router, bound); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.Servers {
+			if f := s.Fragment("U"); f != nil {
+				t.Errorf("senders=%d: server %d holds %d rows of the unbound relation", senders, s.ID, f.Size())
+			}
+		}
+		if c.Loads() != alone.Loads() {
+			t.Errorf("senders=%d: loads %+v, want %+v as in a round without the unbound relation", senders, c.Loads(), alone.Loads())
+		}
+		assertClustersEquivalent(t, alone, c)
 	}
 }

@@ -105,11 +105,11 @@ func TestTornRoundLeavesStateUntouched(t *testing.T) {
 		r.Add(i * 3 % 1024)
 	}
 	db2.Put(r)
-	route1 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	route1 := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	})
-	route2 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%5), int(rel.At(row, 0)%7))
+	route2 := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%5), int(cols[0][row]%7))
 	})
 
 	c := NewCluster(8)
@@ -149,11 +149,11 @@ func TestShuffleResidentRestoresOnTear(t *testing.T) {
 			f.WouldTearRoundAttempt(2, 1) && !f.WouldTearRoundAttempt(2, 2)
 	})
 	db := singleRel(1000)
-	route1 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%10))
+	route1 := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%10))
 	})
-	route2 := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)/100))
+	route2 := routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]/100))
 	})
 
 	c := NewCluster(10)
@@ -202,8 +202,8 @@ func TestRecomputeKeepsSurvivorOutputs(t *testing.T) {
 	db := singleRel(160)
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := roundAll(c, db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	if err := roundAll(c, db, routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,8 @@ func TestComputeOnGatherRerunsOnlyFailed(t *testing.T) {
 	})
 	c := NewCluster(8)
 	c.Faults = mk(seed)
-	if err := roundAll(c, singleRel(160), RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
-		return append(dst, int(rel.At(row, 0)%8))
+	if err := roundAll(c, singleRel(160), routerFunc(func(name string, cols [][]int64, row int, dst []int) []int {
+		return append(dst, int(cols[0][row]%8))
 	})); err != nil {
 		t.Fatal(err)
 	}

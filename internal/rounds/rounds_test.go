@@ -381,7 +381,7 @@ func TestKeyHashMatchesFamilyHash(t *testing.T) {
 				if h < 0 {
 					h = -h
 				}
-				if got, want := r.Destinations(rel, row, nil), h%64; len(got) != 1 || got[0] != want {
+				if got, want := r.Bind(rel.Name).Destinations(cols, row, nil), h%64; len(got) != 1 || got[0] != want {
 					t.Fatalf("%s: key %v routes to %v, Family.Hash form %d", q.Name, rel.Tuple(row), got, want)
 				}
 			}

@@ -103,7 +103,8 @@ func (b *Binary) Plan() *BinaryPlan {
 		}
 		return slices.Compare(x.Key, y.Key)
 	})
-	r := &BinaryRouter{sides: [2]BinarySide{b.Left, b.Right}, p: b.P, keySeeds: b.KeySeeds}
+	r := &BinaryRouter{p: b.P, keySeeds: b.KeySeeds}
+	r.sides = [2]sideRoute{{b.Left, 0, r}, {b.Right, 1, r}}
 	bp := &BinaryPlan{Router: r, Blocks: make([]Block, len(b.Heavy))}
 	var keys []int64
 	for i := range b.Heavy {
@@ -150,10 +151,10 @@ func (bp *BinaryPlan) PredictedTuples(mL, mR float64) float64 {
 
 // BinaryRouter routes a planned Binary join: a light key to its hash over
 // [0, p), a heavy key's row to its line of the key's block. It holds only
-// plan-time tables, so one instance serves every sender, and Destinations
-// reads the key and spread columns in place.
+// plan-time tables, so one instance serves every sender, and its routes read
+// the key and spread columns in place.
 type BinaryRouter struct {
-	sides    [2]BinarySide
+	sides    [2]sideRoute
 	p        int
 	keySeeds []uint64
 	// heavy turns a heavy key into its index in blocks; nil when no key is
@@ -163,37 +164,39 @@ type BinaryRouter struct {
 	classes [3]int // heavy keys per class
 }
 
+// sideRoute routes one input of the join: s is 0 for the left input, 1 for
+// the right.
+type sideRoute struct {
+	BinarySide
+	s int
+	r *BinaryRouter
+}
+
 // Classes returns how many heavy keys are H1, H2 and H12.
 func (r *BinaryRouter) Classes() (h1, h2, h12 int) {
 	return r.classes[classH1], r.classes[classH2], r.classes[classH12]
 }
 
-// side is 0 for the left input, 1 for the right, -1 for any other relation.
-func (r *BinaryRouter) side(rel *data.Relation) int {
-	switch rel.Name {
-	case r.sides[0].Name:
-		return 0
-	case r.sides[1].Name:
-		return 1
+// Bind implements mpc.Router: the route of the left input, then of the
+// right (a self-join routes as Left), nil for any other relation.
+func (r *BinaryRouter) Bind(name string) mpc.Route {
+	for i := range r.sides {
+		if r.sides[i].Name == name {
+			return &r.sides[i]
+		}
 	}
-	return -1
+	return nil
 }
 
-// Destinations implements mpc.Router. Relations that are not the join's
-// inputs are not routed.
+// Destinations implements mpc.Route.
 //
 //skewlint:noalloc
-func (r *BinaryRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
-	s := r.side(rel)
-	if s < 0 {
-		return dst
-	}
-	sd, cols := &r.sides[s], rel.Columns()
-	b := r.blockOf(cols, sd.Key, row)
+func (sr *sideRoute) Destinations(cols [][]int64, row int, dst []int) []int {
+	b := sr.r.blockOf(cols, sr.Key, row)
 	if b == nil {
-		return append(dst, r.lightServer(cols, sd.Key, row))
+		return append(dst, sr.r.lightServer(cols, sr.Key, row))
 	}
-	return b.place(s, sd.Seed, spreadValue(cols, sd.Spread, row), dst)
+	return b.place(sr.s, sr.Seed, spreadValue(cols, sr.Spread, row), dst)
 }
 
 // blockOf returns the block of the key row carries at the key columns, nil
@@ -261,18 +264,17 @@ func (b *Block) place(s int, seed uint64, v int64, dst []int) []int {
 	return dst
 }
 
-// SpansAttr implements mpc.SpanRouter: the key column of an input keyed on
-// one column, so a run's value is its whole key.
-func (r *BinaryRouter) SpansAttr(rel *data.Relation, attr int) bool {
-	s := r.side(rel)
-	return s >= 0 && len(r.sides[s].Key) == 1 && attr == r.sides[s].Key[0]
-}
-
-// CompileSpan implements mpc.SpanRouter: the key's block is resolved once
-// per run. A light run, or a side with one line to pick (the broadcast side
-// of an H1 or H2 block), compiles to one destination list the engine ships
-// in bulk; otherwise each row still hashes its spread, through a closure.
-func (r *BinaryRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *mpc.SpanRoute) bool {
+// CompileSpan implements mpc.Route for a run on the key column of an input
+// keyed on one column, so that the run's value is its whole key, and
+// declines any other run. The key's block is resolved once per run. A light
+// run, or a side with one line to pick (the broadcast side of an H1 or H2
+// block), compiles to one destination list the engine ships in bulk;
+// otherwise each row still hashes its spread, through a closure.
+func (sr *sideRoute) CompileSpan(cols [][]int64, attr int, v int64, route *mpc.SpanRoute) bool {
+	if len(sr.Key) != 1 || attr != sr.Key[0] {
+		return false
+	}
+	r := sr.r
 	key := [1]int64{v}
 	g := -1
 	if r.heavy != nil {
@@ -282,14 +284,13 @@ func (r *BinaryRouter) CompileSpan(rel *data.Relation, attr int, v int64, route 
 		route.Dests = append(route.Dests, hashing.HashSeeded(r.keySeeds[0], v, r.p))
 		return true
 	}
-	s, b := r.side(rel), r.blocks[g]
+	s, b := sr.s, r.blocks[g]
 	if s == 0 && b.P1 == 1 || s == 1 && b.P2 == 1 {
 		route.Dests = b.place(s, 0, 0, route.Dests)
 		return true
 	}
-	sd, cols := r.sides[s], rel.Columns()
 	route.PerRow = func(row int, dst []int) []int {
-		return b.place(s, sd.Seed, spreadValue(cols, sd.Spread, row), dst)
+		return b.place(s, sr.Seed, spreadValue(cols, sr.Spread, row), dst)
 	}
 	return true
 }

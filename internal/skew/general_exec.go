@@ -2,6 +2,7 @@ package skew
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -75,7 +76,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	virtual := 0
 	predicted := 0.0
 	combos := make([]Combo, 0, len(keys))
-	steps := make([][]spanStep, gs.q.NumAtoms()) // per atom, one per combination
+	routes := make([]atomRoute, gs.q.NumAtoms()) // per atom, one step per combination
 	for _, key := range keys {
 		b := gs.combos[key]
 		rangeLo := virtual
@@ -138,7 +139,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 					}
 				}
 			}
-			steps[j] = append(steps[j], spanStep{
+			routes[j] = append(routes[j], spanStep{
 				ap:    ap,
 				bases: allBases, resolved: len(ap.xjAttrs) == 0,
 				exclude: gs.exclusionChecks(j, b),
@@ -156,11 +157,6 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		virtual = 1
 	}
 
-	atomIndex := make(map[string]int, gs.q.NumAtoms())
-	for j, a := range gs.q.Atoms {
-		atomIndex[a.Name] = j
-	}
-
 	gp := &GeneralPlan{Combos: combos, PredictedBits: predicted}
 	q := gs.q
 	gp.Phys = &exec.PhysicalPlan{
@@ -168,7 +164,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 		Virtual:   virtual,
 		Physical:  gs.p,
 		Relations: q.AtomNames(),
-		Router:    &generalRouter{steps: steps, atomIndex: atomIndex},
+		Router:    &generalRouter{names: q.AtomNames(), atoms: routes},
 		Query:     q,
 		// Overlapping bin combinations may each produce the same answer.
 		Dedup:         true,
@@ -207,28 +203,29 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 // generalRouter routes tuples to every bin combination's subgrid. It
 // carries only plan-time tables (thresholds and frequency maps are frozen
 // into the steps), never the planning state, so cached plans don't pin the
-// database they were built from. It reads each row in place and keeps no
-// scratch, so one instance serves every sender concurrently.
+// database they were built from. Its routes read each row in place and keep
+// no scratch, so one instance serves every sender concurrently.
 type generalRouter struct {
-	steps     [][]spanStep // per atom: one step per bin combination
-	atomIndex map[string]int
+	names []string
+	atoms []atomRoute // atoms[j] routes the atom named names[j]
 }
 
-// Destinations implements mpc.Router over the bin-combination layout,
-// probing the exclusion checks and block lookups with the row's columns in
-// place.
-//
-//skewlint:noalloc
-func (r *generalRouter) Destinations(rel *data.Relation, row int, dst []int) []int {
-	j, ok := r.atomIndex[rel.Name]
-	if !ok {
-		return dst
+// Bind implements mpc.Router: the route of the atom named name — a pointer
+// into the router's table, so binding allocates nothing — nil for a
+// relation outside the query.
+func (r *generalRouter) Bind(name string) mpc.Route {
+	if j := slices.Index(r.names, name); j >= 0 {
+		return &r.atoms[j]
 	}
-	return destinations(r.steps[j], rel.Columns(), row, dst)
+	return nil
 }
+
+// atomRoute is one atom's route over the bin-combination layout: one step
+// per bin combination.
+type atomRoute []spanStep
 
 // spanStep is one bin combination's routing of one atom. The steps every
-// tuple takes (generalRouter.steps) leave everything but an empty x_j to be
+// tuple takes (an atomRoute) leave everything but an empty x_j to be
 // decided per row; a heavy run's steps have the exclusion checks and block
 // lookups over the partition attribute decided at compile time.
 type spanStep struct {
@@ -241,16 +238,16 @@ type spanStep struct {
 	exclude  []exclCheck // the overweight checks still to run per row
 }
 
-// destinations appends the destinations of row (of an atom whose relation
-// has columns cols) over steps: every combination that does not exclude the
-// row places it, through the atom's subcube, in each block its projection
-// onto x_j maps to.
+// Destinations implements mpc.Route: over its steps, every combination that
+// does not exclude the row places it, through the atom's subcube, in each
+// block its projection onto x_j maps to. The exclusion checks and block
+// lookups probe the row's columns in place.
 //
 //skewlint:noalloc
-func destinations(steps []spanStep, cols [][]int64, row int, dst []int) []int {
+func (a atomRoute) Destinations(cols [][]int64, row int, dst []int) []int {
 next:
-	for si := range steps {
-		st := &steps[si]
+	for si := range a {
+		st := &a[si]
 		// Overweight exclusion (the S^(B)_j membership test).
 		for _, ec := range st.exclude {
 			if ec.over.LookupRow(cols, ec.attrs, row) >= 0 {
@@ -268,28 +265,17 @@ next:
 	return dst
 }
 
-// SpansAttr implements mpc.SpanRouter: any single attribute of a routed
-// atom helps — every exclusion check or block lookup over exactly that
-// attribute resolves once per run.
-func (r *generalRouter) SpansAttr(rel *data.Relation, attr int) bool {
-	_, ok := r.atomIndex[rel.Name]
-	return ok
-}
-
-// CompileSpan implements mpc.SpanRouter: for each bin combination, run the
-// partition-attribute exclusion checks and block lookups once for the whole
-// run, dropping combinations that exclude the run or route it nowhere. The
-// surviving per-row work (multi-attribute exclusions, other-attribute
-// lookups, subcube hashing) runs through a closure over the reduced list.
-func (r *generalRouter) CompileSpan(rel *data.Relation, attr int, v int64, route *mpc.SpanRoute) bool {
-	j, ok := r.atomIndex[rel.Name]
-	if !ok {
-		return true // not an input of this plan: ship nothing
-	}
+// CompileSpan implements mpc.Route for a run on any single attribute: for
+// each bin combination, run the exclusion checks and block lookups over
+// exactly that attribute once for the whole run, dropping combinations that
+// exclude the run or route it nowhere. The surviving per-row work
+// (multi-attribute exclusions, other-attribute lookups, subcube hashing)
+// runs through a closure over the reduced steps.
+func (a atomRoute) CompileSpan(cols [][]int64, attr int, v int64, route *mpc.SpanRoute) bool {
 	run := [1]int64{v}
-	steps := make([]spanStep, 0, len(r.steps[j]))
+	steps := make(atomRoute, 0, len(a))
 next:
-	for _, st := range r.steps[j] {
+	for _, st := range a {
 		all := st.exclude
 		st.exclude = nil
 		for _, ec := range all {
@@ -310,9 +296,8 @@ next:
 	if len(steps) == 0 {
 		return true // uniform empty: every combination excluded the run
 	}
-	cols := rel.Columns()
 	route.PerRow = func(row int, dst []int) []int {
-		return destinations(steps, cols, row, dst)
+		return steps.Destinations(cols, row, dst)
 	}
 	return true
 }

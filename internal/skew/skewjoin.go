@@ -154,10 +154,10 @@ func PlanJoinWith(q *query.Query, db *data.Database, cfg JoinConfig, ps *stats.P
 		Query:         q,
 		PredictedBits: jp.PredictedBits,
 	}
-	// Heavy runs on the join column route span-wise (BinaryRouter implements
-	// mpc.SpanRouter): one block lookup per run instead of one per tuple. In
-	// a self-join the router classifies the shared relation by its first
-	// atom, so only that atom's column is hinted.
+	// Heavy runs on the join column route span-wise (the router's routes
+	// compile runs on their key column): one block lookup per run instead of
+	// one per tuple. In a self-join the router binds the shared relation as
+	// its first atom, so only that atom's column is hinted.
 	jp.Phys.PartitionHints = []exec.PartitionHint{{Rel: sh.name1, Attr: sh.zPos1}}
 	if sh.name2 != sh.name1 {
 		jp.Phys.PartitionHints = append(jp.Phys.PartitionHints, exec.PartitionHint{Rel: sh.name2, Attr: sh.zPos2})
