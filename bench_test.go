@@ -172,14 +172,14 @@ func BenchmarkCollectDB(b *testing.B) {
 
 // BenchmarkBestLowerColdPlan is the lower bound of a cold plan by itself:
 // BestLowerWith on cold_plan's triangle at p = 64, through a fresh pass on
-// which CollectDB has already built the groupings, as in core's planning.
+// which CollectNamed has already built the groupings, as in core's planning.
 func BenchmarkBestLowerColdPlan(b *testing.B) {
 	q, db := query.Triangle(), coldPlanGraphs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ps := new(stats.Pass)
-		ps.CollectDB(db, 64)
+		ps.CollectNamed(db, db.Names(), 64)
 		b.StartTimer()
 		bounds.BestLowerWith(q, db, 64, 0, ps)
 	}

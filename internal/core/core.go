@@ -350,7 +350,7 @@ func logicalPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) 
 	if err := q.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid query: %v", err))
 	}
-	dbStats := ps.CollectDB(db, s.p)
+	dbStats := ps.CollectNamed(db, q.AtomNames(), s.p)
 	hasSkew := false
 	for _, a := range q.Atoms {
 		rs := dbStats.Relations[a.Name]
@@ -660,29 +660,29 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings, ps *stat
 // Every step counts through the one pass ps, so each (relation, attribute
 // list) is grouped once; the plan keeps nothing of ps. A nil ps means a
 // pass of the build's own, released before it returns; a caller's pass is
-// the caller's to release. The second result is the multi-round pipeline the
-// comparison lowered and rejected, nil when there was none; only Explain
-// reads it.
-func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, *exec.Pipeline) {
+// the caller's to release. The second result holds the planners' outputs
+// the build lowered on the way; only Explain reads it.
+func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*cachedPlan, lowered) {
 	if ps == nil {
 		ps = new(stats.Pass)
 		defer ps.Release()
 	}
 	cp := &cachedPlan{plan: logicalPlan(q, db, s, ps)}
 	cp.plannedFP = stats.Fingerprint(db)
+	var low lowered
 	switch cp.plan.Strategy {
 	case HyperCube:
-		hc := hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed, Shares: s.shares})
-		cp.run = exec.OneRound(hc.Phys)
-		cp.plan.Shares = hc.Shares
+		low.hc = hypercube.BuildPlan(q, db, hypercube.Config{P: s.p, Seed: s.seed, Shares: s.shares})
+		cp.run = exec.OneRound(low.hc.Phys)
+		cp.plan.Shares = low.hc.Grid.Shares
 	case SkewJoin:
 		cp.run = exec.OneRound(skew.PlanJoinWith(q, db, skew.JoinConfig{P: s.p, Seed: s.seed}, ps).Phys)
 	case BinCombination:
-		cp.run = exec.OneRound(skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}, ps).Phys)
+		low.general = skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: s.p, Seed: s.seed}, ps)
+		cp.run = exec.OneRound(low.general.Phys)
 	case MultiRound:
 		cp.run = planMultiRound(q, db, s, ps)
 	}
-	var rejected *exec.Pipeline
 	if s.mr && s.forced == nil && cp.plan.Strategy != MultiRound && q.NumAtoms() >= 2 {
 		mr := planMultiRound(q, db, s, ps)
 		one := cp.run.PredictedSumMaxBits
@@ -697,12 +697,22 @@ func buildPlan(q *query.Query, db *data.Database, s settings, ps *stats.Pass) (*
 			cp.plan.Reason += fmt.Sprintf(
 				"; multi-round rejected (predicted Σmax %.0f bits over %d rounds)",
 				mr.PredictedSumMaxBits, len(mr.Stages))
-			rejected = mr
+			low.rejected = mr
 		}
 	}
 	cp.plan.PredictedBits = cp.run.PredictedSumMaxBits
 	cp.plan.Rounds = len(cp.run.Stages)
-	return cp, rejected
+	return cp, low
+}
+
+// lowered is what buildPlan lowered besides the plan it returns: the
+// HyperCube or §4.2 plan when it chose that strategy first, and the
+// multi-round pipeline its cost comparison rejected; nil where it lowered
+// none.
+type lowered struct {
+	hc       *hypercube.Plan
+	general  *skew.GeneralPlan
+	rejected *exec.Pipeline
 }
 
 // planMultiRound lowers the skew-aware multi-round pipeline for q.

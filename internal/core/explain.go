@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/bounds"
@@ -25,17 +24,24 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		return "explain: " + err.Error() + "\n"
 	}
 	// Plan once: the cost table reads the chosen strategy's rounds and
-	// prediction off the plan, and the multi-round pipeline's off the one
-	// the plan's cost comparison rejected, if it lowered one; it plans the
-	// other strategies only for their cost, all off one statistics pass. The
-	// §4.2 plan also lists its bin combinations below.
+	// prediction off the plan, and reuses whatever else the build lowered
+	// (the HyperCube or §4.2 plan it chose first, the multi-round pipeline
+	// its cost comparison rejected); it plans the other strategies only for
+	// their cost, all off one statistics pass. The HyperCube plan also
+	// prints its grid below, and the §4.2 plan its bin combinations.
 	s := e.settings(ExecOptions{})
 	p, seed := s.p, s.seed
 	ps := new(stats.Pass)
 	defer ps.Release()
-	cp, rejected := buildPlan(q, db, s, ps)
+	cp, low := buildPlan(q, db, s, ps)
 	plan := cp.plan
-	general := skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps)
+	hc, general := low.hc, low.general
+	if hc == nil {
+		hc = hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed})
+	}
+	if general == nil {
+		general = skew.PlanGeneralWith(q, db, skew.GeneralConfig{P: p, Seed: seed}, ps)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
 	fmt.Fprintf(&b, "servers:  p = %d\n", p)
@@ -62,9 +68,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		}
 	}
 	noCost := func() float64 { return 0 }
-	writeCost(HyperCube, "(p^λ)", func() float64 {
-		return hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed}).PredictedBits
-	})
+	writeCost(HyperCube, "(p^λ)", func() float64 { return hc.PredictedBits })
 	if plan.Strategy == SkewJoin || isJoin2Shaped(q) {
 		writeCost(SkewJoin, "(Eq. 10)", func() float64 {
 			return skew.PlanJoinWith(q, db, skew.JoinConfig{P: p, Seed: seed}, ps).PredictedBits
@@ -76,7 +80,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	if plan.Strategy == MultiRound || q.NumAtoms() >= 2 {
 		rounds, cost := plan.Rounds, plan.PredictedBits
 		if plan.Strategy != MultiRound {
-			mr := rejected
+			mr := low.rejected
 			if mr == nil {
 				mr = planMultiRound(q, db, s, ps)
 			}
@@ -114,16 +118,11 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	fmt.Fprintf(&b, "full lower bound (Thm 1.2, with residual packings): %.0f bits\n",
 		plan.LowerBoundBits)
 
-	exps, lambda := hypercube.OptimalExponents(q, bitsM, p)
-	ideal := make([]float64, len(exps))
-	for i, e := range exps {
-		ideal[i] = math.Pow(float64(p), e)
-	}
-	shares := hypercube.RoundToBudget(ideal, p)
+	grid := hc.Grid
 	fmt.Fprintf(&b, "\nshare exponents (LP 5): %s, λ = %.4f → predicted p^λ bits\n",
-		fmtExps(q, exps), lambda)
+		fmtExps(q, grid.Exponents), grid.Lambda)
 	fmt.Fprintf(&b, "integer shares: %v (%d of %d servers used)\n",
-		shares, productInts(shares), p)
+		grid.Shares, grid.Cells(), p)
 
 	if plan.HasSkew && plan.Strategy == BinCombination {
 		fmt.Fprintf(&b, "\nbin combinations (§4.2):\n")
@@ -145,12 +144,4 @@ func fmtExps(q *query.Query, e []float64) string {
 		parts[i] = fmt.Sprintf("%s=%.3f", q.Vars[i], v)
 	}
 	return strings.Join(parts, " ")
-}
-
-func productInts(xs []int) int {
-	p := 1
-	for _, x := range xs {
-		p *= x
-	}
-	return p
 }

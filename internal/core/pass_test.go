@@ -17,9 +17,11 @@ import (
 
 // TestBuildPlanGroupsEachProjectionOnce counts groupings: statistics, the
 // lower bounds and the bin-combination planner of one triangle plan ask for
-// 27 between them and, through one pass, build the nine distinct ones.
+// 27 between them and, through one pass, build the nine distinct ones. A
+// relation of the database outside the query is not grouped at all.
 func TestBuildPlanGroupsEachProjectionOnce(t *testing.T) {
 	q, db, p, _ := benchInstance("cold_plan", 1)
+	db.Put(workload.Uniform("T", 3, 2000, 64, 5))
 	e := newEngine(t, Config{P: p, Seed: 1})
 	ps := new(stats.Pass)
 	cp, _ := buildPlan(q, db, e.settings(ExecOptions{}), ps)
@@ -267,7 +269,7 @@ func TestWarmPlanAllocationBudget(t *testing.T) {
 		t.Skip("sync.Pool drops Puts in this build (race detector)")
 	}
 	const budget = 320 << 10
-	// One P: the residual bounds and CollectDB run serially, so which
+	// One P: the residual bounds and CollectNamed run serially, so which
 	// scratch serves which grouping does not hang on the scheduler.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	q, db, p, _ := benchInstance("cold_plan", 1)

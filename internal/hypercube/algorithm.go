@@ -25,26 +25,29 @@ type Router struct {
 // NewRouter builds the HC router for the given integer shares (one per
 // query variable, product ≤ the cluster size).
 func NewRouter(q *query.Query, shares []int, family *hashing.Family) *Router {
+	return sharesGrid(q, shares).router(q, family)
+}
+
+// sharesGrid is the grid of given integer shares, one per query variable.
+func sharesGrid(q *query.Query, shares []int) Grid {
 	if len(shares) != q.NumVars() {
 		panic("hypercube: shares length must equal variable count")
 	}
-	vars := make([]int, len(shares))
+	g := Grid{Vars: make([]int, len(shares)), Shares: shares}
 	for i, s := range shares {
 		if s < 1 {
 			panic(fmt.Sprintf("hypercube: share[%d] = %d", i, s))
 		}
-		vars[i] = i
+		g.Vars[i] = i
 	}
+	return g
+}
+
+// router routes every atom of q through its Subcube of the grid.
+func (g Grid) router(q *query.Query, family *hashing.Family) *Router {
 	r := &Router{names: q.AtomNames()}
 	for _, a := range q.Atoms {
-		pos := make([]int, len(shares))
-		for i := range pos {
-			pos[i] = -1
-		}
-		for p, v := range a.Vars {
-			pos[v] = p
-		}
-		r.cubes = append(r.cubes, NewSubcube(shares, vars, pos, family))
+		r.cubes = append(r.cubes, g.Subcube(a, family))
 	}
 	return r
 }
@@ -97,21 +100,22 @@ type boundDim struct {
 	stride int
 }
 
-// NewSubcube builds the kernel of one atom on the grid whose dimension d
-// has shares[d] cells (row-major, last dimension fastest) and hashes with
-// family's function of query variable vars[d]. pos[d] is the attribute of
-// the atom that binds dimension d, or -1 when d is free.
-func NewSubcube(shares, vars, pos []int, family *hashing.Family) *Subcube {
-	stride := make([]int, len(shares))
-	for d, size := len(shares)-1, 1; d >= 0; d-- {
+// Subcube builds the kernel of atom a on the grid (row-major, last
+// dimension fastest): dimension d hashes with family's function of query
+// variable Vars[d] when a carries that variable, and is free otherwise.
+func (g Grid) Subcube(a query.Atom, family *hashing.Family) *Subcube {
+	stride := make([]int, len(g.Shares))
+	pos := make([]int, len(g.Shares)) // the attribute of a binding dimension d, -1 if free
+	for d, size := len(g.Shares)-1, 1; d >= 0; d-- {
 		stride[d] = size
-		size *= shares[d]
+		size *= g.Shares[d]
+		pos[d] = slices.Index(a.Vars, g.Vars[d])
 	}
-	s := &Subcube{offsets: enumerateFree(shares, stride, pos)}
-	for d := range shares {
+	s := &Subcube{offsets: enumerateFree(g.Shares, stride, pos)}
+	for d, share := range g.Shares {
 		// A dimension of one cell always hashes to coordinate 0.
-		if pos[d] >= 0 && shares[d] > 1 {
-			s.bound = append(s.bound, boundDim{pos: pos[d], seed: family.DimSeed(vars[d]), share: shares[d], stride: stride[d]})
+		if pos[d] >= 0 && share > 1 {
+			s.bound = append(s.bound, boundDim{pos: pos[d], seed: family.DimSeed(g.Vars[d]), share: share, stride: stride[d]})
 		}
 	}
 	return s
@@ -181,45 +185,39 @@ type Config struct {
 	Shares []int
 }
 
-// Plan is the §3.1 planner output: the selected shares with their LP
-// prediction, lowered to the unified executor's PhysicalPlan; run it with
-// exec.Execute(exec.OneRound(Phys), …). Plans are reusable across
+// Plan is the §3.1 planner output: the grid of the selected shares with
+// its LP solution, lowered to the unified executor's PhysicalPlan; run it
+// with exec.Execute(exec.OneRound(Phys), …). Plans are reusable across
 // executions (Engine's plan cache holds them).
 type Plan struct {
-	Shares        []int
+	Grid          Grid
 	PredictedBits float64 // p^λ for the LP optimum λ (LP-based share selection only)
 	Phys          *exec.PhysicalPlan
 }
 
-// BuildPlan selects shares for q over db (LP-optimal, rounded by
-// RoundToBudget, unless cfg forces explicit shares, EqualShares among them)
-// and lowers them to a PhysicalPlan on the cfg.P-cell hypercube.
+// BuildPlan selects shares for q over db (SolveGrid's LP-optimal grid,
+// unless cfg forces explicit shares, EqualShares among them) and lowers them
+// to a PhysicalPlan on the cfg.P-cell hypercube.
 func BuildPlan(q *query.Query, db *data.Database, cfg Config) *Plan {
 	if cfg.P < 1 {
 		panic("hypercube: P must be >= 1")
 	}
 	pl := &Plan{}
-	bits := atomBits(q, db)
 	if cfg.Shares != nil {
-		pl.Shares = append([]int(nil), cfg.Shares...)
+		pl.Grid = sharesGrid(q, slices.Clone(cfg.Shares))
 	} else {
-		e, lambda := OptimalExponents(q, bits, cfg.P)
-		pl.PredictedBits = math.Pow(float64(cfg.P), lambda)
-		ideal := make([]float64, len(e))
-		for i, ei := range e {
-			ideal[i] = math.Pow(float64(cfg.P), ei)
-		}
-		pl.Shares = RoundToBudget(ideal, cfg.P)
+		pl.Grid = SolveGrid(q, atomBits(q, db), cfg.P, nil, nil, 0)
+		pl.PredictedBits = math.Pow(float64(cfg.P), pl.Grid.Lambda)
 	}
-	if got := product(pl.Shares); got > cfg.P {
-		panic(fmt.Sprintf("hypercube: shares %v use %d > p = %d servers", pl.Shares, got, cfg.P))
+	if got := pl.Grid.Cells(); got > cfg.P {
+		panic(fmt.Sprintf("hypercube: shares %v use %d > p = %d servers", pl.Grid.Shares, got, cfg.P))
 	}
 
 	pl.Phys = &exec.PhysicalPlan{
 		Strategy:  "hypercube",
 		Virtual:   cfg.P,
 		Physical:  cfg.P,
-		Router:    NewRouter(q, pl.Shares, hashing.NewFamily(cfg.Seed)),
+		Router:    pl.Grid.router(q, hashing.NewFamily(cfg.Seed)),
 		Relations: q.AtomNames(),
 		Query:     q,
 		// The share product is validated above, so HC routing cannot emit

@@ -203,14 +203,14 @@ func TestRoundGreedyBeatsFloor(t *testing.T) {
 		}
 		greedy, gres := run(t, q, db, Config{P: p, Seed: 7}, true)
 		_, fres := run(t, q, db, Config{P: p, Seed: 7, Shares: floor}, true)
-		if used := product(greedy.Shares); used > p || used <= product(floor) {
-			t.Errorf("greedy shares %v use %d servers, want more than floor %v and at most %d", greedy.Shares, used, floor, p)
+		if used := product(greedy.Grid.Shares); used > p || used <= product(floor) {
+			t.Errorf("greedy shares %v use %d servers, want more than floor %v and at most %d", greedy.Grid.Shares, used, floor, p)
 		}
 		if gres.Rounds[0].MaxTuples > fres.Rounds[0].MaxTuples {
 			t.Errorf("greedy %v max tuples %d > floor %v max tuples %d",
-				greedy.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
+				greedy.Grid.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
 		}
-		t.Logf("greedy %v max tuples %d, floor %v max tuples %d", greedy.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
+		t.Logf("greedy %v max tuples %d, floor %v max tuples %d", greedy.Grid.Shares, gres.Rounds[0].MaxTuples, floor, fres.Rounds[0].MaxTuples)
 	})
 }
 

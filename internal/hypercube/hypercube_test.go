@@ -232,7 +232,7 @@ func TestRunExplicitShares(t *testing.T) {
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Error("explicit-share run incorrect")
 	}
-	if pl.Shares[0] != 2 {
+	if pl.Grid.Shares[0] != 2 {
 		t.Error("shares not honored")
 	}
 }
@@ -245,9 +245,9 @@ func TestRunEqualShares(t *testing.T) {
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Error("equal-share run incorrect")
 	}
-	for _, s := range pl.Shares {
+	for _, s := range pl.Grid.Shares {
 		if s != 3 {
-			t.Errorf("EqualShares on p=27: %v, want (3,3,3)", pl.Shares)
+			t.Errorf("EqualShares on p=27: %v, want (3,3,3)", pl.Grid.Shares)
 		}
 	}
 }
@@ -556,4 +556,46 @@ func TestHashJoinSharesRouteByZ(t *testing.T) {
 			}
 		}
 	}
+}
+
+// PredictLoadSkewFree returns the Corollary 3.2 (i) expected load in bits
+// for explicit integer shares on a skew-free database:
+// max_j M_j / Π_{i ∈ S_j} p_i.
+func PredictLoadSkewFree(q *query.Query, bits []float64, shares []int) float64 {
+	if len(bits) != q.NumAtoms() || len(shares) != q.NumVars() {
+		panic("hypercube: PredictLoadSkewFree shape mismatch")
+	}
+	worst := 0.0
+	for j, a := range q.Atoms {
+		denom := 1.0
+		for _, v := range a.Vars {
+			denom *= float64(shares[v])
+		}
+		if l := bits[j] / denom; l > worst {
+			worst = l
+		}
+	}
+	return worst
+}
+
+// PredictLoadWorstCase returns the Corollary 3.2 (ii) guarantee in bits,
+// valid on ANY database regardless of skew:
+// max_j M_j / min_{i ∈ S_j} p_i.
+func PredictLoadWorstCase(q *query.Query, bits []float64, shares []int) float64 {
+	if len(bits) != q.NumAtoms() || len(shares) != q.NumVars() {
+		panic("hypercube: PredictLoadWorstCase shape mismatch")
+	}
+	worst := 0.0
+	for j, a := range q.Atoms {
+		minShare := shares[a.Vars[0]]
+		for _, v := range a.Vars[1:] {
+			if shares[v] < minShare {
+				minShare = shares[v]
+			}
+		}
+		if l := bits[j] / float64(minShare); l > worst {
+			worst = l
+		}
+	}
+	return worst
 }

@@ -1,77 +1,121 @@
 // Package hypercube implements the HYPERCUBE (HC) algorithm of §3.1 of
 // Beame–Koutris–Suciu: the p servers are organized into a k-dimensional
 // hypercube with one dimension per query variable; every tuple is hashed on
-// its own variables and replicated along the remaining dimensions. The
-// package covers share selection (the LP (5) of the paper and the
-// skew-resilient equal-share configuration), integer share rounding,
-// subcube routing, and the end-to-end one-round algorithm on the MPC
-// simulator.
+// its own variables and replicated along the remaining dimensions. SolveGrid
+// is the one share LP and integer rounding, shared with the §4.2 bin
+// combinations: LP (5) of §3.1 is LP (11) of §4.2 with no variable taken
+// out, no bin exponents and the whole budget. The package also covers the
+// skew-resilient equal-share configuration, subcube routing, and the
+// end-to-end one-round algorithm on the MPC simulator.
 package hypercube
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/query"
 	"repro/internal/rational"
 )
 
-// OptimalExponents solves the share-exponent LP (5):
+// Grid is one HyperCube layout: a grid with one dimension per variable in
+// Vars, each split into that dimension's integer share of cells, with the
+// share LP solution it was rounded from. §3.1 routes every atom over one
+// grid spanning all the query's variables; §4.2 lays out one grid per bin
+// combination B, over the variables outside its x. A grid of given shares
+// (Config.Shares, NewRouter) has no Exponents and λ = 0.
+type Grid struct {
+	Vars      []int     // the query variable of each dimension, ascending
+	Exponents []float64 // the share exponent e_i of each dimension
+	Lambda    float64   // the LP optimum λ: the predicted load is p^λ bits
+	Shares    []int     // the integer share of each dimension
+}
+
+// SolveGrid solves the share LP (11) of §4.2 on the grid over V − x,
 //
-//	minimize λ  s.t.  Σ_i e_i ≤ 1,  ∀j: λ + Σ_{i ∈ S_j} e_i ≥ μ_j,  e, λ ≥ 0
+//	minimize λ  s.t.  Σ_{i ∈ V−x} e_i ≤ 1 − α,
+//	∀j: λ + Σ_{i ∈ vars(S_j)−x} e_i ≥ μ_j − β_j,  e, λ ≥ 0
 //
-// where μ_j = log_p(bits_j). It returns the share exponents e and λ; the
-// optimized expected load per server is p^λ bits (Theorem 3.4). bits must
-// be positive. The LP is solved exactly over rationals (μ_j converted
-// losslessly from float64), so degenerate queries cannot destabilize it.
-func OptimalExponents(q *query.Query, bits []float64, p int) (e []float64, lambda float64) {
+// where μ_j = log_p(bits_j) and a negative right-hand side counts as 0, and
+// rounds the shares p^{e_i} to integers within p^{1−α} servers
+// (RoundToBudget). The LP (5) of §3.1 is the case x = ∅, β = 0 (nil
+// betas) and α = 0. bits must be positive. The LP is solved exactly over
+// rationals (right-hand sides converted losslessly from float64), so
+// degenerate queries cannot destabilize it.
+func SolveGrid(q *query.Query, bits []float64, p int, x query.VarSet, betas []float64, alpha float64) Grid {
 	if len(bits) != q.NumAtoms() {
 		panic("hypercube: bits length mismatch")
 	}
 	if p < 2 {
 		panic("hypercube: need p >= 2")
 	}
-	k := q.NumVars()
-	prob := lp.NewProblem(k + 1) // e_0..e_{k-1}, λ
+	var g Grid
+	for i := 0; i < q.NumVars(); i++ {
+		if !x.Contains(i) {
+			g.Vars = append(g.Vars, i)
+		}
+	}
+	k := len(g.Vars)
+	prob := lp.NewProblem(k + 1) // e over Vars, then λ
 	prob.Objective[k].SetInt64(1)
 
 	sum := rational.NewVector(k + 1)
-	for i := 0; i < k; i++ {
-		sum[i].SetInt64(1)
+	for d := 0; d < k; d++ {
+		sum[d].SetInt64(1)
 	}
-	prob.AddConstraint(sum, lp.LE, rational.One())
+	prob.AddConstraint(sum, lp.LE, rational.FromFloat(max(1-alpha, 0)))
 
 	logP := math.Log(float64(p))
 	for j, a := range q.Atoms {
 		if bits[j] <= 0 {
 			panic(fmt.Sprintf("hypercube: bits[%d] = %v", j, bits[j]))
 		}
-		mu := math.Log(bits[j]) / logP
+		rhs := math.Log(bits[j]) / logP
+		if betas != nil {
+			rhs -= betas[j]
+		}
 		row := rational.NewVector(k + 1)
 		for _, v := range a.Vars {
-			row[v].SetInt64(1)
+			if d := slices.Index(g.Vars, v); d >= 0 {
+				row[d].SetInt64(1)
+			}
 		}
 		row[k].SetInt64(1)
-		prob.AddConstraint(row, lp.GE, rational.FromFloat(mu))
+		prob.AddConstraint(row, lp.GE, rational.FromFloat(max(rhs, 0)))
 	}
 	s := prob.Solve()
 	if s.Status != lp.Optimal {
 		panic("hypercube: share LP " + s.Status.String())
 	}
-	e = make([]float64, k)
-	for i := 0; i < k; i++ {
-		e[i], _ = s.X[i].Float64()
+	g.Exponents = make([]float64, k)
+	ideal := make([]float64, k)
+	for d := range g.Exponents {
+		g.Exponents[d], _ = s.X[d].Float64()
+		ideal[d] = math.Pow(float64(p), g.Exponents[d])
 	}
-	lambda, _ = s.X[k].Float64()
-	return e, lambda
+	g.Lambda, _ = s.X[k].Float64()
+	g.Shares = RoundToBudget(ideal, int(math.Pow(float64(p), 1-alpha)))
+	return g
 }
+
+// OptimalExponents returns the share exponents e and λ of the LP (5) of
+// §3.1, SolveGrid's case x = ∅: the optimized expected load per server is
+// p^λ bits (Theorem 3.4).
+func OptimalExponents(q *query.Query, bits []float64, p int) (e []float64, lambda float64) {
+	g := SolveGrid(q, bits, p, nil, nil, 0)
+	return g.Exponents, g.Lambda
+}
+
+// Cells returns the number of servers the grid spans: the product of its
+// shares.
+func (g Grid) Cells() int { return product(g.Shares) }
 
 // RoundToBudget rounds ideal (fractional) shares down to integers and then
 // greedily increments the dimension with the largest fractional loss while
-// the product stays within budget. It is the one integer rounding: HC
-// rounds its LP shares p^{e_i} to budget p, and the bin-combination
-// algorithm its per-hitter blocks to budget p^{1-α}.
+// the product stays within budget. It is the one integer rounding:
+// SolveGrid rounds every grid's shares p^{e_i} within p^{1-α}, and
+// EqualShares rounds p^{1/k} within p.
 func RoundToBudget(ideal []float64, budget int) []int {
 	if budget < 1 {
 		budget = 1
@@ -135,46 +179,4 @@ func product(xs []int) int {
 		p *= x
 	}
 	return p
-}
-
-// PredictLoadSkewFree returns the Corollary 3.2 (i) expected load in bits
-// for explicit integer shares on a skew-free database:
-// max_j M_j / Π_{i ∈ S_j} p_i.
-func PredictLoadSkewFree(q *query.Query, bits []float64, shares []int) float64 {
-	if len(bits) != q.NumAtoms() || len(shares) != q.NumVars() {
-		panic("hypercube: PredictLoadSkewFree shape mismatch")
-	}
-	worst := 0.0
-	for j, a := range q.Atoms {
-		denom := 1.0
-		for _, v := range a.Vars {
-			denom *= float64(shares[v])
-		}
-		if l := bits[j] / denom; l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
-// PredictLoadWorstCase returns the Corollary 3.2 (ii) guarantee in bits,
-// valid on ANY database regardless of skew:
-// max_j M_j / min_{i ∈ S_j} p_i.
-func PredictLoadWorstCase(q *query.Query, bits []float64, shares []int) float64 {
-	if len(bits) != q.NumAtoms() || len(shares) != q.NumVars() {
-		panic("hypercube: PredictLoadWorstCase shape mismatch")
-	}
-	worst := 0.0
-	for j, a := range q.Atoms {
-		minShare := shares[a.Vars[0]]
-		for _, v := range a.Vars[1:] {
-			if shares[v] < minShare {
-				minShare = shares[v]
-			}
-		}
-		if l := bits[j] / float64(minShare); l > worst {
-			worst = l
-		}
-	}
-	return worst
 }

@@ -247,7 +247,7 @@ const DefaultResidentChunkTuples = 1024
 // bits are the model's load, whatever server sent them). Fragments larger
 // than the chunking threshold are split into multiple send parts.
 func (c *Cluster) ShuffleResident(router Router, names ...string) error {
-	chunk := c.ResidentChunk
+	chunk := min(c.ResidentChunk, math.MaxInt32) // appendChunkedParts' cap
 	if chunk <= 0 {
 		chunk = DefaultResidentChunkTuples
 	}
@@ -259,8 +259,18 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 	for i, name := range names {
 		routes[i] = router.Bind(name)
 	}
-	var parts []sendPart
-	var moved []detached
+	// Size both lists up front: one entry per fragment, one part per chunk.
+	frags, chunks := 0, 0
+	for _, s := range c.Servers {
+		for _, name := range names {
+			if frag, ok := s.Received[name]; ok {
+				frags++
+				chunks += (frag.Size() + chunk - 1) / chunk
+			}
+		}
+	}
+	parts := make([]sendPart, 0, chunks)
+	moved := make([]detached, 0, frags)
 	for _, s := range c.Servers {
 		for i, name := range names {
 			frag, ok := s.Received[name]

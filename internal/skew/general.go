@@ -3,26 +3,27 @@ package skew
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/data"
-	"repro/internal/lp"
+	"repro/internal/hypercube"
 	"repro/internal/query"
-	"repro/internal/rational"
 	"repro/internal/stats"
 )
 
 // This file implements the general skew-aware algorithm of §4.2 and
 // Appendix D: tuples are partitioned by bin combinations
 // B = (x, (β_j)_j) — a variable set x plus a factor-2 frequency bin per
-// relation — and each bin combination runs the HyperCube algorithm with
-// share exponents from the LP (11), over p^{1-α} virtual processors for
-// each of the ≤ p^α heavy-hitter assignments in C'(B). The sets C'(B) are
-// built inductively through "overweight" heavy hitters exactly as in
-// Appendix D.
+// relation — and each bin combination runs the HyperCube algorithm on the
+// grid over V−x that hypercube.SolveGrid lays out from the LP (11) (§3.1's
+// LP (5) with x taken out, bin exponents β_j and budget 1−α), over p^{1-α}
+// virtual processors for each of the ≤ p^α heavy-hitter assignments in
+// C'(B). The sets C'(B) are built inductively through "overweight" heavy
+// hitters exactly as in Appendix D.
 
-// binCombo is one bin combination B with its LP solution and C'(B).
+// binCombo is one bin combination B with C'(B) and its grid.
 type binCombo struct {
 	x       query.VarSet
 	xSorted []int
@@ -33,10 +34,8 @@ type binCombo struct {
 	// with xSorted) to the assignment.
 	cprime map[string]data.Tuple
 
-	alpha  float64         // log_p |C'(B)|
-	lambda float64         // LP (11) optimum
-	expo   map[int]float64 // share exponent e_i for each i ∈ V−x
-	solved bool
+	alpha float64        // log_p |C'(B)|
+	grid  hypercube.Grid // LP (11) over V−x, rounded within p^{1-α}
 }
 
 func (b *binCombo) key() string {
@@ -72,9 +71,10 @@ type Combo struct {
 
 // generalState carries everything the construction needs.
 type generalState struct {
-	q  *query.Query
-	p  int
-	st map[string]*stats.RelationStats
+	q    *query.Query
+	p    int
+	st   map[string]*stats.RelationStats
+	bits []float64 // per atom: M_j in bits, at least 1
 
 	// varPos[j] maps variable index → attribute position in atom j (-1 if
 	// the variable does not occur in the atom).
@@ -111,7 +111,9 @@ func newGeneralState(q *query.Query, db *data.Database, p int, ps *stats.Pass) *
 		combos: make(map[string]*binCombo),
 	}
 	for _, a := range q.Atoms {
-		gs.st[a.Name] = ps.Collect(db.MustGet(a.Name), p)
+		rs := ps.Collect(db.MustGet(a.Name), p)
+		gs.st[a.Name] = rs
+		gs.bits = append(gs.bits, float64(max(rs.Bits, 1)))
 	}
 	gs.varPos = make([][]int, q.NumAtoms())
 	for j, a := range q.Atoms {
@@ -187,74 +189,14 @@ func (gs *generalState) comboFor(x query.VarSet, xSorted []int, h data.Tuple) *b
 	return proto
 }
 
-// solveLP solves LP (11) for B: minimize λ subject to
-//
-//	∀j: λ + Σ_{x_i ∈ vars(S_j)−x_j} e_i ≥ μ_j − β_j
-//	Σ_{i ∈ V−x} e_i ≤ 1 − α,  e, λ ≥ 0
+// solveLP solves B's LP (11) on the grid over V−x with α = log_p |C'(B)|
+// and B's bin exponents, through the one share LP of hypercube.SolveGrid.
 func (gs *generalState) solveLP(b *binCombo) {
-	if b.solved {
-		return
-	}
 	b.alpha = 0
 	if n := len(b.cprime); n > 1 {
 		b.alpha = math.Log(float64(n)) / math.Log(float64(gs.p))
 	}
-	free := make([]int, 0, gs.q.NumVars())
-	for i := 0; i < gs.q.NumVars(); i++ {
-		if !b.x.Contains(i) {
-			free = append(free, i)
-		}
-	}
-	idx := make(map[int]int, len(free))
-	for fi, v := range free {
-		idx[v] = fi
-	}
-	n := len(free) + 1 // e's then λ
-	prob := lp.NewProblem(n)
-	prob.Objective[n-1].SetInt64(1)
-
-	budget := 1 - b.alpha
-	if budget < 0 {
-		budget = 0
-	}
-	sumRow := rational.NewVector(n)
-	for fi := range free {
-		sumRow[fi].SetInt64(1)
-	}
-	prob.AddConstraint(sumRow, lp.LE, rational.FromFloat(budget))
-
-	logP := math.Log(float64(gs.p))
-	for j, a := range gs.q.Atoms {
-		rs := gs.st[a.Name]
-		bits := float64(rs.Bits)
-		if bits < 1 {
-			bits = 1
-		}
-		mu := math.Log(bits) / logP
-		row := rational.NewVector(n)
-		for _, v := range a.Vars {
-			if fi, ok := idx[v]; ok {
-				row[fi].SetInt64(1)
-			}
-		}
-		row[n-1].SetInt64(1)
-		rhs := mu - b.betas[j]
-		if rhs < 0 {
-			rhs = 0
-		}
-		prob.AddConstraint(row, lp.GE, rational.FromFloat(rhs))
-	}
-	s := prob.Solve()
-	if s.Status != lp.Optimal {
-		panic("skew: bin LP " + s.Status.String())
-	}
-	b.expo = make(map[int]float64, len(free))
-	for fi, v := range free {
-		e, _ := s.X[fi].Float64()
-		b.expo[v] = e
-	}
-	b.lambda, _ = s.X[n-1].Float64()
-	b.solved = true
+	b.grid = hypercube.SolveGrid(gs.q, gs.bits, gs.p, b.x, b.betas, b.alpha)
 }
 
 // overweightThreshold is the frequency above which a heavy hitter over
@@ -267,22 +209,22 @@ func (gs *generalState) solveLP(b *binCombo) {
 func (gs *generalState) overweightThreshold(b *binCombo, j int, extraVars []int) float64 {
 	exp := b.betas[j]
 	for _, v := range extraVars {
-		exp += b.expo[v]
+		exp += b.grid.Exponents[slices.Index(b.grid.Vars, v)]
 	}
 	rs := gs.st[gs.q.Atoms[j].Name]
 	return float64(rs.M) / math.Pow(float64(gs.p), exp)
 }
 
-// buildCombos runs the inductive Appendix-D construction level by level.
+// buildCombos runs the inductive Appendix-D construction level by level,
+// solving each combination's LP before extending it. Extensions land at
+// strictly higher levels, so a level's C' sets are complete when it is
+// reached and iterating over a snapshot of it is safe.
 func (gs *generalState) buildCombos() {
 	// B∅.
 	empty := gs.comboFor(query.NewVarSet(), nil, data.Tuple{})
 	empty.cprime[""] = data.Tuple{}
 
-	k := gs.q.NumVars()
-	for level := 0; level < k; level++ {
-		// Collect combos at this level; extensions land at strictly higher
-		// levels so iteration over a snapshot is safe.
+	for level := 0; level <= gs.q.NumVars(); level++ {
 		var current []*binCombo
 		for _, b := range gs.combos {
 			if len(b.xSorted) == level && len(b.cprime) > 0 {
@@ -293,17 +235,6 @@ func (gs *generalState) buildCombos() {
 		for _, b := range current {
 			gs.solveLP(b)
 			gs.extend(b)
-		}
-	}
-	// Solve remaining LPs (top-level combos generated but not yet solved).
-	keys := make([]string, 0, len(gs.combos))
-	for key := range gs.combos {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if b := gs.combos[key]; len(b.cprime) > 0 {
-			gs.solveLP(b)
 		}
 	}
 }

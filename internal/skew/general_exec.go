@@ -80,25 +80,7 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	for _, key := range keys {
 		b := gs.combos[key]
 		rangeLo := virtual
-		var freeDims []int
-		for i := 0; i < gs.q.NumVars(); i++ {
-			if !b.x.Contains(i) {
-				freeDims = append(freeDims, i)
-			}
-		}
-		ideal := make([]float64, len(freeDims))
-		for di, v := range freeDims {
-			ideal[di] = math.Pow(float64(gs.p), b.expo[v])
-		}
-		budget := int(math.Pow(float64(gs.p), 1-b.alpha))
-		if budget < 1 {
-			budget = 1
-		}
-		shares := hypercube.RoundToBudget(ideal, budget)
-		blockSize := 1
-		for _, s := range shares {
-			blockSize *= s
-		}
+		blockSize := b.grid.Cells()
 		// Deterministic block layout per assignment.
 		hKeys := make([]string, 0, len(b.cprime))
 		for hk := range b.cprime {
@@ -111,12 +93,8 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 			virtual += blockSize
 		}
 		// Per-atom projections, subcubes and exclusion checks.
-		for j := range gs.q.Atoms {
-			pos := make([]int, len(freeDims))
-			for di, v := range freeDims {
-				pos[di] = gs.varPos[j][v]
-			}
-			ap := &atomPlan{cube: hypercube.NewSubcube(shares, freeDims, pos, family)}
+		for j, a := range gs.q.Atoms {
+			ap := &atomPlan{cube: b.grid.Subcube(a, family)}
 			var allBases []int  // every block, when x_j = ∅
 			var projs []int64   // else the assignments' projections onto x_j, end to end
 			var projBases []int // and the block base of each
@@ -145,10 +123,10 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 				exclude: gs.exclusionChecks(j, b),
 			})
 		}
-		pl := math.Pow(float64(gs.p), b.lambda)
+		pl := math.Pow(float64(gs.p), b.grid.Lambda)
 		combos = append(combos, Combo{
 			Vars: b.xSorted, Bins: b.bins, CSize: len(b.cprime),
-			Lambda: b.lambda, Alpha: b.alpha, Predicted: pl,
+			Lambda: b.grid.Lambda, Alpha: b.alpha, Predicted: pl,
 			Lo: rangeLo, Hi: virtual,
 		})
 		predicted = max(predicted, pl)

@@ -263,7 +263,7 @@ func (rs *RelationStats) FreqMapFor(attrs []int) *FreqMap {
 // indexes whole base relations on the join scratch pool: Release it when
 // planning returns, and let nothing a plan keeps point into it (DESIGN.md
 // audits what reads it). The zero value is ready to use. Its
-// methods build, so they are for one goroutine at a time (CollectDB's
+// methods build, so they are for one goroutine at a time (CollectNamed's
 // fan-out gives each worker relations of its own); the Freqs and
 // projections it has handed out are read-only, and any number of
 // goroutines may read them at once, as BestLowerWith's join workers do.
@@ -485,29 +485,34 @@ type DBStats struct {
 	Relations map[string]*RelationStats
 }
 
-// CollectDB computes statistics for every relation in db. Relations are
-// collected on par.Each's workers, mirroring the paper's setting where
-// every input server computes its partition's statistics at once; each
-// relation's part of the pass is written by the one worker that claims it.
-func (ps *Pass) CollectDB(db *data.Database, p int) *DBStats {
-	names := db.Names()
+// CollectNamed computes statistics for the named relations of db,
+// skipping names db lacks. Relations are collected on par.Each's workers,
+// mirroring the paper's setting where every input server computes its
+// partition's statistics at once; each relation's part of the pass is
+// written by the one worker that claims it.
+func (ps *Pass) CollectNamed(db *data.Database, names []string, p int) *DBStats {
 	var parts []*relPass // distinct, even if two names share a relation
 	for _, name := range names {
-		if rp := ps.of(db.Relations[name]); !slices.Contains(parts, rp) {
-			parts = append(parts, rp)
+		if r := db.Get(name); r != nil {
+			if rp := ps.of(r); !slices.Contains(parts, rp) {
+				parts = append(parts, rp)
+			}
 		}
 	}
 	par.Each(len(parts), func(i int) { parts[i].collect(p) })
 	s := &DBStats{P: p, Relations: make(map[string]*RelationStats, len(names))}
 	for _, name := range names {
-		s.Relations[name] = ps.Collect(db.Relations[name], p)
+		if r := db.Get(name); r != nil {
+			s.Relations[name] = ps.Collect(r, p)
+		}
 	}
 	return s
 }
 
-// CollectDB is Pass.CollectDB on a pass of its own.
+// CollectDB computes statistics for every relation in db, on a pass of its
+// own.
 func CollectDB(db *data.Database, p int) *DBStats {
 	ps := new(Pass)
 	defer ps.Release()
-	return ps.CollectDB(db, p)
+	return ps.CollectNamed(db, db.Names(), p)
 }

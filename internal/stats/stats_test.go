@@ -625,7 +625,7 @@ func TestHeavyWatchKeepsNothingOfItsPass(t *testing.T) {
 }
 
 // TestPassReleaseReturnsEverything: Release hands every grouping a pass
-// built, projections included and CollectDB's parallel ones too, back to
+// built, projections included and CollectNamed's parallel ones too, back to
 // the join scratch pool, and a released Freq panics on every read rather
 // than read a recycled table.
 func TestPassReleaseReturnsEverything(t *testing.T) {
@@ -639,7 +639,7 @@ func TestPassReleaseReturnsEverything(t *testing.T) {
 		db.Put(r)
 	}
 	ps := new(Pass)
-	ps.CollectDB(db, 8)
+	ps.CollectNamed(db, db.Names(), 8)
 	a := db.MustGet("A")
 	ps.Projection(a, []int{2, 0})
 	var freqs []*Freq

@@ -246,6 +246,42 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestSessionExplainEmptyRelation: an empty relation is a valid input, so
+// Explain describes the plan for it rather than panicking, and Exec answers
+// it (with nothing) under every strategy the query can take.
+func TestSessionExplainEmptyRelation(t *testing.T) {
+	s, err := Open(Config{P: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, q := range []*Query{Join2Query(), TriangleQuery()} {
+		db := NewDatabase()
+		for j, a := range q.Atoms {
+			if j == 1 {
+				db.Put(NewRelation(a.Name, 2, 1<<20))
+			} else {
+				db.Put(MatchingRelation(a.Name, 2, 500, 1<<13, int64(j+1)))
+			}
+		}
+		if out := s.Explain(q, db); !strings.Contains(out, "integer shares:") {
+			t.Errorf("%s: Explain with an empty relation = %q, want the analysis", q.Name, out)
+		}
+		for _, st := range []Strategy{StrategyHyperCube, StrategySkewJoin, StrategyBinCombination, StrategyMultiRound} {
+			res, err := s.Exec(context.Background(), q, db, WithStrategy(st))
+			if st == StrategySkewJoin && q.NumAtoms() != 2 {
+				if !errors.Is(err, core.ErrInvalidQuery) {
+					t.Errorf("%s under %v: %v, want ErrInvalidQuery", q.Name, st, err)
+				}
+				continue
+			}
+			if err != nil || len(res.Output) != 0 {
+				t.Errorf("%s under %v: %d answers, error %v; want none and no error", q.Name, st, len(res.Output), err)
+			}
+		}
+	}
+}
+
 // TestSessionRejectsNilInputs: the Session contract is "errors, never
 // panics" — nil queries and databases (and, for Explain, a database missing
 // a relation) come back as errors, and the nil cases are refused before the
