@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -80,9 +81,7 @@ func BenchmarkHashingThroughput(b *testing.B) {
 // destinations are computed from its columns in place, with no row view at
 // all. It must report 0 allocs/op.
 func BenchmarkRouterDestinations(b *testing.B) {
-	q := query.Triangle()
-	fam := hashing.NewFamily(2)
-	r := hypercube.NewRouter(q, []int{4, 4, 4}, fam)
+	r := hypercube.BuildPlan(query.Triangle(), nil, hypercube.Config{P: 64, Seed: 2, Shares: []int{4, 4, 4}}).Phys.Router
 	rel := NewRelation("S1", 2, 1<<20)
 	for i := int64(0); i < 1024; i++ {
 		rel.Add((12345*i)%(1<<20), (67890*i)%(1<<20))
@@ -95,6 +94,40 @@ func BenchmarkRouterDestinations(b *testing.B) {
 	}
 	if len(dst) != 4 {
 		b.Fatalf("destinations = %d", len(dst))
+	}
+}
+
+// BenchmarkRouterServers is BenchmarkRouterDestinations' block sibling: one
+// Servers call routes a 4,096-row block, as the engine's route pass calls it,
+// through a HyperCube atom with no free dimension (S1(x,z) under shares
+// 1×1×64) and through the skew join's light route. Each reports ns/row and
+// must report 0 allocs/op.
+func BenchmarkRouterServers(b *testing.B) {
+	const rows = 4096
+	db := NewDatabase()
+	db.Put(workload.Uniform("S1", 2, rows, 1<<20, 1))
+	db.Put(workload.Uniform("S2", 2, rows, 1<<20, 2))
+	routers := []struct {
+		name string
+		r    mpc.Router
+	}{
+		{"hypercube", hypercube.BuildPlan(query.Join2(), db, hypercube.Config{P: 64, Seed: 2, Shares: []int{1, 1, 64}}).Phys.Router},
+		{"skew-join-light", skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: 64, Seed: 2}).Phys.Router},
+	}
+	cols := db.MustGet("S1").Columns()
+	out := make([]int32, rows)
+	for _, rt := range routers {
+		b.Run(rt.name, func(b *testing.B) {
+			route := rt.r.Bind("S1")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				route.Servers(cols, 0, rows, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			if slices.Min(out) < 0 {
+				b.Fatal("a row was answered -1")
+			}
+		})
 	}
 }
 

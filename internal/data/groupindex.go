@@ -3,6 +3,8 @@ package data
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/hashing"
 )
 
 // GroupIndex groups the rows of one relation by a list of key columns — the
@@ -101,7 +103,7 @@ func (x *GroupIndex) Build(rel *Relation, keyCols []int) {
 
 // mixKey folds one key value into a running hash: xor, then the splitmix64
 // finalizer, so every input bit reaches the low bits the table indexes by.
-func mixKey(h uint64, v int64) uint64 { return mix64(h ^ uint64(v)) }
+func mixKey(h uint64, v int64) uint64 { return hashing.Mix64(h ^ uint64(v)) }
 
 func (x *GroupIndex) hashRow(i int) uint64 {
 	var h uint64

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/hashing"
 )
 
 // Tuple is one row of a relation; len(Tuple) is the relation's arity.
@@ -40,26 +42,6 @@ func BitsPerValue(domain int64) int {
 		return 1
 	}
 	return bits.Len64(uint64(domain - 1))
-}
-
-// fnvOffset and fnvPrime are the 64-bit FNV-1a parameters of the per-tuple
-// content hash (shared with stats.Fingerprint — the two must agree so the
-// maintained content sum reproduces the scanned fingerprint exactly).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// mix64 is the splitmix64 finalizer, duplicated from internal/hashing
-// (which imports this package, so the dependency cannot point the other
-// way). The constants must match hashing.Mix64 bit for bit: the maintained
-// content sums below must equal the sums stats.Fingerprint historically
-// computed by scanning.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Maintained-state flag bits (Relation.track).
@@ -172,11 +154,11 @@ func (r *Relation) unshare() {
 // row's values, avalanched. Summing it over rows (mod 2^64) is reversible,
 // which is what makes delta maintenance O(delta).
 func (r *Relation) rowHash(i int) uint64 {
-	th := fnvOffset
+	th := hashing.FNVOffset
 	for _, col := range r.cols {
-		th = (th ^ uint64(col[i])) * fnvPrime
+		th = (th ^ uint64(col[i])) * hashing.FNVPrime
 	}
-	return mix64(th)
+	return hashing.Mix64(th)
 }
 
 // ContentSum returns the commutative fold (sum mod 2^64) of the avalanched
@@ -329,9 +311,9 @@ func (r *Relation) Add(vals ...int64) {
 }
 
 // AppendColumns bulk-appends count rows given column-wise (cols[a] holds
-// attribute a of every appended row). Values are trusted — they must come
-// from a relation of the same shape (the simulator's delivery path, where
-// every value was validated on its original Add). The slices are copied.
+// attribute a of every appended row). Values are trusted — they must lie in
+// [0, Domain) already, as on the simulator's delivery path (each validated
+// on its original Add) or from a generator. The slices are copied.
 func (r *Relation) AppendColumns(cols [][]int64, count int) {
 	if len(cols) != r.Arity {
 		panic(fmt.Sprintf("data: %s: AppendColumns arity %d, want %d", r.Name, len(cols), r.Arity))

@@ -41,6 +41,19 @@ func (r funcRoute) Destinations(cols [][]int64, row int, dst []int) []int {
 	return r.f(r.name, cols, row, dst)
 }
 
+// Servers answers a row the function sends to one server with that server,
+// and any other row with -1.
+func (r funcRoute) Servers(cols [][]int64, lo, hi int, out []int32) {
+	var buf [8]int
+	for i := range out {
+		if dst := r.f(r.name, cols, lo+i, buf[:0]); len(dst) == 1 {
+			out[i] = int32(dst[0])
+		} else {
+			out[i] = -1
+		}
+	}
+}
+
 func (funcRoute) CompileSpan([][]int64, int, int64, *mpc.SpanRoute) bool { return false }
 
 // modRouter sends tuple (a,b) to server a mod p.

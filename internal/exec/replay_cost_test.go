@@ -29,8 +29,8 @@ func (r countingRouter) Bind(name string) mpc.Route {
 	return nil
 }
 
-// countingRoute counts every row it routes; it declines every run, so that
-// each row is routed, and counted, one by one.
+// countingRoute counts every row it routes; it answers no block and declines
+// every run, so that each row is routed, and counted, one by one.
 type countingRoute struct {
 	mpc.Route
 	rows *atomic.Int64
@@ -39,6 +39,12 @@ type countingRoute struct {
 func (r countingRoute) Destinations(cols [][]int64, row int, dst []int) []int {
 	r.rows.Add(1)
 	return r.Route.Destinations(cols, row, dst)
+}
+
+func (countingRoute) Servers(_ [][]int64, _, _ int, out []int32) {
+	for i := range out {
+		out[i] = -1
+	}
 }
 
 func (countingRoute) CompileSpan([][]int64, int, int64, *mpc.SpanRoute) bool { return false }

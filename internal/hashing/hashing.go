@@ -11,17 +11,23 @@ package hashing
 
 import "fmt"
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche mix on 64 bits.
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: a bijective avalanche mix on 64 bits,
+// also used for content hashing elsewhere in the system (e.g. database
+// fingerprints).
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Mix64 exposes the splitmix64 finalizer for content hashing elsewhere in
-// the system (e.g. database fingerprints).
-func Mix64(z uint64) uint64 { return mix64(z) }
+// FNVOffset and FNVPrime are the 64-bit FNV-1a parameters of the content
+// hashes: a relation's per-tuple hash (data) and the database fingerprint
+// (stats), whose maintained content sums must reproduce a scan exactly.
+const (
+	FNVOffset uint64 = 14695981039346656037
+	FNVPrime  uint64 = 1099511628211
+)
 
 // Family is a seeded family of independent hash functions, one per
 // "dimension" (query variable or attribute position). Different dims give
@@ -32,7 +38,7 @@ type Family struct {
 }
 
 // NewFamily returns a hash family derived from seed.
-func NewFamily(seed uint64) *Family { return &Family{seed: mix64(seed)} }
+func NewFamily(seed uint64) *Family { return &Family{seed: Mix64(seed)} }
 
 // Hash maps value into [0, buckets) using the dim-th function of the
 // family. buckets must be ≥ 1.
@@ -40,10 +46,7 @@ func (f *Family) Hash(dim int, value int64, buckets int) int {
 	if buckets < 1 {
 		panic(fmt.Sprintf("hashing: buckets = %d", buckets))
 	}
-	if buckets == 1 {
-		return 0
-	}
-	return int(mix64(f.DimSeed(dim)^uint64(value)) % uint64(buckets))
+	return HashSeeded(f.DimSeed(dim), value, buckets)
 }
 
 // DimSeed returns the dimension-specific seed that Hash folds the value
@@ -51,7 +54,7 @@ func (f *Family) Hash(dim int, value int64, buckets int) int {
 // call HashSeeded per value, saving a mix per hash; Hash(dim, v, b) ==
 // HashSeeded(DimSeed(dim), v, b) always.
 func (f *Family) DimSeed(dim int) uint64 {
-	return f.seed ^ mix64(uint64(dim)+0x51f7a54d)
+	return f.seed ^ Mix64(uint64(dim)+0x51f7a54d)
 }
 
 // HashSeeded is Hash with the per-dimension seed precomputed via DimSeed.
@@ -59,5 +62,5 @@ func HashSeeded(dimSeed uint64, value int64, buckets int) int {
 	if buckets == 1 {
 		return 0
 	}
-	return int(mix64(dimSeed^uint64(value)) % uint64(buckets))
+	return int(Mix64(dimSeed^uint64(value)) % uint64(buckets))
 }

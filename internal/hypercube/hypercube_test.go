@@ -123,7 +123,7 @@ func TestEqualShares(t *testing.T) {
 
 // route returns the destinations r binds the relation name to for one row
 // of vals.
-func route(r *Router, name string, vals ...int64) []int {
+func route(r mpc.Router, name string, vals ...int64) []int {
 	cols := make([][]int64, len(vals))
 	for a := range vals {
 		cols[a] = vals[a : a+1]
@@ -134,7 +134,7 @@ func route(r *Router, name string, vals ...int64) []int {
 func TestRouterDestinationsSubcube(t *testing.T) {
 	q := query.Join2() // vars x,y,z
 	shares := []int{2, 3, 4}
-	r := NewRouter(q, shares, hashing.NewFamily(1))
+	r := sharesGrid(q, shares).router(q, hashing.NewFamily(1))
 	// S1(x,z) tuple: fixed x and z, free y → exactly 3 destinations.
 	dst := route(r, "S1", 5, 7)
 	if len(dst) != 3 {
@@ -158,7 +158,7 @@ func TestRouterOutputCoverage(t *testing.T) {
 	// server of the output tuple's full hash.
 	q := query.Join2()
 	shares := []int{2, 3, 4}
-	r := NewRouter(q, shares, hashing.NewFamily(2))
+	r := sharesGrid(q, shares).router(q, hashing.NewFamily(2))
 	d1 := route(r, "S1", 11, 99) // x=11,z=99
 	d2 := route(r, "S2", 22, 99) // y=22,z=99
 	common := 0
@@ -179,7 +179,7 @@ func TestRouterSkipsUnknownRelation(t *testing.T) {
 	// skew routers, the HC router binds no route for them, so the engine
 	// ships their rows nowhere.
 	q := query.Join2()
-	r := NewRouter(q, []int{1, 1, 2}, hashing.NewFamily(1))
+	r := sharesGrid(q, []int{1, 1, 2}).router(q, hashing.NewFamily(1))
 	if got := r.Bind("nope"); got != nil {
 		t.Errorf("unknown relation bound to %v", got)
 	}

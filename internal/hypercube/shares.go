@@ -24,7 +24,7 @@ import (
 // share LP solution it was rounded from. §3.1 routes every atom over one
 // grid spanning all the query's variables; §4.2 lays out one grid per bin
 // combination B, over the variables outside its x. A grid of given shares
-// (Config.Shares, NewRouter) has no Exponents and λ = 0.
+// (Config.Shares) has no Exponents and λ = 0.
 type Grid struct {
 	Vars      []int     // the query variable of each dimension, ascending
 	Exponents []float64 // the share exponent e_i of each dimension

@@ -238,15 +238,28 @@ func (w *commWorker) endPart(lg *partLog) {
 	w.codes, w.touched, w.used = nil, w.touched[:0], w.used[:0]
 }
 
-// routeRows routes rows [lo, hi) of a relation with columns cols one tuple
-// at a time through its bound route — the general path for unpartitioned
-// relations, light regions, uncovered tails, and declined spans.
+// routeRows routes rows [lo, hi) of a relation with columns cols through
+// its bound route — the general path for unpartitioned relations, light
+// regions, uncovered tails, and declined spans. Servers answers the block
+// straight into the part's code log, and one pass counts each server; a -1
+// row, or an answer outside [0, P), goes through valid and intern, its code
+// written in place.
 //
 //skewlint:noalloc
 func (w *commWorker) routeRows(c *Cluster, r Route, cols [][]int64, lo, hi int, report func(error)) {
-	for row := lo; row < hi; row++ {
-		w.dst = r.Destinations(cols, row, w.dst[:0])
-		w.logRows(c, 1, w.dst, report)
+	n := len(w.codes)
+	w.codes = w.codes[:n+hi-lo]
+	codes := w.codes[n:]
+	r.Servers(cols, lo, hi, codes)
+	for i, s := range codes {
+		if uint32(s) < uint32(c.P) {
+			w.note(int(s), 1)
+			continue
+		}
+		if w.dst = append(w.dst[:0], int(s)); s < 0 {
+			w.dst = r.Destinations(cols, lo+i, w.dst[:0])
+		}
+		codes[i] = w.code(c, 1, w.dst, report)
 	}
 }
 
@@ -302,16 +315,21 @@ func (w *commWorker) routePerRow(c *Cluster, lo, hi int, perRow func(row int, ds
 //
 //skewlint:noalloc
 func (w *commWorker) logRows(c *Cluster, n int, dst []int, report func(error)) {
-	var code int32
-	if dst = w.valid(c, dst, report); len(dst) == 1 {
-		code = int32(dst[0])
-		w.note(dst[0], n)
-	} else {
-		code = w.intern(dst, n)
-	}
+	code := w.code(c, n, dst, report)
 	for ; n > 0; n-- {
 		w.codes = append(w.codes, code)
 	}
+}
+
+// code counts n rows going to the servers in dst and returns their code.
+//
+//skewlint:noalloc
+func (w *commWorker) code(c *Cluster, n int, dst []int, report func(error)) int32 {
+	if dst = w.valid(c, dst, report); len(dst) == 1 {
+		w.note(dst[0], n)
+		return int32(dst[0])
+	}
+	return w.intern(dst, n)
 }
 
 // intern adds n rows to the destination set dst (deduplicated, not a single

@@ -66,11 +66,14 @@ func fuzzPartition(rng *rand.Rand, rels ...*data.Relation) {
 // alone, which is what lets a heavy run of v compile to one uniform
 // destination list. Runs of the per-row class compile to a closure and the
 // rest are declined, as are runs on any other attribute, so the engine
-// takes every route path its contract allows.
+// takes every route path its contract allows. Servers answers a fuzzed mix
+// of single servers and -1 rows. A bad router sends some rows out of range,
+// and Servers answers some of those out of range too.
 type fuzzRouter struct {
 	p    int
 	seed uint64
 	attr map[string]int // relation name → its span attribute
+	bad  bool
 }
 
 const (
@@ -105,13 +108,34 @@ type fuzzRoute struct {
 
 func (f *fuzzRoute) Destinations(cols [][]int64, row int, dst []int) []int {
 	if f.attr >= 0 && f.r.class(cols[f.attr][row]) == fuzzUniform {
-		return fuzzFanOut(f.h*1099511628211+uint64(cols[f.attr][row]), f.r.p, dst)
+		return f.r.fanOut(f.h*1099511628211+uint64(cols[f.attr][row]), dst)
 	}
-	h := f.h
+	return f.r.fanOut(rowHash(f.h, cols, row), dst)
+}
+
+// rowHash folds a row's values into h.
+func rowHash(h uint64, cols [][]int64, row int) uint64 {
 	for _, col := range cols {
 		h = h*1099511628211 + uint64(col[row])
 	}
-	return fuzzFanOut(h, f.r.p, dst)
+	return h
+}
+
+// Servers answers a row whose destinations are one server, repeated or not,
+// with that server unless the row's hash picks -1, and every other row
+// with -1.
+func (f *fuzzRoute) Servers(cols [][]int64, lo, hi int, out []int32) {
+	var buf [64]int
+	for i := range out {
+		out[i] = -1
+		dst := f.Destinations(cols, lo+i, buf[:0])
+		if rowHash(f.h^f.r.seed, cols, lo+i)%4 == 0 || len(dst) == 0 {
+			continue
+		}
+		if !slices.ContainsFunc(dst, func(s int) bool { return s != dst[0] }) {
+			out[i] = int32(dst[0])
+		}
+	}
 }
 
 func (f *fuzzRoute) CompileSpan(cols [][]int64, attr int, v int64, route *SpanRoute) bool {
@@ -120,20 +144,24 @@ func (f *fuzzRoute) CompileSpan(cols [][]int64, attr int, v int64, route *SpanRo
 	}
 	switch f.r.class(v) {
 	case fuzzUniform:
-		route.Dests = fuzzFanOut(f.h*1099511628211+uint64(v), f.r.p, route.Dests)
+		route.Dests = f.r.fanOut(f.h*1099511628211+uint64(v), route.Dests)
 	case fuzzPerRow:
-		h, p := f.h, f.r.p
 		route.PerRow = func(row int, dst []int) []int {
-			rh := h
-			for _, col := range cols {
-				rh = rh*1099511628211 + uint64(col[row])
-			}
-			return fuzzFanOut(rh, p, dst)
+			return f.r.fanOut(rowHash(f.h, cols, row), dst)
 		}
 	default:
 		return false
 	}
 	return true
+}
+
+// fanOut is fuzzFanOut on the router's p servers, except that a bad router
+// sends one hash in 29 out of range.
+func (r *fuzzRouter) fanOut(h uint64, dst []int) []int {
+	if r.bad && h%29 == 0 {
+		return append(dst, r.p+int(h>>8%3))
+	}
+	return fuzzFanOut(h, r.p, dst)
 }
 
 // fuzzFanOut appends the destinations hash h picks among p servers: the
@@ -249,11 +277,22 @@ func referenceShuffle(c *Cluster, router Router, names ...string) error {
 	return referenceRound(c, router, moved...)
 }
 
-// runEngines routes db (plus a resident shuffle) through the engine and the
-// serial reference delivery and asserts equivalence. A random subset of the
-// relations, and later of the shuffled fragments, is heavy-partitioned, so
-// span routing is compared row for row against the reference too.
+// runEngines compares the engine with the serial reference delivery on
+// seed's instance and, for one seed in five, once more through a bad router
+// that sends some rows out of range.
 func runEngines(t *testing.T, seed uint64) {
+	t.Helper()
+	compareEngines(t, seed, false)
+	if seed%5 == 3 {
+		compareEngines(t, seed, true)
+	}
+}
+
+// compareEngines routes db (plus a resident shuffle) through the engine and
+// the serial reference delivery and asserts equivalence. A random subset of
+// the relations, and later of the shuffled fragments, is heavy-partitioned,
+// so span routing is compared row for row against the reference too.
+func compareEngines(t *testing.T, seed uint64, bad bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	db := fuzzDB(rng)
@@ -268,16 +307,26 @@ func runEngines(t *testing.T, seed uint64) {
 		}
 	}
 	fuzzPartition(rng, rels...)
-	router := &fuzzRouter{p: p, seed: seed, attr: attr}
+	router := &fuzzRouter{p: p, seed: seed, attr: attr, bad: bad}
 
 	reference := NewCluster(p)
-	if err := referenceRound(reference, router, rels...); err != nil {
-		t.Fatalf("reference delivery: %v", err)
-	}
+	refErr := referenceRound(reference, router, rels...)
 	engine := NewCluster(p)
 	engine.Senders = 1 + rng.Intn(12)
 	engine.ResidentChunk = 1 + rng.Intn(64)
-	if err := roundAll(engine, db, router); err != nil {
+	err := roundAll(engine, db, router)
+	switch {
+	case refErr != nil && !bad:
+		t.Fatalf("reference delivery: %v", refErr)
+	case refErr != nil:
+		// A row went out of range: the engine fails the round and delivers
+		// nothing of it.
+		if err == nil || !strings.HasPrefix(err.Error(), "mpc: destination ") {
+			t.Fatalf("reference failed with %v, engine with %v", refErr, err)
+		}
+		assertClustersEquivalent(t, NewCluster(p), engine)
+		return
+	case err != nil:
 		t.Fatalf("engine: %v", err)
 	}
 	assertClustersEquivalent(t, reference, engine)
@@ -392,6 +441,49 @@ func TestShardedOutOfRangeReportsError(t *testing.T) {
 	}
 	if c.Loads().TotalTuples != 0 {
 		t.Error("bad-destination tuple should be dropped")
+	}
+}
+
+// blockRoute sends row r to server r mod p through Destinations, and its
+// Servers answers row bad with server p and every other row with -1: only
+// the block answer is out of range.
+type blockRoute struct{ p, bad int }
+
+func (b blockRoute) Destinations(_ [][]int64, row int, dst []int) []int { return append(dst, row%b.p) }
+
+func (b blockRoute) Servers(_ [][]int64, lo, _ int, out []int32) {
+	for i := range out {
+		if out[i] = -1; lo+i == b.bad {
+			out[i] = int32(b.p)
+		}
+	}
+}
+
+func (blockRoute) CompileSpan([][]int64, int, int64, *SpanRoute) bool { return false }
+
+// TestBlockAnswerOutOfRangeFailsRound: a Servers answer outside [0, P)
+// fails the round with valid's error, though Destinations routes the row in
+// range, and the round leaves no fragment and no load behind: neither on a
+// cluster that holds the fragments of an earlier round nor in a resident
+// shuffle, which re-attaches what it detached.
+func TestBlockAnswerOutOfRangeFailsRound(t *testing.T) {
+	const p = 8
+	db := singleRel(300)
+	c := NewCluster(p)
+	if err := roundAll(c, db, Routes{"S": blockRoute{p, -1}}); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotCluster(c)
+	want := fmt.Sprintf("mpc: destination %d out of range [0,%d)", p, p)
+	for _, bad := range []int{0, 137, 299} {
+		if err := roundAll(c, db, Routes{"S": blockRoute{p, bad}}); err == nil || err.Error() != want {
+			t.Fatalf("row %d answered %d: round error %v, want %q", bad, p, err, want)
+		}
+		assertSnapshotUnchanged(t, before, c)
+		if err := c.ShuffleResident(Routes{"S": blockRoute{p, bad % 30}}, "S"); err == nil || err.Error() != want {
+			t.Fatalf("row %d answered %d: shuffle error %v, want %q", bad%30, p, err, want)
+		}
+		assertSnapshotUnchanged(t, before, c)
 	}
 }
 

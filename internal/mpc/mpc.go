@@ -16,8 +16,10 @@
 // relation by its name once, before any row moves, and the bound Route
 // decides the destinations of a tuple from the tuple's values alone plus
 // global statistics fixed before the round, never from other servers' data.
-// It reads the tuple in place as a row of its relation's columns, and it can
-// resolve a heavy run of rows sharing one value at once (CompileSpan).
+// It reads the tuple in place as a row of its relation's columns, routes a
+// block of rows in one call (Servers: each row's one server, or -1 for the
+// engine to ask Destinations), and can resolve a heavy run of rows sharing
+// one value at once (CompileSpan).
 package mpc
 
 import (
@@ -44,6 +46,14 @@ type Router interface {
 	Bind(name string) Route
 }
 
+// Routes is the plain Router: a plan-time table binding each relation name
+// to its route, nil for a name it lacks. It is only read once built, so one
+// table serves every sender concurrently.
+type Routes map[string]Route
+
+// Bind implements Router.
+func (r Routes) Bind(name string) Route { return r[name] }
+
 // Route is one relation's routing: a row's destinations are a pure function
 // of its values and of statistics fixed before the round.
 type Route interface {
@@ -51,6 +61,13 @@ type Route interface {
 	// appends the servers receiving it to dst and returns dst. IDs must lie
 	// in [0, P); a duplicate is delivered once.
 	Destinations(cols [][]int64, row int, dst []int) []int
+	// Servers routes the block of rows [lo, hi) in one call: it writes into
+	// out[i] the one server row lo+i goes to, or -1 when the row goes to
+	// zero servers or several. A route may answer -1 for any row; the
+	// engine routes those rows through Destinations. An answer s ≥ 0 means
+	// that Destinations delivers the row to s alone, and s must lie in
+	// [0, P). len(out) is hi-lo, and Servers allocates nothing.
+	Servers(cols [][]int64, lo, hi int, out []int32)
 	// CompileSpan resolves a heavy run — rows sharing value v at attribute
 	// attr (data.PartitionIndex) — into route, which arrives zeroed. For
 	// every row of the run it must deliver where Destinations would (order
@@ -181,23 +198,11 @@ func (c *Cluster) Resize(p int) *Cluster {
 	for len(c.pool) < p {
 		c.pool = append(c.pool, &Server{ID: len(c.pool), Received: make(map[string]*data.Relation)})
 	}
-	// Clear the full pool, not just the new view: servers parked beyond p
+	// Reset the full pool, not just the new view: servers parked beyond p
 	// must not pin fragments from a larger earlier run.
-	for _, s := range c.pool {
-		clear(s.Received)
-		s.BitsIn = 0
-		s.TuplesIn = 0
-	}
-	c.P = p
-	c.Servers = c.pool[:p]
-	c.Ctx = nil
-	c.Faults = nil
-	c.faultErr = nil
-	c.curRound = 0
-	c.curAttempt = 0
-	c.replayRound = false
-	c.curPhase = 0
-	c.phaseAttempt = 0
+	c.Servers = c.pool
+	c.Reset()
+	c.P, c.Servers = p, c.pool[:p]
 	return c
 }
 

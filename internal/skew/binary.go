@@ -104,7 +104,9 @@ func (b *Binary) Plan() *BinaryPlan {
 		return slices.Compare(x.Key, y.Key)
 	})
 	r := &BinaryRouter{p: b.P, keySeeds: b.KeySeeds}
-	r.sides = [2]sideRoute{{b.Left, 0, r}, {b.Right, 1, r}}
+	// Left binds last, so a self-join routes as Left.
+	r.Routes = mpc.Routes{b.Right.Name: &sideRoute{b.Right, 1, r}}
+	r.Routes[b.Left.Name] = &sideRoute{b.Left, 0, r}
 	bp := &BinaryPlan{Router: r, Blocks: make([]Block, len(b.Heavy))}
 	var keys []int64
 	for i := range b.Heavy {
@@ -152,9 +154,10 @@ func (bp *BinaryPlan) PredictedTuples(mL, mR float64) float64 {
 // BinaryRouter routes a planned Binary join: a light key to its hash over
 // [0, p), a heavy key's row to its line of the key's block. It holds only
 // plan-time tables, so one instance serves every sender, and its routes read
-// the key and spread columns in place.
+// the key and spread columns in place. Its Routes bind the left input's
+// name to the left side and the right input's to the right side.
 type BinaryRouter struct {
-	sides    [2]sideRoute
+	mpc.Routes
 	p        int
 	keySeeds []uint64
 	// heavy turns a heavy key into its index in blocks; nil when no key is
@@ -177,26 +180,32 @@ func (r *BinaryRouter) Classes() (h1, h2, h12 int) {
 	return r.classes[classH1], r.classes[classH2], r.classes[classH12]
 }
 
-// Bind implements mpc.Router: the route of the left input, then of the
-// right (a self-join routes as Left), nil for any other relation.
-func (r *BinaryRouter) Bind(name string) mpc.Route {
-	for i := range r.sides {
-		if r.sides[i].Name == name {
-			return &r.sides[i]
-		}
-	}
-	return nil
-}
-
 // Destinations implements mpc.Route.
 //
 //skewlint:noalloc
 func (sr *sideRoute) Destinations(cols [][]int64, row int, dst []int) []int {
 	b := sr.r.blockOf(cols, sr.Key, row)
 	if b == nil {
-		return append(dst, sr.r.lightServer(cols, sr.Key, row))
+		var light [1]int32
+		sr.r.lightServers(cols, sr.Key, row, light[:])
+		return append(dst, int(light[0]))
 	}
 	return b.place(sr.s, sr.Seed, spreadValue(cols, sr.Spread, row), dst)
+}
+
+// Servers implements mpc.Route: a light row goes to the one server its key
+// hashes to, through lightServers as in Destinations; a heavy row answers -1.
+//
+//skewlint:noalloc
+func (sr *sideRoute) Servers(cols [][]int64, lo, _ int, out []int32) {
+	sr.r.lightServers(cols, sr.Key, lo, out)
+	if len(sr.Key) == 0 || sr.r.heavy != nil {
+		for i := range out {
+			if sr.r.blockOf(cols, sr.Key, lo+i) != nil {
+				out[i] = -1
+			}
+		}
+	}
 }
 
 // blockOf returns the block of the key row carries at the key columns, nil
@@ -216,20 +225,28 @@ func (r *BinaryRouter) blockOf(cols [][]int64, key []int, row int) *Block {
 	return nil
 }
 
-// lightServer hashes a light key onto [0, p): a one-column key by its seed
-// directly, a wider one by folding each column's 30-bit hash.
-func (r *BinaryRouter) lightServer(cols [][]int64, key []int, row int) int {
+// lightServers hashes the keys of rows lo, lo+1, … onto [0, p), as if each
+// were light, into out: a one-column key by its seed directly, a wider one
+// by folding each column's 30-bit hash.
+//
+//skewlint:noalloc
+func (r *BinaryRouter) lightServers(cols [][]int64, key []int, lo int, out []int32) {
 	if len(key) == 1 {
-		return hashing.HashSeeded(r.keySeeds[0], cols[key[0]][row], r.p)
+		for i, v := range cols[key[0]][lo : lo+len(out)] {
+			out[i] = int32(hashing.HashSeeded(r.keySeeds[0], v, r.p))
+		}
+		return
 	}
-	h := 0
-	for i, a := range key {
-		h = h*31 + hashing.HashSeeded(r.keySeeds[i], cols[a][row], 1<<30)
+	for i := range out {
+		h := 0
+		for j, a := range key {
+			h = h*31 + hashing.HashSeeded(r.keySeeds[j], cols[a][lo+i], 1<<30)
+		}
+		if h < 0 {
+			h = -h
+		}
+		out[i] = int32(h % r.p)
 	}
-	if h < 0 {
-		h = -h
-	}
-	return h % r.p
 }
 
 // spreadValue is the value that places a heavy key's row inside its block.

@@ -2,7 +2,6 @@ package skew
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -137,12 +136,16 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 
 	gp := &GeneralPlan{Combos: combos, PredictedBits: predicted}
 	q := gs.q
+	router := make(mpc.Routes, len(q.Atoms))
+	for j, a := range q.Atoms {
+		router[a.Name] = &routes[j]
+	}
 	gp.Phys = &exec.PhysicalPlan{
 		Strategy:  "bin-combination",
 		Virtual:   virtual,
 		Physical:  gs.p,
 		Relations: q.AtomNames(),
-		Router:    &generalRouter{names: q.AtomNames(), atoms: routes},
+		Router:    router,
 		Query:     q,
 		// Overlapping bin combinations may each produce the same answer.
 		Dedup:         true,
@@ -150,15 +153,10 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	}
 	// Partition hints: for each atom, the single attribute carrying the
 	// largest heavy-hitter mass — its runs gain the most from
-	// span compilation (generalRouter accepts any attribute, the hint only
+	// span compilation (atomRoute accepts any attribute, the hint only
 	// picks which layout to maintain). Atoms with no single-attribute heavy
 	// hitter are left unhinted.
-	hinted := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
-		if hinted[a.Name] {
-			continue
-		}
-		hinted[a.Name] = true
 		bestAttr, bestMass := -1, int64(0)
 		for pos := 0; pos < a.Arity(); pos++ {
 			fm := gs.st[a.Name].FreqMapFor([]int{pos})
@@ -178,28 +176,12 @@ func (gs *generalState) plan(cfg GeneralConfig) *GeneralPlan {
 	return gp
 }
 
-// generalRouter routes tuples to every bin combination's subgrid. It
-// carries only plan-time tables (thresholds and frequency maps are frozen
-// into the steps), never the planning state, so cached plans don't pin the
-// database they were built from. Its routes read each row in place and keep
-// no scratch, so one instance serves every sender concurrently.
-type generalRouter struct {
-	names []string
-	atoms []atomRoute // atoms[j] routes the atom named names[j]
-}
-
-// Bind implements mpc.Router: the route of the atom named name — a pointer
-// into the router's table, so binding allocates nothing — nil for a
-// relation outside the query.
-func (r *generalRouter) Bind(name string) mpc.Route {
-	if j := slices.Index(r.names, name); j >= 0 {
-		return &r.atoms[j]
-	}
-	return nil
-}
-
-// atomRoute is one atom's route over the bin-combination layout: one step
-// per bin combination.
+// atomRoute is one atom's route over the bin-combination layout, to every
+// bin combination's subgrid: one step per bin combination. It carries only
+// plan-time tables (thresholds and frequency maps are frozen into the
+// steps), never the planning state, so cached plans don't pin the database
+// they were built from. It reads each row in place and keeps no scratch, so
+// one route serves every sender concurrently.
 type atomRoute []spanStep
 
 // spanStep is one bin combination's routing of one atom. The steps every
@@ -241,6 +223,16 @@ next:
 		}
 	}
 	return dst
+}
+
+// Servers implements mpc.Route: a row's combinations are resolved per row,
+// so every row answers -1 and goes through Destinations.
+//
+//skewlint:noalloc
+func (a atomRoute) Servers(_ [][]int64, _, _ int, out []int32) {
+	for i := range out {
+		out[i] = -1
+	}
 }
 
 // CompileSpan implements mpc.Route for a run on any single attribute: for

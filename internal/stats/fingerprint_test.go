@@ -13,24 +13,24 @@ import (
 // scan per relation, ignoring the maintained content sums: the reference
 // the incremental maintenance is held to.
 func fingerprintRescan(db *data.Database) uint64 {
-	h := fnvOffset
+	h := hashing.FNVOffset
 	for _, name := range db.Names() {
 		r := db.Relations[name]
 		for i := 0; i < len(name); i++ {
-			h = (h ^ uint64(name[i])) * fnvPrime
+			h = (h ^ uint64(name[i])) * hashing.FNVPrime
 		}
-		h = (h ^ uint64(r.Arity)) * fnvPrime
-		h = (h ^ uint64(r.Domain)) * fnvPrime
-		h = (h ^ uint64(r.Size())) * fnvPrime
+		h = (h ^ uint64(r.Arity)) * hashing.FNVPrime
+		h = (h ^ uint64(r.Domain)) * hashing.FNVPrime
+		h = (h ^ uint64(r.Size())) * hashing.FNVPrime
 		var content uint64
 		for i := 0; i < r.Size(); i++ {
-			th := fnvOffset
+			th := hashing.FNVOffset
 			for _, col := range r.Columns() {
-				th = (th ^ uint64(col[i])) * fnvPrime
+				th = (th ^ uint64(col[i])) * hashing.FNVPrime
 			}
 			content += hashing.Mix64(th)
 		}
-		h = (h ^ content) * fnvPrime
+		h = (h ^ content) * hashing.FNVPrime
 	}
 	return h
 }

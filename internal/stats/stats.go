@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/data"
+	"repro/internal/hashing"
 	"repro/internal/join"
 	"repro/internal/par"
 )
@@ -426,13 +427,6 @@ func nonEmptySubsets(arity int) [][]int {
 	return out
 }
 
-// fnvOffset and fnvPrime are the 64-bit FNV-1a parameters used by
-// Fingerprint's value chaining.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
 // Fingerprint returns a cheap content hash of db. Two databases with the
 // same relations (names, shapes, and tuple multisets — insertion order is
 // ignored) fingerprint identically, so any plan built for one is valid for
@@ -446,16 +440,16 @@ const (
 // after Database.Apply deltas — costs O(relations), not O(tuples). The
 // tests hold it to a serial rescan after arbitrary delta sequences.
 func Fingerprint(db *data.Database) uint64 {
-	h := fnvOffset
+	h := hashing.FNVOffset
 	for _, name := range db.Names() {
 		r := db.Relations[name]
 		for i := 0; i < len(name); i++ {
-			h = (h ^ uint64(name[i])) * fnvPrime
+			h = (h ^ uint64(name[i])) * hashing.FNVPrime
 		}
-		h = (h ^ uint64(r.Arity)) * fnvPrime
-		h = (h ^ uint64(r.Domain)) * fnvPrime
-		h = (h ^ uint64(r.Size())) * fnvPrime
-		h = (h ^ r.ContentSum()) * fnvPrime
+		h = (h ^ uint64(r.Arity)) * hashing.FNVPrime
+		h = (h ^ uint64(r.Domain)) * hashing.FNVPrime
+		h = (h ^ uint64(r.Size())) * hashing.FNVPrime
+		h = (h ^ r.ContentSum()) * hashing.FNVPrime
 	}
 	return h
 }
@@ -466,14 +460,14 @@ func Fingerprint(db *data.Database) uint64 {
 // positions, so it stays *correct* across content deltas but becomes
 // invalid if a relation's schema changes under it.
 func SchemaFingerprint(db *data.Database) uint64 {
-	h := fnvOffset
+	h := hashing.FNVOffset
 	for _, name := range db.Names() {
 		r := db.Relations[name]
 		for i := 0; i < len(name); i++ {
-			h = (h ^ uint64(name[i])) * fnvPrime
+			h = (h ^ uint64(name[i])) * hashing.FNVPrime
 		}
-		h = (h ^ uint64(r.Arity)) * fnvPrime
-		h = (h ^ uint64(r.Domain)) * fnvPrime
+		h = (h ^ uint64(r.Arity)) * hashing.FNVPrime
+		h = (h ^ uint64(r.Domain)) * hashing.FNVPrime
 	}
 	return h
 }

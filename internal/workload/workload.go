@@ -10,8 +10,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -93,8 +95,8 @@ func distinctValues(rng *rand.Rand, m int, domain int64) []int64 {
 // the remaining columns hold distinct values. Requires domain ≥ m and
 // value < domain.
 func SingleValue(name string, arity, m int, domain int64, col int, value int64, seed int64) *data.Relation {
-	if int64(m) > domain {
-		panic("workload: SingleValue needs domain >= m")
+	if int64(m) > domain || value < 0 || value >= domain {
+		panic("workload: SingleValue needs domain >= m and value in [0, domain)")
 	}
 	r := data.NewRelation(name, arity, domain)
 	rng := rand.New(rand.NewSource(seed))
@@ -104,17 +106,11 @@ func SingleValue(name string, arity, m int, domain int64, col int, value int64, 
 			cols[c] = distinctValues(rng, m, domain)
 		}
 	}
-	t := make(data.Tuple, arity)
-	for i := 0; i < m; i++ {
-		for c := 0; c < arity; c++ {
-			if c == col {
-				t[c] = value
-			} else {
-				t[c] = cols[c][i]
-			}
-		}
-		r.Add(t...)
+	cols[col] = make([]int64, m)
+	for i := range cols[col] {
+		cols[col][i] = value
 	}
+	r.AppendColumns(cols, m)
 	return r
 }
 
@@ -249,11 +245,7 @@ func DegreeSequence(name string, domain int64, col int, degrees map[int64]int, s
 		specs = append(specs, HeavySpec{Value: v, Count: d})
 	}
 	// Sort for determinism (map iteration order is random).
-	for i := 1; i < len(specs); i++ {
-		for j := i; j > 0 && specs[j].Value < specs[j-1].Value; j-- {
-			specs[j], specs[j-1] = specs[j-1], specs[j]
-		}
-	}
+	slices.SortFunc(specs, func(a, b HeavySpec) int { return cmp.Compare(a.Value, b.Value) })
 	if int64(m) > domain {
 		panic("workload: DegreeSequence needs domain >= total degree")
 	}

@@ -190,16 +190,8 @@ func WithP(p int) ExecOption {
 // Exec observes the epoch current at admission time (or, handed a
 // snapshot, that snapshot).
 func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...ExecOption) (Result, error) {
-	var o core.ExecOptions
-	for _, opt := range opts {
-		if opt.apply != nil {
-			opt.apply(&o)
-		}
-	}
-	if err := checkInputs(q, db, o); err != nil {
-		return Result{}, err
-	}
-	if err := s.gate.Enter(ctx); err != nil {
+	o, err := s.admit(ctx, q, db, opts)
+	if err != nil {
 		return Result{}, err
 	}
 	defer s.gate.Leave()
@@ -218,22 +210,33 @@ func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...Exec
 // done. See StandingQuery for invalidation (schema changes, new heavy
 // hitters, ClearPlanCache) and staleness semantics.
 func (s *Session) Standing(ctx context.Context, q *Query, db *Database, opts ...ExecOption) (*StandingQuery, error) {
-	o := core.ExecOptions{}
+	// The seed is an execution; it passes the admission gate like any Exec
+	// (and a closed session refuses new registrations).
+	o, err := s.admit(ctx, q, db, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer s.gate.Leave()
+	return s.eng.Standing(ctx, q, db, o)
+}
+
+// admit folds opts, checks q and db (nil inputs, the forced strategy's
+// shape) and passes the admission gate, in that order, so a malformed call
+// never takes a slot. Exec and Standing leave the gate when done.
+func (s *Session) admit(ctx context.Context, q *Query, db *Database, opts []ExecOption) (core.ExecOptions, error) {
+	var o core.ExecOptions
 	for _, opt := range opts {
 		if opt.apply != nil {
 			opt.apply(&o)
 		}
 	}
-	if err := checkInputs(q, db, o); err != nil {
-		return nil, err
+	if err := checkNil(q, db); err != nil {
+		return o, err
 	}
-	// The seed is an execution; it passes the admission gate like any Exec
-	// (and a closed session refuses new registrations).
-	if err := s.gate.Enter(ctx); err != nil {
-		return nil, err
+	if err := core.CheckStrategy(q, o.Strategy); err != nil {
+		return o, err
 	}
-	defer s.gate.Leave()
-	return s.eng.Standing(ctx, q, db, o)
+	return o, s.gate.Enter(ctx)
 }
 
 // Explain renders the engine's plan analysis for q over db (strategy
@@ -257,16 +260,6 @@ func checkNil(q *Query, db *Database) error {
 		return errors.New("repro: nil database")
 	}
 	return nil
-}
-
-// checkInputs is checkNil plus the forced strategy's shape check. Exec and
-// Standing run it before the admission gate, so a malformed call never
-// takes a slot.
-func checkInputs(q *Query, db *Database, o core.ExecOptions) error {
-	if err := checkNil(q, db); err != nil {
-		return err
-	}
-	return core.CheckStrategy(q, o.Strategy)
 }
 
 // CacheStats reports the session's plan-cache counters, including
